@@ -323,9 +323,11 @@ func (rp *Replanner) refine(ctx context.Context) (*Result, error) {
 
 // relax solves the BL relaxation over the whole observed workload
 // under caps — warm on the persistent session in incremental mode, cold
-// on a fresh session in the comparator mode. The two return exactly the
-// same relaxation (the BLSession bit-identity and degenerate-vertex
-// re-solve guarantees), which is what keeps the modes' decisions equal.
+// on a fresh session in the comparator mode. The two return the same
+// relaxation, which is what keeps the modes' decisions equal: both build
+// the bit-identical model, its index-keyed tie-break makes the optimum
+// unique, and a warm optimum that is still ambiguous takes the session's
+// counted cold re-solve rung.
 func (rp *Replanner) relax(opts lp.Options, caps []int) (*spm.RelaxedBL, error) {
 	all := make([]int, rp.inst.NumRequests())
 	for i := range all {

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"os"
+	"sort"
 	"testing"
 
 	"metis/internal/demand"
+	"metis/internal/obs"
 	"metis/internal/stats"
 	"metis/internal/wan"
 )
@@ -21,6 +24,38 @@ func requestPool(t *testing.T, net *wan.Network, k int, seed int64) []demand.Req
 		t.Fatal(err)
 	}
 	return reqs
+}
+
+// replanBoth replans the incremental replanner and the cold-refine
+// comparator and requires identical per-request path choices, profit and
+// capacity plan. at locates the replan in failure messages.
+func replanBoth(t *testing.T, at string, inc, cold *Replanner) {
+	t.Helper()
+	ri, err := inc.Replan(nil)
+	if err != nil {
+		t.Fatalf("%s: incremental replan: %v", at, err)
+	}
+	rc, err := cold.Replan(nil)
+	if err != nil {
+		t.Fatalf("%s: cold replan: %v", at, err)
+	}
+	if ri.Degraded || rc.Degraded {
+		t.Fatalf("%s: degraded replan without a deadline (inc=%v cold=%v)", at, ri.Degraded, rc.Degraded)
+	}
+	for i := 0; i < inc.NumObserved(); i++ {
+		ci, cc := ri.Schedule.Choice(i), rc.Schedule.Choice(i)
+		if ci != cc {
+			t.Fatalf("%s: request %d decided differently: incremental path %d, cold rebuild path %d", at, i, ci, cc)
+		}
+	}
+	if ri.Profit != rc.Profit {
+		t.Fatalf("%s: profit diverged: incremental %.17g, cold rebuild %.17g", at, ri.Profit, rc.Profit)
+	}
+	for e := range ri.Charged {
+		if ri.Charged[e] != rc.Charged[e] {
+			t.Fatalf("%s: plan diverged on link %d: incremental %d, cold rebuild %d", at, e, ri.Charged[e], rc.Charged[e])
+		}
+	}
 }
 
 // driveParityTrace pushes one randomized arrival trace through an
@@ -56,35 +91,7 @@ func driveParityTrace(t *testing.T, seed int64, k int) {
 		if rng.Float64() < 0.25 && used < len(pool) {
 			continue
 		}
-		ri, err := inc.Replan(nil)
-		if err != nil {
-			t.Fatalf("seed %d epoch %d: incremental replan: %v", seed, epoch, err)
-		}
-		rc, err := cold.Replan(nil)
-		if err != nil {
-			t.Fatalf("seed %d epoch %d: cold replan: %v", seed, epoch, err)
-		}
-		if ri.Degraded || rc.Degraded {
-			t.Fatalf("seed %d epoch %d: degraded replan without a deadline (inc=%v cold=%v)",
-				seed, epoch, ri.Degraded, rc.Degraded)
-		}
-		for i := 0; i < inc.NumObserved(); i++ {
-			ci, cc := ri.Schedule.Choice(i), rc.Schedule.Choice(i)
-			if ci != cc {
-				t.Fatalf("seed %d epoch %d: request %d decided differently: incremental path %d, cold rebuild path %d",
-					seed, epoch, i, ci, cc)
-			}
-		}
-		if ri.Profit != rc.Profit {
-			t.Fatalf("seed %d epoch %d: profit diverged: incremental %.17g, cold rebuild %.17g",
-				seed, epoch, ri.Profit, rc.Profit)
-		}
-		for e := range ri.Charged {
-			if ri.Charged[e] != rc.Charged[e] {
-				t.Fatalf("seed %d epoch %d: plan diverged on link %d: incremental %d, cold rebuild %d",
-					seed, epoch, e, ri.Charged[e], rc.Charged[e])
-			}
-		}
+		replanBoth(t, fmt.Sprintf("seed %d epoch %d", seed, epoch), inc, cold)
 	}
 }
 
@@ -104,15 +111,62 @@ func TestReplannerIncrementalMatchesColdRebuild(t *testing.T) {
 	}
 }
 
-// TestReplannerParityFullScale is the METIS_PARITY_FULL-gated variant:
-// fewer traces, service-scale workloads.
+// TestReplannerParityFullScale runs the parity sweep at service scale
+// (K = 400): two traces by default, all ten under METIS_PARITY_FULL.
 func TestReplannerParityFullScale(t *testing.T) {
-	if os.Getenv("METIS_PARITY_FULL") == "" {
-		t.Skip("set METIS_PARITY_FULL=1 to run the full-scale parity sweep")
+	traces := 2
+	if os.Getenv("METIS_PARITY_FULL") != "" {
+		traces = 10
+	} else if testing.Short() {
+		t.Skip("service-scale traces are skipped in -short mode")
 	}
-	for trace := 0; trace < 10; trace++ {
+	for trace := 0; trace < traces; trace++ {
 		seed := int64(77000 + trace)
 		driveParityTrace(t, seed, 400)
+	}
+}
+
+// TestReplannerServiceScaleKeepsWarmOptimum drives both refinement modes
+// through the benchmark's replan-capacity shape — SUB-B4, 12 slots, 600
+// requests per cycle ordered by Start, a replan every second slot, a
+// Reset at the cycle wrap — and requires identical decisions at every
+// replan and that the session's tie-break, not the cold re-solve rung,
+// is what delivers them: cold re-solves stay under 15% of replans.
+func TestReplannerServiceScaleKeepsWarmOptimum(t *testing.T) {
+	const slots, perCycle, replanEvery, cycles = 12, 600, 2, 2
+	net := wan.SubB4()
+	cfg := Config{Seed: 1}
+	inc := NewReplanner(net, slots, 0, cfg, ReplanIncremental)
+	cold := NewReplanner(net, slots, 0, cfg, ReplanColdRefine)
+	const counter = "spm.session.cold_resolves"
+	before := obs.Snapshot()[counter]
+	replans := 0
+	for c := 0; c < cycles; c++ {
+		pool := requestPool(t, net, perCycle, int64(1000+c))
+		sort.SliceStable(pool, func(a, b int) bool { return pool[a].Start < pool[b].Start })
+		for slot, next := 0, 0; slot < slots; slot++ {
+			from := next
+			for next < len(pool) && pool[next].Start == slot {
+				next++
+			}
+			for _, rp := range []*Replanner{inc, cold} {
+				if err := rp.Observe(pool[from:next]); err != nil {
+					t.Fatalf("cycle %d slot %d: observe: %v", c, slot, err)
+				}
+			}
+			if slot%replanEvery != 0 || inc.NumObserved() == inc.NumPlanned() {
+				continue
+			}
+			replanBoth(t, fmt.Sprintf("cycle %d slot %d", c, slot), inc, cold)
+			replans++
+		}
+		inc.Reset()
+		cold.Reset()
+	}
+	resolves := obs.Snapshot()[counter] - before
+	t.Logf("%v cold re-solves in %d replans", resolves, replans)
+	if resolves > 0.15*float64(replans) {
+		t.Fatalf("%v of %d warm session solves were re-solved cold, want ≤ 15%%", resolves, replans)
 	}
 }
 

@@ -312,7 +312,9 @@ type Solution struct {
 	// and cold solves are free to disagree on which vertex they return.
 	// Computed only for warm-capable optimal solves (Options.Warm != nil);
 	// always false otherwise. Consumers that need the exact vertex a cold
-	// solve would pick must re-solve cold when this is set.
+	// solve would pick make the optimum unique in their model (an
+	// objective tie-break above Tol, as spm.BLSession does) and re-solve
+	// cold when this is still set.
 	Degenerate bool
 	// Factorized reports whether the solve ran against the sparse
 	// LU-factorized basis (PivotFactorized, or PivotAuto on a large

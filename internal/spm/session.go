@@ -7,6 +7,7 @@ import (
 	"metis/internal/lp"
 	"metis/internal/sched"
 	"metis/internal/solvectx"
+	"metis/internal/stats"
 )
 
 // BLSession is the cross-epoch sibling of BLModel: a persistent BL-SPM
@@ -30,10 +31,19 @@ import (
 //
 // Solves warm-start from the previous replan's basis; the retained
 // basis grows across appends (lp.Basis grow path) rather than going
-// stale. When a warm solve lands on a degenerate optimum — where warm
-// and cold are free to disagree on the vertex — the session re-solves
-// cold on the same model, restoring exact agreement with the rebuild
-// path (the PR 6/7 fallback-ladder discipline, one rung higher).
+// stale. For the warm vertex to be the rebuild's vertex the optimum must
+// be unique, and the plain relaxation's never is: a request whose
+// candidate paths all have spare capacity may split across them any way
+// it likes. The session therefore prices routing column (i, j) at the
+// request's value plus an index-keyed tie-break (tiedValue), a pure
+// function of the model, which makes the optimum unique by construction
+// and costs the bound at most tieBreak relative (see RelaxedBL.Revenue
+// in SolveSubset). Inputs the tie-break cannot separate — zero-value
+// requests, reduced costs that still land within lp.Options.Tol — keep
+// the fallback rung: a warm solve that reports a degenerate optimum is
+// re-solved cold on the same model, restoring exact agreement with the
+// rebuild path, and counted (spm.session.cold_resolves of
+// spm.session.solves) so the rung can be seen to be rare.
 //
 // A BLSession is not safe for concurrent use.
 type BLSession struct {
@@ -121,7 +131,7 @@ func (s *BLSession) append(inst *sched.Instance, from int) error {
 			}
 			merged = append(merged, accept)
 			vals = append(vals, 1)
-			col, err := s.p.AppendColumn(r.Value, 0, 1, merged, vals, nameIdx2("x", i, j))
+			col, err := s.p.AppendColumn(tiedValue(r.Value, i, j, len(cols)), 0, 1, merged, vals, nameIdx2("x", i, j))
 			if err != nil {
 				return err
 			}
@@ -131,6 +141,36 @@ func (s *BLSession) append(inst *sched.Instance, from int) error {
 		s.active = append(s.active, true)
 	}
 	return nil
+}
+
+// tieBreak is the relative size of the objective tie-break. It is
+// bounded from both sides:
+//
+//   - Below by lp.Options.Tol: optimality and degeneracy are judged on
+//     reduced costs at an absolute 1e-7, and a request's own paths are
+//     priced tieBreak·value/paths apart. Generated values run from about
+//     1e-2 to 1 over 3 paths, so 1e-3 separates them by ≥ 3e-6. At 1e-5
+//     the gap sinks under Tol and four in five warm optima still report
+//     degenerate on the service-scale trace; at 1e-4, one in four; at
+//     1e-3, one in fifty.
+//   - Above by the relaxation's use as an upper bound: every column's
+//     price is inflated by a factor in (1, 1+tieBreak], so the tied
+//     optimum lies in [OPT, (1+tieBreak)·OPT] for the untied optimum OPT.
+const tieBreak = 1e-3
+
+// tiedValue prices routing column (i, j) of a request with n candidate
+// paths: value·(1 + tieBreak·u) with u = (n − j − h(i))/n ∈ (0, 1], where
+// h(i) ∈ [0, 1) is a fixed hash of the request index. Lower path indices
+// (shorter paths) win ties within a request by a full 1/n step; h spreads
+// requests of equal value and rate apart without reordering any
+// request's own paths (with one value and rate for every request it
+// takes the cold re-solves from one warm solve in two to one in eleven).
+// The term is non-negative and vanishes with the value, so a zero-value
+// request stays tied.
+func tiedValue(value float64, i, j, n int) float64 {
+	h := float64(stats.SplitMix64(uint64(i))>>11) / (1 << 53)
+	u := (float64(n-j) - h) / float64(n)
+	return value * (1 + tieBreak*u)
 }
 
 // SetOptions replaces the LP options used by subsequent solves; the
@@ -146,10 +186,13 @@ func (s *BLSession) NumRequests() int { return len(s.active) }
 // SolveSubset solves the relaxation restricted to subset (indices into
 // the session's instance) under per-link capacities caps, constant
 // across slots. The returned solution is subset-shaped and its X is
-// exactly what a from-scratch cold rebuild of the same model would
-// return: warm solves that land on a degenerate (vertex-ambiguous)
-// optimum are re-solved cold on the spot, and the extension layout
-// makes that cold solve bit-identical to the rebuild's.
+// what a from-scratch cold rebuild of the same model would return: the
+// tie-break makes the optimum unique, so the warm vertex is the cold
+// one; a warm solve that still reports a degenerate optimum is re-solved
+// cold on the spot, and the extension layout makes that cold solve
+// bit-identical to the rebuild's. Revenue is the tied objective: an
+// upper bound on the untied BL relaxation (BLModel) optimum, at most
+// tieBreak relative above it.
 func (s *BLSession) SolveSubset(subset []int, caps []int) (*RelaxedBL, error) {
 	if len(caps) != len(s.capRows) {
 		return nil, fmt.Errorf("spm: BLSession: capacity vector has %d entries, want %d", len(caps), len(s.capRows))
@@ -216,10 +259,10 @@ func (s *BLSession) SolveSubset(subset []int, caps []int) (*RelaxedBL, error) {
 		return nil, fmt.Errorf("spm: relaxed BL-SPM session: %v", sol.Status)
 	}
 	if sol.Degenerate && sol.Warm {
-		// Vertex-ambiguous warm optimum: only the objective is pinned,
-		// and consumers round X. Re-solve cold on the same model — by
-		// the bit-identity property this returns exactly the rebuild
-		// path's X — and recapture the basis.
+		// The tie-break left this warm optimum vertex-ambiguous: only
+		// the objective is pinned, and consumers round X. Re-solve cold
+		// on the same model — by the bit-identity property this returns
+		// exactly the rebuild path's X — and recapture the basis.
 		cSessionColdResolves.Inc()
 		s.basis.Reset()
 		sol, err = s.p.Solve(opts)
@@ -234,11 +277,12 @@ func (s *BLSession) SolveSubset(subset []int, caps []int) (*RelaxedBL, error) {
 		}
 	}
 	s.solved = len(s.active)
+	cSessionSolves.Inc()
 	return &RelaxedBL{
 		X:       extractSubsetX(sol.X, s.xCols, subset),
 		Revenue: sol.Objective,
-		// X already matches the cold rebuild exactly (cold re-solve
-		// above, or a unique-vertex optimum); nothing left to replay.
+		// X already matches the cold rebuild (unique optimum, or the
+		// cold re-solve above); nothing left to replay.
 		Ambiguous: false,
 	}, nil
 }

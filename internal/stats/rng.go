@@ -28,10 +28,10 @@ func NewRNG(seed int64) *RNG {
 	return &RNG{r: rand.New(rand.NewSource(seed))}
 }
 
-// splitmix64 is the SplitMix64 output function: a bijective avalanche
-// mix, the standard way to derive well-separated child seeds from
-// sequential inputs.
-func splitmix64(x uint64) uint64 {
+// SplitMix64 is the SplitMix64 output function: a bijective avalanche
+// mix, the standard way to derive well-separated child seeds (or any
+// fixed, well-spread key) from sequential inputs.
+func SplitMix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
@@ -53,7 +53,7 @@ func (g *RNG) Split(n int) []*RNG {
 	base := g.r.Uint64()
 	out := make([]*RNG, n)
 	for i := range out {
-		child := splitmix64(base + uint64(i)*0x9e3779b97f4a7c15)
+		child := SplitMix64(base + uint64(i)*0x9e3779b97f4a7c15)
 		out[i] = NewRNG(int64(child))
 	}
 	return out
