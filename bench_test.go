@@ -169,9 +169,9 @@ func BenchmarkMetisSolveK100(b *testing.B) {
 }
 
 // lpIters reads the global simplex-iteration counter so the solve
-// benchmarks can report iterations alongside ns/op: pricing-rule work
-// (devex vs Dantzig) moves the iteration count, not just the per-
-// iteration cost, and the delta makes that visible per benchmark run.
+// benchmarks can report iterations alongside ns/op: a pricing change
+// moves the iteration count, not just the per-iteration cost, and the
+// delta makes that visible per benchmark run.
 func lpIters() float64 { return obs.Snapshot()["lp.iters"] }
 
 // BenchmarkMetisSolveK1000 fills the gap between the K100 latency
@@ -194,7 +194,7 @@ func BenchmarkMetisSolveK1000(b *testing.B) {
 // exists for: a four-orders-of-magnitude request count whose working
 // problems have tens of thousands of rows. A dense m×m basis inverse at
 // that size would need multiple gigabytes and O(m²) work per pivot;
-// PivotAuto selects the sparse LU representation, which keeps memory
+// the row count selects the sparse LU representation, which keeps memory
 // proportional to factor fill. The benchmark's job is to complete —
 // it is the existence proof for the K=10⁴ regime. Run it manually with
 // -benchtime=1x -timeout 0 (~10 min single-core); -short skips it and

@@ -11,7 +11,6 @@
 //	metisbench -list                # known experiment ids
 //	metisbench -fig fig3 -seed 7 -opt-limit 30s
 //	metisbench -fig fig5 -warm off  # disable LP warm starts (seed path)
-//	metisbench -fig fig5 -factorized # force the LU-factorized simplex basis
 //	metisbench -fig fig5 -cpuprofile cpu.out -memprofile mem.out
 //	metisbench -fig fig5 -trace trace.jsonl      # structured solve trace (see cmd/metistrace)
 //	metisbench -fig all -metrics-addr :9090      # live /metrics, /debug/vars, /debug/pprof
@@ -38,7 +37,6 @@ import (
 
 	"metis/internal/exp"
 	"metis/internal/fault"
-	"metis/internal/lp"
 	"metis/internal/obs"
 	"metis/internal/solvectx"
 )
@@ -60,15 +58,10 @@ type benchRecord struct {
 
 // jsonReport is the top-level -json document.
 type jsonReport struct {
-	Config     string `json:"config"`
-	Parallel   int    `json:"parallel"`
-	Seed       int64  `json:"seed"`
-	Warm       bool   `json:"warm"`
-	Factorized bool   `json:"factorized"`
-	// Pricing is the configured simplex pricing rule ("auto" resolves
-	// per solve against the basis representation; per-rule iteration
-	// and reset stats are in Counters under lp.pricing.*).
-	Pricing    string        `json:"pricing"`
+	Config     string        `json:"config"`
+	Parallel   int           `json:"parallel"`
+	Seed       int64         `json:"seed"`
+	Warm       bool          `json:"warm"`
 	Figures    []*exp.Figure `json:"figures"`
 	Benchmarks []benchRecord `json:"benchmarks"`
 	// SolverStats carries the per-point solver statistics collected
@@ -97,8 +90,6 @@ func run(args []string) (err error) {
 		optLimit    = fs.Duration("opt-limit", 0, "override exact-solver time limit (0 = config default)")
 		parallel    = fs.Int("parallel", 1, "scenario-point workers per experiment (0 = all CPUs, 1 = sequential)")
 		warm        = fs.String("warm", "on", "LP warm starts: on (incremental relaxation models) or off (every LP solved cold; bit-identical to the pre-warm-start code path)")
-		factorized  = fs.Bool("factorized", false, "force the LU-factorized simplex basis for every LP solve (default: chosen per problem by size); refactorization and update stats land in the -json counters")
-		pricing     = fs.String("pricing", "auto", "simplex pricing rule: auto (resolves to sectional dantzig — the measured winner on the path-formulation LPs), dantzig, devex or bland; pricing stats land in the -json counters")
 		cpuProf     = fs.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
 		memProf     = fs.String("memprofile", "", "write an allocation profile (after the run) to this file")
 		traceOut    = fs.String("trace", "", "write a JSONL trace of every solve to this file (summarize with cmd/metistrace)")
@@ -112,7 +103,7 @@ func run(args []string) (err error) {
 	// Flag validation, before any work: conflicting or malformed
 	// combinations fail fast with the usage text instead of surfacing
 	// minutes into a run (or silently letting one flag win).
-	if err := validateFlags(*warm, *pricing, *csv, *chart, *jsonOut, *list); err != nil {
+	if err := validateFlags(*warm, *csv, *chart, *jsonOut, *list); err != nil {
 		fmt.Fprintln(os.Stderr, "metisbench:", err)
 		fs.Usage()
 		return err
@@ -139,10 +130,6 @@ func run(args []string) (err error) {
 	}
 	cfg.Parallel = *parallel
 	cfg.ColdLP = *warm == "off"
-	if *factorized {
-		cfg.LP.Pivot = lp.PivotFactorized
-	}
-	cfg.LP.Pricing = pricingRules[*pricing]
 	cfg.Deadline = *deadline
 
 	// Ctrl-C cancels every solve through the context plumbing; deferred
@@ -253,24 +240,13 @@ func run(args []string) (err error) {
 	return writeMemProfile()
 }
 
-// pricingRules maps the -pricing flag values onto lp.Pricing.
-var pricingRules = map[string]lp.Pricing{
-	"auto":    lp.PricingAuto,
-	"dantzig": lp.PricingDantzig,
-	"devex":   lp.PricingDevex,
-	"bland":   lp.PricingBland,
-}
-
 // validateFlags rejects flag combinations that contradict each other.
 // -csv, -chart and -json each claim the whole output stream, so at most
 // one may be set; -list exits before any experiment runs, so combining
 // it with an output format is a mistake worth stopping on.
-func validateFlags(warm, pricing string, csv, chart, jsonOut, list bool) error {
+func validateFlags(warm string, csv, chart, jsonOut, list bool) error {
 	if warm != "on" && warm != "off" {
 		return fmt.Errorf("-warm must be \"on\" or \"off\", got %q", warm)
-	}
-	if _, ok := pricingRules[pricing]; !ok {
-		return fmt.Errorf("-pricing must be \"auto\", \"dantzig\", \"devex\" or \"bland\", got %q", pricing)
 	}
 	formats := 0
 	for _, f := range []bool{csv, chart, jsonOut} {
@@ -298,9 +274,7 @@ func runJSON(w io.Writer, figID, cfgName string, cfg exp.Config) error {
 	stats := &exp.RunStats{}
 	cfg.Stats = stats
 	report := jsonReport{
-		Config: cfgName, Parallel: cfg.Parallel, Seed: cfg.Seed,
-		Warm: !cfg.ColdLP, Factorized: cfg.LP.Pivot == lp.PivotFactorized,
-		Pricing: cfg.LP.Pricing.String(),
+		Config: cfgName, Parallel: cfg.Parallel, Seed: cfg.Seed, Warm: !cfg.ColdLP,
 	}
 	var ms runtime.MemStats
 	for _, id := range ids {

@@ -43,34 +43,9 @@ func TestRunConflictingFlags(t *testing.T) {
 		{"-fig", "fig4a", "-csv", "-chart", "-json"},
 		{"-list", "-json"},
 		{"-fig", "fig4a", "-warm", "lukewarm"},
-		{"-fig", "fig4a", "-pricing", "steepest"},
-		{"-fig", "fig4a", "-pricing", ""},
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v): want validation error, got nil", args)
-		}
-	}
-}
-
-// TestRunFactorizedQuick: the -factorized flag must thread through to a
-// completed run (every LP solved on the LU basis).
-func TestRunFactorizedQuick(t *testing.T) {
-	if err := run([]string{"-fig", "fig4a", "-quick", "-factorized"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRunPricingQuick: every -pricing value must thread through to a
-// completed run; devex rides the factorized basis where its weight
-// updates are sparse solves.
-func TestRunPricingQuick(t *testing.T) {
-	for _, rule := range []string{"dantzig", "devex", "bland"} {
-		args := []string{"-fig", "fig4a", "-quick", "-pricing", rule}
-		if rule == "devex" {
-			args = append(args, "-factorized")
-		}
-		if err := run(args); err != nil {
-			t.Fatalf("run(%v): %v", args, err)
 		}
 	}
 }

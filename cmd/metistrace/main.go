@@ -95,11 +95,6 @@ func run(args []string, w io.Writer) error {
 			return err
 		}
 	}
-	if t := pricingTable(recs); t != nil {
-		if err := write(t); err != nil {
-			return err
-		}
-	}
 	if t := slowestLPTable(recs, *topK); t != nil {
 		if err := write(t); err != nil {
 			return err
@@ -240,53 +235,6 @@ func warmTable(recs []obs.WireRecord) *tableio.Table {
 	return t
 }
 
-// pricingTable aggregates the "pricing" field of every "lp.solve"
-// span: which resolved pricing rule (devex, dantzig, bland) drove each
-// solve. Traces written before the field existed have no "pricing" on
-// their spans; the table is omitted rather than reporting an empty
-// rule.
-func pricingTable(recs []obs.WireRecord) *tableio.Table {
-	counts := map[string]int{}
-	total := 0
-	for i := range recs {
-		r := &recs[i]
-		if r.Kind != "span" || r.Name != "lp.solve" {
-			continue
-		}
-		rule := r.FieldString("pricing")
-		if rule == "" {
-			continue
-		}
-		total++
-		counts[rule]++
-	}
-	if total == 0 {
-		return nil
-	}
-	t := tableio.New("LP pricing rules", "rule", "count", "share_%")
-	known := []string{"devex", "dantzig", "bland"}
-	seen := map[string]bool{}
-	for _, k := range known {
-		seen[k] = true
-		if counts[k] == 0 {
-			continue
-		}
-		t.AddRow(k, strconv.Itoa(counts[k]), tableio.FormatFloat(100*float64(counts[k])/float64(total)))
-	}
-	var rest []string
-	for k := range counts {
-		if !seen[k] {
-			rest = append(rest, k)
-		}
-	}
-	sort.Strings(rest)
-	for _, k := range rest {
-		t.AddRow(k, strconv.Itoa(counts[k]), tableio.FormatFloat(100*float64(counts[k])/float64(total)))
-	}
-	t.AddRow("total", strconv.Itoa(total), "100")
-	return t
-}
-
 // slowestLPTable lists the k slowest "lp.solve" spans.
 func slowestLPTable(recs []obs.WireRecord, k int) *tableio.Table {
 	var lps []*obs.WireRecord
@@ -304,7 +252,7 @@ func slowestLPTable(recs []obs.WireRecord, k int) *tableio.Table {
 		lps = lps[:k]
 	}
 	t := tableio.New(fmt.Sprintf("Slowest LP solves (top %d)", len(lps)),
-		"t_ms", "dur_ms", "m", "n", "iters", "status", "warm", "pricing")
+		"t_ms", "dur_ms", "m", "n", "iters", "status", "warm")
 	for _, r := range lps {
 		t.AddRow(
 			tableio.FormatFloat(float64(r.TUS)/1e3),
@@ -314,7 +262,6 @@ func slowestLPTable(recs []obs.WireRecord, k int) *tableio.Table {
 			strconv.Itoa(int(r.FieldFloat("iters"))),
 			r.FieldString("status"),
 			r.FieldString("warm"),
-			r.FieldString("pricing"),
 		)
 	}
 	return t

@@ -123,7 +123,7 @@ func (w *Basis) grow(p *Problem, mat *csc, opts Options) bool {
 	s.m = m1
 	s.opts = opts.withDefaults(m1, nS1)
 	s.nArt = 0
-	s.csrOK, s.gammaOK, s.betaOK = false, false, false
+	s.csrOK = false
 
 	// Rebuild the working matrix [structural | slacks | artificials]
 	// under the fixed signs, mirroring the cold construction.
@@ -228,12 +228,12 @@ func (w *Basis) grow(p *Problem, mat *csc, opts Options) bool {
 		s.basic[i] = j
 	}
 
-	// Pivot-path storage: re-decide the mode for the new size. On the
+	// Basis storage: re-decide the representation for the new size. On the
 	// factorized path the factors are rebuilt from the basic set by the
 	// caller's ensureLU; on the dense-inverse path the grown inverse is
 	// diag(Binv_old, I) because appended rows meet old basic columns
 	// nowhere.
-	s.buildDense()
+	s.chooseBasis()
 	if s.lu == nil {
 		binv := make([]float64, m1*m1)
 		for i := 0; i < m0; i++ {
@@ -249,7 +249,6 @@ func (w *Basis) grow(p *Problem, mat *csc, opts Options) bool {
 	s.y, s.w, s.nz, s.rho, s.wNZ = nil, nil, nil, nil, nil
 	s.cB, s.cbNZ, s.yNZp, s.rhoNZp = nil, nil, nil, nil
 	s.yDense = false
-	s.gamma, s.beta = nil, nil
 	s.alpha, s.alphaNZ, s.alphaMark = nil, nil, nil
 	s.alphaStamp = 0
 	s.b = growFloats(s.b, m1)

@@ -7,7 +7,7 @@ import (
 )
 
 // chainProblem builds a K-stage min-cost flow-ish LP that takes enough
-// simplex iterations to cross several 256-iteration cancellation polls.
+// simplex iterations to cross several 32-iteration cancellation polls.
 func chainProblem(t *testing.T, k int) *Problem {
 	t.Helper()
 	p := NewProblem(Maximize)

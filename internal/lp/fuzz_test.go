@@ -157,7 +157,6 @@ func checkAgainstReference(t *testing.T, fz fuzzLP) {
 		t.Fatalf("%v\nstatus mismatch: simplex=%v reference=%v", fz, sol.Status, want)
 	}
 	checkFactorizedParity(t, fz, sol)
-	checkPricingParity(t, fz, sol)
 	if sol.Status != StatusOptimal {
 		return
 	}
@@ -167,51 +166,14 @@ func checkAgainstReference(t *testing.T, fz fuzzLP) {
 	}
 }
 
-// checkPricingParity re-solves the instance under every explicit pricing
-// rule — devex and Bland on the dense inverse, devex on the factorized
-// basis (Dantzig is the dense default, already exercised by the base
-// solve) — and requires status equality with, and at optimality
-// objective agreement within 1e-6 of, the default solve. Pricing picks
-// the path to the optimum, never the optimum: any divergence here is a
-// solver bug, and the printed fuzzLP replays it.
-func checkPricingParity(t *testing.T, fz fuzzLP, base *Solution) {
-	t.Helper()
-	for _, cfg := range []struct {
-		name string
-		opts Options
-	}{
-		{"devex/dense", Options{Pricing: PricingDevex}},
-		{"bland/dense", Options{Pricing: PricingBland}},
-		{"devex/factorized", Options{Pricing: PricingDevex, Pivot: PivotFactorized}},
-	} {
-		sol, err := fz.build(t).Solve(cfg.opts)
-		if err != nil {
-			t.Fatalf("%v\n%s Solve: %v", fz, cfg.name, err)
-		}
-		if sol.Status == StatusIterLimit {
-			continue // Bland especially can be slow; the oracle only judges finished runs
-		}
-		if sol.Status != base.Status {
-			t.Fatalf("%v\n%s status mismatch: %v != default %v", fz, cfg.name, sol.Status, base.Status)
-		}
-		if sol.Status != StatusOptimal {
-			continue
-		}
-		if math.Abs(sol.Objective-base.Objective) > 1e-6 {
-			t.Fatalf("%v\n%s objective mismatch: %.12g != default %.12g (Δ=%g)",
-				fz, cfg.name, sol.Objective, base.Objective, math.Abs(sol.Objective-base.Objective))
-		}
-	}
-}
-
-// checkFactorizedParity re-solves the instance with Pivot set to
-// PivotFactorized and requires status equality with — and, at
+// checkFactorizedParity re-solves the instance with the LU-factorized
+// basis forced and requires status equality with — and, at
 // optimality, objective agreement within 1e-6 of — the dense-inverse
 // solution. The printed fuzzLP is the full reproducer: paste it into a
 // test (or re-feed the fuzz input) to replay the divergence.
 func checkFactorizedParity(t *testing.T, fz fuzzLP, dense *Solution) {
 	t.Helper()
-	fsol, err := fz.build(t).Solve(Options{Pivot: PivotFactorized})
+	fsol, err := fz.build(t).Solve(Options{basis: basisLU})
 	if err != nil {
 		t.Fatalf("%v\nfactorized Solve: %v", fz, err)
 	}

@@ -23,11 +23,10 @@ var (
 	cLUFillNNZ      = obs.NewCounter("lp.lu.fill_nnz", "cumulative nonzeros (L+U+diag) across factorizations; divide by lp.lu.factors for mean fill")
 	cLUSingular     = obs.NewCounter("lp.lu.singular", "factorization attempts that found the basis numerically singular")
 
-	cPricingScanned   = obs.NewCounter("lp.pricing.scanned", "candidate columns priced across primal entering scans (all rules)")
-	cPricingResets    = obs.NewCounter("lp.pricing.devex_resets", "devex reference-framework (weight) resets, primal and dual: solve starts, weight drift past the cap, unstable refactorizations, ladder returns")
-	cPricingFallbacks = obs.NewCounter("lp.pricing.fallbacks", "pricing-rule demotions down the fallback ladder devex -> sectional Dantzig -> Bland on degenerate plateaus")
+	cPricingScanned   = obs.NewCounter("lp.pricing.scanned", "candidate columns priced across primal entering scans (both rungs)")
+	cPricingFallbacks = obs.NewCounter("lp.pricing.fallbacks", "pricing-rule demotions sectional Dantzig -> Bland on degenerate plateaus, primal and dual")
 
-	cDualColdStarts = obs.NewCounter("lp.pricing.dual_cold_starts", "cold solves that skipped primal phase 1 via a dual-devex cold start (slack basis dual feasible; dual simplex restores primal feasibility)")
+	cDualColdStarts = obs.NewCounter("lp.pricing.dual_cold_starts", "cold solves that skipped primal phase 1 via a dual cold start (slack basis dual feasible; dual simplex restores primal feasibility)")
 	cDualColdBails  = obs.NewCounter("lp.pricing.dual_cold_bails", "dual cold starts that stalled and fell back to classic two-phase primal simplex")
 
 	cWarmAttempts  = obs.NewCounter("lp.warm.attempts", "warm solves attempted from a valid retained basis")

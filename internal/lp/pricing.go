@@ -1,129 +1,10 @@
 package lp
 
-// Pricing selects the rule that picks the entering column in the primal
-// simplex (and, symmetrically, the leaving row in the warm-path dual
-// repair). The rule changes which path the simplex walks to the optimum
-// — never the optimum itself: every rule terminates on the same
-// objective value, and the parity/fuzz tests enforce that.
-type Pricing int
-
-// Pricing rules.
-const (
-	// PricingAuto picks PricingDevex when the solve runs against the
-	// LU-factorized basis (where the pivot-row BTRAN the weight update
-	// needs is a sparse triangular solve) and sectional Dantzig on the
-	// dense-inverse paths, which keeps small problems — the differential
-	// oracle — bit-identical to the pre-devex solver.
-	PricingAuto Pricing = iota
-	// PricingDantzig is sectional (partial) Dantzig pricing: candidates
-	// are priced in fixed-size sections from a rotating cursor and the
-	// most negative reduced cost within the first improving section
-	// enters. Cheapest per iteration; no steepness information.
-	PricingDantzig
-	// PricingDevex maintains reference-framework devex weights γ_j that
-	// approximate the steepest-edge norms ‖B⁻¹a_j‖² and enters the
-	// candidate maximizing d_j²/γ_j. Each pivot updates the weights from
-	// the FTRAN'd entering column and a BTRAN'd pivot row; the point is
-	// fewer, better pivots at the cost of one extra sparse solve each.
-	PricingDevex
-	// PricingBland takes the first improving column in index order —
-	// the anti-cycling rule. Terminates on any input; slowest in
-	// practice, so it is the final rung of the fallback ladder rather
-	// than a rule anyone configures for speed.
-	PricingBland
-)
-
-func (pr Pricing) String() string {
-	switch pr {
-	case PricingAuto:
-		return "auto"
-	case PricingDantzig:
-		return "dantzig"
-	case PricingDevex:
-		return "devex"
-	case PricingBland:
-		return "bland"
-	}
-	return "invalid"
-}
-
-// effectivePricing resolves PricingAuto against the basis representation
-// the solve will actually use (mirroring buildDense's mode choice).
-func (o Options) effectivePricing(factorized bool) Pricing {
-	if o.Pricing != PricingAuto {
-		return o.Pricing
-	}
-	// Sectional Dantzig on every path. Devex was measured as the Auto
-	// default for the factorized basis and lost on the SPM path LPs:
-	// their 0/1 path-incidence columns and uniform unit bounds are
-	// perfectly scaled, so max-|d| Dantzig already picks near-maximal
-	// objective progress, while the d²/γ steepest-edge normalization
-	// systematically prefers shorter steps (measured ~18% more pipeline
-	// iterations at K=10³, and even exact steepest-edge — per-candidate
-	// FTRAN norms — trails Dantzig there). Devex stays one explicit
-	// Options.Pricing away and wins on general (badly scaled) LPs; see
-	// the pricing tests and DESIGN.md.
-	return PricingDantzig
-}
-
-// demote steps one rung down the fallback ladder
-// devex → sectional Dantzig → Bland.
-func demote(pr Pricing) Pricing {
-	if pr == PricingDevex {
-		return PricingDantzig
-	}
-	return PricingBland
-}
-
-// devexWeightCap is the weight-drift bound: a reference-framework
-// weight growing past it says the framework is stale (the max-updates
-// have compounded far from any true steepest-edge norm), so the
-// framework is reset to the current nonbasic set. Weights only grow
-// between resets, which makes the check one compare per update.
-const devexWeightCap = 1e9
-
-// resetGamma (re)initializes the primal devex weights to the reference
-// framework "every current nonbasic column has unit weight", records
-// that framework (the reference set drives the exact entering-column
-// norms the updates are anchored to), and makes sure the pivot-row
-// scratch (alpha accumulator, stamp marks) matches the working
-// problem's size. Called at solve start, on weight drift, after an
-// instability-forced refactorization, and when the fallback ladder
-// returns control to devex.
-func (s *simplex) resetGamma() {
-	s.gamma = growFloats(s.gamma, s.n)
-	for j := range s.gamma {
-		s.gamma[j] = 1
-	}
-	s.gammaRef = growBools(s.gammaRef, s.n)
-	for j := 0; j < s.n; j++ {
-		s.gammaRef[j] = s.state[j] != isBasic
-	}
-	s.alpha = growFloats(s.alpha, s.n)
-	clear(s.alpha)
-	s.alphaNZ = growInt32s(s.alphaNZ, 0, s.n)
-	s.alphaMark = growInt32s(s.alphaMark, s.n, s.n)
-	clear(s.alphaMark)
-	s.alphaStamp = 0
-	s.gammaBad = 0
-	s.gammaOK = true
-}
-
-// resetBeta (re)initializes the dual devex row weights to the unit
-// reference framework. Same triggers as resetGamma, on the dual side.
-func (s *simplex) resetBeta() {
-	s.beta = growFloats(s.beta, s.m)
-	for i := range s.beta {
-		s.beta[i] = 1
-	}
-	s.betaOK = true
-}
-
 // ensureCSR builds the row-major (CSR) mirror of the working matrix.
-// The devex weight update needs the pivot row α_r = ρ·A restricted to
+// The dual ratio test needs the pivot row α_r = ρ·A restricted to
 // nonbasic columns, and gathering it row-wise over ρ's nonzero pattern
 // is the sparse way to get it; the CSC arrays would force a full
-// column sweep per update. The matrix is immutable for the lifetime of
+// column sweep per pivot. The matrix is immutable for the lifetime of
 // a working problem (bounds and costs change between warm solves, the
 // coefficients never do), so the mirror is built once per cold solve
 // and shared by clones.
@@ -167,10 +48,10 @@ func (s *simplex) ensureCSR() {
 // values land in s.alpha and both they and the returned pattern stay
 // valid until the next call; no clearing is needed between calls — the
 // stamp invalidates stale entries. rhoNZ == nil means ρ is dense and
-// every row is swept. Shared by the primal devex weight update and the
-// factorized dual ratio test (a cold-start dual repair runs thousands
-// of pivots, and sweeping every candidate column per pivot is the
-// difference between O(nnz) and O(nnz(ρ-rows)) each).
+// every row is swept. Used by the factorized dual ratio test (a
+// cold-start dual repair runs thousands of pivots, and sweeping every
+// candidate column per pivot is the difference between O(nnz) and
+// O(nnz(ρ-rows)) each).
 func (s *simplex) gatherPivotRow(rho []float64, rhoNZ []int32) []int32 {
 	s.ensureCSR()
 	if len(s.alphaMark) != s.n {
@@ -217,146 +98,10 @@ func (s *simplex) gatherPivotRow(rho []float64, rhoNZ []int32) []int32 {
 	return nz
 }
 
-// devexPrimalUpdate maintains the primal devex weights across the pivot
-// (enter ← basic[leave]) and, in factorized mode, folds the pivot row
-// into an incremental dual update so the per-iteration duals BTRAN
-// disappears entirely. It must run before the pivot mutates state/basic
-// (it reads the pre-pivot basis) and before basisPivot (the pivot row
-// ρ = e_leaveᵀB⁻¹ is against the outgoing basis).
-//
-// Weight update (Forrest–Goldfarb devex, reference framework γ):
-//
-//	γ_j    ← max(γ_j, (α_rj/α_rq)²·γ_q)   for nonbasic j with α_rj ≠ 0
-//	γ_exit ← max(γ_q/α_rq², 1)            for the leaving variable
-//
-// where α_rq = w[leave] is the pivot element of the FTRAN direction and
-// α_rj = ρ·A_j is gathered sparsely over the CSR mirror. Crucially γ_q
-// here is NOT the stored framework weight of the entering column but
-// its EXACT reference-restricted norm Σ_{basic[i]∈R} w_i² (+1 if q∈R),
-// recomputed in O(nnz(w)) from the direction the pivot already
-// FTRAN'd. Anchoring the update to the exact value is what keeps the
-// weights meaningful: propagating the stored γ_q compounds the
-// max-update overestimates multiplicatively and within a few dozen
-// pivots on a degenerate LP the framework is steering away from
-// genuinely steep columns. The stored-vs-exact ratio doubles as the
-// accuracy test: when the framework badly underestimates the true norm
-// of the column it just chose (stored < exact/3), the framework has
-// gone stale and a few such strikes trigger a reset.
-//
-// The same ρ updates the duals in place, y ← y + (d_q/α_rq)·ρ — exact
-// in real arithmetic, so y stays valid across the pivot; iterate
-// re-BTRANs it from scratch at refactorizations and before certifying
-// optimality.
-//
-// incY selects the dual update (factorized mode with dense-valid y
-// only). The return value reports whether the framework needs a reset
-// (accuracy strikes or weight past devexWeightCap); the caller resets.
-func (s *simplex) devexPrimalUpdate(enter, leave int, enterD float64, w, y []float64, incY bool) bool {
-	s.ensureCSR()
-	m := s.m
-	piv := w[leave]
-
-	// Exact reference-restricted steepest-edge weight of the entering
-	// column, from the FTRAN direction already in hand.
-	gq := 0.0
-	if s.gammaRef[enter] {
-		gq = 1
-	}
-	ref, basic := s.gammaRef, s.basic
-	if s.lu != nil {
-		for _, i32 := range s.wNZ {
-			if wv := w[i32]; wv != 0 && ref[basic[i32]] {
-				gq += wv * wv
-			}
-		}
-	} else {
-		for i := 0; i < m; i++ {
-			if wv := w[i]; wv != 0 && ref[basic[i]] {
-				gq += wv * wv
-			}
-		}
-	}
-	if gq < 1 {
-		gq = 1
-	}
-	if s.gamma[enter]*3 < gq {
-		s.gammaBad++
-	}
-	drift := s.gammaBad > 3
-
-	// Pivot row ρ: a hypersparse unit-vector BTRAN against the factors,
-	// or (dense-inverse mode) simply row `leave` of Binv.
-	var rho []float64
-	var rhoNZ []int32 // nil means dense: scan all rows
-	if s.lu != nil {
-		rho = s.rho
-		cb := growFloats(s.cB, m)
-		s.cB = cb
-		cbNZ := append(s.cbNZ[:0], int32(leave))
-		cb[leave] = 1
-		cbNZ, s.rhoNZp = s.lu.btranSparse(cb, cbNZ, rho, s.rhoNZp)
-		for _, p := range cbNZ {
-			cb[p] = 0
-		}
-		s.cbNZ = cbNZ[:0]
-		rhoNZ = s.rhoNZp
-	} else {
-		rho = s.binv[leave*m : leave*m+m]
-	}
-
-	// α_r = ρ·A over nonbasic movable columns, via the shared gather.
-	nz := s.gatherPivotRow(rho, rhoNZ)
-	alpha := s.alpha
-
-	for _, j := range nz {
-		r := alpha[j] / piv
-		if cand := r * r * gq; cand > s.gamma[j] {
-			s.gamma[j] = cand
-			if cand > devexWeightCap {
-				drift = true
-			}
-		}
-	}
-
-	// The leaving variable joins the nonbasic set with the steepness the
-	// pivot just revealed. (γ_enter goes stale while enter is basic; it
-	// is rewritten here when enter eventually leaves again.)
-	exitW := gq / (piv * piv)
-	if exitW < 1 {
-		exitW = 1
-	} else if exitW > devexWeightCap {
-		drift = true
-	}
-	s.gamma[s.basic[leave]] = exitW
-
-	if incY {
-		t := enterD / piv
-		if rhoNZ != nil {
-			for _, i32 := range rhoNZ {
-				y[i32] += t * rho[i32]
-			}
-		} else {
-			for i := 0; i < m; i++ {
-				y[i] += t * rho[i]
-			}
-		}
-	}
-	// Re-establish the zero-outside-pattern invariant for the ρ buffer
-	// (the dense-mode ρ aliases Binv and must not be cleared).
-	if s.lu != nil {
-		for _, p := range s.rhoNZp {
-			rho[p] = 0
-		}
-		s.rhoNZp = s.rhoNZp[:0]
-	}
-	return drift
-}
-
-// computeDualsFull is the devex-mode duals refresh: one dense BTRAN of
-// the full basic cost vector, leaving y valid (and dense) everywhere so
-// the per-pivot incremental updates in devexPrimalUpdate can write any
-// position. Used at phase start, after refactorizations, and to certify
-// optimality against exact duals.
+// computeDualsFull is dualIterate's duals refresh on the factorized
+// basis: one dense BTRAN of the full basic cost vector, leaving y valid
+// (and dense) everywhere so the per-pivot incremental updates can write
+// any position. Used at repair start and after refactorizations.
 func (s *simplex) computeDualsFull(cost, y []float64) {
 	c := s.lu.posBuf
 	clear(c)
@@ -366,46 +111,4 @@ func (s *simplex) computeDualsFull(cost, y []float64) {
 	s.lu.btran(c, y)
 	s.yDense = true
 	s.yNZp = s.yNZp[:0]
-}
-
-// devexDualUpdate maintains the dual devex row weights β_i ≈ ‖e_iᵀB⁻¹‖²
-// across a dual pivot, straight from the FTRAN direction w the pivot
-// already computed — no extra solves:
-//
-//	β_i     ← max(β_i, (w_i/α_rq)²·β_r)   for i ≠ r with w_i ≠ 0
-//	β_r     ← max(β_r/α_rq², 1)
-//
-// Returns whether a weight drifted past devexWeightCap.
-func (s *simplex) devexDualUpdate(leave int, w []float64) bool {
-	piv := w[leave]
-	f := s.beta[leave] / (piv * piv)
-	drift := false
-	bump := func(i int) {
-		wv := w[i]
-		if wv == 0 || i == leave {
-			return
-		}
-		if cand := wv * wv * f; cand > s.beta[i] {
-			s.beta[i] = cand
-			if cand > devexWeightCap {
-				drift = true
-			}
-		}
-	}
-	if s.lu != nil {
-		for _, i32 := range s.wNZ {
-			bump(int(i32))
-		}
-	} else {
-		for i := 0; i < s.m; i++ {
-			bump(i)
-		}
-	}
-	if f < 1 {
-		f = 1
-	} else if f > devexWeightCap {
-		drift = true
-	}
-	s.beta[leave] = f
-	return drift
 }

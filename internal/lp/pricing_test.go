@@ -3,134 +3,10 @@ package lp
 import (
 	"math"
 	"testing"
-
-	"metis/internal/stats"
 )
 
-func TestPricingString(t *testing.T) {
-	cases := map[Pricing]string{
-		PricingAuto:    "auto",
-		PricingDantzig: "dantzig",
-		PricingDevex:   "devex",
-		PricingBland:   "bland",
-		Pricing(99):    "invalid",
-	}
-	for pr, want := range cases {
-		if got := pr.String(); got != want {
-			t.Errorf("Pricing(%d).String() = %q, want %q", int(pr), got, want)
-		}
-	}
-}
-
-func TestPricingOptionsValidation(t *testing.T) {
-	p := NewProblem(Maximize)
-	mustVar(t, p, 1, 0, 1, "x")
-
-	if _, err := p.Solve(Options{Pricing: Pricing(99)}); err == nil {
-		t.Fatal("Pricing(99) accepted, want error")
-	}
-	if _, err := p.Solve(Options{Pricing: Pricing(-1)}); err == nil {
-		t.Fatal("Pricing(-1) accepted, want error")
-	}
-	if _, err := p.Solve(Options{PricingSection: -1}); err == nil {
-		t.Fatal("PricingSection -1 accepted, want error")
-	}
-	for _, sec := range []int{0, 1, 7, defaultPricingSection} {
-		sol, err := p.Solve(Options{PricingSection: sec})
-		if err != nil {
-			t.Fatalf("PricingSection %d: %v", sec, err)
-		}
-		if sol.Status != StatusOptimal {
-			t.Fatalf("PricingSection %d: status %v", sec, sol.Status)
-		}
-	}
-}
-
-// TestSolutionPricingResolution: Solution.Pricing must report the
-// resolved rule, never PricingAuto — sectional Dantzig wherever auto
-// lands (the measured default for the SPM LPs; see effectivePricing),
-// and whatever the caller pinned otherwise.
-func TestSolutionPricingResolution(t *testing.T) {
-	build := func() *Problem {
-		return randomBoundedLP(t, stats.NewRNG(7), 6, 10, 0.5)
-	}
-	cases := []struct {
-		name string
-		opts Options
-		want Pricing
-	}{
-		{"auto/dense", Options{Pivot: PivotSparse}, PricingDantzig},
-		{"auto/factorized", Options{Pivot: PivotFactorized}, PricingDantzig},
-		{"pinned-devex/dense", Options{Pivot: PivotSparse, Pricing: PricingDevex}, PricingDevex},
-		{"pinned-dantzig/factorized", Options{Pivot: PivotFactorized, Pricing: PricingDantzig}, PricingDantzig},
-		{"pinned-bland", Options{Pricing: PricingBland}, PricingBland},
-	}
-	for _, c := range cases {
-		sol, err := build().Solve(c.opts)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if sol.Status != StatusOptimal {
-			t.Fatalf("%s: status %v", c.name, sol.Status)
-		}
-		if sol.Pricing != c.want {
-			t.Fatalf("%s: Solution.Pricing = %v, want %v", c.name, sol.Pricing, c.want)
-		}
-	}
-}
-
-// TestPricingRulesAgree sweeps randomized instances across every
-// pricing rule on both basis representations and requires agreement on
-// status and (at optimality) objective within relative 1e-9 of the
-// bit-stable dense Dantzig baseline. Every failure message carries the
-// trial seed; rebuild with randomBoundedLP(stats.NewRNG(seed), m, n,
-// density) to replay.
-func TestPricingRulesAgree(t *testing.T) {
-	for trial := 0; trial < 24; trial++ {
-		seed := int64(9300 + trial)
-		shape := stats.NewRNG(seed)
-		m := 4 + shape.Intn(16)
-		n := 4 + shape.Intn(32)
-		density := shape.Uniform(0.1, 0.9)
-
-		base, err := randomBoundedLP(t, stats.NewRNG(seed), m, n, density).
-			Solve(Options{Pivot: PivotSparse, Pricing: PricingDantzig})
-		if err != nil {
-			t.Fatalf("seed %d baseline: %v", seed, err)
-		}
-		if base.Status != StatusOptimal {
-			t.Fatalf("seed %d baseline status %v", seed, base.Status)
-		}
-		tol := 1e-9 * (1 + math.Abs(base.Objective))
-		for _, pv := range []struct {
-			name  string
-			pivot PivotMode
-		}{{"dense", PivotSparse}, {"factorized", PivotFactorized}} {
-			for _, pr := range []Pricing{PricingAuto, PricingDantzig, PricingDevex, PricingBland} {
-				sol, err := randomBoundedLP(t, stats.NewRNG(seed), m, n, density).
-					Solve(Options{Pivot: pv.pivot, Pricing: pr})
-				if err != nil {
-					t.Fatalf("seed %d (m=%d n=%d ρ=%.2f) %s/%v: %v", seed, m, n, density, pv.name, pr, err)
-				}
-				if sol.Status != StatusOptimal {
-					t.Fatalf("seed %d (m=%d n=%d ρ=%.2f) %s/%v: status %v, want optimal",
-						seed, m, n, density, pv.name, pr, sol.Status)
-				}
-				if math.Abs(sol.Objective-base.Objective) > tol {
-					t.Fatalf("seed %d (m=%d n=%d ρ=%.2f) %s/%v: objective %.15g != baseline %.15g (Δ=%g)",
-						seed, m, n, density, pv.name, pr, sol.Objective, base.Objective,
-						sol.Objective-base.Objective)
-				}
-			}
-		}
-	}
-}
-
 // bealeProblem is the classic cycling-prone instance (Beale); its
-// optimum is -0.05 in Minimize sense. TestDegenerateLP covers the
-// default rule; here every configured rung must also terminate on it —
-// devex and Dantzig via the fallback ladder into Bland, and Bland
-// outright.
+// optimum is -0.05 in Minimize sense.
 func bealeProblem(t *testing.T) *Problem {
 	t.Helper()
 	p := NewProblem(Minimize)
@@ -153,21 +29,60 @@ func bealeProblem(t *testing.T) *Problem {
 	return p
 }
 
+// degenerateChain maximizes Σx over x_j ≤ x_{j+1}, x_n ≤ 1: every
+// pivot but the last is degenerate (the rhs is all zeros), so the
+// 40-pivot streak hands the plateau to Bland's rule. Optimum n.
+func degenerateChain(t *testing.T, n int) *Problem {
+	t.Helper()
+	p := NewProblem(Maximize)
+	for j := 0; j < n; j++ {
+		mustVar(t, p, 1, 0, math.Inf(1), "x")
+	}
+	for j := 0; j+1 < n; j++ {
+		r := mustCon(t, p, LE, 0, "chain")
+		mustTerm(t, p, r, j, 1)
+		mustTerm(t, p, r, j+1, -1)
+	}
+	mustTerm(t, p, mustCon(t, p, LE, 1, "cap"), n-1, 1)
+	return p
+}
+
+// TestCyclingInstanceAllPricings drives both rungs of the pricing
+// ladder on both basis representations under default options — no
+// option names Bland's rule, so these instances are its termination
+// reproducers: Beale's cycling instance must reach its known optimum,
+// and the degenerate chain must reach its optimum through at least one
+// demotion to Bland.
 func TestCyclingInstanceAllPricings(t *testing.T) {
-	for _, pv := range []struct {
+	for _, c := range []struct {
 		name  string
-		pivot PivotMode
-	}{{"dense", PivotSparse}, {"factorized", PivotFactorized}} {
-		for _, pr := range []Pricing{PricingDantzig, PricingDevex, PricingBland} {
-			sol, err := bealeProblem(t).Solve(Options{Pivot: pv.pivot, Pricing: pr})
+		basis basisKind
+	}{{"inverse", basisInverse}, {"lu", basisLU}} {
+		for _, inst := range []struct {
+			name      string
+			p         *Problem
+			want      float64
+			demotions bool
+		}{
+			{"beale", bealeProblem(t), -0.05, false},
+			{"chain", degenerateChain(t, 100), 100, true},
+		} {
+			before := cPricingFallbacks.Value()
+			sol, err := inst.p.Solve(Options{basis: c.basis})
 			if err != nil {
-				t.Fatalf("%s/%v: %v", pv.name, pr, err)
+				t.Fatalf("%s/%s: %v", inst.name, c.name, err)
 			}
 			if sol.Status != StatusOptimal {
-				t.Fatalf("%s/%v: status %v, want optimal", pv.name, pr, sol.Status)
+				t.Fatalf("%s/%s: status %v, want optimal", inst.name, c.name, sol.Status)
 			}
-			if math.Abs(sol.Objective-(-0.05)) > 1e-6 {
-				t.Fatalf("%s/%v: objective %v, want -0.05", pv.name, pr, sol.Objective)
+			if sol.Factorized != (c.basis == basisLU) {
+				t.Fatalf("%s/%s: Factorized = %v", inst.name, c.name, sol.Factorized)
+			}
+			if math.Abs(sol.Objective-inst.want) > 1e-6 {
+				t.Fatalf("%s/%s: objective %v, want %v", inst.name, c.name, sol.Objective, inst.want)
+			}
+			if inst.demotions && cPricingFallbacks.Value() == before {
+				t.Fatalf("%s/%s: never demoted to Bland", inst.name, c.name)
 			}
 		}
 	}

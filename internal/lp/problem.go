@@ -1,6 +1,7 @@
 // Package lp implements a pure-Go linear-programming solver: a two-phase
-// revised primal simplex with bounded variables and a dense basis
-// inverse. It replaces the Gurobi LP calls of the paper's evaluation.
+// revised primal simplex with bounded variables over a dense basis
+// inverse or, from 128 rows up, a sparse LU factorization. It replaces
+// the Gurobi LP calls of the paper's evaluation.
 //
 // The solver targets the problem shapes that arise in SPM — hundreds to
 // a few thousand rows/columns with very sparse constraint matrices — and
@@ -317,13 +318,7 @@ type Solution struct {
 	// cold when this is still set.
 	Degenerate bool
 	// Factorized reports whether the solve ran against the sparse
-	// LU-factorized basis (PivotFactorized, or PivotAuto on a large
-	// problem) rather than a dense basis inverse.
+	// LU-factorized basis (problems of luAutoRows rows and up) rather
+	// than a dense basis inverse.
 	Factorized bool
-	// Pricing is the resolved primal pricing rule the solve ran under
-	// (never PricingAuto): PricingDevex on factorized solves by default,
-	// PricingDantzig on the dense-inverse oracle paths, or whatever the
-	// caller pinned. Degenerate plateaus may demote the rule mid-solve
-	// (see Options.Pricing); this field reports the configured rung.
-	Pricing Pricing
 }

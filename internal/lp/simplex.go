@@ -11,49 +11,27 @@ import (
 	"metis/internal/obs"
 )
 
-// PivotMode selects how the simplex stores and prices columns.
-type PivotMode int
+// basisKind forces a basis representation. The zero value lets the row
+// count decide (luAutoRows); the other two exist for solveCold's
+// singular retry and for in-package tests that hold the two
+// representations against each other at one size.
+type basisKind int8
 
-// Pivot modes.
 const (
-	// PivotAuto picks PivotDense when the working matrix is dense
-	// enough for contiguous dense columns to beat index chasing, and
-	// PivotSparse otherwise (the common case for the path-formulation
-	// LPs, whose columns hold a handful of nonzeros).
-	PivotAuto PivotMode = iota
-	// PivotSparse walks per-column CSC nonzero lists in pricing and in
-	// the direction solve.
-	PivotSparse
-	// PivotDense scans contiguous dense columns. Only sensible when
-	// most coefficients are nonzero; kept as the fallback for dense
-	// inputs.
-	PivotDense
-	// PivotFactorized represents the basis as a sparse LU factorization
-	// with product-form updates instead of a dense m×m inverse: FTRAN/
-	// BTRAN triangular solves replace the O(m²) inverse maintenance, and
-	// per-pivot cost drops to the factor's nonzero count. This is the
-	// only mode whose memory is O(nnz) rather than O(m²), so it is what
-	// makes K=10000-scale instances (m ≈ 10⁴ rows) tractable. PivotAuto
-	// selects it for any problem with at least luAutoRows rows. The
-	// dense-inverse modes are retained as the differential oracle: both
-	// representations must agree on status and objective within
-	// tolerance on every instance (see the parity and fuzz tests).
-	PivotFactorized
+	basisBySize basisKind = iota
+	basisInverse
+	basisLU
 )
 
-// denseDensityThreshold is the nonzero fraction above which PivotAuto
-// switches to dense columns.
-const denseDensityThreshold = 0.4
-
-// maxDenseCells caps the dense-path working matrix (n·m cells) so huge
-// sparse problems can never be blown up into dense storage by accident.
-const maxDenseCells = 1 << 22
-
-// luAutoRows is the row count at which PivotAuto switches from the
-// dense basis inverse to the LU-factorized basis. Below it the m×m
-// inverse fits comfortably in cache and its branch-free row operations
-// win; above it the O(m²) per-pivot cost (and O(m²) memory) loses to
-// sparse triangular solves.
+// luAutoRows is the row count at which a solve switches from the dense
+// basis inverse to the LU-factorized basis. Below it the m×m inverse
+// fits comfortably in cache and its branch-free row operations win;
+// above it the O(m²) per-pivot cost (and O(m²) memory) loses to sparse
+// triangular solves, and only the O(nnz) factors make K=10000-scale
+// instances (m ≈ 10⁴ rows) tractable. The dense inverse is also the
+// retry rung after a singular factorization and the differential
+// reference for LU: both must agree on status and objective within
+// tolerance on every instance (see the parity and fuzz tests).
 const luAutoRows = 128
 
 // maxFallbackBinvCells caps the dense-inverse retry after a factorized
@@ -61,11 +39,10 @@ const luAutoRows = 128
 // worse than the failure, so the retry re-runs factorized instead.
 const maxFallbackBinvCells = 1 << 24
 
-// defaultPricingSection is the default sectional-pricing window: the
-// number of candidate columns priced per section before the best
-// improving one (if any) is taken. Lists at most this long get a plain
-// full scan. Tunable via Options.PricingSection.
-const defaultPricingSection = 1024
+// pricingSection is the sectional-pricing window: the number of
+// candidate columns priced per section before the best improving one
+// (if any) is taken. Lists at most this long get a plain full scan.
+const pricingSection = 1024
 
 // statusNumeric is an internal sentinel: the LU-factorized basis went
 // numerically singular mid-solve. It never escapes the package —
@@ -81,27 +58,6 @@ type Options struct {
 	// MaxIters bounds total simplex iterations across both phases
 	// (default 200 + 40·(rows+cols)).
 	MaxIters int
-	// Pivot selects sparse or dense column handling (default
-	// PivotAuto). Both paths compute identical floating-point results;
-	// the switch is purely a storage/speed trade.
-	Pivot PivotMode
-	// Pricing selects the entering-column rule of the primal simplex
-	// and the leaving-row rule of the warm dual repair (default
-	// PricingAuto, which resolves to sectional Dantzig — the measured
-	// winner on the well-scaled path-formulation LPs; devex is the
-	// opt-in for badly scaled inputs). Every rule reaches the same
-	// optimum;
-	// degenerate plateaus demote down the ladder devex → Dantzig →
-	// Bland, so the anti-cycling guarantee holds under any setting.
-	// Invalid values are rejected by Solve.
-	Pricing Pricing
-	// PricingSection is the sectional-pricing window: how many
-	// candidate columns are priced per section before the best
-	// improving one found (if any) enters. 0 means the default (1024);
-	// explicit values must be >= 1 or Solve rejects them. Larger
-	// sections pick steeper columns per pivot at more pricing work per
-	// iteration; section size and pricing rule are tuned together.
-	PricingSection int
 	// Warm is an optional warm-start handle. When non-nil, Solve first
 	// tries to repair the handle's retained basis with bounded-variable
 	// dual simplex (or a primal cleanup) instead of running two-phase
@@ -118,10 +74,13 @@ type Options struct {
 	// reads, no allocations.
 	Tracer obs.Tracer
 	// Ctx, when non-nil, makes the solve cancellable: the simplex loops
-	// poll ctx.Err() every 256 iterations and stop with StatusCanceled
+	// poll ctx.Err() every 32 iterations and stop with StatusCanceled
 	// when it fires. A nil Ctx (the default) skips the polls entirely, so
 	// existing call sites behave bit-identically.
 	Ctx context.Context
+
+	// basis overrides the row-count choice of basis representation.
+	basis basisKind
 }
 
 func (o Options) withDefaults(m, n int) Options {
@@ -130,9 +89,6 @@ func (o Options) withDefaults(m, n int) Options {
 	}
 	if o.MaxIters <= 0 {
 		o.MaxIters = 200 + 40*(m+n)
-	}
-	if o.PricingSection == 0 {
-		o.PricingSection = defaultPricingSection
 	}
 	return o
 }
@@ -148,19 +104,17 @@ const (
 //
 //	min cost·x   s.t.  A x = b,  0 <= x_j <= up_j
 //
-// with columns stored in flat CSC arrays (optionally mirrored densely)
-// and a dense basis inverse in one contiguous row-major block.
+// with columns stored in flat CSC arrays and the basis held either as a
+// dense inverse in one contiguous row-major block or as sparse LU
+// factors.
 type simplex struct {
 	m, n int // rows, total columns (structural + slack + artificial)
 
 	// Working matrix, CSC: column j is rowIdx/vals[colPtr[j]:colPtr[j+1]],
-	// row-sorted. Always present.
+	// row-sorted.
 	colPtr []int32
 	rowIdx []int32
 	vals   []float64
-	// dense mirrors the matrix column-major (column j at [j·m, (j+1)·m))
-	// when the dense pivot path is selected; nil otherwise.
-	dense []float64
 
 	b    []float64 // rhs (>= 0 after normalization)
 	cost []float64 // phase-2 costs
@@ -173,9 +127,9 @@ type simplex struct {
 	basic []int     // per row: basic column
 	xB    []float64 // basic variable values
 	// Basis representation: exactly one of the two is active. binv is
-	// the dense m×m row-major basis inverse (PivotSparse/PivotDense);
-	// lu is the sparse LU factorization with product-form updates
-	// (PivotFactorized). All basis operations dispatch on lu != nil.
+	// the dense m×m row-major basis inverse; lu is the sparse LU
+	// factorization with product-form updates. All basis operations
+	// dispatch on lu != nil.
 	binv []float64
 	lu   *luBasis
 	// luFail records a numerically singular (re)factorization; the
@@ -220,19 +174,9 @@ type simplex struct {
 	slackNB []int
 	signBuf []float64
 
-	// Devex pricing state (pricing.go). gamma/beta are the primal
-	// (per-column) and dual (per-row) reference-framework weights;
-	// the OK flags are cleared at solve start, on weight drift and on
-	// unstable refactorizations, and the rules re-seed unit frameworks
-	// when they next run. rowPtr/colInd/rVals mirror the working matrix
-	// row-major (CSR) for the pivot-row gather; alpha* is the stamped
-	// pivot-row accumulator.
-	gamma      []float64
-	gammaRef   []bool
-	gammaBad   int
-	beta       []float64
-	gammaOK    bool
-	betaOK     bool
+	// rowPtr/colInd/rVals mirror the working matrix row-major (CSR) for
+	// the dual ratio test's pivot-row gather (pricing.go); alpha* is the
+	// stamped pivot-row accumulator.
 	rowPtr     []int32
 	colInd     []int32
 	rVals      []float64
@@ -241,13 +185,9 @@ type simplex struct {
 	alphaNZ    []int32
 	alphaMark  []int32
 	alphaStamp int32
-	// pricedBy records the primal rule the last iterate resolved to
-	// (surfaced as Solution.Pricing). refactored/unstableRefactor are
-	// set by the LU refactorization paths so the devex loops refresh
-	// incremental duals and reset drifting weight frameworks.
-	pricedBy         Pricing
-	refactored       bool
-	unstableRefactor bool
+	// refactored is set by the LU refactorization paths so dualIterate
+	// refreshes its incrementally updated duals against the new factors.
+	refactored bool
 }
 
 // simplexPool recycles simplex working arrays across cold solves. The
@@ -299,26 +239,12 @@ func growInt32s(buf []int32, n, c int) []int32 {
 	return make([]int32, n, c)
 }
 
-// growBools is growFloats for bool slices.
-func growBools(buf []bool, n int) []bool {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]bool, n)
-}
-
 // Solve optimizes the problem. It returns a Solution whose Status is
 // StatusOptimal, StatusInfeasible, StatusUnbounded or StatusIterLimit;
 // X is populated only for StatusOptimal.
 func (p *Problem) Solve(opts Options) (*Solution, error) {
 	if p.sense != Minimize && p.sense != Maximize {
 		return nil, fmt.Errorf("lp: invalid sense %d", p.sense)
-	}
-	if opts.Pricing < PricingAuto || opts.Pricing > PricingBland {
-		return nil, fmt.Errorf("lp: invalid pricing rule %d", opts.Pricing)
-	}
-	if opts.PricingSection < 0 {
-		return nil, fmt.Errorf("lp: invalid pricing section %d (must be >= 1; 0 selects the default)", opts.PricingSection)
 	}
 	var t0 time.Time
 	if opts.Tracer != nil {
@@ -355,21 +281,13 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 	if sol.Status == StatusCanceled {
 		cCanceled.Inc()
 	}
-	if sol.Pricing == PricingAuto {
-		// Solutions that never reached extract (infeasible, canceled,
-		// iteration limit) still report the rule the solve resolved to.
-		factorized := opts.Pivot == PivotFactorized ||
-			(opts.Pivot == PivotAuto && len(p.rel) >= luAutoRows)
-		sol.Pricing = opts.effectivePricing(factorized && len(p.rel) > 0)
-	}
 	if opts.Tracer != nil {
 		obs.Span(opts.Tracer, "lp.solve", t0, obs.Fields{
-			"m":       len(p.rel),
-			"n":       len(p.obj),
-			"iters":   sol.Iters,
-			"status":  sol.Status.String(),
-			"warm":    outcome.String(),
-			"pricing": sol.Pricing.String(),
+			"m":      len(p.rel),
+			"n":      len(p.obj),
+			"iters":  sol.Iters,
+			"status": sol.Status.String(),
+			"warm":   outcome.String(),
 		})
 	}
 	return sol, nil
@@ -389,7 +307,7 @@ func (p *Problem) solveCold(opts Options) *Solution {
 	// inverse, so that case surfaces StatusNumeric instead.
 	cLUSingular.Inc()
 	if m := len(p.rel); m*m <= maxFallbackBinvCells {
-		opts.Pivot = PivotSparse
+		opts.basis = basisInverse
 		sol = p.solveColdAttempt(opts)
 	}
 	if sol == nil {
@@ -408,8 +326,8 @@ func (p *Problem) solveColdAttempt(opts Options) *Solution {
 	s.m, s.opts = m, opts.withDefaults(m, nStruct)
 	s.nArt, s.iters, s.luFail = 0, 0, false
 	// The working matrix is rebuilt below, so any pooled CSR mirror is
-	// stale; devex weight frameworks always start fresh per solve.
-	s.csrOK, s.gammaOK, s.betaOK = false, false, false
+	// stale.
+	s.csrOK = false
 	mat := p.matrixCSC()
 
 	// Shift structural variables to lower bound 0 and compute the
@@ -505,7 +423,7 @@ func (p *Problem) solveColdAttempt(opts Options) *Solution {
 		s.nArt++
 	}
 	s.n = len(s.cost)
-	s.buildDense()
+	s.chooseBasis()
 
 	// Initial basis: +1 slacks and artificials, everything else at lower.
 	s.state = growInts(s.state, s.n)
@@ -548,21 +466,17 @@ func (p *Problem) solveColdAttempt(opts Options) *Solution {
 	// columns to their upper bound and every reduced cost has the
 	// optimal sign. Locking the artificials at zero then turns phase 1
 	// on its head: instead of minimizing Σ artificials with primal
-	// pivots, the dual-devex repair drives the now out-of-bounds
-	// artificial rows back inside while KEEPING dual feasibility, and
-	// the basis it lands on is primal and dual feasible at once —
-	// optimal, modulo the certification scan below. On the SPM path LPs
-	// this replaces the largest iteration block of a cold solve (all of
-	// phase 1 and most of phase 2) with about one dual pivot per
-	// equality row. Gated to the factorized basis and the devex/Dantzig
-	// pricing rungs (the repair's row rule follows the configured
-	// pricing: devex row weights or plain most-violated); explicit
-	// Bland keeps PR 6 cold-solve semantics as the all-primal baseline
-	// and its termination reproducers. A stalled repair restores the
-	// pristine start and falls back to classic two-phase.
+	// pivots, the dual repair drives the now out-of-bounds artificial
+	// rows back inside while KEEPING dual feasibility, and the basis it
+	// lands on is primal and dual feasible at once — optimal, modulo the
+	// certification scan below. On the SPM path LPs this replaces the
+	// largest iteration block of a cold solve (all of phase 1 and most
+	// of phase 2) with about one dual pivot per equality row. Gated to
+	// the factorized basis. A stalled repair restores the pristine start
+	// and falls back to classic two-phase.
 	p1 := 0
 	dualStart := false
-	if s.nArt > 0 && s.lu != nil && s.opts.effectivePricing(true) != PricingBland {
+	if s.nArt > 0 && s.lu != nil {
 		eligible := true
 		for j := 0; j < s.artStart; j++ {
 			if s.cost[j] < 0 && math.IsInf(s.up[j], 1) {
@@ -765,49 +679,29 @@ func (p *Problem) extract(s *simplex, sign []float64, shiftObj float64) *Solutio
 		}
 		duals[i] = y
 	}
-	return &Solution{Status: StatusOptimal, Objective: obj, X: x, Duals: duals, Iters: s.iters, Factorized: s.lu != nil, Pricing: s.pricedBy}
+	return &Solution{Status: StatusOptimal, Objective: obj, X: x, Duals: duals, Iters: s.iters, Factorized: s.lu != nil}
 }
 
-// buildDense decides the pivot path and, for the dense path, mirrors
-// the working matrix into contiguous column-major storage. The dense
-// and sparse paths visit each column's nonzeros in the same row order,
-// so they produce bit-identical pivot sequences; the factorized path
-// follows the same pricing rules but its own (LU-driven) arithmetic.
-func (s *simplex) buildDense() {
-	mode := s.opts.Pivot
-	if mode == PivotAuto {
-		cells := s.m * s.n
-		switch {
-		case s.m >= luAutoRows:
-			mode = PivotFactorized
-		case cells > 0 && cells <= maxDenseCells &&
-			float64(len(s.vals)) > denseDensityThreshold*float64(cells):
-			mode = PivotDense
-		default:
-			mode = PivotSparse
-		}
+// chooseBasis picks the basis representation for the working problem's
+// size — LU factors from luAutoRows rows up, the dense inverse below —
+// unless opts.basis forces one. Both follow the same pricing rules; each
+// has its own arithmetic.
+func (s *simplex) chooseBasis() {
+	useLU := s.m >= luAutoRows
+	switch s.opts.basis {
+	case basisInverse:
+		useLU = false
+	case basisLU:
+		useLU = true
 	}
-	if mode == PivotFactorized && s.m > 0 {
-		s.dense = nil
-		if s.lu == nil {
-			s.lu = new(luBasis)
-		}
-		s.lu.ok = false // factored once the initial basis is installed
+	if !useLU || s.m == 0 {
+		s.lu = nil
 		return
 	}
-	s.lu = nil
-	if mode != PivotDense || s.m == 0 {
-		s.dense = nil // drop any pooled mirror from a previous dense solve
-		return
+	if s.lu == nil {
+		s.lu = new(luBasis)
 	}
-	s.dense = growFloats(s.dense, s.n*s.m)
-	clear(s.dense)
-	for j := 0; j < s.n; j++ {
-		col := s.dense[j*s.m : (j+1)*s.m]
-		for q := s.colPtr[j]; q < s.colPtr[j+1]; q++ {
-			col[s.rowIdx[q]] = s.vals[q]
-		}
-	}
+	s.lu.ok = false // factored once the initial basis is installed
 }
 
 // objCoef returns the internal (minimization) objective coefficient.
@@ -905,7 +799,7 @@ func (s *simplex) ensureLU() bool {
 // factor-size counters. False means singular; s.luFail is set.
 func (s *simplex) refactorLU() bool {
 	cLUFactors.Inc()
-	s.refactored = true // devex loops refresh incremental duals off this
+	s.refactored = true // dualIterate refreshes incremental duals off this
 	if !s.lu.factor(s.m, s.colPtr, s.rowIdx, s.vals, s.basic) {
 		s.luFail = true
 		return false
@@ -977,7 +871,6 @@ func (s *simplex) basisPivot(leave int, w []float64) bool {
 		return true
 	case etaUnstable:
 		cLURefactorStab.Inc()
-		s.unstableRefactor = true // numerical trouble: devex resets weights
 	case etaFill:
 		cLURefactorFill.Inc()
 	}
@@ -1058,10 +951,9 @@ func (s *simplex) buildDuals(cost, y []float64, costRows []int) []int {
 // StatusOptimal when no improving entering variable exists.
 //
 // The hot loops are laid out for memory behavior: the dual update
-// streams over contiguous Binv rows, pricing walks flat CSC arrays (or
-// contiguous dense columns on the dense path), and the direction solve
-// accumulates per row so Binv is read in row order instead of striding
-// down a column.
+// streams over contiguous Binv rows, pricing walks flat CSC arrays, and
+// the direction solve accumulates per row so Binv is read in row order
+// instead of striding down a column.
 func (s *simplex) iterate(cost []float64) Status {
 	m := s.m
 	if s.y == nil {
@@ -1075,23 +967,15 @@ func (s *simplex) iterate(cost []float64) Status {
 	tol := s.opts.Tol
 	degenerate := 0
 
-	// Pricing-rule resolution and the fallback ladder. `rule` is what
-	// the caller configured (auto resolved against the live basis
-	// representation); `cur` is the rung currently driving the scan —
-	// degenerate streaks demote it devex → Dantzig → Bland, real
-	// progress promotes it back to rule. A devex promotion re-seeds the
-	// weight framework: the weights saw no updates while demoted.
-	rule := s.opts.effectivePricing(s.lu != nil)
-	s.pricedBy = rule
-	cur := rule
-	bland := cur == PricingBland
-	devexMode := cur == PricingDevex
-	s.refactored, s.unstableRefactor = false, false
+	// The pricing ladder has two rungs: sectional Dantzig drives the
+	// scan, a degenerate streak demotes it to Bland's rule, and real
+	// progress promotes it back.
+	bland := false
 
 	// Pivot/flip/degenerate/pricing tallies stay in locals through the
 	// hot loop and flush to the atomic counters once per iterate call.
 	pivots, flips, degenTotal := 0, 0, 0
-	priced, resets, fallbacks := 0, 0, 0
+	priced, fallbacks := 0, 0
 	defer func() {
 		if pivots != 0 {
 			cPivots.Add(int64(pivots))
@@ -1104,9 +988,6 @@ func (s *simplex) iterate(cost []float64) Status {
 		}
 		if priced != 0 {
 			cPricingScanned.Add(int64(priced))
-		}
-		if resets != 0 {
-			cPricingResets.Add(int64(resets))
 		}
 		if fallbacks != 0 {
 			cPricingFallbacks.Add(int64(fallbacks))
@@ -1124,13 +1005,6 @@ func (s *simplex) iterate(cost []float64) Status {
 		s.wNZ = s.wNZ[:0]
 		s.yNZp = s.yNZp[:0]
 		s.yDense = false
-		if rule == PricingDevex {
-			// The devex weight update BTRANs a unit pivot row into rho;
-			// establish its zero-outside-pattern invariant too.
-			s.rho = growFloats(s.rho, m)
-			clear(s.rho)
-			s.rhoNZp = s.rhoNZp[:0]
-		}
 	}
 	colPtr, rowIdx, vals := s.colPtr, s.rowIdx, s.vals
 	state, up := s.state, s.up
@@ -1165,12 +1039,6 @@ func (s *simplex) iterate(cost []float64) Status {
 	// against the same duals; any pivot invalidates y.
 	cursor := 0
 	yValid := false
-	// yExact distinguishes BTRAN'd duals from incrementally updated
-	// ones (devex on the factorized basis folds the pivot row into y
-	// instead of re-solving). Optimality is only ever certified — and
-	// devex promotions re-priced — against exact duals.
-	yExact := false
-	section := s.opts.PricingSection
 	ctx := s.opts.Ctx
 
 	for ; s.iters < s.opts.MaxIters; s.iters++ {
@@ -1184,34 +1052,24 @@ func (s *simplex) iterate(cost []float64) Status {
 			return StatusCanceled
 		}
 		if !yValid {
-			if devexMode && s.lu != nil {
-				// Incremental-duals mode needs y dense-valid everywhere;
-				// one full BTRAN here replaces one sparse BTRAN per pivot.
-				s.computeDualsFull(cost, y)
-			} else {
-				costRows = s.computeDuals(cost, y, costRows)
-			}
-			yValid, yExact = true, true
-		}
-		if devexMode && !s.gammaOK {
-			s.resetGamma()
-			resets++
+			costRows = s.computeDuals(cost, y, costRows)
+			yValid = true
 		}
 
 		enter := -1
-		var enterD, enterDir float64
+		var enterDir float64
 		if bland {
 			for bi, j32 := range cands {
 				j := int(j32)
 				st := state[j]
 				d := s.reducedCost(cost, j, y)
 				if st == atLower && d < -tol {
-					enter, enterD, enterDir = j, d, 1
+					enter, enterDir = j, 1
 					priced += bi + 1
 					break
 				}
 				if st == atUpper && d > tol {
-					enter, enterD, enterDir = j, d, -1
+					enter, enterDir = j, -1
 					priced += bi + 1
 					break
 				}
@@ -1220,16 +1078,14 @@ func (s *simplex) iterate(cost []float64) Status {
 				priced += len(cands)
 			}
 		} else {
-			dense := s.dense
-			gamma := s.gamma
 			nc := len(cands)
 			if cursor >= nc {
 				cursor = 0
 			}
 			base, scanned := cursor, 0
-			var bestScore float64
+			var enterD float64
 			for scanned < nc && enter == -1 {
-				sect := section
+				sect := pricingSection
 				if rem := nc - scanned; sect > rem {
 					sect = rem
 				}
@@ -1240,18 +1096,11 @@ func (s *simplex) iterate(cost []float64) Status {
 					j := int(j32)
 					st := state[j]
 					d := cost[j]
-					if dense != nil {
-						col := dense[j*m : j*m+m]
-						for i, v := range col {
-							d -= y[i] * v
-						}
-					} else {
-						start, end := colPtr[j], colPtr[j+1]
-						ri := rowIdx[start:end]
-						vv := vals[start:end][:len(ri)]
-						for k, rq := range ri {
-							d -= y[rq] * vv[k]
-						}
+					start, end := colPtr[j], colPtr[j+1]
+					ri := rowIdx[start:end]
+					vv := vals[start:end][:len(ri)]
+					for k, rq := range ri {
+						d -= y[rq] * vv[k]
 					}
 					var improving bool
 					var dir float64
@@ -1263,13 +1112,7 @@ func (s *simplex) iterate(cost []float64) Status {
 					if !improving {
 						continue
 					}
-					if devexMode {
-						// Devex: steepest reduced cost per approximate
-						// edge norm, d²/γ, instead of plain |d|.
-						if sc := d * d / gamma[j]; enter == -1 || sc > bestScore {
-							enter, enterD, enterDir, bestScore = j, d, dir, sc
-						}
-					} else if enter == -1 || math.Abs(d) > math.Abs(enterD) {
+					if enter == -1 || math.Abs(d) > math.Abs(enterD) {
 						enter, enterD, enterDir = j, d, dir
 					}
 				}
@@ -1282,14 +1125,6 @@ func (s *simplex) iterate(cost []float64) Status {
 			cursor = base
 		}
 		if enter == -1 {
-			if !yExact {
-				// The wrap priced against incrementally updated duals;
-				// re-derive them exactly from the factors and re-scan
-				// before certifying optimality.
-				s.computeDualsFull(cost, y)
-				yExact = true
-				continue
-			}
 			return StatusOptimal
 		}
 
@@ -1352,37 +1187,21 @@ func (s *simplex) iterate(cost []float64) Status {
 			theta = 0
 		}
 
-		// Anti-cycling fallback ladder: after a run of degenerate pivots
-		// demote one pricing rung (devex hands the plateau to sectional
-		// Dantzig, Dantzig to Bland, whose ordered first-improving scan
-		// guarantees termination); real progress promotes back to the
-		// configured rule.
+		// Anti-cycling ladder: a run of degenerate pivots hands the
+		// plateau to Bland's rule, whose ordered first-improving scan
+		// guarantees termination; real progress promotes back to
+		// sectional Dantzig.
 		if theta <= 1e-12 {
 			degenerate++
 			degenTotal++
-			if degenerate > 40 && cur != PricingBland {
-				cur = demote(cur)
+			if degenerate > 40 && !bland {
+				bland = true
 				degenerate = 0
 				fallbacks++
-				bland = cur == PricingBland
-				devexMode = false
 			}
 		} else {
 			degenerate = 0
-			if cur != rule {
-				cur = rule
-				bland = cur == PricingBland
-				devexMode = cur == PricingDevex
-				if devexMode {
-					// The framework saw no updates while demoted; re-seed
-					// it, and re-derive exact duals before the incremental
-					// updates resume (they need y dense-valid).
-					s.gammaOK = false
-					if s.lu != nil {
-						yValid = false
-					}
-				}
-			}
+			bland = false
 		}
 
 		// Move basic variables. A degenerate step (theta == 0) moves
@@ -1429,22 +1248,7 @@ func (s *simplex) iterate(cost []float64) Status {
 			continue
 		}
 		pivots++
-		if devexMode && yValid {
-			// Weight maintenance against the outgoing basis (and, in
-			// factorized mode, the incremental dual update that makes the
-			// per-pivot BTRAN unnecessary). Runs before any state/basic
-			// mutation: the pivot row and the nonbasic set are pre-pivot.
-			incY := s.lu != nil && s.yDense
-			if s.devexPrimalUpdate(enter, leave, enterD, w, y, incY) {
-				s.gammaOK = false // drift past the cap: reset next iteration
-			}
-			yExact = false
-			if !incY {
-				yValid = false
-			}
-		} else {
-			yValid = false
-		}
+		yValid = false
 
 		// Pivot: basic[leave] exits, enter becomes basic.
 		exit := s.basic[leave]
@@ -1469,23 +1273,6 @@ func (s *simplex) iterate(cost []float64) Status {
 		if !s.basisPivot(leave, w) {
 			return statusNumeric
 		}
-		if s.refactored {
-			// Fresh factors: incremental duals were computed against the
-			// old ones, so refresh before the next pricing scan; an
-			// instability-forced refactorization also resets the devex
-			// frameworks (the weights compounded through the bad pivots).
-			s.refactored = false
-			if devexMode && s.lu != nil {
-				yValid = false
-			}
-			if s.unstableRefactor {
-				s.unstableRefactor = false
-				if rule == PricingDevex {
-					s.gammaOK = false
-					s.betaOK = false
-				}
-			}
-		}
 	}
 	return StatusIterLimit
 }
@@ -1505,20 +1292,6 @@ func (s *simplex) direction(enter int, w []float64) {
 		}
 		start, end := colPtr[enter], colPtr[enter+1]
 		s.wNZ = s.lu.ftranSparse(rowIdx[start:end], vals[start:end], w)
-		return
-	}
-	if s.dense != nil {
-		col := s.dense[enter*m : enter*m+m]
-		for i := 0; i < m; i++ {
-			row := s.binv[i*m : i*m+m]
-			var acc float64
-			for k, v := range col {
-				if v != 0 {
-					acc += row[k] * v
-				}
-			}
-			w[i] = acc
-		}
 		return
 	}
 	start, end := colPtr[enter], colPtr[enter+1]

@@ -448,52 +448,27 @@ func randomBoundedLP(t *testing.T, rng *stats.RNG, m, n int, density float64) *P
 	return p
 }
 
-// TestPivotModesBitIdentical: the sparse and dense pivot paths must
-// produce byte-for-byte identical solutions — same status, objective,
-// primal values, duals, and iteration count — because they perform the
-// same floating-point operations in the same order.
-func TestPivotModesBitIdentical(t *testing.T) {
-	rng := stats.NewRNG(91)
-	for trial := 0; trial < 8; trial++ {
-		m := 5 + rng.Intn(20)
-		n := 5 + rng.Intn(40)
-		density := rng.Uniform(0.05, 0.9)
-		p := randomBoundedLP(t, rng, m, n, density)
-
-		sparse, err := p.Solve(Options{Pivot: PivotSparse})
-		if err != nil {
-			t.Fatalf("trial %d sparse: %v", trial, err)
+// TestBasisSizeSwitch pins the only selector left, the row count: the
+// same LP solves on the dense inverse at luAutoRows-1 rows and, padded
+// with one row that cannot bind, on LU factors at luAutoRows, to the
+// same objective.
+func TestBasisSizeSwitch(t *testing.T) {
+	build := func(m int) *Problem {
+		p := randomBoundedLP(t, stats.NewRNG(17), luAutoRows-1, 60, 0.1)
+		for i := luAutoRows - 1; i < m; i++ {
+			mustTerm(t, p, mustCon(t, p, LE, 1e6, "pad"), 0, 1)
 		}
-		dense, err := p.Solve(Options{Pivot: PivotDense})
-		if err != nil {
-			t.Fatalf("trial %d dense: %v", trial, err)
-		}
-		auto, err := p.Solve(Options{})
-		if err != nil {
-			t.Fatalf("trial %d auto: %v", trial, err)
-		}
-		for _, pair := range []struct {
-			name string
-			got  *Solution
-		}{{"dense", dense}, {"auto", auto}} {
-			if pair.got.Status != sparse.Status || pair.got.Iters != sparse.Iters {
-				t.Fatalf("trial %d (m=%d n=%d ρ=%.2f): %s status/iters %v/%d != sparse %v/%d",
-					trial, m, n, density, pair.name, pair.got.Status, pair.got.Iters, sparse.Status, sparse.Iters)
-			}
-			if pair.got.Objective != sparse.Objective {
-				t.Fatalf("trial %d: %s objective %v != sparse %v", trial, pair.name, pair.got.Objective, sparse.Objective)
-			}
-			for j := range sparse.X {
-				if pair.got.X[j] != sparse.X[j] {
-					t.Fatalf("trial %d: %s x[%d] = %v != sparse %v", trial, pair.name, j, pair.got.X[j], sparse.X[j])
-				}
-			}
-			for i := range sparse.Duals {
-				if pair.got.Duals[i] != sparse.Duals[i] {
-					t.Fatalf("trial %d: %s dual[%d] = %v != sparse %v", trial, pair.name, i, pair.got.Duals[i], sparse.Duals[i])
-				}
-			}
-		}
+		return p
+	}
+	below := solveOptimal(t, build(luAutoRows-1))
+	at := solveOptimal(t, build(luAutoRows))
+	if below.Factorized || !at.Factorized {
+		t.Fatalf("Factorized = %v at %d rows, %v at %d rows; want false, true",
+			below.Factorized, luAutoRows-1, at.Factorized, luAutoRows)
+	}
+	if d := math.Abs(below.Objective - at.Objective); d > 1e-9*(1+math.Abs(below.Objective)) {
+		t.Fatalf("objective %.15g at %d rows != %.15g at %d rows (Δ=%g)",
+			below.Objective, luAutoRows-1, at.Objective, luAutoRows, d)
 	}
 }
 

@@ -62,11 +62,11 @@ func (w *Basis) capture(p *Problem, s *simplex, sign []float64) {
 // Clone returns an independent copy of the handle for branch & bound
 // diving: the child may warm-solve and pivot freely without disturbing
 // the parent's basis. Immutable layout arrays (constraint matrix,
-// costs, dense mirror) are shared; basis state (Binv, statuses, values)
-// is copied. A factorized handle's LU factors are NOT copied — the
-// clone gets an empty factorization that is rebuilt from the copied
-// basic set on first use, which is both cheaper than copying the fill
-// and keeps the parent's eta file private.
+// costs) are shared; basis state (Binv, statuses, values) is copied. A
+// factorized handle's LU factors are NOT copied — the clone gets an
+// empty factorization that is rebuilt from the copied basic set on first
+// use, which is both cheaper than copying the fill and keeps the
+// parent's eta file private.
 func (w *Basis) Clone() *Basis {
 	if !w.Valid() {
 		return NewBasis()
@@ -82,13 +82,11 @@ func (w *Basis) Clone() *Basis {
 	s.cB, s.cbNZ, s.yNZp, s.rhoNZp = nil, nil, nil, nil
 	s.yDense = false
 	s.phase1, s.slackNB, s.signBuf = nil, nil, nil
-	// Devex scratch is per-solve mutable state: the clone re-seeds its
-	// own weight frameworks. The CSR mirror is immutable alongside the
-	// shared matrix arrays, so it (and csrOK) is shared as-is.
-	s.gamma, s.beta = nil, nil
+	// The pivot-row accumulator is per-solve scratch. The CSR mirror is
+	// immutable alongside the shared matrix arrays, so it (and csrOK) is
+	// shared as-is.
 	s.alpha, s.alphaNZ, s.alphaMark = nil, nil, nil
 	s.alphaStamp = 0
-	s.gammaOK, s.betaOK = false, false
 	if s.lu != nil {
 		s.lu = new(luBasis) // refactored on demand from s.basic
 	}
@@ -181,9 +179,6 @@ func (p *Problem) solveWarm(opts Options) (*Solution, warmOutcome) {
 	s := w.sx
 	s.opts = opts.withDefaults(s.m, nStruct)
 	s.iters = 0
-	// Weight frameworks never carry across solves: the repair re-seeds
-	// them against whatever basis survived since capture.
-	s.gammaOK, s.betaOK = false, false
 	m := s.m
 	sign := w.sign
 
@@ -361,13 +356,6 @@ func (s *simplex) dualFeasible() bool {
 // termination guarantee and can cycle).
 func (s *simplex) reducedCost(cost []float64, j int, y []float64) float64 {
 	d := cost[j]
-	if s.dense != nil {
-		col := s.dense[j*s.m : (j+1)*s.m]
-		for i, v := range col {
-			d -= y[i] * v
-		}
-		return d
-	}
 	for q := s.colPtr[j]; q < s.colPtr[j+1]; q++ {
 		d -= y[s.rowIdx[q]] * s.vals[q]
 	}
@@ -376,16 +364,13 @@ func (s *simplex) reducedCost(cost []float64, j int, y []float64) float64 {
 
 // dualIterate runs bounded-variable dual simplex from a dual-feasible
 // basis until every basic value is back within its bounds. Each pivot
-// picks the leaving basic variable by dual devex (largest violation per
-// approximate row norm, the dual twin of the primal rule) or plain
-// most-violated, and the entering variable by the dual ratio test over
-// the pivot row, so dual feasibility — and thus the optimality
-// certificate — is preserved throughout. Degenerate streaks demote the
-// row rule down the same fallback ladder as the primal (devex →
-// most-violated → Bland's smallest-variable-index rule, which
-// guarantees termination); a repair never promotes back — it is
-// expected to be short, and a plateau that demoted once tends to
-// persist for the rest of it.
+// picks the most-violated basic variable to leave and the entering
+// variable by the dual ratio test over the pivot row, so dual
+// feasibility — and thus the optimality certificate — is preserved
+// throughout. A degenerate streak demotes the row rule to Bland's
+// smallest-variable-index rule, which guarantees termination; a repair
+// never promotes back — it is expected to be short, and a plateau that
+// demoted once tends to persist for the rest of it.
 func (s *simplex) dualIterate() int {
 	m := s.m
 	if s.y == nil {
@@ -413,19 +398,15 @@ func (s *simplex) dualIterate() int {
 	degenerate := 0
 	prevViol := math.Inf(1)
 	yOK := false
-	cur := s.opts.effectivePricing(s.lu != nil)
-	bland := cur == PricingBland
-	s.refactored, s.unstableRefactor = false, false
+	bland := false
+	s.refactored = false
 
 	// Dual pivots and pricing events tally locally and flush once per
 	// repair.
-	pivots, resets, fallbacks := 0, 0, 0
+	pivots, fallbacks := 0, 0
 	defer func() {
 		if pivots != 0 {
 			cPivots.Add(int64(pivots))
-		}
-		if resets != 0 {
-			cPricingResets.Add(int64(resets))
 		}
 		if fallbacks != 0 {
 			cPricingFallbacks.Add(int64(fallbacks))
@@ -462,13 +443,8 @@ func (s *simplex) dualIterate() int {
 		if ctx != nil && s.iters&31 == 0 && ctx.Err() != nil {
 			return dualCanceled
 		}
-		if cur == PricingDevex && !s.betaOK {
-			s.resetBeta()
-			resets++
-		}
-		// Leaving row: the basic variable farthest outside its bounds
-		// (scaled by the devex row weight when that rule drives). viol is
-		// signed: negative below zero, positive above upper. The same
+		// Leaving row: the basic variable farthest outside its bounds. viol
+		// is signed: negative below zero, positive above upper. The same
 		// single pass accumulates the total primal infeasibility, which
 		// drives the anti-cycling bookkeeping below: a pivot with a zero
 		// DUAL step can still make real primal progress (on LPs with many
@@ -479,8 +455,7 @@ func (s *simplex) dualIterate() int {
 		totalViol := 0.0
 		leave := -1
 		var viol float64
-		switch {
-		case bland:
+		if bland {
 			// Bland's dual rule orders by *variable* index, not row
 			// position: among rows outside their bounds, the one whose
 			// basic variable has the smallest index leaves. Taking the
@@ -503,30 +478,7 @@ func (s *simplex) dualIterate() int {
 					leave, viol = i, v
 				}
 			}
-		case cur == PricingDevex:
-			// Dual devex: maximize violation² per approximate row norm
-			// β_i ≈ ‖e_iᵀB⁻¹‖², so a row is picked for how far the pivot
-			// actually moves the solution, not just how far its basic
-			// value strayed.
-			beta := s.beta
-			var best float64
-			for i := 0; i < m; i++ {
-				xv := s.xB[i]
-				var v float64
-				if xv < -tol {
-					v = xv
-					totalViol -= xv
-				} else if ub := up[s.basic[i]]; xv > ub+tol {
-					v = xv - ub
-					totalViol += v
-				} else {
-					continue
-				}
-				if sc := v * v / beta[i]; leave == -1 || sc > best {
-					leave, viol, best = i, v, sc
-				}
-			}
-		default:
+		} else {
 			var worst float64
 			for i := 0; i < m; i++ {
 				xv := s.xB[i]
@@ -550,11 +502,11 @@ func (s *simplex) dualIterate() int {
 
 		// Duals y = c_B^T·Binv for the ratio test's reduced costs. The
 		// factorized path computes them once (dense-valid) and then folds
-		// the pivot row into an incremental update each pivot — the same
-		// y ← y + (d_q/α_rq)·ρ identity as the primal devex loop — with
-		// refreshes after refactorizations; the dense path recomputes,
-		// as before. The final primal cleanup re-derives exact duals
-		// before certifying optimality either way.
+		// the pivot row into an incremental update each pivot — y ← y +
+		// (d_q/α_rq)·ρ, exact in real arithmetic — with refreshes after
+		// refactorizations; the dense path recomputes. The final primal
+		// cleanup re-derives exact duals before certifying optimality
+		// either way.
 		if s.lu != nil {
 			if !yOK {
 				s.computeDualsFull(s.cost, y)
@@ -602,15 +554,8 @@ func (s *simplex) dualIterate() int {
 		}
 		colAlpha := func(j int) float64 {
 			var alpha float64
-			if s.dense != nil {
-				col := s.dense[j*m : j*m+m]
-				for i, v := range col {
-					alpha += rho[i] * v
-				}
-			} else {
-				for q := s.colPtr[j]; q < s.colPtr[j+1]; q++ {
-					alpha += rho[s.rowIdx[q]] * s.vals[q]
-				}
+			for q := s.colPtr[j]; q < s.colPtr[j+1]; q++ {
+				alpha += rho[s.rowIdx[q]] * s.vals[q]
 			}
 			return alpha
 		}
@@ -705,18 +650,17 @@ func (s *simplex) dualIterate() int {
 
 		// Anti-cycling: any true cycle holds the total primal
 		// infeasibility constant, so a sustained run without it shrinking
-		// demotes one rung down the fallback ladder (Bland's rule, the
-		// final rung, guarantees termination). Dual-degenerate pivots
-		// that still reduce the violation — the normal mode of a dual
-		// cold start over zero-cost columns — keep the streak at zero.
-		if cur != PricingBland {
+		// demotes to Bland's rule, which guarantees termination.
+		// Dual-degenerate pivots that still reduce the violation — the
+		// normal mode of a dual cold start over zero-cost columns — keep
+		// the streak at zero.
+		if !bland {
 			if totalViol >= prevViol-tol {
 				degenerate++
 				if degenerate > 40 {
-					cur = demote(cur)
+					bland = true
 					degenerate = 0
 					fallbacks++
-					bland = cur == PricingBland
 				}
 			} else {
 				degenerate = 0
@@ -738,11 +682,6 @@ func (s *simplex) dualIterate() int {
 				for _, i32 := range s.rhoNZp {
 					y[i32] += t * rho[i32]
 				}
-			}
-		}
-		if cur == PricingDevex {
-			if s.devexDualUpdate(leave, w) {
-				s.betaOK = false // drift past the cap: re-seed next pivot
 			}
 		}
 		t := viol / piv
@@ -785,12 +724,6 @@ func (s *simplex) dualIterate() int {
 			// Fresh factors: refresh the incrementally updated duals.
 			s.refactored = false
 			yOK = false
-			if s.unstableRefactor {
-				s.unstableRefactor = false
-				if cur == PricingDevex {
-					s.betaOK = false
-				}
-			}
 		}
 		pivots++
 	}
