@@ -38,19 +38,13 @@ func NewInstance(net *wan.Network, slots int, reqs []demand.Request, pathsPerReq
 		return nil, err
 	}
 
-	// Path sets depend only on the (src, dst) pair; memoize.
-	cache := make(map[[2]int][]wan.Path)
+	// Path sets depend only on the (src, dst) pair; the network keeps
+	// one shared, read-only set per pair.
 	paths := make([][]wan.Path, len(reqs))
 	for i, r := range reqs {
-		key := [2]int{r.Src, r.Dst}
-		ps, ok := cache[key]
-		if !ok {
-			var err error
-			ps, err = net.Paths(r.Src, r.Dst, pathsPerRequest)
-			if err != nil {
-				return nil, fmt.Errorf("sched: request %d: %w", r.ID, err)
-			}
-			cache[key] = ps
+		ps, err := net.Paths(r.Src, r.Dst, pathsPerRequest)
+		if err != nil {
+			return nil, fmt.Errorf("sched: request %d: %w", r.ID, err)
 		}
 		paths[i] = ps
 	}
@@ -80,19 +74,12 @@ func (in *Instance) Extend(reqs []demand.Request, pathsPerRequest int) (*Instanc
 	if err := demand.ValidateAll(reqs, in.net, in.slots); err != nil {
 		return nil, err
 	}
-	cache := make(map[[2]int][]wan.Path)
 	paths := make([][]wan.Path, 0, len(in.paths)+len(reqs))
 	paths = append(paths, in.paths...)
 	for _, r := range reqs {
-		key := [2]int{r.Src, r.Dst}
-		ps, ok := cache[key]
-		if !ok {
-			var err error
-			ps, err = in.net.Paths(r.Src, r.Dst, pathsPerRequest)
-			if err != nil {
-				return nil, fmt.Errorf("sched: request %d: %w", r.ID, err)
-			}
-			cache[key] = ps
+		ps, err := in.net.Paths(r.Src, r.Dst, pathsPerRequest)
+		if err != nil {
+			return nil, fmt.Errorf("sched: request %d: %w", r.ID, err)
 		}
 		paths = append(paths, ps)
 	}

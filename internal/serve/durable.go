@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -9,38 +8,16 @@ import (
 	"metis/internal/wal"
 )
 
-// WAL record types. The serve layer owns the payload schemas; the wal
-// package only frames and checksums them.
-const (
-	walRecArrival byte = 1 // one acked arrival
-	walRecTick    byte = 2 // one committed epoch tick (all its decisions)
-	walRecFence   byte = 3 // a fencing token minted at promotion
-)
-
-// Outcome kinds inside a tick record.
-const (
-	walKindAccept  = "accept"
-	walKindReject  = "reject"
-	walKindExpired = "expired"
-)
-
-// walArrival is the WAL image of one acked arrival. The request carries
-// the server-assigned id.
-type walArrival struct {
-	ID  int64          `json:"id"`
-	Req demand.Request `json:"req"`
-}
-
 // walOutcome is one request's decision inside a tick record, in batch
 // (id) order. Start is the window start clamped to the deciding slot —
 // recovery re-commits exactly what the live tick committed.
 type walOutcome struct {
-	ID       int64  `json:"id"`
-	Kind     string `json:"kind"`
-	Links    []int  `json:"links,omitempty"`
-	Start    int    `json:"start,omitempty"`
-	Reason   string `json:"reason,omitempty"`
-	Degraded bool   `json:"degraded,omitempty"`
+	ID       int64
+	Kind     byte // walKindAccept, walKindReject or walKindExpired
+	Links    []int
+	Start    int
+	Reason   string
+	Degraded bool
 }
 
 // walTick is the redo record of one committed epoch: enough to replay
@@ -48,12 +25,12 @@ type walOutcome struct {
 // re-running the policy (which may have been cut short by the tick
 // budget and is therefore not reproducible from inputs alone).
 type walTick struct {
-	Epoch     int             `json:"epoch"`
-	Slot      int             `json:"slot"`
-	Outcomes  []walOutcome    `json:"outcomes,omitempty"`
-	Purchased []int           `json:"purchased,omitempty"`
-	Degraded  bool            `json:"degraded,omitempty"`
-	Policy    *walPolicyDelta `json:"policy,omitempty"`
+	Epoch     int
+	Slot      int
+	Outcomes  []walOutcome
+	Purchased []int
+	Degraded  bool
+	Policy    *walPolicyDelta
 }
 
 // walPolicyDelta is the compact policy state a tick record carries: the
@@ -62,27 +39,17 @@ type walTick struct {
 // policies' decision-relevant state; the warm incumbent/relaxation are
 // caches rebuilt by the next replan.
 type walPolicyDelta struct {
-	Name       string `json:"name"`
-	Plan       []int  `json:"plan,omitempty"`
-	HavePlan   bool   `json:"havePlan,omitempty"`
-	LastReplan int    `json:"lastReplan,omitempty"`
-}
-
-// walFence is a fencing-token record, appended by the HA layer when a
-// standby promotes.
-type walFence struct {
-	Token uint64 `json:"token"`
+	Name       string
+	Plan       []int
+	HavePlan   bool
+	LastReplan int
 }
 
 // AppendFence durably appends a fencing-token record; the HA promotion
 // path calls it so the token survives in the same log as the state it
 // fences.
 func AppendFence(l *wal.Log, token uint64) error {
-	body, err := json.Marshal(walFence{Token: token})
-	if err != nil {
-		return err
-	}
-	off, err := l.Append(walRecFence, body)
+	off, err := l.Append(walRecFence, encodeFence(token))
 	if err != nil {
 		return err
 	}
@@ -166,16 +133,6 @@ func roleErr(r int32) error {
 	return ErrStandby
 }
 
-func mustJSON(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		// All record types marshal unconditionally; a failure here is a
-		// programming error, not an input error.
-		panic("serve: wal record encode: " + err.Error())
-	}
-	return b
-}
-
 // RecoverStats summarizes one RecoverWAL pass.
 type RecoverStats struct {
 	// Arrivals re-queued from the log (SkippedArrivals were already in
@@ -209,70 +166,80 @@ func (s *Server) RecoverWAL() (RecoverStats, error) {
 	end, err := wal.Replay(w.Dir(), s.walFrom, func(off wal.Offset, typ byte, body []byte) error {
 		switch typ {
 		case walRecArrival:
-			var a walArrival
-			if err := json.Unmarshal(body, &a); err != nil {
+			req, err := decodeArrival(body)
+			if err != nil {
 				return fmt.Errorf("serve: wal arrival at %v: %w", off, err)
 			}
-			return s.recoverArrival(a, &st)
+			return s.recoverArrival(req, &st)
 		case walRecTick:
-			var tr walTick
-			if err := json.Unmarshal(body, &tr); err != nil {
+			tr, err := decodeTick(body)
+			if err != nil {
 				return fmt.Errorf("serve: wal tick at %v: %w", off, err)
 			}
 			return s.recoverTick(&tr, &st)
 		case walRecFence:
-			var fr walFence
-			if err := json.Unmarshal(body, &fr); err != nil {
+			token, err := decodeFence(body)
+			if err != nil {
 				return fmt.Errorf("serve: wal fence at %v: %w", off, err)
 			}
-			if fr.Token > st.MaxToken {
-				st.MaxToken = fr.Token
+			if token > st.MaxToken {
+				st.MaxToken = token
 			}
-			if fr.Token > s.token.Load() {
-				s.token.Store(fr.Token)
+			if token > s.token.Load() {
+				s.token.Store(token)
 			}
 			return nil
+		case 1, 2, 3:
+			return fmt.Errorf("serve: wal record type %d at %v is a JSON-era frame (types 1-3); this build reads only the binary frames (types %d-%d) and there is no migration",
+				typ, off, walRecArrival, walRecFence)
 		default:
 			return fmt.Errorf("serve: wal record type %d at %v", typ, off)
 		}
 	})
 	st.End = end
-	if err != nil {
-		return st, err
+	if sp, ok := s.cfg.Policy.(statefulPolicy); ok && st.Ticks > 0 {
+		// The policy's cycle state as of the last replayed tick — what a
+		// live tick caches for snapshots. Taken once: it copies every
+		// observed request, and nothing reads it during the replay.
+		s.mu.Lock()
+		s.policyImage = sp.policyState()
+		s.mu.Unlock()
 	}
-	return st, nil
+	return st, err
 }
 
-// recoverArrival re-queues one logged arrival. Arrivals the restored
-// snapshot already carries (their decision record exists) are skipped —
-// never enqueue an acked request twice.
-func (s *Server) recoverArrival(a walArrival, st *RecoverStats) error {
+// recoverArrival re-queues one logged arrival (the request carries the
+// server-assigned id). Arrivals the restored snapshot already carries
+// (their decision record exists) are skipped — never enqueue an acked
+// request twice.
+func (s *Server) recoverArrival(req demand.Request, st *RecoverStats) error {
+	id := int64(req.ID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if a.ID >= s.nextID.Load() {
-		s.nextID.Store(a.ID + 1)
+	if id >= s.nextID.Load() {
+		s.nextID.Store(id + 1)
 	}
-	ds := s.dshard(a.ID)
+	ds := s.dshard(id)
 	ds.mu.Lock()
-	_, known := ds.m[a.ID]
+	_, known := ds.m[id]
 	ds.mu.Unlock()
 	if known {
 		st.SkippedArrivals++
 		return nil
 	}
-	if err := a.Req.Validate(s.cfg.Net, s.cfg.Slots); err != nil {
-		return fmt.Errorf("serve: wal arrival %d: %w", a.ID, err)
+	if err := req.Validate(s.cfg.Net, s.cfg.Slots); err != nil {
+		return fmt.Errorf("serve: wal arrival %d: %w", id, err)
 	}
 	ds.mu.Lock()
-	ds.m[a.ID] = &Decision{ID: a.ID, Status: StatusQueued, Request: a.Req}
+	ds.m[id] = &Decision{ID: id, Status: StatusQueued, Request: req}
 	ds.mu.Unlock()
-	sh := &s.shards[int(a.ID)%intakeShards]
+	sh := &s.shards[int(id)%intakeShards]
 	sh.mu.Lock()
-	sh.queue = append(sh.queue, pending{id: a.ID, req: a.Req})
+	sh.queue = append(sh.queue, pending{id: id, req: req})
 	sh.mu.Unlock()
 	s.queueDepth.Add(1)
-	if a.ID < s.pruneFrom {
-		s.pruneFrom = a.ID
+	if id < s.pruneFrom {
+		s.pruneFrom = id
 	}
 	s.nSubmitted.Add(1)
 	st.Arrivals++
@@ -377,7 +344,7 @@ func (s *Server) recoverTick(tr *walTick, st *RecoverStats) error {
 			cRejected.Inc()
 			cExpired.Inc()
 		default:
-			return fmt.Errorf("serve: wal tick %d has outcome kind %q", tr.Epoch, o.Kind)
+			return fmt.Errorf("serve: wal tick %d has outcome kind %d", tr.Epoch, o.Kind)
 		}
 	}
 	if len(entries) > 0 {
@@ -402,9 +369,6 @@ func (s *Server) recoverTick(tr *walTick, st *RecoverStats) error {
 		if tr.Policy != nil {
 			rp.applyReplayDelta(tr.Policy)
 		}
-	}
-	if sp, ok := s.cfg.Policy.(statefulPolicy); ok {
-		s.policyImage = sp.policyState()
 	}
 	s.epoch++
 	st.Ticks++

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -297,5 +298,81 @@ func TestStandbyRefusesTraffic(t *testing.T) {
 	s.Tick(context.Background())
 	if s.Epoch() != 1 {
 		t.Fatalf("promoted server did not tick (epoch %d)", s.Epoch())
+	}
+}
+
+// TestRecoverWALRefusals: every frame DESIGN.md says recovery refuses is
+// refused. Each log is a good arrival (id 1), the bad frame(s), then a
+// good arrival (id 9) written through wal.Append with the live encoders.
+// RecoverWAL must return the named error having applied the prefix, not
+// counted the bad tick as committed, and touched nothing after it.
+func TestRecoverWALRefusals(t *testing.T) {
+	type frame struct {
+		typ  byte
+		body []byte
+	}
+	arrival := func(id int64) frame {
+		req := goodRequest(10)
+		req.ID = int(id)
+		return frame{walRecArrival, encodeArrival(&req)}
+	}
+	tick := func(tr walTick) frame { return frame{walRecTick, encodeTick(&tr)} }
+	accept := func(id int64) walOutcome {
+		return walOutcome{ID: id, Kind: walKindAccept, Links: []int{0}}
+	}
+	cases := []struct {
+		name    string
+		bad     []frame
+		wantErr string
+	}{
+		{"phantom id", []frame{tick(walTick{Outcomes: []walOutcome{accept(1), accept(2)}})}, "phantom"},
+		{"epoch ahead of cursor", []frame{tick(walTick{Epoch: 1, Slot: 1, Outcomes: []walOutcome{accept(1)}})}, "tick gap"},
+		{"slot disagrees with epoch", []frame{tick(walTick{Epoch: 0, Slot: 1, Outcomes: []walOutcome{accept(1)}})}, "claims slot 1"},
+		{"id repeated in one tick", []frame{arrival(2), tick(walTick{Outcomes: []walOutcome{
+			{ID: 2, Kind: walKindExpired}, {ID: 2, Kind: walKindExpired},
+		}})}, "repeats id 2"},
+		{"outcome kind outside the enum", []frame{tick(walTick{Outcomes: []walOutcome{{ID: 1, Kind: 9}}})}, "outcome kind 9"},
+		{"unknown record type", []frame{{99, []byte("x")}}, "record type 99"},
+		{"JSON-era arrival", []frame{{1, []byte(`{"id":2,"req":{"id":2,"src":0,"dst":1,"start":0,"end":11,"rate":0.2,"value":10}}`)}}, "JSON-era"},
+		{"JSON-era tick", []frame{{2, []byte(`{"epoch":0,"slot":0}`)}}, "JSON-era"},
+		{"JSON-era fence", []frame{{3, []byte(`{"token":7}`)}}, "JSON-era"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "wal")
+			l, err := wal.Open(dir, wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames := append(append([]frame{arrival(1)}, tc.bad...), arrival(9))
+			for _, f := range frames {
+				if _, err := l.Append(f.typ, f.body); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			l2, err := wal.Open(dir, wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l2.Close()
+			s := walServer(t, l2, nil)
+			st, err := s.RecoverWAL()
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("RecoverWAL error = %v, want one naming %q", err, tc.wantErr)
+			}
+			if s.Decision(1) == nil {
+				t.Fatal("the good arrival before the bad frame was not applied")
+			}
+			if st.Ticks != 0 || s.Epoch() != 0 {
+				t.Fatalf("refused tick counted as committed: %d ticks, epoch %d", st.Ticks, s.Epoch())
+			}
+			if d := s.Decision(9); d != nil {
+				t.Fatalf("arrival after the bad frame was applied: %+v", d)
+			}
+		})
 	}
 }

@@ -454,7 +454,7 @@ func (s *Server) submitAt(req demand.Request, now time.Time) (*Decision, wal.Off
 	s.walGate.RLock()
 	if w := s.cfg.WAL; w != nil {
 		var err error
-		off, err = w.Append(walRecArrival, mustJSON(walArrival{ID: id, Req: req}))
+		off, err = w.Append(walRecArrival, encodeArrival(&req))
 		if err != nil {
 			s.walGate.RUnlock()
 			s.queueDepth.Add(-1)
@@ -856,7 +856,7 @@ func (s *Server) Tick(ctx context.Context) {
 		if rp, ok := s.cfg.Policy.(replayPolicy); ok {
 			rec.Policy = rp.replayDelta()
 		}
-		tickRec = mustJSON(rec)
+		tickRec = encodeTick(&rec)
 	}
 
 	// Commit phase: apply the decisions under the lock.

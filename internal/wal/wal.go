@@ -15,13 +15,26 @@
 //
 //	header  : "METISWAL" magic, uint32 version, uint64 segment seq
 //	frame   : uint32 payload length, uint32 CRC-32C of payload, payload
-//	payload : 1 type byte + JSON body (schema owned by the caller)
+//	payload : 1 type byte + body (both owned by the caller, opaque here)
 //
-// All integers are little-endian. A torn tail (crash mid-write) is
-// repaired at Open by truncating at the first bad frame of the LAST
-// segment; a bad frame in any earlier segment is corruption, not a torn
-// tail, and Replay reports it as an error rather than silently dropping
-// a durable suffix.
+// All integers are little-endian. The one caller, internal/serve, writes
+// three binary bodies (serve/walcodec.go has the codec, DESIGN.md "Frame
+// bodies" the table); ints are zig-zag varints, counts unsigned varints,
+// floats raw IEEE-754 bits:
+//
+//	4 arrival : id, src, dst, start, end int; rate, value float
+//	5 tick    : epoch, slot int; flags byte; count × outcome (id int,
+//	            kind byte, degraded bool, start int, links ints, reason
+//	            string); purchased ints; optional policy delta
+//	6 fence   : token
+//
+// Types 1–3 carried the same records as JSON; serve refuses such a log
+// by record type. There is no migration tool: no deployed log exists.
+//
+// A torn tail (crash mid-write) is repaired at Open by truncating at the
+// first bad frame of the LAST segment; a bad frame in any earlier
+// segment is corruption, not a torn tail, and Replay reports it as an
+// error rather than silently dropping a durable suffix.
 package wal
 
 import (

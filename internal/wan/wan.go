@@ -9,6 +9,7 @@ package wan
 
 import (
 	"fmt"
+	"sync"
 
 	"metis/internal/graph"
 )
@@ -87,7 +88,14 @@ type Network struct {
 	dcs   []DC
 	links []Link
 	g     *graph.Graph
+
+	// The topology never changes after NewNetwork, so a candidate-path
+	// set is computed once per (src, dst, k) and shared from then on.
+	pathMu sync.Mutex
+	paths  map[pathKey][]Path
 }
+
+type pathKey struct{ src, dst, k int }
 
 // NewNetwork builds a network from data centers and directed links.
 // Link ids are reassigned to their slice index.
@@ -110,7 +118,10 @@ func NewNetwork(name string, dcs []DC, links []Link) (*Network, error) {
 		}
 		owned[i] = Link{ID: i, From: l.From, To: l.To, Price: l.Price}
 	}
-	return &Network{name: name, dcs: append([]DC(nil), dcs...), links: owned, g: g}, nil
+	return &Network{
+		name: name, dcs: append([]DC(nil), dcs...), links: owned, g: g,
+		paths: make(map[pathKey][]Path),
+	}, nil
 }
 
 // Name returns the topology's name (e.g. "B4").
@@ -139,10 +150,22 @@ func (n *Network) Links() []Link {
 func (n *Network) StronglyConnected() bool { return n.g.StronglyConnected() }
 
 // Paths returns up to k cheapest loopless paths from src to dst ordered
-// by ascending price.
+// by ascending price. The result is memoised per (src, dst, k): every
+// caller gets the same slice and the same Path.Links backing arrays, so
+// both are shared and read-only — copy before modifying. Errors are
+// never cached. Safe for concurrent use.
 func (n *Network) Paths(src, dst, k int) ([]Path, error) {
+	if nd := len(n.dcs); src < 0 || src >= nd || dst < 0 || dst >= nd {
+		return nil, fmt.Errorf("wan: paths %d→%d: DC out of range [0, %d)", src, dst, nd)
+	}
 	if src == dst {
 		return nil, fmt.Errorf("wan: src and dst are both DC %d", src)
+	}
+	key := pathKey{src, dst, k}
+	n.pathMu.Lock()
+	defer n.pathMu.Unlock()
+	if ps, ok := n.paths[key]; ok {
+		return ps, nil
 	}
 	gps, err := n.g.KShortestPaths(src, dst, k)
 	if err != nil {
@@ -152,6 +175,7 @@ func (n *Network) Paths(src, dst, k int) ([]Path, error) {
 	for i, gp := range gps {
 		out[i] = Path{Links: append([]int(nil), gp.Edges...), Price: gp.Cost}
 	}
+	n.paths[key] = out
 	return out, nil
 }
 

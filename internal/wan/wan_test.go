@@ -1,6 +1,8 @@
 package wan
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -188,5 +190,110 @@ func TestRegionString(t *testing.T) {
 		if got := tt.r.String(); got != tt.want {
 			t.Errorf("%d.String() = %q, want %q", tt.r, got, tt.want)
 		}
+	}
+}
+
+// forEachPair calls fn for every ordered pair of distinct DCs and k in
+// {1, 3}.
+func forEachPair(n *Network, fn func(src, dst, k int)) {
+	for src := 0; src < n.NumDCs(); src++ {
+		for dst := 0; dst < n.NumDCs(); dst++ {
+			if src == dst {
+				continue
+			}
+			for _, k := range []int{1, 3} {
+				fn(src, dst, k)
+			}
+		}
+	}
+}
+
+// TestPathsMemoised: the path table returns exactly what a fresh Yen run
+// returns, and computes it once — a second call hands back the same
+// backing arrays.
+func TestPathsMemoised(t *testing.T) {
+	for _, n := range []*Network{B4(), SubB4()} {
+		t.Run(n.Name(), func(t *testing.T) {
+			forEachPair(n, func(src, dst, k int) {
+				got, err := n.Paths(src, dst, k)
+				if err != nil {
+					t.Fatalf("Paths(%d, %d, %d): %v", src, dst, k, err)
+				}
+				fresh, err := n.g.KShortestPaths(src, dst, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(fresh) {
+					t.Fatalf("Paths(%d, %d, %d) has %d paths, Yen %d", src, dst, k, len(got), len(fresh))
+				}
+				for i := range got {
+					if !reflect.DeepEqual(got[i].Links, fresh[i].Edges) || got[i].Price != fresh[i].Cost {
+						t.Fatalf("Paths(%d, %d, %d)[%d] = %+v, Yen %+v", src, dst, k, i, got[i], fresh[i])
+					}
+				}
+				again, err := n.Paths(src, dst, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if &again[0] != &got[0] || &again[0].Links[0] != &got[0].Links[0] {
+					t.Fatalf("Paths(%d, %d, %d) recomputed on the second call", src, dst, k)
+				}
+			})
+		})
+	}
+}
+
+// TestPathsConcurrent: goroutines racing on a cold table all end up with
+// the one shared result per key (run under -race).
+func TestPathsConcurrent(t *testing.T) {
+	for _, n := range []*Network{B4(), SubB4()} {
+		const workers = 8
+		firsts := make([]map[pathKey]*Path, workers)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				seen := make(map[pathKey]*Path)
+				forEachPair(n, func(src, dst, k int) {
+					ps, err := n.Paths(src, dst, k)
+					if err != nil || len(ps) == 0 {
+						t.Errorf("Paths(%d, %d, %d): %d paths, %v", src, dst, k, len(ps), err)
+						return
+					}
+					seen[pathKey{src, dst, k}] = &ps[0]
+				})
+				firsts[w] = seen
+			}(w)
+		}
+		wg.Wait()
+		for w := 1; w < workers; w++ {
+			if len(firsts[w]) != len(firsts[0]) {
+				t.Fatalf("%s: goroutine %d saw %d keys, goroutine 0 %d", n.Name(), w, len(firsts[w]), len(firsts[0]))
+			}
+			for key, p := range firsts[0] {
+				if firsts[w][key] != p {
+					t.Fatalf("%s: %+v not shared between goroutines", n.Name(), key)
+				}
+			}
+		}
+	}
+}
+
+// TestPathsErrorsNotCached: a refused query is refused every time and
+// leaves no entry behind.
+func TestPathsErrorsNotCached(t *testing.T) {
+	n := SubB4()
+	for _, q := range [][2]int{{2, 2}, {-1, 3}, {0, n.NumDCs()}, {n.NumDCs(), 0}} {
+		for try := 0; try < 2; try++ {
+			if ps, err := n.Paths(q[0], q[1], 3); err == nil {
+				t.Fatalf("Paths(%d, %d) try %d = %v, want an error", q[0], q[1], try, ps)
+			}
+		}
+	}
+	n.pathMu.Lock()
+	defer n.pathMu.Unlock()
+	if len(n.paths) != 0 {
+		t.Fatalf("%d path-table entries after only refused queries", len(n.paths))
 	}
 }
