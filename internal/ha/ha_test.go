@@ -358,6 +358,104 @@ func TestPromotionFencesLiveOldLeader(t *testing.T) {
 	}
 }
 
+// TestPromotionLosesUnfetchedAcks pins what an ack guarantees: it is
+// durable on the leader's own disk, and a standby holds only what its
+// last fetch mirrored. Acks newer than that fetch survive a restart of
+// the leader from its log but not a promotion of the standby.
+func TestPromotionLosesUnfetchedAcks(t *testing.T) {
+	net := wan.SubB4()
+	pool := genPool(t, net, 20, 41)
+	mirrored, unfetched := pool[:12], pool[12:]
+	leaderDir := filepath.Join(t.TempDir(), "leader-wal")
+	standbyDir := filepath.Join(t.TempDir(), "standby-wal")
+
+	walLog, err := wal.Open(leaderDir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader, err := serve.New(serve.Config{Net: net, Epoch: time.Minute, WAL: walLog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tok, err := LoadOrInitToken(leaderDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader.SetToken(tok)
+	nodeL := NewLeader(leader, leaderDir)
+	mux := http.NewServeMux()
+	mux.Handle("/", leader.Handler())
+	nodeL.Register(mux)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	standby, err := serve.New(serve.Config{Net: net, Epoch: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	standby.SetStandby()
+	nodeS := NewStandby(standby, standbyDir, ts.URL, ts.Client())
+
+	// Submit returns only once the arrival frame is fsynced: every id
+	// below is a durable ack.
+	submit := func(reqs []demand.Request) []int64 {
+		var ids []int64
+		for _, r := range reqs {
+			d, err := leader.Submit(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, d.ID)
+		}
+		return ids
+	}
+	mirroredIDs := submit(mirrored)
+	if _, err := nodeS.FetchOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	lostIDs := submit(unfetched)
+	// The leader dies before the standby's next fetch.
+	ts.Close()
+	walLog.Close()
+
+	if _, err := nodeS.Promote(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range mirroredIDs {
+		if d := standby.Decision(id); d == nil || d.Status != serve.StatusQueued {
+			t.Fatalf("mirrored ack %d after promotion: %+v, want queued", id, d)
+		}
+	}
+	for _, id := range lostIDs {
+		if d := standby.Decision(id); d != nil {
+			t.Fatalf("unfetched ack %d survived promotion: %+v", id, d)
+		}
+	}
+	if got := standby.Stats().QueueDepth; got != len(mirroredIDs) {
+		t.Fatalf("promoted queue depth %d, want the %d mirrored acks", got, len(mirroredIDs))
+	}
+
+	// The same acks are all on the leader's disk: a restart from its own
+	// log recovers every one of them.
+	relog, err := wal.Open(leaderDir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relog.Close()
+	restarted, err := serve.New(serve.Config{Net: net, Epoch: time.Minute, WAL: relog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := restarted.RecoverWAL(); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range append(mirroredIDs, lostIDs...) {
+		if d := restarted.Decision(id); d == nil || d.Status != serve.StatusQueued {
+			t.Fatalf("ack %d after a leader restart: %+v, want queued", id, d)
+		}
+	}
+}
+
 // TestTokenPersistence: fencing tokens survive restarts and mint from 1.
 func TestTokenPersistence(t *testing.T) {
 	dir := t.TempDir()

@@ -1228,45 +1228,54 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	buf := getIntakeBuf()
+	defer putIntakeBuf(buf)
+	_, err := buf.ReadFrom(r.Body)
 	var req demand.Request
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "decode request: " + err.Error()})
+	if err == nil {
+		req, err = decodeRequest(buf.Bytes())
+	}
+	out := buf.Bytes()[:0]
+	if err != nil {
+		writeReply(w, http.StatusBadRequest, appendErrorReply(out, "decode request: "+err.Error(), ""))
 		return
 	}
 	d, err := s.Submit(req)
-	if err != nil {
-		var verr *demand.ValidationError
-		switch {
-		case errors.As(err, &verr):
-			writeJSON(w, http.StatusUnprocessableEntity, map[string]any{
-				"error": verr.Msg, "field": verr.Field,
-			})
-		case errors.Is(err, ErrQueueFull):
-			writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": err.Error()})
-		case errors.Is(err, ErrDraining), errors.Is(err, ErrStandby), errors.Is(err, ErrFenced):
-			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": err.Error()})
-		default:
-			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-		}
-		return
+	code := http.StatusAccepted
+	var verr *demand.ValidationError
+	switch {
+	case err == nil:
+		out = appendDecision(out, d)
+	case errors.As(err, &verr):
+		out, code = appendErrorReply(out, verr.Msg, verr.Field), http.StatusUnprocessableEntity
+	case errors.Is(err, ErrQueueFull):
+		out, code = appendErrorReply(out, err.Error(), ""), http.StatusTooManyRequests
+	case errors.Is(err, ErrDraining), errors.Is(err, ErrStandby), errors.Is(err, ErrFenced):
+		out, code = appendErrorReply(out, err.Error(), ""), http.StatusServiceUnavailable
+	default:
+		out, code = appendErrorReply(out, err.Error(), ""), http.StatusInternalServerError
 	}
-	writeJSON(w, http.StatusAccepted, d)
+	writeReply(w, code, out)
 }
 
 // handleSubmitBatch decodes one JSON array of requests and enqueues
-// them in order: a single decode and response for the whole batch keeps
-// high-rate load generators off the per-request JSON overhead.
+// them in order: a single decode and reply for the whole batch keeps
+// high-rate load generators off the per-request overhead. Body and
+// reply share one pooled buffer (httpcodec.go).
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
+	buf := getIntakeBuf()
+	defer putIntakeBuf(buf)
+	_, err := buf.ReadFrom(r.Body)
 	var reqs []demand.Request
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&reqs); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "decode batch: " + err.Error()})
+	if err == nil {
+		reqs, err = decodeBatch(buf.Bytes())
+	}
+	out := buf.Bytes()[:0]
+	if err != nil {
+		writeReply(w, http.StatusBadRequest, appendErrorReply(out, "decode batch: "+err.Error(), ""))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.SubmitAll(reqs))
+	writeReply(w, http.StatusOK, appendBatchAck(out, s.SubmitAll(reqs)))
 }
 
 func (s *Server) handleDecision(w http.ResponseWriter, r *http.Request) {
