@@ -7,7 +7,6 @@
 // Usage:
 //
 //	metisd -addr :8080 -network SUB-B4 -epoch 250ms
-//	metisd -policy metis -replan-every 4 -theta 4
 //	metisd -policy metis-incremental -replan-every 2   # persistent warm model across epochs
 //	metisd -policy taa -plan-units 20
 //	metisd -snapshot state.json -snapshot-every 8     # resumes from state.json on restart
@@ -109,12 +108,12 @@ func run(args []string) (err error) {
 		slots         = fs.Int("slots", metis.DefaultSlots, "billing-cycle slots")
 		epoch         = fs.Duration("epoch", 500*time.Millisecond, "epoch tick interval")
 		tickBudget    = fs.Float64("tick-budget", 0.8, "fraction of the epoch granted to each tick's decision")
-		policyName    = fs.String("policy", "greedy", "epoch policy: greedy, taa, metis or metis-incremental")
+		policyName    = fs.String("policy", "greedy", "epoch policy: greedy, taa or metis-incremental")
 		planUnits     = fs.Int("plan-units", 0, "taa: uniform per-link provision in units (0 = only capacity bought so far)")
-		replanEvery   = fs.Int("replan-every", 1, "metis: re-solve period in epochs")
-		theta         = fs.Int("theta", 0, "metis: alternation rounds θ (0 = default)")
-		maaRounds     = fs.Int("maa-rounds", 0, "metis: randomized roundings per MAA call (0 = default)")
-		seed          = fs.Int64("seed", 1, "metis: randomized-rounding seed")
+		replanEvery   = fs.Int("replan-every", 1, "metis-incremental: replan period in epochs")
+		theta         = fs.Int("theta", 0, "metis-incremental: alternation rounds θ of the fallback full solve (0 = default)")
+		maaRounds     = fs.Int("maa-rounds", 0, "metis-incremental: randomized roundings per MAA call of the fallback full solve (0 = default)")
+		seed          = fs.Int64("seed", 1, "metis-incremental: randomized-rounding seed of the fallback full solve")
 		queueLimit    = fs.Int("queue-limit", 0, "arrival-queue bound; submits beyond it are shed with 429 (0 = default)")
 		maxBatch      = fs.Int("max-batch", 0, "max arrivals one tick claims; the excess stays queued (0 = whole queue)")
 		snapshotPath  = fs.String("snapshot", "", "snapshot file: restored on start when present, rewritten periodically and on drain")

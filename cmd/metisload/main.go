@@ -11,7 +11,7 @@
 // whole queue and reports throughput, per-outcome counts and the
 // daemon's decision-latency quantiles (p50/p95/p99). The default output
 // is a human-readable digest; -json emits the machine-readable summary
-// that the CI smoke and benchgate's replay gate consume.
+// that the CI smokes assert on.
 //
 // Open-loop mode stress-tests ingest and decision throughput instead of
 // replaying wall-clock arrivals: -open-loop ignores the trace

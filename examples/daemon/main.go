@@ -24,7 +24,7 @@ func main() {
 	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].Start < reqs[j].Start })
 
 	newServer := func() *metis.Server {
-		policy, err := metis.NewServePolicy("metis", nil, 2, metis.Config{})
+		policy, err := metis.NewServePolicy("metis-incremental", nil, 2, metis.Config{})
 		if err != nil {
 			log.Fatal(err)
 		}

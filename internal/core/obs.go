@@ -11,7 +11,6 @@ var (
 
 // Cross-epoch replanner outcomes.
 var (
-	cReplanFull      = obs.NewCounter("core.replan.full", "replans that ran the full Metis alternation from scratch")
 	cReplanRefines   = obs.NewCounter("core.replan.refines", "replans that ran one incumbent-refinement round on the persistent model")
 	cReplanFallbacks = obs.NewCounter("core.replan.fallbacks", "incremental replans that dropped the persistent session and fell back to a cold full solve")
 )

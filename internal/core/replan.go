@@ -20,15 +20,11 @@ import (
 type ReplanMode int
 
 const (
-	// ReplanFull re-solves the whole observed workload with the full
-	// Metis alternation (SolveCtx) on every replan — the original
-	// service-layer behavior, kept as the reference strategy.
-	ReplanFull ReplanMode = iota
 	// ReplanIncremental keeps a persistent spm.BLSession across epochs:
 	// arrivals fold into the live LP as appended columns, the warm
 	// simplex basis survives from replan to replan, and each replan runs
 	// one incumbent-refinement round instead of the full alternation.
-	ReplanIncremental
+	ReplanIncremental ReplanMode = iota
 	// ReplanColdRefine runs exactly the ReplanIncremental algorithm but
 	// rebuilds the BL session from scratch and solves it cold on every
 	// replan. It exists as the differential comparator: an incremental
@@ -101,7 +97,7 @@ func (rp *Replanner) Observe(reqs []demand.Request) error {
 	if err != nil {
 		return fmt.Errorf("core: replanner observe: %w", err)
 	}
-	if rp.mode == ReplanIncremental && rp.sess != nil {
+	if rp.sess != nil {
 		if err := rp.sess.Extend(rp.inst); err != nil {
 			cReplanFallbacks.Inc()
 			rp.sess = nil
@@ -177,8 +173,9 @@ func (rp *Replanner) RestoreIncumbent(choices []int, planned int) error {
 // RelaxedGuide returns the last BL relaxation's fractional path weights
 // for observed positions [from, NumObserved()): entry k guides observed
 // request from+k, and is nil for positions the relaxation has not
-// covered yet (newly observed since the last refinement, or any request
-// in ReplanFull mode, which never solves the refinement relaxation).
+// covered yet (newly observed since the last refinement, or every
+// request after a fallback SolveCtx, which solves no refinement
+// relaxation).
 // The guide is a heuristic input — consumers must stay correct with
 // stale, partial or all-nil weights. It is exactly what taa.SolveVar
 // accepts as a pre-solved relaxation, which lets the serve layer's
@@ -209,26 +206,17 @@ func (rp *Replanner) RestoreRelaxedGuide(x [][]float64) {
 }
 
 // Replan improves the incumbent over the workload observed so far and
-// returns it as a Result (Charged is the capacity plan). In ReplanFull
-// mode every call is a full SolveCtx; in the refinement modes each call
-// runs one round — greedy extension of the incumbent over newcomers,
-// a BL relaxation solve under the extension's purchase, TAA admission,
-// pruning — and keeps the most profitable of incumbent, extension and
-// TAA schedule. A context expiry mid-refinement returns the best of
-// what had finished with Result.Degraded set, mirroring SolveCtx's
-// degradation contract; the incumbent never regresses.
+// returns it as a Result (Charged is the capacity plan). Each call runs
+// one refinement round — greedy extension of the incumbent over
+// newcomers, a BL relaxation solve under the extension's purchase, TAA
+// admission, pruning — and keeps the most profitable of incumbent,
+// extension and TAA schedule. A context expiry mid-refinement returns
+// the best of what had finished with Result.Degraded set, mirroring
+// SolveCtx's degradation contract; the incumbent never regresses. Any
+// other failure of the round falls back to a full SolveCtx.
 func (rp *Replanner) Replan(ctx context.Context) (*Result, error) {
 	if rp.inst == nil || rp.inst.NumRequests() == 0 {
 		return nil, ErrNoRequests
-	}
-	if rp.mode == ReplanFull {
-		cReplanFull.Inc()
-		res, err := SolveCtx(ctx, rp.inst, rp.cfg)
-		if err != nil {
-			return nil, err
-		}
-		rp.adopt(res.Schedule, res.Profit, res.Charged)
-		return res, nil
 	}
 	cReplanRefines.Inc()
 	res, err := rp.refine(ctx)

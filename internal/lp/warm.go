@@ -577,7 +577,7 @@ func (s *simplex) dualIterate() int {
 			// worse on the SPM LPs — flips land columns at box corners
 			// while these optima want many mid-box basics, so every batch
 			// of flips floods other rows with violations and lengthens
-			// the repair; see BENCH_PR7.json notes.)
+			// the repair; see DESIGN.md, "Dual cold start".)
 			var bestRatio, bestAbs float64
 			if s.lu != nil {
 				// Hypersparse row path: only columns intersecting ρ's

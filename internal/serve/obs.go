@@ -19,8 +19,8 @@ var (
 	cDegraded        = obs.NewCounter("serve.degraded", "epochs whose policy overran the tick budget and degraded to the greedy fallback")
 	cOverruns        = obs.NewCounter("serve.overruns", "epochs whose decision exceeded the tick budget wall-clock (missed-budget ticks)")
 	cCycles          = obs.NewCounter("serve.cycles", "billing-cycle wraps (ledger resets)")
-	cReplans         = obs.NewCounter("serve.replans", "full Metis re-solves run by the metis policy")
-	cReplansDegraded = obs.NewCounter("serve.replans_degraded", "metis re-solves cut short by the tick budget (incumbent or previous plan kept)")
+	cReplans         = obs.NewCounter("serve.replans", "replans run by the metis-incremental policy")
+	cReplansDegraded = obs.NewCounter("serve.replans_degraded", "metis-incremental replans cut short by the tick budget (incumbent or previous plan kept)")
 	cSnapshots       = obs.NewCounter("serve.snapshots", "ledger snapshots written")
 	cCheckFailures   = obs.NewCounter("serve.check_failures", "post-tick ledger invariant violations found by the -check sweep")
 	gQueueDepth      = obs.NewGauge("serve.queue_depth", "arrivals waiting for the next epoch tick")

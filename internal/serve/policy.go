@@ -37,34 +37,29 @@ type Policy interface {
 
 // NewPolicy builds a policy by name:
 //
-//	greedy             — buy-as-you-go marginal-cost admission (online.Greedy)
+//	greedy             — buy-as-you-go marginal-cost admission (online.Greedy);
+//	                     also the empty name
 //	taa                — per-epoch TAA admission into a fixed provisioned plan
-//	metis              — periodic full Metis re-solve over the cycle's observed
-//	                     workload to (re)plan capacity, TAA admission in between
-//	metis-incremental  — same contract, but replans refine a persistent
-//	                     warm model instead of re-solving from scratch
+//	metis-incremental  — periodic replans that refine a persistent warm model
+//	                     of the cycle's observed workload to (re)plan
+//	                     capacity, guided TAA admission in between
 //
 // plan provisions the taa policy (units per link; nil means admit only
-// into capacity bought by earlier epochs). replanEvery is the metis
-// policies' re-solve period in epochs (≤0 means every epoch).
+// into capacity bought by earlier epochs). replanEvery is
+// metis-incremental's replan period in epochs (≤0 means every epoch).
 func NewPolicy(name string, plan []int, replanEvery int, cfg core.Config) (Policy, error) {
 	switch name {
 	case "greedy", "":
 		return GreedyPolicy{}, nil
-	case "taa", "provisioned-taa":
+	case "taa":
 		return &TAAPolicy{Plan: plan}, nil
-	case "metis":
+	case "metis-incremental":
 		if replanEvery <= 0 {
 			replanEvery = 1
 		}
-		return &MetisPolicy{ReplanEvery: replanEvery, Config: cfg, Mode: core.ReplanFull}, nil
-	case "metis-incremental", "metis-inc":
-		if replanEvery <= 0 {
-			replanEvery = 1
-		}
-		return &MetisPolicy{ReplanEvery: replanEvery, Config: cfg, Mode: core.ReplanIncremental}, nil
+		return &MetisPolicy{ReplanEvery: replanEvery, Config: cfg}, nil
 	default:
-		return nil, fmt.Errorf("serve: unknown policy %q (have: greedy, taa, metis, metis-incremental)", name)
+		return nil, fmt.Errorf("serve: unknown policy %q (have: greedy, taa, metis-incremental)", name)
 	}
 }
 
@@ -147,19 +142,15 @@ func (p *TAAPolicy) Decide(ctx context.Context, led *Ledger, inst *sched.Instanc
 	return st, nil
 }
 
-// MetisPolicy periodically replans capacity over every request observed
-// this cycle, and admits each epoch's batch with TAA against the plan's
-// residual. The replan machinery is core.Replanner; Mode selects the
-// strategy:
-//
-//   - core.ReplanFull re-solves the full Metis alternation from scratch
-//     each time (the original policy behavior).
-//   - core.ReplanIncremental keeps a persistent warm model across
-//     epochs: arrivals fold into the live spm.BLSession as appended
-//     columns, the warm lp.Basis survives between replans, and each
-//     replan runs one incumbent-refinement round instead of a cold
-//     alternation. Model-shape incompatibilities and solver errors fall
-//     back to a cold full solve (the fallback-ladder discipline).
+// MetisPolicy (metis-incremental) periodically replans capacity over
+// every request observed this cycle, and admits each epoch's batch with
+// TAA against the plan's residual. The replan machinery is a
+// core.Replanner in core.ReplanIncremental mode: it keeps a persistent
+// warm model across epochs — arrivals fold into the live
+// spm.BLSession as appended columns, the warm lp.Basis survives between
+// replans, and each replan runs one incumbent-refinement round instead
+// of a cold alternation. Model-shape incompatibilities and solver errors
+// fall back to a cold full solve (the fallback-ladder discipline).
 //
 // Replans run under the epoch's tick deadline: an overrun degrades to
 // the best incumbent found so far instead of stalling the tick loop,
@@ -167,13 +158,10 @@ func (p *TAAPolicy) Decide(ctx context.Context, led *Ledger, inst *sched.Instanc
 // Across epochs the policy reuses the previous plan outright whenever
 // no new requests have arrived, which skips the replan entirely.
 type MetisPolicy struct {
-	// ReplanEvery is the re-solve period in epochs (1 = every epoch).
+	// ReplanEvery is the replan period in epochs (1 = every epoch).
 	ReplanEvery int
-	// Config parameterizes the re-solve (θ, τ, seeds, LP options).
+	// Config parameterizes the replan (θ, τ, seeds, LP options).
 	Config core.Config
-	// Mode selects full re-solves or incremental refinement (default
-	// core.ReplanFull).
-	Mode core.ReplanMode
 
 	rp         *core.Replanner
 	plan       []int // current capacity plan
@@ -182,12 +170,7 @@ type MetisPolicy struct {
 }
 
 // Name implements Policy.
-func (p *MetisPolicy) Name() string {
-	if p.Mode == core.ReplanIncremental {
-		return "metis-incremental"
-	}
-	return "metis"
-}
+func (p *MetisPolicy) Name() string { return "metis-incremental" }
 
 // Reset implements Policy.
 func (p *MetisPolicy) Reset() {
@@ -202,7 +185,7 @@ func (p *MetisPolicy) Decide(ctx context.Context, led *Ledger, inst *sched.Insta
 	// The replanner accumulates the cycle's workload; the plan it
 	// produces is a whole-cycle provision, not a per-epoch one.
 	if p.rp == nil {
-		p.rp = core.NewReplanner(inst.Network(), inst.Slots(), sched.DefaultPathsPerRequest, p.Config, p.Mode)
+		p.rp = core.NewReplanner(inst.Network(), inst.Slots(), sched.DefaultPathsPerRequest, p.Config, core.ReplanIncremental)
 	}
 	batch := make([]demand.Request, inst.NumRequests())
 	for i := range batch {
@@ -256,24 +239,20 @@ func (p *MetisPolicy) Decide(ctx context.Context, led *Ledger, inst *sched.Insta
 	if plan == nil {
 		plan = led.Purchased()
 	}
-	adm := online.ProvisionedTAA{Plan: plan}
-	if p.Mode == core.ReplanIncremental {
-		// The persistent model's relaxation already prices every observed
-		// request — including this batch, observed above — against the
-		// cycle plan. Handing it to admission skips the per-batch cold LP
-		// (the dominant tick cost at saturation). Positions the
-		// relaxation has not covered yet (arrivals since the last
-		// refinement, or a whole cycle right after a wrap) get zero
-		// weight, which TAA treats as fractionally declined and recovers
-		// through its greedy/augmentation stages. The zero-fill is
-		// deliberate: incremental admission NEVER falls back to the cold
-		// batch LP, so its cost stays bounded at saturation — an
-		// unbounded admission solve under a tight tick budget is exactly
-		// what degrades epochs.
-		adm.Guide = p.rp.RelaxedGuide(p.rp.NumObserved() - inst.NumRequests())
-		if adm.Guide == nil {
-			adm.Guide = make([][]float64, inst.NumRequests())
-		}
+	// The persistent model's relaxation already prices every observed
+	// request — including this batch, observed above — against the cycle
+	// plan. Handing it to admission skips the per-batch cold LP (the
+	// dominant tick cost at saturation). Positions the relaxation has not
+	// covered yet (arrivals since the last refinement, or a whole cycle
+	// right after a wrap) get zero weight, which TAA treats as
+	// fractionally declined and recovers through its greedy/augmentation
+	// stages. The zero-fill is deliberate: admission NEVER falls back to
+	// the cold batch LP, so its cost stays bounded at saturation — an
+	// unbounded admission solve under a tight tick budget is exactly what
+	// degrades epochs.
+	adm := online.ProvisionedTAA{Plan: plan, Guide: p.rp.RelaxedGuide(p.rp.NumObserved() - inst.NumRequests())}
+	if adm.Guide == nil {
+		adm.Guide = make([][]float64, inst.NumRequests())
 	}
 	if err := adm.DecideBatch(st, slot, allIndices(inst.NumRequests())); err != nil {
 		return nil, err
@@ -281,11 +260,12 @@ func (p *MetisPolicy) Decide(ctx context.Context, led *Ledger, inst *sched.Insta
 	return st, nil
 }
 
-// PolicyState is the snapshot image of the metis policies' cycle state:
-// the observed workload, the incumbent schedule's path choices, and the
-// adopted capacity plan. It is enough to rebuild the persistent replan
-// model deterministically on restore — the warm LP factorization itself
-// is a cache and is rebuilt on the first post-restore replan.
+// PolicyState is the snapshot image of the metis-incremental policy's
+// cycle state: the observed workload, the incumbent schedule's path
+// choices, and the adopted capacity plan. It is enough to rebuild the
+// persistent replan model deterministically on restore — the warm LP
+// factorization itself is a cache and is rebuilt on the first
+// post-restore replan.
 type PolicyState struct {
 	Name       string           `json:"name"`
 	Seen       []demand.Request `json:"seen,omitempty"`
@@ -322,7 +302,7 @@ type replayPolicy interface {
 
 func (p *MetisPolicy) observeReplay(net *wan.Network, slots int, batch []demand.Request) error {
 	if p.rp == nil {
-		p.rp = core.NewReplanner(net, slots, sched.DefaultPathsPerRequest, p.Config, p.Mode)
+		p.rp = core.NewReplanner(net, slots, sched.DefaultPathsPerRequest, p.Config, core.ReplanIncremental)
 	}
 	return p.rp.Observe(batch)
 }
@@ -368,7 +348,7 @@ func (p *MetisPolicy) restorePolicyState(st *PolicyState, net *wan.Network, slot
 	if st == nil {
 		return nil
 	}
-	rp := core.NewReplanner(net, slots, sched.DefaultPathsPerRequest, p.Config, p.Mode)
+	rp := core.NewReplanner(net, slots, sched.DefaultPathsPerRequest, p.Config, core.ReplanIncremental)
 	if len(st.Seen) > 0 {
 		if err := rp.Observe(st.Seen); err != nil {
 			return fmt.Errorf("serve: restore policy state: %w", err)

@@ -15,7 +15,7 @@ const (
 	// SolveDegradedFallback: the policy overran the tick budget and the
 	// epoch was decided by the greedy fallback.
 	SolveDegradedFallback = "degraded-fallback"
-	// SolveReplanDegraded: the metis policy's re-solve was cut short by
+	// SolveReplanDegraded: the metis-incremental replan was cut short by
 	// the budget but the epoch was still decided (incumbent or previous
 	// plan).
 	SolveReplanDegraded = "replan-degraded"

@@ -9,10 +9,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"metis/internal/core"
 	"metis/internal/demand"
 	"metis/internal/online"
 	"metis/internal/sched"
@@ -207,6 +209,36 @@ func TestTickBudgetDegradesToGreedy(t *testing.T) {
 	}
 }
 
+// TestNewPolicyNames pins the policy names NewPolicy accepts. Retired
+// names are refused, never mapped onto another policy.
+func TestNewPolicyNames(t *testing.T) {
+	for _, tc := range []struct{ name, want string }{
+		{"greedy", "greedy"},
+		{"", "greedy"},
+		{"taa", "taa"},
+		{"metis-incremental", "metis-incremental"},
+		{"metis", ""},
+		{"metis-inc", ""},
+		{"provisioned-taa", ""},
+		{"no-such-policy", ""},
+	} {
+		p, err := NewPolicy(tc.name, nil, 2, core.Config{})
+		if tc.want == "" {
+			if err == nil {
+				t.Errorf("NewPolicy(%q) = %s, want an error", tc.name, p.Name())
+			} else if !strings.Contains(err.Error(), "(have: greedy, taa, metis-incremental)") {
+				t.Errorf("NewPolicy(%q) error %q does not list the three names", tc.name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("NewPolicy(%q): %v", tc.name, err)
+		} else if got := p.Name(); got != tc.want {
+			t.Errorf("NewPolicy(%q).Name() = %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestPolicies(t *testing.T) {
 	net := wan.SubB4()
 	uniform := make([]int, net.NumLinks())
@@ -219,7 +251,7 @@ func TestPolicies(t *testing.T) {
 	}{
 		{name: "greedy", mut: nil},
 		{name: "taa", mut: func(c *Config) { c.Policy = &TAAPolicy{Plan: uniform} }},
-		{name: "metis", mut: func(c *Config) { c.Policy = &MetisPolicy{ReplanEvery: 2} }},
+		{name: "metis-incremental", mut: func(c *Config) { c.Policy = &MetisPolicy{ReplanEvery: 2} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -21,7 +21,7 @@ const SnapshotVersion = 3
 // Snapshot is the JSON crash-recovery image of a Server: the committed
 // ledger plus every queued-but-undecided arrival, with enough daemon
 // time (epoch, next id) to resume exactly where the process stopped,
-// and — for the metis policies — the cycle state needed to rebuild the
+// and — for metis-incremental — the cycle state needed to rebuild the
 // persistent replan model deterministically. Decision history is
 // observability, not ledger state, and is not persisted.
 type Snapshot struct {

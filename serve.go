@@ -47,8 +47,8 @@ type (
 	// ServeBatchResult is one entry of the POST /v1/requests/batch
 	// response.
 	ServeBatchResult = serve.BatchResult
-	// ServePolicyState is the metis policies' cycle state inside a
-	// snapshot.
+	// ServePolicyState is the metis-incremental policy's cycle state
+	// inside a snapshot.
 	ServePolicyState = serve.PolicyState
 )
 
@@ -66,11 +66,11 @@ var (
 func NewServer(cfg ServeConfig) (*Server, error) { return serve.New(cfg) }
 
 // NewServePolicy builds an epoch policy by name: "greedy" (marginal-cost
-// buy-as-you-go), "taa" (per-epoch TAA admission into plan), "metis"
-// (periodic full re-solve every replanEvery epochs under cfg, TAA
-// admission in between), or "metis-incremental" (same contract, but
-// replans refine a persistent warm model instead of re-solving from
-// scratch).
+// buy-as-you-go; also the empty name), "taa" (per-epoch TAA admission
+// into plan) or "metis-incremental" (every replanEvery epochs a replan
+// under cfg refines a persistent warm model of the cycle's workload
+// into a capacity plan; guided TAA admission in between). Any other
+// name is an error.
 func NewServePolicy(name string, plan []int, replanEvery int, cfg Config) (ServePolicy, error) {
 	return serve.NewPolicy(name, plan, replanEvery, cfg)
 }
