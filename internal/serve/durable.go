@@ -20,10 +20,11 @@ type walOutcome struct {
 	Degraded bool
 }
 
-// walTick is the redo record of one committed epoch: enough to replay
-// the tick's exact effect on the ledger, decisions and revenue without
-// re-running the policy (which may have been cut short by the tick
-// budget and is therefore not reproducible from inputs alone).
+// walTick is the redo record of one epoch and the only thing a tick
+// commits (commitTick): enough to replay the tick's exact effect on the
+// ledger, decisions, revenue and counters without re-running the policy
+// (which may have been cut short by the tick budget and is therefore not
+// reproducible from inputs alone).
 type walTick struct {
 	Epoch     int
 	Slot      int
@@ -151,8 +152,8 @@ type RecoverStats struct {
 
 // RecoverWAL replays the write-ahead log tail into the server: every
 // arrival acked before the crash is re-queued (unless the restored
-// snapshot already holds it) and every committed tick is re-applied to
-// the ledger, decision records, revenue and policy state. It must run
+// snapshot already holds it) and every logged tick is committed through
+// the live tick's commitTick, then caught up in the policy. It must run
 // after Restore (when there is a snapshot) and before serving. The
 // replay is idempotent against the snapshot: records at offsets the
 // snapshot already covers are skipped by construction (the snapshot's
@@ -246,11 +247,13 @@ func (s *Server) recoverArrival(req demand.Request, st *RecoverStats) error {
 	return nil
 }
 
-// recoverTick re-applies one logged epoch: the exact decisions the live
-// tick committed, in the same order, against the same ledger state.
-// Ticks at epochs the snapshot already covers are skipped; a tick from
-// a *later* epoch than the replay cursor means the log has a gap and
-// recovery must not proceed.
+// recoverTick re-applies one logged epoch through the live tick's
+// commitTick: the exact decisions the live tick committed, in the same
+// order, against the same ledger state. Ticks at epochs the snapshot
+// already covers are skipped. A tick from a *later* epoch than the
+// replay cursor means the log has a gap, and a record that names an
+// unknown outcome kind, repeats an id or decides one with no logged
+// arrival (a phantom) is refused before the ledger or any record moves.
 func (s *Server) recoverTick(tr *walTick, st *RecoverStats) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -261,23 +264,22 @@ func (s *Server) recoverTick(tr *walTick, st *RecoverStats) error {
 	case tr.Epoch > s.epoch:
 		return fmt.Errorf("serve: wal tick gap: log has epoch %d, replay cursor at %d", tr.Epoch, s.epoch)
 	}
-	slot := tr.Epoch % s.cfg.Slots
-	if tr.Slot != slot {
+	if slot := tr.Epoch % s.cfg.Slots; tr.Slot != slot {
 		return fmt.Errorf("serve: wal tick %d claims slot %d, cycle says %d", tr.Epoch, tr.Slot, slot)
 	}
-	if slot == 0 && tr.Epoch > 0 {
-		s.led.Reset()
-		s.cfg.Policy.Reset()
-		cCycles.Inc()
-	}
-
-	// Claim exactly the logged batch out of the queue. Every decided id
-	// must be queued: a tick record deciding an unknown id is a phantom
-	// (the arrival's record is missing) and recovery refuses it.
 	want := make(map[int64]bool, len(tr.Outcomes))
 	for i := range tr.Outcomes {
-		want[tr.Outcomes[i].ID] = true
+		o := &tr.Outcomes[i]
+		if o.Kind < walKindAccept || o.Kind > walKindExpired {
+			return fmt.Errorf("serve: wal tick %d has outcome kind %d", tr.Epoch, o.Kind)
+		}
+		if want[o.ID] {
+			return fmt.Errorf("serve: wal tick %d repeats id %d", tr.Epoch, o.ID)
+		}
+		want[o.ID] = true
 	}
+
+	// Claim exactly the logged batch out of the queue.
 	got := make(map[int64]pending, len(want))
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -298,64 +300,22 @@ func (s *Server) recoverTick(tr *walTick, st *RecoverStats) error {
 	}
 	s.queueDepth.Add(-int64(len(got)))
 
-	cycle := tr.Epoch / s.cfg.Slots
-	var entries []CommitEntry
+	// Rebuild the requests as the live tick decided them: server id and,
+	// for the live batch, the logged clamped window.
+	reqs := make([]demand.Request, len(tr.Outcomes))
 	var observed []demand.Request
 	for i := range tr.Outcomes {
 		o := &tr.Outcomes[i]
-		p, ok := got[o.ID]
-		if !ok {
-			return fmt.Errorf("serve: wal tick %d repeats id %d", tr.Epoch, o.ID)
-		}
-		delete(got, o.ID)
-		switch o.Kind {
-		case walKindAccept:
-			r := p.req
-			r.ID = int(o.ID)
-			r.Start = o.Start
-			links := append([]int(nil), o.Links...)
-			entries = append(entries, CommitEntry{Req: r, Links: links})
-			s.decided(o.ID, func(d *Decision) {
-				d.Status, d.Links, d.Degraded = StatusAccepted, links, o.Degraded
-				d.Epoch, d.Cycle, d.Slot = tr.Epoch, cycle, slot
-			})
-			s.nAccepted++
-			s.revenue += p.req.Value
-			cAccepted.Inc()
-			observed = append(observed, r)
-		case walKindReject:
-			reason, degraded := o.Reason, o.Degraded
-			s.decided(o.ID, func(d *Decision) {
-				d.Status, d.Reason, d.Degraded = StatusRejected, reason, degraded
-				d.Epoch, d.Cycle, d.Slot = tr.Epoch, cycle, slot
-			})
-			s.nRejected++
-			cRejected.Inc()
-			r := p.req
-			r.ID = int(o.ID)
+		r := got[o.ID].req
+		r.ID = int(o.ID)
+		if o.Kind != walKindExpired {
 			r.Start = o.Start
 			observed = append(observed, r)
-		case walKindExpired:
-			s.decided(o.ID, func(d *Decision) {
-				d.Status, d.Reason = StatusRejected, "window expired before decision"
-				d.Epoch, d.Cycle, d.Slot = tr.Epoch, cycle, slot
-			})
-			s.nRejected++
-			cRejected.Inc()
-			cExpired.Inc()
-		default:
-			return fmt.Errorf("serve: wal tick %d has outcome kind %d", tr.Epoch, o.Kind)
 		}
+		reqs[i] = r
 	}
-	if len(entries) > 0 {
-		s.led.CommitBatch(entries, 1)
-	}
-	if tr.Purchased != nil {
-		s.led.Provision(tr.Purchased)
-	}
-	if tr.Degraded {
-		s.nDegraded++
-	}
+	s.wrapCycle(tr.Epoch)
+	s.commitTick(tr, reqs)
 
 	// Policy catch-up: observe the replayed live batch (same order, same
 	// clamped windows as the live tick) and adopt the logged plan. The
@@ -370,7 +330,6 @@ func (s *Server) recoverTick(tr *walTick, st *RecoverStats) error {
 			rp.applyReplayDelta(tr.Policy)
 		}
 	}
-	s.epoch++
 	st.Ticks++
 	return nil
 }

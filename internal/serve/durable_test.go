@@ -3,14 +3,18 @@ package serve
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"metis/internal/demand"
+	"metis/internal/online"
+	"metis/internal/sched"
 	"metis/internal/spm"
 	"metis/internal/wal"
 	"metis/internal/wan"
@@ -372,6 +376,128 @@ func TestRecoverWALRefusals(t *testing.T) {
 			}
 			if d := s.Decision(9); d != nil {
 				t.Fatalf("arrival after the bad frame was applied: %+v", d)
+			}
+		})
+	}
+}
+
+// failingPolicy wraps a policy and fails its decision at one epoch with
+// a plain (non-budget) error.
+type failingPolicy struct {
+	Policy
+	epoch int
+}
+
+func (p failingPolicy) Decide(ctx context.Context, led *Ledger, inst *sched.Instance, epoch, slot int) (*online.State, error) {
+	if epoch == p.epoch {
+		return nil, errors.New("injected policy failure")
+	}
+	return p.Policy.Decide(ctx, led, inst, epoch, slot)
+}
+
+// TestRecoveredEqualsLive: a WAL-backed server with the -check sweep
+// sees accepts and declines, a policy error, an expired window, degraded
+// ticks (stallPolicy) and a cycle wrap, then crashes with a queued tail.
+// RecoverWAL into a fresh server must reproduce every decision record
+// and every counter the leader reported, field for field.
+func TestRecoveredEqualsLive(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		policy Policy
+	}{
+		{"greedy", GreedyPolicy{}},
+		{"stall", stallPolicy{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mut := func(c *Config) {
+				c.Epoch, c.TickBudget, c.Check = 20*time.Millisecond, 0.5, true
+				c.Policy = failingPolicy{Policy: tc.policy, epoch: 1}
+			}
+			dir := filepath.Join(t.TempDir(), "wal")
+			l, err := wal.Open(dir, wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			live := walServer(t, l, mut)
+			submit := func(reqs ...demand.Request) {
+				t.Helper()
+				for _, r := range reqs {
+					if _, err := live.Submit(r); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			pool := genPool(t, wan.SubB4(), 48, 28)
+			for i := range pool {
+				pool[i].Value *= 20 // worth buying for, so the ledger fills
+			}
+			poor := goodRequest(1e-6)
+			poor.Rate = 0.9
+			expired := goodRequest(100)
+			expired.Start, expired.End = 0, 1
+
+			submit(goodRequest(1e6), poor) // epoch 0: an accept and a decline
+			submit(pool[:12]...)
+			live.Tick(context.Background())
+			submit(pool[12:20]...) // epoch 1: the policy fails
+			live.Tick(context.Background())
+			submit(expired) // epoch 2: a window that ended at slot 1
+			submit(pool[20:28]...)
+			live.Tick(context.Background())
+			for live.Epoch() < demand.DefaultSlots {
+				live.Tick(context.Background())
+			}
+			submit(pool[28:40]...) // epoch 12: slot 0 of the next cycle
+			live.Tick(context.Background())
+			submit(pool[40:]...) // queued at the crash
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			l2, err := wal.Open(dir, wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l2.Close()
+			recovered := walServer(t, l2, mut)
+			if _, err := recovered.RecoverWAL(); err != nil {
+				t.Fatalf("recover: %v", err)
+			}
+
+			sl, sr := live.Stats(), recovered.Stats()
+			if tc.name == "stall" && sl.DegradedDecisions == 0 {
+				t.Fatal("the stall run made no degraded decision")
+			}
+			if sl.Accepted == 0 || sl.Rejected == 0 {
+				t.Fatalf("live run lacks accepts or declines: %+v", sl)
+			}
+			type counters struct {
+				Epoch, QueueDepth                  int
+				Accepted, Rejected, DegradedEpochs int64
+				DegradedDecisions, CheckFailures   int64
+				Committed, PurchasedUnits          int
+				PurchasedCost, Revenue             float64
+			}
+			pick := func(s Stats) counters {
+				return counters{s.Epoch, s.QueueDepth, s.Accepted, s.Rejected, s.DegradedEpochs,
+					s.DegradedDecisions, s.CheckFailures, s.Committed, s.PurchasedUnits, s.PurchasedCost, s.Revenue}
+			}
+			cl, cr := pick(sl), pick(sr)
+			if cl != cr {
+				t.Fatalf("counters differ:\n live      %+v\n recovered %+v", cl, cr)
+			}
+			t.Logf("live = recovered: %+v", cl)
+			var sawExpired, sawPolicyErr bool
+			for id := int64(1); id <= int64(sl.Submitted); id++ {
+				dl, dr := live.Decision(id), recovered.Decision(id)
+				if !reflect.DeepEqual(dl, dr) {
+					t.Fatalf("decision %d differs:\n live      %+v\n recovered %+v", id, dl, dr)
+				}
+				sawExpired = sawExpired || strings.Contains(dl.Reason, "expired")
+				sawPolicyErr = sawPolicyErr || strings.Contains(dl.Reason, "injected policy failure")
+			}
+			if !sawExpired || !sawPolicyErr {
+				t.Fatalf("schedule missed a case: expired %v, policy error %v", sawExpired, sawPolicyErr)
 			}
 		})
 	}

@@ -211,21 +211,30 @@ func TestSnapshotRestoreMidCycleIncremental(t *testing.T) {
 	}
 }
 
-// TestSnapshotV1StillRestores: version-1 images (no policy state) are
-// still accepted.
-func TestSnapshotV1StillRestores(t *testing.T) {
+// TestSnapshotVersions: Restore reads exactly SnapshotVersion. Older
+// images (versions 1 and 2) and newer ones are refused with an error
+// naming the version found.
+func TestSnapshotVersions(t *testing.T) {
 	s := newTestServer(t, nil)
 	var img bytes.Buffer
 	if err := s.Snapshot(&img); err != nil {
 		t.Fatal(err)
 	}
-	v1 := strings.Replace(img.String(), fmt.Sprintf("\"version\": %d", SnapshotVersion), "\"version\": 1", 1)
-	if v1 == img.String() {
+	current := fmt.Sprintf("\"version\": %d", SnapshotVersion)
+	if !strings.Contains(img.String(), current) {
 		t.Fatalf("snapshot is not version %d", SnapshotVersion)
 	}
-	fresh := newTestServer(t, nil)
-	if err := fresh.Restore(strings.NewReader(v1)); err != nil {
-		t.Fatalf("v1 snapshot rejected: %v", err)
+	for _, v := range []int{1, 2, 3, 4} {
+		t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
+			doc := strings.Replace(img.String(), current, fmt.Sprintf("\"version\": %d", v), 1)
+			err := newTestServer(t, nil).Restore(strings.NewReader(doc))
+			switch {
+			case v == SnapshotVersion && err != nil:
+				t.Fatalf("v%d snapshot refused: %v", v, err)
+			case v != SnapshotVersion && (err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", v))):
+				t.Fatalf("v%d snapshot: err = %v, want a refusal naming version %d", v, err, v)
+			}
+		})
 	}
 }
 

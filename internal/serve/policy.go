@@ -185,7 +185,7 @@ func (p *MetisPolicy) Decide(ctx context.Context, led *Ledger, inst *sched.Insta
 	// The replanner accumulates the cycle's workload; the plan it
 	// produces is a whole-cycle provision, not a per-epoch one.
 	if p.rp == nil {
-		p.rp = core.NewReplanner(inst.Network(), inst.Slots(), sched.DefaultPathsPerRequest, p.Config, core.ReplanIncremental)
+		p.rp = p.newReplanner(inst.Network(), inst.Slots())
 	}
 	batch := make([]demand.Request, inst.NumRequests())
 	for i := range batch {
@@ -288,21 +288,26 @@ type statefulPolicy interface {
 }
 
 // replayPolicy is implemented by policies that participate in WAL
-// recovery: ticks are *redone* from their logged outcomes (a budget-cut
-// replan is not reproducible from inputs), so the policy catches up by
-// observing each replayed batch and adopting the logged plan delta.
-// After replay the decision-relevant state (seen workload, plan, replan
-// clock) matches the live run; the warm incumbent/relaxation are caches
-// the next replan rebuilds.
+// recovery: logged ticks are *redone* through the live commitTick (a
+// budget-cut replan is not reproducible from inputs), so the policy
+// catches up by observing each replayed batch and adopting the logged
+// plan delta. After replay the decision-relevant state (seen workload,
+// plan, replan clock) matches the live run; the warm incumbent and
+// relaxation are caches the next replan rebuilds.
 type replayPolicy interface {
 	observeReplay(net *wan.Network, slots int, batch []demand.Request) error
 	applyReplayDelta(d *walPolicyDelta)
 	replayDelta() *walPolicyDelta
 }
 
+// newReplanner builds the policy's persistent replan model over net.
+func (p *MetisPolicy) newReplanner(net *wan.Network, slots int) *core.Replanner {
+	return core.NewReplanner(net, slots, sched.DefaultPathsPerRequest, p.Config, core.ReplanIncremental)
+}
+
 func (p *MetisPolicy) observeReplay(net *wan.Network, slots int, batch []demand.Request) error {
 	if p.rp == nil {
-		p.rp = core.NewReplanner(net, slots, sched.DefaultPathsPerRequest, p.Config, core.ReplanIncremental)
+		p.rp = p.newReplanner(net, slots)
 	}
 	return p.rp.Observe(batch)
 }
@@ -348,7 +353,7 @@ func (p *MetisPolicy) restorePolicyState(st *PolicyState, net *wan.Network, slot
 	if st == nil {
 		return nil
 	}
-	rp := core.NewReplanner(net, slots, sched.DefaultPathsPerRequest, p.Config, core.ReplanIncremental)
+	rp := p.newReplanner(net, slots)
 	if len(st.Seen) > 0 {
 		if err := rp.Observe(st.Seen); err != nil {
 			return fmt.Errorf("serve: restore policy state: %w", err)
@@ -361,11 +366,6 @@ func (p *MetisPolicy) restorePolicyState(st *PolicyState, net *wan.Network, slot
 	}
 	rp.RestoreRelaxedGuide(st.RelaxedX)
 	p.rp = rp
-	p.plan = append([]int(nil), st.Plan...)
-	if len(st.Plan) == 0 && !st.HavePlan {
-		p.plan = nil
-	}
-	p.havePlan = st.HavePlan
-	p.lastReplan = st.LastReplan
+	p.applyReplayDelta(&walPolicyDelta{Name: st.Name, Plan: st.Plan, HavePlan: st.HavePlan, LastReplan: st.LastReplan})
 	return nil
 }

@@ -100,8 +100,9 @@ type Config struct {
 	CommitWorkers int
 	// WAL, when set, makes the daemon durable: Submit appends an
 	// arrival record and acks only after a group fsync, and Tick
-	// appends its decisions (fsynced) before they become visible.
-	// Recovery is Restore (optional snapshot) + RecoverWAL. A WAL
+	// appends its redo record (fsynced) and then commits exactly that
+	// record. Recovery is Restore (optional snapshot) + RecoverWAL,
+	// which commits each logged record through the same function. A WAL
 	// append/fsync failure mid-tick fences the server — it stops
 	// serving rather than hand out undurable decisions.
 	WAL *wal.Log
@@ -267,7 +268,9 @@ type decisionShard struct {
 
 // Server is the admission-control daemon: an HTTP ingest surface over a
 // bounded, sharded arrival queue, an epoch tick loop deciding batches
-// against the ledger, and snapshot/restore for crash recovery.
+// against the ledger, and snapshot/restore plus WAL replay for crash
+// recovery. A tick's decisions take effect only as a redo record
+// (walTick) passed to commitTick, live and on replay alike.
 //
 // Lock order: s.mu → intakeShard.mu / decisionShard.mu / ledger
 // stripes. Submit takes only shard locks; ticks and snapshots take s.mu
@@ -693,10 +696,10 @@ func (s *Server) Links() []LinkState {
 }
 
 // Tick processes one epoch synchronously: it takes the queued batch,
-// decides it with the policy under the tick budget derived from ctx,
-// commits accepted requests into the ledger, and records every
-// decision. It is the unit the Run loop schedules; tests call it
-// directly for deterministic epochs.
+// decides it with the policy under the tick budget derived from ctx
+// into the tick's redo record, logs the record when there is a WAL, and
+// commits it (commitTick). It is the unit the Run loop schedules; tests
+// call it directly for deterministic epochs.
 func (s *Server) Tick(ctx context.Context) {
 	if s.role.Load() != roleLeader {
 		// A standby has no authority to decide; a fenced server lost it.
@@ -713,13 +716,7 @@ func (s *Server) Tick(ctx context.Context) {
 	s.mu.Lock()
 	epoch := s.epoch
 	slot := epoch % s.cfg.Slots
-	if slot == 0 && epoch > 0 {
-		// The billing cycle wrapped: new cycle, fresh ledger and
-		// cycle-scoped policy state. Purchases do not carry over.
-		s.led.Reset()
-		s.cfg.Policy.Reset()
-		cCycles.Inc()
-	}
+	s.wrapCycle(epoch)
 	batch := s.claimIntake(s.cfg.MaxBatch)
 	s.deciding = batch
 	s.queueDepth.Add(-int64(len(batch)))
@@ -739,140 +736,17 @@ func (s *Server) Tick(ctx context.Context) {
 		}
 	}
 
-	var (
-		accepted   []committedReq // commits to apply under mu
-		rejected   []rejection
-		purchased  []int
-		degraded   bool
-		policyErr  string // non-budget policy failure (SolveError)
-		batchInst  *sched.Instance
-		liveIdx    []int // batch positions that made it into the instance
-		expiredIdx []int // batch positions whose window already ended
-	)
-
-	if len(batch) > 0 {
-		// Clamp windows to the deciding slot: slots already in the past
-		// cannot be reserved, and a request whose window has fully
-		// passed is rejected outright.
-		var reqs []demand.Request
-		for k, p := range batch {
-			r := p.req
-			if r.End < slot {
-				expiredIdx = append(expiredIdx, k)
-				continue
-			}
-			if r.Start < slot {
-				r.Start = slot
-			}
-			r.ID = int(p.id)
-			reqs = append(reqs, r)
-			liveIdx = append(liveIdx, k)
-		}
-		if len(reqs) > 0 {
-			var err error
-			batchInst, err = sched.NewInstance(s.cfg.Net, s.cfg.Slots, reqs, s.cfg.PathsPerRequest)
-			if err != nil {
-				// Validated at ingest, so this is unreachable in
-				// practice; reject the batch rather than crash the loop.
-				for _, k := range liveIdx {
-					rejected = append(rejected, rejection{pos: k, reason: "internal: " + err.Error()})
-				}
-				batchInst, liveIdx = nil, nil
-			}
-		}
-		if batchInst != nil {
-			led := s.LedgerCopy()
-			solveStart := time.Now()
-			st, err := s.cfg.Policy.Decide(tickCtx, led, batchInst, epoch, slot)
-			if err != nil && solvectx.Is(err) {
-				// Tick budget exhausted mid-solve: degrade to the
-				// greedy fallback (never solves an LP, always decides)
-				// instead of stalling or dropping the epoch.
-				degraded = true
-				st, err = GreedyPolicy{}.Decide(nil, led, batchInst, epoch, slot)
-			}
-			if s.tracer != nil {
-				f := obs.Fields{
-					"epoch": epoch, "slot": slot, "policy": s.cfg.Policy.Name(),
-					"requests": len(liveIdx), "degraded": degraded,
-				}
-				if err != nil {
-					f["error"] = err.Error()
-				}
-				obs.Span(s.tracer, "serve.solve", solveStart, f)
-			}
-			if err != nil {
-				policyErr = err.Error()
-				for _, k := range liveIdx {
-					rejected = append(rejected, rejection{pos: k, reason: "policy error: " + err.Error(), degraded: degraded})
-				}
-			} else {
-				purchased = st.Purchased()
-				schedule := st.Schedule()
-				for j, k := range liveIdx {
-					if c := schedule.Choice(j); c != sched.Declined {
-						accepted = append(accepted, committedReq{
-							pos:   k,
-							req:   batchInst.Request(j),
-							links: append([]int(nil), batchInst.Path(j, c).Links...),
-						})
-					} else {
-						rejected = append(rejected, rejection{pos: k, reason: "declined by policy", degraded: degraded})
-					}
-				}
-			}
-		}
-	}
-
-	// Build the tick's WAL redo record — every outcome in batch (id)
-	// order with its clamped window — before taking the commit lock.
-	var tickRec []byte
+	tr, reqs, solved, failed := s.decide(tickCtx, batch, epoch, slot)
+	var tickRec []byte // encoded before the commit lock is taken
 	if s.cfg.WAL != nil {
-		rec := walTick{Epoch: epoch, Slot: slot, Degraded: degraded}
-		if purchased != nil {
-			rec.Purchased = append([]int(nil), purchased...)
-		}
-		outcomes := make([]walOutcome, len(batch))
-		for _, k := range expiredIdx {
-			outcomes[k] = walOutcome{ID: batch[k].id, Kind: walKindExpired}
-		}
-		for _, rej := range rejected {
-			st := batch[rej.pos].req.Start
-			if st < slot {
-				st = slot
-			}
-			outcomes[rej.pos] = walOutcome{
-				ID: batch[rej.pos].id, Kind: walKindReject, Start: st,
-				Reason: rej.reason, Degraded: rej.degraded,
-			}
-		}
-		for _, acc := range accepted {
-			outcomes[acc.pos] = walOutcome{
-				ID: batch[acc.pos].id, Kind: walKindAccept,
-				Links: acc.links, Start: acc.req.Start, Degraded: degraded,
-			}
-		}
-		rec.Outcomes = outcomes
 		if rp, ok := s.cfg.Policy.(replayPolicy); ok {
-			rec.Policy = rp.replayDelta()
+			tr.Policy = rp.replayDelta()
 		}
-		tickRec = encodeTick(&rec)
+		tickRec = encodeTick(&tr)
 	}
 
-	// Commit phase: apply the decisions under the lock.
+	// Commit phase: apply the record under the lock.
 	now := time.Now()
-	observe := func(p pending, wasDegraded bool, accepted bool) {
-		outcome := OutcomeRejected
-		switch {
-		case wasDegraded:
-			outcome = OutcomeDegraded
-			s.nDegradedDecisions++
-			cDegradedDecisions.Inc()
-		case accepted:
-			outcome = OutcomeAccepted
-		}
-		s.lat.observeDecision(outcome, now.Sub(p.at).Seconds())
-	}
 	s.mu.Lock()
 	if tickRec != nil {
 		// The tick record must be durable before any of its decisions
@@ -908,64 +782,26 @@ func (s *Server) Tick(ctx context.Context) {
 			return
 		}
 	}
-	cycle := epoch / s.cfg.Slots
-	for _, k := range expiredIdx {
-		s.decided(batch[k].id, func(d *Decision) {
-			d.Status, d.Reason = StatusRejected, "window expired before decision"
-			d.Epoch, d.Cycle, d.Slot = epoch, cycle, slot
-		})
-		s.nRejected++
-		cRejected.Inc()
-		cExpired.Inc()
-		observe(batch[k], false, false)
-	}
-	for _, rej := range rejected {
-		s.decided(batch[rej.pos].id, func(d *Decision) {
-			d.Status, d.Reason, d.Degraded = StatusRejected, rej.reason, rej.degraded
-			d.Epoch, d.Cycle, d.Slot = epoch, cycle, slot
-		})
-		s.nRejected++
-		cRejected.Inc()
-		observe(batch[rej.pos], rej.degraded, false)
-	}
-	if len(accepted) > 0 {
-		// Fold the epoch's accepted requests into the ledger in one
-		// batch, fanned across the per-link stripes.
-		entries := make([]CommitEntry, len(accepted))
-		for i, acc := range accepted {
-			entries[i] = CommitEntry{Req: acc.req, Links: acc.links}
-		}
-		s.led.CommitBatch(entries, s.cfg.CommitWorkers)
-	}
-	for _, acc := range accepted {
-		links := acc.links
-		s.decided(batch[acc.pos].id, func(d *Decision) {
-			d.Status, d.Links, d.Degraded = StatusAccepted, links, degraded
-			d.Epoch, d.Cycle, d.Slot = epoch, cycle, slot
-		})
-		s.nAccepted++
-		s.revenue += acc.req.Value
-		cAccepted.Inc()
-		observe(batch[acc.pos], degraded, true)
-	}
-	if purchased != nil {
-		// Adopt plan-driven provisioning beyond what the commits bought.
-		s.led.Provision(purchased)
-	}
-	gPurchasedUnits.Set(int64(s.led.PurchasedUnits()))
+	s.commitTick(&tr, reqs)
 	s.deciding = nil
-	if degraded {
-		s.nDegraded++
-		cDegraded.Inc()
-	}
-	if s.cfg.Check {
-		// Invariant sweep over the committed state: no per-(link, slot)
-		// capacity overcommit, purchases covering peaks. A failure is
-		// recorded, never fatal — the replay smokes assert the counter.
-		if err := spm.CheckLedger(s.led.Loads(), s.led.Purchased()); err != nil {
-			s.nCheckFailures++
-			s.lastCheckErr = err.Error()
-			cCheckFailures.Inc()
+	// Decision latency (arrival → commit) per outcome, and the row's
+	// outcome counts.
+	var nAccepted, nExpired int
+	for k := range tr.Outcomes {
+		o := &tr.Outcomes[k]
+		outcome := OutcomeRejected
+		switch {
+		case o.Degraded:
+			outcome = OutcomeDegraded
+		case o.Kind == walKindAccept:
+			outcome = OutcomeAccepted
+		}
+		s.lat.observeDecision(outcome, now.Sub(batch[k].at).Seconds())
+		switch o.Kind {
+		case walKindAccept:
+			nAccepted++
+		case walKindExpired:
+			nExpired++
 		}
 	}
 	if sp, ok := s.cfg.Policy.(statefulPolicy); ok {
@@ -979,18 +815,6 @@ func (s *Server) Tick(ctx context.Context) {
 		s.nOverruns++
 		cOverruns.Inc()
 	}
-	// Bound the decision history: drop the oldest records once the map
-	// outgrows the retention window. Queued requests always carry
-	// recent ids (retention > queue limit), so they are never pruned.
-	for s.nextID.Load()-s.pruneFrom > int64(s.cfg.DecisionRetention) {
-		id := s.pruneFrom
-		ds := s.dshard(id)
-		ds.mu.Lock()
-		delete(ds.m, id)
-		ds.mu.Unlock()
-		s.pruneFrom++
-	}
-	s.epoch++
 	cEpochs.Inc()
 	histTick.Observe(elapsed.Seconds())
 
@@ -1006,12 +830,12 @@ func (s *Server) Tick(ctx context.Context) {
 		Role:          roleName(s.role.Load()),
 		UnixMillis:    now.UnixMilli(),
 		Batch:         len(batch),
-		Accepted:      len(accepted),
-		Rejected:      len(rejected),
-		Expired:       len(expiredIdx),
+		Accepted:      nAccepted,
+		Rejected:      len(batch) - nAccepted - nExpired,
+		Expired:       nExpired,
 		Shed:          s.nShed.Load() - s.shedMark,
 		QueueDepth:    int(s.queueDepth.Load()),
-		Degraded:      degraded,
+		Degraded:      tr.Degraded,
 		Overrun:       elapsed > budget,
 		BudgetMillis:  float64(budget.Microseconds()) / 1e3,
 		ElapsedMillis: float64(elapsed.Microseconds()) / 1e3,
@@ -1025,13 +849,13 @@ func (s *Server) Tick(ctx context.Context) {
 	}
 	rec.fillSolverDeltas(before, after)
 	switch {
-	case policyErr != "":
+	case failed:
 		rec.SolveStatus = SolveError
-	case degraded:
+	case tr.Degraded:
 		rec.SolveStatus = SolveDegradedFallback
 	case rec.ReplansDegraded > 0:
 		rec.SolveStatus = SolveReplanDegraded
-	case batchInst != nil:
+	case solved:
 		rec.SolveStatus = SolveOK
 	default:
 		rec.SolveStatus = SolveIdle
@@ -1061,11 +885,11 @@ func (s *Server) Tick(ctx context.Context) {
 			"cycle":       rec.Cycle,
 			"slot":        slot,
 			"batch":       len(batch),
-			"accepted":    len(accepted),
-			"rejected":    len(rejected) + len(expiredIdx),
-			"expired":     len(expiredIdx),
+			"accepted":    nAccepted,
+			"rejected":    len(batch) - nAccepted,
+			"expired":     nExpired,
 			"shed":        rec.Shed,
-			"degraded":    degraded,
+			"degraded":    tr.Degraded,
 			"status":      rec.SolveStatus,
 			"policy":      s.cfg.Policy.Name(),
 			"budget_ms":   rec.BudgetMillis,
@@ -1087,16 +911,176 @@ func (s *Server) Tick(ctx context.Context) {
 // bundle (the full scorecard stays on /debug/epochs).
 const maxBundleEpochs = 32
 
-type committedReq struct {
-	pos   int
-	req   demand.Request
-	links []int
+// decide runs the policy over the claimed batch under the tick budget
+// and returns the tick's redo record, one outcome per batch position.
+// reqs[k] is the request outcome k decides: server id, window clamped to
+// the deciding slot. solved reports that the policy ran, failed that it
+// returned an error other than the budget's.
+func (s *Server) decide(ctx context.Context, batch []pending, epoch, slot int) (tr walTick, reqs []demand.Request, solved, failed bool) {
+	tr = walTick{Epoch: epoch, Slot: slot, Outcomes: make([]walOutcome, len(batch))}
+	reqs = make([]demand.Request, len(batch))
+	var live []int // batch positions whose window is still open
+	var liveReqs []demand.Request
+	for k, p := range batch {
+		r := p.req
+		r.ID = int(p.id)
+		tr.Outcomes[k].ID = p.id
+		if r.End < slot {
+			// The window has fully passed: rejected outright.
+			tr.Outcomes[k].Kind = walKindExpired
+		} else {
+			// Slots already in the past cannot be reserved.
+			if r.Start < slot {
+				r.Start = slot
+			}
+			tr.Outcomes[k].Start = r.Start
+			live = append(live, k)
+			liveReqs = append(liveReqs, r)
+		}
+		reqs[k] = r
+	}
+	if len(live) == 0 {
+		return tr, reqs, false, false
+	}
+	reject := func(reason string) {
+		for _, k := range live {
+			o := &tr.Outcomes[k]
+			o.Kind, o.Reason, o.Degraded = walKindReject, reason, tr.Degraded
+		}
+	}
+	inst, err := sched.NewInstance(s.cfg.Net, s.cfg.Slots, liveReqs, s.cfg.PathsPerRequest)
+	if err != nil {
+		// Validated at ingest, so this is unreachable in practice; reject
+		// the batch rather than crash the loop.
+		reject("internal: " + err.Error())
+		return tr, reqs, false, false
+	}
+	led := s.LedgerCopy()
+	solveStart := time.Now()
+	st, err := s.cfg.Policy.Decide(ctx, led, inst, epoch, slot)
+	if err != nil && solvectx.Is(err) {
+		// Tick budget exhausted mid-solve: degrade to the greedy fallback
+		// (never solves an LP, always decides) instead of stalling or
+		// dropping the epoch.
+		tr.Degraded = true
+		st, err = GreedyPolicy{}.Decide(nil, led, inst, epoch, slot)
+	}
+	if s.tracer != nil {
+		f := obs.Fields{
+			"epoch": epoch, "slot": slot, "policy": s.cfg.Policy.Name(),
+			"requests": len(live), "degraded": tr.Degraded,
+		}
+		if err != nil {
+			f["error"] = err.Error()
+		}
+		obs.Span(s.tracer, "serve.solve", solveStart, f)
+	}
+	if err != nil {
+		reject("policy error: " + err.Error())
+		return tr, reqs, true, true
+	}
+	tr.Purchased = st.Purchased()
+	schedule := st.Schedule()
+	for j, k := range live {
+		o := &tr.Outcomes[k]
+		o.Degraded = tr.Degraded
+		if c := schedule.Choice(j); c != sched.Declined {
+			o.Kind, o.Links = walKindAccept, append([]int(nil), inst.Path(j, c).Links...)
+		} else {
+			o.Kind, o.Reason = walKindReject, "declined by policy"
+		}
+	}
+	return tr, reqs, true, false
 }
 
-type rejection struct {
-	pos      int
-	reason   string
-	degraded bool
+// commitTick applies one decided tick: the accepted requests and the
+// purchases to the ledger, then every decision record, revenue and the
+// decision counters, the -check sweep, history pruning and the epoch
+// advance. Tick calls it with the record it has just logged and
+// RecoverWAL with the record it has just read, so a recovered server's
+// state is the leader's. reqs[i] is the request tr.Outcomes[i] decides,
+// window clamped. Callers hold s.mu.
+func (s *Server) commitTick(tr *walTick, reqs []demand.Request) {
+	// Fold the epoch's accepted requests into the ledger in one batch,
+	// fanned across the per-link stripes, before any decision shows.
+	entries := make([]CommitEntry, 0, len(tr.Outcomes))
+	for i := range tr.Outcomes {
+		if o := &tr.Outcomes[i]; o.Kind == walKindAccept {
+			entries = append(entries, CommitEntry{Req: reqs[i], Links: o.Links})
+		}
+	}
+	s.led.CommitBatch(entries, s.cfg.CommitWorkers)
+	if tr.Purchased != nil {
+		// Adopt plan-driven provisioning beyond what the commits bought.
+		s.led.Provision(tr.Purchased)
+	}
+	gPurchasedUnits.Set(int64(s.led.PurchasedUnits()))
+
+	cycle := tr.Epoch / s.cfg.Slots
+	for i := range tr.Outcomes {
+		o := &tr.Outcomes[i]
+		status, reason := StatusRejected, o.Reason
+		if o.Kind == walKindAccept {
+			status = StatusAccepted
+			s.nAccepted++
+			s.revenue += reqs[i].Value
+			cAccepted.Inc()
+		} else {
+			s.nRejected++
+			cRejected.Inc()
+		}
+		if o.Kind == walKindExpired {
+			reason = "window expired before decision"
+			cExpired.Inc()
+		}
+		if o.Degraded {
+			s.nDegradedDecisions++
+			cDegradedDecisions.Inc()
+		}
+		s.decided(o.ID, func(d *Decision) {
+			d.Status, d.Reason, d.Links, d.Degraded = status, reason, o.Links, o.Degraded
+			d.Epoch, d.Cycle, d.Slot = tr.Epoch, cycle, tr.Slot
+		})
+	}
+	if tr.Degraded {
+		s.nDegraded++
+		cDegraded.Inc()
+	}
+	if s.cfg.Check {
+		// Invariant sweep over the committed state: no per-(link, slot)
+		// capacity overcommit, purchases covering peaks. A failure is
+		// recorded, never fatal — the replay smokes assert the counter.
+		if err := spm.CheckLedger(s.led.Loads(), s.led.Purchased()); err != nil {
+			s.nCheckFailures++
+			s.lastCheckErr = err.Error()
+			cCheckFailures.Inc()
+		}
+	}
+	// Bound the decision history: drop the oldest records once the map
+	// outgrows the retention window. Only ids below nextID − retention
+	// go, and retention exceeds the queue limit, so a queued request is
+	// never pruned — nor, during recovery, an id recoverArrival must
+	// still dedupe against.
+	for s.nextID.Load()-s.pruneFrom > int64(s.cfg.DecisionRetention) {
+		id := s.pruneFrom
+		ds := s.dshard(id)
+		ds.mu.Lock()
+		delete(ds.m, id)
+		ds.mu.Unlock()
+		s.pruneFrom++
+	}
+	s.epoch++
+}
+
+// wrapCycle opens a new billing cycle when epoch is the first slot of
+// one (after the first): a fresh ledger and cycle-scoped policy state,
+// since purchases do not carry over. Callers hold s.mu.
+func (s *Server) wrapCycle(epoch int) {
+	if epoch > 0 && epoch%s.cfg.Slots == 0 {
+		s.led.Reset()
+		s.cfg.Policy.Reset()
+		cCycles.Inc()
+	}
 }
 
 func contextOrBackground(ctx context.Context) context.Context {
@@ -1163,7 +1147,6 @@ func (s *Server) Drain() error {
 //	GET  /v1/links           per-link ledger state
 //	GET  /v1/stats           counters + daemon time + latency digests
 //	GET  /healthz            readiness: 200 keeping up, 503 shedding/behind/draining
-//	GET  /v1/healthz         same payload (compatibility alias)
 //	GET  /debug/epochs       epoch health scorecard (JSON array, oldest first)
 //	GET  /debug/flightrec    flight-recorder bundle headers
 //	GET  /debug/flightrec/{id}  one full postmortem bundle
@@ -1180,7 +1163,6 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, s.Stats())
 	})
 	mux.HandleFunc("GET /healthz", s.handleHealth)
-	mux.HandleFunc("GET /v1/healthz", s.handleHealth)
 	mux.HandleFunc("GET /debug/epochs", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, s.EpochRecords())
 	})

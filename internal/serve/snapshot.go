@@ -12,10 +12,11 @@ import (
 	"metis/internal/wal"
 )
 
-// SnapshotVersion is the wire version of the snapshot format. Version 2
-// added the metis policies' cycle state (PolicyState); version 3 added
-// the HA fencing token and the WAL offset the image covers. Restore
-// still accepts versions 1 and 2, which simply carry no such state.
+// SnapshotVersion is the wire version of the snapshot format, and the
+// only one Restore reads. Version 3 carries the metis policies' cycle
+// state (PolicyState), the HA fencing token and the WAL offset the image
+// covers; images of versions 1 and 2 predate some of that and are
+// refused, not migrated.
 const SnapshotVersion = 3
 
 // Snapshot is the JSON crash-recovery image of a Server: the committed
@@ -36,7 +37,7 @@ type Snapshot struct {
 	// Queue holds the pending arrivals in submission order.
 	Queue []QueuedRequest `json:"queue"`
 	// Policy is the admission policy's cycle state as of the last
-	// committed tick (nil for stateless policies and v1 images).
+	// committed tick (nil for stateless policies).
 	Policy *PolicyState `json:"policy,omitempty"`
 	// Token is the fencing token of the leader that wrote the image; a
 	// standby refuses images from a leader older than one it has
@@ -140,8 +141,8 @@ func (s *Server) Restore(r io.Reader) error {
 	if err := dec.Decode(&snap); err != nil {
 		return fmt.Errorf("serve: decode snapshot: %w", err)
 	}
-	if snap.Version < 1 || snap.Version > SnapshotVersion {
-		return fmt.Errorf("serve: snapshot version %d, want 1..%d", snap.Version, SnapshotVersion)
+	if snap.Version != SnapshotVersion {
+		return fmt.Errorf("serve: snapshot version %d, this build reads only version %d", snap.Version, SnapshotVersion)
 	}
 	if snap.Network != s.cfg.Net.Name() || snap.Links != s.cfg.Net.NumLinks() {
 		return fmt.Errorf("serve: snapshot is for network %q (%d links), server runs %q (%d links)",
