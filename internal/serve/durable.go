@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"metis/internal/demand"
 	"metis/internal/wal"
@@ -164,6 +165,7 @@ func (s *Server) RecoverWAL() (RecoverStats, error) {
 	if w == nil {
 		return st, errors.New("serve: RecoverWAL needs a configured WAL")
 	}
+	now := time.Now() // when this process takes the logged arrivals over
 	end, err := wal.Replay(w.Dir(), s.walFrom, func(off wal.Offset, typ byte, body []byte) error {
 		switch typ {
 		case walRecArrival:
@@ -171,7 +173,7 @@ func (s *Server) RecoverWAL() (RecoverStats, error) {
 			if err != nil {
 				return fmt.Errorf("serve: wal arrival at %v: %w", off, err)
 			}
-			return s.recoverArrival(req, &st)
+			return s.recoverArrival(req, now, &st)
 		case walRecTick:
 			tr, err := decodeTick(body)
 			if err != nil {
@@ -210,38 +212,24 @@ func (s *Server) RecoverWAL() (RecoverStats, error) {
 }
 
 // recoverArrival re-queues one logged arrival (the request carries the
-// server-assigned id). Arrivals the restored snapshot already carries
-// (their decision record exists) are skipped — never enqueue an acked
-// request twice.
-func (s *Server) recoverArrival(req demand.Request, st *RecoverStats) error {
+// server-assigned id), stamped with now. Arrivals the restored snapshot
+// already carries (their decision record exists) are skipped — never
+// enqueue an acked request twice.
+func (s *Server) recoverArrival(req demand.Request, now time.Time, st *RecoverStats) error {
 	id := int64(req.ID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if id >= s.nextID.Load() {
 		s.nextID.Store(id + 1)
 	}
-	ds := s.dshard(id)
-	ds.mu.Lock()
-	_, known := ds.m[id]
-	ds.mu.Unlock()
-	if known {
+	if s.Decision(id) != nil {
 		st.SkippedArrivals++
 		return nil
 	}
 	if err := req.Validate(s.cfg.Net, s.cfg.Slots); err != nil {
 		return fmt.Errorf("serve: wal arrival %d: %w", id, err)
 	}
-	ds.mu.Lock()
-	ds.m[id] = &Decision{ID: id, Status: StatusQueued, Request: req}
-	ds.mu.Unlock()
-	sh := &s.shards[int(id)%intakeShards]
-	sh.mu.Lock()
-	sh.queue = append(sh.queue, pending{id: id, req: req})
-	sh.mu.Unlock()
-	s.queueDepth.Add(1)
-	if id < s.pruneFrom {
-		s.pruneFrom = id
-	}
+	s.adopt(id, req, now)
 	s.nSubmitted.Add(1)
 	st.Arrivals++
 	return nil
@@ -298,7 +286,7 @@ func (s *Server) recoverTick(tr *walTick, st *RecoverStats) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("serve: wal tick %d decides %d request(s) with no logged arrival (phantom)", tr.Epoch, len(want)-len(got))
 	}
-	s.queueDepth.Add(-int64(len(got)))
+	gQueueDepth.Set(s.queueDepth.Add(-int64(len(got))))
 
 	// Rebuild the requests as the live tick decided them: server id and,
 	// for the live batch, the logged clamped window.
@@ -322,7 +310,7 @@ func (s *Server) recoverTick(tr *walTick, st *RecoverStats) error {
 	// warm incumbent/relaxation are rebuilt by the next replan.
 	if rp, ok := s.cfg.Policy.(replayPolicy); ok {
 		if len(observed) > 0 {
-			if err := rp.observeReplay(s.cfg.Net, s.cfg.Slots, observed); err != nil {
+			if err := rp.observe(s.cfg.Net, s.cfg.Slots, observed); err != nil {
 				return fmt.Errorf("serve: wal tick %d policy catch-up: %w", tr.Epoch, err)
 			}
 		}

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -498,6 +499,137 @@ func TestRecoveredEqualsLive(t *testing.T) {
 			}
 			if !sawExpired || !sawPolicyErr {
 				t.Fatalf("schedule missed a case: expired %v, policy error %v", sawExpired, sawPolicyErr)
+			}
+		})
+	}
+}
+
+// TestTickFencesOnWALFailure: a tick whose redo record cannot be made
+// durable fences the server and commits nothing. The claimed batch goes
+// back to the queue whole and in id order, every decision in it still
+// reads queued, and LastCheckError names the WAL.
+func TestTickFencesOnWALFailure(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	l, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := walServer(t, l, nil)
+	var ids []int64
+	for i := 0; i < 5; i++ {
+		r := goodRequest(1e6)
+		r.Src, r.Dst = i%3, 3+i%3
+		d, err := s.Submit(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, d.ID)
+	}
+	// Every arrival is durable; closing the log makes the tick's fsync
+	// fail.
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s.Tick(context.Background())
+
+	if got := s.Role(); got != RoleFenced {
+		t.Fatalf("role = %q after a WAL failure, want %q", got, RoleFenced)
+	}
+	st := s.Stats()
+	if st.QueueDepth != len(ids) || st.Epoch != 0 || st.Accepted+st.Rejected != 0 || st.Committed != 0 {
+		t.Fatalf("fenced tick moved state: %+v", st)
+	}
+	if !strings.Contains(st.LastCheckError, "wal") {
+		t.Fatalf("LastCheckError = %q, want one naming the WAL", st.LastCheckError)
+	}
+	var img bytes.Buffer
+	if err := s.Snapshot(&img); err != nil {
+		t.Fatal(err)
+	}
+	var snap Snapshot
+	if err := json.Unmarshal(img.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Queue) != len(ids) {
+		t.Fatalf("snapshot queue holds %d arrivals, want %d", len(snap.Queue), len(ids))
+	}
+	for i, q := range snap.Queue {
+		if q.ID != ids[i] {
+			t.Fatalf("snapshot queue[%d] = id %d, want %d (id order)", i, q.ID, ids[i])
+		}
+		if d := s.Decision(q.ID); d == nil || d.Status != StatusQueued {
+			t.Fatalf("decision %d = %+v, want queued", q.ID, d)
+		}
+	}
+}
+
+// renamed gives a policy its own name, and with it its own process-wide
+// latency histograms.
+type renamed struct {
+	Policy
+	name string
+}
+
+func (p renamed) Name() string { return p.name }
+
+// TestTakeoverQueueWait: arrivals a server takes over, from a snapshot's
+// queue or from the WAL, wait from the takeover on. The first tick's
+// scorecard row and every latency digest must read that wait; an
+// arrival stamped with the zero time reads ≈ 9.2e12 ms.
+func TestTakeoverQueueWait(t *testing.T) {
+	const boundMillis = 60e3
+	for _, via := range []string{"restore", "recover-wal"} {
+		t.Run(via, func(t *testing.T) {
+			mut := func(c *Config) { c.Policy = renamed{GreedyPolicy{}, "takeover-" + via} }
+			dir := filepath.Join(t.TempDir(), "wal")
+			l, err := wal.Open(dir, wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := walServer(t, l, mut)
+			for i := 0; i < 3; i++ {
+				if _, err := src.Submit(goodRequest(1e6)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var img bytes.Buffer
+			if err := src.Snapshot(&img); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			var dst *Server
+			if via == "restore" {
+				dst = walServer(t, nil, mut)
+				if err := dst.Restore(&img); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				l2, err := wal.Open(dir, wal.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer l2.Close()
+				dst = walServer(t, l2, mut)
+				if _, err := dst.RecoverWAL(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dst.Tick(context.Background())
+
+			recs := dst.EpochRecords()
+			if len(recs) != 1 || recs[0].Batch != 3 {
+				t.Fatalf("scorecard = %+v, want one row deciding 3", recs)
+			}
+			if w := recs[0].QueueWaitMaxMillis; w < 0 || w > boundMillis {
+				t.Fatalf("scorecard QueueWaitMaxMillis = %v, want in [0, %v]", w, boundMillis)
+			}
+			for name, sum := range dst.Stats().Latency {
+				if sum.MaxMillis < 0 || sum.MaxMillis > boundMillis {
+					t.Fatalf("latency %q MaxMillis = %v, want in [0, %v]", name, sum.MaxMillis, boundMillis)
+				}
 			}
 		})
 	}

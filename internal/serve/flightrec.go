@@ -18,21 +18,25 @@ const (
 	// DefaultFlightKeep is how many postmortem bundles are retained and
 	// served over /debug/flightrec.
 	DefaultFlightKeep = 8
-	// DefaultFlightSpanRing is how many recent trace records the
-	// recorder keeps for inclusion in bundles.
-	DefaultFlightSpanRing = 256
 	// DefaultShedBurst is the per-epoch shed count that counts as a
 	// burst anomaly.
 	DefaultShedBurst = 16
-	// DefaultColdFallbackBurst is the per-epoch count of warm-repair →
-	// cold-solve fallbacks that counts as an anomaly.
-	DefaultColdFallbackBurst = 8
-	// DefaultDualColdBailBurst is the per-epoch count of dual-cold-start
-	// bails that counts as an anomaly.
-	DefaultDualColdBailBurst = 4
 	// DefaultFlightCooldown is the minimum number of epochs between
 	// bundle dumps, so a persistently sick daemon does not flood disk.
 	DefaultFlightCooldown = 5
+)
+
+// Fixed flight-recorder sizes and thresholds.
+const (
+	// flightSpanRing is how many recent trace records the recorder keeps
+	// for inclusion in bundles.
+	flightSpanRing = 256
+	// coldFallbackBurst is the per-epoch count of warm-repair →
+	// cold-solve fallbacks that counts as an anomaly.
+	coldFallbackBurst = 8
+	// dualColdBailBurst is the per-epoch count of dual-cold-start bails
+	// (lp.pricing.dual_cold_bails) that counts as an anomaly.
+	dualColdBailBurst = 4
 )
 
 // FlightConfig arms the anomaly flight recorder. The zero value (with
@@ -46,18 +50,9 @@ type FlightConfig struct {
 	// Keep bounds the bundles retained in memory and served over HTTP
 	// (default DefaultFlightKeep).
 	Keep int
-	// SpanRing bounds the recent trace records included in bundles
-	// (default DefaultFlightSpanRing).
-	SpanRing int
 	// ShedBurst triggers a dump when one epoch sheds at least this many
 	// arrivals (default DefaultShedBurst).
 	ShedBurst int64
-	// ColdFallbackBurst triggers on warm-repair → cold-solve fallbacks
-	// per epoch (default DefaultColdFallbackBurst).
-	ColdFallbackBurst int64
-	// DualColdBailBurst triggers on lp.pricing.dual_cold_bails per
-	// epoch (default DefaultDualColdBailBurst).
-	DualColdBailBurst int64
 	// Cooldown is the minimum number of epochs between dumps (default
 	// DefaultFlightCooldown). Triggers inside the cooldown are counted
 	// (serve.flight.suppressed) but not dumped.
@@ -68,17 +63,8 @@ func (c FlightConfig) withDefaults() FlightConfig {
 	if c.Keep <= 0 {
 		c.Keep = DefaultFlightKeep
 	}
-	if c.SpanRing <= 0 {
-		c.SpanRing = DefaultFlightSpanRing
-	}
 	if c.ShedBurst <= 0 {
 		c.ShedBurst = DefaultShedBurst
-	}
-	if c.ColdFallbackBurst <= 0 {
-		c.ColdFallbackBurst = DefaultColdFallbackBurst
-	}
-	if c.DualColdBailBurst <= 0 {
-		c.DualColdBailBurst = DefaultDualColdBailBurst
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = DefaultFlightCooldown
@@ -106,7 +92,7 @@ type FlightBundle struct {
 
 // flightRecorder watches epoch records for anomalies and dumps
 // postmortem bundles. Trigger evaluation runs under the Server's mu
-// (shouldDump); bundle construction and disk IO run outside it (dump).
+// (dumpTrigger); bundle construction and disk IO run outside it (dump).
 type flightRecorder struct {
 	cfg  FlightConfig
 	ring *spanRing
@@ -122,7 +108,7 @@ func newFlightRecorder(cfg FlightConfig) *flightRecorder {
 	cfg = cfg.withDefaults()
 	return &flightRecorder{
 		cfg:    cfg,
-		ring:   newSpanRing(cfg.SpanRing),
+		ring:   newSpanRing(flightSpanRing),
 		nextID: 1,
 	}
 }
@@ -136,39 +122,34 @@ const (
 	TriggerColdFallback  = "cold-fallback-burst"
 )
 
-// trigger classifies an epoch record, returning the anomaly name.
-func (f *flightRecorder) trigger(rec EpochRecord) (string, bool) {
+// dumpTrigger names the anomaly in rec that warrants a bundle, or
+// returns "" when there is none or the cooldown suppresses it. Counters
+// record every trigger, dumped or suppressed.
+func (f *flightRecorder) dumpTrigger(rec EpochRecord) string {
+	var trig string
 	switch {
 	case rec.Degraded:
-		return TriggerDegradedEpoch, true
+		trig = TriggerDegradedEpoch
 	case rec.ReplansDegraded > 0:
-		return TriggerReplanDegrade, true
+		trig = TriggerReplanDegrade
 	case rec.Shed >= f.cfg.ShedBurst:
-		return TriggerShedBurst, true
-	case rec.DualColdBails >= f.cfg.DualColdBailBurst:
-		return TriggerDualColdBails, true
-	case rec.ColdFallbacks >= f.cfg.ColdFallbackBurst:
-		return TriggerColdFallback, true
-	}
-	return "", false
-}
-
-// shouldDump reports whether rec warrants a bundle, honoring the
-// cooldown. Counters record every trigger, dumped or suppressed.
-func (f *flightRecorder) shouldDump(rec EpochRecord) (string, bool) {
-	trig, ok := f.trigger(rec)
-	if !ok {
-		return "", false
+		trig = TriggerShedBurst
+	case rec.DualColdBails >= dualColdBailBurst:
+		trig = TriggerDualColdBails
+	case rec.ColdFallbacks >= coldFallbackBurst:
+		trig = TriggerColdFallback
+	default:
+		return ""
 	}
 	cFlightTriggers.Inc()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.dumped && rec.Epoch-f.lastDumpEpoch < f.cfg.Cooldown {
 		cFlightSuppressed.Inc()
-		return "", false
+		return ""
 	}
 	f.lastDumpEpoch, f.dumped = rec.Epoch, true
-	return trig, true
+	return trig
 }
 
 // dump builds the bundle and persists it. before/after are the tick's
@@ -227,8 +208,13 @@ func writeFlightFile(path string, b *FlightBundle) error {
 	})
 }
 
-// list returns bundle headers (without the heavy payload), newest last.
-func (f *flightRecorder) list() []FlightBundle {
+// FlightBundles returns the retained postmortem bundle headers, without
+// the heavy payload (newest last); empty when the recorder is disabled.
+func (s *Server) FlightBundles() []FlightBundle {
+	f := s.flight
+	if f == nil {
+		return nil
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	out := make([]FlightBundle, 0, len(f.bundles))
@@ -241,8 +227,12 @@ func (f *flightRecorder) list() []FlightBundle {
 	return out
 }
 
-// bundle returns the full bundle with the given id.
-func (f *flightRecorder) bundle(id int) (FlightBundle, bool) {
+// FlightBundle returns the full retained bundle with the given id.
+func (s *Server) FlightBundle(id int) (FlightBundle, bool) {
+	f := s.flight
+	if f == nil {
+		return FlightBundle{}, false
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for _, b := range f.bundles {
@@ -253,67 +243,27 @@ func (f *flightRecorder) bundle(id int) (FlightBundle, bool) {
 	return FlightBundle{}, false
 }
 
-// FlightBundles returns the retained postmortem bundle headers (newest
-// last); empty when the recorder is disabled.
-func (s *Server) FlightBundles() []FlightBundle {
-	if s.flight == nil {
-		return nil
-	}
-	return s.flight.list()
-}
-
-// FlightBundle returns the full retained bundle with the given id.
-func (s *Server) FlightBundle(id int) (FlightBundle, bool) {
-	if s.flight == nil {
-		return FlightBundle{}, false
-	}
-	return s.flight.bundle(id)
-}
-
-// spanRing is a fixed-size ring of recent trace records. It implements
-// obs.Tracer so it can sit behind a tee with the user's tracer; the
-// flight recorder snapshots it into bundles.
+// spanRing is the ring of recent trace records the flight recorder
+// snapshots into bundles. It implements obs.Tracer so it can sit behind
+// a tee with the user's tracer.
 type spanRing struct {
-	mu    sync.Mutex
+	ring[obs.WireRecord]
 	epoch time.Time
-	recs  []obs.WireRecord
-	next  int
-	full  bool
 }
 
 func newSpanRing(size int) *spanRing {
-	return &spanRing{epoch: time.Now(), recs: make([]obs.WireRecord, size)}
+	return &spanRing{ring: ring[obs.WireRecord]{buf: make([]obs.WireRecord, size)}, epoch: time.Now()}
 }
 
 // Emit implements obs.Tracer.
 func (r *spanRing) Emit(rec obs.Record) {
-	wire := obs.WireRecord{
+	r.push(obs.WireRecord{
 		TUS:    rec.Start.Sub(r.epoch).Microseconds(),
 		Kind:   rec.Kind,
 		Name:   rec.Name,
 		DurUS:  rec.Dur.Microseconds(),
 		Fields: rec.Fields,
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.recs[r.next] = wire
-	r.next++
-	if r.next == len(r.recs) {
-		r.next, r.full = 0, true
-	}
-}
-
-// snapshot returns the retained records, oldest first.
-func (r *spanRing) snapshot() []obs.WireRecord {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.full {
-		return append([]obs.WireRecord(nil), r.recs[:r.next]...)
-	}
-	out := make([]obs.WireRecord, 0, len(r.recs))
-	out = append(out, r.recs[r.next:]...)
-	out = append(out, r.recs[:r.next]...)
-	return out
+	})
 }
 
 // teeTracer fans one Emit out to both sinks.

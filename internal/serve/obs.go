@@ -63,10 +63,3 @@ func newLatencyObs(policy string) *latencyObs {
 	}
 	return l
 }
-
-// observeDecision records one arrival→commit latency under its outcome.
-func (l *latencyObs) observeDecision(outcome string, seconds float64) {
-	if h, ok := l.decision[outcome]; ok {
-		h.Observe(seconds)
-	}
-}

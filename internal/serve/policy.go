@@ -70,19 +70,21 @@ func NewPolicy(name string, plan []int, replanEvery int, cfg core.Config) (Polic
 // whole claimed batch.
 const replanBudgetFrac = 0.25
 
-// seededState builds an online.State over inst carrying the ledger's
-// committed loads and purchases.
-func seededState(ctx context.Context, led *Ledger, inst *sched.Instance) (*online.State, error) {
-	return online.NewStateAt(ctx, inst, led.Purchased(), led.Loads())
-}
-
-// allIndices returns [0, n).
-func allIndices(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
+// admit seeds an online.State over inst with the ledger's committed
+// loads and purchases, and lets p decide the whole batch into it.
+func admit(ctx context.Context, led *Ledger, inst *sched.Instance, slot int, p online.Policy) (*online.State, error) {
+	st, err := online.NewStateAt(ctx, inst, led.Purchased(), led.Loads())
+	if err != nil {
+		return nil, err
 	}
-	return out
+	batch := make([]int, inst.NumRequests())
+	for i := range batch {
+		batch[i] = i
+	}
+	if err := p.DecideBatch(st, slot, batch); err != nil {
+		return nil, err
+	}
+	return st, nil
 }
 
 // GreedyPolicy is buy-as-you-go marginal-cost admission: each request
@@ -100,14 +102,7 @@ func (GreedyPolicy) Reset() {}
 
 // Decide implements Policy.
 func (GreedyPolicy) Decide(ctx context.Context, led *Ledger, inst *sched.Instance, _, slot int) (*online.State, error) {
-	st, err := seededState(ctx, led, inst)
-	if err != nil {
-		return nil, err
-	}
-	if err := (online.Greedy{}).DecideBatch(st, slot, allIndices(inst.NumRequests())); err != nil {
-		return nil, err
-	}
-	return st, nil
+	return admit(ctx, led, inst, slot, online.Greedy{})
 }
 
 // TAAPolicy admits each epoch batch with the paper's BL-SPM machinery
@@ -128,18 +123,11 @@ func (*TAAPolicy) Reset() {}
 
 // Decide implements Policy.
 func (p *TAAPolicy) Decide(ctx context.Context, led *Ledger, inst *sched.Instance, _, slot int) (*online.State, error) {
-	st, err := seededState(ctx, led, inst)
-	if err != nil {
-		return nil, err
-	}
 	plan := p.Plan
 	if plan == nil {
 		plan = led.Purchased()
 	}
-	if err := (online.ProvisionedTAA{Plan: plan}).DecideBatch(st, slot, allIndices(inst.NumRequests())); err != nil {
-		return nil, err
-	}
-	return st, nil
+	return admit(ctx, led, inst, slot, online.ProvisionedTAA{Plan: plan})
 }
 
 // MetisPolicy (metis-incremental) periodically replans capacity over
@@ -184,14 +172,11 @@ func (p *MetisPolicy) Reset() {
 func (p *MetisPolicy) Decide(ctx context.Context, led *Ledger, inst *sched.Instance, epoch, slot int) (*online.State, error) {
 	// The replanner accumulates the cycle's workload; the plan it
 	// produces is a whole-cycle provision, not a per-epoch one.
-	if p.rp == nil {
-		p.rp = p.newReplanner(inst.Network(), inst.Slots())
-	}
 	batch := make([]demand.Request, inst.NumRequests())
 	for i := range batch {
 		batch[i] = inst.Request(i)
 	}
-	if err := p.rp.Observe(batch); err != nil {
+	if err := p.observe(inst.Network(), inst.Slots(), batch); err != nil {
 		return nil, fmt.Errorf("serve: metis replan: %w", err)
 	}
 
@@ -231,10 +216,6 @@ func (p *MetisPolicy) Decide(ctx context.Context, led *Ledger, inst *sched.Insta
 		}
 	}
 
-	st, err := seededState(ctx, led, inst)
-	if err != nil {
-		return nil, err
-	}
 	plan := p.plan
 	if plan == nil {
 		plan = led.Purchased()
@@ -254,10 +235,7 @@ func (p *MetisPolicy) Decide(ctx context.Context, led *Ledger, inst *sched.Insta
 	if adm.Guide == nil {
 		adm.Guide = make([][]float64, inst.NumRequests())
 	}
-	if err := adm.DecideBatch(st, slot, allIndices(inst.NumRequests())); err != nil {
-		return nil, err
-	}
-	return st, nil
+	return admit(ctx, led, inst, slot, adm)
 }
 
 // PolicyState is the snapshot image of the metis-incremental policy's
@@ -295,7 +273,7 @@ type statefulPolicy interface {
 // plan, replan clock) matches the live run; the warm incumbent and
 // relaxation are caches the next replan rebuilds.
 type replayPolicy interface {
-	observeReplay(net *wan.Network, slots int, batch []demand.Request) error
+	observe(net *wan.Network, slots int, batch []demand.Request) error
 	applyReplayDelta(d *walPolicyDelta)
 	replayDelta() *walPolicyDelta
 }
@@ -305,7 +283,9 @@ func (p *MetisPolicy) newReplanner(net *wan.Network, slots int) *core.Replanner 
 	return core.NewReplanner(net, slots, sched.DefaultPathsPerRequest, p.Config, core.ReplanIncremental)
 }
 
-func (p *MetisPolicy) observeReplay(net *wan.Network, slots int, batch []demand.Request) error {
+// observe folds a batch into the cycle's observed workload (building
+// the replan model on first use); a replayed tick needs only this.
+func (p *MetisPolicy) observe(net *wan.Network, slots int, batch []demand.Request) error {
 	if p.rp == nil {
 		p.rp = p.newReplanner(net, slots)
 	}

@@ -96,59 +96,60 @@ func (r *EpochRecord) fillSolverDeltas(before, after map[string]float64) {
 	r.ReplansDegraded = counterDelta(before, after, "serve.replans_degraded")
 }
 
-// scoreRing is the fixed-size epoch-record ring behind /debug/epochs.
+// ring is a fixed-size buffer of the most recent values: the epoch
+// scorecard behind /debug/epochs, and the flight recorder's span ring.
 // It has its own lock so readers never contend with the Server's mu.
-type scoreRing struct {
+type ring[T any] struct {
 	mu   sync.Mutex
-	recs []EpochRecord
+	buf  []T
 	next int
 	full bool
 }
 
-func newScoreRing(size int) *scoreRing {
+func newScoreRing(size int) *ring[EpochRecord] {
 	if size <= 0 {
 		size = DefaultScorecardSize
 	}
-	return &scoreRing{recs: make([]EpochRecord, size)}
+	return &ring[EpochRecord]{buf: make([]EpochRecord, size)}
 }
 
-func (s *scoreRing) push(r EpochRecord) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.recs[s.next] = r
-	s.next++
-	if s.next == len(s.recs) {
-		s.next, s.full = 0, true
+func (r *ring[T]) push(v T) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.buf[r.next] = v
+	r.next++
+	if r.next == len(r.buf) {
+		r.next, r.full = 0, true
 	}
 }
 
-// records returns the retained records, oldest first.
-func (s *scoreRing) records() []EpochRecord {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.full {
-		return append([]EpochRecord(nil), s.recs[:s.next]...)
+// snapshot returns the retained values, oldest first.
+func (r *ring[T]) snapshot() []T {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.full {
+		return append([]T(nil), r.buf[:r.next]...)
 	}
-	out := make([]EpochRecord, 0, len(s.recs))
-	out = append(out, s.recs[s.next:]...)
-	out = append(out, s.recs[:s.next]...)
-	return out
+	out := make([]T, 0, len(r.buf))
+	out = append(out, r.buf[r.next:]...)
+	return append(out, r.buf[:r.next]...)
 }
 
-// last returns the most recent record, if any.
-func (s *scoreRing) last() (EpochRecord, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.full && s.next == 0 {
-		return EpochRecord{}, false
+// last returns the most recent value, if any.
+func (r *ring[T]) last() (T, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.full && r.next == 0 {
+		var zero T
+		return zero, false
 	}
-	i := s.next - 1
+	i := r.next - 1
 	if i < 0 {
-		i = len(s.recs) - 1
+		i = len(r.buf) - 1
 	}
-	return s.recs[i], true
+	return r.buf[i], true
 }
 
 // EpochRecords returns the scorecard's retained epoch records, oldest
 // first.
-func (s *Server) EpochRecords() []EpochRecord { return s.score.records() }
+func (s *Server) EpochRecords() []EpochRecord { return s.score.snapshot() }

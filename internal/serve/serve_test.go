@@ -615,3 +615,31 @@ func TestConcurrentSubmitTickSnapshot(t *testing.T) {
 		t.Fatalf("decided %d of %d submitted", st.Accepted+st.Rejected, st.Submitted)
 	}
 }
+
+// TestDecisionIDBounds: GET /v1/decisions/{id} answers 404 for any id
+// the server never assigned, negative ones included, and 400 for one
+// that is not a number.
+func TestDecisionIDBounds(t *testing.T) {
+	s := newTestServer(t, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, tc := range []struct {
+		id   string
+		want int
+	}{
+		{"-5", http.StatusNotFound},
+		{"-1", http.StatusNotFound},
+		{"0", http.StatusNotFound},
+		{"1", http.StatusNotFound},
+		{"x", http.StatusBadRequest},
+	} {
+		resp, err := http.Get(ts.URL + "/v1/decisions/" + tc.id)
+		if err != nil {
+			t.Fatalf("GET /v1/decisions/%s: %v", tc.id, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("GET /v1/decisions/%s = %d, want %d", tc.id, resp.StatusCode, tc.want)
+		}
+	}
+}

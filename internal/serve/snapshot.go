@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"time"
 
 	"metis/internal/demand"
 	"metis/internal/fsx"
@@ -47,8 +48,9 @@ type Snapshot struct {
 	// before it is reflected in the image, every record after it is
 	// not. Recovery replays the log from here.
 	WAL *wal.Offset `json:"wal,omitempty"`
-	// Revenue is the cycle's accepted value so far; with a WAL it must
-	// survive restore so replay accumulates on top of the right base.
+	// Revenue is Stats.Revenue: the accepted value of every epoch so
+	// far, never reset when a cycle wraps. With a WAL it must survive
+	// restore so replay accumulates on top of the right base.
 	Revenue float64 `json:"revenue,omitempty"`
 }
 
@@ -168,20 +170,13 @@ func (s *Server) Restore(r io.Reader) error {
 	if snap.WAL != nil {
 		s.walFrom = *snap.WAL
 	}
+	now := time.Now() // when this process takes the queued arrivals over
 	for _, q := range snap.Queue {
 		if err := q.Request.Validate(s.cfg.Net, s.cfg.Slots); err != nil {
 			return fmt.Errorf("serve: snapshot queue entry %d: %w", q.ID, err)
 		}
-		sh := &s.shards[int(q.ID)%intakeShards]
-		sh.queue = append(sh.queue, pending{id: q.ID, req: q.Request})
-		ds := s.dshard(q.ID)
-		ds.m[q.ID] = &Decision{ID: q.ID, Status: StatusQueued, Request: q.Request}
-		if q.ID < s.pruneFrom {
-			s.pruneFrom = q.ID
-		}
+		s.adopt(q.ID, q.Request, now)
 	}
-	s.queueDepth.Store(int64(len(snap.Queue)))
-	gQueueDepth.Set(int64(len(snap.Queue)))
 	if snap.Policy != nil {
 		if sp, ok := s.cfg.Policy.(statefulPolicy); ok && snap.Policy.Name == s.cfg.Policy.Name() {
 			if err := sp.restorePolicyState(snap.Policy, s.cfg.Net, s.cfg.Slots); err != nil {
