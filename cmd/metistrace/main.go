@@ -165,9 +165,13 @@ func solvesTable(recs []obs.WireRecord) *tableio.Table {
 
 // roundsTable lists every "metis.round" span in trace order: the
 // alternation timeline (round counters restart at 1 for each solve).
+// bl_start is how the round's BL-SPM solve finished: "seeded" from
+// MAA's routing, "warm" from the previous round's basis, or "cold" (the
+// ColdLP path, or a warm or seeded start that fell back); traces that
+// predate the field leave it empty.
 func roundsTable(recs []obs.WireRecord) *tableio.Table {
 	t := tableio.New("Alternation rounds",
-		"round", "accepted", "maa_ms", "taa_ms", "maa_profit", "taa_profit", "best_profit", "shrink_link", "shrink_step")
+		"round", "accepted", "maa_ms", "taa_ms", "maa_profit", "taa_profit", "best_profit", "shrink_link", "shrink_step", "bl_start")
 	n := 0
 	for i := range recs {
 		r := &recs[i]
@@ -185,6 +189,7 @@ func roundsTable(recs []obs.WireRecord) *tableio.Table {
 			tableio.FormatFloat(r.FieldFloat("best_profit")),
 			strconv.Itoa(int(r.FieldFloat("shrink_link"))),
 			strconv.Itoa(int(r.FieldFloat("shrink_step"))),
+			r.FieldString("bl_start"),
 		)
 	}
 	if n == 0 {

@@ -88,6 +88,19 @@ func TestSummarizeTracedSolve(t *testing.T) {
 	if strings.Count(got, "\n1 ") == 0 {
 		t.Errorf("rounds table has no round-1 row:\n%s", got)
 	}
+	// Round 1's BL-SPM solve starts from MAA's routing and the later
+	// rounds from the basis it left; a seed that fell back cold would
+	// read "cold" here.
+	rounds := roundsTable(recs)
+	for i, row := range rounds.Rows {
+		want := "warm"
+		if i == 0 {
+			want = "seeded"
+		}
+		if got := row[len(row)-1]; got != want {
+			t.Errorf("round %s bl_start %q, want %q", row[0], got, want)
+		}
+	}
 }
 
 // TestCSVMode: -csv emits parseable CSV rather than aligned text.

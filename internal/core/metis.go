@@ -73,14 +73,17 @@ type Config struct {
 	// ColdLP disables the round-to-round LP reuse: every round rebuilds
 	// its relaxations on a fresh sub-instance and solves them cold,
 	// restoring the pre-warm-start behavior bit-for-bit. By default the
-	// BL-SPM LP is built once per run and each round applies only its
-	// subset/capacity delta, warm-starting from the previous round's
-	// simplex basis, while MAA's RL-SPM relaxation (whose vertex the
+	// BL-SPM LP is built once per run, its first solve starts from MAA's
+	// routing, and each later round applies only its subset/capacity
+	// delta, warm-starting from the previous round's simplex basis,
+	// while MAA's RL-SPM relaxation (whose vertex the
 	// rounding consumes) is reused only when a stalled round repeats the
 	// exact accepted set — see the model-construction comment in Solve.
 	ColdLP bool
 	// Tracer, when non-nil, receives the structured solve timeline: one
-	// "metis.round" span per alternation round, a "metis.solve" span for
+	// "metis.round" span per alternation round (its "bl_start" field says
+	// whether the round's BL-SPM solve finished "seeded", "warm" or
+	// "cold"), a "metis.solve" span for
 	// the whole run, and — unless LP.Tracer is set separately — every
 	// stage's spans ("lp.solve", "maa.solve", "taa.solve") beneath them.
 	// Nil (the default) disables tracing with zero overhead.
@@ -222,12 +225,17 @@ func SolveCtx(ctx context.Context, inst *sched.Instance, cfg Config) (*Result, e
 	}
 
 	// Incremental BL relaxation model: the BL-SPM LP is built once over
-	// the full instance; each round applies the accepted subset and the
-	// shrunk capacities as bound/rhs deltas and warm-starts from the
-	// previous round's basis instead of rebuilding and solving cold. TAA
-	// only reads the fractional X through its derandomized Chernoff
-	// estimator, so its decisions are pinned by the (identical) optimal
-	// objective rather than by which optimal vertex the solver lands on.
+	// the full instance; round 1 starts it from MAA's routing, and each
+	// later round applies the accepted subset and the shrunk capacities
+	// as bound/rhs deltas and warm-starts from the previous round's basis
+	// instead of rebuilding and solving cold. The warm contract pins the
+	// optimal objective, not the vertex: a seeded or warm solve may land
+	// on another optimal vertex (the seeded one usually does), and TAA's
+	// derandomized Chernoff walk reads X, so its decisions can differ
+	// from the cold path's. Measured, they are the same in practice
+	// (profit moved on 2 of 1760 sampled B4 instances, both K=100, by
+	// about 1%), and the warm ≡ ColdLP parity tests gate every figure on
+	// it.
 	//
 	// MAA deliberately gets no such model: randomized rounding consumes
 	// the vertex itself — every fractional coordinate shifts the path
@@ -315,10 +323,15 @@ func SolveCtx(ctx context.Context, inst *sched.Instance, cfg Config) (*Result, e
 		var shrinkLink, shrinkStep int
 		shrinkLink, shrinkStep, loadsBuf = shrinkLeastUtilized(maaRes.Schedule, caps, step, cfg.TauFrac, loadsBuf)
 
-		// BL-SPM Solver.
+		// BL-SPM Solver. The model's first solve starts from MAA's
+		// routing: TAA's LP is then one shrunk link away from a basis
+		// already in hand (see BLModel.Seed). Later rounds warm-start
+		// from the previous round's basis, and Seed is a no-op.
 		taaStart := time.Now()
 		taaOpts := taa.Options{LP: cfg.LP}
+		blStart := "cold"
 		if blModel != nil {
+			seeded := blModel.Seed(accepted, maaRes.Schedule)
 			rel, err := blModel.SolveSubset(accepted, caps)
 			if err != nil {
 				if solvectx.Is(err) {
@@ -328,6 +341,12 @@ func SolveCtx(ctx context.Context, inst *sched.Instance, cfg Config) (*Result, e
 				return nil, fmt.Errorf("core: round %d: %w", round, err)
 			}
 			taaOpts.Relaxed = rel
+			switch {
+			case rel.Warm && seeded:
+				blStart = "seeded"
+			case rel.Warm:
+				blStart = "warm"
+			}
 		}
 		taaRes, err := taa.Solve(sub, caps, taaOpts)
 		if err != nil {
@@ -375,6 +394,7 @@ func SolveCtx(ctx context.Context, inst *sched.Instance, cfg Config) (*Result, e
 				"best_profit":  rs.BestProfit,
 				"rel_reused":   maaOpts.Relaxed != nil,
 				"warm_lp":      blModel != nil,
+				"bl_start":     blStart,
 			})
 		}
 		if len(next) == len(accepted) {

@@ -1,19 +1,17 @@
 package exp
 
-import (
-	"os"
-	"testing"
-)
+import "testing"
 
 // TestFullScaleWarmColdParity is the full-DefaultConfig-scale version
 // of TestWarmColdFigureParity: every fig5 and fig4a column must be
-// unchanged (±1e-9) between the warm-started solver stack and the
-// ColdLP path, which is bit-identical to the pre-warm-start code. The
-// run regenerates both figures twice at paper scale (K up to 500), so
-// it is opt-in: set METIS_PARITY_FULL=1.
+// unchanged (±1e-9) between the warm-started solver stack (a seeded
+// first BL-SPM solve, warm ones after) and the ColdLP path, which is
+// bit-identical to the pre-warm-start code. The run regenerates both
+// figures twice at paper scale (K up to 500), about a second on two
+// cores and ten times that under -race; -short skips it.
 func TestFullScaleWarmColdParity(t *testing.T) {
-	if os.Getenv("METIS_PARITY_FULL") == "" {
-		t.Skip("full-scale parity sweep: set METIS_PARITY_FULL=1 to run")
+	if testing.Short() {
+		t.Skip("full-scale parity sweep: skipped under -short")
 	}
 	warmCfg := DefaultConfig()
 	warmCfg.Parallel = 4

@@ -122,63 +122,12 @@ func (w *Basis) grow(p *Problem, mat *csc, opts Options) bool {
 
 	s.m = m1
 	s.opts = opts.withDefaults(m1, nS1)
-	s.nArt = 0
 	s.csrOK = false
 
-	// Rebuild the working matrix [structural | slacks | artificials]
-	// under the fixed signs, mirroring the cold construction.
-	nnzStruct := len(mat.vals)
-	s.colPtr = append(growInt32s(s.colPtr, 0, nS1+2*m1+1), 0)
-	s.rowIdx = growInt32s(s.rowIdx, nnzStruct, nnzStruct+2*m1)
-	s.vals = growFloatsCap(s.vals, nnzStruct, nnzStruct+2*m1)
-	s.cost = growFloatsCap(s.cost, 0, nS1+2*m1)
-	s.up = growFloatsCap(s.up, 0, nS1+2*m1)
-	copy(s.rowIdx, mat.rows)
-	for q, r := range mat.rows {
-		s.vals[q] = mat.vals[q] * sign[r]
-	}
-	for j := 0; j < nS1; j++ {
-		s.colPtr = append(s.colPtr, mat.colPtr[j+1])
-		s.cost = append(s.cost, p.objCoef(j))
-		s.up = append(s.up, p.hi[j]-p.lo[j])
-	}
-	s.slackNB = growInts(s.slackNB, m1)
+	// Rebuild the working matrix under the fixed signs, exactly as the
+	// cold construction lays it out.
+	s.layoutColumns(p, mat, sign)
 	slackBasic := s.slackNB
-	for i := 0; i < m1; i++ {
-		slackBasic[i] = -1
-		var coef float64
-		switch p.rel[i] {
-		case LE:
-			coef = 1
-		case GE:
-			coef = -1
-		default:
-			continue
-		}
-		coef *= sign[i]
-		j := len(s.cost)
-		s.rowIdx = append(s.rowIdx, int32(i))
-		s.vals = append(s.vals, coef)
-		s.colPtr = append(s.colPtr, int32(len(s.rowIdx)))
-		s.cost = append(s.cost, 0)
-		s.up = append(s.up, math.Inf(1))
-		if coef > 0 {
-			slackBasic[i] = j
-		}
-	}
-	s.artStart = len(s.cost)
-	for i := 0; i < m1; i++ {
-		if slackBasic[i] != -1 {
-			continue
-		}
-		s.rowIdx = append(s.rowIdx, int32(i))
-		s.vals = append(s.vals, 1)
-		s.colPtr = append(s.colPtr, int32(len(s.rowIdx)))
-		s.cost = append(s.cost, 0)
-		s.up = append(s.up, math.Inf(1))
-		s.nArt++
-	}
-	s.n = len(s.cost)
 	if s.nArt != oldNArt {
 		// Appended rows never add artificials (all LE, sign +1), so the
 		// artificial block must be exactly the captured one.

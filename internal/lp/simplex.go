@@ -324,132 +324,17 @@ func (p *Problem) solveColdAttempt(opts Options) *Solution {
 	m := len(p.rel)
 	s := simplexPool.Get().(*simplex)
 	s.m, s.opts = m, opts.withDefaults(m, nStruct)
-	s.nArt, s.iters, s.luFail = 0, 0, false
-	// The working matrix is rebuilt below, so any pooled CSR mirror is
-	// stale.
-	s.csrOK = false
-	mat := p.matrixCSC()
-
-	// Shift structural variables to lower bound 0 and compute the
-	// adjusted rhs: b_i' = b_i − Σ_j a_ij·lo_j.
-	s.b = growFloats(s.b, m)
-	rhs := s.b
-	copy(rhs, p.rhs)
-	shiftObj := 0.0
-	for j := 0; j < nStruct; j++ {
-		if p.lo[j] == 0 {
-			continue
-		}
-		for q := mat.colPtr[j]; q < mat.colPtr[j+1]; q++ {
-			rhs[mat.rows[q]] -= mat.vals[q] * p.lo[j]
-		}
-		shiftObj += p.objCoef(j) * p.lo[j]
-	}
-
-	// Row normalization signs: rows with negative adjusted rhs flip.
-	s.signBuf = growFloats(s.signBuf, m)
+	s.iters, s.luFail = 0, false
+	shiftObj := p.layout(s)
 	sign := s.signBuf
-	for i := range sign {
-		if rhs[i] < 0 {
-			sign[i] = -1
-			rhs[i] = -rhs[i]
-		} else {
-			sign[i] = 1
-		}
-	}
-
-	// Slack layout; remember which rows get a +1 slack (initial basic).
-	s.slackNB = growInts(s.slackNB, m)
-	slackBasic := s.slackNB // column id of the +1 slack, or -1
-	nSlack := 0
-	for i := 0; i < m; i++ {
-		slackBasic[i] = -1
-		if p.rel[i] == LE || p.rel[i] == GE {
-			nSlack++
-		}
-	}
-	nnzStruct := len(mat.vals)
-	s.colPtr = append(growInt32s(s.colPtr, 0, nStruct+2*m+1), 0)
-	s.rowIdx = growInt32s(s.rowIdx, nnzStruct, nnzStruct+2*m)
-	s.vals = growFloatsCap(s.vals, nnzStruct, nnzStruct+2*m)
-	s.cost = growFloatsCap(s.cost, 0, nStruct+nSlack+m)
-	s.up = growFloatsCap(s.up, 0, nStruct+nSlack+m)
-
-	// Structural columns: CSC values with normalized row signs.
-	copy(s.rowIdx, mat.rows)
-	for q, r := range mat.rows {
-		s.vals[q] = mat.vals[q] * sign[r]
-	}
-	for j := 0; j < nStruct; j++ {
-		s.colPtr = append(s.colPtr, mat.colPtr[j+1])
-		s.cost = append(s.cost, p.objCoef(j))
-		s.up = append(s.up, p.hi[j]-p.lo[j])
-	}
-
-	// Slack columns.
-	for i := 0; i < m; i++ {
-		var coef float64
-		switch p.rel[i] {
-		case LE:
-			coef = 1
-		case GE:
-			coef = -1
-		default:
-			continue // EQ: no slack
-		}
-		coef *= sign[i]
-		j := len(s.cost)
-		s.rowIdx = append(s.rowIdx, int32(i))
-		s.vals = append(s.vals, coef)
-		s.colPtr = append(s.colPtr, int32(len(s.rowIdx)))
-		s.cost = append(s.cost, 0)
-		s.up = append(s.up, math.Inf(1))
-		if coef > 0 {
-			slackBasic[i] = j
-		}
-	}
-
-	// Artificial columns for rows without a +1 slack.
-	s.artStart = len(s.cost)
-	for i := 0; i < m; i++ {
-		if slackBasic[i] != -1 {
-			continue
-		}
-		s.rowIdx = append(s.rowIdx, int32(i))
-		s.vals = append(s.vals, 1)
-		s.colPtr = append(s.colPtr, int32(len(s.rowIdx)))
-		s.cost = append(s.cost, 0)
-		s.up = append(s.up, math.Inf(1))
-		s.nArt++
-	}
-	s.n = len(s.cost)
 	s.chooseBasis()
-
-	// Initial basis: +1 slacks and artificials, everything else at lower.
-	s.state = growInts(s.state, s.n)
-	clear(s.state) // atLower == 0
-	s.basic = growInts(s.basic, m)
-	s.xB = growFloats(s.xB, m)
+	s.slackBasis()
 	if s.lu == nil {
 		s.binv = growFloats(s.binv, m*m)
 		clear(s.binv)
 		for i := 0; i < m; i++ {
 			s.binv[i*m+i] = 1
 		}
-	}
-	s.y = growFloats(s.y, m)
-	s.w = growFloats(s.w, m)
-	s.nz = growInt32s(s.nz, 0, m)
-	art := s.artStart
-	for i := 0; i < m; i++ {
-		j := slackBasic[i]
-		if j == -1 {
-			j = art
-			art++
-		}
-		s.basic[i] = j
-		s.state[j] = isBasic
-		s.xB[i] = s.b[i]
 	}
 	if s.lu != nil && !s.refactorLU() {
 		// The initial basis is a +1 diagonal; a singular factorization
@@ -530,18 +415,7 @@ func (p *Problem) solveColdAttempt(opts Options) *Solution {
 				for j := s.artStart; j < s.n; j++ {
 					s.up[j] = math.Inf(1)
 				}
-				clear(s.state)
-				art = s.artStart
-				for i := 0; i < m; i++ {
-					j := slackBasic[i]
-					if j == -1 {
-						j = art
-						art++
-					}
-					s.basic[i] = j
-					s.state[j] = isBasic
-					s.xB[i] = s.b[i]
-				}
+				s.slackBasis()
 				if !s.refactorLU() {
 					opts.Warm.invalidate()
 					s.release()
@@ -616,6 +490,148 @@ func (p *Problem) solveColdAttempt(opts Options) *Solution {
 		s.release()
 	}
 	return sol
+}
+
+// layout builds s's working problem for p, as the cold path and a
+// seeded basis both start from it: structural variables shifted to
+// lower bound 0, rows normalized to a nonnegative rhs (s.b, with the
+// signs in s.signBuf), and the column layout of layoutColumns. It
+// returns the objective offset of the bound shift.
+func (p *Problem) layout(s *simplex) float64 {
+	m := len(p.rel)
+	// The working matrix is rebuilt below, so any pooled CSR mirror is
+	// stale.
+	s.csrOK = false
+	mat := p.matrixCSC()
+
+	// Shift structural variables to lower bound 0 and compute the
+	// adjusted rhs: b_i' = b_i − Σ_j a_ij·lo_j.
+	s.b = growFloats(s.b, m)
+	rhs := s.b
+	copy(rhs, p.rhs)
+	shiftObj := 0.0
+	for j := range p.obj {
+		if p.lo[j] == 0 {
+			continue
+		}
+		for q := mat.colPtr[j]; q < mat.colPtr[j+1]; q++ {
+			rhs[mat.rows[q]] -= mat.vals[q] * p.lo[j]
+		}
+		shiftObj += p.objCoef(j) * p.lo[j]
+	}
+
+	// Row normalization signs: rows with negative adjusted rhs flip.
+	s.signBuf = growFloats(s.signBuf, m)
+	sign := s.signBuf
+	for i := range sign {
+		if rhs[i] < 0 {
+			sign[i] = -1
+			rhs[i] = -rhs[i]
+		} else {
+			sign[i] = 1
+		}
+	}
+	s.layoutColumns(p, mat, sign)
+	return shiftObj
+}
+
+// layoutColumns lays out the working matrix [structural | slacks |
+// artificials] of p under the given row signs: one slack per inequality
+// row and one artificial per row left without a +1 slack. s.slackNB
+// records each row's +1 slack column (the initial basic), or -1.
+func (s *simplex) layoutColumns(p *Problem, mat *csc, sign []float64) {
+	nStruct := len(p.obj)
+	m := len(p.rel)
+	s.slackNB = growInts(s.slackNB, m)
+	slackBasic := s.slackNB
+	nSlack := 0
+	for i := 0; i < m; i++ {
+		slackBasic[i] = -1
+		if p.rel[i] == LE || p.rel[i] == GE {
+			nSlack++
+		}
+	}
+	nnzStruct := len(mat.vals)
+	s.colPtr = append(growInt32s(s.colPtr, 0, nStruct+2*m+1), 0)
+	s.rowIdx = growInt32s(s.rowIdx, nnzStruct, nnzStruct+2*m)
+	s.vals = growFloatsCap(s.vals, nnzStruct, nnzStruct+2*m)
+	s.cost = growFloatsCap(s.cost, 0, nStruct+nSlack+m)
+	s.up = growFloatsCap(s.up, 0, nStruct+nSlack+m)
+
+	// Structural columns: CSC values with normalized row signs.
+	copy(s.rowIdx, mat.rows)
+	for q, r := range mat.rows {
+		s.vals[q] = mat.vals[q] * sign[r]
+	}
+	for j := 0; j < nStruct; j++ {
+		s.colPtr = append(s.colPtr, mat.colPtr[j+1])
+		s.cost = append(s.cost, p.objCoef(j))
+		s.up = append(s.up, p.hi[j]-p.lo[j])
+	}
+
+	// Slack columns.
+	for i := 0; i < m; i++ {
+		var coef float64
+		switch p.rel[i] {
+		case LE:
+			coef = 1
+		case GE:
+			coef = -1
+		default:
+			continue // EQ: no slack
+		}
+		coef *= sign[i]
+		j := len(s.cost)
+		s.rowIdx = append(s.rowIdx, int32(i))
+		s.vals = append(s.vals, coef)
+		s.colPtr = append(s.colPtr, int32(len(s.rowIdx)))
+		s.cost = append(s.cost, 0)
+		s.up = append(s.up, math.Inf(1))
+		if coef > 0 {
+			slackBasic[i] = j
+		}
+	}
+
+	// Artificial columns for rows without a +1 slack.
+	s.artStart = len(s.cost)
+	s.nArt = 0
+	for i := 0; i < m; i++ {
+		if slackBasic[i] != -1 {
+			continue
+		}
+		s.rowIdx = append(s.rowIdx, int32(i))
+		s.vals = append(s.vals, 1)
+		s.colPtr = append(s.colPtr, int32(len(s.rowIdx)))
+		s.cost = append(s.cost, 0)
+		s.up = append(s.up, math.Inf(1))
+		s.nArt++
+	}
+	s.n = len(s.cost)
+}
+
+// slackBasis installs the initial basis of a layout: each row's +1
+// slack, or else its artificial, at the row's rhs, and every other
+// column nonbasic at its lower bound. The basis representation is left
+// to the caller.
+func (s *simplex) slackBasis() {
+	m := s.m
+	s.state = growInts(s.state, s.n)
+	clear(s.state) // atLower == 0
+	s.basic = growInts(s.basic, m)
+	s.xB = growFloats(s.xB, m)
+	s.y = growFloats(s.y, m)
+	s.w = growFloats(s.w, m)
+	s.nz = growInt32s(s.nz, 0, m)
+	art := s.artStart
+	for i, j := range s.slackNB[:m] {
+		if j == -1 {
+			j = art
+			art++
+		}
+		s.basic[i] = j
+		s.state[j] = isBasic
+		s.xB[i] = s.b[i]
+	}
 }
 
 // extract decodes the optimal working basis into a Solution: structural

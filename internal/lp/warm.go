@@ -31,6 +31,83 @@ type Basis struct {
 // and captures its final basis for subsequent warm solves.
 func NewBasis() *Basis { return &Basis{} }
 
+// SeedBasis returns a handle holding a basis the caller names rather
+// than one a solve captured: p's slack basis with each cols[k] basic in
+// place of row rows[k]'s slack, every other column nonbasic at its
+// lower bound. The next Solve with the handle runs the warm path from
+// it — a dual repair when the seed is dual feasible, the primal cleanup
+// alone when it is primal feasible — and falls back cold when it is
+// neither. Bounds and right-hand sides are read at that solve, as for
+// any retained basis.
+//
+// A seed the basis cannot hold is refused with an empty handle, on
+// which the next solve runs cold exactly as with NewBasis: rows and
+// cols of different lengths, a row or column out of range or named
+// twice, a row without a +1 slack (seeded or not: an equality row, or
+// an inequality whose slack the row normalization negates), or a
+// singular basis matrix.
+func (p *Problem) SeedBasis(rows, cols []int) *Basis {
+	w := NewBasis()
+	if len(rows) != len(cols) {
+		return w
+	}
+	m, nStruct := len(p.rel), len(p.obj)
+	s := simplexPool.Get().(*simplex)
+	s.m, s.opts = m, Options{}.withDefaults(m, nStruct)
+	p.layout(s)
+	if s.nArt > 0 {
+		s.release()
+		return w
+	}
+	s.slackBasis()
+	for k, i := range rows {
+		j := cols[k]
+		if i < 0 || i >= m || j < 0 || j >= nStruct || s.state[j] == isBasic || s.basic[i] != s.slackNB[i] {
+			s.release()
+			return w
+		}
+		s.state[s.basic[i]] = atLower
+		s.basic[i] = j
+		s.state[j] = isBasic
+	}
+	s.chooseBasis()
+	if !s.factorSeed() {
+		s.release()
+		return w
+	}
+	// The hypersparse duals solve needs y zero outside its last pattern.
+	clear(s.y)
+	s.yNZp, s.yDense = s.yNZp[:0], false
+	w.capture(p, s, s.signBuf)
+	return w
+}
+
+// factorSeed builds the basis representation for a basic set installed
+// directly rather than pivoted in: fresh LU factors, or the dense
+// inverse read off a one-off factorization column by column. False
+// means the basis is singular.
+func (s *simplex) factorSeed() bool {
+	if s.lu != nil {
+		return s.refactorLU()
+	}
+	m := s.m
+	var lu luBasis
+	if !lu.factor(m, s.colPtr, s.rowIdx, s.vals, s.basic) {
+		return false
+	}
+	s.binv = growFloats(s.binv, m*m)
+	e, x := s.y, s.w // free until the first solve
+	for r := 0; r < m; r++ {
+		clear(e)
+		e[r] = 1
+		lu.ftran(e, x) // column r of B⁻¹, by basis position
+		for i, v := range x {
+			s.binv[i*m+r] = v
+		}
+	}
+	return true
+}
+
 // Valid reports whether the handle holds a reusable basis.
 func (w *Basis) Valid() bool { return w != nil && w.ok && w.sx != nil }
 

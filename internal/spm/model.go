@@ -100,10 +100,9 @@ func (m *RLModel) SolveSubset(subset []int) (*RelaxedRL, error) {
 		return nil, fmt.Errorf("spm: relaxed RL-SPM: %v", sol.Status)
 	}
 	res := &RelaxedRL{
-		X:         extractSubsetX(sol.X, m.xCols, subset),
-		C:         make([]float64, len(m.cCols)),
-		Cost:      sol.Objective,
-		Ambiguous: sol.Degenerate,
+		X:    extractSubsetX(sol.X, m.xCols, subset),
+		C:    make([]float64, len(m.cCols)),
+		Cost: sol.Objective,
 	}
 	for e, col := range m.cCols {
 		res.C[e] = sol.X[col]
@@ -151,13 +150,14 @@ func (m *RLModel) toggle(subset []int) error {
 //
 // A BLModel is not safe for concurrent use.
 type BLModel struct {
-	inst    *sched.Instance
-	p       *lp.Problem
-	xCols   [][]int
-	capRows [][]int
-	basis   *lp.Basis
-	opts    lp.Options
-	active  []bool
+	inst       *sched.Instance
+	p          *lp.Problem
+	xCols      [][]int
+	acceptRows []int
+	capRows    [][]int
+	basis      *lp.Basis
+	opts       lp.Options
+	active     []bool
 }
 
 // NewBLModel builds the relaxed BL-SPM LP for the full instance, with
@@ -170,11 +170,13 @@ func NewBLModel(inst *sched.Instance, opts lp.Options) (*BLModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < inst.NumRequests(); i++ {
+	acceptRows := make([]int, inst.NumRequests())
+	for i := range acceptRows {
 		row, err := p.AddConstraint(lp.LE, 1, nameIdx("accept", i))
 		if err != nil {
 			return nil, err
 		}
+		acceptRows[i] = row
 		for j := range xCols[i] {
 			if err := p.AddTerm(row, xCols[i][j], 1); err != nil {
 				return nil, err
@@ -194,9 +196,48 @@ func NewBLModel(inst *sched.Instance, opts lp.Options) (*BLModel, error) {
 		active[i] = true
 	}
 	return &BLModel{
-		inst: inst, p: p, xCols: xCols, capRows: capRows,
+		inst: inst, p: p, xCols: xCols, acceptRows: acceptRows, capRows: capRows,
 		basis: lp.NewBasis(), opts: opts, active: active,
 	}, nil
+}
+
+// Seed starts the model's next solve from a routing when the model
+// holds no basis yet, instead of from the all-slack basis. routing is a
+// schedule over the sub-instance of subset (request k of routing is
+// request subset[k] here), such as MAA's serve-everything schedule.
+// Each routed request's path column becomes basic in its accept row and
+// every capacity slack stays basic. Every request then prices at its
+// value on its accept row, which leaves each of its paths at reduced
+// cost 0 and its accept slack at its value, so the basis is dual
+// feasible whatever the capacities; it is primal infeasible only on the
+// (link, slot) rows the routing overloads. The solve is therefore a
+// dual repair of those rows and a primal certification.
+//
+// Seed reports whether the seed was installed. It is a no-op when the
+// model already holds a basis; a routing that does not fit the model
+// leaves the next solve cold.
+func (m *BLModel) Seed(subset []int, routing *sched.Schedule) bool {
+	if m.basis.Valid() || routing.Instance().NumRequests() != len(subset) {
+		return false
+	}
+	rows := make([]int, 0, len(subset))
+	cols := make([]int, 0, len(subset))
+	for k, i := range subset {
+		if i < 0 || i >= len(m.xCols) {
+			return false
+		}
+		c := routing.Choice(k)
+		if c == sched.Declined {
+			continue
+		}
+		if c >= len(m.xCols[i]) {
+			return false
+		}
+		rows = append(rows, m.acceptRows[i])
+		cols = append(cols, m.xCols[i][c])
+	}
+	m.basis = m.p.SeedBasis(rows, cols)
+	return m.basis.Valid()
 }
 
 // SolveSubset solves the relaxation restricted to the given request
@@ -254,9 +295,9 @@ func (m *BLModel) SolveSubset(subset []int, caps []int) (*RelaxedBL, error) {
 		return nil, fmt.Errorf("spm: relaxed BL-SPM: %v", sol.Status)
 	}
 	return &RelaxedBL{
-		X:         extractSubsetX(sol.X, m.xCols, subset),
-		Revenue:   sol.Objective,
-		Ambiguous: sol.Degenerate,
+		X:       extractSubsetX(sol.X, m.xCols, subset),
+		Revenue: sol.Objective,
+		Warm:    sol.Warm,
 	}, nil
 }
 

@@ -281,9 +281,6 @@ func (s *BLSession) SolveSubset(subset []int, caps []int) (*RelaxedBL, error) {
 	return &RelaxedBL{
 		X:       extractSubsetX(sol.X, s.xCols, subset),
 		Revenue: sol.Objective,
-		// X already matches the cold rebuild (unique optimum, or the
-		// cold re-solve above); nothing left to replay.
-		Ambiguous: false,
 	}, nil
 }
 
