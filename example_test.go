@@ -1,7 +1,9 @@
 package metis_test
 
 import (
+	"context"
 	"fmt"
+	"time"
 
 	"metis"
 )
@@ -67,4 +69,33 @@ func ExampleGenerateWorkload() {
 	// req 0: DC6->DC3 slots [8,10]
 	// req 1: DC4->DC2 slots [8,11]
 	// req 2: DC4->DC5 slots [8,9]
+}
+
+// ExampleServer_RunCycles runs one billing cycle through the admission
+// daemon's closed loop: each slot's arrivals are submitted, then the
+// epoch ticks and the greedy policy decides them.
+func ExampleServer_RunCycles() {
+	dcs := []metis.DC{
+		{ID: 0, Name: "fra", Region: metis.RegionEurope},
+		{ID: 1, Name: "ams", Region: metis.RegionEurope},
+	}
+	links := []metis.Link{
+		{From: 0, To: 1, Price: 2},
+		{From: 1, To: 0, Price: 2},
+	}
+	net, _ := metis.NewNetwork("demo", dcs, links)
+
+	// An hour-long epoch never binds the tick budget: the run is
+	// deterministic.
+	srv, _ := metis.NewServer(metis.ServeConfig{Net: net, Epoch: time.Hour})
+	cycle := []metis.Request{
+		// Worth more than the bandwidth unit it forces: accepted.
+		{Src: 0, Dst: 1, Start: 0, End: 11, Rate: 0.5, Value: 6},
+		// Arrives later and would force a second unit: declined.
+		{Src: 0, Dst: 1, Start: 3, End: 11, Rate: 0.9, Value: 0.1},
+	}
+	res, _ := srv.RunCycles(context.Background(), [][]metis.Request{cycle})
+
+	fmt.Printf("decided=%d accepted=%d profit=%.1f\n", res[0].Decided, res[0].Accepted, res[0].Profit)
+	// Output: decided=2 accepted=1 profit=4.0
 }

@@ -5,6 +5,7 @@ package metis_test
 // span several packages.
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -157,10 +158,17 @@ func TestOnlineOfflineConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := metis.SimulateOnline(inst, metis.OnlineGreedy())
+	// Online: the daemon's greedy policy decides each slot's arrivals as
+	// they come, on an epoch long enough that its budget never binds.
+	srv, err := metis.NewServer(metis.ServeConfig{Net: net, Epoch: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cycles, err := srv.RunCycles(context.Background(), [][]metis.Request{reqs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	on := cycles[0]
 	off, err := metis.Solve(inst, metis.Config{Theta: 6, Seed: 19})
 	if err != nil {
 		t.Fatal(err)

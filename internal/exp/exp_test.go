@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -219,21 +220,84 @@ func TestExtensionMultiCycleShapes(t *testing.T) {
 	if len(fig.X) != 6 {
 		t.Fatalf("want 6 cycles, got %d", len(fig.X))
 	}
-	// Cumulative Metis profit is non-decreasing (per-cycle profit >= 0)
-	// and ends at or above the accept-everything mode.
-	var prev float64
-	for r := range fig.X {
-		m, _ := fig.Value(r, "Metis")
-		if m < prev-1e-9 {
-			t.Fatalf("cycle %s: cumulative Metis profit decreased", fig.X[r])
+	for r, x := range fig.X {
+		if x != strconv.Itoa(r) {
+			t.Errorf("row %d labelled cycle %q", r, x)
 		}
-		prev = m
 	}
-	last := len(fig.X) - 1
-	m, _ := fig.Value(last, "Metis")
-	all, _ := fig.Value(last, "Accept-all")
-	if m < all-1e-6 {
-		t.Fatalf("Metis cumulative %v below accept-all %v", m, all)
+	for _, series := range []string{"Metis", "EcoFlow", "Accept-all", "Forecast-online"} {
+		if _, err := fig.Value(0, series); err != nil {
+			t.Errorf("series %s: %v", series, err)
+		}
+	}
+}
+
+// multiCycleColumn runs ext-multicycle at the quick configuration and
+// returns one series' cumulative profit after each cycle.
+func multiCycleColumn(t *testing.T, series string) []float64 {
+	t.Helper()
+	fig, err := ExtensionMultiCycle(QuickConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := make([]float64, len(fig.X))
+	for r := range fig.X {
+		if col[r], err = fig.Value(r, series); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return col
+}
+
+// assertNonDecreasing fails unless no cycle of a cumulative series
+// lost money.
+func assertNonDecreasing(t *testing.T, series string, cum []float64) {
+	t.Helper()
+	var prev float64
+	for c, v := range cum {
+		if v < prev-1e-9 {
+			t.Fatalf("cycle %d: cumulative %s profit decreased (%v after %v)", c, series, v, prev)
+		}
+		prev = v
+	}
+}
+
+// TestRunMetisMultiCycle checks that Metis, run on each whole cycle,
+// covers all six cycles and never schedules one at a loss.
+func TestRunMetisMultiCycle(t *testing.T) {
+	cum := multiCycleColumn(t, "Metis")
+	if len(cum) != 6 {
+		t.Fatalf("ran %d cycles, want 6", len(cum))
+	}
+	assertNonDecreasing(t, "Metis", cum)
+}
+
+// TestEcoFlowScheduler checks that the EcoFlow baseline never loses
+// money across cycles.
+func TestEcoFlowScheduler(t *testing.T) {
+	assertNonDecreasing(t, "EcoFlow", multiCycleColumn(t, "EcoFlow"))
+}
+
+// TestMetisBeatsAcceptAllCumulatively checks that Metis ends the cycles
+// at or above serving every request at MAA-minimized cost.
+func TestMetisBeatsAcceptAllCumulatively(t *testing.T) {
+	m := multiCycleColumn(t, "Metis")
+	all := multiCycleColumn(t, "Accept-all")
+	if last := len(m) - 1; m[last] < all[last]-1e-6 {
+		t.Fatalf("Metis cumulative %v below accept-all %v", m[last], all[last])
+	}
+}
+
+// TestForecastOnlineScheduler checks the forecast-online series: cycle 0
+// has no history (greedy), and the forecast-planned cycles after it must
+// admit something profitable through the plan.
+func TestForecastOnlineScheduler(t *testing.T) {
+	cum := multiCycleColumn(t, "Forecast-online")
+	if len(cum) != 6 {
+		t.Fatalf("ran %d cycles, want 6", len(cum))
+	}
+	if first, last := cum[0], cum[len(cum)-1]; last <= first {
+		t.Fatalf("forecast-planned cycles earned nothing: cumulative %v after cycle 0, %v at the end", first, last)
 	}
 }
 

@@ -1,60 +1,138 @@
 package exp
 
 import (
+	"context"
 	"strconv"
 
+	"metis/internal/baseline"
 	"metis/internal/core"
+	"metis/internal/forecast"
+	"metis/internal/maa"
 	"metis/internal/sched"
-	"metis/internal/sim"
+	"metis/internal/serve"
+	"metis/internal/stats"
 	"metis/internal/taa"
 	"metis/internal/wan"
 )
 
 // ExtensionMultiCycle regenerates the multi-cycle lifecycle experiment
 // (beyond the paper): six billing cycles of demand growing 15% per
-// cycle on SUB-B4, scheduled per cycle by each scheduler; series report
-// cumulative profit after each cycle.
+// cycle on SUB-B4, scheduled cycle by cycle; series report cumulative
+// profit after each cycle. Series:
+//
+//   - Metis: core.Solve on each whole cycle,
+//   - EcoFlow: the EcoFlow baseline on each whole cycle,
+//   - Accept-all: every request served at MAA-minimized cost,
+//   - Forecast-online: each cycle admitted online through a fresh
+//     serve.Server — greedy in cycle 0, then the taa policy into MAA's
+//     purchase for a workload synthesized from the EWMA forecast of the
+//     cycles so far.
 func ExtensionMultiCycle(cfg Config) (*Figure, error) {
+	const (
+		cycles = 6
+		baseK  = 120
+		growth = 0.15
+	)
 	fig := &Figure{
 		ID: "ext-multicycle", Title: "Cumulative profit across billing cycles (SUB-B4, +15%/cycle)", XLabel: "cycle",
 		Series: []string{"Metis", "EcoFlow", "Accept-all", "Forecast-online"},
 	}
-	simCfg := sim.Config{
-		Net:          wan.SubB4(),
-		Cycles:       6,
-		BaseRequests: 120,
-		Growth:       0.15,
-		Slots:        cfg.Slots,
-		Seed:         cfg.Seed,
+	metisCfg := core.Config{Theta: cfg.Theta, TauStep: cfg.TauStep, MAARounds: cfg.MAARounds, LP: cfg.LP, ColdLP: cfg.ColdLP, Tracer: cfg.Tracer}
+	fc, err := forecast.NewEWMA(0.5)
+	if err != nil {
+		return nil, err
 	}
-	schedulers := []sim.Scheduler{
-		sim.MetisScheduler{Cfg: core.Config{Theta: cfg.Theta, TauStep: cfg.TauStep, MAARounds: cfg.MAARounds, LP: cfg.LP, ColdLP: cfg.ColdLP, Tracer: cfg.Tracer}},
-		sim.EcoFlowScheduler{},
-		sim.AcceptAllScheduler{Rounds: cfg.MAARounds},
-		&sim.ForecastOnlineScheduler{},
+	// schedule decides one cycle of a series and returns its profit.
+	type schedule func(inst *sched.Instance, rng *stats.RNG) (float64, error)
+	series := []schedule{
+		func(inst *sched.Instance, rng *stats.RNG) (float64, error) {
+			mc := metisCfg
+			mc.Seed = int64(rng.Intn(1 << 30))
+			res, err := core.Solve(inst, mc)
+			if err != nil {
+				return 0, err
+			}
+			return res.Profit, nil
+		},
+		func(inst *sched.Instance, _ *stats.RNG) (float64, error) {
+			res, err := baseline.EcoFlow(inst)
+			if err != nil {
+				return 0, err
+			}
+			return res.Profit, nil
+		},
+		func(inst *sched.Instance, rng *stats.RNG) (float64, error) {
+			res, err := maa.Solve(inst, maa.Options{Rounds: cfg.MAARounds, RNG: rng})
+			if err != nil {
+				return 0, err
+			}
+			return res.Schedule.Revenue() - res.Cost, nil
+		},
+		func(inst *sched.Instance, rng *stats.RNG) (float64, error) {
+			return forecastOnlineCycle(inst, fc, rng)
+		},
 	}
-	// One point per scheduler: each sim.Run seeds its own workload and
-	// state from simCfg, so the runs are independent.
-	results := make([]*sim.Result, len(schedulers))
-	err := forEachPoint(len(schedulers), cfg.Parallel, func(p int) error {
-		res, err := sim.Run(simCfg, schedulers[p])
-		if err != nil {
-			return err
+	// One point per series. Each draws cycle c's workload from generator
+	// seed Seed+c and owns one RNG seeded with Seed, so the series are
+	// independent of each other and of the sweep's parallelism.
+	profits := make([][cycles]float64, len(series))
+	err = forEachPoint(len(series), cfg.Parallel, func(p int) error {
+		net := wan.SubB4()
+		rng := stats.NewRNG(cfg.Seed)
+		k := float64(baseK)
+		for c := 0; c < cycles; c++ {
+			cc := cfg
+			cc.Seed = cfg.Seed + int64(c)
+			inst, err := buildInstance(cc, net, int(k+0.5))
+			if err != nil {
+				return err
+			}
+			if profits[p][c], err = series[p](inst, rng); err != nil {
+				return err
+			}
+			k *= 1 + growth
 		}
-		results[p] = res
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	cum := make([]float64, len(schedulers))
-	for c := 0; c < simCfg.Cycles; c++ {
-		for i, res := range results {
-			cum[i] += res.Cycles[c].Profit
+	cum := make([]float64, len(series))
+	for c := 0; c < cycles; c++ {
+		for i := range cum {
+			cum[i] += profits[i][c]
 		}
-		fig.AddRow(strconv.Itoa(c), cum[0], cum[1], cum[2], cum[3])
+		fig.AddRow(strconv.Itoa(c), cum...)
 	}
 	return fig, nil
+}
+
+// forecastOnlineCycle admits inst's requests online and returns the
+// cycle's profit. With no forecast yet (or an empty synthesized
+// workload) admission is greedy; otherwise it is the taa policy into
+// MAA's purchase for a workload synthesized from fc's forecast. The
+// observed cycle is then folded into fc.
+func forecastOnlineCycle(inst *sched.Instance, fc *forecast.EWMA, rng *stats.RNG) (float64, error) {
+	var pol serve.Policy = serve.GreedyPolicy{}
+	if m := fc.Forecast(); m != nil {
+		planInst, err := forecast.PlanInstance(inst.Network(), m, inst.Slots(), sched.DefaultPathsPerRequest, rng)
+		if err != nil {
+			return 0, err
+		}
+		if planInst.NumRequests() > 0 {
+			planRes, err := maa.Solve(planInst, maa.Options{Rounds: 3, RNG: rng})
+			if err != nil {
+				return 0, err
+			}
+			pol = &serve.TAAPolicy{Plan: planRes.Charged}
+		}
+	}
+	res, err := runCycle(context.Background(), inst.Network(), inst.Slots(), pol, inst.Requests())
+	if err != nil {
+		return 0, err
+	}
+	fc.Update(forecast.Observe(inst.Network(), inst.Requests()))
+	return res.Profit, nil
 }
 
 // ExtensionResilience regenerates the link-failure experiment (beyond

@@ -1,11 +1,14 @@
 package exp
 
 import (
+	"context"
 	"strconv"
+	"time"
 
 	"metis/internal/core"
+	"metis/internal/demand"
 	"metis/internal/maa"
-	"metis/internal/online"
+	"metis/internal/serve"
 	"metis/internal/stats"
 	"metis/internal/wan"
 )
@@ -13,11 +16,14 @@ import (
 // ExtensionOnline regenerates the online-arrival extension experiment
 // (beyond the paper, which treats the whole billing cycle as known):
 // requests arrive at their start slots and must be decided immediately.
-// Series:
+// Every online series is a serve policy run through the daemon's own
+// tick loop (serve.Server.RunCycles). Series:
 //
 //   - Greedy: buy-as-you-go marginal-cost admission,
-//   - Prov-FirstFit: MAA-planned capacity + first-fit admission,
-//   - Prov-TAA: MAA-planned capacity + per-batch TAA admission,
+//   - Prov-TAA: the taa policy, per-batch TAA admission into an
+//     MAA-planned capacity plan,
+//   - Metis-inc/1, Metis-inc/2: the metis-incremental policy replanning
+//     every epoch and every second epoch,
 //   - Offline: hindsight Metis on the full cycle (upper reference).
 //
 // The capacity plan is built by MAA on a forecast workload of the same
@@ -26,10 +32,9 @@ import (
 func ExtensionOnline(cfg Config) (*Figure, error) {
 	fig := &Figure{
 		ID: "ext-online", Title: "Online arrival policies vs hindsight Metis (SUB-B4)", XLabel: "K",
-		Series: []string{"Greedy", "Prov-FirstFit", "Prov-TAA", "Offline"},
+		Series: []string{"Greedy", "Prov-TAA", "Metis-inc/1", "Metis-inc/2", "Offline"},
 	}
-	type row struct{ greedy, ff, ta, offline float64 }
-	rows := make([]row, len(cfg.Fig3Ks))
+	rows := make([][]float64, len(cfg.Fig3Ks))
 	err := forEachPoint(len(cfg.Fig3Ks), cfg.Parallel, func(p int) error {
 		k := cfg.Fig3Ks[p]
 		inst, err := buildInstance(cfg, wan.SubB4(), k)
@@ -50,36 +55,50 @@ func ExtensionOnline(cfg Config) (*Figure, error) {
 		if err != nil {
 			return err
 		}
-		plan := planRes.Charged
-
-		greedy, err := online.SimulateCtx(ctx, inst, online.Greedy{})
-		if err != nil {
-			return err
-		}
-		ff, err := online.SimulateCtx(ctx, inst, online.ProvisionedFirstFit{Plan: plan})
-		if err != nil {
-			return err
-		}
-		ta, err := online.SimulateCtx(ctx, inst, online.ProvisionedTAA{Plan: plan})
-		if err != nil {
-			return err
-		}
-		offline, err := core.SolveCtx(ctx, inst, core.Config{
+		metisCfg := core.Config{
 			Theta: cfg.Theta, TauStep: cfg.TauStep, MAARounds: cfg.MAARounds,
 			LP: cfg.LP, Seed: cfg.Seed, ColdLP: cfg.ColdLP, Tracer: cfg.Tracer,
-		})
+		}
+		policies := []serve.Policy{
+			serve.GreedyPolicy{},
+			&serve.TAAPolicy{Plan: planRes.Charged},
+			&serve.MetisPolicy{ReplanEvery: 1, Config: metisCfg},
+			&serve.MetisPolicy{ReplanEvery: 2, Config: metisCfg},
+		}
+		for _, pol := range policies {
+			res, err := runCycle(ctx, inst.Network(), inst.Slots(), pol, inst.Requests())
+			if err != nil {
+				return err
+			}
+			rows[p] = append(rows[p], res.Profit)
+		}
+		offline, err := core.SolveCtx(ctx, inst, metisCfg)
 		if err != nil {
 			return err
 		}
-		rows[p] = row{greedy: greedy.Profit, ff: ff.Profit, ta: ta.Profit, offline: offline.Profit}
+		rows[p] = append(rows[p], offline.Profit)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	for p, k := range cfg.Fig3Ks {
-		r := rows[p]
-		fig.AddRow(strconv.Itoa(k), r.greedy, r.ff, r.ta, r.offline)
+		fig.AddRow(strconv.Itoa(k), rows[p]...)
 	}
 	return fig, nil
+}
+
+// runCycle decides reqs as one billing cycle through a fresh
+// serve.Server under pol. The hour-long epoch keeps the tick budget from
+// binding, so the result is deterministic.
+func runCycle(ctx context.Context, net *wan.Network, slots int, pol serve.Policy, reqs []demand.Request) (serve.CycleResult, error) {
+	srv, err := serve.New(serve.Config{Net: net, Slots: slots, Epoch: time.Hour, Policy: pol})
+	if err != nil {
+		return serve.CycleResult{}, err
+	}
+	res, err := srv.RunCycles(ctx, [][]demand.Request{reqs})
+	if err != nil {
+		return serve.CycleResult{}, err
+	}
+	return res[0], nil
 }

@@ -5,16 +5,17 @@
 // requests. Purchased bandwidth is monotone — units bought in an
 // earlier slot remain paid for the rest of the cycle.
 //
-// Three admission policies are provided:
+// Two admission policies are provided:
 //
 //   - Greedy: buy-as-you-go marginal-cost admission (accept a request
 //     iff its value exceeds the price of the extra units it forces).
-//   - ProvisionedFirstFit: capacity is planned up front (e.g. with MAA
-//     on a forecast workload) and requests are admitted first-fit into
-//     the residual capacity — an online Amoeba.
 //   - ProvisionedTAA: capacity is planned up front and each slot's
 //     arrival batch is scheduled by TAA against the time-varying
 //     residual capacity, reusing the paper's BL-SPM machinery online.
+//
+// The package decides one batch at a time; the loop that feeds arrivals
+// slot by slot is serve.Server (its tick, or RunCycles for a closed
+// loop over whole cycles).
 package online
 
 import (
@@ -24,25 +25,23 @@ import (
 	"sort"
 
 	"metis/internal/sched"
-	"metis/internal/solvectx"
 	"metis/internal/spm"
 	"metis/internal/taa"
 )
 
-// State is the provider's evolving view during a simulation.
+// State is the provider's view while one arrival batch is decided.
 type State struct {
 	inst      *sched.Instance
 	purchased []int       // units bought so far, per link (monotone)
 	loads     [][]float64 // committed load per (link, slot)
 	schedule  *sched.Schedule
-	ctx       context.Context // nil outside SimulateCtx
+	ctx       context.Context // may be nil: never canceled
 }
 
 // NewState returns a fresh provider state over inst: nothing purchased,
 // nothing committed, an all-declined schedule. ctx (which may be nil) is
-// threaded into policy-run solvers via Context. SimulateCtx builds its
-// state this way; external drivers (e.g. metisd's epoch loop) construct
-// one per decision batch.
+// threaded into policy-run solvers via Context. Drivers such as
+// serve.Server's epoch tick construct one per decision batch.
 func NewState(ctx context.Context, inst *sched.Instance) *State {
 	st := &State{
 		inst:      inst,
@@ -82,9 +81,8 @@ func NewStateAt(ctx context.Context, inst *sched.Instance, purchased []int, load
 	return st, nil
 }
 
-// Context returns the simulation's context (nil when the run was not
-// started through SimulateCtx); policies that run solvers thread it in
-// so a mid-batch solve stops promptly too.
+// Context returns the state's context (possibly nil); policies that run
+// solvers thread it in so a mid-batch solve stops promptly.
 func (st *State) Context() context.Context { return st.ctx }
 
 // Instance returns the underlying instance.
@@ -182,85 +180,13 @@ func (st *State) Commit(i, j int) error {
 // Policy decides one arrival batch. batch holds instance indices of the
 // requests arriving this slot; decisions are made through the State.
 type Policy interface {
-	Name() string
 	DecideBatch(st *State, slot int, batch []int) error
-}
-
-// SlotStats records one slot of a simulation.
-type SlotStats struct {
-	Slot     int
-	Arrived  int
-	Accepted int
-}
-
-// Result summarizes an online simulation.
-type Result struct {
-	// Schedule holds the final acceptance and routing decisions.
-	Schedule *sched.Schedule
-	// Profit, Revenue, Cost: cost is Σ price·purchased at cycle end.
-	Profit, Revenue, Cost float64
-	// Purchased is the final per-link bandwidth purchase.
-	Purchased []int
-	// PerSlot is the arrival/acceptance trace.
-	PerSlot []SlotStats
-}
-
-// Simulate feeds inst's requests to the policy slot by slot (a request
-// arrives at its start slot) and returns the final outcome.
-func Simulate(inst *sched.Instance, p Policy) (*Result, error) {
-	return SimulateCtx(nil, inst, p)
-}
-
-// SimulateCtx is Simulate under a context, checked before every slot's
-// decision batch (and threaded into policy-run solvers via
-// State.Context). A partial cycle has no meaningful profit accounting,
-// so an expiry aborts the simulation with an error matching
-// solvectx.ErrCanceled/ErrDeadline rather than degrading. A nil ctx
-// reproduces Simulate exactly.
-func SimulateCtx(ctx context.Context, inst *sched.Instance, p Policy) (*Result, error) {
-	st := NewState(ctx, inst)
-
-	batches := make([][]int, inst.Slots())
-	for i := 0; i < inst.NumRequests(); i++ {
-		t := inst.Request(i).Start
-		batches[t] = append(batches[t], i)
-	}
-
-	res := &Result{}
-	for t := 0; t < inst.Slots(); t++ {
-		if err := solvectx.Err(ctx); err != nil {
-			return nil, fmt.Errorf("online: %s: slot %d: %w", p.Name(), t, err)
-		}
-		acceptedBefore := st.schedule.NumAccepted()
-		if len(batches[t]) > 0 {
-			if err := p.DecideBatch(st, t, batches[t]); err != nil {
-				return nil, fmt.Errorf("online: %s: slot %d: %w", p.Name(), t, err)
-			}
-		}
-		res.PerSlot = append(res.PerSlot, SlotStats{
-			Slot:     t,
-			Arrived:  len(batches[t]),
-			Accepted: st.schedule.NumAccepted() - acceptedBefore,
-		})
-	}
-
-	res.Schedule = st.schedule
-	res.Revenue = st.schedule.Revenue()
-	for e, units := range st.purchased {
-		res.Cost += float64(units) * inst.Network().Link(e).Price
-	}
-	res.Profit = res.Revenue - res.Cost
-	res.Purchased = st.Purchased()
-	return res, nil
 }
 
 // Greedy is buy-as-you-go marginal-cost admission: within a batch,
 // requests are handled in descending value order, each on the path with
 // the cheapest marginal purchase, accepted iff value exceeds it.
 type Greedy struct{}
-
-// Name implements Policy.
-func (Greedy) Name() string { return "greedy" }
 
 // DecideBatch implements Policy.
 func (Greedy) DecideBatch(st *State, _ int, batch []int) error {
@@ -286,36 +212,6 @@ func (Greedy) DecideBatch(st *State, _ int, batch []int) error {
 	return nil
 }
 
-// ProvisionedFirstFit admits into a fixed upfront capacity plan
-// first-fit (an online Amoeba). The plan's cost is paid regardless of
-// utilization; Simulate accounts it because the plan is committed via
-// Provision before the run.
-type ProvisionedFirstFit struct {
-	// Plan is the upfront per-link purchase in units.
-	Plan []int
-}
-
-// Name implements Policy.
-func (ProvisionedFirstFit) Name() string { return "provisioned-firstfit" }
-
-// DecideBatch implements Policy.
-func (p ProvisionedFirstFit) DecideBatch(st *State, slot int, batch []int) error {
-	if err := provision(st, p.Plan, slot); err != nil {
-		return err
-	}
-	for _, i := range batch {
-		for j := 0; j < st.inst.NumPaths(i); j++ {
-			if st.FitsResidual(i, j) {
-				if err := st.Commit(i, j); err != nil {
-					return err
-				}
-				break
-			}
-		}
-	}
-	return nil
-}
-
 // ProvisionedTAA admits each batch with TAA against the time-varying
 // residual capacity of a fixed upfront plan.
 type ProvisionedTAA struct {
@@ -333,12 +229,9 @@ type ProvisionedTAA struct {
 	Guide [][]float64
 }
 
-// Name implements Policy.
-func (ProvisionedTAA) Name() string { return "provisioned-taa" }
-
 // DecideBatch implements Policy.
-func (p ProvisionedTAA) DecideBatch(st *State, slot int, batch []int) error {
-	if err := provision(st, p.Plan, slot); err != nil {
+func (p ProvisionedTAA) DecideBatch(st *State, _ int, batch []int) error {
+	if err := provision(st, p.Plan); err != nil {
 		return err
 	}
 	// Presolve: a request that cannot fit the residual on any candidate
@@ -392,9 +285,9 @@ func (p ProvisionedTAA) DecideBatch(st *State, slot int, batch []int) error {
 	return nil
 }
 
-// provision installs the upfront plan on the first decided slot so its
-// cost is accounted even if little is used.
-func provision(st *State, plan []int, slot int) error {
+// provision raises the state's purchase to the upfront plan, so the
+// plan's cost is accounted even if little of it is used.
+func provision(st *State, plan []int) error {
 	if len(plan) != len(st.purchased) {
 		return fmt.Errorf("online: plan has %d links, want %d", len(plan), len(st.purchased))
 	}
@@ -403,6 +296,5 @@ func provision(st *State, plan []int, slot int) error {
 			st.purchased[e] = units
 		}
 	}
-	_ = slot
 	return nil
 }

@@ -1,20 +1,28 @@
-package online
+package online_test
+
+// The policies decide one batch at a time; a whole cycle of arrivals
+// reaches them through the daemon's own loop, serve.Server.RunCycles,
+// which is how production runs them too.
 
 import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"metis/internal/core"
 	"metis/internal/demand"
 	"metis/internal/maa"
+	"metis/internal/online"
 	"metis/internal/sched"
+	"metis/internal/serve"
 	"metis/internal/solvectx"
+	"metis/internal/spm"
 	"metis/internal/stats"
 	"metis/internal/wan"
 )
 
-func instance(t *testing.T, net *wan.Network, k int, seed int64) *sched.Instance {
+func workload(t *testing.T, net *wan.Network, k int, seed int64) []demand.Request {
 	t.Helper()
 	g, err := demand.NewGenerator(net, demand.DefaultGeneratorConfig(seed))
 	if err != nil {
@@ -24,7 +32,12 @@ func instance(t *testing.T, net *wan.Network, k int, seed int64) *sched.Instance
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := sched.NewInstance(net, demand.DefaultSlots, reqs, sched.DefaultPathsPerRequest)
+	return reqs
+}
+
+func instance(t *testing.T, net *wan.Network, k int, seed int64) *sched.Instance {
+	t.Helper()
+	inst, err := sched.NewInstance(net, demand.DefaultSlots, workload(t, net, k, seed), sched.DefaultPathsPerRequest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,109 +48,111 @@ func instance(t *testing.T, net *wan.Network, k int, seed int64) *sched.Instance
 // same size but a different seed.
 func forecastPlan(t *testing.T, net *wan.Network, k int) []int {
 	t.Helper()
-	inst := instance(t, net, k, 999)
-	res, err := maa.Solve(inst, maa.Options{RNG: stats.NewRNG(9), Rounds: 3})
+	res, err := maa.Solve(instance(t, net, k, 999), maa.Options{RNG: stats.NewRNG(9), Rounds: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res.Charged
 }
 
-func TestGreedyProfitNonNegative(t *testing.T) {
-	inst := instance(t, wan.SubB4(), 150, 1)
-	res, err := Simulate(inst, Greedy{})
+// newServer returns a server whose hour-long epoch never binds the tick
+// budget, so every run is deterministic.
+func newServer(t *testing.T, net *wan.Network, pol serve.Policy) *serve.Server {
+	t.Helper()
+	srv, err := serve.New(serve.Config{Net: net, Epoch: time.Hour, Policy: pol})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return srv
+}
+
+// runCycle decides reqs as one billing cycle under pol.
+func runCycle(t *testing.T, net *wan.Network, pol serve.Policy, reqs []demand.Request) (serve.CycleResult, *serve.Server) {
+	t.Helper()
+	srv := newServer(t, net, pol)
+	res, err := srv.RunCycles(context.Background(), [][]demand.Request{reqs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res[0], srv
+}
+
+func TestGreedyProfitNonNegative(t *testing.T) {
+	net := wan.SubB4()
+	res, srv := runCycle(t, net, serve.GreedyPolicy{}, workload(t, net, 150, 1))
 	// Greedy only buys when value covers the purchase, so profit can
 	// never go negative.
 	if res.Profit < -1e-9 {
 		t.Fatalf("greedy profit %v negative", res.Profit)
 	}
-	if res.Revenue != res.Schedule.Revenue() {
-		t.Fatal("revenue accounting mismatch")
+	if res.Decided != 150 {
+		t.Fatalf("decided %d of 150 requests", res.Decided)
 	}
-	if err := res.Schedule.FeasibleUnder(res.Purchased); err != nil {
-		t.Fatalf("final schedule exceeds purchased bandwidth: %v", err)
+	led := srv.LedgerCopy()
+	if led.Committed() != res.Accepted || led.Cost() != res.Cost {
+		t.Fatalf("ledger holds %d requests at cost %v, result says %d at %v", led.Committed(), led.Cost(), res.Accepted, res.Cost)
+	}
+	if err := spm.CheckLedger(led.Loads(), led.Purchased()); err != nil {
+		t.Fatalf("final loads exceed purchased bandwidth: %v", err)
 	}
 }
 
 func TestPerSlotTraceConsistent(t *testing.T) {
-	inst := instance(t, wan.SubB4(), 100, 2)
-	res, err := Simulate(inst, Greedy{})
-	if err != nil {
-		t.Fatal(err)
+	net := wan.SubB4()
+	reqs := workload(t, net, 100, 2)
+	res, srv := runCycle(t, net, serve.GreedyPolicy{}, reqs)
+	recs := srv.EpochRecords()
+	if len(recs) != demand.DefaultSlots {
+		t.Fatalf("trace has %d slots, want %d", len(recs), demand.DefaultSlots)
 	}
-	if len(res.PerSlot) != inst.Slots() {
-		t.Fatalf("trace has %d slots, want %d", len(res.PerSlot), inst.Slots())
+	arrivals := make([]int, demand.DefaultSlots)
+	for _, r := range reqs {
+		arrivals[r.Start]++
 	}
 	var arrived, accepted int
-	for _, s := range res.PerSlot {
-		if s.Accepted > s.Arrived {
-			t.Fatalf("slot %d accepted %d of %d arrivals", s.Slot, s.Accepted, s.Arrived)
+	for _, r := range recs {
+		if r.Batch != arrivals[r.Slot] {
+			t.Fatalf("slot %d decided %d requests, %d arrived", r.Slot, r.Batch, arrivals[r.Slot])
 		}
-		arrived += s.Arrived
-		accepted += s.Accepted
+		if r.Accepted > r.Batch {
+			t.Fatalf("slot %d accepted %d of %d arrivals", r.Slot, r.Accepted, r.Batch)
+		}
+		arrived += r.Batch
+		accepted += r.Accepted
 	}
-	if arrived != inst.NumRequests() {
-		t.Fatalf("trace saw %d arrivals, want %d", arrived, inst.NumRequests())
+	if arrived != len(reqs) {
+		t.Fatalf("trace saw %d arrivals, want %d", arrived, len(reqs))
 	}
-	if accepted != res.Schedule.NumAccepted() {
-		t.Fatalf("trace accepted %d, schedule has %d", accepted, res.Schedule.NumAccepted())
+	if accepted != res.Accepted {
+		t.Fatalf("trace accepted %d, cycle result has %d", accepted, res.Accepted)
 	}
 }
 
 func TestProvisionedPoliciesRespectPlan(t *testing.T) {
 	net := wan.SubB4()
-	inst := instance(t, net, 120, 3)
 	plan := forecastPlan(t, net, 120)
-
-	for _, p := range []Policy{ProvisionedFirstFit{Plan: plan}, ProvisionedTAA{Plan: plan}} {
-		res, err := Simulate(inst, p)
-		if err != nil {
-			t.Fatalf("%s: %v", p.Name(), err)
-		}
-		// Provisioned policies never buy beyond the plan.
-		for e, units := range res.Purchased {
-			if units > plan[e] {
-				t.Fatalf("%s: bought %d units on link %d beyond plan %d", p.Name(), units, e, plan[e])
-			}
-		}
-		if err := res.Schedule.FeasibleUnder(plan); err != nil {
-			t.Fatalf("%s: schedule exceeds the plan: %v", p.Name(), err)
+	res, srv := runCycle(t, net, &serve.TAAPolicy{Plan: plan}, workload(t, net, 120, 3))
+	if res.Accepted == 0 {
+		t.Fatal("taa accepted nothing into the plan")
+	}
+	// The taa policy never buys beyond its plan.
+	led := srv.LedgerCopy()
+	for e, units := range led.Purchased() {
+		if units > plan[e] {
+			t.Fatalf("bought %d units on link %d beyond plan %d", units, e, plan[e])
 		}
 	}
-}
-
-func TestProvisionedTAABeatsFirstFit(t *testing.T) {
-	// TAA's batch admission should never earn less revenue than plain
-	// first-fit under the same plan (allowing small slack: they commit
-	// different early paths).
-	net := wan.SubB4()
-	inst := instance(t, net, 200, 4)
-	plan := forecastPlan(t, net, 200)
-
-	ff, err := Simulate(inst, ProvisionedFirstFit{Plan: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ta, err := Simulate(inst, ProvisionedTAA{Plan: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ta.Revenue < 0.95*ff.Revenue {
-		t.Fatalf("provisioned TAA revenue %v well below first-fit %v", ta.Revenue, ff.Revenue)
+	if err := spm.CheckLedger(led.Loads(), plan); err != nil {
+		t.Fatalf("loads exceed the plan: %v", err)
 	}
 }
 
 func TestOnlineNeverBeatsOffline(t *testing.T) {
 	// Hindsight check: the offline Metis profit (which sees the whole
 	// cycle) should not be materially below the online greedy's.
-	inst := instance(t, wan.SubB4(), 150, 5)
-	on, err := Simulate(inst, Greedy{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := wan.SubB4()
+	inst := instance(t, net, 150, 5)
+	on, _ := runCycle(t, net, serve.GreedyPolicy{}, inst.Requests())
 	off, err := core.Solve(inst, core.Config{Theta: 6, MAARounds: 3, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -147,37 +162,36 @@ func TestOnlineNeverBeatsOffline(t *testing.T) {
 	}
 }
 
-// cancelAfter wraps a policy and cancels the run's context once
-// decided slots have been handled, modeling an operator abort
-// mid-cycle.
+// cancelAfter wraps a policy and cancels the run's context once after
+// batches have been decided, modeling an operator abort mid-cycle.
 type cancelAfter struct {
-	inner   Policy
+	serve.Policy
 	cancel  context.CancelFunc
 	decided int
 	after   int
 }
 
-func (c *cancelAfter) Name() string { return c.inner.Name() }
-
-func (c *cancelAfter) DecideBatch(st *State, slot int, batch []int) error {
+func (c *cancelAfter) Decide(ctx context.Context, led *serve.Ledger, inst *sched.Instance, epoch, slot int) (*online.State, error) {
 	if c.decided >= c.after {
 		c.cancel()
 	}
 	c.decided++
-	return c.inner.DecideBatch(st, slot, batch)
+	return c.Policy.Decide(ctx, led, inst, epoch, slot)
 }
 
 func TestGreedyMidCycleCancellation(t *testing.T) {
-	inst := instance(t, wan.SubB4(), 150, 3)
+	net := wan.SubB4()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	// Cancel after the second decided batch: the simulation must abort
-	// at the next slot checkpoint with the typed sentinel, not return a
-	// partial result.
-	p := &cancelAfter{inner: Greedy{}, cancel: cancel, after: 1}
-	res, err := SimulateCtx(ctx, inst, p)
+	// Cancel inside the second decided batch. Greedy never polls the
+	// context, so that tick still commits; the loop must then stop
+	// before the next tick with the typed sentinel, not return a partial
+	// result.
+	p := &cancelAfter{Policy: serve.GreedyPolicy{}, cancel: cancel, after: 1}
+	srv := newServer(t, net, p)
+	res, err := srv.RunCycles(ctx, [][]demand.Request{workload(t, net, 150, 3)})
 	if res != nil {
-		t.Fatalf("want nil result on cancellation, got %+v", res)
+		t.Fatalf("want no results on cancellation, got %+v", res)
 	}
 	if !errors.Is(err, solvectx.ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
@@ -185,8 +199,11 @@ func TestGreedyMidCycleCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled to match too, got %v", err)
 	}
-	if p.decided < 2 {
-		t.Fatalf("policy decided %d batches, want at least 2", p.decided)
+	if p.decided != 2 {
+		t.Fatalf("policy decided %d batches, want 2", p.decided)
+	}
+	if srv.Epoch() >= demand.DefaultSlots {
+		t.Fatalf("loop ran all %d ticks after the cancellation", srv.Epoch())
 	}
 }
 
@@ -195,36 +212,35 @@ func TestProvisionedTAAMidCycleCancellation(t *testing.T) {
 	inst := instance(t, net, 150, 3)
 	plan := forecastPlan(t, net, 150)
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	// Cancel before the first batch's TAA solve runs: the already-dead
-	// context must surface from inside taa.SolveVar (threaded via
-	// State.Context), not only from the per-slot checkpoint.
-	p := &cancelAfter{inner: ProvisionedTAA{Plan: plan}, cancel: cancel, after: 0}
-	res, err := SimulateCtx(ctx, inst, p)
-	if res != nil {
-		t.Fatalf("want nil result on cancellation, got %+v", res)
+	cancel()
+	// The already-dead context must surface from inside taa.SolveVar
+	// (threaded via State.Context), not only from a driver's checkpoint.
+	batch := make([]int, inst.NumRequests())
+	for i := range batch {
+		batch[i] = i
 	}
+	err := online.ProvisionedTAA{Plan: plan}.DecideBatch(online.NewState(ctx, inst), 0, batch)
 	if !solvectx.Is(err) {
 		t.Fatalf("want a solver stop sentinel, got %v", err)
-	}
-	if p.decided != 1 {
-		t.Fatalf("policy decided %d batches, want exactly 1 (TAA solve must abort)", p.decided)
 	}
 }
 
 func TestProvisionedTAADeadlineMidCycle(t *testing.T) {
 	net := wan.SubB4()
-	inst := instance(t, net, 200, 5)
 	plan := forecastPlan(t, net, 200)
 	// An already-expired deadline aborts before any slot is decided.
 	ctx, cancel := context.WithTimeout(context.Background(), 0)
 	defer cancel()
-	res, err := SimulateCtx(ctx, inst, ProvisionedTAA{Plan: plan})
+	srv := newServer(t, net, &serve.TAAPolicy{Plan: plan})
+	res, err := srv.RunCycles(ctx, [][]demand.Request{workload(t, net, 200, 5)})
 	if res != nil {
-		t.Fatalf("want nil result on expiry, got %+v", res)
+		t.Fatalf("want no results on expiry, got %+v", res)
 	}
 	if !errors.Is(err, solvectx.ErrDeadline) {
 		t.Fatalf("want ErrDeadline, got %v", err)
+	}
+	if srv.Epoch() != 0 {
+		t.Fatalf("expired run ticked %d times", srv.Epoch())
 	}
 }
 
@@ -238,7 +254,7 @@ func TestNewStateAtSeedsCommitments(t *testing.T) {
 		purchased[e] = 2
 		loads[e][0] = 1.5
 	}
-	st, err := NewStateAt(nil, inst, purchased, loads)
+	st, err := online.NewStateAt(nil, inst, purchased, loads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,31 +270,27 @@ func TestNewStateAtSeedsCommitments(t *testing.T) {
 	if st.Loads()[0][0] != 1.5 {
 		t.Fatal("NewStateAt aliased the caller's loads")
 	}
-	if _, err := NewStateAt(nil, inst, purchased[:1], loads); err == nil {
+	if _, err := online.NewStateAt(nil, inst, purchased[:1], loads); err == nil {
 		t.Fatal("want shape error for short purchased vector")
 	}
-	if _, err := NewStateAt(nil, inst, purchased, loads[:1]); err == nil {
+	if _, err := online.NewStateAt(nil, inst, purchased, loads[:1]); err == nil {
 		t.Fatal("want shape error for short loads matrix")
 	}
 }
 
 func TestPlanValidation(t *testing.T) {
 	inst := instance(t, wan.SubB4(), 10, 6)
-	if _, err := Simulate(inst, ProvisionedTAA{Plan: []int{1}}); err == nil {
+	if err := (online.ProvisionedTAA{Plan: []int{1}}).DecideBatch(online.NewState(nil, inst), 0, []int{0}); err == nil {
 		t.Fatal("want error for wrong plan length")
 	}
 }
 
 func TestEmptyWorkload(t *testing.T) {
-	inst, err := sched.NewInstance(wan.SubB4(), 12, nil, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Simulate(inst, Greedy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Profit != 0 || res.Schedule.NumAccepted() != 0 {
+	res, srv := runCycle(t, wan.SubB4(), serve.GreedyPolicy{}, nil)
+	if res != (serve.CycleResult{}) {
 		t.Fatalf("empty workload produced %+v", res)
+	}
+	if srv.Epoch() != demand.DefaultSlots {
+		t.Fatalf("empty cycle ran %d ticks, want %d", srv.Epoch(), demand.DefaultSlots)
 	}
 }
