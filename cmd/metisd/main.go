@@ -9,10 +9,10 @@
 //	metisd -addr :8080 -network SUB-B4 -epoch 250ms
 //	metisd -policy metis-incremental -replan-every 2   # persistent warm model across epochs
 //	metisd -policy taa -plan-units 20
-//	metisd -snapshot state.json -snapshot-every 8     # resumes from state.json on restart
+//	metisd -snapshot state.json -snapshot-every 8     # resumes from state.json on restart (no WAL)
 //	metisd -check                                     # post-tick ledger invariant sweep
-//	metisd -wal-dir wal/                              # durable: ack only after the arrival is fsynced
-//	metisd -standby -wal-dir mirror/ -primary-url http://leader:8080
+//	metisd -wal-dir wal/                              # durable: ack only after the arrival is fsynced; replays wal/ on restart
+//	metisd -standby -wal-dir mirror/ -primary-url http://leader:8080   # hot standby: applies the log it mirrors
 //	metisd -promote http://standby:8081               # client mode: promote a standby, then exit
 //
 //	curl -s localhost:8080/v1/requests -d '{"src":0,"dst":1,"start":0,"end":11,"rate":0.2,"value":40}'
@@ -37,7 +37,6 @@
 //	POST /v1/promote         standby only: promote to leader → 200 {report}
 //	GET  /ha/v1/status       leader: role, fencing token, durable WAL end
 //	GET  /ha/v1/wal          leader: raw WAL segment bytes for a standby mirror
-//	GET  /ha/v1/snapshot     leader: consistent snapshot stream
 //	POST /ha/v1/fence        step down when presented a newer fencing token
 //	GET  /metrics            Prometheus metrics incl. latency histograms (plus /debug/vars, /debug/pprof)
 package main
@@ -116,7 +115,7 @@ func run(args []string) (err error) {
 		seed          = fs.Int64("seed", 1, "metis-incremental: randomized-rounding seed of the fallback full solve")
 		queueLimit    = fs.Int("queue-limit", 0, "arrival-queue bound; submits beyond it are shed with 429 (0 = default)")
 		maxBatch      = fs.Int("max-batch", 0, "max arrivals one tick claims; the excess stays queued (0 = whole queue)")
-		snapshotPath  = fs.String("snapshot", "", "snapshot file: restored on start when present, rewritten periodically and on drain")
+		snapshotPath  = fs.String("snapshot", "", "snapshot file of a daemon without -wal-dir: restored on start when present, rewritten periodically and on drain")
 		snapshotEvery = fs.Int("snapshot-every", 0, "snapshot period in epochs (0 = only on drain)")
 		traceOut      = fs.String("trace", "", "write a JSONL trace of the request lifecycle (arrival/solve/epoch) to this file")
 		scorecard     = fs.Int("scorecard", 0, "epoch health scorecard size served by /debug/epochs (0 = default)")
@@ -124,7 +123,7 @@ func run(args []string) (err error) {
 		flightKeep    = fs.Int("flight-keep", 0, "flight-recorder bundles kept in memory and served over HTTP (0 = default)")
 		check         = fs.Bool("check", false, "run the ledger invariant checker after every tick (stats report checkFailures)")
 		walDir        = fs.String("wal-dir", "", "write-ahead log directory: arrivals are acked only once fsynced, ticks log redo records, recovery replays on start")
-		standby       = fs.Bool("standby", false, "run as a warm standby: mirror the leader's WAL and snapshots into -wal-dir, refuse intake until promoted")
+		standby       = fs.Bool("standby", false, "run as a hot standby: mirror the leader's WAL into -wal-dir and apply it as it lands, refuse intake until promoted")
 		primaryURL    = fs.String("primary-url", "", "standby: the leader's base URL (e.g. http://leader:8080)")
 		promoteURL    = fs.String("promote", "", "client mode: POST /v1/promote to this standby's base URL, print the report and exit")
 	)
@@ -145,6 +144,9 @@ func run(args []string) (err error) {
 		if *walDir == "" || *primaryURL == "" {
 			return fmt.Errorf("-standby needs both -wal-dir and -primary-url")
 		}
+	}
+	if *snapshotPath != "" && *walDir != "" {
+		return fmt.Errorf("-snapshot and -wal-dir are exclusive: with a WAL the log is the state")
 	}
 
 	sc := &metis.Scenario{Network: *network}
@@ -227,8 +229,8 @@ func run(args []string) (err error) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// Recovery order: snapshot first (it records the WAL offset it
-	// covers), then the log tail on top of it.
+	// Recovery reads one source: the log when there is one, else the
+	// snapshot.
 	var node *metis.HANode
 	sctx, scancel := context.WithCancel(ctx)
 	defer scancel()
@@ -243,33 +245,30 @@ func run(args []string) (err error) {
 			defer close(repDone)
 			node.RunStandby(sctx)
 		}()
-	default:
-		if *snapshotPath != "" {
-			if _, statErr := os.Stat(*snapshotPath); statErr == nil {
-				if err := srv.RestoreFile(*snapshotPath); err != nil {
-					return fmt.Errorf("restore %s: %w", *snapshotPath, err)
-				}
-				fmt.Fprintf(os.Stderr, "metisd: restored %s (epoch %d, %d queued)\n",
-					*snapshotPath, srv.Epoch(), srv.Stats().QueueDepth)
-			}
+	case walLog != nil:
+		rst, err := srv.RecoverWAL()
+		if err != nil {
+			return fmt.Errorf("wal recovery: %w", err)
 		}
-		if walLog != nil {
-			rst, err := srv.RecoverWAL()
-			if err != nil {
-				return fmt.Errorf("wal recovery: %w", err)
+		if rst.Arrivals+rst.Ticks > 0 {
+			fmt.Fprintf(os.Stderr, "metisd: wal replayed %d arrivals, %d epochs (now epoch %d, %d queued)\n",
+				rst.Arrivals, rst.Ticks, srv.Epoch(), srv.Stats().QueueDepth)
+		}
+		tok, err := metis.LoadOrInitFencingToken(*walDir)
+		if err != nil {
+			return err
+		}
+		if tok > srv.Token() {
+			srv.SetToken(tok)
+		}
+		node = metis.NewHALeader(srv, *walDir)
+	case *snapshotPath != "":
+		if _, statErr := os.Stat(*snapshotPath); statErr == nil {
+			if err := srv.RestoreFile(*snapshotPath); err != nil {
+				return fmt.Errorf("restore %s: %w", *snapshotPath, err)
 			}
-			if rst.Arrivals+rst.Ticks > 0 {
-				fmt.Fprintf(os.Stderr, "metisd: wal replayed %d arrivals, %d epochs (now epoch %d, %d queued)\n",
-					rst.Arrivals, rst.Ticks, srv.Epoch(), srv.Stats().QueueDepth)
-			}
-			tok, err := metis.LoadOrInitFencingToken(*walDir)
-			if err != nil {
-				return err
-			}
-			if tok > srv.Token() {
-				srv.SetToken(tok)
-			}
-			node = metis.NewHALeader(srv, *walDir)
+			fmt.Fprintf(os.Stderr, "metisd: restored %s (epoch %d, %d queued)\n",
+				*snapshotPath, srv.Epoch(), srv.Stats().QueueDepth)
 		}
 	}
 

@@ -9,8 +9,8 @@ import (
 // Durability and failover re-exports: the write-ahead log (see
 // internal/wal) and the fenced active-passive HA layer (see
 // internal/ha). A WAL-backed daemon appends every acked arrival and
-// every committed epoch before acknowledging; a standby mirrors the
-// log and snapshots continuously and promotes into a bit-identical
+// every committed epoch before acknowledging; a hot standby mirrors the
+// log and applies it as it lands, and promotes into a bit-identical
 // leader carrying a strictly newer fencing token.
 type (
 	// WAL is the length+CRC-framed, fsync-batched append log.

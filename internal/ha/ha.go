@@ -1,19 +1,22 @@
 // Package ha provides fenced active-passive failover for a durable
-// metisd: a leader serves traffic and streams its write-ahead log and
-// snapshots to a warm standby; promotion replays the mirrored log into
-// a bit-identical server and mints a strictly larger fencing token that
-// steps the old leader down if it ever comes back.
+// metisd: a leader serves traffic and a hot standby mirrors its
+// write-ahead log and applies each round's frames as they land, so its
+// state trails the leader's by at most one round; promotion is the
+// replay a restarted leader runs, of whatever the last round had not
+// applied, and it mints a strictly larger fencing token that steps the
+// old leader down if it ever comes back.
 //
 // Replication is pull-based and asynchronous: the standby polls the
-// leader's /ha/v1 endpoints, mirrors raw WAL segment bytes (frame
-// integrity is re-established at promotion by CRC + tail repair), and
-// periodically stores the leader's snapshot so replay starts near the
-// tail instead of at the log's origin. Asynchrony means a crash can
-// lose the last un-replicated suffix of acked work — the design trades
-// that bounded window for never blocking the admission hot path on a
-// network round trip. The fencing token closes the split-brain hole:
-// every promotion mints max(seen)+1, the token rides in snapshots and
-// the log itself, and both sides refuse state carrying an older token.
+// leader's /ha/v1 endpoints, mirrors raw WAL segment bytes and applies
+// the mirror's complete frames with serve.Server.ApplyLog (a round that
+// ends mid-frame or mid-header applies the rest next round; CRCs and
+// tail repair re-establish frame integrity). The log is the only state
+// on the wire. Asynchrony means a crash can lose the last un-replicated
+// suffix of acked work — the design trades that bounded window for
+// never blocking the admission hot path on a network round trip. The
+// fencing token closes the split-brain hole: every promotion mints
+// max(seen)+1, the token rides in the log itself, and both sides refuse
+// a stream carrying an older token.
 package ha
 
 import (
@@ -41,19 +44,13 @@ const (
 	DefaultFetchChunk = 1 << 20
 	// DefaultFetchEvery is the poll interval of RunStandby.
 	DefaultFetchEvery = 200 * time.Millisecond
-	// DefaultSnapshotEvery is how many replication rounds pass between
-	// snapshot refreshes.
-	DefaultSnapshotEvery = 16
 	// maxChunksPerRound bounds one FetchOnce so a firehose leader cannot
 	// pin the standby in a single round forever.
 	maxChunksPerRound = 64
 )
 
-// SnapshotName is the snapshot file the standby maintains inside its
-// WAL mirror directory (the wal package ignores non-segment files).
-const SnapshotName = "snapshot.json"
-
-// tokenName is the fencing-token file, in the same directory.
+// tokenName is the fencing-token file, kept next to the WAL segments
+// (the wal package ignores non-segment files).
 const tokenName = "fence.json"
 
 // Status is the leader's /ha/v1/status payload.
@@ -74,14 +71,12 @@ type Node struct {
 	dir string
 
 	// Standby state.
-	primary   string
-	client    *http.Client
-	chunk     int
-	snapEvery int
-	rounds    int
-	maxSeen   atomic.Uint64 // largest leader fencing token followed
-	lag       atomic.Int64
-	promoted  atomic.Bool
+	primary  string
+	client   *http.Client
+	chunk    int
+	maxSeen  atomic.Uint64 // largest leader fencing token followed
+	lag      atomic.Int64
+	promoted atomic.Bool
 }
 
 // NewLeader wraps a serving leader whose WAL lives in dir.
@@ -90,8 +85,9 @@ func NewLeader(srv *serve.Server, dir string) *Node {
 	return &Node{srv: srv, dir: dir}
 }
 
-// NewStandby wraps a standby server (construct it, call SetStandby,
-// do not Submit/Tick) replicating from the leader at primary into dir.
+// NewStandby wraps a standby server (construct it without a WAL, call
+// SetStandby, do not Submit/Tick) replicating from the leader at
+// primary into dir and applying what it mirrors.
 func NewStandby(srv *serve.Server, dir, primary string, client *http.Client) *Node {
 	if client == nil {
 		client = &http.Client{Timeout: 10 * time.Second}
@@ -99,23 +95,20 @@ func NewStandby(srv *serve.Server, dir, primary string, client *http.Client) *No
 	gRole.Set(1)
 	return &Node{
 		srv: srv, dir: dir,
-		primary:   primary,
-		client:    client,
-		chunk:     DefaultFetchChunk,
-		snapEvery: DefaultSnapshotEvery,
+		primary: primary,
+		client:  client,
+		chunk:   DefaultFetchChunk,
 	}
 }
 
 // Register adds the leader-side HA endpoints to mux:
 //
-//	GET  /ha/v1/status    role, fencing token, durable WAL end
-//	GET  /ha/v1/wal       raw segment bytes (?seg=&pos=&max=)
-//	GET  /ha/v1/snapshot  consistent snapshot stream
-//	POST /ha/v1/fence     {"token": n} — step down if n is newer
+//	GET  /ha/v1/status  role, fencing token, durable WAL end
+//	GET  /ha/v1/wal     raw segment bytes (?seg=&pos=&max=)
+//	POST /ha/v1/fence   {"token": n} — step down if n is newer
 func (n *Node) Register(mux *http.ServeMux) {
 	mux.HandleFunc("GET /ha/v1/status", n.handleStatus)
 	mux.HandleFunc("GET /ha/v1/wal", n.handleWAL)
-	mux.HandleFunc("GET /ha/v1/snapshot", n.handleSnapshot)
 	mux.HandleFunc("POST /ha/v1/fence", n.handleFence)
 }
 
@@ -133,9 +126,8 @@ func (n *Node) handleStatus(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleWAL serves raw bytes of one segment file. The response body is
-// binary; X-Metis-Seg-Size carries the segment's current size,
-// X-Metis-Has-Next whether a later segment exists, X-Metis-Token the
-// leader's fencing token.
+// binary; X-Metis-Seg-Size carries the segment's current size and
+// X-Metis-Has-Next whether a later segment exists.
 func (n *Node) handleWAL(w http.ResponseWriter, r *http.Request) {
 	l := n.srv.WAL()
 	if l == nil {
@@ -168,19 +160,8 @@ func (n *Node) handleWAL(w http.ResponseWriter, r *http.Request) {
 	h.Set("Content-Type", "application/octet-stream")
 	h.Set("X-Metis-Seg-Size", strconv.FormatInt(size, 10))
 	h.Set("X-Metis-Has-Next", boolHeader(hasNext))
-	h.Set("X-Metis-Token", strconv.FormatUint(n.srv.Token(), 10))
 	w.WriteHeader(http.StatusOK)
 	w.Write(data)
-}
-
-func (n *Node) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Metis-Token", strconv.FormatUint(n.srv.Token(), 10))
-	if err := n.srv.Snapshot(w); err != nil {
-		// Headers are gone; the truncated body will fail to decode on
-		// the standby, which simply keeps its previous snapshot.
-		fmt.Fprintf(os.Stderr, "ha: snapshot stream: %v\n", err)
-	}
 }
 
 // handleFence steps the server down when presented a strictly newer
@@ -211,8 +192,8 @@ func (n *Node) handleFence(w http.ResponseWriter, r *http.Request) {
 func (n *Node) LagBytes() int64 { return n.lag.Load() }
 
 // FetchOnce runs one replication round: check the leader's token,
-// mirror new WAL bytes, and every snapEvery rounds refresh the stored
-// snapshot. It returns the leader's status.
+// mirror new WAL bytes, and apply the mirror's new complete frames to
+// the standby's server. It returns the leader's status.
 func (n *Node) FetchOnce(ctx context.Context) (Status, error) {
 	st, err := n.fetchStatus(ctx)
 	if err != nil {
@@ -230,12 +211,9 @@ func (n *Node) FetchOnce(ctx context.Context) (Status, error) {
 		cFetchErrors.Inc()
 		return st, err
 	}
-	n.rounds++
-	if n.rounds == 1 || (n.snapEvery > 0 && n.rounds%n.snapEvery == 0) {
-		if err := n.fetchSnapshot(ctx); err != nil {
-			cFetchErrors.Inc()
-			return st, err
-		}
+	if _, err := n.srv.ApplyLog(n.dir); err != nil {
+		cFetchErrors.Inc()
+		return st, fmt.Errorf("ha: apply mirrored wal: %w", err)
 	}
 	return st, nil
 }
@@ -281,8 +259,9 @@ func (n *Node) fetchStatus(ctx context.Context) (Status, error) {
 }
 
 // mirrorWAL extends the local segment mirror toward the leader's
-// durable end. Chunks land mid-frame without harm: promotion re-opens
-// the log with CRC checks and tail repair.
+// durable end. Chunks land mid-frame without harm: ApplyLog stops at
+// the last complete frame, and promotion re-opens the log with CRC
+// checks and tail repair.
 func (n *Node) mirrorWAL(ctx context.Context, st Status) error {
 	local, err := wal.MirrorEnd(n.dir)
 	if err != nil {
@@ -357,71 +336,27 @@ func (n *Node) fetchWAL(ctx context.Context, seq uint64, pos int64) (data []byte
 	return data, size, hasNext, nil
 }
 
-// fetchSnapshot stores the leader's snapshot atomically next to the
-// mirrored segments. A snapshot from a leader older than one already
-// followed is rejected.
-func (n *Node) fetchSnapshot(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, "GET", n.primary+"/ha/v1/snapshot", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("ha: snapshot fetch: HTTP %d", resp.StatusCode)
-	}
-	if tok, err := strconv.ParseUint(resp.Header.Get("X-Metis-Token"), 10, 64); err == nil {
-		if tok < n.maxSeen.Load() {
-			cStaleLeader.Inc()
-			return fmt.Errorf("ha: snapshot from stale leader (token %d < %d)", tok, n.maxSeen.Load())
-		}
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	// Refuse a torn stream: the payload must at least be valid JSON
-	// before it replaces the previous good snapshot.
-	var probe json.RawMessage
-	if err := json.Unmarshal(body, &probe); err != nil {
-		return fmt.Errorf("ha: snapshot stream truncated: %w", err)
-	}
-	if err := os.MkdirAll(n.dir, 0o755); err != nil {
-		return err
-	}
-	return fsx.WriteFileAtomic(filepath.Join(n.dir, SnapshotName), body, 0o644)
-}
-
 // PromoteReport summarizes one promotion.
 type PromoteReport struct {
-	Token        uint64             `json:"token"`
-	FromSnapshot bool               `json:"fromSnapshot"`
-	Recovered    serve.RecoverStats `json:"recovered"`
-	OldFenced    bool               `json:"oldLeaderFenced"`
+	Token uint64 `json:"token"`
+	// Recovered is the promotion's replay: what the standby's last
+	// replication round had not applied.
+	Recovered serve.RecoverStats `json:"recovered"`
+	OldFenced bool               `json:"oldLeaderFenced"`
 }
 
-// Promote turns the standby into the leader: open the mirrored log
-// (tail repair), restore the stored snapshot if one exists, replay the
-// WAL tail on top, mint a fencing token strictly larger than any
-// followed or logged, persist and log it, start serving, and
-// best-effort fence the old primary. The wrapped server must still be
-// in its standby state (never submitted to or ticked).
+// Promote turns the standby into the leader with the calls a restarted
+// leader makes: open the mirrored log (tail repair), attach it, replay
+// what the replication rounds have not applied yet (RecoverWAL), then
+// mint a fencing token strictly larger than any followed or logged,
+// persist and log it, start serving, and best-effort fence the old
+// primary. The wrapped server must still be in its standby state
+// (never submitted to or ticked).
 func (n *Node) Promote(ctx context.Context) (PromoteReport, error) {
 	var rep PromoteReport
 	l, err := wal.Open(n.dir, wal.Options{})
 	if err != nil {
 		return rep, fmt.Errorf("ha: promote: open mirrored wal: %w", err)
-	}
-	snapPath := filepath.Join(n.dir, SnapshotName)
-	if _, err := os.Stat(snapPath); err == nil {
-		if err := n.srv.RestoreFile(snapPath); err != nil {
-			l.Close()
-			return rep, fmt.Errorf("ha: promote: restore snapshot: %w", err)
-		}
-		rep.FromSnapshot = true
 	}
 	if err := n.srv.SetWAL(l); err != nil {
 		l.Close()

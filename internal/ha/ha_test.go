@@ -70,38 +70,34 @@ func applyOp(t *testing.T, s *serve.Server, o op) {
 	}
 }
 
-// failoverVariant parameterizes the differential failover test: the
-// policy under admission and how often the standby refreshes its
-// snapshot (1 = the snapshot always covers the whole log, so promotion
-// is pure restore; a huge value leaves only the initial near-empty
-// snapshot, so promotion is pure WAL redo). stateOnly selects the
-// weaker tier DESIGN.md promises for a warm-cache policy recovered by
-// redo alone: the promoted image equals the leader's on the ledger and
-// the replayed policy state, and the resumed schedule drains cleanly,
-// but its decisions need not match the control's.
+// failoverVariant parameterizes the differential failover test by the
+// policy under admission. stateOnly selects the weaker tier DESIGN.md
+// promises for a warm-cache policy recovered by redo alone: the
+// promoted image equals the leader's on the ledger and the replayed
+// policy state, and the resumed schedule drains cleanly, but its
+// decisions need not match the control's.
 type failoverVariant struct {
 	name      string
 	mkPolicy  func(t *testing.T) serve.Policy
-	snapEvery int
 	seeds     []int64
 	stateOnly bool
 }
 
 // TestFailoverBitIdentical is the differential proof of the failover
 // design: kill the leader at a randomized mid-schedule point, promote
-// the standby from its mirrored WAL + snapshot, resume the exact same
-// schedule, and require the resulting decisions, ledger and profit to
-// be identical to an uninterrupted control run (stateOnly variants:
+// the hot standby that applied the leader's log round by round, resume
+// the exact same schedule, and require the promoted counters to equal
+// the leader's at the kill, and the resulting decisions, ledger and
+// profit to equal an uninterrupted control run's (stateOnly variants:
 // the promoted image identical to the leader's last one instead).
 func TestFailoverBitIdentical(t *testing.T) {
 	variants := []failoverVariant{
 		{
 			// Pure redo path: stateless policy, every committed tick
 			// replayed from its WAL record.
-			name:      "greedy-redo",
-			mkPolicy:  func(t *testing.T) serve.Policy { return serve.GreedyPolicy{} },
-			snapEvery: 1 << 30,
-			seeds:     []int64{1, 2, 3},
+			name:     "greedy-redo",
+			mkPolicy: func(t *testing.T) serve.Policy { return serve.GreedyPolicy{} },
+			seeds:    []int64{1, 2, 3},
 		},
 		{
 			// Redo path with policy catch-up: the incremental policy's
@@ -118,24 +114,8 @@ func TestFailoverBitIdentical(t *testing.T) {
 				}
 				return p
 			},
-			snapEvery: 1 << 30,
 			seeds:     []int64{5, 6, 10},
 			stateOnly: true,
-		},
-		{
-			// Snapshot path: the warm-cache incremental policy needs the
-			// per-tick snapshot stream for bit-identity (see DESIGN.md);
-			// the WAL tail then carries only post-snapshot arrivals.
-			name: "incremental-snapshot",
-			mkPolicy: func(t *testing.T) serve.Policy {
-				p, err := serve.NewPolicy("metis-incremental", nil, 2, core.Config{Theta: 2, Seed: 11})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return p
-			},
-			snapEvery: 1,
-			seeds:     []int64{6, 7},
 		},
 	}
 	for _, v := range variants {
@@ -144,6 +124,30 @@ func TestFailoverBitIdentical(t *testing.T) {
 				runFailover(t, v, seed)
 			}
 		})
+	}
+}
+
+// counters is the Stats subset a recovered server must reproduce
+// exactly: the set serve's TestRecoveredEqualsLive compares.
+type counters struct {
+	Epoch, QueueDepth                             int
+	Submitted, Accepted, Rejected, DegradedEpochs int64
+	DegradedDecisions, CheckFailures              int64
+	Committed, PurchasedUnits                     int
+	PurchasedCost, Revenue                        float64
+}
+
+func pick(s serve.Stats) counters {
+	return counters{s.Epoch, s.QueueDepth, s.Submitted, s.Accepted, s.Rejected, s.DegradedEpochs,
+		s.DegradedDecisions, s.CheckFailures, s.Committed, s.PurchasedUnits, s.PurchasedCost, s.Revenue}
+}
+
+// requireSameCounters asserts that the promoted server reports the
+// leader's counters at the kill.
+func requireSameCounters(t *testing.T, leader serve.Stats, promoted *serve.Server) {
+	t.Helper()
+	if cl, cp := pick(leader), pick(promoted.Stats()); cl != cp {
+		t.Fatalf("counters differ:\n leader   %+v\n promoted %+v", cl, cp)
 	}
 }
 
@@ -192,7 +196,6 @@ func runFailover(t *testing.T, v failoverVariant, seed int64) {
 	standby := mk(nil)
 	standby.SetStandby()
 	nodeS := NewStandby(standby, standbyDir, ts.URL, ts.Client())
-	nodeS.snapEvery = v.snapEvery
 
 	ctx := context.Background()
 	for i := 0; i < killAt; i++ {
@@ -201,8 +204,12 @@ func runFailover(t *testing.T, v failoverVariant, seed int64) {
 			t.Fatalf("fetch after op %d: %v", i, err)
 		}
 	}
+	atKill := leader.Stats()
 	var leaderImg serve.Snapshot
 	if v.stateOnly {
+		if standby.Epoch() == 0 {
+			t.Fatalf("seed %d: the standby applied no ticks before the kill; the redo path went untested", seed)
+		}
 		leaderImg = snapshotOf(t, leader)
 	}
 	// Crash: the leader process is gone. Nothing it held in memory
@@ -220,10 +227,8 @@ func runFailover(t *testing.T, v failoverVariant, seed int64) {
 	if standby.Role() != serve.RoleLeader {
 		t.Fatalf("promoted server role %q", standby.Role())
 	}
+	requireSameCounters(t, atKill, standby)
 	if v.stateOnly {
-		if rep.Recovered.Ticks == 0 {
-			t.Fatalf("seed %d: promotion replayed no ticks; the redo path went untested", seed)
-		}
 		requireSameState(t, leaderImg, snapshotOf(t, standby))
 	}
 	for i := killAt; i < len(ops); i++ {
@@ -231,7 +236,7 @@ func runFailover(t *testing.T, v failoverVariant, seed int64) {
 	}
 	if v.stateOnly {
 		requireDrained(t, standby, len(pool))
-		t.Logf("seed %d: token %d, replayed %d arrivals / %d ticks", seed, rep.Token, rep.Recovered.Arrivals, rep.Recovered.Ticks)
+		t.Logf("seed %d: token %d, applied %d epochs before the kill", seed, rep.Token, atKill.Epoch)
 		return
 	}
 
@@ -248,55 +253,181 @@ func runFailover(t *testing.T, v failoverVariant, seed int64) {
 	if err := spm.CheckLedger(ledP.Loads(), ledP.Purchased()); err != nil {
 		t.Fatalf("promoted ledger invariants: %v", err)
 	}
-	sc, sp := ctrl.Stats(), standby.Stats()
-	if sp.Revenue != sc.Revenue || sp.PurchasedCost != sc.PurchasedCost {
-		t.Fatalf("profit diverged: control revenue %v cost %v, promoted revenue %v cost %v",
-			sc.Revenue, sc.PurchasedCost, sp.Revenue, sp.PurchasedCost)
+	if cc, cp := pick(ctrl.Stats()), pick(standby.Stats()); cc != cp {
+		t.Fatalf("counters diverged:\n control  %+v\n promoted %+v", cc, cp)
 	}
-	if sp.Committed != sc.Committed || sp.PurchasedUnits != sc.PurchasedUnits {
-		t.Fatalf("ledger stats diverged: control committed=%d units=%d, promoted committed=%d units=%d",
-			sc.Committed, sc.PurchasedUnits, sp.Committed, sp.PurchasedUnits)
+	if q := standby.Stats().QueueDepth; q != 0 {
+		t.Fatalf("schedule did not drain (promoted queue %d)", q)
 	}
-	if sp.QueueDepth != 0 || sc.QueueDepth != 0 {
-		t.Fatalf("schedule did not drain (control %d, promoted %d)", sc.QueueDepth, sp.QueueDepth)
-	}
-
-	// Decision records: the promoted server holds one for every arrival
-	// at or after its recovery horizon (snapshot queue + WAL tail + the
-	// resumed schedule); each must agree with the control exactly.
-	compared := 0
+	// The promoted history is the whole history: every request has the
+	// control's decision record, field for field.
 	for id := int64(1); id <= int64(len(pool)); id++ {
-		dp := standby.Decision(id)
-		if dp == nil {
-			continue // decided before the snapshot horizon; covered by ledger equality
+		dc, dp := ctrl.Decision(id), standby.Decision(id)
+		if dc == nil || !reflect.DeepEqual(dc, dp) {
+			t.Fatalf("decision %d differs:\n control  %+v\n promoted %+v", id, dc, dp)
 		}
-		dc := ctrl.Decision(id)
-		if dc == nil {
-			t.Fatalf("promoted has decision %d, control does not", id)
-		}
-		if dp.Status != dc.Status {
-			t.Fatalf("request %d: control %s, promoted %s", id, dc.Status, dp.Status)
-		}
-		if len(dp.Links) != len(dc.Links) {
-			t.Fatalf("request %d: paths differ (%v vs %v)", id, dc.Links, dp.Links)
-		}
-		for i := range dp.Links {
-			if dp.Links[i] != dc.Links[i] {
-				t.Fatalf("request %d: paths differ (%v vs %v)", id, dc.Links, dp.Links)
-			}
-		}
-		compared++
 	}
-	// Everything submitted at or after the kill must have a record.
-	var postKill int
-	for i := killAt; i < len(ops); i++ {
-		postKill += len(ops[i].batch)
+	t.Logf("seed %d: token %d, promotion replayed %d arrivals / %d ticks",
+		seed, rep.Token, rep.Recovered.Arrivals, rep.Recovered.Ticks)
+}
+
+// TestHotStandbyFrameBoundaries: with a fetch chunk of a few bytes and
+// segments of a few dozen, replication rounds end inside frames and
+// inside segment headers. The standby applies each round's complete
+// frames and never runs ahead of the leader; once caught up, its
+// promotion equals the leader at the kill, record for record.
+func TestHotStandbyFrameBoundaries(t *testing.T) {
+	net := wan.SubB4()
+	pool := genPool(t, net, 36, 23)
+	ops := buildOps(pool, 6)
+	ops = ops[:len(ops)-3] // the last batch is still queued at the kill
+	leaderDir := filepath.Join(t.TempDir(), "leader-wal")
+	standbyDir := filepath.Join(t.TempDir(), "standby-wal")
+
+	walLog, err := wal.Open(leaderDir, wal.Options{SegmentBytes: 64})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if compared < postKill {
-		t.Fatalf("compared only %d decisions, %d submitted after the kill", compared, postKill)
+	leader, err := serve.New(serve.Config{Net: net, Epoch: time.Minute, WAL: walLog})
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("seed %d: token %d, fromSnapshot=%v, replayed %d arrivals / %d ticks, compared %d decisions",
-		seed, rep.Token, rep.FromSnapshot, rep.Recovered.Arrivals, rep.Recovered.Ticks, compared)
+	tok, err := LoadOrInitToken(leaderDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader.SetToken(tok)
+	nodeL := NewLeader(leader, leaderDir)
+	mux := http.NewServeMux()
+	mux.Handle("/", leader.Handler())
+	nodeL.Register(mux)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	standby, err := serve.New(serve.Config{Net: net, Epoch: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	standby.SetStandby()
+	nodeS := NewStandby(standby, standbyDir, ts.URL, ts.Client())
+	nodeS.chunk = 3
+
+	ctx := context.Background()
+	var midFrame, midHeader int
+	// fetch runs one round and reports whether it mirrored any byte.
+	fetch := func() bool {
+		t.Helper()
+		before, err := wal.MirrorEnd(standbyDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nodeS.FetchOnce(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if se, le := standby.Epoch(), leader.Epoch(); se > le {
+			t.Fatalf("standby at epoch %d ran ahead of the leader's %d", se, le)
+		}
+		end, err := wal.MirrorEnd(standbyDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clean, err := wal.Replay(standbyDir, wal.Offset{}, func(wal.Offset, byte, []byte) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case clean == end:
+		case clean.Pos == 0: // the round stopped inside a segment header
+			midHeader++
+		default:
+			midFrame++
+		}
+		return end != before
+	}
+	for _, o := range ops {
+		applyOp(t, leader, o)
+		fetch()
+	}
+	for fetch() {
+	}
+	if midFrame == 0 || midHeader == 0 {
+		t.Fatalf("rounds ended mid-frame %d times and mid-header %d times; the test needs both", midFrame, midHeader)
+	}
+	atKill := leader.Stats()
+	if standby.Epoch() != atKill.Epoch {
+		t.Fatalf("caught-up standby at epoch %d, leader at %d", standby.Epoch(), atKill.Epoch)
+	}
+	ts.Close()
+	walLog.Close()
+
+	if _, err := nodeS.Promote(ctx); err != nil {
+		t.Fatalf("promote: %v", err)
+	}
+	requireSameCounters(t, atKill, standby)
+	if !standby.LedgerCopy().Equal(leader.LedgerCopy()) {
+		t.Fatal("promoted ledger differs from the leader's")
+	}
+	for id := int64(1); id <= atKill.Submitted; id++ {
+		dl, dp := leader.Decision(id), standby.Decision(id)
+		if dl == nil || !reflect.DeepEqual(dl, dp) {
+			t.Fatalf("decision %d differs:\n leader   %+v\n promoted %+v", id, dl, dp)
+		}
+	}
+	t.Logf("rounds ended mid-frame %d times, mid-header %d times", midFrame, midHeader)
+}
+
+// TestRunStandbyAppliesWhileServing: the replication loop applies the
+// mirror to the standby's server while its read endpoints serve and the
+// leader keeps taking work; run under -race. The standby catches up to
+// every arrival and tick, and the loop exits when its context ends.
+func TestRunStandbyAppliesWhileServing(t *testing.T) {
+	net := wan.SubB4()
+	pool := genPool(t, net, 40, 61)
+	walLog, err := wal.Open(filepath.Join(t.TempDir(), "leader-wal"), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer walLog.Close()
+	leader, err := serve.New(serve.Config{Net: net, Epoch: time.Minute, WAL: walLog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/", leader.Handler())
+	NewLeader(leader, walLog.Dir()).Register(mux)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	standby, err := serve.New(serve.Config{Net: net, Epoch: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	standby.SetStandby()
+	nodeS := NewStandby(standby, filepath.Join(t.TempDir(), "standby-wal"), ts.URL, ts.Client())
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		nodeS.RunStandby(ctx)
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+	for _, o := range buildOps(pool, 10) {
+		applyOp(t, leader, o)
+		standby.Stats()
+		standby.Health()
+		standby.Decision(1)
+	}
+	want := pick(leader.Stats())
+	deadline := time.Now().Add(10 * time.Second)
+	for pick(standby.Stats()) != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("standby never caught up:\n leader  %+v\n standby %+v", want, pick(standby.Stats()))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // snapshotOf decodes s's current crash-recovery image.

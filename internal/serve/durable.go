@@ -108,8 +108,8 @@ func (s *Server) Fence() { s.role.Store(roleFenced) }
 // Token returns the fencing token this server's state carries.
 func (s *Server) Token() uint64 { return s.token.Load() }
 
-// SetToken records the fencing token (minted by the HA layer); it is
-// embedded in every snapshot so stale leaders are rejected on stream.
+// SetToken records the fencing token (minted by the HA layer, which
+// also logs it as a fence frame so it survives in the log it fences).
 func (s *Server) SetToken(t uint64) { s.token.Store(t) }
 
 // WAL returns the configured write-ahead log (nil when not durable).
@@ -135,87 +135,143 @@ func roleErr(r int32) error {
 	return ErrStandby
 }
 
-// RecoverStats summarizes one RecoverWAL pass.
+// RecoverStats summarizes one ApplyLog pass.
 type RecoverStats struct {
-	// Arrivals re-queued from the log (SkippedArrivals were already in
-	// the restored snapshot).
-	Arrivals        int `json:"arrivals"`
-	SkippedArrivals int `json:"skippedArrivals"`
-	// Ticks re-applied from the log (SkippedTicks predate the restored
-	// snapshot's epoch).
-	Ticks        int `json:"ticks"`
-	SkippedTicks int `json:"skippedTicks"`
+	// Arrivals re-queued from the log.
+	Arrivals int `json:"arrivals"`
+	// Ticks re-applied from the log.
+	Ticks int `json:"ticks"`
 	// MaxToken is the largest fencing token seen in the log.
 	MaxToken uint64 `json:"maxToken"`
-	// End is the clean end of the log.
+	// End is the clean end of the log: where the next pass starts.
 	End wal.Offset `json:"end"`
 }
 
-// RecoverWAL replays the write-ahead log tail into the server: every
-// arrival acked before the crash is re-queued (unless the restored
-// snapshot already holds it) and every logged tick is committed through
-// the live tick's commitTick, then caught up in the policy. It must run
-// after Restore (when there is a snapshot) and before serving. The
-// replay is idempotent against the snapshot: records at offsets the
-// snapshot already covers are skipped by construction (the snapshot's
-// recorded WAL offset is where the replay starts).
+// RecoverWAL is ApplyLog over the server's own write-ahead log: a
+// restarted leader replays it from the start, a promoted standby only
+// what its replication rounds had not applied yet.
 func (s *Server) RecoverWAL() (RecoverStats, error) {
+	if s.cfg.WAL == nil {
+		return RecoverStats{}, errors.New("serve: RecoverWAL needs a configured WAL")
+	}
+	return s.ApplyLog(s.cfg.WAL.Dir())
+}
+
+// ApplyLog replays the records of the log in dir past the server's
+// cursor and moves the cursor to the log's clean end (on error, past the
+// last record that applied), so the next pass resumes there: a standby
+// calls it after every replication round. Every acked arrival is
+// re-queued and every logged tick committed through the live tick's
+// commitTick; the policy catches up once, at the end of the pass. A
+// torn tail ends the pass cleanly. A server holding state the log did
+// not give it (restored, or already serving) is refused.
+func (s *Server) ApplyLog(dir string) (RecoverStats, error) {
 	var st RecoverStats
-	w := s.cfg.WAL
-	if w == nil {
-		return st, errors.New("serve: RecoverWAL needs a configured WAL")
+	s.mu.Lock()
+	from, other := s.walFrom, s.walFrom.IsZero() && s.hasState()
+	s.mu.Unlock()
+	if other {
+		return st, errors.New("serve: ApplyLog onto a server whose state did not come from the log (restored, or already serving)")
+	}
+	var cu *catchUp
+	if rp, ok := s.cfg.Policy.(replayPolicy); ok {
+		cu = &catchUp{rp: rp}
 	}
 	now := time.Now() // when this process takes the logged arrivals over
-	end, err := wal.Replay(w.Dir(), s.walFrom, func(off wal.Offset, typ byte, body []byte) error {
+	applied := from
+	end, err := wal.Replay(dir, from, func(off wal.Offset, typ byte, body []byte) error {
+		var err error
 		switch typ {
 		case walRecArrival:
-			req, err := decodeArrival(body)
-			if err != nil {
+			var req demand.Request
+			if req, err = decodeArrival(body); err != nil {
 				return fmt.Errorf("serve: wal arrival at %v: %w", off, err)
 			}
-			return s.recoverArrival(req, now, &st)
+			err = s.recoverArrival(req, off, now, &st)
 		case walRecTick:
-			tr, err := decodeTick(body)
-			if err != nil {
+			var tr walTick
+			if tr, err = decodeTick(body); err != nil {
 				return fmt.Errorf("serve: wal tick at %v: %w", off, err)
 			}
-			return s.recoverTick(&tr, &st)
+			err = s.recoverTick(&tr, off, &st, cu)
 		case walRecFence:
-			token, err := decodeFence(body)
-			if err != nil {
+			var token uint64
+			if token, err = decodeFence(body); err != nil {
 				return fmt.Errorf("serve: wal fence at %v: %w", off, err)
 			}
-			if token > st.MaxToken {
-				st.MaxToken = token
-			}
+			st.MaxToken = max(st.MaxToken, token)
 			if token > s.token.Load() {
 				s.token.Store(token)
 			}
-			return nil
 		case 1, 2, 3:
 			return fmt.Errorf("serve: wal record type %d at %v is a JSON-era frame (types 1-3); this build reads only the binary frames (types %d-%d) and there is no migration",
 				typ, off, walRecArrival, walRecFence)
 		default:
 			return fmt.Errorf("serve: wal record type %d at %v", typ, off)
 		}
+		if err == nil {
+			applied = off
+		}
+		return err
 	})
-	st.End = end
-	if sp, ok := s.cfg.Policy.(statefulPolicy); ok && st.Ticks > 0 {
-		// The policy's cycle state as of the last replayed tick — what a
-		// live tick caches for snapshots. Taken once: it copies every
-		// observed request, and nothing reads it during the replay.
-		s.mu.Lock()
-		s.policyImage = sp.policyState()
-		s.mu.Unlock()
+	if err == nil {
+		applied = end
 	}
+	if cerr := s.catchUp(cu, st.Ticks); err == nil {
+		err = cerr
+	}
+	s.mu.Lock()
+	s.walFrom = applied
+	s.mu.Unlock()
+	st.End = applied
 	return st, err
 }
 
+// hasState reports whether the server holds daemon time, an assigned id
+// or a queued request. Callers hold s.mu.
+func (s *Server) hasState() bool {
+	return s.epoch != 0 || s.nextID.Load() != 1 || s.queueDepth.Load() != 0
+}
+
+// catchUp is what one ApplyLog pass gathers for the policy: the live
+// batches of the ticks it applied in the cycle it ends in, in order,
+// and the last plan delta.
+type catchUp struct {
+	rp       replayPolicy
+	observed []demand.Request
+	delta    *walPolicyDelta
+}
+
+// catchUp observes the pass's live batches joined and adopts its last
+// plan delta. No replan runs during a replay, so the replanner has no
+// session and observing the joined batches builds the same instance as
+// observing them tick by tick; the warm incumbent and relaxation are
+// caches the next replan rebuilds.
+func (s *Server) catchUp(cu *catchUp, ticks int) error {
+	if cu == nil || ticks == 0 {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(cu.observed) > 0 {
+		if err := cu.rp.observe(s.cfg.Net, s.cfg.Slots, cu.observed); err != nil {
+			return fmt.Errorf("serve: wal policy catch-up: %w", err)
+		}
+	}
+	if cu.delta != nil {
+		cu.rp.applyReplayDelta(cu.delta)
+	}
+	if sp, ok := s.cfg.Policy.(statefulPolicy); ok {
+		s.policyImage = sp.policyState() // what a live tick caches for snapshots
+	}
+	return nil
+}
+
 // recoverArrival re-queues one logged arrival (the request carries the
-// server-assigned id), stamped with now. Arrivals the restored snapshot
-// already carries (their decision record exists) are skipped — never
-// enqueue an acked request twice.
-func (s *Server) recoverArrival(req demand.Request, now time.Time, st *RecoverStats) error {
+// server-assigned id), stamped with now. A second frame for an id the
+// server already knows can only come from a damaged log and is refused:
+// an acked request is never enqueued twice.
+func (s *Server) recoverArrival(req demand.Request, off wal.Offset, now time.Time, st *RecoverStats) error {
 	id := int64(req.ID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -223,11 +279,10 @@ func (s *Server) recoverArrival(req demand.Request, now time.Time, st *RecoverSt
 		s.nextID.Store(id + 1)
 	}
 	if s.Decision(id) != nil {
-		st.SkippedArrivals++
-		return nil
+		return fmt.Errorf("serve: wal arrival at %v: id %d is already known (duplicate frame)", off, id)
 	}
 	if err := req.Validate(s.cfg.Net, s.cfg.Slots); err != nil {
-		return fmt.Errorf("serve: wal arrival %d: %w", id, err)
+		return fmt.Errorf("serve: wal arrival %d at %v: %w", id, off, err)
 	}
 	s.adopt(id, req, now)
 	s.nSubmitted.Add(1)
@@ -237,32 +292,33 @@ func (s *Server) recoverArrival(req demand.Request, now time.Time, st *RecoverSt
 
 // recoverTick re-applies one logged epoch through the live tick's
 // commitTick: the exact decisions the live tick committed, in the same
-// order, against the same ledger state. Ticks at epochs the snapshot
-// already covers are skipped. A tick from a *later* epoch than the
-// replay cursor means the log has a gap, and a record that names an
-// unknown outcome kind, repeats an id or decides one with no logged
-// arrival (a phantom) is refused before the ledger or any record moves.
-func (s *Server) recoverTick(tr *walTick, st *RecoverStats) error {
+// order, against the same ledger state. The tick must be the one the
+// replay cursor expects: an epoch already applied is a duplicate frame
+// and a later one a gap. A record that names an unknown outcome kind,
+// repeats an id or decides one with no logged arrival (a phantom) is
+// refused before the ledger or any record moves. The tick's live batch
+// and plan delta go to the pass's policy catch-up (cu, nil for a policy
+// with no replay state).
+func (s *Server) recoverTick(tr *walTick, off wal.Offset, st *RecoverStats, cu *catchUp) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch {
 	case tr.Epoch < s.epoch:
-		st.SkippedTicks++
-		return nil
+		return fmt.Errorf("serve: wal tick at %v: epoch %d is already applied (replay cursor at %d)", off, tr.Epoch, s.epoch)
 	case tr.Epoch > s.epoch:
-		return fmt.Errorf("serve: wal tick gap: log has epoch %d, replay cursor at %d", tr.Epoch, s.epoch)
+		return fmt.Errorf("serve: wal tick gap at %v: log has epoch %d, replay cursor at %d", off, tr.Epoch, s.epoch)
 	}
 	if slot := tr.Epoch % s.cfg.Slots; tr.Slot != slot {
-		return fmt.Errorf("serve: wal tick %d claims slot %d, cycle says %d", tr.Epoch, tr.Slot, slot)
+		return fmt.Errorf("serve: wal tick %d at %v claims slot %d, cycle says %d", tr.Epoch, off, tr.Slot, slot)
 	}
 	want := make(map[int64]bool, len(tr.Outcomes))
 	for i := range tr.Outcomes {
 		o := &tr.Outcomes[i]
 		if o.Kind < walKindAccept || o.Kind > walKindExpired {
-			return fmt.Errorf("serve: wal tick %d has outcome kind %d", tr.Epoch, o.Kind)
+			return fmt.Errorf("serve: wal tick %d at %v has outcome kind %d", tr.Epoch, off, o.Kind)
 		}
 		if want[o.ID] {
-			return fmt.Errorf("serve: wal tick %d repeats id %d", tr.Epoch, o.ID)
+			return fmt.Errorf("serve: wal tick %d at %v repeats id %d", tr.Epoch, off, o.ID)
 		}
 		want[o.ID] = true
 	}
@@ -284,39 +340,33 @@ func (s *Server) recoverTick(tr *walTick, st *RecoverStats) error {
 		sh.mu.Unlock()
 	}
 	if len(got) != len(want) {
-		return fmt.Errorf("serve: wal tick %d decides %d request(s) with no logged arrival (phantom)", tr.Epoch, len(want)-len(got))
+		return fmt.Errorf("serve: wal tick %d at %v decides %d request(s) with no logged arrival (phantom)", tr.Epoch, off, len(want)-len(got))
 	}
 	gQueueDepth.Set(s.queueDepth.Add(-int64(len(got))))
 
+	if s.wrapCycle(tr.Epoch) && cu != nil {
+		// The policy was reset: what the pass gathered belongs to the
+		// cycle that just ended.
+		cu.observed, cu.delta = nil, nil
+	}
 	// Rebuild the requests as the live tick decided them: server id and,
 	// for the live batch, the logged clamped window.
 	reqs := make([]demand.Request, len(tr.Outcomes))
-	var observed []demand.Request
 	for i := range tr.Outcomes {
 		o := &tr.Outcomes[i]
 		r := got[o.ID].req
 		r.ID = int(o.ID)
 		if o.Kind != walKindExpired {
 			r.Start = o.Start
-			observed = append(observed, r)
+			if cu != nil {
+				cu.observed = append(cu.observed, r)
+			}
 		}
 		reqs[i] = r
 	}
-	s.wrapCycle(tr.Epoch)
 	s.commitTick(tr, reqs)
-
-	// Policy catch-up: observe the replayed live batch (same order, same
-	// clamped windows as the live tick) and adopt the logged plan. The
-	// warm incumbent/relaxation are rebuilt by the next replan.
-	if rp, ok := s.cfg.Policy.(replayPolicy); ok {
-		if len(observed) > 0 {
-			if err := rp.observe(s.cfg.Net, s.cfg.Slots, observed); err != nil {
-				return fmt.Errorf("serve: wal tick %d policy catch-up: %w", tr.Epoch, err)
-			}
-		}
-		if tr.Policy != nil {
-			rp.applyReplayDelta(tr.Policy)
-		}
+	if cu != nil && tr.Policy != nil {
+		cu.delta = tr.Policy
 	}
 	st.Ticks++
 	return nil

@@ -309,8 +309,11 @@ func TestStandbyRefusesTraffic(t *testing.T) {
 // TestRecoverWALRefusals: every frame DESIGN.md says recovery refuses is
 // refused. Each log is a good arrival (id 1), the bad frame(s), then a
 // good arrival (id 9) written through wal.Append with the live encoders.
-// RecoverWAL must return the named error having applied the prefix, not
-// counted the bad tick as committed, and touched nothing after it.
+// RecoverWAL must return the named error having applied the prefix
+// (ticks good ticks), not counted the bad tick as committed, and
+// touched nothing after it. A server also takes its state from one
+// source: Restore onto a server with a WAL or one that applied a log
+// record is refused, and so is ApplyLog onto a restored server.
 func TestRecoverWALRefusals(t *testing.T) {
 	type frame struct {
 		typ  byte
@@ -329,18 +332,21 @@ func TestRecoverWALRefusals(t *testing.T) {
 		name    string
 		bad     []frame
 		wantErr string
+		ticks   int // good ticks before the bad frame
 	}{
-		{"phantom id", []frame{tick(walTick{Outcomes: []walOutcome{accept(1), accept(2)}})}, "phantom"},
-		{"epoch ahead of cursor", []frame{tick(walTick{Epoch: 1, Slot: 1, Outcomes: []walOutcome{accept(1)}})}, "tick gap"},
-		{"slot disagrees with epoch", []frame{tick(walTick{Epoch: 0, Slot: 1, Outcomes: []walOutcome{accept(1)}})}, "claims slot 1"},
+		{"phantom id", []frame{tick(walTick{Outcomes: []walOutcome{accept(1), accept(2)}})}, "phantom", 0},
+		{"epoch ahead of cursor", []frame{tick(walTick{Epoch: 1, Slot: 1, Outcomes: []walOutcome{accept(1)}})}, "tick gap", 0},
+		{"slot disagrees with epoch", []frame{tick(walTick{Epoch: 0, Slot: 1, Outcomes: []walOutcome{accept(1)}})}, "claims slot 1", 0},
 		{"id repeated in one tick", []frame{arrival(2), tick(walTick{Outcomes: []walOutcome{
 			{ID: 2, Kind: walKindExpired}, {ID: 2, Kind: walKindExpired},
-		}})}, "repeats id 2"},
-		{"outcome kind outside the enum", []frame{tick(walTick{Outcomes: []walOutcome{{ID: 1, Kind: 9}}})}, "outcome kind 9"},
-		{"unknown record type", []frame{{99, []byte("x")}}, "record type 99"},
-		{"JSON-era arrival", []frame{{1, []byte(`{"id":2,"req":{"id":2,"src":0,"dst":1,"start":0,"end":11,"rate":0.2,"value":10}}`)}}, "JSON-era"},
-		{"JSON-era tick", []frame{{2, []byte(`{"epoch":0,"slot":0}`)}}, "JSON-era"},
-		{"JSON-era fence", []frame{{3, []byte(`{"token":7}`)}}, "JSON-era"},
+		}})}, "repeats id 2", 0},
+		{"outcome kind outside the enum", []frame{tick(walTick{Outcomes: []walOutcome{{ID: 1, Kind: 9}}})}, "outcome kind 9", 0},
+		{"unknown record type", []frame{{99, []byte("x")}}, "record type 99", 0},
+		{"JSON-era arrival", []frame{{1, []byte(`{"id":2,"req":{"id":2,"src":0,"dst":1,"start":0,"end":11,"rate":0.2,"value":10}}`)}}, "JSON-era", 0},
+		{"JSON-era tick", []frame{{2, []byte(`{"epoch":0,"slot":0}`)}}, "JSON-era", 0},
+		{"JSON-era fence", []frame{{3, []byte(`{"token":7}`)}}, "JSON-era", 0},
+		{"arrival repeats a known id", []frame{arrival(1)}, "id 1 is already known", 0},
+		{"tick at an applied epoch", []frame{tick(walTick{}), tick(walTick{})}, "epoch 0 is already applied", 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -369,16 +375,68 @@ func TestRecoverWALRefusals(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("RecoverWAL error = %v, want one naming %q", err, tc.wantErr)
 			}
+			if !strings.Contains(err.Error(), " at 1:") {
+				t.Fatalf("RecoverWAL error = %v, want one naming the offset", err)
+			}
 			if s.Decision(1) == nil {
 				t.Fatal("the good arrival before the bad frame was not applied")
 			}
-			if st.Ticks != 0 || s.Epoch() != 0 {
-				t.Fatalf("refused tick counted as committed: %d ticks, epoch %d", st.Ticks, s.Epoch())
+			if st.Ticks != tc.ticks || s.Epoch() != tc.ticks {
+				t.Fatalf("refused tick counted as committed: %d ticks, epoch %d, want %d", st.Ticks, s.Epoch(), tc.ticks)
 			}
 			if d := s.Decision(9); d != nil {
 				t.Fatalf("arrival after the bad frame was applied: %+v", d)
 			}
 		})
+	}
+
+	// A log holding only a fence frame, and an image with one queued
+	// arrival.
+	dir := filepath.Join(t.TempDir(), "wal")
+	l, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := AppendFence(l, 7); err != nil {
+		t.Fatal(err)
+	}
+	src := newTestServer(t, nil)
+	if _, err := src.Submit(goodRequest(10)); err != nil {
+		t.Fatal(err)
+	}
+	var img bytes.Buffer
+	if err := src.Snapshot(&img); err != nil {
+		t.Fatal(err)
+	}
+	t.Run("restore onto a server with a WAL", func(t *testing.T) {
+		err := walServer(t, l, nil).Restore(bytes.NewReader(img.Bytes()))
+		if err == nil || !strings.Contains(err.Error(), "the log is the state") {
+			t.Fatalf("Restore error = %v, want a refusal", err)
+		}
+	})
+	t.Run("restore after ApplyLog", func(t *testing.T) {
+		s := newTestServer(t, nil)
+		if _, err := s.ApplyLog(dir); err != nil {
+			t.Fatal(err)
+		}
+		if s.Token() != 7 {
+			t.Fatalf("token %d after applying the fence, want 7", s.Token())
+		}
+		if err := s.Restore(bytes.NewReader(img.Bytes())); err == nil {
+			t.Fatal("Restore onto a server that applied a log record succeeded")
+		}
+	})
+	t.Run("ApplyLog after restore", func(t *testing.T) {
+		s := newTestServer(t, nil)
+		if err := s.Restore(bytes.NewReader(img.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.ApplyLog(dir); err == nil || !strings.Contains(err.Error(), "did not come from the log") {
+			t.Fatalf("ApplyLog error = %v, want a refusal", err)
+		}
+	})
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -473,14 +531,14 @@ func TestRecoveredEqualsLive(t *testing.T) {
 				t.Fatalf("live run lacks accepts or declines: %+v", sl)
 			}
 			type counters struct {
-				Epoch, QueueDepth                  int
-				Accepted, Rejected, DegradedEpochs int64
-				DegradedDecisions, CheckFailures   int64
-				Committed, PurchasedUnits          int
-				PurchasedCost, Revenue             float64
+				Epoch, QueueDepth                             int
+				Submitted, Accepted, Rejected, DegradedEpochs int64
+				DegradedDecisions, CheckFailures              int64
+				Committed, PurchasedUnits                     int
+				PurchasedCost, Revenue                        float64
 			}
 			pick := func(s Stats) counters {
-				return counters{s.Epoch, s.QueueDepth, s.Accepted, s.Rejected, s.DegradedEpochs,
+				return counters{s.Epoch, s.QueueDepth, s.Submitted, s.Accepted, s.Rejected, s.DegradedEpochs,
 					s.DegradedDecisions, s.CheckFailures, s.Committed, s.PurchasedUnits, s.PurchasedCost, s.Revenue}
 			}
 			cl, cr := pick(sl), pick(sr)
@@ -573,12 +631,13 @@ type renamed struct {
 func (p renamed) Name() string { return p.name }
 
 // TestTakeoverQueueWait: arrivals a server takes over, from a snapshot's
-// queue or from the WAL, wait from the takeover on. The first tick's
-// scorecard row and every latency digest must read that wait; an
-// arrival stamped with the zero time reads ≈ 9.2e12 ms.
+// queue, from the WAL or from a standby's applied mirror, wait from the
+// takeover on: a standby stamps each arrival when it applies it. The
+// first tick's scorecard row and every latency digest must read that
+// wait; an arrival stamped with the zero time reads ≈ 9.2e12 ms.
 func TestTakeoverQueueWait(t *testing.T) {
 	const boundMillis = 60e3
-	for _, via := range []string{"restore", "recover-wal"} {
+	for _, via := range []string{"restore", "recover-wal", "promote"} {
 		t.Run(via, func(t *testing.T) {
 			mut := func(c *Config) { c.Policy = renamed{GreedyPolicy{}, "takeover-" + via} }
 			dir := filepath.Join(t.TempDir(), "wal")
@@ -601,12 +660,13 @@ func TestTakeoverQueueWait(t *testing.T) {
 			}
 
 			var dst *Server
-			if via == "restore" {
+			switch via {
+			case "restore":
 				dst = walServer(t, nil, mut)
 				if err := dst.Restore(&img); err != nil {
 					t.Fatal(err)
 				}
-			} else {
+			case "recover-wal":
 				l2, err := wal.Open(dir, wal.Options{})
 				if err != nil {
 					t.Fatal(err)
@@ -616,6 +676,26 @@ func TestTakeoverQueueWait(t *testing.T) {
 				if _, err := dst.RecoverWAL(); err != nil {
 					t.Fatal(err)
 				}
+			case "promote":
+				// A standby applies the log as it mirrors it, then
+				// promotes with the calls ha.Promote makes.
+				dst = walServer(t, nil, mut)
+				dst.SetStandby()
+				if _, err := dst.ApplyLog(dir); err != nil {
+					t.Fatal(err)
+				}
+				l2, err := wal.Open(dir, wal.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer l2.Close()
+				if err := dst.SetWAL(l2); err != nil {
+					t.Fatal(err)
+				}
+				if st, err := dst.RecoverWAL(); err != nil || st.Arrivals != 0 {
+					t.Fatalf("promotion replayed %d arrivals the standby had applied (err %v)", st.Arrivals, err)
+				}
+				dst.SetLeader()
 			}
 			dst.Tick(context.Background())
 

@@ -212,7 +212,7 @@ func TestSnapshotRestoreMidCycleIncremental(t *testing.T) {
 }
 
 // TestSnapshotVersions: Restore reads exactly SnapshotVersion. Older
-// images (versions 1 and 2) and newer ones are refused with an error
+// images (versions 1 to 3) and newer ones are refused with an error
 // naming the version found.
 func TestSnapshotVersions(t *testing.T) {
 	s := newTestServer(t, nil)
@@ -224,7 +224,7 @@ func TestSnapshotVersions(t *testing.T) {
 	if !strings.Contains(img.String(), current) {
 		t.Fatalf("snapshot is not version %d", SnapshotVersion)
 	}
-	for _, v := range []int{1, 2, 3, 4} {
+	for _, v := range []int{1, 2, 3, 4, 5} {
 		t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
 			doc := strings.Replace(img.String(), current, fmt.Sprintf("\"version\": %d", v), 1)
 			err := newTestServer(t, nil).Restore(strings.NewReader(doc))

@@ -101,25 +101,20 @@ func (s *Server) submitAt(req demand.Request, now time.Time) (*Decision, wal.Off
 	}
 	id := s.nextID.Add(1) - 1
 	req.ID = int(id)
-	// The WAL append and the enqueue happen under the same walGate read
-	// hold: a concurrent snapshot's offset barrier (write lock) then
-	// sees either both — arrival in the queue scan, record before the
-	// offset — or neither. The durability wait happens outside, so the
-	// gate is never held across an fsync.
+	// The arrival record goes to the log before the request is queued,
+	// so any tick that decides it is logged after it. The durability
+	// wait happens in the caller.
 	var off wal.Offset
-	s.walGate.RLock()
 	if w := s.cfg.WAL; w != nil {
 		var err error
 		off, err = w.Append(walRecArrival, encodeArrival(&req))
 		if err != nil {
-			s.walGate.RUnlock()
 			s.queueDepth.Add(-1)
 			return nil, wal.Offset{}, fmt.Errorf("serve: wal append: %w", err)
 		}
 	}
 	d := s.queueDecision(id, req)
 	s.push(pending{id: id, req: req, at: now})
-	s.walGate.RUnlock()
 	s.nSubmitted.Add(1)
 	cSubmitted.Inc()
 	depth := s.queueDepth.Load()
@@ -216,8 +211,10 @@ func (s *Server) requeue(ps ...pending) {
 }
 
 // adopt queues an arrival recovery takes over, from a snapshot's queue
-// or the WAL, stamped with at, the time recovery took it over: its
-// queue wait and decision latency count from then. Callers hold s.mu.
+// or the log, stamped with at, the time recovery took it over: its
+// queue wait and decision latency count from then. A standby applying
+// its mirror stamps each arrival when the round that brought it
+// applies it. Callers hold s.mu.
 func (s *Server) adopt(id int64, req demand.Request, at time.Time) {
 	s.queueDecision(id, req)
 	s.requeue(pending{id: id, req: req, at: at})

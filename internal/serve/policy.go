@@ -267,11 +267,11 @@ type statefulPolicy interface {
 
 // replayPolicy is implemented by policies that participate in WAL
 // recovery: logged ticks are *redone* through the live commitTick (a
-// budget-cut replan is not reproducible from inputs), so the policy
-// catches up by observing each replayed batch and adopting the logged
-// plan delta. After replay the decision-relevant state (seen workload,
-// plan, replan clock) matches the live run; the warm incumbent and
-// relaxation are caches the next replan rebuilds.
+// budget-cut replan is not reproducible from inputs), so once per
+// ApplyLog pass the policy observes the replayed live batches and
+// adopts the last logged plan delta. After replay the decision-relevant
+// state (seen workload, plan, replan clock) matches the live run; the
+// warm incumbent and relaxation are caches the next replan rebuilds.
 type replayPolicy interface {
 	observe(net *wan.Network, slots int, batch []demand.Request) error
 	applyReplayDelta(d *walPolicyDelta)

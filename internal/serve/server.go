@@ -60,7 +60,8 @@ type Config struct {
 	// harder, and the loop degrades epoch after epoch.
 	MaxBatch int
 	// SnapshotPath, when set, is where Run persists the ledger + queue:
-	// every SnapshotEvery epochs and once more on drain.
+	// every SnapshotEvery epochs and once more on drain. It is the
+	// persistence of a server without a WAL.
 	SnapshotPath string
 	// SnapshotEvery is the snapshot period in epochs (0 = only on
 	// drain).
@@ -84,10 +85,11 @@ type Config struct {
 	// WAL, when set, makes the daemon durable: Submit appends an
 	// arrival record and acks only after a group fsync, and Tick
 	// appends its redo record (fsynced) and then commits exactly that
-	// record. Recovery is Restore (optional snapshot) + RecoverWAL,
-	// which commits each logged record through the same function. A WAL
-	// append/fsync failure mid-tick fences the server — it stops
-	// serving rather than hand out undurable decisions.
+	// record. Recovery is RecoverWAL, which commits each logged record
+	// through the same function; with a WAL the log is the state and
+	// Restore is refused. A WAL append/fsync failure mid-tick fences the
+	// server — it stops serving rather than hand out undurable
+	// decisions.
 	WAL *wal.Log
 }
 
@@ -223,15 +225,15 @@ type LinkState struct {
 
 // Server is the admission-control daemon: an HTTP ingest surface over a
 // bounded, sharded arrival queue, an epoch tick loop deciding batches
-// against the ledger, and snapshot/restore plus WAL replay for crash
-// recovery. A tick's decisions take effect only as a redo record
+// against the ledger, and either snapshot/restore or WAL replay for
+// crash recovery. A tick's decisions take effect only as a redo record
 // (walTick) passed to commitTick, live and on replay alike.
 //
 // s.mu guards s.led and the fields declared after it; it is the
 // ledger's one lock, held by every tick phase, read endpoint, snapshot
-// and recovery step that touches the ledger. Lock order: s.mu → walGate →
-// intakeShard.mu / decisionShard.mu. Submit takes only walGate's read
-// side and shard locks; ticks and snapshots take s.mu first.
+// and recovery step that touches the ledger. Lock order: s.mu →
+// intakeShard.mu / decisionShard.mu. Submit takes only shard locks;
+// ticks and snapshots take s.mu first.
 type Server struct {
 	cfg    Config
 	tracer obs.Tracer // cfg.Tracer teed with the flight recorder's span ring
@@ -249,21 +251,16 @@ type Server struct {
 	shards     [intakeShards]intakeShard
 	dshards    [decisionShards]decisionShard
 
-	// Durability & HA. walGate orders arrival appends against snapshot
-	// offset capture: submits append+enqueue under RLock, Snapshot
-	// takes the write lock (after s.mu) so the offset it records covers
-	// exactly the arrivals its queue scan saw. Tick's record rides
-	// s.mu instead, which snapshots already hold.
-	walGate sync.RWMutex
-	role    atomic.Int32  // roleLeader / roleStandby / roleFenced
-	token   atomic.Uint64 // fencing token minted by the HA layer
+	// Durability & HA.
+	role  atomic.Int32  // roleLeader / roleStandby / roleFenced
+	token atomic.Uint64 // fencing token minted by the HA layer
 
 	mu          sync.Mutex
 	led         *Ledger
 	deciding    []pending    // batch owned by an in-flight tick (still snapshot-visible)
 	pruneFrom   int64        // lowest decision id possibly still retained
 	epoch       int          // ticks processed
-	walFrom     wal.Offset   // replay starts here (recorded by Restore)
+	walFrom     wal.Offset   // ApplyLog's cursor: the next pass starts here
 	policyImage *PolicyState // policy cycle state as of the last committed tick
 
 	// Per-instance stats (the obs counters are process-global).

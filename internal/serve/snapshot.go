@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -10,22 +11,21 @@ import (
 
 	"metis/internal/demand"
 	"metis/internal/fsx"
-	"metis/internal/wal"
 )
 
 // SnapshotVersion is the wire version of the snapshot format, and the
-// only one Restore reads. Version 3 carries the metis policies' cycle
-// state (PolicyState), the HA fencing token and the WAL offset the image
-// covers; images of versions 1 and 2 predate some of that and are
-// refused, not migrated.
-const SnapshotVersion = 3
+// only one Restore reads; images of other versions are refused, not
+// migrated. It carries no WAL offset or fencing token: a server with a
+// WAL recovers from the log alone.
+const SnapshotVersion = 4
 
-// Snapshot is the JSON crash-recovery image of a Server: the committed
-// ledger plus every queued-but-undecided arrival, with enough daemon
-// time (epoch, next id) to resume exactly where the process stopped,
-// and — for metis-incremental — the cycle state needed to rebuild the
-// persistent replan model deterministically. Decision history is
-// observability, not ledger state, and is not persisted.
+// Snapshot is the JSON crash-recovery image of a Server without a WAL:
+// the committed ledger plus every queued-but-undecided arrival, with
+// enough daemon time (epoch, next id) to resume exactly where the
+// process stopped, and — for metis-incremental — the cycle state needed
+// to rebuild the persistent replan model deterministically. Decision
+// history is observability, not ledger state, and is not persisted. A
+// server recovers from a snapshot or from its log, never both.
 type Snapshot struct {
 	Version int    `json:"version"`
 	Network string `json:"network"`
@@ -40,17 +40,8 @@ type Snapshot struct {
 	// Policy is the admission policy's cycle state as of the last
 	// committed tick (nil for stateless policies).
 	Policy *PolicyState `json:"policy,omitempty"`
-	// Token is the fencing token of the leader that wrote the image; a
-	// standby refuses images from a leader older than one it has
-	// already followed.
-	Token uint64 `json:"token,omitempty"`
-	// WAL is the log offset this image covers: every record at or
-	// before it is reflected in the image, every record after it is
-	// not. Recovery replays the log from here.
-	WAL *wal.Offset `json:"wal,omitempty"`
 	// Revenue is Stats.Revenue: the accepted value of every epoch so
-	// far, never reset when a cycle wraps. With a WAL it must survive
-	// restore so replay accumulates on top of the right base.
+	// far, never reset when a cycle wraps.
 	Revenue float64 `json:"revenue,omitempty"`
 }
 
@@ -76,19 +67,7 @@ func (s *Server) Snapshot(w io.Writer) error {
 		NextID:  s.nextID.Load(),
 		Ledger:  s.led.snap(),
 		Policy:  s.policyImage,
-		Token:   s.token.Load(),
 		Revenue: s.revenue,
-	}
-	// The WAL offset and the queue scan are captured under the walGate
-	// write barrier: a submit holds the read side across its append +
-	// enqueue, so the offset recorded here covers exactly the arrivals
-	// the scan sees — no acked arrival can fall between the image and
-	// its replay. Tick records serialize via s.mu, already held. Lock
-	// order: s.mu → walGate (submits never take s.mu).
-	if s.cfg.WAL != nil {
-		s.walGate.Lock()
-		off := s.cfg.WAL.AppendedEnd()
-		snap.WAL = &off
 	}
 	// An in-flight tick's batch is re-queued on restore: its decisions
 	// have not been committed, so replaying it is the consistent choice
@@ -103,9 +82,6 @@ func (s *Server) Snapshot(w io.Writer) error {
 			snap.Queue = append(snap.Queue, QueuedRequest{ID: p.id, Request: p.req})
 		}
 		sh.mu.Unlock()
-	}
-	if s.cfg.WAL != nil {
-		s.walGate.Unlock()
 	}
 	sort.Slice(snap.Queue, func(a, b int) bool { return snap.Queue[a].ID < snap.Queue[b].ID })
 	s.mu.Unlock()
@@ -128,15 +104,20 @@ func (s *Server) SnapshotFile(path string) error {
 	})
 }
 
-// Restore loads a snapshot into a freshly constructed server. It must
-// run before the first Submit or Tick; restoring onto a server that has
-// already accepted state is an error. The snapshot's topology
+// Restore loads a snapshot into a freshly constructed server without a
+// WAL. It must run before the first Submit or Tick; restoring onto a
+// server that has a WAL, has applied a log record or has already
+// accepted state is an error — with a WAL the log is the state. The
+// snapshot's topology
 // fingerprint (network name, link count, slot count) must match the
 // server's configuration. Policy state is restored when the configured
 // policy matches the snapshot's (same name); a mismatch — the operator
 // switched policies across the restart — drops the state and lets the
 // new policy rebuild its plan from the re-queued arrivals.
 func (s *Server) Restore(r io.Reader) error {
+	if s.cfg.WAL != nil {
+		return errors.New("serve: restore onto a server with a WAL: with a WAL the log is the state")
+	}
 	var snap Snapshot
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -156,7 +137,7 @@ func (s *Server) Restore(r io.Reader) error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.epoch != 0 || s.nextID.Load() != 1 || s.queueDepth.Load() != 0 {
+	if s.hasState() || !s.walFrom.IsZero() {
 		return fmt.Errorf("serve: restore onto a server that already has state")
 	}
 	if err := s.led.restore(snap.Ledger); err != nil {
@@ -166,10 +147,6 @@ func (s *Server) Restore(r io.Reader) error {
 	s.nextID.Store(snap.NextID)
 	s.pruneFrom = snap.NextID
 	s.revenue = snap.Revenue
-	s.token.Store(snap.Token)
-	if snap.WAL != nil {
-		s.walFrom = *snap.WAL
-	}
 	now := time.Now() // when this process takes the queued arrivals over
 	for _, q := range snap.Queue {
 		if err := q.Request.Validate(s.cfg.Net, s.cfg.Slots); err != nil {

@@ -195,11 +195,10 @@ func (s *Server) solve(ctx context.Context, batch []pending, epoch, slot int) (t
 
 // logTick makes the tick's redo record durable before any of its
 // decisions become visible, and reports whether it did (true without a
-// WAL). Appending under s.mu serializes with snapshot offset capture
-// (snapshots hold s.mu): an image either predates this record or
-// reflects the committed state. The fsync batches with concurrent
-// submit acks (group commit); in-flight submit appends interleave
-// freely before the record — their arrivals are not part of this batch.
+// WAL). Appending under s.mu orders tick records as their commits are
+// ordered. The fsync batches with concurrent submit acks (group
+// commit); in-flight submit appends interleave freely before the
+// record — their arrivals are not part of this batch.
 //
 // On failure durability is lost: the server fences instead of handing
 // out undurable decisions, and the claimed batch goes back to the queue
@@ -228,7 +227,7 @@ func (s *Server) logTick(t *tick) bool {
 // purchases to the ledger, then every decision record, revenue and the
 // decision counters, the -check sweep, history pruning and the epoch
 // advance. Tick calls it with the record it has just logged and
-// RecoverWAL with the record it has just read, so a recovered server's
+// ApplyLog with the record it has just read, so a recovered server's
 // state is the leader's. reqs[i] is the request tr.Outcomes[i] decides,
 // window clamped. Callers hold s.mu.
 func (s *Server) commitTick(tr *walTick, reqs []demand.Request) {
@@ -294,7 +293,7 @@ func (s *Server) commitTick(tr *walTick, reqs []demand.Request) {
 	// outgrows the retention window. Only ids below nextID − retention
 	// go, and retention exceeds the queue limit, so a queued request is
 	// never pruned — nor, during recovery, an id recoverArrival must
-	// still dedupe against.
+	// still recognise as a duplicate.
 	for retention := s.cfg.retention(); s.nextID.Load()-s.pruneFrom > retention; s.pruneFrom++ {
 		ds := s.dshard(s.pruneFrom)
 		ds.mu.Lock()
@@ -434,11 +433,14 @@ func (s *Server) epochRecord(t *tick, nAccepted, nExpired int, elapsed time.Dura
 
 // wrapCycle opens a new billing cycle when epoch is the first slot of
 // one (after the first): a fresh ledger and cycle-scoped policy state,
-// since purchases do not carry over. Callers hold s.mu.
-func (s *Server) wrapCycle(epoch int) {
-	if epoch > 0 && epoch%s.cfg.Slots == 0 {
-		s.led.Reset()
-		s.cfg.Policy.Reset()
-		cCycles.Inc()
+// since purchases do not carry over. It reports whether it did. Callers
+// hold s.mu.
+func (s *Server) wrapCycle(epoch int) bool {
+	if epoch == 0 || epoch%s.cfg.Slots != 0 {
+		return false
 	}
+	s.led.Reset()
+	s.cfg.Policy.Reset()
+	cCycles.Inc()
+	return true
 }

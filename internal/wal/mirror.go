@@ -11,9 +11,10 @@ import (
 // The mirror helpers move raw segment bytes between a leader and a
 // standby without parsing frames: the leader side serves byte ranges
 // out of its segment files, the standby side appends them verbatim to
-// its own copy of the log. Frame integrity is re-established by
-// Open/Replay at promotion time (CRCs + tail repair), so a fetch that
-// lands mid-frame is harmless.
+// its own copy of the log. Frame integrity is re-established by Replay
+// as the standby applies the mirror and by Open at promotion (CRCs +
+// tail repair), so a fetch that lands mid-frame or mid-header is
+// harmless.
 
 // ReadAt returns up to max raw bytes of segment seq starting at file
 // offset pos, plus the segment's current size and whether a later

@@ -1,9 +1,8 @@
 // Package wal is metisd's write-ahead log: a length+CRC-framed,
 // fsync-batched append log over rotating segment files. The serve layer
 // logs every acked arrival and every committed epoch tick; recovery
-// replays the log (from a snapshot's recorded offset) to rebuild the
-// exact pre-crash ledger, and the HA standby mirrors the raw segment
-// bytes to stay promotable.
+// replays the log to rebuild the exact pre-crash ledger, and the HA
+// standby mirrors the raw segment bytes and replays them as they land.
 //
 // Durability model: Append buffers a frame and assigns it an Offset;
 // the record is durable once WaitDurable(offset) returns. Waiters are
@@ -32,7 +31,8 @@
 // by record type. There is no migration tool: no deployed log exists.
 //
 // A torn tail (crash mid-write) is repaired at Open by truncating at the
-// first bad frame of the LAST segment; a bad frame in any earlier
+// first bad frame of the LAST segment, or by rewriting that segment's
+// header when the header itself is torn; a bad frame in any earlier
 // segment is corruption, not a torn tail, and Replay reports it as an
 // error rather than silently dropping a durable suffix.
 package wal
@@ -143,6 +143,19 @@ func Open(dir string, opt Options) (*Log, error) {
 	end, err := repairTail(dir, last.Seq)
 	if err != nil {
 		return nil, err
+	}
+	if end < int64(headerSize) {
+		// The header itself is torn (a crash in createSegment, or a
+		// mirror that stopped inside it): the segment holds no record,
+		// so it is written afresh.
+		if err := os.Remove(segPath(dir, last.Seq)); err != nil {
+			return nil, err
+		}
+		if err := l.createSegment(last.Seq); err != nil {
+			return nil, err
+		}
+		l.durable = Offset{Seg: last.Seq, Pos: l.pos}
+		return l, nil
 	}
 	f, err := os.OpenFile(segPath(dir, last.Seq), os.O_WRONLY, 0)
 	if err != nil {
@@ -438,11 +451,15 @@ func scanSegment(dir string, seq uint64, startPos int64, fn func(end Offset, typ
 		return 0, false, err
 	}
 	defer f.Close()
-	if err := readHeader(f, seq); err != nil {
+	fi, err := f.Stat()
+	if err != nil {
 		return 0, false, err
 	}
-	size, err := f.Seek(0, io.SeekEnd)
-	if err != nil {
+	size := fi.Size()
+	if size < int64(headerSize) {
+		return 0, true, nil // torn header: no record yet
+	}
+	if err := readHeader(f, seq); err != nil {
 		return 0, false, err
 	}
 	pos := startPos

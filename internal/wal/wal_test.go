@@ -161,6 +161,72 @@ func TestTornTailRepair(t *testing.T) {
 	}
 }
 
+// TestTornHeaderRepair: a last segment cut inside its header — a crash
+// in createSegment, or a standby whose mirror round stopped there —
+// holds no record. Replay ends cleanly before it and Open writes the
+// header afresh; an earlier segment cut the same way is corruption.
+func TestTornHeaderRepair(t *testing.T) {
+	for _, keep := range []int64{0, 5, int64(headerSize) - 1} {
+		dir := t.TempDir()
+		l, err := Open(dir, Options{SegmentBytes: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := l.Append(1, bytes.Repeat([]byte("y"), 60)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(segPath(dir, 2), keep); err != nil {
+			t.Fatal(err)
+		}
+		recs, end := collect(t, dir, Offset{})
+		if len(recs) != 1 || end != (Offset{Seg: 2, Pos: 0}) {
+			t.Fatalf("keep %d: replayed %d records to %v, want 1 to 2:0", keep, len(recs), end)
+		}
+		// A pass resuming from that end sees the same nothing.
+		if more, _ := collect(t, dir, end); len(more) != 0 {
+			t.Fatalf("keep %d: resumed pass replayed %d records", keep, len(more))
+		}
+		l2, err := Open(dir, Options{SegmentBytes: 64})
+		if err != nil {
+			t.Fatalf("keep %d: reopen: %v", keep, err)
+		}
+		if _, err := l2.Append(2, []byte("after")); err != nil {
+			t.Fatal(err)
+		}
+		if err := l2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if recs, _ = collect(t, dir, Offset{}); len(recs) != 2 || string(recs[1].body) != "after" {
+			t.Fatalf("keep %d: after repair %d records", keep, len(recs))
+		}
+	}
+
+	dir := t.TempDir()
+	l, err := Open(dir, Options{SegmentBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := l.Append(1, bytes.Repeat([]byte("z"), 60)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(segPath(dir, 2), 5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Replay(dir, Offset{}, func(Offset, byte, []byte) error { return nil }); err == nil {
+		t.Fatal("a torn header before the last segment replayed cleanly")
+	}
+}
+
 func TestInteriorCorruptionIsAnError(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{SegmentBytes: 200})
