@@ -35,8 +35,8 @@
 //	GET  /debug/flightrec    anomaly flight-recorder bundles (with -flight-dir)
 //	POST /v1/snapshot        write a snapshot now
 //	POST /v1/promote         standby only: promote to leader → 200 {report}
-//	GET  /ha/v1/status       leader: role, fencing token, durable WAL end
-//	GET  /ha/v1/wal          leader: raw WAL segment bytes for a standby mirror
+//	GET  /ha/v1/wal          leader: durable WAL bytes for a standby mirror, waiting for the next group
+//	                         commit when there are none; headers carry the fencing token, durable end and lag
 //	POST /ha/v1/fence        step down when presented a newer fencing token
 //	GET  /metrics            Prometheus metrics incl. latency histograms (plus /debug/vars, /debug/pprof)
 package main
@@ -254,12 +254,8 @@ func run(args []string) (err error) {
 			fmt.Fprintf(os.Stderr, "metisd: wal replayed %d arrivals, %d epochs (now epoch %d, %d queued)\n",
 				rst.Arrivals, rst.Ticks, srv.Epoch(), srv.Stats().QueueDepth)
 		}
-		tok, err := metis.LoadOrInitFencingToken(*walDir)
-		if err != nil {
+		if err := metis.InitFencingToken(srv); err != nil {
 			return err
-		}
-		if tok > srv.Token() {
-			srv.SetToken(tok)
 		}
 		node = metis.NewHALeader(srv, *walDir)
 	case *snapshotPath != "":

@@ -3,6 +3,8 @@ package metis_test
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"time"
 
 	"metis"
@@ -98,4 +100,50 @@ func ExampleServer_RunCycles() {
 
 	fmt.Printf("decided=%d accepted=%d profit=%.1f\n", res[0].Decided, res[0].Accepted, res[0].Profit)
 	// Output: decided=2 accepted=1 profit=4.0
+}
+
+// ExampleNewHAStandby runs a durable leader and a hot standby in one
+// process: the standby mirrors and applies the leader's log, and after
+// the leader stops it promotes with a newer fencing token and the
+// leader's state.
+func ExampleNewHAStandby() {
+	dir, _ := os.MkdirTemp("", "metis-ha-")
+	defer os.RemoveAll(dir)
+	ctx := context.Background()
+	net := metis.SubB4()
+	cfg := metis.ServeConfig{Net: net, Epoch: time.Hour}
+
+	// The leader opens its log first, so every ack is durable; a fresh
+	// log gets token 1 as its first frame.
+	log, _ := metis.OpenWAL(filepath.Join(dir, "leader"), metis.WALOptions{})
+	cfg.WAL = log
+	leader, _ := metis.NewServer(cfg)
+	leader.RecoverWAL()
+	metis.InitFencingToken(leader)
+	ln, stop, _ := leader.Listen("127.0.0.1:0", metis.NewHALeader(leader, log.Dir()).Register)
+
+	// The standby has no log of its own until it promotes.
+	cfg.WAL = nil
+	standby, _ := metis.NewServer(cfg)
+	standby.SetStandby()
+	node := metis.NewHAStandby(standby, filepath.Join(dir, "standby"), "http://"+ln.Addr().String())
+
+	reqs, _ := metis.GenerateWorkload(net, 20, 42)
+	for _, r := range reqs {
+		leader.Submit(r)
+	}
+	leader.Tick(ctx)
+	st, _ := node.FetchOnce(ctx)
+
+	// The leader stops; the standby takes over.
+	stop()
+	log.Close()
+	rep, _ := node.Promote(ctx)
+	defer standby.WAL().Close()
+	l, p := leader.Stats(), standby.Stats()
+	fmt.Printf("leader:   token %d, accepted %d, rejected %d\n", st.Token, l.Accepted, l.Rejected)
+	fmt.Printf("promoted: token %d, accepted %d, rejected %d, role %s\n", rep.Token, p.Accepted, p.Rejected, standby.Role())
+	// Output:
+	// leader:   token 1, accepted 5, rejected 15
+	// promoted: token 2, accepted 5, rejected 15, role leader
 }

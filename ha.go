@@ -21,7 +21,7 @@ type (
 	WALOffset = wal.Offset
 	// HANode is one failover participant (leader or standby).
 	HANode = ha.Node
-	// HAStatus is the leader's /ha/v1/status payload.
+	// HAStatus is what a replication round learned of the leader.
 	HAStatus = ha.Status
 	// HAPromoteReport summarizes one standby promotion.
 	HAPromoteReport = ha.PromoteReport
@@ -57,6 +57,7 @@ func NewHAStandby(srv *Server, dir, primary string) *HANode {
 	return ha.NewStandby(srv, dir, primary, nil)
 }
 
-// LoadOrInitFencingToken returns the fencing token persisted in dir,
-// minting token 1 when none exists.
-func LoadOrInitFencingToken(dir string) (uint64, error) { return ha.LoadOrInitToken(dir) }
+// InitFencingToken gives a leader recovered from its own log
+// (RecoverWAL) a fencing token: when the log holds no fence frame, it
+// logs token 1, so a standby mirrors the token with the state.
+func InitFencingToken(srv *Server) error { return ha.InitToken(srv) }

@@ -1,22 +1,28 @@
 // Package ha provides fenced active-passive failover for a durable
 // metisd: a leader serves traffic and a hot standby mirrors its
 // write-ahead log and applies each round's frames as they land, so its
-// state trails the leader's by at most one round; promotion is the
-// replay a restarted leader runs, of whatever the last round had not
+// state trails the leader's by one round trip plus apply; promotion is
+// the replay a restarted leader runs, of whatever the last round had not
 // applied, and it mints a strictly larger fencing token that steps the
 // old leader down if it ever comes back.
 //
-// Replication is pull-based and asynchronous: the standby polls the
-// leader's /ha/v1 endpoints, mirrors raw WAL segment bytes and applies
-// the mirror's complete frames with serve.Server.ApplyLog (a round that
-// ends mid-frame or mid-header applies the rest next round; CRCs and
-// tail repair re-establish frame integrity). The log is the only state
-// on the wire. Asynchrony means a crash can lose the last un-replicated
-// suffix of acked work — the design trades that bounded window for
+// Replication is one pull stream. A round asks the leader's /ha/v1/wal
+// for the bytes past the standby's mirror end; the leader serves only
+// durable bytes and, when it has none past that offset, waits (bounded)
+// for its next group commit, so there is no poll interval. Every
+// response carries the leader's fencing token, its durable end and the
+// exact number of bytes still behind, so there is no status request.
+// The standby mirrors raw segment bytes and applies the mirror's
+// complete frames with serve.Server.ApplyLog (a round that ends
+// mid-frame or mid-header applies the rest next round; CRCs and tail
+// repair re-establish frame integrity). The log is the only state on the
+// wire and the token's only home: a leader's first token and every
+// promotion's are fence frames, so a standby restarted over its mirror
+// still knows them. Asynchrony means a crash can lose the last
+// un-replicated suffix of acked work — the design trades that window for
 // never blocking the admission hot path on a network round trip. The
 // fencing token closes the split-brain hole: every promotion mints
-// max(seen)+1, the token rides in the log itself, and both sides refuse
-// a stream carrying an older token.
+// max(seen)+1, and both sides refuse a stream carrying an older token.
 package ha
 
 import (
@@ -28,39 +34,42 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strconv"
 	"sync/atomic"
 	"time"
 
-	"metis/internal/fsx"
 	"metis/internal/serve"
 	"metis/internal/wal"
 )
 
-// Defaults for the standby's replication loop.
 const (
 	// DefaultFetchChunk is how many raw WAL bytes one fetch moves.
 	DefaultFetchChunk = 1 << 20
-	// DefaultFetchEvery is the poll interval of RunStandby.
-	DefaultFetchEvery = 200 * time.Millisecond
 	// maxChunksPerRound bounds one FetchOnce so a firehose leader cannot
 	// pin the standby in a single round forever.
 	maxChunksPerRound = 64
+	// walWait bounds how long /ha/v1/wal waits for a group commit. It
+	// stays below the standby client's timeout, so an idle leader
+	// answers with an empty chunk, not an error.
+	walWait = time.Second
+	// retryDelay spaces RunStandby's rounds after a failed one.
+	retryDelay = time.Second
 )
 
-// tokenName is the fencing-token file, kept next to the WAL segments
-// (the wal package ignores non-segment files).
-const tokenName = "fence.json"
+// The headers of a /ha/v1/wal response.
+const (
+	hdrToken   = "X-Metis-Token"       // the leader's fencing token
+	hdrDurable = "X-Metis-Durable-End" // its durable end, "seg:pos"
+	hdrBehind  = "X-Metis-Behind"      // durable bytes past this chunk
+	hdrSegSize = "X-Metis-Seg-Size"    // the served segment's durable size
+)
 
-// Status is the leader's /ha/v1/status payload.
+// Status is what a replication round learned of the leader.
 type Status struct {
-	Role  string `json:"role"`
-	Token uint64 `json:"token"`
-	Epoch int    `json:"epoch"`
+	Token uint64
 	// WALEnd is the durable end of the leader's log: every byte at or
 	// before it is on disk and safe to mirror.
-	WALEnd wal.Offset `json:"walEnd"`
+	WALEnd wal.Offset
 }
 
 // Node is one HA participant wrapping a serve.Server. A leader node
@@ -103,31 +112,17 @@ func NewStandby(srv *serve.Server, dir, primary string, client *http.Client) *No
 
 // Register adds the leader-side HA endpoints to mux:
 //
-//	GET  /ha/v1/status  role, fencing token, durable WAL end
-//	GET  /ha/v1/wal     raw segment bytes (?seg=&pos=&max=)
-//	POST /ha/v1/fence   {"token": n} — step down if n is newer
+//	GET  /ha/v1/wal    durable segment bytes from ?seg=&pos= (&max=)
+//	POST /ha/v1/fence  {"token": n} — step down if n is newer
 func (n *Node) Register(mux *http.ServeMux) {
-	mux.HandleFunc("GET /ha/v1/status", n.handleStatus)
 	mux.HandleFunc("GET /ha/v1/wal", n.handleWAL)
 	mux.HandleFunc("POST /ha/v1/fence", n.handleFence)
 }
 
-func (n *Node) status() Status {
-	st := Status{Role: n.srv.Role(), Token: n.srv.Token()}
-	st.Epoch = n.srv.Epoch()
-	if w := n.srv.WAL(); w != nil {
-		st.WALEnd = w.DurableEnd()
-	}
-	return st
-}
-
-func (n *Node) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, n.status())
-}
-
-// handleWAL serves raw bytes of one segment file. The response body is
-// binary; X-Metis-Seg-Size carries the segment's current size and
-// X-Metis-Has-Next whether a later segment exists.
+// handleWAL serves raw bytes of one segment, none past the durable end.
+// When no durable byte lies past the requested offset it first waits up
+// to walWait for the next group commit. The body is binary; every
+// response, empty or not, carries the hdr* headers.
 func (n *Node) handleWAL(w http.ResponseWriter, r *http.Request) {
 	l := n.srv.WAL()
 	if l == nil {
@@ -141,13 +136,17 @@ func (n *Node) handleWAL(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "need seg>=1 and pos>=0"})
 		return
 	}
-	max := DefaultFetchChunk
+	limit := DefaultFetchChunk
 	if v := q.Get("max"); v != "" {
 		if m, err := strconv.Atoi(v); err == nil && m > 0 && m <= 8*DefaultFetchChunk {
-			max = m
+			limit = m
 		}
 	}
-	data, size, hasNext, err := wal.ReadAt(l.Dir(), seq, pos, max)
+	from := wal.Offset{Seg: seq, Pos: pos}
+	ctx, cancel := context.WithTimeout(r.Context(), walWait)
+	end := l.WaitPast(ctx, from)
+	cancel()
+	data, size, behind, err := wal.ReadAt(l.Dir(), from, limit, end)
 	if err != nil {
 		code := http.StatusInternalServerError
 		if os.IsNotExist(err) {
@@ -158,8 +157,10 @@ func (n *Node) handleWAL(w http.ResponseWriter, r *http.Request) {
 	}
 	h := w.Header()
 	h.Set("Content-Type", "application/octet-stream")
-	h.Set("X-Metis-Seg-Size", strconv.FormatInt(size, 10))
-	h.Set("X-Metis-Has-Next", boolHeader(hasNext))
+	h.Set(hdrToken, strconv.FormatUint(n.srv.Token(), 10))
+	h.Set(hdrDurable, end.String())
+	h.Set(hdrBehind, strconv.FormatInt(behind, 10))
+	h.Set(hdrSegSize, strconv.FormatInt(size, 10))
 	w.WriteHeader(http.StatusOK)
 	w.Write(data)
 }
@@ -186,154 +187,121 @@ func (n *Node) handleFence(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"role": n.srv.Role()})
 }
 
-// LagBytes is the standby's replication lag after its last successful
-// round. Across a segment boundary the figure is an estimate (it
-// assumes default-sized segments).
+// LagBytes is how many durable bytes of the leader's log the standby's
+// last successful fetch left behind, as the leader counted them.
 func (n *Node) LagBytes() int64 { return n.lag.Load() }
 
-// FetchOnce runs one replication round: check the leader's token,
-// mirror new WAL bytes, and apply the mirror's new complete frames to
-// the standby's server. It returns the leader's status.
+// FetchOnce runs one replication round: it mirrors chunks until it
+// reaches the durable end the leader reports (at most maxChunksPerRound
+// of them), refusing any response whose token is older than one already
+// followed, then applies the mirror's new complete frames to the
+// standby's server. It returns what the last response said of the
+// leader.
 func (n *Node) FetchOnce(ctx context.Context) (Status, error) {
-	st, err := n.fetchStatus(ctx)
+	st, err := n.mirrorWAL(ctx)
+	if err == nil {
+		cFetches.Inc()
+		if _, err = n.srv.ApplyLog(n.dir); err != nil {
+			err = fmt.Errorf("ha: apply mirrored wal: %w", err)
+		}
+	}
 	if err != nil {
 		cFetchErrors.Inc()
-		return st, err
 	}
-	if seen := n.maxSeen.Load(); st.Token < seen {
-		cStaleLeader.Inc()
-		cFetchErrors.Inc()
-		return st, fmt.Errorf("ha: leader token %d is older than followed token %d (stale leader)", st.Token, seen)
-	}
-	n.maxSeen.Store(st.Token)
-	cFetches.Inc()
-	if err := n.mirrorWAL(ctx, st); err != nil {
-		cFetchErrors.Inc()
-		return st, err
-	}
-	if _, err := n.srv.ApplyLog(n.dir); err != nil {
-		cFetchErrors.Inc()
-		return st, fmt.Errorf("ha: apply mirrored wal: %w", err)
-	}
-	return st, nil
+	return st, err
 }
 
-// RunStandby replicates until ctx is cancelled or the node promotes.
-// Transient errors are logged and retried on the next round.
+// RunStandby runs replication rounds back to back until ctx is
+// cancelled or the node promotes: a round's first fetch waits at the
+// leader for new durable bytes, so an idle pair makes one request per
+// walWait. A failed round is logged and retried after retryDelay.
 func (n *Node) RunStandby(ctx context.Context) {
-	t := time.NewTicker(DefaultFetchEvery)
-	defer t.Stop()
-	for {
+	for ctx.Err() == nil && !n.promoted.Load() {
 		if _, err := n.FetchOnce(ctx); err != nil && ctx.Err() == nil {
 			fmt.Fprintf(os.Stderr, "ha: standby fetch: %v\n", err)
-		}
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			if n.promoted.Load() {
-				return
+			select {
+			case <-ctx.Done():
+			case <-time.After(retryDelay):
 			}
 		}
 	}
-}
-
-func (n *Node) fetchStatus(ctx context.Context) (Status, error) {
-	var st Status
-	req, err := http.NewRequestWithContext(ctx, "GET", n.primary+"/ha/v1/status", nil)
-	if err != nil {
-		return st, err
-	}
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return st, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return st, fmt.Errorf("ha: status: HTTP %d", resp.StatusCode)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return st, fmt.Errorf("ha: status decode: %w", err)
-	}
-	return st, nil
 }
 
 // mirrorWAL extends the local segment mirror toward the leader's
 // durable end. Chunks land mid-frame without harm: ApplyLog stops at
 // the last complete frame, and promotion re-opens the log with CRC
 // checks and tail repair.
-func (n *Node) mirrorWAL(ctx context.Context, st Status) error {
+func (n *Node) mirrorWAL(ctx context.Context) (Status, error) {
+	var st Status
 	local, err := wal.MirrorEnd(n.dir)
 	if err != nil {
-		return err
+		return st, err
 	}
 	if local.IsZero() {
 		local = wal.Offset{Seg: 1, Pos: 0}
 	}
 	for i := 0; i < maxChunksPerRound; i++ {
-		data, size, hasNext, err := n.fetchWAL(ctx, local.Seg, local.Pos)
+		c, err := n.fetchWAL(ctx, local)
 		if err != nil {
-			return err
+			return st, err
 		}
-		if len(data) > 0 {
-			if err := wal.MirrorAppend(n.dir, local.Seg, local.Pos, data); err != nil {
-				return err
+		st = c.Status
+		if seen := n.maxSeen.Load(); st.Token < seen {
+			cStaleLeader.Inc()
+			return st, fmt.Errorf("ha: leader token %d is older than followed token %d (stale leader)", st.Token, seen)
+		}
+		n.maxSeen.Store(st.Token)
+		if len(c.data) > 0 {
+			if err := wal.MirrorAppend(n.dir, local.Seg, local.Pos, c.data); err != nil {
+				return st, err
 			}
-			local.Pos += int64(len(data))
+			local.Pos += int64(len(c.data))
 		}
-		if local.Pos >= size && hasNext {
-			local = wal.Offset{Seg: local.Seg + 1, Pos: 0}
-			continue
-		}
-		if len(data) == 0 {
+		n.lag.Store(c.behind)
+		gLagBytes.Set(c.behind)
+		if c.behind == 0 {
 			break
 		}
+		if local.Pos >= c.size && local.Seg < st.WALEnd.Seg {
+			local = wal.Offset{Seg: local.Seg + 1, Pos: 0}
+		}
 	}
-	n.lag.Store(lagBytes(local, st.WALEnd))
-	gLagBytes.Set(n.lag.Load())
-	return nil
+	return st, nil
 }
 
-// lagBytes estimates how far local trails leader. Within one segment it
-// is exact; across segments it assumes default-sized segments.
-func lagBytes(local, leader wal.Offset) int64 {
-	if !leader.After(local) {
-		return 0
-	}
-	if leader.Seg == local.Seg {
-		return leader.Pos - local.Pos
-	}
-	d := leader.Pos + (wal.DefaultSegmentBytes - local.Pos)
-	if gap := int64(leader.Seg-local.Seg) - 1; gap > 0 {
-		d += gap * wal.DefaultSegmentBytes
-	}
-	return d
+// chunk is one /ha/v1/wal response.
+type chunk struct {
+	Status
+	data   []byte
+	size   int64 // the served segment's durable size
+	behind int64 // durable bytes past data
 }
 
-func (n *Node) fetchWAL(ctx context.Context, seq uint64, pos int64) (data []byte, size int64, hasNext bool, err error) {
-	url := fmt.Sprintf("%s/ha/v1/wal?seg=%d&pos=%d&max=%d", n.primary, seq, pos, n.chunk)
+func (n *Node) fetchWAL(ctx context.Context, at wal.Offset) (chunk, error) {
+	var c chunk
+	url := fmt.Sprintf("%s/ha/v1/wal?seg=%d&pos=%d&max=%d", n.primary, at.Seg, at.Pos, n.chunk)
 	req, err := http.NewRequestWithContext(ctx, "GET", url, nil)
 	if err != nil {
-		return nil, 0, false, err
+		return c, err
 	}
 	resp, err := n.client.Do(req)
 	if err != nil {
-		return nil, 0, false, err
+		return c, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, 0, false, fmt.Errorf("ha: wal fetch seg %d pos %d: HTTP %d", seq, pos, resp.StatusCode)
+		return c, fmt.Errorf("ha: wal fetch at %v: HTTP %d", at, resp.StatusCode)
 	}
-	size, err = strconv.ParseInt(resp.Header.Get("X-Metis-Seg-Size"), 10, 64)
-	if err != nil {
-		return nil, 0, false, fmt.Errorf("ha: wal fetch: bad size header: %w", err)
+	h := resp.Header
+	_, err1 := fmt.Sscan(h.Get(hdrToken), &c.Token)
+	_, err2 := fmt.Sscanf(h.Get(hdrDurable), "%d:%d", &c.WALEnd.Seg, &c.WALEnd.Pos)
+	_, err3 := fmt.Sscan(h.Get(hdrBehind), &c.behind)
+	_, err4 := fmt.Sscan(h.Get(hdrSegSize), &c.size)
+	if err := errors.Join(err1, err2, err3, err4); err != nil {
+		return c, fmt.Errorf("ha: wal fetch at %v: bad headers: %w", at, err)
 	}
-	hasNext = resp.Header.Get("X-Metis-Has-Next") == "1"
-	data, err = io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	return data, size, hasNext, nil
+	c.data, err = io.ReadAll(resp.Body)
+	return c, err
 }
 
 // PromoteReport summarizes one promotion.
@@ -348,8 +316,8 @@ type PromoteReport struct {
 // Promote turns the standby into the leader with the calls a restarted
 // leader makes: open the mirrored log (tail repair), attach it, replay
 // what the replication rounds have not applied yet (RecoverWAL), then
-// mint a fencing token strictly larger than any followed or logged,
-// persist and log it, start serving, and best-effort fence the old
+// mint a fencing token strictly larger than any followed or logged, log
+// it as a fence frame, start serving, and best-effort fence the old
 // primary. The wrapped server must still be in its standby state
 // (never submitted to or ticked).
 func (n *Node) Promote(ctx context.Context) (PromoteReport, error) {
@@ -368,17 +336,8 @@ func (n *Node) Promote(ctx context.Context) (PromoteReport, error) {
 		return rep, fmt.Errorf("ha: promote: wal replay: %w", err)
 	}
 
-	token := n.maxSeen.Load()
-	if st.MaxToken > token {
-		token = st.MaxToken
-	}
-	if t := n.srv.Token(); t > token {
-		token = t
-	}
-	token++
-	if err := SaveToken(n.dir, token); err != nil {
-		return rep, fmt.Errorf("ha: promote: persist token: %w", err)
-	}
+	// The server's token is the largest fence frame it has applied.
+	token := max(n.maxSeen.Load(), n.srv.Token()) + 1
 	if err := serve.AppendFence(l, token); err != nil {
 		return rep, fmt.Errorf("ha: promote: log token: %w", err)
 	}
@@ -415,60 +374,28 @@ func (n *Node) fencePrimary(ctx context.Context, token uint64) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// LoadOrInitToken returns the persisted fencing token in dir, minting
-// (and persisting) token 1 when none exists — a fresh leader's state
-// always carries a token so its first standby can detect staleness.
+// InitToken gives a leader recovered from its own log (RecoverWAL) a
+// fencing token: when the log holds no fence frame, it logs token 1, so
+// the token reaches a standby in the stream it fences.
+func InitToken(srv *serve.Server) error {
+	if srv.Token() != 0 {
+		return nil
+	}
+	if err := serve.AppendFence(srv.WAL(), 1); err != nil {
+		return fmt.Errorf("ha: log token 1: %w", err)
+	}
+	srv.SetToken(1)
+	return nil
+}
+
+// LoadOrInitToken returns the largest fencing token in dir's log, or 1
+// when the log holds none: the token InitToken would log.
 func LoadOrInitToken(dir string) (uint64, error) {
-	tok, err := LoadToken(dir)
+	tok, err := serve.LoggedToken(dir)
 	if err != nil {
 		return 0, err
 	}
-	if tok != 0 {
-		return tok, nil
-	}
-	if err := SaveToken(dir, 1); err != nil {
-		return 0, err
-	}
-	return 1, nil
-}
-
-// LoadToken reads the persisted fencing token (0 when absent).
-func LoadToken(dir string) (uint64, error) {
-	b, err := os.ReadFile(filepath.Join(dir, tokenName))
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return 0, nil
-		}
-		return 0, err
-	}
-	var v struct {
-		Token uint64 `json:"token"`
-	}
-	if err := json.Unmarshal(b, &v); err != nil {
-		return 0, fmt.Errorf("ha: %s: %w", tokenName, err)
-	}
-	return v.Token, nil
-}
-
-// SaveToken durably persists the fencing token in dir.
-func SaveToken(dir string, token uint64) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	b, err := json.Marshal(struct {
-		Token uint64 `json:"token"`
-	}{token})
-	if err != nil {
-		return err
-	}
-	return fsx.WriteFileAtomic(filepath.Join(dir, tokenName), b, 0o644)
-}
-
-func boolHeader(b bool) string {
-	if b {
-		return "1"
-	}
-	return "0"
+	return max(tok, 1), nil
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -161,41 +162,12 @@ func runFailover(t *testing.T, v failoverVariant, seed int64) {
 	killAt := 1 + rand.New(rand.NewSource(seed)).Intn(len(ops)-1)
 	t.Logf("seed %d: kill after op %d/%d", seed, killAt, len(ops))
 
-	leaderDir := filepath.Join(t.TempDir(), "leader-wal")
-	standbyDir := filepath.Join(t.TempDir(), "standby-wal")
-
-	walLog, err := wal.Open(leaderDir, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
+	cfg := func() serve.Config {
+		return serve.Config{Net: net, Epoch: time.Minute, Policy: v.mkPolicy(t)}
 	}
-	mk := func(l *wal.Log) *serve.Server {
-		s, err := serve.New(serve.Config{
-			Net:    net,
-			Epoch:  time.Minute,
-			Policy: v.mkPolicy(t),
-			WAL:    l,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	leader := mk(walLog)
-	tok, err := LoadOrInitToken(leaderDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leader.SetToken(tok)
-	nodeL := NewLeader(leader, leaderDir)
-	mux := http.NewServeMux()
-	mux.Handle("/", leader.Handler())
-	nodeL.Register(mux)
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-
-	standby := mk(nil)
-	standby.SetStandby()
-	nodeS := NewStandby(standby, standbyDir, ts.URL, ts.Client())
+	lead := startLeader(t, cfg(), wal.Options{})
+	leader, tok := lead.srv, lead.srv.Token()
+	standby, nodeS := lead.standby(t, cfg(), filepath.Join(t.TempDir(), "standby-wal"))
 
 	ctx := context.Background()
 	for i := 0; i < killAt; i++ {
@@ -214,8 +186,7 @@ func runFailover(t *testing.T, v failoverVariant, seed int64) {
 	}
 	// Crash: the leader process is gone. Nothing it held in memory
 	// survives; the standby has only what it already mirrored.
-	ts.Close()
-	walLog.Close()
+	lead.kill()
 
 	rep, err := nodeS.Promote(ctx)
 	if err != nil {
@@ -241,7 +212,10 @@ func runFailover(t *testing.T, v failoverVariant, seed int64) {
 	}
 
 	// Control: the same schedule, uninterrupted, no WAL.
-	ctrl := mk(nil)
+	ctrl, err := serve.New(cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, o := range ops {
 		applyOp(t, ctrl, o)
 	}
@@ -281,36 +255,12 @@ func TestHotStandbyFrameBoundaries(t *testing.T) {
 	pool := genPool(t, net, 36, 23)
 	ops := buildOps(pool, 6)
 	ops = ops[:len(ops)-3] // the last batch is still queued at the kill
-	leaderDir := filepath.Join(t.TempDir(), "leader-wal")
 	standbyDir := filepath.Join(t.TempDir(), "standby-wal")
-
-	walLog, err := wal.Open(leaderDir, wal.Options{SegmentBytes: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	leader, err := serve.New(serve.Config{Net: net, Epoch: time.Minute, WAL: walLog})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tok, err := LoadOrInitToken(leaderDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leader.SetToken(tok)
-	nodeL := NewLeader(leader, leaderDir)
-	mux := http.NewServeMux()
-	mux.Handle("/", leader.Handler())
-	nodeL.Register(mux)
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-
-	standby, err := serve.New(serve.Config{Net: net, Epoch: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	standby.SetStandby()
-	nodeS := NewStandby(standby, standbyDir, ts.URL, ts.Client())
-	nodeS.chunk = 3
+	cfg := serve.Config{Net: net, Epoch: time.Minute}
+	lead := startLeader(t, cfg, wal.Options{SegmentBytes: 64})
+	leader := lead.srv
+	standby, nodeS := lead.standby(t, cfg, standbyDir)
+	nodeS.chunk = 1
 
 	ctx := context.Background()
 	var midFrame, midHeader int
@@ -326,6 +276,12 @@ func TestHotStandbyFrameBoundaries(t *testing.T) {
 		}
 		if se, le := standby.Epoch(), leader.Epoch(); se > le {
 			t.Fatalf("standby at epoch %d ran ahead of the leader's %d", se, le)
+		}
+		// Every leader record is durable here, so the leader's files hold
+		// exactly its durable bytes: the lag is their difference, across
+		// segment boundaries too.
+		if lag, want := nodeS.LagBytes(), logBytes(t, lead.dir)-logBytes(t, standbyDir); lag != want {
+			t.Fatalf("lag %d bytes, the logs differ by %d", lag, want)
 		}
 		end, err := wal.MirrorEnd(standbyDir)
 		if err != nil {
@@ -357,8 +313,7 @@ func TestHotStandbyFrameBoundaries(t *testing.T) {
 	if standby.Epoch() != atKill.Epoch {
 		t.Fatalf("caught-up standby at epoch %d, leader at %d", standby.Epoch(), atKill.Epoch)
 	}
-	ts.Close()
-	walLog.Close()
+	lead.kill()
 
 	if _, err := nodeS.Promote(ctx); err != nil {
 		t.Fatalf("promote: %v", err)
@@ -383,26 +338,10 @@ func TestHotStandbyFrameBoundaries(t *testing.T) {
 func TestRunStandbyAppliesWhileServing(t *testing.T) {
 	net := wan.SubB4()
 	pool := genPool(t, net, 40, 61)
-	walLog, err := wal.Open(filepath.Join(t.TempDir(), "leader-wal"), wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer walLog.Close()
-	leader, err := serve.New(serve.Config{Net: net, Epoch: time.Minute, WAL: walLog})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mux := http.NewServeMux()
-	mux.Handle("/", leader.Handler())
-	NewLeader(leader, walLog.Dir()).Register(mux)
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-	standby, err := serve.New(serve.Config{Net: net, Epoch: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	standby.SetStandby()
-	nodeS := NewStandby(standby, filepath.Join(t.TempDir(), "standby-wal"), ts.URL, ts.Client())
+	cfg := serve.Config{Net: net, Epoch: time.Minute}
+	lead := startLeader(t, cfg, wal.Options{})
+	leader := lead.srv
+	standby, nodeS := lead.standby(t, cfg, filepath.Join(t.TempDir(), "standby-wal"))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -494,28 +433,9 @@ func requireDrained(t *testing.T, s *serve.Server, n int) {
 func TestPromotionFencesLiveOldLeader(t *testing.T) {
 	net := wan.SubB4()
 	pool := genPool(t, net, 24, 99)
-	leaderDir := filepath.Join(t.TempDir(), "leader-wal")
-	standbyDir := filepath.Join(t.TempDir(), "standby-wal")
-
-	walLog, err := wal.Open(leaderDir, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	leader, err := serve.New(serve.Config{Net: net, Epoch: time.Minute, WAL: walLog})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tok, err := LoadOrInitToken(leaderDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leader.SetToken(tok)
-	nodeL := NewLeader(leader, leaderDir)
-	mux := http.NewServeMux()
-	mux.Handle("/", leader.Handler())
-	nodeL.Register(mux)
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
+	cfg := serve.Config{Net: net, Epoch: time.Minute}
+	lead := startLeader(t, cfg, wal.Options{})
+	leader, tok := lead.srv, lead.srv.Token()
 
 	for _, r := range pool[:12] {
 		if _, err := leader.Submit(r); err != nil {
@@ -524,12 +444,7 @@ func TestPromotionFencesLiveOldLeader(t *testing.T) {
 	}
 	leader.Tick(context.Background())
 
-	standby, err := serve.New(serve.Config{Net: net, Epoch: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	standby.SetStandby()
-	nodeS := NewStandby(standby, standbyDir, ts.URL, ts.Client())
+	_, nodeS := lead.standby(t, cfg, filepath.Join(t.TempDir(), "standby-wal"))
 	if _, err := nodeS.FetchOnce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -554,13 +469,7 @@ func TestPromotionFencesLiveOldLeader(t *testing.T) {
 
 	// A second standby that has already followed the new token must
 	// reject the old leader's stream as stale.
-	lateDir := filepath.Join(t.TempDir(), "late-wal")
-	late, err := serve.New(serve.Config{Net: net, Epoch: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	late.SetStandby()
-	nodeLate := NewStandby(late, lateDir, ts.URL, ts.Client())
+	_, nodeLate := lead.standby(t, cfg, filepath.Join(t.TempDir(), "late-wal"))
 	nodeLate.maxSeen.Store(rep.Token)
 	if _, err := nodeLate.FetchOnce(context.Background()); err == nil {
 		t.Fatal("standby followed a stale leader")
@@ -581,35 +490,10 @@ func TestPromotionLosesUnfetchedAcks(t *testing.T) {
 	net := wan.SubB4()
 	pool := genPool(t, net, 20, 41)
 	mirrored, unfetched := pool[:12], pool[12:]
-	leaderDir := filepath.Join(t.TempDir(), "leader-wal")
-	standbyDir := filepath.Join(t.TempDir(), "standby-wal")
-
-	walLog, err := wal.Open(leaderDir, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	leader, err := serve.New(serve.Config{Net: net, Epoch: time.Minute, WAL: walLog})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tok, err := LoadOrInitToken(leaderDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leader.SetToken(tok)
-	nodeL := NewLeader(leader, leaderDir)
-	mux := http.NewServeMux()
-	mux.Handle("/", leader.Handler())
-	nodeL.Register(mux)
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-
-	standby, err := serve.New(serve.Config{Net: net, Epoch: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	standby.SetStandby()
-	nodeS := NewStandby(standby, standbyDir, ts.URL, ts.Client())
+	cfg := serve.Config{Net: net, Epoch: time.Minute}
+	lead := startLeader(t, cfg, wal.Options{})
+	leader := lead.srv
+	standby, nodeS := lead.standby(t, cfg, filepath.Join(t.TempDir(), "standby-wal"))
 
 	// Submit returns only once the arrival frame is fsynced: every id
 	// below is a durable ack.
@@ -630,8 +514,7 @@ func TestPromotionLosesUnfetchedAcks(t *testing.T) {
 	}
 	lostIDs := submit(unfetched)
 	// The leader dies before the standby's next fetch.
-	ts.Close()
-	walLog.Close()
+	lead.kill()
 
 	if _, err := nodeS.Promote(context.Background()); err != nil {
 		t.Fatal(err)
@@ -652,7 +535,7 @@ func TestPromotionLosesUnfetchedAcks(t *testing.T) {
 
 	// The same acks are all on the leader's disk: a restart from its own
 	// log recovers every one of them.
-	relog, err := wal.Open(leaderDir, wal.Options{})
+	relog, err := wal.Open(lead.dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -671,22 +554,242 @@ func TestPromotionLosesUnfetchedAcks(t *testing.T) {
 	}
 }
 
-// TestTokenPersistence: fencing tokens survive restarts and mint from 1.
+// TestTokenPersistence: the fencing token lives only in the log. A
+// fresh log gives 1; a promotion's token, logged as a fence frame, is
+// what a restart on the promoted log reads back and carries, and no
+// file sits beside the segments.
 func TestTokenPersistence(t *testing.T) {
-	dir := t.TempDir()
-	tok, err := LoadOrInitToken(dir)
-	if err != nil || tok != 1 {
-		t.Fatalf("first LoadOrInitToken = %d, %v; want 1", tok, err)
+	if tok, err := LoadOrInitToken(t.TempDir()); err != nil || tok != 1 {
+		t.Fatalf("LoadOrInitToken on a fresh log = %d, %v; want 1", tok, err)
 	}
-	if err := SaveToken(dir, 7); err != nil {
+	cfg := serve.Config{Net: wan.SubB4(), Epoch: time.Minute}
+	lead := startLeader(t, cfg, wal.Options{})
+	if tok, err := LoadOrInitToken(lead.dir); err != nil || tok != 1 || lead.srv.Token() != 1 {
+		t.Fatalf("a started leader's logged token = %d, %v (server %d); want 1", tok, err, lead.srv.Token())
+	}
+	dir := filepath.Join(t.TempDir(), "standby-wal")
+	standby, nodeS := lead.standby(t, cfg, dir)
+	if _, err := nodeS.FetchOnce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	tok, err = LoadOrInitToken(dir)
-	if err != nil || tok != 7 {
-		t.Fatalf("LoadOrInitToken after save = %d, %v; want 7", tok, err)
-	}
-	// The file is plain JSON next to the WAL segments.
-	if _, err := os.Stat(filepath.Join(dir, tokenName)); err != nil {
+	lead.kill()
+	rep, err := nodeS.Promote(context.Background())
+	if err != nil {
 		t.Fatal(err)
 	}
+	standby.WAL().Close()
+
+	if tok, err := LoadOrInitToken(dir); err != nil || tok != rep.Token {
+		t.Fatalf("LoadOrInitToken after promotion = %d, %v; want %d", tok, err, rep.Token)
+	}
+	l, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	cfg.WAL = l
+	restarted, err := serve.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := restarted.RecoverWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if err := InitToken(restarted); err != nil {
+		t.Fatal(err)
+	}
+	if restarted.Token() != rep.Token {
+		t.Fatalf("restarted token %d, want the promotion's %d", restarted.Token(), rep.Token)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if filepath.Ext(e.Name()) != ".seg" {
+			t.Fatalf("%s sits beside the log segments", e.Name())
+		}
+	}
+}
+
+// TestRestartedStandbyMintsNewerToken: the leader's token travels in
+// the log, so a standby process restarted over its mirror after the
+// leader died — no fetch of the new process ever reached the leader —
+// still promotes to a token above the dead leader's.
+func TestRestartedStandbyMintsNewerToken(t *testing.T) {
+	net := wan.SubB4()
+	cfg := serve.Config{Net: net, Epoch: time.Minute}
+	lead := startLeader(t, cfg, wal.Options{})
+	for _, r := range genPool(t, net, 8, 17) {
+		if _, err := lead.srv.Submit(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lead.srv.Tick(context.Background())
+	dir := filepath.Join(t.TempDir(), "standby-wal")
+	_, nodeS := lead.standby(t, cfg, dir)
+	if _, err := nodeS.FetchOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	atKill := lead.srv.Stats()
+	lead.kill()
+
+	restarted, node := lead.standby(t, cfg, dir)
+	if _, err := node.FetchOnce(context.Background()); err == nil {
+		t.Fatal("a fetch from the dead leader succeeded")
+	}
+	rep, err := node.Promote(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Token <= lead.srv.Token() {
+		t.Fatalf("restarted standby promoted to token %d, the dead leader held %d", rep.Token, lead.srv.Token())
+	}
+	requireSameCounters(t, atKill, restarted)
+}
+
+// TestOnlyDurableBytesCross: the leader's files hold bytes the WAL's
+// buffer wrote through before any fsync; a fetch must not mirror them.
+func TestOnlyDurableBytesCross(t *testing.T) {
+	cfg := serve.Config{Net: wan.SubB4(), Epoch: time.Minute}
+	lead := startLeader(t, cfg, wal.Options{})
+	// Valid fence frames (type 6, token 1), appended without WaitDurable
+	// until they spill past the log's 64 KiB buffer.
+	for i := 0; i < 8000; i++ {
+		if _, err := lead.log.Append(6, []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	durable := lead.log.DurableEnd()
+	if n := logBytes(t, lead.dir); n <= durable.Pos {
+		t.Fatalf("the leader's file holds %d bytes, durable end %v: nothing wrote through", n, durable)
+	}
+	dir := filepath.Join(t.TempDir(), "standby-wal")
+	_, nodeS := lead.standby(t, cfg, dir)
+	if _, err := nodeS.FetchOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	end, err := wal.MirrorEnd(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if end.After(lead.log.DurableEnd()) {
+		t.Fatalf("mirror end %v is past the leader's durable end %v", end, lead.log.DurableEnd())
+	}
+}
+
+// TestOneRequestPerRound: a round after a leader tick is one
+// /ha/v1/wal request, which carries the leader's token, durable end and
+// an exact lag of zero; nothing asks for a status.
+func TestOneRequestPerRound(t *testing.T) {
+	net := wan.SubB4()
+	cfg := serve.Config{Net: net, Epoch: time.Minute}
+	lead := startLeader(t, cfg, wal.Options{})
+	_, nodeS := lead.standby(t, cfg, filepath.Join(t.TempDir(), "standby-wal"))
+	pool := genPool(t, net, 12, 5)
+	for round, batch := range [][]demand.Request{pool[:6], pool[6:]} {
+		for _, r := range batch {
+			if _, err := lead.srv.Submit(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lead.srv.Tick(context.Background())
+		before := lead.requests("/ha/v1/wal")
+		st, err := nodeS.FetchOnce(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := lead.requests("/ha/v1/wal") - before; n != 1 {
+			t.Fatalf("round %d made %d /ha/v1/wal requests, want 1", round, n)
+		}
+		want := Status{Token: lead.srv.Token(), WALEnd: lead.log.DurableEnd()}
+		if st != want || nodeS.LagBytes() != 0 {
+			t.Fatalf("round %d: status %+v lag %d, want %+v lag 0", round, st, nodeS.LagBytes(), want)
+		}
+	}
+	if n := lead.requests("/ha/v1/status"); n != 0 {
+		t.Fatalf("%d /ha/v1/status requests", n)
+	}
+}
+
+// rig is a leader started the way metisd starts one — open its log,
+// recover it, log its first token (InitToken) — serving its read API
+// and the HA endpoints over HTTP, counting the requests by path.
+type rig struct {
+	srv *serve.Server
+	log *wal.Log
+	dir string
+	ts  *httptest.Server
+
+	mu    sync.Mutex
+	paths map[string]int
+}
+
+func startLeader(t *testing.T, cfg serve.Config, opt wal.Options) *rig {
+	t.Helper()
+	r := &rig{dir: filepath.Join(t.TempDir(), "leader-wal"), paths: map[string]int{}}
+	var err error
+	if r.log, err = wal.Open(r.dir, opt); err != nil {
+		t.Fatal(err)
+	}
+	cfg.WAL = r.log
+	if r.srv, err = serve.New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.srv.RecoverWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if err := InitToken(r.srv); err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/", r.srv.Handler())
+	NewLeader(r.srv, r.dir).Register(mux)
+	r.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		r.mu.Lock()
+		r.paths[req.URL.Path]++
+		r.mu.Unlock()
+		mux.ServeHTTP(w, req)
+	}))
+	t.Cleanup(r.kill)
+	return r
+}
+
+// kill stops the leader process: its HTTP server, then its log.
+func (r *rig) kill() {
+	r.ts.Close()
+	r.log.Close()
+}
+
+// requests returns how many requests the leader has served on path.
+func (r *rig) requests(path string) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.paths[path]
+}
+
+// standby returns a new standby server replicating from the leader into
+// dir (cfg carries no WAL).
+func (r *rig) standby(t *testing.T, cfg serve.Config, dir string) (*serve.Server, *Node) {
+	t.Helper()
+	s, err := serve.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetStandby()
+	return s, NewStandby(s, dir, r.ts.URL, r.ts.Client())
+}
+
+// logBytes is the size of the log in dir, segment headers included.
+func logBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	segs, err := wal.ListSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for _, s := range segs {
+		n += s.Size
+	}
+	return n
 }

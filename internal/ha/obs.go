@@ -8,7 +8,7 @@ var (
 	// gRole mirrors the node's role as a number: 0 leader, 1 standby,
 	// 2 fenced (same encoding as the serve package's internal roles).
 	gRole        = obs.NewGauge("ha.role", "node role: 0 leader, 1 standby, 2 fenced")
-	gLagBytes    = obs.NewGauge("ha.lag_bytes", "standby replication lag behind the leader's durable WAL end (bytes; estimate across segment boundaries)")
+	gLagBytes    = obs.NewGauge("ha.lag_bytes", "durable bytes of the leader's WAL the standby's last fetch left behind, as the leader counted them")
 	cPromotions  = obs.NewCounter("ha.promotions", "standby promotions to leader")
 	cFetches     = obs.NewCounter("ha.fetches", "standby replication rounds against the leader")
 	cFetchErrors = obs.NewCounter("ha.fetch_errors", "failed standby replication rounds")

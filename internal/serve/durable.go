@@ -47,15 +47,33 @@ type walPolicyDelta struct {
 	LastReplan int
 }
 
-// AppendFence durably appends a fencing-token record; the HA promotion
-// path calls it so the token survives in the same log as the state it
-// fences.
+// AppendFence durably appends a fencing-token record. The log is the
+// token's only home: a leader's first token and every promotion's are
+// fence frames, so a standby mirrors them with the state they fence.
 func AppendFence(l *wal.Log, token uint64) error {
 	off, err := l.Append(walRecFence, encodeFence(token))
 	if err != nil {
 		return err
 	}
 	return l.WaitDurable(off)
+}
+
+// LoggedToken returns the largest fencing token in the log in dir, 0
+// when it holds no fence frame.
+func LoggedToken(dir string) (uint64, error) {
+	var top uint64
+	_, err := wal.Replay(dir, wal.Offset{}, func(off wal.Offset, typ byte, body []byte) error {
+		if typ != walRecFence {
+			return nil
+		}
+		token, err := decodeFence(body)
+		if err != nil {
+			return fmt.Errorf("serve: wal fence at %v: %w", off, err)
+		}
+		top = max(top, token)
+		return nil
+	})
+	return top, err
 }
 
 // Server roles. A standby refuses submits and ticks until promoted; a
@@ -141,8 +159,6 @@ type RecoverStats struct {
 	Arrivals int `json:"arrivals"`
 	// Ticks re-applied from the log.
 	Ticks int `json:"ticks"`
-	// MaxToken is the largest fencing token seen in the log.
-	MaxToken uint64 `json:"maxToken"`
 	// End is the clean end of the log: where the next pass starts.
 	End wal.Offset `json:"end"`
 }
@@ -199,10 +215,7 @@ func (s *Server) ApplyLog(dir string) (RecoverStats, error) {
 			if token, err = decodeFence(body); err != nil {
 				return fmt.Errorf("serve: wal fence at %v: %w", off, err)
 			}
-			st.MaxToken = max(st.MaxToken, token)
-			if token > s.token.Load() {
-				s.token.Store(token)
-			}
+			s.token.Store(max(s.token.Load(), token))
 		case 1, 2, 3:
 			return fmt.Errorf("serve: wal record type %d at %v is a JSON-era frame (types 1-3); this build reads only the binary frames (types %d-%d) and there is no migration",
 				typ, off, walRecArrival, walRecFence)

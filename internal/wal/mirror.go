@@ -16,34 +16,46 @@ import (
 // tail repair), so a fetch that lands mid-frame or mid-header is
 // harmless.
 
-// ReadAt returns up to max raw bytes of segment seq starting at file
-// offset pos, plus the segment's current size and whether a later
-// segment exists. pos at or past the size returns no data.
-func ReadAt(dir string, seq uint64, pos int64, max int) (data []byte, size int64, hasNext bool, err error) {
-	f, err := os.Open(segPath(dir, seq))
+// ReadAt returns up to limit raw bytes of the log in dir from off, none
+// past end: a leader passes its durable end, so only bytes on its disk
+// cross. size is off's segment size up to end, and behind counts the
+// bytes that lie between the chunk's end and end. off at or past size
+// returns no data.
+func ReadAt(dir string, off Offset, limit int, end Offset) (data []byte, size, behind int64, err error) {
+	if off.Seg > end.Seg {
+		return nil, 0, 0, nil
+	}
+	f, err := os.Open(segPath(dir, off.Seg))
 	if err != nil {
-		return nil, 0, false, err
+		return nil, 0, 0, err
 	}
 	defer f.Close()
-	size, err = f.Seek(0, io.SeekEnd)
-	if err != nil {
-		return nil, 0, false, err
+	if size, err = f.Seek(0, io.SeekEnd); err != nil {
+		return nil, 0, 0, err
 	}
-	if _, statErr := os.Stat(segPath(dir, seq+1)); statErr == nil {
-		hasNext = true
+	if off.Seg == end.Seg {
+		size = min(size, end.Pos)
 	}
-	if pos >= size || max <= 0 {
-		return nil, size, hasNext, nil
+	if off.Pos < size && limit > 0 {
+		data = make([]byte, min(size-off.Pos, int64(limit)))
+		if _, err := f.ReadAt(data, off.Pos); err != nil {
+			return nil, 0, 0, err
+		}
 	}
-	n := size - pos
-	if n > int64(max) {
-		n = int64(max)
+	at := off.Pos + int64(len(data))
+	if off.Seg == end.Seg {
+		return data, size, max(end.Pos-at, 0), nil
 	}
-	data = make([]byte, n)
-	if _, err := f.ReadAt(data, pos); err != nil {
-		return nil, 0, false, err
+	// Segments before end's are sealed: their sizes are final.
+	behind = max(size-at, 0) + end.Pos
+	for seq := off.Seg + 1; seq < end.Seg; seq++ {
+		fi, err := os.Stat(segPath(dir, seq))
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		behind += fi.Size()
 	}
-	return data, size, hasNext, nil
+	return data, size, behind, nil
 }
 
 // MirrorAppend appends raw segment bytes at (seq, pos) to the local

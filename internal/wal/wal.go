@@ -39,6 +39,7 @@ package wal
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -107,11 +108,12 @@ type Log struct {
 	pos int64 // appended end within the current segment (raw file offset)
 	err error // latched append/rotation failure: the log is dead past it
 
-	sMu     sync.Mutex // group-commit state
-	sCond   *sync.Cond
-	syncing bool
-	durable Offset
-	syncErr error // latched fsync failure
+	sMu      sync.Mutex // group-commit state
+	sCond    *sync.Cond
+	syncing  bool
+	durable  Offset
+	syncErr  error         // latched fsync failure
+	advanced chan struct{} // closed when durable next moves; made by WaitPast
 
 	nAppends, nSyncs, nBytes int64 // fed to the obs instruments by the owner
 }
@@ -298,11 +300,22 @@ func (l *Log) rotateLocked() error {
 	// Everything in the sealed segment is durable now; lift the group
 	// commit floor so waiters on it do not fsync the new (empty) file.
 	l.sMu.Lock()
-	if sealed.After(l.durable) {
-		l.durable = sealed
-	}
+	l.advanceLocked(sealed)
 	l.sMu.Unlock()
 	return nil
+}
+
+// advanceLocked moves the durable end to end when that is later and
+// wakes WaitPast. Callers hold l.sMu.
+func (l *Log) advanceLocked(end Offset) {
+	if !end.After(l.durable) {
+		return
+	}
+	l.durable = end
+	if l.advanced != nil {
+		close(l.advanced)
+		l.advanced = nil
+	}
 }
 
 // AppendedEnd returns the offset just past the last buffered record.
@@ -345,11 +358,32 @@ func (l *Log) WaitDurable(off Offset) error {
 		l.syncing = false
 		if err != nil {
 			l.syncErr = err
-		} else if end.After(l.durable) {
-			l.durable = end
+		} else {
+			l.advanceLocked(end)
 		}
 		l.sCond.Broadcast()
 	}
+}
+
+// WaitPast blocks until the durable end lies past off, or ctx ends, and
+// returns the durable end. A replication fetch waits on it so a standby
+// hears of each group commit without polling.
+func (l *Log) WaitPast(ctx context.Context, off Offset) Offset {
+	l.sMu.Lock()
+	defer l.sMu.Unlock()
+	for !l.durable.After(off) && ctx.Err() == nil {
+		if l.advanced == nil {
+			l.advanced = make(chan struct{})
+		}
+		advanced := l.advanced
+		l.sMu.Unlock()
+		select {
+		case <-advanced:
+		case <-ctx.Done():
+		}
+		l.sMu.Lock()
+	}
+	return l.durable
 }
 
 // Sync flushes and fsyncs everything appended so far.
@@ -378,20 +412,6 @@ func (l *Log) syncNow() (Offset, error) {
 	l.nSyncs++
 	cFsyncs.Inc()
 	return Offset{Seg: l.seg, Pos: l.pos}, nil
-}
-
-// Flush pushes buffered frames to the OS without fsync — enough for a
-// same-host reader (the HA streaming endpoint) to see them.
-func (l *Log) Flush() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err != nil {
-		return l.err
-	}
-	if err := l.w.Flush(); err != nil {
-		l.err = err
-	}
-	return l.err
 }
 
 // Metrics returns the lifetime append/fsync/byte totals.

@@ -2,10 +2,12 @@ package wal
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"sync"
 	"testing"
+	"time"
 )
 
 type rec struct {
@@ -319,25 +321,40 @@ func TestMirrorRoundTrip(t *testing.T) {
 	}
 
 	// Pull the raw bytes across in small chunks, exactly as the standby
-	// fetch loop does.
+	// fetch loop does: to the durable end, and every chunk reports the
+	// exact number of bytes still behind it.
+	segs, err := ListSegments(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total, mirrored int64
+	for _, s := range segs {
+		total += s.Size
+	}
+	end := l.DurableEnd()
 	pos := Offset{Seg: 1, Pos: 0}
 	for {
-		data, size, hasNext, err := ReadAt(src, pos.Seg, pos.Pos, 64)
+		data, size, behind, err := ReadAt(src, pos, 64, end)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(data) > 0 {
-			if err := MirrorAppend(dst, pos.Seg, pos.Pos, data); err != nil {
-				t.Fatal(err)
-			}
-			pos.Pos += int64(len(data))
-			continue
+		if err := MirrorAppend(dst, pos.Seg, pos.Pos, data); err != nil {
+			t.Fatal(err)
 		}
-		if pos.Pos >= size && hasNext {
+		pos.Pos += int64(len(data))
+		mirrored += int64(len(data))
+		if mirrored+behind != total {
+			t.Fatalf("at %v: %d bytes mirrored + %d behind, log holds %d", pos, mirrored, behind, total)
+		}
+		if behind == 0 {
+			break
+		}
+		if pos.Pos >= size {
 			pos = Offset{Seg: pos.Seg + 1, Pos: 0}
-			continue
 		}
-		break
+	}
+	if pos != end {
+		t.Fatalf("mirror stopped at %v, durable end %v", pos, end)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -353,7 +370,7 @@ func TestMirrorRoundTrip(t *testing.T) {
 			t.Fatalf("mirror record %d = %q, want %q", i, got[i].body, want[i].body)
 		}
 	}
-	end, err := MirrorEnd(dst)
+	end, err = MirrorEnd(dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,5 +382,41 @@ func TestMirrorRoundTrip(t *testing.T) {
 	// A gap append must be refused.
 	if err := MirrorAppend(dst, end.Seg, end.Pos+10, []byte("gap")); err == nil {
 		t.Fatal("MirrorAppend accepted a gap")
+	}
+}
+
+// TestWaitPast: a wait returns at once when the durable end already lies
+// past the offset, wakes on the group commit that moves it past, and
+// returns the unchanged end when its context ends first.
+func TestWaitPast(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	end := l.DurableEnd()
+	if got := l.WaitPast(context.Background(), Offset{Seg: 1}); got != end {
+		t.Fatalf("WaitPast before the durable end = %v, want %v", got, end)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if got := l.WaitPast(ctx, end); got != end {
+		t.Fatalf("WaitPast on an idle log = %v, want %v", got, end)
+	}
+	off, err := l.Append(1, []byte("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	woke := make(chan Offset)
+	go func() { woke <- l.WaitPast(context.Background(), end) }()
+	time.Sleep(10 * time.Millisecond) // let the waiter block
+	if got := l.WaitPast(ctx, end); got != end {
+		t.Fatalf("an appended but unsynced record moved the durable end to %v", got)
+	}
+	if err := l.WaitDurable(off); err != nil {
+		t.Fatal(err)
+	}
+	if got := <-woke; got != off {
+		t.Fatalf("woken at %v, want %v", got, off)
 	}
 }
