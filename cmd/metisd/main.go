@@ -11,6 +11,7 @@
 //	metisd -policy taa -plan-units 20
 //	metisd -snapshot state.json -snapshot-every 8     # resumes from state.json on restart (no WAL)
 //	metisd -check                                     # post-tick ledger invariant sweep
+//	metisd -trace lifecycle.jsonl                     # JSONL arrival/solve/epoch spans (render with metistrace)
 //	metisd -wal-dir wal/                              # durable: ack only after the arrival is fsynced; replays wal/ on restart
 //	metisd -standby -wal-dir mirror/ -primary-url http://leader:8080   # hot standby: applies the log it mirrors
 //	metisd -promote http://standby:8081               # client mode: promote a standby, then exit
@@ -32,7 +33,6 @@
 //	GET  /v1/stats           counters + daemon time + latency digests
 //	GET  /healthz            readiness: 200 keeping up, 503 shedding/behind/draining
 //	GET  /debug/epochs       epoch health scorecard (one JSON record per tick)
-//	GET  /debug/flightrec    anomaly flight-recorder bundles (with -flight-dir)
 //	POST /v1/snapshot        write a snapshot now
 //	POST /v1/promote         standby only: promote to leader → 200 {report}
 //	GET  /ha/v1/wal          leader: durable WAL bytes for a standby mirror, waiting for the next group
@@ -119,8 +119,6 @@ func run(args []string) (err error) {
 		snapshotEvery = fs.Int("snapshot-every", 0, "snapshot period in epochs (0 = only on drain)")
 		traceOut      = fs.String("trace", "", "write a JSONL trace of the request lifecycle (arrival/solve/epoch) to this file")
 		scorecard     = fs.Int("scorecard", 0, "epoch health scorecard size served by /debug/epochs (0 = default)")
-		flightDir     = fs.String("flight-dir", "", "arm the anomaly flight recorder and dump postmortem bundles here")
-		flightKeep    = fs.Int("flight-keep", 0, "flight-recorder bundles kept in memory and served over HTTP (0 = default)")
 		check         = fs.Bool("check", false, "run the ledger invariant checker after every tick (stats report checkFailures)")
 		walDir        = fs.String("wal-dir", "", "write-ahead log directory: arrivals are acked only once fsynced, ticks log redo records, recovery replays on start")
 		standby       = fs.Bool("standby", false, "run as a hot standby: mirror the leader's WAL into -wal-dir and apply it as it lands, refuse intake until promoted")
@@ -186,14 +184,6 @@ func run(args []string) (err error) {
 		tracer = jt
 	}
 
-	var flight *metis.ServeFlightConfig
-	if *flightDir != "" {
-		if err := os.MkdirAll(*flightDir, 0o755); err != nil {
-			return err
-		}
-		flight = &metis.ServeFlightConfig{Dir: *flightDir, Keep: *flightKeep}
-	}
-
 	// A leader's WAL opens before the server so every ack is durable
 	// from the first request; a standby opens the mirrored log itself
 	// at promotion time.
@@ -217,7 +207,6 @@ func run(args []string) (err error) {
 		SnapshotEvery: *snapshotEvery,
 		Tracer:        tracer,
 		ScorecardSize: *scorecard,
-		Flight:        flight,
 		Check:         *check,
 		WAL:           walLog,
 	})
@@ -308,11 +297,7 @@ func run(args []string) (err error) {
 	defer closeHTTP()
 	fmt.Fprintf(os.Stderr, "metisd: serving %s (%d links, %d slots) on http://%s policy=%s epoch=%v role=%s\n",
 		net.Name(), net.NumLinks(), *slots, ln.Addr(), *policyName, *epoch, srv.Role())
-	fmt.Fprintf(os.Stderr, "metisd: observability: /metrics /healthz /debug/epochs")
-	if flight != nil {
-		fmt.Fprintf(os.Stderr, " /debug/flightrec (bundles → %s)", *flightDir)
-	}
-	fmt.Fprintln(os.Stderr)
+	fmt.Fprintln(os.Stderr, "metisd: observability: /metrics /healthz /debug/epochs")
 
 	if *standby {
 		fmt.Fprintf(os.Stderr, "metisd: standby mirroring %s into %s (POST /v1/promote to take over)\n",

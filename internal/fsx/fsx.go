@@ -1,7 +1,8 @@
 // Package fsx holds the small filesystem durability helpers shared by
-// the snapshot writer, the WAL, the flight recorder and the HA standby:
-// atomic file replacement that survives a crash at any point (temp file
-// in the target directory, fsync, rename, directory fsync).
+// the snapshot writer, the WAL and the standby's WAL mirror: atomic file
+// replacement that survives a crash at any point (temp file in the
+// target directory, fsync, rename, directory fsync), and the directory
+// fsync that makes a new or renamed entry durable.
 package fsx
 
 import (
@@ -12,19 +13,10 @@ import (
 	"syscall"
 )
 
-// WriteFileAtomic replaces path with data so that a crash at any point
-// leaves either the old content or the new content, never a mix: the
-// bytes land in a temp file in the same directory, are fsynced, renamed
-// over path, and the directory entry itself is fsynced.
-func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
-	return WriteAtomic(path, perm, func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
-}
-
-// WriteAtomic is WriteFileAtomic for streaming writers: fill receives
-// the temp file and the same crash-safety sequence follows.
+// WriteAtomic replaces path with what fill writes, so that a crash at
+// any point leaves either the old content or the new content, never a
+// mix: fill writes a temp file in the same directory, which is fsynced,
+// renamed over path, and the directory entry itself is fsynced.
 func WriteAtomic(path string, perm os.FileMode, fill func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")

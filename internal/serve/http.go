@@ -17,8 +17,6 @@ import (
 //	GET  /v1/stats           counters + daemon time + latency digests
 //	GET  /healthz            readiness: 200 keeping up, 503 shedding/behind/draining
 //	GET  /debug/epochs       epoch health scorecard (JSON array, oldest first)
-//	GET  /debug/flightrec    flight-recorder bundle headers
-//	GET  /debug/flightrec/{id}  one full postmortem bundle
 //	POST /v1/snapshot        write a snapshot now (needs SnapshotPath)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -34,26 +32,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /debug/epochs", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, s.EpochRecords())
-	})
-	mux.HandleFunc("GET /debug/flightrec", func(w http.ResponseWriter, _ *http.Request) {
-		if s.flight == nil {
-			writeJSON(w, http.StatusNotFound, map[string]string{"error": "flight recorder not armed"})
-			return
-		}
-		writeJSON(w, http.StatusOK, s.FlightBundles())
-	})
-	mux.HandleFunc("GET /debug/flightrec/{id}", func(w http.ResponseWriter, r *http.Request) {
-		id, err := strconv.Atoi(r.PathValue("id"))
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad id"})
-			return
-		}
-		b, ok := s.FlightBundle(id)
-		if !ok {
-			writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown bundle id"})
-			return
-		}
-		writeJSON(w, http.StatusOK, b)
 	})
 	mux.HandleFunc("POST /v1/snapshot", func(w http.ResponseWriter, _ *http.Request) {
 		if s.cfg.SnapshotPath == "" {

@@ -94,8 +94,8 @@ func (s *Server) submitAt(req demand.Request, now time.Time) (*Decision, wal.Off
 		s.queueDepth.Add(-1)
 		s.nShed.Add(1)
 		cShed.Inc()
-		if s.tracer != nil {
-			obs.Event(s.tracer, "serve.arrival", obs.Fields{"outcome": "shed"})
+		if s.cfg.Tracer != nil {
+			obs.Event(s.cfg.Tracer, "serve.arrival", obs.Fields{"outcome": "shed"})
 		}
 		return nil, wal.Offset{}, ErrQueueFull
 	}
@@ -119,8 +119,8 @@ func (s *Server) submitAt(req demand.Request, now time.Time) (*Decision, wal.Off
 	cSubmitted.Inc()
 	depth := s.queueDepth.Load()
 	gQueueDepth.Set(depth)
-	if s.tracer != nil {
-		obs.Event(s.tracer, "serve.arrival", obs.Fields{
+	if s.cfg.Tracer != nil {
+		obs.Event(s.cfg.Tracer, "serve.arrival", obs.Fields{
 			"id": id, "outcome": "queued", "queue_depth": depth,
 		})
 	}

@@ -166,8 +166,8 @@ func (l *Ledger) Equal(o *Ledger) bool {
 }
 
 // LedgerImage is the JSON wire form of a Ledger: the per-(link, slot)
-// committed occupancy plus per-link purchases. It appears in crash
-// snapshots and in flight-recorder postmortem bundles.
+// committed occupancy plus per-link purchases, as it appears in crash
+// snapshots.
 type LedgerImage struct {
 	Slots     int         `json:"slots"`
 	Purchased []int       `json:"purchased"`

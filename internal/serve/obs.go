@@ -26,10 +26,6 @@ var (
 	gQueueDepth      = obs.NewGauge("serve.queue_depth", "arrivals waiting for the next epoch tick")
 	gPurchasedUnits  = obs.NewGauge("serve.purchased_units", "total bandwidth units purchased this cycle")
 
-	cFlightTriggers   = obs.NewCounter("serve.flight.triggers", "anomalies spotted by the flight recorder")
-	cFlightDumps      = obs.NewCounter("serve.flight.dumps", "postmortem bundles dumped by the flight recorder")
-	cFlightSuppressed = obs.NewCounter("serve.flight.suppressed", "flight-recorder triggers suppressed by the dump cooldown")
-
 	histTick = obs.NewHistogram("serve.tick_seconds", "wall-clock seconds per epoch tick")
 )
 

@@ -25,10 +25,9 @@ const (
 )
 
 // EpochRecord is one row of the epoch health scorecard: everything one
-// tick did, including what the solver stack was doing underneath it
-// (solver figures are deltas of the process-wide obs counters over the
-// tick, so concurrent servers in one process smear each other's solver
-// columns — the daemon runs exactly one).
+// tick did. The replan columns are deltas of the process-wide
+// serve.replans counters over the tick, so concurrent servers in one
+// process smear each other's — the daemon runs exactly one.
 type EpochRecord struct {
 	Epoch      int    `json:"epoch"`
 	Cycle      int    `json:"cycle"`
@@ -56,18 +55,10 @@ type EpochRecord struct {
 	QueueWaitMeanMillis float64 `json:"queueWaitMeanMillis"`
 	QueueWaitMaxMillis  float64 `json:"queueWaitMaxMillis"`
 
-	// Solver activity during the tick (obs counter deltas).
-	LPSolves         int64 `json:"lpSolves"`
-	LPIters          int64 `json:"lpIters"`
-	Rounds           int64 `json:"rounds"`
-	WarmHits         int64 `json:"warmHits"`
-	WarmStalls       int64 `json:"warmStalls"`
-	ColdFallbacks    int64 `json:"coldFallbacks"`
-	PricingFallbacks int64 `json:"pricingFallbacks"`
-	DualColdStarts   int64 `json:"dualColdStarts"`
-	DualColdBails    int64 `json:"dualColdBails"`
-	Replans          int64 `json:"replans"`
-	ReplansDegraded  int64 `json:"replansDegraded"`
+	// metis-incremental replans run during the tick, and those the
+	// budget cut short.
+	Replans         int64 `json:"replans"`
+	ReplansDegraded int64 `json:"replansDegraded"`
 
 	// Realized economics of the tick.
 	RevenueDelta float64 `json:"revenueDelta"`
@@ -75,45 +66,24 @@ type EpochRecord struct {
 	ProfitDelta  float64 `json:"profitDelta"`
 }
 
-// counterDelta reads key's delta between two obs snapshots.
-func counterDelta(before, after map[string]float64, key string) int64 {
-	return int64(after[key] - before[key])
-}
-
-// fillSolverDeltas populates the solver-activity columns from the tick's
-// before/after counter snapshots.
-func (r *EpochRecord) fillSolverDeltas(before, after map[string]float64) {
-	r.LPSolves = counterDelta(before, after, "lp.solves")
-	r.LPIters = counterDelta(before, after, "lp.iters")
-	r.Rounds = counterDelta(before, after, "core.rounds")
-	r.WarmHits = counterDelta(before, after, "lp.warm.hits")
-	r.WarmStalls = counterDelta(before, after, "lp.warm.stalls")
-	r.ColdFallbacks = counterDelta(before, after, "lp.warm.cold_fallbacks")
-	r.PricingFallbacks = counterDelta(before, after, "lp.pricing.fallbacks")
-	r.DualColdStarts = counterDelta(before, after, "lp.pricing.dual_cold_starts")
-	r.DualColdBails = counterDelta(before, after, "lp.pricing.dual_cold_bails")
-	r.Replans = counterDelta(before, after, "serve.replans")
-	r.ReplansDegraded = counterDelta(before, after, "serve.replans_degraded")
-}
-
-// ring is a fixed-size buffer of the most recent values: the epoch
-// scorecard behind /debug/epochs, and the flight recorder's span ring.
-// It has its own lock so readers never contend with the Server's mu.
-type ring[T any] struct {
+// scoreRing is the epoch scorecard behind /debug/epochs: a fixed-size
+// buffer of the most recent records. It has its own lock so readers
+// never contend with the Server's mu.
+type scoreRing struct {
 	mu   sync.Mutex
-	buf  []T
+	buf  []EpochRecord
 	next int
 	full bool
 }
 
-func newScoreRing(size int) *ring[EpochRecord] {
+func newScoreRing(size int) *scoreRing {
 	if size <= 0 {
 		size = DefaultScorecardSize
 	}
-	return &ring[EpochRecord]{buf: make([]EpochRecord, size)}
+	return &scoreRing{buf: make([]EpochRecord, size)}
 }
 
-func (r *ring[T]) push(v T) {
+func (r *scoreRing) push(v EpochRecord) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.buf[r.next] = v
@@ -124,24 +94,23 @@ func (r *ring[T]) push(v T) {
 }
 
 // snapshot returns the retained values, oldest first.
-func (r *ring[T]) snapshot() []T {
+func (r *scoreRing) snapshot() []EpochRecord {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !r.full {
-		return append([]T(nil), r.buf[:r.next]...)
+		return append([]EpochRecord(nil), r.buf[:r.next]...)
 	}
-	out := make([]T, 0, len(r.buf))
+	out := make([]EpochRecord, 0, len(r.buf))
 	out = append(out, r.buf[r.next:]...)
 	return append(out, r.buf[:r.next]...)
 }
 
 // last returns the most recent value, if any.
-func (r *ring[T]) last() (T, bool) {
+func (r *scoreRing) last() (EpochRecord, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !r.full && r.next == 0 {
-		var zero T
-		return zero, false
+		return EpochRecord{}, false
 	}
 	i := r.next - 1
 	if i < 0 {

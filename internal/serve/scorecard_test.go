@@ -5,10 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
+	"metis/internal/fault"
 	"metis/internal/obs"
+	"metis/internal/wan"
 )
 
 func TestScorecardNormalEpoch(t *testing.T) {
@@ -92,6 +95,59 @@ func TestScorecardRingWraps(t *testing.T) {
 	if recs[0].Epoch != 2 || recs[3].Epoch != 5 {
 		t.Fatalf("ring order wrong: first epoch %d, last %d", recs[0].Epoch, recs[3].Epoch)
 	}
+}
+
+// TestScorecardReplanColumns pins the replan columns bench reads: a
+// metis-incremental tick with arrivals replans once (replan-every 1),
+// and a replan the tick budget cuts short is counted as degraded and
+// sets the row's solve status.
+func TestScorecardReplanColumns(t *testing.T) {
+	// run ticks one epoch per batch, then one empty epoch, on a fresh
+	// metis-incremental server.
+	run := func(t *testing.T, epoch time.Duration, batches int) []EpochRecord {
+		t.Helper()
+		s := newTestServer(t, func(c *Config) {
+			c.Epoch = epoch
+			c.Policy = incrementalPolicy(t, 1)
+		})
+		pool := genPool(t, wan.SubB4(), 3*batches, 31)
+		for k := 0; k < batches; k++ {
+			for _, r := range pool[3*k : 3*k+3] {
+				r.Start, r.End = k, s.cfg.Slots-1 // live at this tick's slot
+				if _, err := s.Submit(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s.Tick(context.Background())
+		}
+		s.Tick(context.Background())
+		return s.EpochRecords()
+	}
+
+	t.Run("every tick replans", func(t *testing.T) {
+		recs := run(t, time.Hour, 4)
+		for _, r := range recs[:4] {
+			if r.Batch != 3 || r.Replans != 1 || r.ReplansDegraded != 0 || r.SolveStatus != SolveOK {
+				t.Fatalf("epoch %d: batch %d replans %d degraded %d status %q, want 3, 1, 0, %q",
+					r.Epoch, r.Batch, r.Replans, r.ReplansDegraded, r.SolveStatus, SolveOK)
+			}
+		}
+		if r := recs[4]; r.Replans != 0 || r.SolveStatus != SolveIdle {
+			t.Fatalf("empty epoch: replans %d status %q, want 0, %q", r.Replans, r.SolveStatus, SolveIdle)
+		}
+	})
+
+	t.Run("stalled replan degrades", func(t *testing.T) {
+		// The first LP solve stalls past the replan's share of the
+		// 320 ms tick budget; admission still decides in what is left.
+		fault.Enable("lp.solve", fault.Spec{Kind: fault.KindSleep, Sleep: 200 * time.Millisecond})
+		t.Cleanup(fault.Reset)
+		r := run(t, 400*time.Millisecond, 1)[0]
+		if r.Replans != 1 || r.ReplansDegraded != 1 || r.Degraded || r.SolveStatus != SolveReplanDegraded {
+			t.Fatalf("stalled epoch: replans %d degraded replans %d degraded %v status %q, want 1, 1, false, %q",
+				r.Replans, r.ReplansDegraded, r.Degraded, r.SolveStatus, SolveReplanDegraded)
+		}
+	})
 }
 
 func TestHealthTransitions(t *testing.T) {
@@ -239,3 +295,48 @@ func TestLifecycleTrace(t *testing.T) {
 		t.Fatalf("lifecycle trace incomplete: arrival=%v solve=%v epoch=%v", sawArrival, sawSolve, sawEpoch)
 	}
 }
+
+// TestTracingConcurrent exercises the full observability path — tracer,
+// latency histograms and scorecard — under concurrent submits and
+// ticks. Its value is under -race (CI runs it there).
+func TestTracingConcurrent(t *testing.T) {
+	tr := obs.NewJSONLTracer(discard{})
+	s := newTestServer(t, func(c *Config) {
+		c.Tracer = tr
+		c.QueueLimit = 64
+	})
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					_, _ = s.Submit(goodRequest(100))
+				}
+			}
+		}()
+	}
+	for i := 0; i < 20; i++ {
+		s.Tick(context.Background())
+		_ = s.Stats()
+		_ = s.Health()
+		_ = s.EpochRecords()
+	}
+	close(stop)
+	wg.Wait()
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.EpochRecords()) != 20 {
+		t.Fatalf("got %d epoch records, want 20", len(s.EpochRecords()))
+	}
+}
+
+type discard struct{}
+
+func (discard) Write(p []byte) (int, error) { return len(p), nil }

@@ -374,6 +374,75 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 	}
 }
 
+// TestRestoreRefusesBadQueue checks that Restore refuses a snapshot
+// whose queue ids could decide one request twice or collide with a
+// later Submit, and a negative epoch — each before any state moves.
+func TestRestoreRefusesBadQueue(t *testing.T) {
+	src := newTestServer(t, nil)
+	for _, v := range []float64{77, 88} {
+		if _, err := src.Submit(goodRequest(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := src.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var good Snapshot
+	if err := json.Unmarshal(buf.Bytes(), &good); err != nil {
+		t.Fatal(err)
+	}
+	if len(good.Queue) != 2 || good.Queue[0].ID != 1 || good.Queue[1].ID != 2 || good.NextID != 3 {
+		t.Fatalf("base image queue %+v nextId %d, want ids 1, 2 and nextId 3", good.Queue, good.NextID)
+	}
+	entry := func(id int64) QueuedRequest { return QueuedRequest{ID: id, Request: goodRequest(77)} }
+	cases := []struct {
+		name string
+		mut  func(*Snapshot)
+		want string // in the error: the bad id or epoch
+	}{
+		{"repeated entry", func(sn *Snapshot) { sn.Queue[1] = sn.Queue[0] }, "id 1"},
+		{"id at nextId", func(sn *Snapshot) { sn.Queue = []QueuedRequest{entry(5)}; sn.NextID = 2 }, "id 5"},
+		{"id zero", func(sn *Snapshot) { sn.Queue[0].ID = 0 }, "id 0"},
+		{"negative id", func(sn *Snapshot) { sn.Queue[0].ID = -4 }, "id -4"},
+		{"descending", func(sn *Snapshot) { sn.Queue[0], sn.Queue[1] = sn.Queue[1], sn.Queue[0] }, "id 1"},
+		{"negative epoch", func(sn *Snapshot) { sn.Epoch = -1 }, "epoch -1"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sn := good
+			sn.Queue = append([]QueuedRequest(nil), good.Queue...)
+			tc.mut(&sn)
+			img, err := json.Marshal(&sn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := newTestServer(t, nil)
+			err = s.Restore(bytes.NewReader(img))
+			if err == nil {
+				st := s.Stats()
+				t.Fatalf("restored a bad image: queue depth %d, epoch %d", st.QueueDepth, st.Epoch)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not name %q", err, tc.want)
+			}
+			if s.hasState() {
+				t.Fatal("a refused image left state behind")
+			}
+		})
+	}
+
+	// The untouched image restores, and its two requests are decided once.
+	s := newTestServer(t, nil)
+	if err := s.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	s.Tick(context.Background())
+	if st := s.Stats(); st.Accepted+st.Rejected != 2 {
+		t.Fatalf("restored queue decided %d times, want 2", st.Accepted+st.Rejected)
+	}
+}
+
 func TestSnapshotFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap.json")

@@ -73,9 +73,6 @@ type Config struct {
 	// ScorecardSize bounds the epoch health scorecard served by
 	// /debug/epochs (default DefaultScorecardSize).
 	ScorecardSize int
-	// Flight, when non-nil, arms the anomaly flight recorder (see
-	// FlightConfig).
-	Flight *FlightConfig
 	// Check, when true, runs the spm ledger invariant checker after
 	// every tick's commit (no per-(link, slot) capacity overcommit). A
 	// violation increments serve.check_failures and Stats.CheckFailures;
@@ -138,7 +135,8 @@ type Decision struct {
 	// Status is queued, accepted or rejected.
 	Status string `json:"status"`
 	// Reason explains a rejection ("declined by policy", "window
-	// expired", "degraded: …").
+	// expired before decision", "policy error: …"). A decision the
+	// greedy fallback made carries Degraded, not a reason of its own.
 	Reason string `json:"reason,omitempty"`
 	// Links is the assigned path (link ids) of an accepted request.
 	Links []int `json:"links,omitempty"`
@@ -235,11 +233,9 @@ type LinkState struct {
 // intakeShard.mu / decisionShard.mu. Submit takes only shard locks;
 // ticks and snapshots take s.mu first.
 type Server struct {
-	cfg    Config
-	tracer obs.Tracer // cfg.Tracer teed with the flight recorder's span ring
-	lat    *latencyObs
-	score  *ring[EpochRecord]
-	flight *flightRecorder // nil unless cfg.Flight is set
+	cfg   Config
+	lat   *latencyObs
+	score *scoreRing
 
 	// Ingest path: lock-free id assignment and depth accounting plus
 	// per-shard queue/decision locks. No submit ever touches s.mu.
@@ -286,20 +282,15 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: plan has %d links, network has %d", len(p.Plan), cfg.Net.NumLinks())
 	}
 	s := &Server{
-		cfg:    cfg,
-		tracer: cfg.Tracer,
-		lat:    newLatencyObs(cfg.Policy.Name()),
-		score:  newScoreRing(cfg.ScorecardSize),
-		led:    NewLedger(cfg.Net, cfg.Slots),
+		cfg:   cfg,
+		lat:   newLatencyObs(cfg.Policy.Name()),
+		score: newScoreRing(cfg.ScorecardSize),
+		led:   NewLedger(cfg.Net, cfg.Slots),
 	}
 	s.nextID.Store(1)
 	s.pruneFrom = 1
 	for i := range s.dshards {
 		s.dshards[i].m = make(map[int64]*Decision)
-	}
-	if cfg.Flight != nil {
-		s.flight = newFlightRecorder(*cfg.Flight)
-		s.tracer = combineTracers(cfg.Tracer, s.flight.ring)
 	}
 	return s, nil
 }

@@ -134,6 +134,23 @@ func (s *Server) Restore(r io.Reader) error {
 	if snap.Slots != s.cfg.Slots {
 		return fmt.Errorf("serve: snapshot has %d slots, server runs %d", snap.Slots, s.cfg.Slots)
 	}
+	if snap.Epoch < 0 {
+		return fmt.Errorf("serve: snapshot epoch %d is negative", snap.Epoch)
+	}
+	// Snapshot writes the queue sorted by id, every id assigned before
+	// nextId; a repeated or out-of-range id would decide one request
+	// twice or hand a later Submit an id already queued.
+	prev := int64(0)
+	for _, q := range snap.Queue {
+		if q.ID <= prev || q.ID >= snap.NextID {
+			return fmt.Errorf("serve: snapshot queue id %d: ids must be positive, strictly increasing and below nextId %d",
+				q.ID, snap.NextID)
+		}
+		prev = q.ID
+		if err := q.Request.Validate(s.cfg.Net, s.cfg.Slots); err != nil {
+			return fmt.Errorf("serve: snapshot queue entry %d: %w", q.ID, err)
+		}
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -149,9 +166,6 @@ func (s *Server) Restore(r io.Reader) error {
 	s.revenue = snap.Revenue
 	now := time.Now() // when this process takes the queued arrivals over
 	for _, q := range snap.Queue {
-		if err := q.Request.Validate(s.cfg.Net, s.cfg.Slots); err != nil {
-			return fmt.Errorf("serve: snapshot queue entry %d: %w", q.ID, err)
-		}
 		s.adopt(q.ID, q.Request, now)
 	}
 	if snap.Policy != nil {

@@ -11,23 +11,19 @@ import (
 	"metis/internal/spm"
 )
 
-// maxBundleEpochs bounds the epoch history embedded in one flight
-// bundle (the full scorecard stays on /debug/epochs).
-const maxBundleEpochs = 32
-
 // tick is one epoch in flight: what each phase of Tick hands the next.
 type tick struct {
 	ctx    context.Context // the decision's budget
 	cancel context.CancelFunc
 	start  time.Time
 	budget time.Duration
-	before map[string]float64 // solver-activity baseline for the scorecard
 
 	// Set by claim.
-	epoch, slot           int
-	batch                 []pending
-	revBefore, costBefore float64
-	waitSum, waitMax      float64 // queue wait, seconds
+	epoch, slot              int
+	batch                    []pending
+	revBefore, costBefore    float64
+	replans, replansDegraded int64   // the replan counters, for the scorecard row
+	waitSum, waitMax         float64 // queue wait, seconds
 
 	// Set by decide.
 	rec            walTick
@@ -73,7 +69,7 @@ func (s *Server) claim(ctx context.Context) *tick {
 		ctx = context.Background()
 	}
 	t.ctx, t.cancel = context.WithTimeout(ctx, t.budget)
-	t.before = obs.Snapshot()
+	t.replans, t.replansDegraded = cReplans.Value(), cReplansDegraded.Value()
 
 	s.mu.Lock()
 	t.epoch = s.epoch
@@ -165,7 +161,7 @@ func (s *Server) solve(ctx context.Context, batch []pending, epoch, slot int) (t
 		tr.Degraded = true
 		st, err = GreedyPolicy{}.Decide(nil, led, inst, epoch, slot)
 	}
-	if s.tracer != nil {
+	if s.cfg.Tracer != nil {
 		f := obs.Fields{
 			"epoch": epoch, "slot": slot, "policy": s.cfg.Policy.Name(),
 			"requests": len(live), "degraded": tr.Degraded,
@@ -173,7 +169,7 @@ func (s *Server) solve(ctx context.Context, batch []pending, epoch, slot int) (t
 		if err != nil {
 			f["error"] = err.Error()
 		}
-		obs.Span(s.tracer, "serve.solve", solveStart, f)
+		obs.Span(s.cfg.Tracer, "serve.solve", solveStart, f)
 	}
 	if err != nil {
 		reject("policy error: " + err.Error())
@@ -306,10 +302,8 @@ func (s *Server) commitTick(tr *walTick, reqs []demand.Request) {
 // record closes a committed tick. Under s.mu, as commitTick left it, it
 // observes each decision's latency (arrival → decision), caches the
 // policy state snapshots serve, counts an overrun and builds the
-// scorecard row, checking it against the flight recorder's triggers so
-// a bundle's ledger image is the anomalous tick's committed state. It
-// then releases s.mu and emits the serve.epoch span, pushes the row and
-// dumps any bundle, none of which may hold up a snapshot.
+// scorecard row. It then releases s.mu and emits the serve.epoch span
+// and pushes the row, neither of which may hold up a snapshot.
 func (s *Server) record(t *tick) {
 	s.deciding = nil
 	var nAccepted, nExpired int
@@ -344,11 +338,7 @@ func (s *Server) record(t *tick) {
 	cEpochs.Inc()
 	histTick.Observe(elapsed.Seconds())
 
-	// The counter snapshot is taken after the commit counters moved, so
-	// the row's solver columns cover the whole tick.
-	after := obs.Snapshot()
 	rec := s.epochRecord(t, nAccepted, nExpired, elapsed)
-	rec.fillSolverDeltas(t.before, after)
 	switch {
 	case t.failed:
 		rec.SolveStatus = SolveError
@@ -363,17 +353,10 @@ func (s *Server) record(t *tick) {
 	}
 	s.shedMark = s.nShed.Load()
 	s.lastTickEnd = t.now
-	var dumpTrig string
-	var ledgerImg LedgerImage
-	if s.flight != nil {
-		if dumpTrig = s.flight.dumpTrigger(rec); dumpTrig != "" {
-			ledgerImg = s.led.snap()
-		}
-	}
 	s.mu.Unlock()
 
-	if s.tracer != nil {
-		obs.Span(s.tracer, "serve.epoch", t.start, obs.Fields{
+	if s.cfg.Tracer != nil {
+		obs.Span(s.cfg.Tracer, "serve.epoch", t.start, obs.Fields{
 			"epoch":       t.epoch,
 			"cycle":       rec.Cycle,
 			"slot":        t.slot,
@@ -391,17 +374,10 @@ func (s *Server) record(t *tick) {
 		})
 	}
 	s.score.push(rec)
-	if dumpTrig != "" {
-		recent := s.score.snapshot()
-		if len(recent) > maxBundleEpochs {
-			recent = recent[len(recent)-maxBundleEpochs:]
-		}
-		s.flight.dump(dumpTrig, rec, recent, ledgerImg, t.before, after)
-	}
 }
 
 // epochRecord builds the tick's scorecard row from the committed state,
-// less its solver columns and status. Callers hold s.mu.
+// less its status. Callers hold s.mu.
 func (s *Server) epochRecord(t *tick, nAccepted, nExpired int, elapsed time.Duration) EpochRecord {
 	rec := EpochRecord{
 		Epoch:         t.epoch,
@@ -422,6 +398,9 @@ func (s *Server) epochRecord(t *tick, nAccepted, nExpired int, elapsed time.Dura
 		ElapsedMillis: float64(elapsed.Microseconds()) / 1e3,
 		RevenueDelta:  s.revenue - t.revBefore,
 		CostDelta:     s.led.Cost() - t.costBefore,
+
+		Replans:         cReplans.Value() - t.replans,
+		ReplansDegraded: cReplansDegraded.Value() - t.replansDegraded,
 	}
 	rec.ProfitDelta = rec.RevenueDelta - rec.CostDelta
 	if len(t.batch) > 0 {

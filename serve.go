@@ -36,13 +36,8 @@ type (
 	ServeHealth = serve.Health
 	// ServeLatencySummary is one latency digest inside ServeStats.
 	ServeLatencySummary = serve.LatencySummary
-	// ServeFlightConfig arms the daemon's anomaly flight recorder.
-	ServeFlightConfig = serve.FlightConfig
-	// ServeFlightBundle is one flight-recorder postmortem bundle
-	// (/debug/flightrec).
-	ServeFlightBundle = serve.FlightBundle
 	// LedgerImage is the JSON wire form of the daemon's link-state
-	// ledger (snapshots and flight bundles).
+	// ledger inside a snapshot.
 	LedgerImage = serve.LedgerImage
 	// ServeBatchResult is one entry of the POST /v1/requests/batch
 	// response.
