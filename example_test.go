@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"metis"
@@ -100,6 +101,64 @@ func ExampleServer_RunCycles() {
 
 	fmt.Printf("decided=%d accepted=%d profit=%.1f\n", res[0].Decided, res[0].Accepted, res[0].Profit)
 	// Output: decided=2 accepted=1 profit=4.0
+}
+
+// ExampleNewServePolicy admits one cycle with the "taa" policy: each
+// epoch's batch is admitted by TAA into a fixed capacity plan, so a
+// request the plan cannot carry is declined instead of bought for.
+func ExampleNewServePolicy() {
+	dcs := []metis.DC{
+		{ID: 0, Name: "fra", Region: metis.RegionEurope},
+		{ID: 1, Name: "ams", Region: metis.RegionEurope},
+	}
+	links := []metis.Link{
+		{From: 0, To: 1, Price: 2},
+		{From: 1, To: 0, Price: 2},
+	}
+	net, _ := metis.NewNetwork("demo", dcs, links)
+
+	// One unit on each link, bought up front.
+	policy, _ := metis.NewServePolicy("taa", []int{1, 1}, 0, metis.Config{})
+	srv, _ := metis.NewServer(metis.ServeConfig{Net: net, Epoch: time.Hour, Policy: policy})
+	cycle := []metis.Request{
+		{Src: 0, Dst: 1, Start: 0, End: 11, Rate: 0.6, Value: 3},
+		// Would need a second unit on the link: declined.
+		{Src: 0, Dst: 1, Start: 0, End: 11, Rate: 0.6, Value: 1},
+	}
+	res, _ := srv.RunCycles(context.Background(), [][]metis.Request{cycle})
+
+	fmt.Printf("decided=%d accepted=%d\n", res[0].Decided, res[0].Accepted)
+	// Output: decided=2 accepted=1
+}
+
+// ExampleWriteArrivals writes a timestamped workload stream, one JSON
+// arrival per line, as cmd/wangen -stream does.
+func ExampleWriteArrivals() {
+	arrivals := []metis.Arrival{
+		{AtMillis: 0, Request: metis.Request{ID: 0, Src: 0, Dst: 1, Start: 0, End: 3, Rate: 0.5, Value: 2}},
+		{AtMillis: 250, Request: metis.Request{ID: 1, Src: 1, Dst: 0, Start: 1, End: 4, Rate: 1, Value: 3}},
+	}
+	_ = metis.WriteArrivals(os.Stdout, arrivals)
+	// Output:
+	// {"atMillis":0,"request":{"id":0,"src":0,"dst":1,"start":0,"end":3,"rate":0.5,"value":2}}
+	// {"atMillis":250,"request":{"id":1,"src":1,"dst":0,"start":1,"end":4,"rate":1,"value":3}}
+}
+
+// ExampleReadArrivals decodes a workload stream, as cmd/metisload does
+// before replaying it against a daemon. Blank lines are skipped.
+func ExampleReadArrivals() {
+	stream := `{"atMillis":0,"request":{"id":0,"src":0,"dst":1,"start":0,"end":3,"rate":0.5,"value":2}}
+
+{"atMillis":250,"request":{"id":1,"src":1,"dst":0,"start":1,"end":4,"rate":1,"value":3}}
+`
+	arrivals, _ := metis.ReadArrivals(strings.NewReader(stream))
+	for _, a := range arrivals {
+		r := a.Request
+		fmt.Printf("t=%dms req %d: DC%d->DC%d value %.0f\n", a.AtMillis, r.ID, r.Src, r.Dst, r.Value)
+	}
+	// Output:
+	// t=0ms req 0: DC0->DC1 value 2
+	// t=250ms req 1: DC1->DC0 value 3
 }
 
 // ExampleNewHAStandby runs a durable leader and a hot standby in one

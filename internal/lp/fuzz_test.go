@@ -32,6 +32,76 @@ func FuzzSimplex(f *testing.F) {
 	})
 }
 
+// FuzzWarmRepair fuzzes the warm repair — the dual simplex's second
+// caller — against cold solves. The leading bytes decode into an LP as
+// for FuzzSimplex, which is solved with the LU basis forced to capture a
+// warm handle; each following 3-byte group is one SetRHS or SetBounds
+// delta. After every delta the warm solve must report the status of a
+// cold solve of the same problem and, at optimality, its objective
+// within 1e-9.
+func FuzzWarmRepair(f *testing.F) {
+	// Seed corpus: 64 pseudo-random bytes each, enough for the largest
+	// LP and seven deltas after it.
+	state := uint64(0x13198a2e03707344)
+	for seed := 0; seed < 8; seed++ {
+		buf := make([]byte, 64)
+		for i := range buf {
+			state ^= state << 13
+			state ^= state >> 7
+			state ^= state << 17
+			buf[i] = byte(state)
+		}
+		f.Add(buf)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fz, ok := decodeFuzzLP(data)
+		if !ok {
+			t.Skip("not enough bytes")
+		}
+		m, n := len(fz.rows), len(fz.obj)
+		deltas := data[min(len(data), 3+2*n+m*(n+2)):] // what decodeFuzzLP left
+		p, q := fz.build(t), fz.build(t)
+		w := NewBasis()
+		if _, err := p.Solve(Options{basis: basisLU, Warm: w}); err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k+3 <= len(deltas) && k < 3*8; k += 3 {
+			op, a, b := deltas[k], int(deltas[k+1]), deltas[k+2]
+			for _, pr := range []*Problem{p, q} {
+				var err error
+				if op%2 == 0 {
+					err = pr.SetRHS(a%m, float64(int(b%9)-4))
+				} else {
+					hi := float64(b % 5)
+					err = pr.SetBounds(a%n, math.Min(float64(b/5%3), hi), hi)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			warm, err := p.Solve(Options{basis: basisLU, Warm: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := q.Solve(Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if warm.Status == StatusIterLimit || cold.Status == StatusIterLimit {
+				t.Skip("iteration limit")
+			}
+			if warm.Status != cold.Status {
+				t.Fatalf("%v\ndelta %d: warm status %v, cold %v (warm path: %v)", fz, k/3, warm.Status, cold.Status, warm.Warm)
+			}
+			if cold.Status == StatusOptimal && math.Abs(warm.Objective-cold.Objective) > 1e-9*(1+math.Abs(cold.Objective)) {
+				t.Fatalf("%v\ndelta %d: warm objective %.15g, cold %.15g (warm path: %v)",
+					fz, k/3, warm.Objective, cold.Objective, warm.Warm)
+			}
+		}
+	})
+}
+
 // TestSimplexDifferentialSweep runs the same differential oracle as
 // FuzzSimplex over a deterministic pseudo-random sweep, so plain
 // `go test` exercises the comparison even when fuzzing is never run.

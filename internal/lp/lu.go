@@ -62,6 +62,10 @@ type luBasis struct {
 	etaPtr  []int32
 	etaPos  []int32
 	etaVals []float64
+	// etaMask[p] has bit e set when eta e touches basis position p
+	// (luMaxEtas fits one word); btranSparse skips the etas its
+	// right-hand side cannot reach.
+	etaMask []uint64
 
 	// Reverse (row-wise) patterns of the factors, rebuilt with them:
 	// posStep inverts colOrder; utCols[utPtr[t]:utPtr[t+1]] lists the
@@ -159,6 +163,8 @@ func (lu *luBasis) factor(m int, colPtr, rowIdx []int32, vals []float64, basic [
 	lu.etaPtr = append(lu.etaPtr[:0], 0)
 	lu.etaPos = lu.etaPos[:0]
 	lu.etaVals = lu.etaVals[:0]
+	lu.etaMask = slices.Grow(lu.etaMask[:0], m)[:m]
+	clear(lu.etaMask)
 
 	lu.rowOf = growInt32s(lu.rowOf, m, m)
 	lu.pinv = growInt32s(lu.pinv, m, m)
@@ -457,14 +463,17 @@ func (lu *luBasis) ftranSparse(rows []int32, vals []float64, x []float64) []int3
 	for i, r := range rows {
 		b[r] = vals[i]
 	}
+	lPtr, lRows, lVals := lu.lPtr, lu.lRows, lu.lVals
 	for i := len(reach) - 1; i >= 0; i-- {
 		k := reach[i]
 		zk := b[lu.rowOf[k]]
 		if zk == 0 {
 			continue
 		}
-		for idx := lu.lPtr[k]; idx < lu.lPtr[k+1]; idx++ {
-			b[lu.lRows[idx]] -= lu.lVals[idx] * zk
+		lo, hi := lPtr[k], lPtr[k+1]
+		vals := lVals[lo:hi]
+		for q, r := range lRows[lo:hi] {
+			b[r] -= vals[q] * zk
 		}
 	}
 
@@ -491,6 +500,7 @@ func (lu *luBasis) ftranSparse(rows []int32, vals []float64, x []float64) []int3
 	}
 	xStamp := lu.nextStamp()
 	xNZ := lu.xNZ[:0]
+	uPtr, uRows, uVals := lu.uPtr, lu.uRows, lu.uVals
 	for i := len(lu.reachU) - 1; i >= 0; i-- {
 		k := lu.reachU[i]
 		v := w[k]
@@ -498,8 +508,10 @@ func (lu *luBasis) ftranSparse(rows []int32, vals []float64, x []float64) []int3
 			continue
 		}
 		v /= lu.uDiag[k]
-		for idx := lu.uPtr[k]; idx < lu.uPtr[k+1]; idx++ {
-			w[lu.uRows[idx]] -= lu.uVals[idx] * v
+		lo, hi := uPtr[k], uPtr[k+1]
+		vals := uVals[lo:hi]
+		for q, r := range uRows[lo:hi] {
+			w[r] -= vals[q] * v
 		}
 		pos := lu.colOrder[k]
 		x[pos] = v
@@ -665,22 +677,31 @@ func (lu *luBasis) btranSparse(c []float64, cNZ []int32, y []float64, yPrev []in
 		y[r] = 0
 	}
 
-	// Eta transposes, newest first: c ← E⁻ᵀ·c. The accumulation must
-	// read every position an eta touches regardless of pattern, so this
-	// phase costs O(nnz(eta file)); only the pivot position can join
-	// the pattern.
+	// Eta transposes, newest first: c ← E⁻ᵀ·c. active holds the etas
+	// that touch a position c may be nonzero at; any other eta reads
+	// only zeros, so its accumulation is skipped. Every pivot position
+	// still joins the pattern in eta order, which keeps the discovery
+	// order — and so the downstream accumulation order — of the full
+	// pass.
 	stamp := lu.nextStamp()
+	var active uint64
 	for _, p := range cNZ {
 		lu.posMk[p] = stamp
+		active |= lu.etaMask[p]
 	}
 	for e := len(lu.etaPtr) - 2; e >= 0; e-- {
 		start, end := lu.etaPtr[e], lu.etaPtr[e+1]
 		p := lu.etaPos[start]
-		acc := c[p]
-		for idx := start + 1; idx < end; idx++ {
-			acc -= lu.etaVals[idx] * c[lu.etaPos[idx]]
+		if active&(1<<e) != 0 {
+			acc := c[p]
+			for idx := start + 1; idx < end; idx++ {
+				acc -= lu.etaVals[idx] * c[lu.etaPos[idx]]
+			}
+			c[p] = acc / lu.etaVals[start]
+			active |= lu.etaMask[p]
+		} else {
+			c[p] /= lu.etaVals[start]
 		}
-		c[p] = acc / lu.etaVals[start]
 		if lu.posMk[p] != stamp {
 			lu.posMk[p] = stamp
 			cNZ = append(cNZ, p)
@@ -700,11 +721,14 @@ func (lu *luBasis) btranSparse(c []float64, cNZ []int32, y []float64, yPrev []in
 		}
 	}
 	wb := lu.workB
+	uPtr, uRows, uVals := lu.uPtr, lu.uRows, lu.uVals
 	for i := len(lu.reachB) - 1; i >= 0; i-- {
 		k := lu.reachB[i]
 		acc := c[lu.colOrder[k]]
-		for idx := lu.uPtr[k]; idx < lu.uPtr[k+1]; idx++ {
-			acc -= lu.uVals[idx] * wb[lu.uRows[idx]]
+		lo, hi := uPtr[k], uPtr[k+1]
+		vals := uVals[lo:hi]
+		for q, r := range uRows[lo:hi] {
+			acc -= vals[q] * wb[r]
 		}
 		wb[k] = acc / lu.uDiag[k]
 	}
@@ -721,12 +745,15 @@ func (lu *luBasis) btranSparse(c []float64, cNZ []int32, y []float64, yPrev []in
 		}
 	}
 	yNZ = yPrev[:0]
+	lPtr, lRows, lVals := lu.lPtr, lu.lRows, lu.lVals
 	for i := len(lu.reachC) - 1; i >= 0; i-- {
 		k := lu.reachC[i]
 		acc := wb[k]
 		wb[k] = 0
-		for idx := lu.lPtr[k]; idx < lu.lPtr[k+1]; idx++ {
-			acc -= lu.lVals[idx] * y[lu.lRows[idx]]
+		lo, hi := lPtr[k], lPtr[k+1]
+		vals := lVals[lo:hi]
+		for q, r := range lRows[lo:hi] {
+			acc -= vals[q] * y[r]
 		}
 		r := lu.rowOf[k]
 		y[r] = acc
@@ -831,13 +858,16 @@ func (lu *luBasis) appendEta(p int, w []float64, wNZ []int32) etaOutcome {
 		len(lu.etaPos)+nz > luFillFactor*lu.nnz()+luFillSlack*lu.m {
 		return etaFill
 	}
+	bit := uint64(1) << (len(lu.etaPtr) - 1)
 	lu.etaPos = append(lu.etaPos, int32(p))
 	lu.etaVals = append(lu.etaVals, piv)
+	lu.etaMask[p] |= bit
 	if wNZ != nil {
 		for _, i := range wNZ {
 			if v := w[i]; v != 0 && int(i) != p {
 				lu.etaPos = append(lu.etaPos, i)
 				lu.etaVals = append(lu.etaVals, v)
+				lu.etaMask[i] |= bit
 			}
 		}
 	} else {
@@ -845,6 +875,7 @@ func (lu *luBasis) appendEta(p int, w []float64, wNZ []int32) etaOutcome {
 			if v != 0 && i != p {
 				lu.etaPos = append(lu.etaPos, int32(i))
 				lu.etaVals = append(lu.etaVals, v)
+				lu.etaMask[i] |= bit
 			}
 		}
 	}

@@ -345,6 +345,19 @@ func TestLUEtaUpdates(t *testing.T) {
 		if d := maxAbsDiff(got, want); d > 1e-7 {
 			t.Fatalf("pivot %d: eta-file BTRAN differs from fresh factors by %g", pivot, d)
 		}
+		// The sparse BTRAN of a unit vector — a dual pivot row — skips
+		// the etas its right-hand side cannot reach; it must still match
+		// the full pass over the eta file, for every position.
+		for r := 0; r < m; r++ {
+			unit := make([]float64, m)
+			unit[r] = 1
+			lu.btran(append([]float64(nil), unit...), want)
+			clear(got)
+			lu.btranSparse(unit, []int32{int32(r)}, got, nil)
+			if d := maxAbsDiff(got, want); d > 1e-12 {
+				t.Fatalf("pivot %d: sparse BTRAN of e_%d differs from the full eta pass by %g", pivot, r, d)
+			}
+		}
 	}
 }
 

@@ -24,7 +24,7 @@ var (
 	cLUSingular     = obs.NewCounter("lp.lu.singular", "factorization attempts that found the basis numerically singular")
 
 	cPricingScanned   = obs.NewCounter("lp.pricing.scanned", "candidate columns priced across primal entering scans (both rungs)")
-	cPricingFallbacks = obs.NewCounter("lp.pricing.fallbacks", "pricing-rule demotions sectional Dantzig -> Bland on degenerate plateaus, primal and dual")
+	cPricingFallbacks = obs.NewCounter("lp.pricing.fallbacks", "primal pricing-rule demotions sectional Dantzig -> Bland on degenerate plateaus")
 
 	cDualColdStarts = obs.NewCounter("lp.pricing.dual_cold_starts", "cold solves that skipped primal phase 1 via a dual cold start (slack basis dual feasible; dual simplex restores primal feasibility)")
 	cDualColdBails  = obs.NewCounter("lp.pricing.dual_cold_bails", "dual cold starts that stalled and fell back to classic two-phase primal simplex")

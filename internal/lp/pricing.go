@@ -67,9 +67,11 @@ func (s *simplex) gatherPivotRow(rho []float64, rhoNZ []int32) []int32 {
 	state, up := s.state, s.up
 	alpha, mark := s.alpha, s.alphaMark
 	nz := s.alphaNZ[:0]
+	rowPtr, colInd, rVals := s.rowPtr, s.colInd, s.rVals
 	sweep := func(i int, rv float64) {
-		for q := s.rowPtr[i]; q < s.rowPtr[i+1]; q++ {
-			j := s.colInd[q]
+		lo, hi := rowPtr[i], rowPtr[i+1]
+		vals := rVals[lo:hi]
+		for k, j := range colInd[lo:hi] {
 			if state[j] == isBasic || up[j] == 0 {
 				continue
 			}
@@ -78,7 +80,7 @@ func (s *simplex) gatherPivotRow(rho []float64, rhoNZ []int32) []int32 {
 				alpha[j] = 0
 				nz = append(nz, j)
 			}
-			alpha[j] += rv * s.rVals[q]
+			alpha[j] += rv * vals[k]
 		}
 	}
 	if rhoNZ != nil {

@@ -264,10 +264,16 @@ func (p *Problem) SetRHS(row int, b float64) error {
 func (p *Problem) RHS(row int) float64 { return p.rhs[row] }
 
 // mergedColumn returns column j with duplicate rows summed and zeros
-// dropped, sorted by row.
+// dropped, sorted by row. A column whose rows already strictly ascend is
+// returned as it is — the stored entries hold no zeros, and the model
+// builders emit their columns in row order.
 func (p *Problem) mergedColumn(j int) []entry {
 	col := p.cols[j]
-	if len(col) <= 1 {
+	ascending := true
+	for k := 1; k < len(col) && ascending; k++ {
+		ascending = col[k-1].row < col[k].row
+	}
+	if ascending {
 		return col
 	}
 	sorted := make([]entry, len(col))

@@ -188,6 +188,9 @@ type simplex struct {
 	// refactored is set by the LU refactorization paths so dualIterate
 	// refreshes its incrementally updated duals against the new factors.
 	refactored bool
+	// leaveKey/leaveWin are dualIterate's leaving-row index (warm.go).
+	leaveKey []float64
+	leaveWin []int32
 }
 
 // simplexPool recycles simplex working arrays across cold solves. The

@@ -164,6 +164,7 @@ func (w *Basis) Clone() *Basis {
 	// shared as-is.
 	s.alpha, s.alphaNZ, s.alphaMark = nil, nil, nil
 	s.alphaStamp = 0
+	s.leaveKey, s.leaveWin = nil, nil
 	if s.lu != nil {
 		s.lu = new(luBasis) // refactored on demand from s.basic
 	}
@@ -433,21 +434,23 @@ func (s *simplex) dualFeasible() bool {
 // termination guarantee and can cycle).
 func (s *simplex) reducedCost(cost []float64, j int, y []float64) float64 {
 	d := cost[j]
-	for q := s.colPtr[j]; q < s.colPtr[j+1]; q++ {
-		d -= y[s.rowIdx[q]] * s.vals[q]
+	lo, hi := s.colPtr[j], s.colPtr[j+1]
+	vals := s.vals[lo:hi]
+	for q, r := range s.rowIdx[lo:hi] {
+		d -= y[r] * vals[q]
 	}
 	return d
 }
 
 // dualIterate runs bounded-variable dual simplex from a dual-feasible
 // basis until every basic value is back within its bounds. Each pivot
-// picks the most-violated basic variable to leave and the entering
-// variable by the dual ratio test over the pivot row, so dual
-// feasibility — and thus the optimality certificate — is preserved
-// throughout. A degenerate streak demotes the row rule to Bland's
-// smallest-variable-index rule, which guarantees termination; a repair
-// never promotes back — it is expected to be short, and a plateau that
-// demoted once tends to persist for the rest of it.
+// picks the most-violated basic variable to leave (the leaving-row
+// index below) and the entering variable by the dual ratio test over
+// the pivot row, so dual feasibility — and thus the optimality
+// certificate — is preserved throughout. There is one rule and no
+// anti-cycling rung: termination is the 200+4m pivot cap, after which
+// both callers hand over to a path with its own guarantee (the dual
+// cold start to two-phase primal, a warm repair to the cold solve).
 func (s *simplex) dualIterate() int {
 	m := s.m
 	if s.y == nil {
@@ -455,7 +458,6 @@ func (s *simplex) dualIterate() int {
 		s.w = make([]float64, m)
 		s.nz = make([]int32, 0, m)
 	}
-	tol := s.opts.Tol
 	const pivTol = 1e-9
 	y, w := s.y, s.w
 	if s.lu != nil {
@@ -472,44 +474,30 @@ func (s *simplex) dualIterate() int {
 		s.rhoNZp = s.rhoNZp[:0]
 	}
 	state, up := s.state, s.up
-	degenerate := 0
-	prevViol := math.Inf(1)
 	yOK := false
-	bland := false
 	s.refactored = false
+	s.buildLeaveIndex()
 
-	// Dual pivots and pricing events tally locally and flush once per
-	// repair.
-	pivots, fallbacks := 0, 0
+	// Dual pivots tally locally and flush once per repair.
+	pivots := 0
 	defer func() {
 		if pivots != 0 {
 			cPivots.Add(int64(pivots))
 		}
-		if fallbacks != 0 {
-			cPricingFallbacks.Add(int64(fallbacks))
-		}
 	}()
 
-	// Entering candidates: movable nonbasic columns, ascending.
-	cands := make([]int32, 0, s.n)
-	for j := 0; j < s.n; j++ {
-		if state[j] != isBasic && up[j] != 0 {
-			cands = append(cands, int32(j))
-		}
-	}
-	costRows := make([]int, 0, m)
+	var costRows []int
 	ctx := s.opts.Ctx
 
 	// A repair is expected to be short: the caller's deltas push a
 	// handful of basic values out of bounds, and a healthy dual repair
 	// returns in pivots proportional to that perturbation, not to the
 	// problem size. A repair grinding past a few multiples of m is
-	// degenerate-crawling under Bland's rule, and the cold two-phase
-	// solve is faster than finishing the crawl — so hand over instead of
-	// burning the caller's whole MaxIters budget here. (Observed before
-	// this cap: K=10⁴ BL repairs consuming the full ~10⁶-iteration
-	// budget, minutes per round, before stalling into the same cold
-	// fallback.)
+	// degenerate-crawling, and the cold two-phase solve is faster than
+	// finishing the crawl — so hand over instead of burning the caller's
+	// whole MaxIters budget here. (Observed before this cap: K=10⁴ BL
+	// repairs consuming the full ~10⁶-iteration budget, minutes per
+	// round, before stalling into the same cold fallback.)
 	limit := s.opts.MaxIters
 	if rc := 200 + 4*m; rc < limit {
 		limit = rc
@@ -520,59 +508,10 @@ func (s *simplex) dualIterate() int {
 		if ctx != nil && s.iters&31 == 0 && ctx.Err() != nil {
 			return dualCanceled
 		}
-		// Leaving row: the basic variable farthest outside its bounds. viol
-		// is signed: negative below zero, positive above upper. The same
-		// single pass accumulates the total primal infeasibility, which
-		// drives the anti-cycling bookkeeping below: a pivot with a zero
-		// DUAL step can still make real primal progress (on LPs with many
-		// zero-cost columns — the SPM routing variables — every early
-		// cold-start ratio is zero), so demotion keys on this sum
-		// stalling rather than on dual degeneracy. (An upper bound of
-		// +Inf needs no explicit check: xv > ub+tol is then false.)
-		totalViol := 0.0
-		leave := -1
-		var viol float64
-		if bland {
-			// Bland's dual rule orders by *variable* index, not row
-			// position: among rows outside their bounds, the one whose
-			// basic variable has the smallest index leaves. Taking the
-			// first violated row in row order looks similar but rows
-			// permute as the basis changes, which voids the termination
-			// guarantee — the dual twin of the primal ratio-test
-			// tie-break. (totalViol stays zero: the Bland rung never
-			// demotes, so the stall bookkeeping below is skipped.)
-			for i := 0; i < m; i++ {
-				xv := s.xB[i]
-				var v float64
-				if xv < -tol {
-					v = xv
-				} else if ub := up[s.basic[i]]; xv > ub+tol {
-					v = xv - ub
-				} else {
-					continue
-				}
-				if leave == -1 || s.basic[i] < s.basic[leave] {
-					leave, viol = i, v
-				}
-			}
-		} else {
-			var worst float64
-			for i := 0; i < m; i++ {
-				xv := s.xB[i]
-				if xv < -tol {
-					totalViol -= xv
-					if -xv > worst {
-						leave, viol, worst = i, xv, -xv
-					}
-				} else if ub := up[s.basic[i]]; xv > ub+tol {
-					v := xv - ub
-					totalViol += v
-					if v > worst {
-						leave, viol, worst = i, v, v
-					}
-				}
-			}
-		}
+		// Leaving row: the basic variable farthest outside its bounds,
+		// ties to the lowest row. viol is signed: negative below zero,
+		// positive above upper.
+		leave, viol := s.pickLeave()
 		if leave == -1 {
 			return dualDone
 		}
@@ -596,9 +535,9 @@ func (s *simplex) dualIterate() int {
 		// Dual ratio test over the pivot row ρ = e_leave^T·Binv: among
 		// eligible entering columns, the smallest |d_j|/|α_j| keeps every
 		// reduced cost on the right side after the pivot. Ties prefer the
-		// larger |α| (numerical stability); Bland's rule takes the first
-		// eligible column. The dense path reads the row straight out of
-		// Binv; the factorized path BTRANs a unit vector instead.
+		// larger |α| (numerical stability). The dense path reads the row
+		// straight out of Binv; the factorized path BTRANs a unit vector
+		// instead.
 		var rho []float64
 		if s.lu != nil {
 			// Hypersparse unit-vector BTRAN: the cB buffer (all-zero
@@ -617,105 +556,89 @@ func (s *simplex) dualIterate() int {
 		} else {
 			rho = s.binv[leave*m : leave*m+m]
 		}
+		// Short-step dual ratio test: argmin |d_j|/|α_j| over the
+		// eligible columns, ties to the larger |α|. (A bound-flipping
+		// long-step variant was tried here and measured consistently
+		// worse on the SPM LPs — flips land columns at box corners while
+		// these optima want many mid-box basics, so every batch of flips
+		// floods other rows with violations and lengthens the repair; see
+		// DESIGN.md, "Dual cold start".)
 		enter := -1
-		// Eligibility: moving x_j off its bound must push the leaving
-		// variable back toward its violated bound.
-		eligible := func(j int, alpha float64) bool {
-			if math.Abs(alpha) <= pivTol {
-				return false
-			}
-			if viol < 0 {
-				return state[j] == atLower && alpha < 0 || state[j] == atUpper && alpha > 0
-			}
-			return state[j] == atLower && alpha > 0 || state[j] == atUpper && alpha < 0
-		}
-		colAlpha := func(j int) float64 {
-			var alpha float64
-			for q := s.colPtr[j]; q < s.colPtr[j+1]; q++ {
-				alpha += rho[s.rowIdx[q]] * s.vals[q]
-			}
-			return alpha
-		}
-		if bland {
-			// Bland's rung: first eligible column in the fixed ascending
-			// candidate order — the termination guarantee needs that
-			// order, which the gather does not provide.
-			for _, j32 := range cands {
+		var bestRatio, bestAbs float64
+		if s.lu != nil {
+			// Hypersparse row path: only columns intersecting ρ's nonzero
+			// rows can have α_j ≠ 0, so gather them over the CSR mirror
+			// instead of sweeping every candidate column. A cold-start
+			// repair runs O(m) pivots and the full sweep would make each
+			// one O(nnz). The eligibility and ratio logic is inlined here
+			// — this loop runs for every gathered column of every repair
+			// pivot, and closure calls showed up in profiles.
+			for _, j32 := range s.gatherPivotRow(rho, s.rhoNZp) {
+				alpha := s.alpha[j32]
+				aab := math.Abs(alpha)
+				if aab <= pivTol {
+					continue
+				}
 				j := int(j32)
-				if alpha := colAlpha(j); eligible(j, alpha) {
-					enter = j
-					break
+				st := state[j]
+				// Eligibility: moving x_j off its bound must push the
+				// leaving variable back toward its violated bound.
+				if viol < 0 {
+					if !(st == atLower && alpha < 0 || st == atUpper && alpha > 0) {
+						continue
+					}
+				} else if !(st == atLower && alpha > 0 || st == atUpper && alpha < 0) {
+					continue
+				}
+				// Dual feasibility bounds |d| from the feasible side;
+				// clamp tolerance-level excursions to zero.
+				d := s.reducedCost(s.cost, j, y)
+				var dabs float64
+				if st == atLower {
+					if d > 0 {
+						dabs = d
+					}
+				} else if d < 0 {
+					dabs = -d
+				}
+				ratio := dabs / aab
+				if enter == -1 || ratio < bestRatio-1e-12 ||
+					(ratio < bestRatio+1e-12 && aab > bestAbs) {
+					enter, bestRatio, bestAbs = j, ratio, aab
 				}
 			}
 		} else {
-			// Short-step dual ratio test: argmin |d_j|/|α_j| over the
-			// eligible columns, ties to the larger |α|. (A bound-flipping
-			// long-step variant was tried here and measured consistently
-			// worse on the SPM LPs — flips land columns at box corners
-			// while these optima want many mid-box basics, so every batch
-			// of flips floods other rows with violations and lengthens
-			// the repair; see DESIGN.md, "Dual cold start".)
-			var bestRatio, bestAbs float64
-			if s.lu != nil {
-				// Hypersparse row path: only columns intersecting ρ's
-				// nonzero rows can have α_j ≠ 0, so gather them over the
-				// CSR mirror instead of sweeping every candidate column. A
-				// cold-start repair runs O(m) pivots and the full sweep
-				// would make each one O(nnz). The eligibility and ratio
-				// logic is inlined here — this loop runs for every
-				// gathered column of every repair pivot, and the closure
-				// calls showed up in profiles.
-				for _, j32 := range s.gatherPivotRow(rho, s.rhoNZp) {
-					alpha := s.alpha[j32]
-					aab := math.Abs(alpha)
-					if aab <= pivTol {
-						continue
-					}
-					j := int(j32)
-					st := state[j]
-					if viol < 0 {
-						if !(st == atLower && alpha < 0 || st == atUpper && alpha > 0) {
-							continue
-						}
-					} else if !(st == atLower && alpha > 0 || st == atUpper && alpha < 0) {
-						continue
-					}
-					// Dual feasibility bounds |d| from the feasible side;
-					// clamp tolerance-level excursions to zero.
-					d := s.reducedCost(s.cost, j, y)
-					var dabs float64
-					if st == atLower {
-						if d > 0 {
-							dabs = d
-						}
-					} else if d < 0 {
-						dabs = -d
-					}
-					ratio := dabs / aab
-					if enter == -1 || ratio < bestRatio-1e-12 ||
-						(ratio < bestRatio+1e-12 && aab > bestAbs) {
-						enter, bestRatio, bestAbs = j, ratio, aab
-					}
+			// Dense path: every movable nonbasic column, ascending.
+			for j := 0; j < s.n; j++ {
+				st := state[j]
+				if st == isBasic || up[j] == 0 {
+					continue
 				}
-			} else {
-				for _, j32 := range cands {
-					j := int(j32)
-					alpha := colAlpha(j)
-					if !eligible(j, alpha) {
+				var alpha float64
+				for q := s.colPtr[j]; q < s.colPtr[j+1]; q++ {
+					alpha += rho[s.rowIdx[q]] * s.vals[q]
+				}
+				if math.Abs(alpha) <= pivTol {
+					continue
+				}
+				if viol < 0 {
+					if !(st == atLower && alpha < 0 || st == atUpper && alpha > 0) {
 						continue
 					}
-					d := s.reducedCost(s.cost, j, y)
-					var dabs float64
-					if state[j] == atLower {
-						dabs = math.Max(d, 0)
-					} else {
-						dabs = math.Max(-d, 0)
-					}
-					ratio := dabs / math.Abs(alpha)
-					if enter == -1 || ratio < bestRatio-1e-12 ||
-						(ratio < bestRatio+1e-12 && math.Abs(alpha) > bestAbs) {
-						enter, bestRatio, bestAbs = j, ratio, math.Abs(alpha)
-					}
+				} else if !(st == atLower && alpha > 0 || st == atUpper && alpha < 0) {
+					continue
+				}
+				d := s.reducedCost(s.cost, j, y)
+				var dabs float64
+				if st == atLower {
+					dabs = math.Max(d, 0)
+				} else {
+					dabs = math.Max(-d, 0)
+				}
+				ratio := dabs / math.Abs(alpha)
+				if enter == -1 || ratio < bestRatio-1e-12 ||
+					(ratio < bestRatio+1e-12 && math.Abs(alpha) > bestAbs) {
+					enter, bestRatio, bestAbs = j, ratio, math.Abs(alpha)
 				}
 			}
 		}
@@ -723,26 +646,6 @@ func (s *simplex) dualIterate() int {
 			// No column can push the leaving variable back: the row
 			// proves there is no primal feasible point.
 			return dualInfeasible
-		}
-
-		// Anti-cycling: any true cycle holds the total primal
-		// infeasibility constant, so a sustained run without it shrinking
-		// demotes to Bland's rule, which guarantees termination.
-		// Dual-degenerate pivots that still reduce the violation — the
-		// normal mode of a dual cold start over zero-cost columns — keep
-		// the streak at zero.
-		if !bland {
-			if totalViol >= prevViol-tol {
-				degenerate++
-				if degenerate > 40 {
-					bland = true
-					degenerate = 0
-					fallbacks++
-				}
-			} else {
-				degenerate = 0
-			}
-			prevViol = totalViol
 		}
 
 		s.direction(enter, w)
@@ -767,19 +670,6 @@ func (s *simplex) dualIterate() int {
 		if state[enter] == atUpper {
 			enterBase = up[enter]
 		}
-		if s.lu != nil {
-			for _, i32 := range s.wNZ {
-				if wv := w[i32]; wv != 0 {
-					s.xB[i32] -= t * wv
-				}
-			}
-		} else {
-			for i := 0; i < m; i++ {
-				if wv := w[i]; wv != 0 {
-					s.xB[i] -= t * wv
-				}
-			}
-		}
 		exit := s.basic[leave]
 		if viol < 0 {
 			state[exit] = atLower
@@ -788,12 +678,26 @@ func (s *simplex) dualIterate() int {
 		}
 		s.basic[leave] = enter
 		state[enter] = isBasic
-		s.xB[leave] = enterBase + t
-
-		cands = removeSorted(cands, int32(enter))
-		if up[exit] != 0 {
-			cands = insertSorted(cands, int32(exit))
+		// Move the basic values and re-key exactly the rows that moved:
+		// the direction's pattern, which holds the leaving row.
+		if s.lu != nil {
+			for _, i32 := range s.wNZ {
+				if wv := w[i32]; wv != 0 {
+					s.xB[i32] -= t * wv
+					s.rekey(int(i32))
+				}
+			}
+		} else {
+			for i := 0; i < m; i++ {
+				if wv := w[i]; wv != 0 {
+					s.xB[i] -= t * wv
+					s.rekey(i)
+				}
+			}
 		}
+		s.xB[leave] = enterBase + t
+		s.rekey(leave)
+
 		if !s.basisPivot(leave, w) {
 			return dualStalled
 		}
@@ -805,6 +709,93 @@ func (s *simplex) dualIterate() int {
 		pivots++
 	}
 	return dualStalled
+}
+
+// The dual simplex's leaving-row index. leaveKey[i] is row i's
+// |violation|, or −1 when its basic value is within bounds; leaveWin[b]
+// is the lowest row holding the largest key of the 64-row block b, or
+// −1 when the block must be rescanned. A pivot re-keys only the rows it
+// moved, and a block is rescanned only when its winner's key fell, so
+// picking the leaving row costs ⌈m/64⌉ block reads, not an m-row scan.
+
+// rowViol returns row i's signed violation: its basic value when below
+// zero, its excess over the basic variable's upper bound when above,
+// and 0 when within bounds. (An upper bound of +Inf needs no explicit
+// check: xv > ub+tol is then false.)
+func (s *simplex) rowViol(i int) float64 {
+	xv, tol := s.xB[i], s.opts.Tol
+	if xv < -tol {
+		return xv
+	}
+	if ub := s.up[s.basic[i]]; xv > ub+tol {
+		return xv - ub
+	}
+	return 0
+}
+
+// rowKey is row i's key in the leaving-row index.
+func (s *simplex) rowKey(i int) float64 {
+	if v := s.rowViol(i); v != 0 {
+		return math.Abs(v)
+	}
+	return -1
+}
+
+// buildLeaveIndex keys every row and marks every block for a rescan.
+func (s *simplex) buildLeaveIndex() {
+	nb := (s.m + 63) >> 6
+	s.leaveKey = growFloats(s.leaveKey, s.m)
+	s.leaveWin = growInt32s(s.leaveWin, nb, nb)
+	for i := range s.leaveKey {
+		s.leaveKey[i] = s.rowKey(i)
+	}
+	for b := range s.leaveWin {
+		s.leaveWin[b] = -1
+	}
+}
+
+// rekey refreshes row i's key after its basic value or basic variable
+// changed, keeping its block's winner exact or marking it stale.
+func (s *simplex) rekey(i int) {
+	key := s.leaveKey
+	k, old := s.rowKey(i), key[i]
+	key[i] = k
+	b := i >> 6
+	switch win := int(s.leaveWin[b]); {
+	case win < 0: // stale: the next pick rescans the block
+	case i == win:
+		if k < old {
+			s.leaveWin[b] = -1
+		}
+	case k > key[win] || k == key[win] && i < win:
+		s.leaveWin[b] = int32(i)
+	}
+}
+
+// pickLeave returns the most-violated row and its signed violation, or
+// −1 when every row is within bounds. Ties go to the lowest row.
+func (s *simplex) pickLeave() (int, float64) {
+	key := s.leaveKey
+	leave, best := -1, 0.0
+	for b, win := range s.leaveWin {
+		if win < 0 {
+			lo, hi := b<<6, min(b<<6+64, s.m)
+			win = int32(lo)
+			for i := lo + 1; i < hi; i++ {
+				if key[i] > key[win] {
+					win = int32(i)
+				}
+			}
+			s.leaveWin[b] = win
+		}
+		if key[win] > best {
+			leave, best = int(win), key[win]
+		}
+	}
+	if leave < 0 {
+		return -1, 0
+	}
+	return leave, s.rowViol(leave)
 }
 
 // residualOK verifies the repaired basis against the original equations

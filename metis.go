@@ -199,24 +199,10 @@ func OptSPM(inst *Instance, timeLimit time.Duration) (*OptResult, error) {
 	return opt.SPM(inst, timeLimit)
 }
 
-// OptSPMCtx is OptSPM under a context: an expiry stops the branch &
-// bound search at its next checkpoint and returns the best incumbent
-// with OptResult.Canceled set (anytime contract).
-func OptSPMCtx(ctx context.Context, inst *Instance, timeLimit time.Duration) (*OptResult, error) {
-	return opt.SPMCtx(ctx, inst, timeLimit)
-}
-
 // OptRLSPM computes the exact (anytime, time-limited) OPT(RL-SPM)
 // reference: the cost-minimal schedule serving every request.
 func OptRLSPM(inst *Instance, timeLimit time.Duration) (*OptResult, error) {
 	return opt.RLSPM(inst, timeLimit)
-}
-
-// OptRLSPMCtx is OptRLSPM under a context. RL-SPM must serve every
-// request, so when no feasible incumbent exists yet an expiry returns
-// an error matching ErrCanceled/ErrDeadline instead of a result.
-func OptRLSPMCtx(ctx context.Context, inst *Instance, timeLimit time.Duration) (*OptResult, error) {
-	return opt.RLSPMCtx(ctx, inst, timeLimit)
 }
 
 // MinCost is the fixed-rule baseline: every request on its min-price
