@@ -9,10 +9,10 @@
 //	metisd -addr :8080 -network SUB-B4 -epoch 250ms
 //	metisd -policy metis-incremental -replan-every 2   # persistent warm model across epochs
 //	metisd -policy taa -plan-units 20
-//	metisd -snapshot state.json -snapshot-every 8     # resumes from state.json on restart (no WAL)
 //	metisd -check                                     # post-tick ledger invariant sweep
 //	metisd -trace lifecycle.jsonl                     # JSONL arrival/solve/epoch spans (render with metistrace)
 //	metisd -wal-dir wal/                              # durable: ack only after the arrival is fsynced; replays wal/ on restart
+//	                                                  # (without -wal-dir the state lives in memory only)
 //	metisd -standby -wal-dir mirror/ -primary-url http://leader:8080   # hot standby: applies the log it mirrors
 //	metisd -promote http://standby:8081               # client mode: promote a standby, then exit
 //
@@ -20,9 +20,8 @@
 //	curl -s localhost:8080/v1/decisions/1
 //	curl -s localhost:8080/v1/stats
 //
-// SIGINT/SIGTERM triggers the graceful drain: intake stops (503), one
-// final tick decides everything still queued, and a last snapshot is
-// written when -snapshot is set.
+// SIGINT/SIGTERM triggers the graceful drain: intake stops (503) and
+// final ticks decide everything still queued.
 //
 // API:
 //
@@ -33,7 +32,6 @@
 //	GET  /v1/stats           counters + daemon time + latency digests
 //	GET  /healthz            readiness: 200 keeping up, 503 shedding/behind/draining
 //	GET  /debug/epochs       epoch health scorecard (one JSON record per tick)
-//	POST /v1/snapshot        write a snapshot now
 //	POST /v1/promote         standby only: promote to leader → 200 {report}
 //	GET  /ha/v1/wal          leader: durable WAL bytes for a standby mirror, waiting for the next group
 //	                         commit when there are none; headers carry the fencing token, durable end and lag
@@ -102,28 +100,26 @@ func httpJSON(w http.ResponseWriter, code int, v any) {
 func run(args []string) (err error) {
 	fs := flag.NewFlagSet("metisd", flag.ContinueOnError)
 	var (
-		addr          = fs.String("addr", ":8080", "HTTP listen address")
-		network       = fs.String("network", "B4", "topology: B4 or SUB-B4")
-		slots         = fs.Int("slots", metis.DefaultSlots, "billing-cycle slots")
-		epoch         = fs.Duration("epoch", 500*time.Millisecond, "epoch tick interval")
-		tickBudget    = fs.Float64("tick-budget", 0.8, "fraction of the epoch granted to each tick's decision")
-		policyName    = fs.String("policy", "greedy", "epoch policy: greedy, taa or metis-incremental")
-		planUnits     = fs.Int("plan-units", 0, "taa: uniform per-link provision in units (0 = only capacity bought so far)")
-		replanEvery   = fs.Int("replan-every", 1, "metis-incremental: replan period in epochs")
-		theta         = fs.Int("theta", 0, "metis-incremental: alternation rounds θ of the fallback full solve (0 = default)")
-		maaRounds     = fs.Int("maa-rounds", 0, "metis-incremental: randomized roundings per MAA call of the fallback full solve (0 = default)")
-		seed          = fs.Int64("seed", 1, "metis-incremental: randomized-rounding seed of the fallback full solve")
-		queueLimit    = fs.Int("queue-limit", 0, "arrival-queue bound; submits beyond it are shed with 429 (0 = default)")
-		maxBatch      = fs.Int("max-batch", 0, "max arrivals one tick claims; the excess stays queued (0 = whole queue)")
-		snapshotPath  = fs.String("snapshot", "", "snapshot file of a daemon without -wal-dir: restored on start when present, rewritten periodically and on drain")
-		snapshotEvery = fs.Int("snapshot-every", 0, "snapshot period in epochs (0 = only on drain)")
-		traceOut      = fs.String("trace", "", "write a JSONL trace of the request lifecycle (arrival/solve/epoch) to this file")
-		scorecard     = fs.Int("scorecard", 0, "epoch health scorecard size served by /debug/epochs (0 = default)")
-		check         = fs.Bool("check", false, "run the ledger invariant checker after every tick (stats report checkFailures)")
-		walDir        = fs.String("wal-dir", "", "write-ahead log directory: arrivals are acked only once fsynced, ticks log redo records, recovery replays on start")
-		standby       = fs.Bool("standby", false, "run as a hot standby: mirror the leader's WAL into -wal-dir and apply it as it lands, refuse intake until promoted")
-		primaryURL    = fs.String("primary-url", "", "standby: the leader's base URL (e.g. http://leader:8080)")
-		promoteURL    = fs.String("promote", "", "client mode: POST /v1/promote to this standby's base URL, print the report and exit")
+		addr        = fs.String("addr", ":8080", "HTTP listen address")
+		network     = fs.String("network", "B4", "topology: B4 or SUB-B4")
+		slots       = fs.Int("slots", metis.DefaultSlots, "billing-cycle slots")
+		epoch       = fs.Duration("epoch", 500*time.Millisecond, "epoch tick interval")
+		tickBudget  = fs.Float64("tick-budget", 0.8, "fraction of the epoch granted to each tick's decision")
+		policyName  = fs.String("policy", "greedy", "epoch policy: greedy, taa or metis-incremental")
+		planUnits   = fs.Int("plan-units", 0, "taa: uniform per-link provision in units (0 = only capacity bought so far)")
+		replanEvery = fs.Int("replan-every", 1, "metis-incremental: replan period in epochs")
+		theta       = fs.Int("theta", 0, "metis-incremental: alternation rounds θ of the fallback full solve (0 = default)")
+		maaRounds   = fs.Int("maa-rounds", 0, "metis-incremental: randomized roundings per MAA call of the fallback full solve (0 = default)")
+		seed        = fs.Int64("seed", 1, "metis-incremental: randomized-rounding seed of the fallback full solve")
+		queueLimit  = fs.Int("queue-limit", 0, "arrival-queue bound; submits beyond it are shed with 429 (0 = default)")
+		maxBatch    = fs.Int("max-batch", 0, "max arrivals one tick claims; the excess stays queued (0 = whole queue)")
+		traceOut    = fs.String("trace", "", "write a JSONL trace of the request lifecycle (arrival/solve/epoch) to this file")
+		scorecard   = fs.Int("scorecard", 0, "epoch health scorecard size served by /debug/epochs (0 = default)")
+		check       = fs.Bool("check", false, "run the ledger invariant checker after every tick (stats report checkFailures)")
+		walDir      = fs.String("wal-dir", "", "write-ahead log directory: arrivals are acked only once fsynced, ticks log redo records, recovery replays on start")
+		standby     = fs.Bool("standby", false, "run as a hot standby: mirror the leader's WAL into -wal-dir and apply it as it lands, refuse intake until promoted")
+		primaryURL  = fs.String("primary-url", "", "standby: the leader's base URL (e.g. http://leader:8080)")
+		promoteURL  = fs.String("promote", "", "client mode: POST /v1/promote to this standby's base URL, print the report and exit")
 	)
 	var faults faultFlags
 	fs.Var(&faults, "fault", "fault-injection spec site:kind[:after[:every|sleep]] (repeatable; testing only)")
@@ -142,9 +138,6 @@ func run(args []string) (err error) {
 		if *walDir == "" || *primaryURL == "" {
 			return fmt.Errorf("-standby needs both -wal-dir and -primary-url")
 		}
-	}
-	if *snapshotPath != "" && *walDir != "" {
-		return fmt.Errorf("-snapshot and -wal-dir are exclusive: with a WAL the log is the state")
 	}
 
 	sc := &metis.Scenario{Network: *network}
@@ -203,8 +196,6 @@ func run(args []string) (err error) {
 		Policy:        policy,
 		QueueLimit:    *queueLimit,
 		MaxBatch:      *maxBatch,
-		SnapshotPath:  *snapshotPath,
-		SnapshotEvery: *snapshotEvery,
 		Tracer:        tracer,
 		ScorecardSize: *scorecard,
 		Check:         *check,
@@ -218,8 +209,8 @@ func run(args []string) (err error) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// Recovery reads one source: the log when there is one, else the
-	// snapshot.
+	// Recovery reads the log: a standby applies what it mirrors, a
+	// leader replays its own.
 	var node *metis.HANode
 	sctx, scancel := context.WithCancel(ctx)
 	defer scancel()
@@ -247,14 +238,6 @@ func run(args []string) (err error) {
 			return err
 		}
 		node = metis.NewHALeader(srv, *walDir)
-	case *snapshotPath != "":
-		if _, statErr := os.Stat(*snapshotPath); statErr == nil {
-			if err := srv.RestoreFile(*snapshotPath); err != nil {
-				return fmt.Errorf("restore %s: %w", *snapshotPath, err)
-			}
-			fmt.Fprintf(os.Stderr, "metisd: restored %s (epoch %d, %d queued)\n",
-				*snapshotPath, srv.Epoch(), srv.Stats().QueueDepth)
-		}
 	}
 
 	ln, closeHTTP, err := srv.Listen(*addr, func(mux *http.ServeMux) {

@@ -19,7 +19,8 @@ func TestRunRefusesBadArgs(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"snapshot with wal", []string{"-snapshot", filepath.Join(dir, "s.json"), "-wal-dir", wal}, "exclusive"},
+		{"snapshot with wal", []string{"-snapshot", filepath.Join(dir, "s.json"), "-wal-dir", wal}, "flag provided but not defined: -snapshot"},
+		{"deleted snapshot-every flag", []string{"-snapshot-every", "8"}, "flag provided but not defined: -snapshot-every"},
 		{"standby without primary", []string{"-standby", "-wal-dir", wal}, "-primary-url"},
 		{"unknown policy", []string{"-policy", "bogus"}, `unknown policy "bogus"`},
 		{"deleted flag", []string{"-flight-dir", dir}, "flag provided but not defined: -flight-dir"},

@@ -1,15 +1,17 @@
 // The service layer in-process: an admission-control Server (the
-// engine inside cmd/metisd) fed a synthetic arrival stream, ticked
-// deterministically, snapshotted mid-cycle and restored into a second
-// server that finishes the stream — the crash-recovery path without
-// HTTP or wall-clock time.
+// engine inside cmd/metisd) fed a synthetic arrival stream and ticked
+// deterministically over a write-ahead log. Mid-cycle the process
+// "crashes": the log is closed and reopened, and a fresh server replays
+// it and finishes the stream — the crash-recovery path without HTTP or
+// wall-clock time.
 package main
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"log"
+	"os"
+	"path/filepath"
 	"sort"
 
 	"metis"
@@ -23,18 +25,30 @@ func main() {
 	}
 	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].Start < reqs[j].Start })
 
-	newServer := func() *metis.Server {
+	tmp, err := os.MkdirTemp("", "metis-daemon-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(tmp)
+	dir := filepath.Join(tmp, "wal")
+
+	// newServer opens the log in dir and builds a server that acks an
+	// arrival only once it is fsynced there.
+	newServer := func() (*metis.Server, *metis.WAL) {
+		l, err := metis.OpenWAL(dir, metis.WALOptions{})
+		if err != nil {
+			log.Fatal(err)
+		}
 		policy, err := metis.NewServePolicy("metis-incremental", nil, 2, metis.Config{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		s, err := metis.NewServer(metis.ServeConfig{Net: net, Policy: policy})
+		s, err := metis.NewServer(metis.ServeConfig{Net: net, Policy: policy, WAL: l})
 		if err != nil {
 			log.Fatal(err)
 		}
-		return s
+		return s, l
 	}
-	srv := newServer()
 
 	// Feed arrivals in start-slot order, one tick per slot: requests for
 	// slot s are submitted before tick s decides them.
@@ -51,24 +65,28 @@ func main() {
 		}
 	}
 
-	// First half of the cycle, then snapshot (the daemon's crash point).
+	// First half of the cycle, then the crash: the server is abandoned
+	// and only its log survives.
+	srv, l := newServer()
 	tickUpTo(srv, metis.DefaultSlots/2)
-	var snap bytes.Buffer
-	if err := srv.Snapshot(&snap); err != nil {
-		log.Fatal(err)
-	}
 	half := srv.Stats()
-	fmt.Printf("epoch %2d   accepted %3d   rejected %3d   revenue %8.2f   snapshot %d bytes\n",
-		half.Epoch, half.Accepted, half.Rejected, half.Revenue, snap.Len())
-
-	// "Restart": a fresh server restores the image and finishes the cycle.
-	restored := newServer()
-	if err := restored.Restore(&snap); err != nil {
+	fmt.Printf("epoch %2d   accepted %3d   rejected %3d   revenue %8.2f   (crash)\n",
+		half.Epoch, half.Accepted, half.Rejected, half.Revenue)
+	if err := l.Close(); err != nil {
 		log.Fatal(err)
 	}
-	tickUpTo(restored, metis.DefaultSlots)
 
-	st := restored.Stats()
+	// Restart: a fresh server replays the log and finishes the cycle.
+	restarted, l := newServer()
+	defer l.Close()
+	rst, err := restarted.RecoverWAL()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("replayed %d arrivals and %d epochs from the log\n", rst.Arrivals, rst.Ticks)
+	tickUpTo(restarted, metis.DefaultSlots)
+
+	st := restarted.Stats()
 	fmt.Printf("epoch %2d   accepted %3d   rejected %3d   revenue %8.2f   cost %8.2f\n",
-		st.Epoch, half.Accepted+st.Accepted, half.Rejected+st.Rejected, half.Revenue+st.Revenue, st.PurchasedCost)
+		st.Epoch, st.Accepted, st.Rejected, st.Revenue, st.PurchasedCost)
 }

@@ -119,55 +119,13 @@ func (rp *Replanner) NumObserved() int {
 // has new work.
 func (rp *Replanner) NumPlanned() int { return rp.planned }
 
-// Observed returns a copy of the observed workload (snapshot support).
+// Observed returns a copy of the observed workload: the state a
+// recovered policy must reproduce (serve's recovery tests compare it).
 func (rp *Replanner) Observed() []demand.Request {
 	if rp.inst == nil {
 		return nil
 	}
 	return rp.inst.Requests()
-}
-
-// IncumbentChoices returns the incumbent's per-request path choices
-// (sched.Declined for declined requests), or nil before the first
-// replan. Together with Observed it is the whole durable state of a
-// replanner: the session and its basis are rebuilt deterministically.
-func (rp *Replanner) IncumbentChoices() []int {
-	if rp.incumbent == nil {
-		return nil
-	}
-	out := make([]int, rp.incumbent.Instance().NumRequests())
-	for i := range out {
-		out[i] = rp.incumbent.Choice(i)
-	}
-	return out
-}
-
-// RestoreIncumbent re-installs a snapshot's incumbent (choices over a
-// prefix of the observed workload, planned = observed count at the
-// snapshot's last replan). Must follow Observe of the snapshot's
-// workload.
-func (rp *Replanner) RestoreIncumbent(choices []int, planned int) error {
-	if rp.inst == nil || len(choices) > rp.inst.NumRequests() {
-		return fmt.Errorf("core: restore incumbent: %d choices over %d observed requests", len(choices), rp.NumObserved())
-	}
-	if planned < 0 || planned > rp.inst.NumRequests() {
-		return fmt.Errorf("core: restore incumbent: planned %d out of range", planned)
-	}
-	s := sched.NewSchedule(rp.inst)
-	for i, c := range choices {
-		if c == sched.Declined {
-			continue
-		}
-		if err := s.Assign(i, c); err != nil {
-			return fmt.Errorf("core: restore incumbent: request %d: %w", i, err)
-		}
-	}
-	rp.incumbent = s
-	rp.loadsBuf = s.LoadsInto(rp.loadsBuf)
-	rp.charged = sched.ChargedOf(rp.loadsBuf)
-	rp.profit = s.Revenue() - s.CostOfCharged(rp.charged)
-	rp.planned = planned
-	return nil
 }
 
 // RelaxedGuide returns the last BL relaxation's fractional path weights
@@ -193,16 +151,6 @@ func (rp *Replanner) RelaxedGuide(from int) [][]float64 {
 		}
 	}
 	return out
-}
-
-// RestoreRelaxedGuide re-installs a snapshot's relaxation guide (as
-// returned by RelaxedGuide(0)). Must follow Observe of the snapshot's
-// workload; extra entries beyond the observed workload are dropped.
-func (rp *Replanner) RestoreRelaxedGuide(x [][]float64) {
-	if len(x) > rp.NumObserved() {
-		x = x[:rp.NumObserved()]
-	}
-	rp.relX = x
 }
 
 // Replan improves the incumbent over the workload observed so far and

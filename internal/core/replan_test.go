@@ -210,58 +210,3 @@ func TestReplannerCycleWrapReset(t *testing.T) {
 		t.Fatalf("post-wrap profit diverged: %v vs %v", ri.Profit, rc.Profit)
 	}
 }
-
-// TestReplannerSnapshotRoundTrip: Observed + IncumbentChoices +
-// NumPlanned fully determine a replanner's future decisions — a
-// restored replanner replans identically to the uninterrupted one.
-func TestReplannerSnapshotRoundTrip(t *testing.T) {
-	net := wan.SubB4()
-	pool := requestPool(t, net, 50, 271)
-	cfg := Config{Theta: 2, Seed: 271}
-	orig := NewReplanner(net, 12, 3, cfg, ReplanIncremental)
-	if err := orig.Observe(pool[:30]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := orig.Replan(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := orig.Observe(pool[30:40]); err != nil {
-		t.Fatal(err)
-	}
-
-	// Snapshot mid-cycle (after a replan, with 10 unplanned arrivals).
-	seen := orig.Observed()
-	choices := orig.IncumbentChoices()
-	planned := orig.NumPlanned()
-
-	restored := NewReplanner(net, 12, 3, cfg, ReplanIncremental)
-	if err := restored.Observe(seen); err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.RestoreIncumbent(choices, planned); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, rp := range []*Replanner{orig, restored} {
-		if err := rp.Observe(pool[40:]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ro, err := orig.Replan(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr, err := restored.Replan(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < orig.NumObserved(); i++ {
-		if ro.Schedule.Choice(i) != rr.Schedule.Choice(i) {
-			t.Fatalf("restored replanner decided request %d differently: %d vs %d",
-				i, ro.Schedule.Choice(i), rr.Schedule.Choice(i))
-		}
-	}
-	if ro.Profit != rr.Profit {
-		t.Fatalf("restored replanner profit %v, original %v", rr.Profit, ro.Profit)
-	}
-}

@@ -1,9 +1,7 @@
 package ha
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -74,9 +72,9 @@ func applyOp(t *testing.T, s *serve.Server, o op) {
 // failoverVariant parameterizes the differential failover test by the
 // policy under admission. stateOnly selects the weaker tier DESIGN.md
 // promises for a warm-cache policy recovered by redo alone: the
-// promoted image equals the leader's on the ledger and the replayed
-// policy state, and the resumed schedule drains cleanly, but its
-// decisions need not match the control's.
+// promoted ledger equals the leader's (the replayed policy state is
+// checked in serve's TestRecoveredEqualsLive), and the resumed schedule
+// drains cleanly, but its decisions need not match the control's.
 type failoverVariant struct {
 	name      string
 	mkPolicy  func(t *testing.T) serve.Policy
@@ -90,7 +88,7 @@ type failoverVariant struct {
 // the exact same schedule, and require the promoted counters to equal
 // the leader's at the kill, and the resulting decisions, ledger and
 // profit to equal an uninterrupted control run's (stateOnly variants:
-// the promoted image identical to the leader's last one instead).
+// the promoted ledger identical to the leader's at the kill instead).
 func TestFailoverBitIdentical(t *testing.T) {
 	variants := []failoverVariant{
 		{
@@ -176,13 +174,9 @@ func runFailover(t *testing.T, v failoverVariant, seed int64) {
 			t.Fatalf("fetch after op %d: %v", i, err)
 		}
 	}
-	atKill := leader.Stats()
-	var leaderImg serve.Snapshot
-	if v.stateOnly {
-		if standby.Epoch() == 0 {
-			t.Fatalf("seed %d: the standby applied no ticks before the kill; the redo path went untested", seed)
-		}
-		leaderImg = snapshotOf(t, leader)
+	atKill, ledKill := leader.Stats(), leader.LedgerCopy()
+	if v.stateOnly && standby.Epoch() == 0 {
+		t.Fatalf("seed %d: the standby applied no ticks before the kill; the redo path went untested", seed)
 	}
 	// Crash: the leader process is gone. Nothing it held in memory
 	// survives; the standby has only what it already mirrored.
@@ -199,8 +193,11 @@ func runFailover(t *testing.T, v failoverVariant, seed int64) {
 		t.Fatalf("promoted server role %q", standby.Role())
 	}
 	requireSameCounters(t, atKill, standby)
-	if v.stateOnly {
-		requireSameState(t, leaderImg, snapshotOf(t, standby))
+	if v.stateOnly && !standby.LedgerCopy().Equal(ledKill) {
+		// The policy half of the redo tier (seen workload, plan, replan
+		// clock) is serve's TestRecoveredEqualsLive: promotion runs the
+		// same recovery.
+		t.Fatal("promoted ledger differs from the leader's at the kill")
 	}
 	for i := killAt; i < len(ops); i++ {
 		applyOp(t, standby, ops[i])
@@ -366,43 +363,6 @@ func TestRunStandbyAppliesWhileServing(t *testing.T) {
 			t.Fatalf("standby never caught up:\n leader  %+v\n standby %+v", want, pick(standby.Stats()))
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// snapshotOf decodes s's current crash-recovery image.
-func snapshotOf(t *testing.T, s *serve.Server) serve.Snapshot {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := s.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var img serve.Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &img); err != nil {
-		t.Fatal(err)
-	}
-	return img
-}
-
-// requireSameState asserts the redo tier: the promoted image carries the
-// leader's ledger and the policy state redo replays (seen workload,
-// adopted plan, replan clock).
-func requireSameState(t *testing.T, lead, prom serve.Snapshot) {
-	t.Helper()
-	if !reflect.DeepEqual(lead.Ledger, prom.Ledger) {
-		t.Fatal("promoted ledger image differs from the leader's")
-	}
-	if lead.Policy == nil || prom.Policy == nil {
-		t.Fatalf("policy state missing: leader %v, promoted %v", lead.Policy != nil, prom.Policy != nil)
-	}
-	lp, pp := lead.Policy, prom.Policy
-	if !reflect.DeepEqual(lp.Seen, pp.Seen) {
-		t.Fatalf("seen workload differs: leader %d requests, promoted %d", len(lp.Seen), len(pp.Seen))
-	}
-	if !reflect.DeepEqual(lp.Plan, pp.Plan) || lp.HavePlan != pp.HavePlan {
-		t.Fatalf("plan differs: leader %v (have %v), promoted %v (have %v)", lp.Plan, lp.HavePlan, pp.Plan, pp.HavePlan)
-	}
-	if lp.LastReplan != pp.LastReplan {
-		t.Fatalf("replan clock differs: leader %d, promoted %d", lp.LastReplan, pp.LastReplan)
 	}
 }
 

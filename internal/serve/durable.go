@@ -7,6 +7,7 @@ import (
 
 	"metis/internal/demand"
 	"metis/internal/wal"
+	"metis/internal/wan"
 )
 
 // walOutcome is one request's decision inside a tick record, in batch
@@ -180,14 +181,14 @@ func (s *Server) RecoverWAL() (RecoverStats, error) {
 // re-queued and every logged tick committed through the live tick's
 // commitTick; the policy catches up once, at the end of the pass. A
 // torn tail ends the pass cleanly. A server holding state the log did
-// not give it (restored, or already serving) is refused.
+// not give it (it has already served) is refused.
 func (s *Server) ApplyLog(dir string) (RecoverStats, error) {
 	var st RecoverStats
 	s.mu.Lock()
 	from, other := s.walFrom, s.walFrom.IsZero() && s.hasState()
 	s.mu.Unlock()
 	if other {
-		return st, errors.New("serve: ApplyLog onto a server whose state did not come from the log (restored, or already serving)")
+		return st, errors.New("serve: ApplyLog onto a server whose state did not come from the log (it has already served)")
 	}
 	var cu *catchUp
 	if rp, ok := s.cfg.Policy.(replayPolicy); ok {
@@ -274,9 +275,6 @@ func (s *Server) catchUp(cu *catchUp, ticks int) error {
 	if cu.delta != nil {
 		cu.rp.applyReplayDelta(cu.delta)
 	}
-	if sp, ok := s.cfg.Policy.(statefulPolicy); ok {
-		s.policyImage = sp.policyState() // what a live tick caches for snapshots
-	}
 	return nil
 }
 
@@ -308,8 +306,10 @@ func (s *Server) recoverArrival(req demand.Request, off wal.Offset, now time.Tim
 // order, against the same ledger state. The tick must be the one the
 // replay cursor expects: an epoch already applied is a duplicate frame
 // and a later one a gap. A record that names an unknown outcome kind,
-// repeats an id or decides one with no logged arrival (a phantom) is
-// refused before the ledger or any record moves. The tick's live batch
+// repeats an id, buys on a link count other than the network's, decides
+// an id with no logged arrival (a phantom) or does not fit its requests
+// on the configured network (see fits) is refused before the ledger or
+// any record moves, and the queue keeps its batch. The tick's live batch
 // and plan delta go to the pass's policy catch-up (cu, nil for a policy
 // with no replay state).
 func (s *Server) recoverTick(tr *walTick, off wal.Offset, st *RecoverStats, cu *catchUp) error {
@@ -323,6 +323,9 @@ func (s *Server) recoverTick(tr *walTick, off wal.Offset, st *RecoverStats, cu *
 	}
 	if slot := tr.Epoch % s.cfg.Slots; tr.Slot != slot {
 		return fmt.Errorf("serve: wal tick %d at %v claims slot %d, cycle says %d", tr.Epoch, off, tr.Slot, slot)
+	}
+	if n := len(tr.Purchased); n != 0 && n != s.cfg.Net.NumLinks() {
+		return fmt.Errorf("serve: wal tick %d at %v buys on %d links, %s has %d", tr.Epoch, off, n, s.cfg.Net.Name(), s.cfg.Net.NumLinks())
 	}
 	want := make(map[int64]bool, len(tr.Outcomes))
 	for i := range tr.Outcomes {
@@ -352,8 +355,11 @@ func (s *Server) recoverTick(tr *walTick, off wal.Offset, st *RecoverStats, cu *
 		sh.queue = kept
 		sh.mu.Unlock()
 	}
-	if len(got) != len(want) {
-		return fmt.Errorf("serve: wal tick %d at %v decides %d request(s) with no logged arrival (phantom)", tr.Epoch, off, len(want)-len(got))
+	if err := s.fits(tr, got, len(want)); err != nil {
+		for _, p := range got {
+			s.push(p)
+		}
+		return fmt.Errorf("serve: wal tick %d at %v %w", tr.Epoch, off, err)
 	}
 	gQueueDepth.Set(s.queueDepth.Add(-int64(len(got))))
 
@@ -382,5 +388,55 @@ func (s *Server) recoverTick(tr *walTick, off wal.Offset, st *RecoverStats, cu *
 		cu.delta = tr.Policy
 	}
 	st.Ticks++
+	return nil
+}
+
+// fits reports why a logged tick does not fit the batch it claimed (got,
+// out of n logged ids) on the configured network: an id with no logged
+// arrival, a live outcome whose logged start lies outside its request's
+// window, or an accept whose links are not a path from the request's
+// source to its destination. Committing any of these would index the
+// ledger out of range or load links the leader never used: a log
+// written on another network fails here. Callers hold s.mu.
+func (s *Server) fits(tr *walTick, got map[int64]pending, n int) error {
+	if len(got) != n {
+		return fmt.Errorf("decides %d request(s) with no logged arrival (phantom)", n-len(got))
+	}
+	for i := range tr.Outcomes {
+		o := &tr.Outcomes[i]
+		if o.Kind == walKindExpired {
+			continue
+		}
+		r := got[o.ID].req
+		if o.Start < r.Start || o.Start > r.End {
+			return fmt.Errorf("starts id %d at slot %d, outside its window [%d, %d]", o.ID, o.Start, r.Start, r.End)
+		}
+		if o.Kind != walKindAccept {
+			continue
+		}
+		if err := pathErr(s.cfg.Net, o.Links, r.Src, r.Dst); err != nil {
+			return fmt.Errorf("accepts id %d on links %v: %w", o.ID, o.Links, err)
+		}
+	}
+	return nil
+}
+
+// pathErr reports why links is not a chain of net's links from DC src
+// to DC dst, or nil when it is.
+func pathErr(net *wan.Network, links []int, src, dst int) error {
+	at := src
+	for _, e := range links {
+		if e < 0 || e >= net.NumLinks() {
+			return fmt.Errorf("link %d is not on %s (%d links)", e, net.Name(), net.NumLinks())
+		}
+		l := net.Link(e)
+		if l.From != at {
+			return fmt.Errorf("link %d leaves DC %d, the path is at DC %d", e, l.From, at)
+		}
+		at = l.To
+	}
+	if at != dst {
+		return fmt.Errorf("the path ends at DC %d, the request goes to DC %d", at, dst)
+	}
 	return nil
 }

@@ -1,14 +1,13 @@
 package serve
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -35,9 +34,8 @@ func walServer(t *testing.T, l *wal.Log, mut func(*Config)) *Server {
 }
 
 // TestWALRecoveryRoundTrip: a WAL-backed server crashes with committed
-// epochs and a queued tail; a fresh process replays the log (no
-// snapshot at all) and finishes the schedule exactly like an
-// uninterrupted control run.
+// epochs and a queued tail; a fresh process replays the log and
+// finishes the schedule exactly like an uninterrupted control run.
 func TestWALRecoveryRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
 	pool := genPool(t, wan.SubB4(), 40, 2026)
@@ -188,98 +186,6 @@ func TestWALCorruptTailRecovery(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestoreAcrossCycleWrap: a snapshot taken in the last
-// slots of a billing cycle restores into a server that then ticks
-// through the cycle wrap (ledger + policy reset) exactly like the
-// original — the reset happens from restored state, not fresh state.
-func TestSnapshotRestoreAcrossCycleWrap(t *testing.T) {
-	net := wan.SubB4()
-	pool := genPool(t, net, 60, 909)
-	mk := func() *Server {
-		s, err := New(Config{
-			Net:    net,
-			Epoch:  time.Minute,
-			Policy: incrementalPolicy(t, 2),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	submit := func(s *Server, reqs []demand.Request) {
-		t.Helper()
-		for _, r := range reqs {
-			if _, err := s.Submit(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	orig := mk()
-	submit(orig, pool[:20])
-	orig.Tick(context.Background()) // epoch 0 → 1
-	submit(orig, pool[20:30])
-	orig.Tick(context.Background()) // epoch 1 → 2
-	// Spin the cycle forward to its final slot (epoch Slots-1).
-	for orig.Epoch() < demand.DefaultSlots-1 {
-		orig.Tick(context.Background())
-	}
-	submit(orig, pool[30:40]) // queued across the snapshot
-
-	var img bytes.Buffer
-	if err := orig.Snapshot(&img); err != nil {
-		t.Fatal(err)
-	}
-	restored := mk()
-	if err := restored.Restore(bytes.NewReader(img.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if restored.Epoch() != demand.DefaultSlots-1 {
-		t.Fatalf("restored epoch %d, want %d", restored.Epoch(), demand.DefaultSlots-1)
-	}
-
-	// Both decide the queued batch in the cycle's last slot, then tick
-	// across the wrap into slot 0 of the next cycle, then take fresh
-	// work in the new cycle.
-	step := func(s *Server) {
-		s.Tick(context.Background()) // last slot: decides pool[30:40]
-		submit(s, pool[40:50])
-		s.Tick(context.Background()) // slot 0: ledger + policy reset, then decides
-		submit(s, pool[50:])
-		s.Tick(context.Background()) // slot 1 of the new cycle
-	}
-	step(orig)
-	step(restored)
-
-	if co, cr := orig.Epoch()/demand.DefaultSlots, restored.Epoch()/demand.DefaultSlots; co != 1 || cr != 1 {
-		t.Fatalf("cycle after wrap: orig %d, restored %d, want 1", co, cr)
-	}
-	if !restored.LedgerCopy().Equal(orig.LedgerCopy()) {
-		t.Fatal("ledgers diverged across the cycle wrap")
-	}
-	for id := int64(31); id <= 60; id++ {
-		do, dr := orig.Decision(id), restored.Decision(id)
-		if do == nil || dr == nil {
-			t.Fatalf("decision %d missing (orig %v, restored %v)", id, do != nil, dr != nil)
-		}
-		if do.Status != dr.Status {
-			t.Fatalf("request %d: original %s, restored %s", id, do.Status, dr.Status)
-		}
-		if len(do.Links) != len(dr.Links) {
-			t.Fatalf("request %d: paths differ (%v vs %v)", id, do.Links, dr.Links)
-		}
-		for i := range do.Links {
-			if do.Links[i] != dr.Links[i] {
-				t.Fatalf("request %d: paths differ (%v vs %v)", id, do.Links, dr.Links)
-			}
-		}
-	}
-	so, sr := orig.Stats(), restored.Stats()
-	if so.Committed != sr.Committed || so.PurchasedUnits != sr.PurchasedUnits || so.Revenue != sr.Revenue {
-		t.Fatalf("post-wrap stats diverged: orig %+v vs restored %+v", so, sr)
-	}
-}
-
 // TestStandbyRefusesTraffic: a standby answers health checks but takes
 // no submits and performs no ticks until promoted.
 func TestStandbyRefusesTraffic(t *testing.T) {
@@ -310,10 +216,10 @@ func TestStandbyRefusesTraffic(t *testing.T) {
 // refused. Each log is a good arrival (id 1), the bad frame(s), then a
 // good arrival (id 9) written through wal.Append with the live encoders.
 // RecoverWAL must return the named error having applied the prefix
-// (ticks good ticks), not counted the bad tick as committed, and
-// touched nothing after it. A server also takes its state from one
-// source: Restore onto a server with a WAL or one that applied a log
-// record is refused, and so is ApplyLog onto a restored server.
+// (ticks good ticks), not counted the bad tick as committed, left
+// arrival 1 queued and the ledger empty, and touched nothing after it.
+// A log written on another network is refused the same way, and
+// ApplyLog refuses a server that has already served.
 func TestRecoverWALRefusals(t *testing.T) {
 	type frame struct {
 		typ  byte
@@ -325,8 +231,17 @@ func TestRecoverWALRefusals(t *testing.T) {
 		return frame{walRecArrival, encodeArrival(&req)}
 	}
 	tick := func(tr walTick) frame { return frame{walRecTick, encodeTick(&tr)} }
+	inst, err := sched.NewInstance(wan.SubB4(), demand.DefaultSlots, []demand.Request{goodRequest(10)}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := inst.Path(0, 0).Links // a path of goodRequest's on SUB-B4
+	away := 0                     // a link that does not leave goodRequest's source
+	for wan.SubB4().Link(away).From == goodRequest(10).Src {
+		away++
+	}
 	accept := func(id int64) walOutcome {
-		return walOutcome{ID: id, Kind: walKindAccept, Links: []int{0}}
+		return walOutcome{ID: id, Kind: walKindAccept, Links: path}
 	}
 	cases := []struct {
 		name    string
@@ -341,6 +256,16 @@ func TestRecoverWALRefusals(t *testing.T) {
 			{ID: 2, Kind: walKindExpired}, {ID: 2, Kind: walKindExpired},
 		}})}, "repeats id 2", 0},
 		{"outcome kind outside the enum", []frame{tick(walTick{Outcomes: []walOutcome{{ID: 1, Kind: 9}}})}, "outcome kind 9", 0},
+		{"accept on a link off the network", []frame{tick(walTick{Outcomes: []walOutcome{
+			{ID: 1, Kind: walKindAccept, Links: []int{30}},
+		}})}, "link 30 is not on SUB-B4", 0},
+		{"accept on links that are not a path", []frame{tick(walTick{Outcomes: []walOutcome{
+			{ID: 1, Kind: walKindAccept, Links: []int{away}},
+		}})}, "the path is at DC 0", 0},
+		{"start outside the window", []frame{tick(walTick{Outcomes: []walOutcome{
+			{ID: 1, Kind: walKindAccept, Links: path, Start: -1},
+		}})}, "outside its window", 0},
+		{"purchase on the wrong link count", []frame{tick(walTick{Outcomes: []walOutcome{accept(1)}, Purchased: []int{1, 2, 3}})}, "buys on 3 links", 0},
 		{"unknown record type", []frame{{99, []byte("x")}}, "record type 99", 0},
 		{"JSON-era arrival", []frame{{1, []byte(`{"id":2,"req":{"id":2,"src":0,"dst":1,"start":0,"end":11,"rate":0.2,"value":10}}`)}}, "JSON-era", 0},
 		{"JSON-era tick", []frame{{2, []byte(`{"epoch":0,"slot":0}`)}}, "JSON-era", 0},
@@ -384,60 +309,71 @@ func TestRecoverWALRefusals(t *testing.T) {
 			if st.Ticks != tc.ticks || s.Epoch() != tc.ticks {
 				t.Fatalf("refused tick counted as committed: %d ticks, epoch %d, want %d", st.Ticks, s.Epoch(), tc.ticks)
 			}
+			if ids := queuedIDs(s); !slices.Contains(ids, 1) {
+				t.Fatalf("queue after the refusal holds %v, want arrival 1 still queued", ids)
+			}
+			if led := s.LedgerCopy(); led.Committed() != 0 || led.PurchasedUnits() != 0 {
+				t.Fatalf("refused tick moved the ledger: %d committed, %d units", led.Committed(), led.PurchasedUnits())
+			}
 			if d := s.Decision(9); d != nil {
 				t.Fatalf("arrival after the bad frame was applied: %+v", d)
 			}
 		})
 	}
 
-	// A log holding only a fence frame, and an image with one queued
-	// arrival.
+	// A SUB-B4 leader's log: one tick that accepts on SUB-B4 paths.
 	dir := filepath.Join(t.TempDir(), "wal")
 	l, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := AppendFence(l, 7); err != nil {
-		t.Fatal(err)
-	}
-	src := newTestServer(t, nil)
-	if _, err := src.Submit(goodRequest(10)); err != nil {
-		t.Fatal(err)
-	}
-	var img bytes.Buffer
-	if err := src.Snapshot(&img); err != nil {
-		t.Fatal(err)
-	}
-	t.Run("restore onto a server with a WAL", func(t *testing.T) {
-		err := walServer(t, l, nil).Restore(bytes.NewReader(img.Bytes()))
-		if err == nil || !strings.Contains(err.Error(), "the log is the state") {
-			t.Fatalf("Restore error = %v, want a refusal", err)
-		}
-	})
-	t.Run("restore after ApplyLog", func(t *testing.T) {
-		s := newTestServer(t, nil)
-		if _, err := s.ApplyLog(dir); err != nil {
+	leader := walServer(t, l, nil)
+	for _, r := range genPool(t, wan.SubB4(), 8, 3) {
+		r.Value *= 20
+		if _, err := leader.Submit(r); err != nil {
 			t.Fatal(err)
 		}
-		if s.Token() != 7 {
-			t.Fatalf("token %d after applying the fence, want 7", s.Token())
+	}
+	leader.Tick(context.Background())
+	if leader.Stats().Accepted == 0 {
+		t.Fatal("the SUB-B4 leader accepted nothing")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	t.Run("SUB-B4 log on a B4 server", func(t *testing.T) {
+		s := newTestServer(t, func(c *Config) { c.Net = wan.B4() })
+		if _, err := s.ApplyLog(dir); err == nil || !strings.Contains(err.Error(), "wal tick 0 at") {
+			t.Fatalf("ApplyLog error = %v, want a refusal of the tick", err)
 		}
-		if err := s.Restore(bytes.NewReader(img.Bytes())); err == nil {
-			t.Fatal("Restore onto a server that applied a log record succeeded")
+		if led := s.LedgerCopy(); s.Epoch() != 0 || led.Committed() != 0 || led.PurchasedUnits() != 0 {
+			t.Fatalf("refused log moved state: epoch %d, %d committed, %d units", s.Epoch(), led.Committed(), led.PurchasedUnits())
 		}
 	})
-	t.Run("ApplyLog after restore", func(t *testing.T) {
+	t.Run("ApplyLog after a submit", func(t *testing.T) {
 		s := newTestServer(t, nil)
-		if err := s.Restore(bytes.NewReader(img.Bytes())); err != nil {
+		if _, err := s.Submit(goodRequest(10)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := s.ApplyLog(dir); err == nil || !strings.Contains(err.Error(), "did not come from the log") {
 			t.Fatalf("ApplyLog error = %v, want a refusal", err)
 		}
 	})
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
+}
+
+// queuedIDs returns the ids in s's intake queue, ascending.
+func queuedIDs(s *Server) []int64 {
+	var ids []int64
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		for _, p := range sh.queue {
+			ids = append(ids, p.id)
+		}
+		sh.mu.Unlock()
 	}
+	slices.Sort(ids)
+	return ids
 }
 
 // failingPolicy wraps a policy and fails its decision at one epoch with
@@ -458,19 +394,27 @@ func (p failingPolicy) Decide(ctx context.Context, led *Ledger, inst *sched.Inst
 // sees accepts and declines, a policy error, an expired window, degraded
 // ticks (stallPolicy) and a cycle wrap, then crashes with a queued tail.
 // RecoverWAL into a fresh server must reproduce every decision record
-// and every counter the leader reported, field for field.
+// and every counter the leader reported, field for field. For
+// metis-incremental (no injected policy error: the wrapper would hide
+// its replay state) recovery must also reproduce the policy's cycle
+// state: the seen workload, the adopted plan and the replan clock.
 func TestRecoveredEqualsLive(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
-		policy Policy
+		policy func(t *testing.T) Policy
+		fails  bool // inject a policy error at epoch 1
 	}{
-		{"greedy", GreedyPolicy{}},
-		{"stall", stallPolicy{}},
+		{"greedy", func(*testing.T) Policy { return GreedyPolicy{} }, true},
+		{"stall", func(*testing.T) Policy { return stallPolicy{} }, true},
+		{"metis-incremental", func(t *testing.T) Policy { return incrementalPolicy(t, 2) }, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mut := func(c *Config) {
 				c.Epoch, c.TickBudget, c.Check = 20*time.Millisecond, 0.5, true
-				c.Policy = failingPolicy{Policy: tc.policy, epoch: 1}
+				c.Policy = tc.policy(t)
+				if tc.fails {
+					c.Policy = failingPolicy{Policy: c.Policy, epoch: 1}
+				}
 			}
 			dir := filepath.Join(t.TempDir(), "wal")
 			l, err := wal.Open(dir, wal.Options{})
@@ -506,7 +450,8 @@ func TestRecoveredEqualsLive(t *testing.T) {
 			for live.Epoch() < demand.DefaultSlots {
 				live.Tick(context.Background())
 			}
-			submit(pool[28:40]...) // epoch 12: slot 0 of the next cycle
+			submit(pool[28:40]...) // epoch 12: slot 0 of the next cycle,
+			submit(poor)           // with a decline the policy has seen
 			live.Tick(context.Background())
 			submit(pool[40:]...) // queued at the crash
 			if err := l.Close(); err != nil {
@@ -555,17 +500,41 @@ func TestRecoveredEqualsLive(t *testing.T) {
 				sawExpired = sawExpired || strings.Contains(dl.Reason, "expired")
 				sawPolicyErr = sawPolicyErr || strings.Contains(dl.Reason, "injected policy failure")
 			}
-			if !sawExpired || !sawPolicyErr {
+			if !sawExpired || sawPolicyErr != tc.fails {
 				t.Fatalf("schedule missed a case: expired %v, policy error %v", sawExpired, sawPolicyErr)
+			}
+			if lp, ok := live.cfg.Policy.(*MetisPolicy); ok {
+				requireSamePolicyState(t, lp, recovered.cfg.Policy.(*MetisPolicy))
 			}
 		})
 	}
 }
 
+// requireSamePolicyState asserts what redo recovery promises of the
+// metis-incremental policy: the recovered policy has seen the live one's
+// workload, adopted its plan and kept its replan clock. Its warm
+// incumbent and relaxation are caches the next replan rebuilds.
+func requireSamePolicyState(t *testing.T, live, rec *MetisPolicy) {
+	t.Helper()
+	if live.rp == nil || rec.rp == nil {
+		t.Fatalf("replan model missing: live %v, recovered %v", live.rp != nil, rec.rp != nil)
+	}
+	ls, rs := live.rp.Observed(), rec.rp.Observed()
+	if len(ls) == 0 || !reflect.DeepEqual(ls, rs) {
+		t.Fatalf("seen workload differs: live %d requests, recovered %d", len(ls), len(rs))
+	}
+	if !slices.Equal(live.plan, rec.plan) || live.havePlan != rec.havePlan {
+		t.Fatalf("plan differs: live %v (have %v), recovered %v (have %v)", live.plan, live.havePlan, rec.plan, rec.havePlan)
+	}
+	if live.lastReplan != rec.lastReplan {
+		t.Fatalf("replan clock differs: live %d, recovered %d", live.lastReplan, rec.lastReplan)
+	}
+}
+
 // TestTickFencesOnWALFailure: a tick whose redo record cannot be made
 // durable fences the server and commits nothing. The claimed batch goes
-// back to the queue whole and in id order, every decision in it still
-// reads queued, and LastCheckError names the WAL.
+// back to the queue whole, every decision in it still reads queued, and
+// LastCheckError names the WAL.
 func TestTickFencesOnWALFailure(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
 	l, err := wal.Open(dir, wal.Options{})
@@ -600,23 +569,12 @@ func TestTickFencesOnWALFailure(t *testing.T) {
 	if !strings.Contains(st.LastCheckError, "wal") {
 		t.Fatalf("LastCheckError = %q, want one naming the WAL", st.LastCheckError)
 	}
-	var img bytes.Buffer
-	if err := s.Snapshot(&img); err != nil {
-		t.Fatal(err)
+	if got := queuedIDs(s); !slices.Equal(got, ids) {
+		t.Fatalf("queue after the fence holds %v, want %v", got, ids)
 	}
-	var snap Snapshot
-	if err := json.Unmarshal(img.Bytes(), &snap); err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Queue) != len(ids) {
-		t.Fatalf("snapshot queue holds %d arrivals, want %d", len(snap.Queue), len(ids))
-	}
-	for i, q := range snap.Queue {
-		if q.ID != ids[i] {
-			t.Fatalf("snapshot queue[%d] = id %d, want %d (id order)", i, q.ID, ids[i])
-		}
-		if d := s.Decision(q.ID); d == nil || d.Status != StatusQueued {
-			t.Fatalf("decision %d = %+v, want queued", q.ID, d)
+	for _, id := range ids {
+		if d := s.Decision(id); d == nil || d.Status != StatusQueued {
+			t.Fatalf("decision %d = %+v, want queued", id, d)
 		}
 	}
 }
@@ -630,14 +588,13 @@ type renamed struct {
 
 func (p renamed) Name() string { return p.name }
 
-// TestTakeoverQueueWait: arrivals a server takes over, from a snapshot's
-// queue, from the WAL or from a standby's applied mirror, wait from the
-// takeover on: a standby stamps each arrival when it applies it. The
+// TestTakeoverQueueWait: arrivals a server takes over, from the WAL or
+// from a standby's applied mirror, wait from the takeover on: a standby stamps each arrival when it applies it. The
 // first tick's scorecard row and every latency digest must read that
 // wait; an arrival stamped with the zero time reads ≈ 9.2e12 ms.
 func TestTakeoverQueueWait(t *testing.T) {
 	const boundMillis = 60e3
-	for _, via := range []string{"restore", "recover-wal", "promote"} {
+	for _, via := range []string{"recover-wal", "promote"} {
 		t.Run(via, func(t *testing.T) {
 			mut := func(c *Config) { c.Policy = renamed{GreedyPolicy{}, "takeover-" + via} }
 			dir := filepath.Join(t.TempDir(), "wal")
@@ -651,21 +608,12 @@ func TestTakeoverQueueWait(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			var img bytes.Buffer
-			if err := src.Snapshot(&img); err != nil {
-				t.Fatal(err)
-			}
 			if err := l.Close(); err != nil {
 				t.Fatal(err)
 			}
 
 			var dst *Server
 			switch via {
-			case "restore":
-				dst = walServer(t, nil, mut)
-				if err := dst.Restore(&img); err != nil {
-					t.Fatal(err)
-				}
 			case "recover-wal":
 				l2, err := wal.Open(dir, wal.Options{})
 				if err != nil {

@@ -17,7 +17,6 @@ import (
 //	GET  /v1/stats           counters + daemon time + latency digests
 //	GET  /healthz            readiness: 200 keeping up, 503 shedding/behind/draining
 //	GET  /debug/epochs       epoch health scorecard (JSON array, oldest first)
-//	POST /v1/snapshot        write a snapshot now (needs SnapshotPath)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/requests", s.handleSubmit)
@@ -32,17 +31,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /debug/epochs", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, s.EpochRecords())
-	})
-	mux.HandleFunc("POST /v1/snapshot", func(w http.ResponseWriter, _ *http.Request) {
-		if s.cfg.SnapshotPath == "" {
-			writeJSON(w, http.StatusConflict, map[string]string{"error": "no snapshot path configured"})
-			return
-		}
-		if err := s.SnapshotFile(s.cfg.SnapshotPath); err != nil {
-			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]string{"path": s.cfg.SnapshotPath})
 	})
 	return mux
 }

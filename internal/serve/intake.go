@@ -210,11 +210,10 @@ func (s *Server) requeue(ps ...pending) {
 	gQueueDepth.Set(s.queueDepth.Add(int64(len(ps))))
 }
 
-// adopt queues an arrival recovery takes over, from a snapshot's queue
-// or the log, stamped with at, the time recovery took it over: its
-// queue wait and decision latency count from then. A standby applying
-// its mirror stamps each arrival when the round that brought it
-// applies it. Callers hold s.mu.
+// adopt queues an arrival recovery takes over from the log, stamped
+// with at, the time recovery took it over: its queue wait and decision
+// latency count from then. A standby applying its mirror stamps each
+// arrival when the round that brought it applies it. Callers hold s.mu.
 func (s *Server) adopt(id int64, req demand.Request, at time.Time) {
 	s.queueDecision(id, req)
 	s.requeue(pending{id: id, req: req, at: at})

@@ -4,11 +4,11 @@
 // with a pluggable admission policy under a per-tick deadline. The
 // solver stack stays pure and batch-oriented; this package owns all the
 // operational state — the link-state ledger, the sharded arrival queue,
-// load shedding, snapshot/restore, and graceful drain.
+// load shedding, the write-ahead log and its recovery, and graceful
+// drain.
 package serve
 
 import (
-	"fmt"
 	"slices"
 
 	"metis/internal/demand"
@@ -19,14 +19,14 @@ import (
 // Ledger is the committed link state of one billing cycle: the load
 // already promised per (link, slot) and the bandwidth units purchased
 // per link (monotone within a cycle — units bought stay paid until the
-// cycle ends). It is the durable core of the daemon: snapshots persist
-// it, and every epoch's admission decisions are made against a copy of
-// it.
+// cycle ends). It is the durable core of the daemon: the log's tick
+// records rebuild it on recovery, and every epoch's admission decisions
+// are made against a copy of it.
 //
 // A Ledger has no lock of its own. The Server's live ledger is guarded
-// by Server.mu, which every tick phase, read endpoint, snapshot and
-// recovery step that touches it already holds; a policy only ever sees
-// a private copy (Server.LedgerCopy).
+// by Server.mu, which every tick phase, read endpoint and recovery step
+// that touches it already holds; a policy only ever sees a private copy
+// (Server.LedgerCopy).
 type Ledger struct {
 	slots     int
 	prices    []float64
@@ -151,7 +151,7 @@ func (l *Ledger) Reset() {
 
 // Equal reports whether two ledgers carry identical committed state
 // (bit-for-bit loads, purchases, committed count). Used by the
-// snapshot/restore tests and the restore-time consistency check.
+// recovery and failover tests.
 func (l *Ledger) Equal(o *Ledger) bool {
 	if l.slots != o.slots || l.committed != o.committed ||
 		!slices.Equal(l.purchased, o.purchased) || len(l.loads) != len(o.loads) {
@@ -165,16 +165,6 @@ func (l *Ledger) Equal(o *Ledger) bool {
 	return true
 }
 
-// LedgerImage is the JSON wire form of a Ledger: the per-(link, slot)
-// committed occupancy plus per-link purchases, as it appears in crash
-// snapshots.
-type LedgerImage struct {
-	Slots     int         `json:"slots"`
-	Purchased []int       `json:"purchased"`
-	Loads     [][]float64 `json:"loads"`
-	Committed int         `json:"committed"`
-}
-
 // clone returns a deep copy of the ledger (prices, never written, are
 // shared).
 func (l *Ledger) clone() *Ledger {
@@ -182,30 +172,4 @@ func (l *Ledger) clone() *Ledger {
 	cp.purchased = l.Purchased()
 	cp.loads = l.Loads()
 	return &cp
-}
-
-func (l *Ledger) snap() LedgerImage {
-	return LedgerImage{Slots: l.slots, Purchased: l.Purchased(), Loads: l.Loads(), Committed: l.Committed()}
-}
-
-// restore rebuilds a ledger from its wire form, keeping the
-// receiver's prices. Shapes must match the receiver's network.
-func (l *Ledger) restore(s LedgerImage) error {
-	if s.Slots != l.slots {
-		return fmt.Errorf("serve: snapshot has %d slots, ledger has %d", s.Slots, l.slots)
-	}
-	if len(s.Purchased) != len(l.purchased) || len(s.Loads) != len(l.loads) {
-		return fmt.Errorf("serve: snapshot has %d links, ledger has %d", len(s.Purchased), len(l.purchased))
-	}
-	for e := range s.Loads {
-		if len(s.Loads[e]) != l.slots {
-			return fmt.Errorf("serve: snapshot loads[%d] has %d slots, want %d", e, len(s.Loads[e]), l.slots)
-		}
-	}
-	copy(l.purchased, s.Purchased)
-	for e := range s.Loads {
-		copy(l.loads[e], s.Loads[e])
-	}
-	l.committed = s.Committed
-	return nil
 }

@@ -21,7 +21,6 @@ var (
 	cCycles          = obs.NewCounter("serve.cycles", "billing-cycle wraps (ledger resets)")
 	cReplans         = obs.NewCounter("serve.replans", "replans run by the metis-incremental policy")
 	cReplansDegraded = obs.NewCounter("serve.replans_degraded", "metis-incremental replans cut short by the tick budget (incumbent or previous plan kept)")
-	cSnapshots       = obs.NewCounter("serve.snapshots", "ledger snapshots written")
 	cCheckFailures   = obs.NewCounter("serve.check_failures", "post-tick ledger invariant violations found by the -check sweep")
 	gQueueDepth      = obs.NewGauge("serve.queue_depth", "arrivals waiting for the next epoch tick")
 	gPurchasedUnits  = obs.NewGauge("serve.purchased_units", "total bandwidth units purchased this cycle")

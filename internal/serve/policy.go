@@ -238,33 +238,6 @@ func (p *MetisPolicy) Decide(ctx context.Context, led *Ledger, inst *sched.Insta
 	return admit(ctx, led, inst, slot, adm)
 }
 
-// PolicyState is the snapshot image of the metis-incremental policy's
-// cycle state: the observed workload, the incumbent schedule's path
-// choices, and the adopted capacity plan. It is enough to rebuild the
-// persistent replan model deterministically on restore — the warm LP
-// factorization itself is a cache and is rebuilt on the first
-// post-restore replan.
-type PolicyState struct {
-	Name       string           `json:"name"`
-	Seen       []demand.Request `json:"seen,omitempty"`
-	Incumbent  []int            `json:"incumbent,omitempty"`
-	Planned    int              `json:"planned,omitempty"`
-	Plan       []int            `json:"plan,omitempty"`
-	HavePlan   bool             `json:"havePlan,omitempty"`
-	LastReplan int              `json:"lastReplan,omitempty"`
-	// RelaxedX is the persistent model's last relaxation, aligned to
-	// Seen. It guides the admission pass, so it must survive restore for
-	// post-restore decisions to match an uninterrupted run exactly.
-	RelaxedX [][]float64 `json:"relaxedX,omitempty"`
-}
-
-// statefulPolicy is implemented by policies whose cycle state must
-// survive snapshot/restore.
-type statefulPolicy interface {
-	policyState() *PolicyState
-	restorePolicyState(st *PolicyState, net *wan.Network, slots int) error
-}
-
 // replayPolicy is implemented by policies that participate in WAL
 // recovery: logged ticks are *redone* through the live commitTick (a
 // budget-cut replan is not reproducible from inputs), so once per
@@ -311,41 +284,4 @@ func (p *MetisPolicy) applyReplayDelta(d *walPolicyDelta) {
 	}
 	p.havePlan = d.HavePlan
 	p.lastReplan = d.LastReplan
-}
-
-func (p *MetisPolicy) policyState() *PolicyState {
-	if p.rp == nil {
-		return nil
-	}
-	return &PolicyState{
-		Name:       p.Name(),
-		Seen:       p.rp.Observed(),
-		Incumbent:  p.rp.IncumbentChoices(),
-		Planned:    p.rp.NumPlanned(),
-		Plan:       append([]int(nil), p.plan...),
-		HavePlan:   p.havePlan,
-		LastReplan: p.lastReplan,
-		RelaxedX:   p.rp.RelaxedGuide(0),
-	}
-}
-
-func (p *MetisPolicy) restorePolicyState(st *PolicyState, net *wan.Network, slots int) error {
-	if st == nil {
-		return nil
-	}
-	rp := p.newReplanner(net, slots)
-	if len(st.Seen) > 0 {
-		if err := rp.Observe(st.Seen); err != nil {
-			return fmt.Errorf("serve: restore policy state: %w", err)
-		}
-	}
-	if st.Incumbent != nil {
-		if err := rp.RestoreIncumbent(st.Incumbent, st.Planned); err != nil {
-			return fmt.Errorf("serve: restore policy state: %w", err)
-		}
-	}
-	rp.RestoreRelaxedGuide(st.RelaxedX)
-	p.rp = rp
-	p.applyReplayDelta(&walPolicyDelta{Name: st.Name, Plan: st.Plan, HavePlan: st.HavePlan, LastReplan: st.LastReplan})
-	return nil
 }

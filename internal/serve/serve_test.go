@@ -6,9 +6,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -294,202 +294,23 @@ func TestPolicies(t *testing.T) {
 	}
 }
 
-func TestSnapshotRestoreIdenticalLedger(t *testing.T) {
-	s := newTestServer(t, nil)
-	for i := 0; i < 6; i++ {
-		r := goodRequest(1e4)
-		r.Src, r.Dst = i%3, 3+i%3
-		if _, err := s.Submit(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Tick(context.Background())
-	// Leave two arrivals undecided so the queue round-trips too.
-	q1, err := s.Submit(goodRequest(77))
-	if err != nil {
-		t.Fatal(err)
-	}
-	q2, err := s.Submit(goodRequest(88))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	if err := s.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	restored := newTestServer(t, nil)
-	if err := restored.Restore(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if !restored.LedgerCopy().Equal(s.LedgerCopy()) {
-		t.Fatal("restored ledger differs from source")
-	}
-	if restored.Epoch() != s.Epoch() {
-		t.Fatalf("restored epoch %d, want %d", restored.Epoch(), s.Epoch())
-	}
-	for _, id := range []int64{q1.ID, q2.ID} {
-		d := restored.Decision(id)
-		if d == nil || d.Status != StatusQueued {
-			t.Fatalf("queued request %d not restored: %+v", id, d)
-		}
-	}
-	// The restored daemon continues: tick decides the re-queued pair
-	// and both servers end with identical ledgers.
-	restored.Tick(context.Background())
-	s.Tick(context.Background())
-	if !restored.LedgerCopy().Equal(s.LedgerCopy()) {
-		t.Fatal("ledgers diverge after post-restore tick")
-	}
-}
-
-func TestRestoreRejectsMismatches(t *testing.T) {
-	s := newTestServer(t, nil)
-	var buf bytes.Buffer
-	if err := s.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	other, err := New(Config{Net: wan.B4()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := other.Restore(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("want topology-mismatch error")
-	}
-
-	slots, err := New(Config{Net: wan.SubB4(), Slots: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := slots.Restore(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("want slots-mismatch error")
-	}
-
-	used := newTestServer(t, nil)
-	used.Tick(context.Background())
-	if err := used.Restore(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("want error restoring onto a used server")
-	}
-}
-
-// TestRestoreRefusesBadQueue checks that Restore refuses a snapshot
-// whose queue ids could decide one request twice or collide with a
-// later Submit, and a negative epoch — each before any state moves.
-func TestRestoreRefusesBadQueue(t *testing.T) {
-	src := newTestServer(t, nil)
-	for _, v := range []float64{77, 88} {
-		if _, err := src.Submit(goodRequest(v)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := src.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var good Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &good); err != nil {
-		t.Fatal(err)
-	}
-	if len(good.Queue) != 2 || good.Queue[0].ID != 1 || good.Queue[1].ID != 2 || good.NextID != 3 {
-		t.Fatalf("base image queue %+v nextId %d, want ids 1, 2 and nextId 3", good.Queue, good.NextID)
-	}
-	entry := func(id int64) QueuedRequest { return QueuedRequest{ID: id, Request: goodRequest(77)} }
-	cases := []struct {
-		name string
-		mut  func(*Snapshot)
-		want string // in the error: the bad id or epoch
-	}{
-		{"repeated entry", func(sn *Snapshot) { sn.Queue[1] = sn.Queue[0] }, "id 1"},
-		{"id at nextId", func(sn *Snapshot) { sn.Queue = []QueuedRequest{entry(5)}; sn.NextID = 2 }, "id 5"},
-		{"id zero", func(sn *Snapshot) { sn.Queue[0].ID = 0 }, "id 0"},
-		{"negative id", func(sn *Snapshot) { sn.Queue[0].ID = -4 }, "id -4"},
-		{"descending", func(sn *Snapshot) { sn.Queue[0], sn.Queue[1] = sn.Queue[1], sn.Queue[0] }, "id 1"},
-		{"negative epoch", func(sn *Snapshot) { sn.Epoch = -1 }, "epoch -1"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			sn := good
-			sn.Queue = append([]QueuedRequest(nil), good.Queue...)
-			tc.mut(&sn)
-			img, err := json.Marshal(&sn)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := newTestServer(t, nil)
-			err = s.Restore(bytes.NewReader(img))
-			if err == nil {
-				st := s.Stats()
-				t.Fatalf("restored a bad image: queue depth %d, epoch %d", st.QueueDepth, st.Epoch)
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %q does not name %q", err, tc.want)
-			}
-			if s.hasState() {
-				t.Fatal("a refused image left state behind")
-			}
-		})
-	}
-
-	// The untouched image restores, and its two requests are decided once.
-	s := newTestServer(t, nil)
-	if err := s.Restore(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	s.Tick(context.Background())
-	if st := s.Stats(); st.Accepted+st.Rejected != 2 {
-		t.Fatalf("restored queue decided %d times, want 2", st.Accepted+st.Rejected)
-	}
-}
-
-func TestSnapshotFileAtomic(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "snap.json")
-	s := newTestServer(t, nil)
-	if _, err := s.Submit(goodRequest(5)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SnapshotFile(path); err != nil {
-		t.Fatal(err)
-	}
-	restored := newTestServer(t, nil)
-	if err := restored.RestoreFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if got := restored.Stats().QueueDepth; got != 1 {
-		t.Fatalf("restored queue depth = %d, want 1", got)
-	}
-}
-
 func TestDrainDecidesQueueAndStopsIntake(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "snap.json")
-	s := newTestServer(t, func(c *Config) { c.SnapshotPath = path })
+	s := newTestServer(t, nil)
 	d, err := s.Submit(goodRequest(1e6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Drain(); err != nil {
-		t.Fatal(err)
-	}
+	s.Drain()
 	if got := s.Decision(d.ID); got.Status != StatusAccepted {
 		t.Fatalf("drain left request undecided: %+v", got)
 	}
 	if _, err := s.Submit(goodRequest(1)); !errors.Is(err, ErrDraining) {
 		t.Fatalf("want ErrDraining after drain, got %v", err)
 	}
-	// Drain wrote a final snapshot.
-	restored := newTestServer(t, nil)
-	if err := restored.RestoreFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if !restored.LedgerCopy().Equal(s.LedgerCopy()) {
-		t.Fatal("drain snapshot ledger differs")
-	}
 	// Drain is idempotent.
-	if err := s.Drain(); err != nil {
-		t.Fatal(err)
+	s.Drain()
+	if st := s.Stats(); st.Epoch != 1 || st.Accepted != 1 {
+		t.Fatalf("a second drain moved state: %+v", st)
 	}
 }
 
@@ -608,9 +429,9 @@ func TestHTTPAPI(t *testing.T) {
 	}
 }
 
-// TestConcurrentSubmitTickSnapshot is the race-detector workout the
-// acceptance criteria require: parallel submitters, an epoch ticker,
-// snapshots and read endpoints all hammering one server.
+// TestConcurrentSubmitTickSnapshot is the race-detector workout:
+// parallel submitters, an epoch ticker, the state dump and the read
+// endpoints all hammering one server.
 func TestConcurrentSubmitTickSnapshot(t *testing.T) {
 	s := newTestServer(t, func(c *Config) {
 		c.QueueLimit = 64
@@ -651,16 +472,16 @@ func TestConcurrentSubmitTickSnapshot(t *testing.T) {
 		}(g)
 	}
 
-	// Snapshotters + readers.
+	// Readers.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			var buf bytes.Buffer
-			if err := s.Snapshot(&buf); err != nil {
+			if err := s.Snapshot(io.Discard); err != nil {
 				t.Errorf("snapshot: %v", err)
 				return
 			}
+			_ = s.LedgerCopy()
 			_ = s.Stats()
 			_ = s.Links()
 		}

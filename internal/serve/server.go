@@ -2,8 +2,10 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,13 +61,6 @@ type Config struct {
 	// without it one slow tick grows the next claim, which overruns
 	// harder, and the loop degrades epoch after epoch.
 	MaxBatch int
-	// SnapshotPath, when set, is where Run persists the ledger + queue:
-	// every SnapshotEvery epochs and once more on drain. It is the
-	// persistence of a server without a WAL.
-	SnapshotPath string
-	// SnapshotEvery is the snapshot period in epochs (0 = only on
-	// drain).
-	SnapshotEvery int
 	// Tracer, when non-nil, receives the request-lifecycle trace: one
 	// "serve.arrival" event per submit, one "serve.solve" span per
 	// policy call, and one "serve.epoch" span per tick.
@@ -83,10 +78,10 @@ type Config struct {
 	// arrival record and acks only after a group fsync, and Tick
 	// appends its redo record (fsynced) and then commits exactly that
 	// record. Recovery is RecoverWAL, which commits each logged record
-	// through the same function; with a WAL the log is the state and
-	// Restore is refused. A WAL append/fsync failure mid-tick fences the
-	// server — it stops serving rather than hand out undurable
-	// decisions.
+	// through the same function: the log is the state, and a server
+	// without one keeps its state in memory only. A WAL append/fsync
+	// failure mid-tick fences the server — it stops serving rather than
+	// hand out undurable decisions.
 	WAL *wal.Log
 }
 
@@ -223,15 +218,15 @@ type LinkState struct {
 
 // Server is the admission-control daemon: an HTTP ingest surface over a
 // bounded, sharded arrival queue, an epoch tick loop deciding batches
-// against the ledger, and either snapshot/restore or WAL replay for
-// crash recovery. A tick's decisions take effect only as a redo record
-// (walTick) passed to commitTick, live and on replay alike.
+// against the ledger, and WAL replay for crash recovery. A tick's
+// decisions take effect only as a redo record (walTick) passed to
+// commitTick, live and on replay alike.
 //
 // s.mu guards s.led and the fields declared after it; it is the
-// ledger's one lock, held by every tick phase, read endpoint, snapshot
-// and recovery step that touches the ledger. Lock order: s.mu →
+// ledger's one lock, held by every tick phase, read endpoint and
+// recovery step that touches the ledger. Lock order: s.mu →
 // intakeShard.mu / decisionShard.mu. Submit takes only shard locks;
-// ticks and snapshots take s.mu first.
+// ticks and readers take s.mu first.
 type Server struct {
 	cfg   Config
 	lat   *latencyObs
@@ -251,13 +246,12 @@ type Server struct {
 	role  atomic.Int32  // roleLeader / roleStandby / roleFenced
 	token atomic.Uint64 // fencing token minted by the HA layer
 
-	mu          sync.Mutex
-	led         *Ledger
-	deciding    []pending    // batch owned by an in-flight tick (still snapshot-visible)
-	pruneFrom   int64        // lowest decision id possibly still retained
-	epoch       int          // ticks processed
-	walFrom     wal.Offset   // ApplyLog's cursor: the next pass starts here
-	policyImage *PolicyState // policy cycle state as of the last committed tick
+	mu        sync.Mutex
+	led       *Ledger
+	nDeciding int        // arrivals claimed by an in-flight tick, still in the queue depth
+	pruneFrom int64      // lowest decision id possibly still retained
+	epoch     int        // ticks processed
+	walFrom   wal.Offset // ApplyLog's cursor: the next pass starts here
 
 	// Per-instance stats (the obs counters are process-global).
 	nAccepted, nRejected, nDegraded, nOverruns int64
@@ -310,6 +304,24 @@ func (s *Server) LedgerCopy() *Ledger {
 	return s.led.clone()
 }
 
+// Snapshot writes the committed state as one JSON object (daemon time,
+// next id, revenue and the ledger) for inspection. Nothing reads it
+// back: a server that must survive a restart runs with a WAL, and the
+// log is its state. The benchmark's serve probe times it.
+func (s *Server) Snapshot(w io.Writer) error {
+	s.mu.Lock()
+	img := struct {
+		Epoch     int         `json:"epoch"`
+		NextID    int64       `json:"nextId"`
+		Revenue   float64     `json:"revenue"`
+		Purchased []int       `json:"purchased"`
+		Loads     [][]float64 `json:"loads"`
+		Committed int         `json:"committed"`
+	}{s.epoch, s.nextID.Load(), s.revenue, s.led.Purchased(), s.led.Loads(), s.led.Committed()}
+	s.mu.Unlock()
+	return json.NewEncoder(w).Encode(&img)
+}
+
 // Stats returns a consistent snapshot of the server's counters.
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
@@ -325,7 +337,7 @@ func (s *Server) Stats() Stats {
 		Epoch:             s.epoch,
 		Cycle:             s.epoch / s.cfg.Slots,
 		Slot:              s.epoch % s.cfg.Slots,
-		QueueDepth:        int(s.queueDepth.Load()) + len(s.deciding),
+		QueueDepth:        int(s.queueDepth.Load()) + s.nDeciding,
 		Submitted:         s.nSubmitted.Load(),
 		Accepted:          s.nAccepted,
 		Rejected:          s.nRejected,
@@ -385,7 +397,7 @@ func (s *Server) Health() Health {
 		Role:          roleName(s.role.Load()),
 		FencingToken:  s.token.Load(),
 		Epoch:         s.epoch,
-		QueueDepth:    int(s.queueDepth.Load()) + len(s.deciding),
+		QueueDepth:    int(s.queueDepth.Load()) + s.nDeciding,
 		ShedLastEpoch: s.nShed.Load() - s.shedMark,
 	}
 	draining, lastEnd := s.draining.Load(), s.lastTickEnd
@@ -434,37 +446,33 @@ func (s *Server) Links() []LinkState {
 }
 
 // Run drives the epoch tick loop until ctx is canceled, then drains:
-// intake stops (Submit returns ErrDraining), one final tick decides
-// everything still queued, and — when configured — a last snapshot is
-// written. Periodic snapshots honor Config.SnapshotEvery.
+// intake stops (Submit returns ErrDraining) and final ticks decide
+// everything still queued. The error is always nil: nothing on the
+// loop can fail without fencing the server instead.
 func (s *Server) Run(ctx context.Context) error {
 	ticker := time.NewTicker(s.cfg.Epoch)
 	defer ticker.Stop()
 	for {
 		select {
 		case <-ctx.Done():
-			return s.Drain()
+			s.Drain()
+			return nil
 		case <-ticker.C:
 			// The tick context must not die with ctx mid-decision: the
 			// drain path owns cancellation semantics.
 			s.Tick(context.Background())
-			if s.cfg.SnapshotPath != "" && s.cfg.SnapshotEvery > 0 && s.Epoch()%s.cfg.SnapshotEvery == 0 {
-				if err := s.SnapshotFile(s.cfg.SnapshotPath); err != nil {
-					return fmt.Errorf("serve: periodic snapshot: %w", err)
-				}
-			}
 		}
 	}
 }
 
-// Drain performs the graceful-shutdown sequence: stop intake, decide
-// the remaining queue in final ticks, and write a final snapshot when
-// configured. It is idempotent. The loop (rather than a single tick)
-// closes the race with a submit that passed the draining check just as
-// the flag flipped and landed in a shard after the first final claim.
-func (s *Server) Drain() error {
+// Drain performs the graceful-shutdown sequence: stop intake and decide
+// the remaining queue in final ticks. It is idempotent. The loop
+// (rather than a single tick) closes the race with a submit that passed
+// the draining check just as the flag flipped and landed in a shard
+// after the first final claim.
+func (s *Server) Drain() {
 	if s.draining.Swap(true) {
-		return nil
+		return
 	}
 	// With a claim cap a full queue needs ceil(limit/cap) ticks to drain.
 	maxTicks := 4
@@ -474,10 +482,4 @@ func (s *Server) Drain() error {
 	for i := 0; i < maxTicks && s.queueDepth.Load() > 0; i++ {
 		s.Tick(context.Background())
 	}
-	if s.cfg.SnapshotPath != "" {
-		if err := s.SnapshotFile(s.cfg.SnapshotPath); err != nil {
-			return fmt.Errorf("serve: drain snapshot: %w", err)
-		}
-	}
-	return nil
 }

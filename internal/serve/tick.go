@@ -57,11 +57,10 @@ func (s *Server) Tick(ctx context.Context) {
 	s.record(t) // releases s.mu
 }
 
-// claim opens the tick: it takes the queued batch, keeping it
-// snapshot-visible in s.deciding so a concurrent snapshot cannot lose
-// in-flight arrivals, and observes each arrival's queue wait (arrival →
-// batch claim) into the policy's histogram and the scorecard row's
-// aggregate.
+// claim opens the tick: it takes the queued batch, still counted in
+// Stats' and Health's queue depth through s.nDeciding until the tick
+// ends, and observes each arrival's queue wait (arrival → batch claim)
+// into the policy's histogram and the scorecard row's aggregate.
 func (s *Server) claim(ctx context.Context) *tick {
 	t := &tick{start: time.Now()}
 	t.budget = time.Duration(float64(s.cfg.Epoch) * s.cfg.TickBudget)
@@ -76,7 +75,7 @@ func (s *Server) claim(ctx context.Context) *tick {
 	t.slot = t.epoch % s.cfg.Slots
 	s.wrapCycle(t.epoch)
 	t.batch = s.claimIntake(s.cfg.MaxBatch)
-	s.deciding = t.batch
+	s.nDeciding = len(t.batch)
 	s.queueDepth.Add(-int64(len(t.batch)))
 	gQueueDepth.Set(s.queueDepth.Load())
 	t.revBefore, t.costBefore = s.revenue, s.led.Cost()
@@ -198,9 +197,8 @@ func (s *Server) solve(ctx context.Context, batch []pending, epoch, slot int) (t
 //
 // On failure durability is lost: the server fences instead of handing
 // out undurable decisions, and the claimed batch goes back to the queue
-// so a final snapshot still carries it. Its arrivals are on disk (or
-// the client never got an ack), so a restart recovers them. Callers
-// hold s.mu.
+// undecided. Its arrivals are on disk (or the client never got an ack),
+// so a restart recovers them. Callers hold s.mu.
 func (s *Server) logTick(t *tick) bool {
 	if t.frame == nil {
 		return true
@@ -215,7 +213,7 @@ func (s *Server) logTick(t *tick) bool {
 	s.Fence()
 	s.lastCheckErr = "wal failed, server fenced: " + err.Error()
 	s.requeue(t.batch...)
-	s.deciding = nil
+	s.nDeciding = 0
 	return false
 }
 
@@ -300,12 +298,12 @@ func (s *Server) commitTick(tr *walTick, reqs []demand.Request) {
 }
 
 // record closes a committed tick. Under s.mu, as commitTick left it, it
-// observes each decision's latency (arrival → decision), caches the
-// policy state snapshots serve, counts an overrun and builds the
-// scorecard row. It then releases s.mu and emits the serve.epoch span
-// and pushes the row, neither of which may hold up a snapshot.
+// observes each decision's latency (arrival → decision), counts an
+// overrun and builds the scorecard row. It then releases s.mu and emits
+// the serve.epoch span and pushes the row, neither of which may hold up
+// a reader.
 func (s *Server) record(t *tick) {
-	s.deciding = nil
+	s.nDeciding = 0
 	var nAccepted, nExpired int
 	for k := range t.rec.Outcomes {
 		o := &t.rec.Outcomes[k]
@@ -323,12 +321,6 @@ func (s *Server) record(t *tick) {
 		case walKindExpired:
 			nExpired++
 		}
-	}
-	if sp, ok := s.cfg.Policy.(statefulPolicy); ok {
-		// Cache the policy's cycle state at the tick boundary: this is
-		// the exact state matching the committed ledger, so a concurrent
-		// snapshot never captures a mid-decision model.
-		s.policyImage = sp.policyState()
 	}
 	elapsed := time.Since(t.start)
 	if elapsed > t.budget {

@@ -10,7 +10,7 @@ import (
 // internal/serve and cmd/metisd). The daemon accepts reservation
 // requests over HTTP, batches arrivals into epoch ticks, decides each
 // batch with a pluggable policy against the cycle's link-state ledger,
-// and snapshots its state for crash recovery.
+// and, given a write-ahead log, recovers its state from the log.
 type (
 	// Server is the long-running admission-control daemon.
 	Server = serve.Server
@@ -24,8 +24,6 @@ type (
 	ServeStats = serve.Stats
 	// ServeLinkState is one entry of the /v1/links payload.
 	ServeLinkState = serve.LinkState
-	// ServeSnapshot is the daemon's JSON crash-recovery image.
-	ServeSnapshot = serve.Snapshot
 	// Arrival is one line of a timestamped JSONL workload stream
 	// (cmd/wangen -stream emits them; cmd/metisload replays them).
 	Arrival = serve.Arrival
@@ -36,15 +34,9 @@ type (
 	ServeHealth = serve.Health
 	// ServeLatencySummary is one latency digest inside ServeStats.
 	ServeLatencySummary = serve.LatencySummary
-	// LedgerImage is the JSON wire form of the daemon's link-state
-	// ledger inside a snapshot.
-	LedgerImage = serve.LedgerImage
 	// ServeBatchResult is one entry of the POST /v1/requests/batch
 	// response.
 	ServeBatchResult = serve.BatchResult
-	// ServePolicyState is the metis-incremental policy's cycle state
-	// inside a snapshot.
-	ServePolicyState = serve.PolicyState
 )
 
 // Typed Submit failures; match with errors.Is. Validation failures are
