@@ -31,7 +31,7 @@
 //	GET  /v1/links           per-link ledger state
 //	GET  /v1/stats           counters + daemon time + latency digests
 //	GET  /healthz            readiness: 200 keeping up, 503 shedding/behind/draining
-//	GET  /debug/epochs       epoch health scorecard (one JSON record per tick)
+//	GET  /debug/epochs       epoch health scorecard (one JSON record per tick, the last 512)
 //	POST /v1/promote         standby only: promote to leader → 200 {report}
 //	GET  /ha/v1/wal          leader: durable WAL bytes for a standby mirror, waiting for the next group
 //	                         commit when there are none; headers carry the fencing token, durable end and lag
@@ -108,13 +108,9 @@ func run(args []string) (err error) {
 		policyName  = fs.String("policy", "greedy", "epoch policy: greedy, taa or metis-incremental")
 		planUnits   = fs.Int("plan-units", 0, "taa: uniform per-link provision in units (0 = only capacity bought so far)")
 		replanEvery = fs.Int("replan-every", 1, "metis-incremental: replan period in epochs")
-		theta       = fs.Int("theta", 0, "metis-incremental: alternation rounds θ of the fallback full solve (0 = default)")
-		maaRounds   = fs.Int("maa-rounds", 0, "metis-incremental: randomized roundings per MAA call of the fallback full solve (0 = default)")
-		seed        = fs.Int64("seed", 1, "metis-incremental: randomized-rounding seed of the fallback full solve")
 		queueLimit  = fs.Int("queue-limit", 0, "arrival-queue bound; submits beyond it are shed with 429 (0 = default)")
 		maxBatch    = fs.Int("max-batch", 0, "max arrivals one tick claims; the excess stays queued (0 = whole queue)")
 		traceOut    = fs.String("trace", "", "write a JSONL trace of the request lifecycle (arrival/solve/epoch) to this file")
-		scorecard   = fs.Int("scorecard", 0, "epoch health scorecard size served by /debug/epochs (0 = default)")
 		check       = fs.Bool("check", false, "run the ledger invariant checker after every tick (stats report checkFailures)")
 		walDir      = fs.String("wal-dir", "", "write-ahead log directory: arrivals are acked only once fsynced, ticks log redo records, recovery replays on start")
 		standby     = fs.Bool("standby", false, "run as a hot standby: mirror the leader's WAL into -wal-dir and apply it as it lands, refuse intake until promoted")
@@ -153,11 +149,9 @@ func run(args []string) (err error) {
 			plan[e] = *planUnits
 		}
 	}
-	policy, err := metis.NewServePolicy(*policyName, plan, *replanEvery, metis.Config{
-		Theta:     *theta,
-		MAARounds: *maaRounds,
-		Seed:      *seed,
-	})
+	// metis-incremental's fallback full solve runs the default θ and
+	// MAA roundings from seed 1.
+	policy, err := metis.NewServePolicy(*policyName, plan, *replanEvery, metis.Config{Seed: 1})
 	if err != nil {
 		return err
 	}
@@ -189,17 +183,16 @@ func run(args []string) (err error) {
 	}
 
 	srv, err := metis.NewServer(metis.ServeConfig{
-		Net:           net,
-		Slots:         *slots,
-		Epoch:         *epoch,
-		TickBudget:    *tickBudget,
-		Policy:        policy,
-		QueueLimit:    *queueLimit,
-		MaxBatch:      *maxBatch,
-		Tracer:        tracer,
-		ScorecardSize: *scorecard,
-		Check:         *check,
-		WAL:           walLog,
+		Net:        net,
+		Slots:      *slots,
+		Epoch:      *epoch,
+		TickBudget: *tickBudget,
+		Policy:     policy,
+		QueueLimit: *queueLimit,
+		MaxBatch:   *maxBatch,
+		Tracer:     tracer,
+		Check:      *check,
+		WAL:        walLog,
 	})
 	if err != nil {
 		return err

@@ -24,6 +24,10 @@ func TestRunRefusesBadArgs(t *testing.T) {
 		{"standby without primary", []string{"-standby", "-wal-dir", wal}, "-primary-url"},
 		{"unknown policy", []string{"-policy", "bogus"}, `unknown policy "bogus"`},
 		{"deleted flag", []string{"-flight-dir", dir}, "flag provided but not defined: -flight-dir"},
+		{"deleted scorecard flag", []string{"-scorecard", "64"}, "flag provided but not defined: -scorecard"},
+		{"deleted theta flag", []string{"-theta", "3"}, "flag provided but not defined: -theta"},
+		{"deleted maa-rounds flag", []string{"-maa-rounds", "4"}, "flag provided but not defined: -maa-rounds"},
+		{"deleted seed flag", []string{"-seed", "7"}, "flag provided but not defined: -seed"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

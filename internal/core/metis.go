@@ -506,18 +506,15 @@ func greedyProfitCandidate(inst *sched.Instance, workers int) *sched.Schedule {
 	return best
 }
 
-// greedySweep runs marginal-cost admission over the given order until a
-// fixpoint (bounded sweeps).
+// greedyPasses bounds the admission passes of a greedy sweep; later
+// passes admit what headroom bought by later requests makes free.
+const greedyPasses = 4
+
+// greedySweep runs marginal-cost admission over the given order from
+// empty capacity until a fixpoint (bounded passes).
 func greedySweep(inst *sched.Instance, order []int) *sched.Schedule {
-	net := inst.Network()
-	slots := inst.Slots()
-	loads := make([][]float64, net.NumLinks())
-	for e := range loads {
-		loads[e] = make([]float64, slots)
-	}
-	charged := make([]int, net.NumLinks())
 	s := sched.NewSchedule(inst)
-	greedyAdmit(s, loads, charged, order)
+	sched.NewCapacity(inst.Network(), inst.Slots()).Admit(s, order, greedyPasses)
 	return s
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -335,7 +334,6 @@ func (rp *Replanner) finish(start time.Time, best *sched.Schedule, profit float6
 func greedyExtend(s *sched.Schedule, buf [][]float64) [][]float64 {
 	inst := s.Instance()
 	loads := s.LoadsInto(buf)
-	charged := sched.ChargedOf(loads)
 	order := make([]int, 0, inst.NumRequests())
 	for i := 0; i < inst.NumRequests(); i++ {
 		if s.Choice(i) == sched.Declined {
@@ -345,63 +343,6 @@ func greedyExtend(s *sched.Schedule, buf [][]float64) [][]float64 {
 	sort.SliceStable(order, func(a, b int) bool {
 		return inst.Request(order[a]).Value > inst.Request(order[b]).Value
 	})
-	greedyAdmit(s, loads, charged, order)
+	sched.CapacityOf(inst.Network(), loads, sched.ChargedOf(loads)).Admit(s, order, greedyPasses)
 	return loads
-}
-
-// greedyAdmit runs marginal-cost admission sweeps over order until a
-// fixpoint (bounded passes), mutating the schedule and the seeded
-// loads/charged state in place.
-func greedyAdmit(s *sched.Schedule, loads [][]float64, charged []int, order []int) {
-	inst := s.Instance()
-	net := inst.Network()
-	for pass := 0; pass < 4; pass++ {
-		added := false
-		for _, i := range order {
-			if s.Choice(i) != sched.Declined {
-				continue
-			}
-			r := inst.Request(i)
-			bestPath, bestCost := -1, math.Inf(1)
-			for j := 0; j < inst.NumPaths(i); j++ {
-				var cost float64
-				for _, e := range inst.Path(i, j).Links {
-					var peak float64
-					for t := r.Start; t <= r.End; t++ {
-						if v := loads[e][t] + r.Rate; v > peak {
-							peak = v
-						}
-					}
-					if c := sched.CeilUnits(peak); c > charged[e] {
-						cost += float64(c-charged[e]) * net.Link(e).Price
-					}
-				}
-				if cost < bestCost {
-					bestPath, bestCost = j, cost
-				}
-			}
-			if bestPath == -1 || r.Value <= bestCost {
-				continue
-			}
-			for _, e := range inst.Path(i, bestPath).Links {
-				var peak float64
-				for t := r.Start; t <= r.End; t++ {
-					loads[e][t] += r.Rate
-					if loads[e][t] > peak {
-						peak = loads[e][t]
-					}
-				}
-				if c := sched.CeilUnits(peak); c > charged[e] {
-					charged[e] = c
-				}
-			}
-			if err := s.Assign(i, bestPath); err != nil {
-				panic("core: greedy admit: " + err.Error())
-			}
-			added = true
-		}
-		if !added {
-			break
-		}
-	}
 }

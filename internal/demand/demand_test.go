@@ -2,7 +2,6 @@ package demand
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"metis/internal/wan"
@@ -202,24 +201,6 @@ func TestValueModelCreatesRegionalTension(t *testing.T) {
 	frac := float64(losers) / float64(len(reqs))
 	if frac < 0.05 || frac > 0.8 {
 		t.Fatalf("unprofitable fraction %v outside the useful range", frac)
-	}
-}
-
-func TestGeneratePoissonMean(t *testing.T) {
-	net := wan.SubB4()
-	g, _ := NewGenerator(net, DefaultGeneratorConfig(11))
-	var total int
-	const rounds = 200
-	for i := 0; i < rounds; i++ {
-		reqs, err := g.GeneratePoisson(40)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += len(reqs)
-	}
-	mean := float64(total) / rounds
-	if math.Abs(mean-40) > 2 {
-		t.Fatalf("mean count %v, want ~40", mean)
 	}
 }
 

@@ -164,12 +164,6 @@ func (g *Generator) GenerateN(k int) ([]Request, error) {
 	return reqs, nil
 }
 
-// GeneratePoisson draws the request count from Poisson(mean) and then
-// generates that many requests.
-func (g *Generator) GeneratePoisson(mean float64) ([]Request, error) {
-	return g.GenerateN(g.rng.Poisson(mean))
-}
-
 func (g *Generator) one() (Request, error) {
 	src := g.rng.Intn(g.net.NumDCs())
 	dst := g.rng.Intn(g.net.NumDCs() - 1)

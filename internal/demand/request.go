@@ -1,6 +1,7 @@
 // Package demand models user bandwidth-reservation requests and the
-// synthetic workload generator used by the evaluation (Poisson arrivals,
-// uniform rates, random slots and endpoints, price-linked values).
+// synthetic workload generator used by the evaluation (a fixed count of
+// Poisson-process arrivals, uniform rates, random slots and endpoints,
+// price-linked values).
 package demand
 
 import (

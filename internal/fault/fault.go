@@ -6,15 +6,13 @@
 // exercise the degradation paths that healthy runs never take.
 //
 // Injection is deterministic: a site fires on exact hit counts
-// (Spec.After, then every Spec.Every hits), or — when Spec.Prob is set —
-// on a seeded splitmix64 coin flip per hit, so a failing test reproduces
-// from its seed alone.
+// (Spec.After, then every Spec.Every hits), so a failing test
+// reproduces from its spec alone.
 package fault
 
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -61,12 +59,6 @@ type Spec struct {
 	// Every re-fires the site every Every hits after the first firing
 	// (0 means fire exactly once).
 	Every int
-	// Prob, when positive, replaces the After/Every schedule with a
-	// seeded coin flip per hit: the site fires when the next splitmix64
-	// draw (from Seed) falls below Prob. Deterministic given Seed.
-	Prob float64
-	// Seed seeds the Prob coin flips.
-	Seed int64
 	// Sleep is the KindSleep pause per firing.
 	Sleep time.Duration
 	// Cancel is the KindCancel target; required for that kind.
@@ -78,7 +70,6 @@ type site struct {
 	spec  Spec
 	hits  int
 	fired int
-	rng   uint64 // splitmix64 state for Prob mode
 }
 
 var (
@@ -103,7 +94,7 @@ func Enable(name string, spec Spec) {
 	if sites == nil {
 		sites = make(map[string]*site)
 	}
-	sites[name] = &site{spec: spec, rng: uint64(spec.Seed)}
+	sites[name] = &site{spec: spec}
 	active.Store(true)
 }
 
@@ -136,26 +127,9 @@ func Fired(name string) int {
 	return 0
 }
 
-// splitmix64 is the Prob-mode coin-flip generator.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // step records a hit on s and reports whether it fires this time.
 func (s *site) step() bool {
 	s.hits++
-	if s.spec.Prob > 0 {
-		s.rng = splitmix64(s.rng)
-		u := float64(s.rng>>11) / float64(1<<53)
-		if u < s.spec.Prob {
-			s.fired++
-			return true
-		}
-		return false
-	}
 	first := s.spec.After
 	if first <= 0 {
 		first = 1
@@ -259,16 +233,4 @@ func Parse(arg string, cancel context.CancelFunc) error {
 	}
 	Enable(parts[0], spec)
 	return nil
-}
-
-// Sites returns the armed site names, sorted (for diagnostics).
-func Sites() []string {
-	mu.Lock()
-	defer mu.Unlock()
-	out := make([]string, 0, len(sites))
-	for name := range sites {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

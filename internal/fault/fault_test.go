@@ -48,25 +48,6 @@ func TestFireOnceDefault(t *testing.T) {
 	}
 }
 
-func TestProbDeterministic(t *testing.T) {
-	defer Reset()
-	run := func() int {
-		Reset()
-		Enable("site", Spec{Kind: KindCancel, Prob: 0.3, Seed: 42, Cancel: func() {}})
-		for i := 0; i < 100; i++ {
-			Hit("site")
-		}
-		return Fired("site")
-	}
-	a, b := run(), run()
-	if a != b {
-		t.Fatalf("Prob mode not deterministic: %d vs %d fires", a, b)
-	}
-	if a == 0 || a == 100 {
-		t.Fatalf("Prob=0.3 fired %d/100 times, want something in between", a)
-	}
-}
-
 func TestNaN(t *testing.T) {
 	defer Reset()
 	Reset()
@@ -112,16 +93,5 @@ func TestParse(t *testing.T) {
 		if err := Parse(bad, nil); err == nil {
 			t.Errorf("Parse(%q) = nil error, want failure", bad)
 		}
-	}
-}
-
-func TestSites(t *testing.T) {
-	defer Reset()
-	Reset()
-	Enable("b", Spec{Kind: KindNaN})
-	Enable("a", Spec{Kind: KindNaN})
-	got := Sites()
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("Sites() = %v, want [a b]", got)
 	}
 }

@@ -45,7 +45,6 @@ func (p *Problem) AppendColumn(obj, lo, hi float64, rows []int, vals []float64, 
 	p.obj = append(p.obj, obj)
 	p.lo = append(p.lo, lo)
 	p.hi = append(p.hi, hi)
-	p.varNames = append(p.varNames, name)
 	// The entry list is stored already row-sorted with zeros dropped —
 	// exactly what mergedColumn produces — so a from-scratch CSC rebuild
 	// of this problem is bit-identical to the in-place extension below.

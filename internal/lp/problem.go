@@ -96,9 +96,6 @@ type Problem struct {
 	rel   []Rel
 	rhs   []float64
 
-	varNames []string
-	rowNames []string
-
 	// matrix is the CSC view of cols: per-column row-sorted nonzero
 	// lists in three flat arrays. It is built once on first Solve and
 	// reused until AddTerm/AddVariable change the matrix — SetBounds
@@ -150,9 +147,6 @@ func NewProblem(sense Sense) *Problem {
 // NumVariables returns the number of variables added so far.
 func (p *Problem) NumVariables() int { return len(p.obj) }
 
-// NumConstraints returns the number of constraints added so far.
-func (p *Problem) NumConstraints() int { return len(p.rel) }
-
 // AddVariable adds a variable with objective coefficient obj and bounds
 // [lo, hi], returning its column index. lo must be finite and <= hi; hi
 // may be math.Inf(1). The name is used in error messages only.
@@ -168,7 +162,6 @@ func (p *Problem) AddVariable(obj, lo, hi float64, name string) (int, error) {
 	p.lo = append(p.lo, lo)
 	p.hi = append(p.hi, hi)
 	p.cols = append(p.cols, nil)
-	p.varNames = append(p.varNames, name)
 	p.matrix = nil
 	return j, nil
 }
@@ -185,7 +178,6 @@ func (p *Problem) AddConstraint(rel Rel, rhs float64, name string) (int, error) 
 	i := len(p.rel)
 	p.rel = append(p.rel, rel)
 	p.rhs = append(p.rhs, rhs)
-	p.rowNames = append(p.rowNames, name)
 	return i, nil
 }
 
@@ -208,9 +200,6 @@ func (p *Problem) AddTerm(row, col int, coef float64) error {
 	p.matrix = nil
 	return nil
 }
-
-// VarName returns the name given to variable j.
-func (p *Problem) VarName(j int) string { return p.varNames[j] }
 
 // Bounds returns the current bounds of variable j.
 func (p *Problem) Bounds(j int) (lo, hi float64) { return p.lo[j], p.hi[j] }

@@ -130,35 +130,6 @@ func (h *Histogram) Mean() float64 {
 	return h.Sum() / float64(n)
 }
 
-// Merge folds o's samples into h bucket-by-bucket (both share the
-// fixed geometry). The max is merged too; o is read atomically but not
-// frozen, so merging a live histogram folds in a point-in-time view.
-func (h *Histogram) Merge(o *Histogram) {
-	for i := range o.counts {
-		if n := o.counts[i].Load(); n > 0 {
-			h.counts[i].Add(n)
-			h.total.Add(n)
-		}
-	}
-	for {
-		old := h.sumBits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + o.Sum())
-		if h.sumBits.CompareAndSwap(old, nw) {
-			break
-		}
-	}
-	for {
-		old := h.maxBits.Load()
-		om := o.Max()
-		if om <= math.Float64frombits(old) {
-			break
-		}
-		if h.maxBits.CompareAndSwap(old, math.Float64bits(om)) {
-			break
-		}
-	}
-}
-
 // Quantile estimates the q-quantile (q in [0,1]) by geometric
 // interpolation inside the holding bucket; with 8 sub-buckets per
 // octave the relative error is bounded by ~9%. Returns 0 when empty.

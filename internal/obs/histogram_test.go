@@ -102,32 +102,6 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a := &Histogram{name: "merge.a"}
-	b := &Histogram{name: "merge.b"}
-	for i := 0; i < 100; i++ {
-		a.Observe(0.001)
-		b.Observe(1.0)
-	}
-	a.Merge(b)
-	if got := a.Count(); got != 200 {
-		t.Fatalf("merged count = %d, want 200", got)
-	}
-	if got := a.Sum(); math.Abs(got-100.1) > 1e-9 {
-		t.Fatalf("merged sum = %v, want 100.1", got)
-	}
-	if got := a.Max(); got != 1.0 {
-		t.Fatalf("merged max = %v, want 1.0", got)
-	}
-	// Quantiles see both populations: p25 in the low mode, p75 in the high.
-	if q := a.Quantile(0.25); q > 0.01 {
-		t.Fatalf("p25 = %v, want ≈0.001", q)
-	}
-	if q := a.Quantile(0.75); q < 0.5 {
-		t.Fatalf("p75 = %v, want ≈1.0", q)
-	}
-}
-
 func TestHistogramPrometheus(t *testing.T) {
 	ResetAll()
 	tHist.Observe(0.001)

@@ -21,7 +21,6 @@ package online
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 
 	"metis/internal/sched"
@@ -31,11 +30,10 @@ import (
 
 // State is the provider's view while one arrival batch is decided.
 type State struct {
-	inst      *sched.Instance
-	purchased []int       // units bought so far, per link (monotone)
-	loads     [][]float64 // committed load per (link, slot)
-	schedule  *sched.Schedule
-	ctx       context.Context // may be nil: never canceled
+	inst     *sched.Instance
+	capacity *sched.Capacity // committed loads and purchased units
+	schedule *sched.Schedule
+	ctx      context.Context // may be nil: never canceled
 }
 
 // NewState returns a fresh provider state over inst: nothing purchased,
@@ -43,17 +41,12 @@ type State struct {
 // threaded into policy-run solvers via Context. Drivers such as
 // serve.Server's epoch tick construct one per decision batch.
 func NewState(ctx context.Context, inst *sched.Instance) *State {
-	st := &State{
-		inst:      inst,
-		purchased: make([]int, inst.Network().NumLinks()),
-		loads:     make([][]float64, inst.Network().NumLinks()),
-		schedule:  sched.NewSchedule(inst),
-		ctx:       ctx,
+	return &State{
+		inst:     inst,
+		capacity: sched.NewCapacity(inst.Network(), inst.Slots()),
+		schedule: sched.NewSchedule(inst),
+		ctx:      ctx,
 	}
-	for e := range st.loads {
-		st.loads[e] = make([]float64, inst.Slots())
-	}
-	return st
 }
 
 // NewStateAt is NewState seeded with prior commitments: purchased units
@@ -70,15 +63,13 @@ func NewStateAt(ctx context.Context, inst *sched.Instance, purchased []int, load
 	if len(loads) != links {
 		return nil, fmt.Errorf("online: loads has %d links, want %d", len(loads), links)
 	}
-	st := NewState(ctx, inst)
-	copy(st.purchased, purchased)
 	for e := range loads {
 		if len(loads[e]) != inst.Slots() {
 			return nil, fmt.Errorf("online: loads[%d] has %d slots, want %d", e, len(loads[e]), inst.Slots())
 		}
-		copy(st.loads[e], loads[e])
 	}
-	return st, nil
+	held := sched.CapacityOf(inst.Network(), loads, purchased).Clone()
+	return &State{inst: inst, capacity: held, schedule: sched.NewSchedule(inst), ctx: ctx}, nil
 }
 
 // Context returns the state's context (possibly nil); policies that run
@@ -93,87 +84,18 @@ func (st *State) Instance() *sched.Instance { return st.inst }
 func (st *State) Schedule() *sched.Schedule { return st.schedule }
 
 // Loads returns a copy of the committed per-(link, slot) load matrix.
-func (st *State) Loads() [][]float64 {
-	out := make([][]float64, len(st.loads))
-	for e := range st.loads {
-		out[e] = append([]float64(nil), st.loads[e]...)
-	}
-	return out
-}
+func (st *State) Loads() [][]float64 { return st.capacity.Loads() }
 
 // Purchased returns a copy of the per-link purchased units.
-func (st *State) Purchased() []int {
-	out := make([]int, len(st.purchased))
-	copy(out, st.purchased)
-	return out
-}
+func (st *State) Purchased() []int { return st.capacity.Purchased() }
 
 // Residual returns the uncommitted capacity per (link, slot):
 // purchased − load, clamped at zero.
-func (st *State) Residual() [][]float64 {
-	out := make([][]float64, len(st.loads))
-	for e := range st.loads {
-		out[e] = make([]float64, len(st.loads[e]))
-		for t, v := range st.loads[e] {
-			r := float64(st.purchased[e]) - v
-			if r < 0 {
-				r = 0
-			}
-			out[e][t] = r
-		}
-	}
-	return out
-}
-
-// MarginalCost prices the extra units needed to route request i on its
-// candidate path j given current loads and purchases.
-func (st *State) MarginalCost(i, j int) float64 {
-	r := st.inst.Request(i)
-	var cost float64
-	for _, e := range st.inst.Path(i, j).Links {
-		var peak float64
-		for t := r.Start; t <= r.End; t++ {
-			if v := st.loads[e][t] + r.Rate; v > peak {
-				peak = v
-			}
-		}
-		if c := sched.CeilUnits(peak); c > st.purchased[e] {
-			cost += float64(c-st.purchased[e]) * st.inst.Network().Link(e).Price
-		}
-	}
-	return cost
-}
-
-// FitsResidual reports whether request i fits path j without any new
-// purchase.
-func (st *State) FitsResidual(i, j int) bool {
-	const eps = 1e-9
-	r := st.inst.Request(i)
-	for _, e := range st.inst.Path(i, j).Links {
-		for t := r.Start; t <= r.End; t++ {
-			if st.loads[e][t]+r.Rate > float64(st.purchased[e])+eps {
-				return false
-			}
-		}
-	}
-	return true
-}
+func (st *State) Residual() [][]float64 { return st.capacity.Residual() }
 
 // Commit accepts request i on path j, buying any extra units needed.
 func (st *State) Commit(i, j int) error {
-	r := st.inst.Request(i)
-	for _, e := range st.inst.Path(i, j).Links {
-		var peak float64
-		for t := r.Start; t <= r.End; t++ {
-			st.loads[e][t] += r.Rate
-			if st.loads[e][t] > peak {
-				peak = st.loads[e][t]
-			}
-		}
-		if c := sched.CeilUnits(peak); c > st.purchased[e] {
-			st.purchased[e] = c
-		}
-	}
+	st.capacity.Commit(st.inst.Request(i), st.inst.Path(i, j).Links)
 	return st.schedule.Assign(i, j)
 }
 
@@ -188,27 +110,15 @@ type Policy interface {
 // the cheapest marginal purchase, accepted iff value exceeds it.
 type Greedy struct{}
 
-// DecideBatch implements Policy.
+// DecideBatch implements Policy: one pass of the shared admission
+// loop over the batch in descending value order (stable).
 func (Greedy) DecideBatch(st *State, _ int, batch []int) error {
 	inst := st.inst
 	ordered := append([]int(nil), batch...)
 	sort.SliceStable(ordered, func(a, b int) bool {
 		return inst.Request(ordered[a]).Value > inst.Request(ordered[b]).Value
 	})
-	for _, i := range ordered {
-		bestPath, bestCost := -1, math.Inf(1)
-		for j := 0; j < inst.NumPaths(i); j++ {
-			if c := st.MarginalCost(i, j); c < bestCost {
-				bestPath, bestCost = j, c
-			}
-		}
-		if bestPath == -1 || inst.Request(i).Value <= bestCost {
-			continue
-		}
-		if err := st.Commit(i, bestPath); err != nil {
-			return err
-		}
-	}
+	st.capacity.Admit(st.schedule, ordered, 1)
 	return nil
 }
 
@@ -231,9 +141,10 @@ type ProvisionedTAA struct {
 
 // DecideBatch implements Policy.
 func (p ProvisionedTAA) DecideBatch(st *State, _ int, batch []int) error {
-	if err := provision(st, p.Plan); err != nil {
-		return err
+	if len(p.Plan) != st.inst.Network().NumLinks() {
+		return fmt.Errorf("online: plan has %d links, want %d", len(p.Plan), st.inst.Network().NumLinks())
 	}
+	st.capacity.Provision(p.Plan)
 	// Presolve: a request that cannot fit the residual on any candidate
 	// path even in isolation can never be admitted — TAA's hard
 	// feasibility filter would reject every option. Dropping it up front
@@ -247,7 +158,7 @@ func (p ProvisionedTAA) DecideBatch(st *State, _ int, batch []int) error {
 	var guide [][]float64
 	for k, i := range batch {
 		for j := 0; j < st.inst.NumPaths(i); j++ {
-			if st.FitsResidual(i, j) {
+			if st.capacity.Fits(st.inst.Request(i), st.inst.Path(i, j).Links) {
 				feasible = append(feasible, i)
 				if p.Guide != nil {
 					g := p.Guide[k]
@@ -280,20 +191,6 @@ func (p ProvisionedTAA) DecideBatch(st *State, _ int, batch []int) error {
 			if err := st.Commit(i, c); err != nil {
 				return err
 			}
-		}
-	}
-	return nil
-}
-
-// provision raises the state's purchase to the upfront plan, so the
-// plan's cost is accounted even if little of it is used.
-func provision(st *State, plan []int) error {
-	if len(plan) != len(st.purchased) {
-		return fmt.Errorf("online: plan has %d links, want %d", len(plan), len(st.purchased))
-	}
-	for e, units := range plan {
-		if units > st.purchased[e] {
-			st.purchased[e] = units
 		}
 	}
 	return nil

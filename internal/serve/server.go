@@ -435,11 +435,12 @@ func (s *Server) Links() []LinkState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]LinkState, s.cfg.Net.NumLinks())
+	purchased := s.led.Purchased()
 	for e := range out {
 		l := s.cfg.Net.Link(e)
 		out[e] = LinkState{
 			ID: l.ID, From: l.From, To: l.To, Price: l.Price,
-			Purchased: s.led.purchased[e], PeakLoad: s.led.PeakLoad(e),
+			Purchased: purchased[e], PeakLoad: s.led.PeakLoad(e),
 		}
 	}
 	return out

@@ -235,7 +235,8 @@ func (s *Server) commitTick(tr *walTick, reqs []demand.Request) {
 	}
 	s.led.CommitBatch(entries, 1)
 	if tr.Purchased != nil {
-		// Adopt plan-driven provisioning beyond what the commits bought.
+		// Adopt plan-driven provisioning beyond what the commits bought
+		// (recoverTick has checked a logged vector's length).
 		s.led.Provision(tr.Purchased)
 	}
 	gPurchasedUnits.Set(int64(s.led.PurchasedUnits()))

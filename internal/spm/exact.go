@@ -85,13 +85,13 @@ func SolveExactSPM(inst *sched.Instance, opts ExactOptions) (*ExactResult, error
 	}
 	cCols := make([]int, net.NumLinks())
 	for e := range cCols {
-		cCols[e], err = p.AddVariable(-net.Link(e).Price, 0, math.Inf(1), nameIdx("c", e))
+		cCols[e], err = p.AddVariable(-net.Link(e).Price, 0, math.Inf(1), "c")
 		if err != nil {
 			return nil, err
 		}
 	}
 	for i := 0; i < inst.NumRequests(); i++ {
-		row, err := p.AddConstraint(lp.LE, 1, nameIdx("accept", i))
+		row, err := p.AddConstraint(lp.LE, 1, "accept")
 		if err != nil {
 			return nil, err
 		}
@@ -149,13 +149,13 @@ func SolveExactRL(inst *sched.Instance, opts ExactOptions) (*ExactResult, error)
 	}
 	cCols := make([]int, net.NumLinks())
 	for e := range cCols {
-		cCols[e], err = p.AddVariable(net.Link(e).Price, 0, math.Inf(1), nameIdx("c", e))
+		cCols[e], err = p.AddVariable(net.Link(e).Price, 0, math.Inf(1), "c")
 		if err != nil {
 			return nil, err
 		}
 	}
 	for i := 0; i < inst.NumRequests(); i++ {
-		row, err := p.AddConstraint(lp.EQ, 1, nameIdx("serve", i))
+		row, err := p.AddConstraint(lp.EQ, 1, "serve")
 		if err != nil {
 			return nil, err
 		}
@@ -201,7 +201,7 @@ func SolveExactBL(inst *sched.Instance, caps []int, opts ExactOptions) (*ExactRe
 		return nil, err
 	}
 	for i := 0; i < inst.NumRequests(); i++ {
-		row, err := p.AddConstraint(lp.LE, 1, nameIdx("accept", i))
+		row, err := p.AddConstraint(lp.LE, 1, "accept")
 		if err != nil {
 			return nil, err
 		}

@@ -42,14 +42,14 @@ func NewRLModel(inst *sched.Instance, opts lp.Options) (*RLModel, error) {
 	}
 	cCols := make([]int, net.NumLinks())
 	for e := range cCols {
-		cCols[e], err = p.AddVariable(net.Link(e).Price, 0, math.Inf(1), nameIdx("c", e))
+		cCols[e], err = p.AddVariable(net.Link(e).Price, 0, math.Inf(1), "c")
 		if err != nil {
 			return nil, err
 		}
 	}
 	serveRows := make([]int, inst.NumRequests())
 	for i := 0; i < inst.NumRequests(); i++ {
-		row, err := p.AddConstraint(lp.EQ, 1, nameIdx("serve", i))
+		row, err := p.AddConstraint(lp.EQ, 1, "serve")
 		if err != nil {
 			return nil, err
 		}
@@ -172,7 +172,7 @@ func NewBLModel(inst *sched.Instance, opts lp.Options) (*BLModel, error) {
 	}
 	acceptRows := make([]int, inst.NumRequests())
 	for i := range acceptRows {
-		row, err := p.AddConstraint(lp.LE, 1, nameIdx("accept", i))
+		row, err := p.AddConstraint(lp.LE, 1, "accept")
 		if err != nil {
 			return nil, err
 		}

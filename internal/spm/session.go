@@ -67,7 +67,7 @@ func NewBLSession(inst *sched.Instance, opts lp.Options) (*BLSession, error) {
 	for e := 0; e < net.NumLinks(); e++ {
 		capRows[e] = make([]int, slots)
 		for t := 0; t < slots; t++ {
-			row, err := p.AddConstraint(lp.LE, 0, nameIdx2("cap", e, t))
+			row, err := p.AddConstraint(lp.LE, 0, "cap")
 			if err != nil {
 				return nil, err
 			}
@@ -105,7 +105,7 @@ func (s *BLSession) Extend(inst *sched.Instance) error {
 func (s *BLSession) append(inst *sched.Instance, from int) error {
 	for i := from; i < inst.NumRequests(); i++ {
 		r := inst.Request(i)
-		accept, err := s.p.AddConstraint(lp.LE, 1, nameIdx("accept", i))
+		accept, err := s.p.AddConstraint(lp.LE, 1, "accept")
 		if err != nil {
 			return err
 		}
@@ -131,7 +131,7 @@ func (s *BLSession) append(inst *sched.Instance, from int) error {
 			}
 			merged = append(merged, accept)
 			vals = append(vals, 1)
-			col, err := s.p.AppendColumn(tiedValue(r.Value, i, j, len(cols)), 0, 1, merged, vals, nameIdx2("x", i, j))
+			col, err := s.p.AppendColumn(tiedValue(r.Value, i, j, len(cols)), 0, 1, merged, vals, "x")
 			if err != nil {
 				return err
 			}

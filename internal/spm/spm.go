@@ -12,7 +12,6 @@ package spm
 import (
 	"fmt"
 	"math"
-	"strconv"
 
 	"metis/internal/lp"
 	"metis/internal/sched"
@@ -42,7 +41,7 @@ func SolveRLRelaxation(inst *sched.Instance, opts lp.Options) (*RelaxedRL, error
 	}
 	cCols := make([]int, net.NumLinks())
 	for e := range cCols {
-		cCols[e], err = p.AddVariable(net.Link(e).Price, 0, math.Inf(1), nameIdx("c", e))
+		cCols[e], err = p.AddVariable(net.Link(e).Price, 0, math.Inf(1), "c")
 		if err != nil {
 			return nil, err
 		}
@@ -50,7 +49,7 @@ func SolveRLRelaxation(inst *sched.Instance, opts lp.Options) (*RelaxedRL, error
 
 	// Σ_j x[i][j] = 1 for every request.
 	for i := 0; i < inst.NumRequests(); i++ {
-		row, err := p.AddConstraint(lp.EQ, 1, nameIdx("serve", i))
+		row, err := p.AddConstraint(lp.EQ, 1, "serve")
 		if err != nil {
 			return nil, err
 		}
@@ -127,7 +126,7 @@ func SolveBLRelaxationVar(inst *sched.Instance, caps [][]float64, opts lp.Option
 		return nil, err
 	}
 	for i := 0; i < inst.NumRequests(); i++ {
-		row, err := p.AddConstraint(lp.LE, 1, nameIdx("accept", i))
+		row, err := p.AddConstraint(lp.LE, 1, "accept")
 		if err != nil {
 			return nil, err
 		}
@@ -184,35 +183,10 @@ func validateVarCaps(inst *sched.Instance, caps [][]float64) error {
 	return nil
 }
 
-// objMode selects the objective placed on routing variables.
+// addRoutingVars adds one [0, 1] routing variable x[i][j] per request
+// and candidate path; objMode selects their objective.
 //   - 0: zero objective (RL-SPM; cost sits on the bandwidth variables)
 //   - 1: request value (BL-SPM / SPM revenue)
-//
-// nameIdx and nameIdx2 format the "x[i]" / "x[i][j]" style names every
-// model builder stamps onto its variables and constraints. They are on
-// the model-construction hot path (thousands of names per build), where
-// fmt.Sprintf's reflection shows up in profiles; strconv keeps the cost
-// to the string allocation itself.
-func nameIdx(prefix string, i int) string {
-	b := make([]byte, 0, len(prefix)+8)
-	b = append(b, prefix...)
-	b = append(b, '[')
-	b = strconv.AppendInt(b, int64(i), 10)
-	b = append(b, ']')
-	return string(b)
-}
-
-func nameIdx2(prefix string, i, j int) string {
-	b := make([]byte, 0, len(prefix)+16)
-	b = append(b, prefix...)
-	b = append(b, '[')
-	b = strconv.AppendInt(b, int64(i), 10)
-	b = append(b, ']', '[')
-	b = strconv.AppendInt(b, int64(j), 10)
-	b = append(b, ']')
-	return string(b)
-}
-
 func addRoutingVars(p *lp.Problem, inst *sched.Instance, objMode int) ([][]int, error) {
 	xCols := make([][]int, inst.NumRequests())
 	for i := range xCols {
@@ -223,7 +197,7 @@ func addRoutingVars(p *lp.Problem, inst *sched.Instance, objMode int) ([][]int, 
 		}
 		xCols[i] = make([]int, inst.NumPaths(i))
 		for j := range xCols[i] {
-			col, err := p.AddVariable(obj, 0, 1, nameIdx2("x", i, j))
+			col, err := p.AddVariable(obj, 0, 1, "x")
 			if err != nil {
 				return nil, err
 			}
@@ -295,9 +269,9 @@ func addCapacityRows(p *lp.Problem, inst *sched.Instance, xCols [][]int, bwVar f
 			if off[c] == off[c+1] {
 				continue
 			}
-			row, err := p.AddConstraint(lp.LE, rhs(e, t), nameIdx2("cap", e, t))
+			row, err := p.AddConstraint(lp.LE, rhs(e, t), "cap")
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("spm: capacity of link %d slot %d: %w", e, t, err)
 			}
 			rows[e][t] = row
 			for _, tm := range flat[off[c]:off[c+1]] {

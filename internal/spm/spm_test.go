@@ -1,7 +1,9 @@
 package spm
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"metis/internal/demand"
@@ -171,6 +173,19 @@ func TestBLRelaxationCapsLengthChecked(t *testing.T) {
 	inst := subB4Instance(t, genRequests(t, wan.SubB4(), 5, 19))
 	if _, err := SolveBLRelaxation(inst, []int{1, 2}, lp.Options{}); err == nil {
 		t.Fatal("want error for wrong caps length")
+	}
+}
+
+func TestBLRelaxationNamesRefusedCapacityCell(t *testing.T) {
+	inst := subB4Instance(t, genRequests(t, wan.SubB4(), 5, 19))
+	caps := ExpandCaps(inst, make([]int, inst.Network().NumLinks()))
+	r := inst.Request(0)
+	e := inst.Path(0, 0).Links[0]
+	caps[e][r.Start] = math.NaN()
+	_, err := SolveBLRelaxationVar(inst, caps, lp.Options{})
+	want := fmt.Sprintf("link %d slot %d", e, r.Start)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want it to name %q", err, want)
 	}
 }
 

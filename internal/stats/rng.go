@@ -7,7 +7,6 @@
 package stats
 
 import (
-	"math"
 	"math/rand"
 )
 
@@ -76,25 +75,6 @@ func (g *RNG) IntBetween(lo, hi int) int {
 	return lo + g.r.Intn(hi-lo+1)
 }
 
-// Poisson returns a Poisson-distributed sample with the given mean.
-// For small means it uses Knuth's product method; for large means it
-// falls back to the PTRS transformed-rejection method to stay O(1).
-func (g *RNG) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean < 30 {
-		return g.poissonKnuth(mean)
-	}
-	return g.poissonPTRS(mean)
-}
-
-// Exp returns an exponentially distributed sample with the given rate
-// (mean 1/rate). It is used for Poisson-process inter-arrival gaps.
-func (g *RNG) Exp(rate float64) float64 {
-	return g.r.ExpFloat64() / rate
-}
-
 // Perm returns a random permutation of {0, ..., n-1}.
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 
@@ -156,49 +136,4 @@ func PickWeightedWith(u float64, weights []float64) int {
 		}
 	}
 	return -1
-}
-
-func (g *RNG) poissonKnuth(mean float64) int {
-	limit := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= g.r.Float64()
-		if p <= limit {
-			return k
-		}
-		k++
-	}
-}
-
-// poissonPTRS implements Hörmann's PTRS algorithm (transformed rejection
-// with squeeze) for Poisson sampling with mean >= 10.
-func (g *RNG) poissonPTRS(mean float64) int {
-	b := 0.931 + 2.53*math.Sqrt(mean)
-	a := -0.059 + 0.02483*b
-	invAlpha := 1.1239 + 1.1328/(b-3.4)
-	vr := 0.9277 - 3.6224/(b-2)
-
-	for {
-		u := g.r.Float64() - 0.5
-		v := g.r.Float64()
-		us := 0.5 - math.Abs(u)
-		k := math.Floor((2*a/us+b)*u + mean + 0.43)
-		if us >= 0.07 && v <= vr {
-			return int(k)
-		}
-		if k < 0 || (us < 0.013 && v > us) {
-			continue
-		}
-		lhs := math.Log(v * invAlpha / (a/(us*us) + b))
-		rhs := -mean + k*math.Log(mean) - logFactorial(k)
-		if lhs <= rhs {
-			return int(k)
-		}
-	}
-}
-
-func logFactorial(k float64) float64 {
-	lg, _ := math.Lgamma(k + 1)
-	return lg
 }

@@ -56,60 +56,6 @@ func TestIntBetweenInclusive(t *testing.T) {
 	}
 }
 
-func TestPoissonMeanVariance(t *testing.T) {
-	tests := []struct {
-		name string
-		mean float64
-	}{
-		{name: "small", mean: 3.5},
-		{name: "medium", mean: 25},
-		{name: "large", mean: 120},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			g := NewRNG(11)
-			const n = 50000
-			var sum, sumSq float64
-			for i := 0; i < n; i++ {
-				x := float64(g.Poisson(tt.mean))
-				sum += x
-				sumSq += x * x
-			}
-			mean := sum / n
-			variance := sumSq/n - mean*mean
-			if math.Abs(mean-tt.mean) > 0.05*tt.mean {
-				t.Errorf("mean %v, want ~%v", mean, tt.mean)
-			}
-			if math.Abs(variance-tt.mean) > 0.1*tt.mean {
-				t.Errorf("variance %v, want ~%v", variance, tt.mean)
-			}
-		})
-	}
-}
-
-func TestPoissonZeroMean(t *testing.T) {
-	g := NewRNG(5)
-	if got := g.Poisson(0); got != 0 {
-		t.Fatalf("Poisson(0) = %d, want 0", got)
-	}
-	if got := g.Poisson(-2); got != 0 {
-		t.Fatalf("Poisson(-2) = %d, want 0", got)
-	}
-}
-
-func TestExpMean(t *testing.T) {
-	g := NewRNG(9)
-	const n = 100000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += g.Exp(2.0)
-	}
-	mean := sum / n
-	if math.Abs(mean-0.5) > 0.01 {
-		t.Fatalf("mean %v, want ~0.5", mean)
-	}
-}
-
 func TestPickWeighted(t *testing.T) {
 	g := NewRNG(13)
 	weights := []float64{0, 1, 3, 0}
