@@ -9,7 +9,7 @@
 //	metisbench -fig all -parallel 0 # scenario points on all CPUs
 //	metisbench -fig fig5 -json      # figures + per-experiment perf JSON
 //	metisbench -list                # known experiment ids
-//	metisbench -fig fig3 -seed 7 -opt-limit 30s
+//	metisbench -fig fig3 -seed 7
 //	metisbench -fig fig5 -warm off  # disable LP warm starts (seed path)
 //	metisbench -fig fig5 -cpuprofile cpu.out -memprofile mem.out
 //	metisbench -fig fig5 -trace trace.jsonl      # structured solve trace (see cmd/metistrace)
@@ -87,7 +87,6 @@ func run(args []string) (err error) {
 		jsonOut     = fs.Bool("json", false, "emit figures and per-experiment perf records as JSON")
 		list        = fs.Bool("list", false, "list known experiment ids and exit")
 		seed        = fs.Int64("seed", 0, "override workload seed (0 = config default)")
-		optLimit    = fs.Duration("opt-limit", 0, "override exact-solver time limit (0 = config default)")
 		parallel    = fs.Int("parallel", 1, "scenario-point workers per experiment (0 = all CPUs, 1 = sequential)")
 		warm        = fs.String("warm", "on", "LP warm starts: on (incremental relaxation models) or off (every LP solved cold; bit-identical to the pre-warm-start code path)")
 		cpuProf     = fs.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
@@ -121,9 +120,6 @@ func run(args []string) (err error) {
 	}
 	if *seed != 0 {
 		cfg.Seed = *seed
-	}
-	if *optLimit != 0 {
-		cfg.OptTimeLimit = *optLimit
 	}
 	if *parallel <= 0 {
 		*parallel = runtime.NumCPU()

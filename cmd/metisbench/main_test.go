@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"metis/internal/exp"
@@ -17,6 +18,15 @@ func TestRunQuickFigure(t *testing.T) {
 func TestRunCSV(t *testing.T) {
 	if err := run([]string{"-fig", "ablation-rounding", "-quick", "-csv"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunRefusesDeletedOptLimit: the exact references stop on the
+// config's node budget, and the wall-clock override is gone.
+func TestRunRefusesDeletedOptLimit(t *testing.T) {
+	err := run([]string{"-fig", "fig3", "-quick", "-opt-limit", "30s"})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -opt-limit") {
+		t.Fatalf("run(-opt-limit) = %v, want an undefined-flag error", err)
 	}
 }
 

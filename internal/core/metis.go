@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"metis/internal/fault"
@@ -61,11 +60,6 @@ type Config struct {
 	// MAARounds is the number of randomized roundings per MAA call
 	// (default 1; the best-of-R rounding is an extension knob).
 	MAARounds int
-	// Workers bounds the goroutines used for MAA's independent
-	// roundings and the greedy-seed sweeps (<=1 means sequential).
-	// Results are bit-identical for every value: all randomness is
-	// pre-drawn before fan-out and ties break deterministically.
-	Workers int
 	// LP configures all relaxation solves.
 	LP lp.Options
 	// Seed drives MAA's randomized rounding.
@@ -212,7 +206,7 @@ func SolveCtx(ctx context.Context, inst *sched.Instance, cfg Config) (*Result, e
 	best := sched.NewSchedule(inst)
 	bestProfit := 0.0
 	var loadsBuf [][]float64 // scratch reused by every pruning pass
-	greedySeed := greedyProfitCandidate(inst, cfg.Workers)
+	greedySeed := greedyProfitCandidate(inst)
 	greedyProfit, loadsBuf := pruneUnprofitable(greedySeed, loadsBuf)
 	if greedyProfit > bestProfit {
 		best, bestProfit = greedySeed, greedyProfit
@@ -283,7 +277,7 @@ func SolveCtx(ctx context.Context, inst *sched.Instance, cfg Config) (*Result, e
 		}
 
 		// RL-SPM Solver.
-		maaOpts := maa.Options{LP: cfg.LP, Rounds: cfg.MAARounds, RNG: rng, Workers: cfg.Workers}
+		maaOpts := maa.Options{LP: cfg.LP, Rounds: cfg.MAARounds, RNG: rng}
 		if !cfg.ColdLP && lastRel != nil && equalInts(lastAccepted, accepted) {
 			// Identical accepted set ⇒ identical RL-SPM LP ⇒ the cold
 			// solve would reproduce last round's relaxation bit for bit;
@@ -464,12 +458,9 @@ func liftSchedule(inst *sched.Instance, mapping []int, sub *sched.Schedule) *sch
 // so that headroom created by earlier acceptances admits later
 // requests. Two orderings are tried — descending value (big buyers
 // create reusable pools) and descending markup (most profitable
-// first) — and the better schedule wins. With workers > 1 the two
-// sweeps run concurrently; each sweep only reads the immutable
-// instance and owns all state it mutates, and the winner rule
-// (markup must be strictly better) is evaluated after both finish, so
-// the result is identical either way.
-func greedyProfitCandidate(inst *sched.Instance, workers int) *sched.Schedule {
+// first) — and the better schedule wins (markup must be strictly
+// better).
+func greedyProfitCandidate(inst *sched.Instance) *sched.Schedule {
 	slots := inst.Slots()
 	byValue := make([]int, inst.NumRequests())
 	byMarkup := make([]int, inst.NumRequests())
@@ -486,21 +477,8 @@ func greedyProfitCandidate(inst *sched.Instance, workers int) *sched.Schedule {
 	})
 	sort.SliceStable(byMarkup, func(a, b int) bool { return markup[byMarkup[a]] > markup[byMarkup[b]] })
 
-	var best, alt *sched.Schedule
-	if workers > 1 {
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			alt = greedySweep(inst, byMarkup)
-		}()
-		best = greedySweep(inst, byValue)
-		wg.Wait()
-	} else {
-		best = greedySweep(inst, byValue)
-		alt = greedySweep(inst, byMarkup)
-	}
-	if alt.Profit() > best.Profit() {
+	best := greedySweep(inst, byValue)
+	if alt := greedySweep(inst, byMarkup); alt.Profit() > best.Profit() {
 		best = alt
 	}
 	return best

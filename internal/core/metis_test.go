@@ -218,36 +218,3 @@ func TestFirstBLSolveSeeded(t *testing.T) {
 		}
 	}
 }
-
-// TestWorkersDeterministic: the Workers knob may only change wall-clock
-// time, never the answer — parallel rounding pre-draws its uniforms and
-// the greedy sweeps are independent, so every field must match the
-// sequential run bit for bit.
-func TestWorkersDeterministic(t *testing.T) {
-	inst := instance(t, wan.B4(), 80, 13)
-	seq, err := Solve(inst, Config{Theta: 4, MAARounds: 8, Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4} {
-		par, err := Solve(inst, Config{Theta: 4, MAARounds: 8, Seed: 13, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if par.Profit != seq.Profit || par.Revenue != seq.Revenue || par.Cost != seq.Cost {
-			t.Fatalf("workers=%d: profit/revenue/cost %v/%v/%v != sequential %v/%v/%v",
-				workers, par.Profit, par.Revenue, par.Cost, seq.Profit, seq.Revenue, seq.Cost)
-		}
-		for e, c := range seq.Charged {
-			if par.Charged[e] != c {
-				t.Fatalf("workers=%d link %d: charged %d != sequential %d", workers, e, par.Charged[e], c)
-			}
-		}
-		for i := 0; i < inst.NumRequests(); i++ {
-			if par.Schedule.Choice(i) != seq.Schedule.Choice(i) {
-				t.Fatalf("workers=%d request %d: choice %d != sequential %d",
-					workers, i, par.Schedule.Choice(i), seq.Schedule.Choice(i))
-			}
-		}
-	}
-}

@@ -207,7 +207,7 @@ func (rp *Replanner) refine(ctx context.Context) (*Result, error) {
 	// first replan of a cycle this degenerates to the full greedy seed.
 	var ext *sched.Schedule
 	if rp.incumbent == nil {
-		ext = greedyProfitCandidate(inst, cfg.Workers)
+		ext = greedyProfitCandidate(inst)
 	} else {
 		ext = inc.Clone()
 		buf = greedyExtend(ext, buf)

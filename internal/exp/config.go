@@ -29,10 +29,12 @@ type Config struct {
 
 	// Fig3Ks are the request counts of the SUB-B4 sweep (Fig. 3a–3c).
 	Fig3Ks []int
-	// OptTimeLimit bounds each exact-solver call; the anytime incumbent
-	// is reported (the paper's Gurobi likewise ran for bounded time —
-	// over 1000 s at 400 requests).
-	OptTimeLimit time.Duration
+	// OptNodes is the branch & bound node budget of each exact-solver
+	// call; the anytime incumbent is reported (the paper's Gurobi
+	// likewise ran for bounded time — over 1000 s at 400 requests). It
+	// is a work budget, not a clock, so the OPT columns depend only on
+	// code and seed.
+	OptNodes int
 
 	// Fig4aKs are the request counts of the B4 cost sweep (Fig. 4a).
 	Fig4aKs []int
@@ -62,9 +64,7 @@ type Config struct {
 	// scenario points of each figure sweep (<=1 means sequential).
 	// Points own their instances and randomness (shared-RNG sweeps
 	// pre-draw per-point blocks), so every figure is identical for any
-	// value — except the anytime-OPT references of fig3/fig4b, which
-	// are wall-clock-bounded and therefore timing-dependent even
-	// sequentially.
+	// value, except its wall-clock columns.
 	Parallel int
 
 	// LP configures every relaxation solve.
@@ -126,7 +126,7 @@ func DefaultConfig() Config {
 		Slots:           12,
 		PathsPerRequest: 3,
 		Fig3Ks:          []int{100, 200, 300, 400},
-		OptTimeLimit:    10 * time.Second,
+		OptNodes:        10000,
 		Fig4aKs:         []int{100, 200, 300, 400, 500},
 		Fig4bK:          100,
 		Fig4bRepeats:    1000,
@@ -144,7 +144,7 @@ func DefaultConfig() Config {
 func QuickConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Fig3Ks = []int{40, 80}
-	cfg.OptTimeLimit = 2 * time.Second
+	cfg.OptNodes = 6000
 	cfg.Fig4aKs = []int{60, 120}
 	cfg.Fig4bK = 40
 	cfg.Fig4bRepeats = 100

@@ -10,10 +10,7 @@ import (
 // comparison *shapes*, not absolute values.
 
 func TestFig3Shapes(t *testing.T) {
-	figs, err := Fig3(QuickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	figs := quickExactRun(t, 1).fig3
 	if len(figs) != 3 {
 		t.Fatalf("got %d figures, want 3", len(figs))
 	}
@@ -62,11 +59,7 @@ func TestFig4aShapes(t *testing.T) {
 }
 
 func TestFig4bShapes(t *testing.T) {
-	cfg := QuickConfig()
-	fig, err := Fig4b(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := quickExactRun(t, 1).fig4b
 	if len(fig.X) != 2 {
 		t.Fatalf("want 2 networks, got %v", fig.X)
 	}
@@ -332,8 +325,8 @@ func TestRunDispatch(t *testing.T) {
 	if len(figs) != 1 || figs[0].ID != "fig4a" {
 		t.Fatalf("unexpected figures %v", figs)
 	}
-	if _, err := Run("fig3b", cfg); err != nil {
-		t.Fatalf("alias fig3b failed: %v", err)
+	if _, err := Run("fig4c", cfg); err != nil {
+		t.Fatalf("alias fig4c failed: %v", err)
 	}
 	if _, err := Run("nope", cfg); err == nil {
 		t.Fatal("want error for unknown id")

@@ -16,8 +16,8 @@ import (
 //   - fig3c: link utilization (max/avg/min per solution, measured
 //     against each solution's own purchased bandwidth).
 //
-// OPT columns are anytime incumbents under cfg.OptTimeLimit; OPT(SPM)
-// is warm-started with the Metis schedule so the reference line
+// OPT columns are anytime incumbents under the cfg.OptNodes budget;
+// OPT(SPM) is warm-started with the Metis schedule so the reference line
 // dominates Metis by construction (Gurobi-style warm start).
 func Fig3(cfg Config) ([]*Figure, error) {
 	profit := &Figure{
@@ -56,14 +56,11 @@ func Fig3(cfg Config) ([]*Figure, error) {
 		if err != nil {
 			return err
 		}
-		// The OPT references are anytime incumbents under a wall-clock
-		// budget; under point-level parallelism they share the machine,
-		// exactly as the paper's concurrently-running Gurobi jobs did.
-		optSPM, err := opt.SPMWithWarmCtx(ctx, inst, cfg.OptTimeLimit, metis.Schedule)
+		optSPM, err := opt.SPM(ctx, inst, cfg.OptNodes, metis.Schedule)
 		if err != nil {
 			return err
 		}
-		optRL, err := opt.RLSPMCtx(ctx, inst, cfg.OptTimeLimit)
+		optRL, err := opt.RLSPM(ctx, inst, cfg.OptNodes)
 		if err != nil {
 			return err
 		}

@@ -12,8 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"metis/internal/fault"
@@ -49,12 +47,6 @@ type Options struct {
 	// that share one RNG across many Solve calls pre-draw one block per
 	// call so the calls can run concurrently.
 	Uniforms []float64
-	// Workers bounds the goroutines used to evaluate independent
-	// roundings when Rounds > 1 (<=1 means sequential). All rounding
-	// uniforms are pre-drawn from RNG before any goroutine starts, so
-	// the chosen schedule — and the RNG state left behind — are
-	// bit-identical for every Workers value.
-	Workers int
 	// Ctx, when non-nil, makes the call cancellable: it is threaded into
 	// the relaxation solve (unless LP.Ctx is already set) and checked
 	// between stages — before the LP, and before each randomized
@@ -154,13 +146,12 @@ func Solve(inst *sched.Instance, opts Options) (*Result, error) {
 			len(rel.X), inst.NumRequests())
 	}
 
-	// Pre-draw every rounding uniform sequentially. Round consumes one
-	// uniform per request whose fractional row has positive mass (rows
-	// with no mass skip the draw, matching PickWeighted), and that set
-	// depends only on rel — shared by all rounds. Drawing rounds×drawn
-	// uniforms here leaves opts.RNG in exactly the state the sequential
-	// draw-inside-the-loop code did, and makes the roundings themselves
-	// order-independent so they can run on any number of workers.
+	// Pre-draw every rounding uniform. Round consumes one uniform per
+	// request whose fractional row has positive mass (rows with no mass
+	// skip the draw, matching PickWeighted), and that set depends only on
+	// rel — shared by all rounds. Drawing all rounds×drawn uniforms up
+	// front is what lets a caller that shares one RNG across concurrent
+	// Solve calls pre-draw each call's block instead (Options.Uniforms).
 	k := inst.NumRequests()
 	drawn := 0
 	for i := 0; i < k; i++ {
@@ -182,84 +173,41 @@ func Solve(inst *sched.Instance, opts Options) (*Result, error) {
 		}
 	}
 
-	type rounding struct {
-		s    *sched.Schedule
-		cost float64
-		err  error
-	}
-	results := make([]rounding, rounds)
-	evalRound := func(r int) {
+	// Lowest cost wins; ties break toward the earliest round.
+	var best *sched.Schedule
+	bestCost := 0.0
+	for r := 0; r < rounds; r++ {
 		// Per-rounding checkpoint: a multi-round MAA call stops between
-		// roundings once the ctx fires (on every worker).
+		// roundings once the ctx fires.
 		if err := solvectx.Err(ctx); err != nil {
-			results[r] = rounding{err: fmt.Errorf("maa: %w", err)}
-			return
+			return nil, fmt.Errorf("maa: %w", err)
 		}
 		s, err := roundWith(inst, rel, uniforms[r*drawn:(r+1)*drawn])
 		if err != nil {
-			results[r] = rounding{err: err}
-			return
+			return nil, err
 		}
-		results[r] = rounding{s: s, cost: s.Cost()}
-	}
-
-	workers := opts.Workers
-	if workers > rounds {
-		workers = rounds
-	}
-	if workers <= 1 {
-		for r := 0; r < rounds; r++ {
-			evalRound(r)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					r := int(next.Add(1)) - 1
-					if r >= rounds {
-						return
-					}
-					evalRound(r)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-
-	// Lowest cost wins; ties break toward the earliest round, exactly
-	// like the sequential "strictly cheaper replaces" scan.
-	bestIdx := -1
-	for r := 0; r < rounds; r++ {
-		if results[r].err != nil {
-			return nil, results[r].err
-		}
-		if bestIdx == -1 || results[r].cost < results[bestIdx].cost {
-			bestIdx = r
+		if cost := s.Cost(); best == nil || cost < bestCost {
+			best, bestCost = s, cost
 		}
 	}
-	best := results[bestIdx]
 	cSolves.Inc()
 	cRoundings.Add(int64(rounds))
 	if rel.Cost > 0 {
-		gCeilInflate.Set(best.cost / rel.Cost)
+		gCeilInflate.Set(bestCost / rel.Cost)
 	}
 	if opts.LP.Tracer != nil {
 		obs.Span(opts.LP.Tracer, "maa.solve", t0, obs.Fields{
 			"k":              k,
 			"rounds":         rounds,
-			"cost":           best.cost,
+			"cost":           bestCost,
 			"relaxed_cost":   rel.Cost,
 			"relaxed_reused": opts.Relaxed != nil,
 		})
 	}
 	return &Result{
-		Schedule: best.s,
-		Charged:  best.s.ChargedBandwidth(),
-		Cost:     best.cost,
+		Schedule: best,
+		Charged:  best.ChargedBandwidth(),
+		Cost:     bestCost,
 		Relaxed:  rel,
 	}, nil
 }

@@ -181,69 +181,6 @@ func TestTheoreticalRatioDegenerate(t *testing.T) {
 	}
 }
 
-// TestParallelRoundingMatchesSequential is the cross-topology
-// determinism contract: with a fixed seed, Rounds=8 must select the
-// same best schedule whether the roundings run sequentially or on a
-// worker pool, because all uniforms are pre-drawn before fan-out.
-func TestParallelRoundingMatchesSequential(t *testing.T) {
-	topologies := []struct {
-		name string
-		net  *wan.Network
-	}{
-		{"B4", wan.B4()},
-		{"SubB4", wan.SubB4()},
-	}
-	for _, tc := range topologies {
-		t.Run(tc.name, func(t *testing.T) {
-			inst := instance(t, tc.net, 40, 17)
-			seq, err := Solve(inst, Options{RNG: stats.NewRNG(17), Rounds: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{2, 4, 16} {
-				par, err := Solve(inst, Options{RNG: stats.NewRNG(17), Rounds: 8, Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if par.Cost != seq.Cost {
-					t.Fatalf("workers=%d: cost %v != sequential %v", workers, par.Cost, seq.Cost)
-				}
-				for i := 0; i < inst.NumRequests(); i++ {
-					if par.Schedule.Choice(i) != seq.Schedule.Choice(i) {
-						t.Fatalf("workers=%d request %d: path %d != sequential %d",
-							workers, i, par.Schedule.Choice(i), seq.Schedule.Choice(i))
-					}
-				}
-				for e, c := range seq.Charged {
-					if par.Charged[e] != c {
-						t.Fatalf("workers=%d link %d: charged %d != sequential %d", workers, e, par.Charged[e], c)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestParallelRoundingLeavesRNGStateIdentical pins the subtler half of
-// the contract: Solve consumes the same number of parent draws for any
-// Workers value, so sweeps that keep drawing from the RNG afterwards
-// stay reproducible.
-func TestParallelRoundingLeavesRNGStateIdentical(t *testing.T) {
-	inst := instance(t, wan.SubB4(), 25, 19)
-	a, b := stats.NewRNG(19), stats.NewRNG(19)
-	if _, err := Solve(inst, Options{RNG: a, Rounds: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Solve(inst, Options{RNG: b, Rounds: 8, Workers: 4}); err != nil {
-		t.Fatal(err)
-	}
-	for d := 0; d < 10; d++ {
-		if x, y := a.Float64(), b.Float64(); x != y {
-			t.Fatalf("draw %d after Solve: %v != %v", d, x, y)
-		}
-	}
-}
-
 // TestPreDrawnUniformsMatchRNG checks the Uniforms escape hatch used by
 // the Fig. 4a sweep: feeding Solve the block an identical RNG would
 // have produced must yield the identical result.

@@ -3,8 +3,9 @@
 // Gurobi ILP calls of the paper's evaluation (the exact OPT(SPM) and
 // OPT(RL-SPM) reference solutions).
 //
-// The solver is an anytime algorithm: with a node or time limit it
-// returns the best incumbent found and the remaining optimality gap.
+// The solver is an anytime algorithm: stopped by its node budget or by
+// the caller's context, it returns the best incumbent found and the
+// remaining optimality gap.
 package mip
 
 import (
@@ -25,13 +26,13 @@ const (
 	// StatusOptimal means the search tree was exhausted; the incumbent
 	// is a proven optimum (within tolerance).
 	StatusOptimal Status = iota + 1
-	// StatusFeasible means a limit (time or nodes) stopped the search
-	// with at least one incumbent; Gap bounds its suboptimality.
+	// StatusFeasible means the node budget or the context stopped the
+	// search with at least one incumbent; Gap bounds its suboptimality.
 	StatusFeasible
 	// StatusInfeasible means no integer-feasible point exists.
 	StatusInfeasible
-	// StatusLimit means a limit stopped the search before any incumbent
-	// was found.
+	// StatusLimit means the node budget or the context stopped the
+	// search before any incumbent was found.
 	StatusLimit
 	// StatusUnbounded means the LP relaxation is unbounded.
 	StatusUnbounded
@@ -62,15 +63,14 @@ type Options struct {
 	// IntTol is the integrality tolerance (default 1e-6).
 	IntTol float64
 	// MaxNodes bounds the number of explored nodes (default 200000).
+	// It is the search's work budget: a solve stopped by it depends
+	// only on the problem and the options, never on the machine.
 	MaxNodes int
-	// TimeLimit stops the search after the given wall time
-	// (default: none).
-	TimeLimit time.Duration
 	// WarmStart optionally seeds the search with a known
 	// integer-feasible point (its feasibility is the caller's
 	// responsibility). The incumbent and pruning bound start from it,
-	// which keeps time-limited solves from returning nothing and
-	// tightens the search.
+	// which keeps budgeted or canceled solves from returning nothing
+	// and tightens the search.
 	WarmStart []float64
 	// ColdLP disables simplex warm starts: every node's relaxation is
 	// solved cold from the all-slack basis, restoring the pre-warm-start
@@ -83,12 +83,9 @@ type Options struct {
 	// into every node's LP solve (unless LP.Ctx is already set) and
 	// checked between nodes. On cancellation or ctx deadline the solve
 	// keeps its anytime contract — it returns the incumbent (WarmStart
-	// included) with Canceled set rather than an error. TimeLimit remains
-	// an independent wall-clock budget; whichever fires first stops the
-	// search.
+	// included) with Canceled set rather than an error. It is the
+	// search's only wall-clock bound.
 	Ctx context.Context
-	// now is injectable for tests.
-	now func() time.Time
 }
 
 func (o Options) withDefaults() Options {
@@ -97,9 +94,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxNodes <= 0 {
 		o.MaxNodes = 200000
-	}
-	if o.now == nil {
-		o.now = time.Now
 	}
 	return o
 }
@@ -113,8 +107,8 @@ type Solution struct {
 	Gap       float64   // |Objective−Bound| / max(1, |Objective|); 0 when optimal, +Inf when no bound
 	Nodes     int       // explored nodes
 	// Canceled reports that Options.Ctx stopped the search (as opposed to
-	// MaxNodes or TimeLimit). The Status still describes what the solve
-	// has: StatusFeasible with an incumbent, StatusLimit without.
+	// MaxNodes). The Status still describes what the solve has:
+	// StatusFeasible with an incumbent, StatusLimit without.
 	Canceled bool
 }
 
@@ -178,12 +172,6 @@ func solveBB(prob *lp.Problem, sense lp.Sense, integerCols []int, opts Options) 
 		warmX = append([]float64(nil), o.WarmStart...)
 		warmObj = prob.ObjectiveValue(o.WarmStart)
 	}
-	start := o.now()
-	deadline := time.Time{}
-	if o.TimeLimit > 0 {
-		deadline = start.Add(o.TimeLimit)
-	}
-
 	// Root relaxation. In warm mode the root solve runs cold but captures
 	// its basis; every descendant then dives from its parent's basis.
 	// Solve manages Options.LP.Warm itself, overriding any caller value.
@@ -224,16 +212,10 @@ func solveBB(prob *lp.Problem, sense lp.Sense, integerCols []int, opts Options) 
 	}
 
 	s := &searcher{
-		prob:    prob,
-		sense:   sense,
-		intCols: integerCols,
-		opts:    o,
-		stop: func() (bool, bool) {
-			if o.Ctx != nil && o.Ctx.Err() != nil {
-				return true, true
-			}
-			return !deadline.IsZero() && o.now().After(deadline), false
-		},
+		prob:      prob,
+		sense:     sense,
+		intCols:   integerCols,
+		opts:      o,
 		rootBound: root.Objective,
 		bestObj:   warmObj,
 		bestX:     warmX,
@@ -273,9 +255,6 @@ type searcher struct {
 	sense   lp.Sense
 	intCols []int
 	opts    Options
-	// stop reports (shouldStop, viaCtx): ctx cancellation first, then
-	// the wall-clock deadline.
-	stop func() (bool, bool)
 
 	rootBound float64
 	bestObj   float64
@@ -306,9 +285,13 @@ func (s *searcher) better(a, b float64) bool {
 // bound flip away from the basis it repairs.
 func (s *searcher) branch(rel *lp.Solution, basis *lp.Basis) {
 	s.nodes++
-	if stopped, viaCtx := s.stop(); s.nodes >= s.opts.MaxNodes || stopped {
+	if s.opts.Ctx != nil && s.opts.Ctx.Err() != nil {
 		s.limited = true
-		s.canceled = s.canceled || viaCtx
+		s.canceled = true
+		return
+	}
+	if s.nodes >= s.opts.MaxNodes {
+		s.limited = true
 		return
 	}
 

@@ -3,7 +3,6 @@ package mip
 import (
 	"math"
 	"testing"
-	"time"
 
 	"metis/internal/lp"
 	"metis/internal/stats"
@@ -203,25 +202,6 @@ func TestNodeLimitReturnsIncumbentOrLimit(t *testing.T) {
 		if sol.Objective > sol.Bound+1e-6 {
 			t.Fatalf("incumbent %v above bound %v in a max problem", sol.Objective, sol.Bound)
 		}
-	}
-}
-
-func TestTimeLimit(t *testing.T) {
-	// A fake clock that expires immediately after the root solve.
-	calls := 0
-	fakeNow := func() time.Time {
-		calls++
-		return time.Unix(int64(calls)*3600, 0)
-	}
-	values := []float64{3, 5, 7}
-	weights := []float64{2, 3, 4}
-	p, cols := buildKnapsack(t, values, weights, 5)
-	sol, err := Solve(p, lp.Maximize, cols, Options{TimeLimit: time.Second, now: fakeNow})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status == StatusOptimal && sol.Nodes > 2 {
-		t.Fatalf("time limit ignored: %v after %d nodes", sol.Status, sol.Nodes)
 	}
 }
 

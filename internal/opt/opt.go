@@ -1,8 +1,8 @@
 // Package opt exposes the exact reference solutions of the paper's
 // evaluation — OPT(SPM) and OPT(RL-SPM) — as evaluation-friendly
-// wrappers over the internal/spm MILP builders. Both are anytime: with
-// a time limit they return the best incumbent and whether optimality
-// was proven.
+// wrappers over the internal/spm MILP builders. Both are anytime:
+// stopped by a node budget or the caller's context they return the best
+// incumbent and whether optimality was proven.
 package opt
 
 import (
@@ -41,38 +41,24 @@ type Result struct {
 }
 
 // SPM computes OPT(SPM): the profit-maximal acceptance, routing and
-// integer bandwidth purchase. timeLimit bounds the branch & bound
-// search (0 = solve to optimality). The search is warm-started with a
-// Metis incumbent, so a time-limited result is never worse than Metis —
-// matching Gurobi-style anytime behaviour.
-func SPM(inst *sched.Instance, timeLimit time.Duration) (*Result, error) {
-	return SPMCtx(nil, inst, timeLimit)
-}
-
-// SPMCtx is SPM under a context: a nil (or never-expiring) ctx matches
-// SPM exactly; an expired one stops the Metis warm-up and the branch &
-// bound search at their next checkpoints, keeping the anytime contract
-// (the incumbent so far, Canceled set).
-func SPMCtx(ctx context.Context, inst *sched.Instance, timeLimit time.Duration) (*Result, error) {
-	var warm *sched.Schedule
-	if m, err := core.SolveCtx(ctx, inst, core.Config{Theta: 6, MAARounds: 3, Seed: 1}); err == nil {
-		warm = m.Schedule
+// integer bandwidth purchase. The branch & bound search stops for one
+// of two reasons: maxNodes explored nodes (0 = mip's default) or ctx
+// expiring (nil = never). Under a node budget the result depends only
+// on the instance, so figures built on it are repeatable; a ctx expiry
+// keeps the anytime contract (the incumbent so far, Canceled set).
+//
+// warm seeds the search, so the result is never worse than it (e.g.
+// the Metis schedule an experiment compares against, which keeps the
+// OPT(SPM) line above the Metis line by construction). A nil warm
+// seeds it with a Metis solve under the same ctx.
+func SPM(ctx context.Context, inst *sched.Instance, maxNodes int, warm *sched.Schedule) (*Result, error) {
+	if warm == nil {
+		if m, err := core.SolveCtx(ctx, inst, core.Config{Theta: 6, MAARounds: 3, Seed: 1}); err == nil {
+			warm = m.Schedule
+		}
 	}
-	return SPMWithWarmCtx(ctx, inst, timeLimit, warm)
-}
-
-// SPMWithWarm is SPM with a caller-provided warm-start schedule (e.g.
-// the exact Metis schedule an experiment is comparing against, which
-// keeps the anytime OPT(SPM) line above the Metis line by
-// construction). A nil warm start is allowed.
-func SPMWithWarm(inst *sched.Instance, timeLimit time.Duration, warm *sched.Schedule) (*Result, error) {
-	return SPMWithWarmCtx(nil, inst, timeLimit, warm)
-}
-
-// SPMWithWarmCtx is SPMWithWarm under a context (see SPMCtx).
-func SPMWithWarmCtx(ctx context.Context, inst *sched.Instance, timeLimit time.Duration, warm *sched.Schedule) (*Result, error) {
 	start := time.Now()
-	res, err := spm.SolveExactSPM(inst, spm.ExactOptions{TimeLimit: timeLimit, Warm: warm, Ctx: ctx})
+	res, err := spm.SolveExactSPM(inst, spm.ExactOptions{MaxNodes: maxNodes, Warm: warm, Ctx: ctx})
 	if err != nil {
 		return nil, err
 	}
@@ -80,24 +66,20 @@ func SPMWithWarmCtx(ctx context.Context, inst *sched.Instance, timeLimit time.Du
 }
 
 // RLSPM computes OPT(RL-SPM): the cost-minimal schedule that serves
-// every request (the paper's "accept everything" mode). The search is
-// warm-started with a best-of-several MAA rounding, so a time-limited
-// result is never worse than the MAA heuristic.
-func RLSPM(inst *sched.Instance, timeLimit time.Duration) (*Result, error) {
-	return RLSPMCtx(nil, inst, timeLimit)
-}
-
-// RLSPMCtx is RLSPM under a context. RL-SPM must serve every request,
-// so unlike SPMCtx there is no always-feasible fallback: with a warm
-// MAA incumbent an expiry degrades to it (Canceled set); without one
-// the call returns an error matching solvectx.ErrCanceled/ErrDeadline.
-func RLSPMCtx(ctx context.Context, inst *sched.Instance, timeLimit time.Duration) (*Result, error) {
+// every request (the paper's "accept everything" mode), under the same
+// two stops as SPM. The search is warm-started with a best-of-several
+// MAA rounding, so a budgeted result is never worse than the MAA
+// heuristic. RL-SPM must serve every request, so unlike SPM there is no
+// always-feasible fallback: with a warm MAA incumbent a ctx expiry
+// degrades to it (Canceled set); without one the call returns an error
+// matching solvectx.ErrCanceled/ErrDeadline.
+func RLSPM(ctx context.Context, inst *sched.Instance, maxNodes int) (*Result, error) {
 	start := time.Now()
 	var warm *sched.Schedule
 	if m, err := maa.Solve(inst, maa.Options{RNG: stats.NewRNG(1), Rounds: 20, Ctx: ctx}); err == nil {
 		warm = m.Schedule
 	}
-	res, err := spm.SolveExactRL(inst, spm.ExactOptions{TimeLimit: timeLimit, Warm: warm, Ctx: ctx})
+	res, err := spm.SolveExactRL(inst, spm.ExactOptions{MaxNodes: maxNodes, Warm: warm, Ctx: ctx})
 	if err != nil {
 		return nil, err
 	}

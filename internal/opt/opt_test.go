@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -31,14 +32,14 @@ func TestOrderingSPMvsRLSPMvsMetis(t *testing.T) {
 	// The paper's Fig. 3a ordering on any instance where all solvers
 	// finish: OPT(SPM) >= Metis and OPT(SPM) >= OPT(RL-SPM).
 	inst := instance(t, 12, 1)
-	optSPM, err := SPM(inst, 0)
+	optSPM, err := SPM(nil, inst, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !optSPM.Proven {
 		t.Skip("OPT(SPM) hit a limit")
 	}
-	optRL, err := RLSPM(inst, 0)
+	optRL, err := RLSPM(nil, inst, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestOrderingSPMvsRLSPMvsMetis(t *testing.T) {
 
 func TestRLSPMAcceptsAll(t *testing.T) {
 	inst := instance(t, 10, 2)
-	res, err := RLSPM(inst, 0)
+	res, err := RLSPM(nil, inst, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,16 +69,40 @@ func TestRLSPMAcceptsAll(t *testing.T) {
 	}
 }
 
-func TestTimeLimitedStillReturns(t *testing.T) {
+// TestBudgetedStillReturns: both stops keep the anytime contract. A
+// ctx deadline returns an incumbent marked Canceled; a node budget
+// returns one too, and two budgeted solves agree on every count, since
+// the budget is work, not time.
+func TestBudgetedStillReturns(t *testing.T) {
 	inst := instance(t, 40, 3)
-	res, err := SPM(inst, 50*time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	timed, err := SPM(ctx, inst, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Schedule == nil {
-		t.Fatal("no incumbent under time limit")
+	if timed.Schedule == nil {
+		t.Fatal("no incumbent under a ctx deadline")
 	}
-	if res.Profit < -1e-9 {
-		t.Fatalf("profit %v negative (empty schedule is always available)", res.Profit)
+	if timed.Profit < -1e-9 {
+		t.Fatalf("profit %v negative (empty schedule is always available)", timed.Profit)
+	}
+
+	const budget = 25
+	a, err := SPM(nil, inst, budget, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := SPM(nil, inst, budget, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Schedule == nil || a.Canceled || a.Proven || a.Nodes != budget {
+		t.Fatalf("node-budgeted solve: schedule=%v canceled=%v proven=%v nodes=%d, want an unproven incumbent after %d nodes",
+			a.Schedule != nil, a.Canceled, a.Proven, a.Nodes, budget)
+	}
+	if a.Profit != b.Profit || a.Accepted != b.Accepted || a.Nodes != b.Nodes || a.Gap != b.Gap {
+		t.Fatalf("node-budgeted solves differ: profit %v/%v accepted %d/%d nodes %d/%d gap %v/%v",
+			a.Profit, b.Profit, a.Accepted, b.Accepted, a.Nodes, b.Nodes, a.Gap, b.Gap)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"metis/internal/lp"
 	"metis/internal/mip"
@@ -16,10 +15,8 @@ import (
 type ExactOptions struct {
 	// LP configures the per-node simplex solves.
 	LP lp.Options
-	// TimeLimit bounds the branch & bound wall time (0 = none). With a
-	// limit the solvers return the best incumbent found ("anytime").
-	TimeLimit time.Duration
 	// MaxNodes bounds the number of branch & bound nodes (0 = default).
+	// A budgeted solve returns the best incumbent found ("anytime").
 	MaxNodes int
 	// Warm optionally seeds branch & bound with a feasible schedule
 	// (e.g. a Metis or MAA result), guaranteeing the anytime result is
@@ -114,7 +111,7 @@ func SolveExactSPM(inst *sched.Instance, opts ExactOptions) (*ExactResult, error
 		warm = warmVector(p.NumVariables(), inst, xCols, cCols, opts.Warm)
 	}
 	sol, err := mip.Solve(p, lp.Maximize, intCols, mip.Options{
-		LP: opts.LP, TimeLimit: opts.TimeLimit, MaxNodes: opts.MaxNodes,
+		LP: opts.LP, MaxNodes: opts.MaxNodes,
 		WarmStart: warm, ColdLP: opts.ColdLP, Ctx: opts.Ctx,
 	})
 	if err != nil {
@@ -178,7 +175,7 @@ func SolveExactRL(inst *sched.Instance, opts ExactOptions) (*ExactResult, error)
 		warm = warmVector(p.NumVariables(), inst, xCols, cCols, opts.Warm)
 	}
 	sol, err := mip.Solve(p, lp.Minimize, intCols, mip.Options{
-		LP: opts.LP, TimeLimit: opts.TimeLimit, MaxNodes: opts.MaxNodes,
+		LP: opts.LP, MaxNodes: opts.MaxNodes,
 		WarmStart: warm, ColdLP: opts.ColdLP, Ctx: opts.Ctx,
 	})
 	if err != nil {
@@ -232,7 +229,7 @@ func SolveExactBL(inst *sched.Instance, caps []int, opts ExactOptions) (*ExactRe
 		}
 	}
 	sol, err := mip.Solve(p, lp.Maximize, intCols, mip.Options{
-		LP: opts.LP, TimeLimit: opts.TimeLimit, MaxNodes: opts.MaxNodes,
+		LP: opts.LP, MaxNodes: opts.MaxNodes,
 		WarmStart: warm, ColdLP: opts.ColdLP, Ctx: opts.Ctx,
 	})
 	if err != nil {

@@ -16,7 +16,8 @@
 //   - the Metis framework itself (Solve), alternating the MAA and TAA
 //     approximation algorithms,
 //   - the individual solvers (SolveMAA for RL-SPM, SolveTAA for
-//     BL-SPM), exact anytime references (OptSPM, OptRLSPM), and the
+//     BL-SPM), exact anytime references (OptSPM, OptRLSPM, whose time
+//     limit is a context deadline over the whole call), and the
 //     evaluation baselines (MinCost, Amoeba, EcoFlow).
 //
 // Quick start:
@@ -193,16 +194,33 @@ func SolveTAA(inst *Instance, caps []int) (*TAAResult, error) {
 	return taa.Solve(inst, caps, taa.Options{})
 }
 
-// OptSPM computes the exact (anytime, time-limited) OPT(SPM) reference:
-// the profit-maximal acceptance, routing and bandwidth purchase.
+// OptSPM computes the exact (anytime) OPT(SPM) reference: the
+// profit-maximal acceptance, routing and bandwidth purchase. timeLimit
+// (0 = none) bounds the whole call, warm-up included, through a context
+// deadline; on expiry the best incumbent is returned with Canceled set.
 func OptSPM(inst *Instance, timeLimit time.Duration) (*OptResult, error) {
-	return opt.SPM(inst, timeLimit)
+	ctx, cancel := limitCtx(timeLimit)
+	defer cancel()
+	return opt.SPM(ctx, inst, 0, nil)
 }
 
-// OptRLSPM computes the exact (anytime, time-limited) OPT(RL-SPM)
-// reference: the cost-minimal schedule serving every request.
+// OptRLSPM computes the exact (anytime) OPT(RL-SPM) reference: the
+// cost-minimal schedule serving every request, bounded like OptSPM.
+// RL-SPM has no always-feasible fallback, so a limit that passes before
+// the MAA warm-up finishes is an error matching ErrDeadline.
 func OptRLSPM(inst *Instance, timeLimit time.Duration) (*OptResult, error) {
-	return opt.RLSPM(inst, timeLimit)
+	ctx, cancel := limitCtx(timeLimit)
+	defer cancel()
+	return opt.RLSPM(ctx, inst, 0)
+}
+
+// limitCtx turns a wall-time limit into the context the exact solvers
+// stop on; a non-positive limit leaves them unbounded in time.
+func limitCtx(limit time.Duration) (context.Context, context.CancelFunc) {
+	if limit <= 0 {
+		return nil, func() {}
+	}
+	return context.WithTimeout(context.TODO(), limit)
 }
 
 // MinCost is the fixed-rule baseline: every request on its min-price
