@@ -240,19 +240,14 @@ func BenchmarkMetisSolveK100Cold(b *testing.B) {
 	}
 }
 
-// Exact-baseline benchmarks: OPT(SPM) branch & bound with per-node
-// simplex warm starts (the default) against ColdLP, which re-solves
-// every node's relaxation by two-phase simplex from the all-slack
-// basis. Both searches prove the same optimum; the trees may differ
-// (equal-objective relaxations can sit at different vertices, steering
-// the fractional branching elsewhere), so the reported node count
-// keeps the per-node repair win separable from tree-shape luck.
-func benchExactSPM(b *testing.B, cold bool) {
-	b.Helper()
+// BenchmarkExactSPMWarmK32 is the OPT(SPM) branch & bound with per-node
+// simplex warm starts. The reported node count keeps the per-node cost
+// separable from the size of the tree.
+func BenchmarkExactSPMWarmK32(b *testing.B) {
 	inst := benchInstance(b, 32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := spm.SolveExactSPM(inst, spm.ExactOptions{ColdLP: cold})
+		res, err := spm.SolveExactSPM(inst, spm.ExactOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -262,9 +257,6 @@ func benchExactSPM(b *testing.B, cold bool) {
 		b.ReportMetric(float64(res.Nodes), "nodes")
 	}
 }
-
-func BenchmarkExactSPMWarmK32(b *testing.B) { benchExactSPM(b, false) }
-func BenchmarkExactSPMColdK32(b *testing.B) { benchExactSPM(b, true) }
 
 func BenchmarkMAASolveK200(b *testing.B) {
 	inst := benchInstance(b, 200)

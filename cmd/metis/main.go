@@ -45,7 +45,7 @@ func run(args []string) (err error) {
 		maaRounds   = fs.Int("maa-rounds", 0, "randomized roundings per MAA call (0 = default)")
 		seed        = fs.Int64("seed", 1, "randomized-rounding seed")
 		traceOut    = fs.String("trace", "", "write a JSONL trace of the solve to this file (summarize with cmd/metistrace)")
-		metricsAddr = fs.String("metrics-addr", "", "serve live metrics on this address: /metrics (Prometheus), /debug/vars, /debug/pprof")
+		metricsAddr = fs.String("metrics-addr", "", "serve live metrics on this address: /metrics (Prometheus), /debug/pprof")
 		deadline    = fs.Duration("deadline", 0, "wall-time budget for the solve (0 = unbounded); on expiry the best incumbent is written, marked degraded")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -10,10 +10,9 @@
 //	metisbench -fig fig5 -json      # figures + per-experiment perf JSON
 //	metisbench -list                # known experiment ids
 //	metisbench -fig fig3 -seed 7
-//	metisbench -fig fig5 -warm off  # disable LP warm starts (seed path)
 //	metisbench -fig fig5 -cpuprofile cpu.out -memprofile mem.out
 //	metisbench -fig fig5 -trace trace.jsonl      # structured solve trace (see cmd/metistrace)
-//	metisbench -fig all -metrics-addr :9090      # live /metrics, /debug/vars, /debug/pprof
+//	metisbench -fig all -metrics-addr :9090      # live /metrics, /debug/pprof
 //	metisbench -fig fig5 -deadline 2s            # per-point budget; Metis degrades to its incumbent
 //	metisbench -fig fig5 -fault lp.solve:sleep:100:1ms   # deterministic fault injection (testing)
 //
@@ -61,7 +60,6 @@ type jsonReport struct {
 	Config     string        `json:"config"`
 	Parallel   int           `json:"parallel"`
 	Seed       int64         `json:"seed"`
-	Warm       bool          `json:"warm"`
 	Figures    []*exp.Figure `json:"figures"`
 	Benchmarks []benchRecord `json:"benchmarks"`
 	// SolverStats carries the per-point solver statistics collected
@@ -88,11 +86,10 @@ func run(args []string) (err error) {
 		list        = fs.Bool("list", false, "list known experiment ids and exit")
 		seed        = fs.Int64("seed", 0, "override workload seed (0 = config default)")
 		parallel    = fs.Int("parallel", 1, "scenario-point workers per experiment (0 = all CPUs, 1 = sequential)")
-		warm        = fs.String("warm", "on", "LP warm starts: on (incremental relaxation models) or off (every LP solved cold; bit-identical to the pre-warm-start code path)")
 		cpuProf     = fs.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
 		memProf     = fs.String("memprofile", "", "write an allocation profile (after the run) to this file")
 		traceOut    = fs.String("trace", "", "write a JSONL trace of every solve to this file (summarize with cmd/metistrace)")
-		metricsAddr = fs.String("metrics-addr", "", "serve live metrics on this address: /metrics (Prometheus), /debug/vars, /debug/pprof")
+		metricsAddr = fs.String("metrics-addr", "", "serve live metrics on this address: /metrics (Prometheus), /debug/pprof")
 		deadline    = fs.Duration("deadline", 0, "wall-time budget per scenario point (0 = unbounded); over-budget Metis solves return their best incumbent")
 		faultSpec   = fs.String("fault", "", "arm a deterministic fault site, \"site:kind[:after[:every|sleep]]\" (e.g. core.round:cancel:3); for deadline/cancellation testing")
 	)
@@ -102,7 +99,7 @@ func run(args []string) (err error) {
 	// Flag validation, before any work: conflicting or malformed
 	// combinations fail fast with the usage text instead of surfacing
 	// minutes into a run (or silently letting one flag win).
-	if err := validateFlags(*warm, *csv, *chart, *jsonOut, *list); err != nil {
+	if err := validateFlags(*csv, *chart, *jsonOut, *list); err != nil {
 		fmt.Fprintln(os.Stderr, "metisbench:", err)
 		fs.Usage()
 		return err
@@ -125,7 +122,6 @@ func run(args []string) (err error) {
 		*parallel = runtime.NumCPU()
 	}
 	cfg.Parallel = *parallel
-	cfg.ColdLP = *warm == "off"
 	cfg.Deadline = *deadline
 
 	// Ctrl-C cancels every solve through the context plumbing; deferred
@@ -240,10 +236,7 @@ func run(args []string) (err error) {
 // -csv, -chart and -json each claim the whole output stream, so at most
 // one may be set; -list exits before any experiment runs, so combining
 // it with an output format is a mistake worth stopping on.
-func validateFlags(warm string, csv, chart, jsonOut, list bool) error {
-	if warm != "on" && warm != "off" {
-		return fmt.Errorf("-warm must be \"on\" or \"off\", got %q", warm)
-	}
+func validateFlags(csv, chart, jsonOut, list bool) error {
 	formats := 0
 	for _, f := range []bool{csv, chart, jsonOut} {
 		if f {
@@ -270,7 +263,7 @@ func runJSON(w io.Writer, figID, cfgName string, cfg exp.Config) error {
 	stats := &exp.RunStats{}
 	cfg.Stats = stats
 	report := jsonReport{
-		Config: cfgName, Parallel: cfg.Parallel, Seed: cfg.Seed, Warm: !cfg.ColdLP,
+		Config: cfgName, Parallel: cfg.Parallel, Seed: cfg.Seed,
 	}
 	var ms runtime.MemStats
 	for _, id := range ids {

@@ -22,11 +22,17 @@ func TestRunCSV(t *testing.T) {
 }
 
 // TestRunRefusesDeletedOptLimit: the exact references stop on the
-// config's node budget, and the wall-clock override is gone.
+// config's node budget, and the wall-clock override is gone; so is the
+// switch to the cold LP path, which only the parity tests select.
 func TestRunRefusesDeletedOptLimit(t *testing.T) {
-	err := run([]string{"-fig", "fig3", "-quick", "-opt-limit", "30s"})
-	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -opt-limit") {
-		t.Fatalf("run(-opt-limit) = %v, want an undefined-flag error", err)
+	for flag, args := range map[string][]string{
+		"-opt-limit": {"-fig", "fig3", "-quick", "-opt-limit", "30s"},
+		"-warm":      {"-fig", "fig4a", "-warm", "lukewarm"},
+	} {
+		err := run(args)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+flag) {
+			t.Fatalf("run(%v) = %v, want an undefined-flag error", args, err)
+		}
 	}
 }
 
@@ -52,7 +58,6 @@ func TestRunConflictingFlags(t *testing.T) {
 		{"-fig", "fig4a", "-chart", "-json"},
 		{"-fig", "fig4a", "-csv", "-chart", "-json"},
 		{"-list", "-json"},
-		{"-fig", "fig4a", "-warm", "lukewarm"},
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v): want validation error, got nil", args)

@@ -172,9 +172,9 @@ func Solve(inst *sched.Instance, cfg Config) (*Result, error) {
 //     reason — a degraded run is a successful solve with fewer rounds,
 //     not an error.
 //
-// The context is threaded into every stage beneath (unless LP.Ctx is
-// already set, which then wins), so a round blocked inside a large
-// simplex solve still stops within one iteration batch.
+// The context is threaded into every stage beneath as cfg.LP.Ctx (a
+// Ctx the caller already put there wins), so a round blocked inside a
+// large simplex solve still stops within one iteration batch.
 func SolveCtx(ctx context.Context, inst *sched.Instance, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if inst.NumRequests() == 0 {

@@ -237,11 +237,11 @@ func (rp *Replanner) refine(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 	rp.relX = rel.X
-	// Thread the round's ctx into the TAA stage too: with the relaxation
-	// pre-solved the estimator walk is the remaining unbounded cost, and
-	// an expiry there must degrade to the incumbent, not overshoot the
-	// replan's budget share.
-	taaRes, err := taa.Solve(inst, caps, taa.Options{LP: lpOpts, Relaxed: rel, Ctx: lpOpts.Ctx})
+	// lpOpts carries the round's ctx into the TAA stage too: with the
+	// relaxation pre-solved the estimator walk is the remaining unbounded
+	// cost, and an expiry there must degrade to the incumbent, not
+	// overshoot the replan's budget share.
+	taaRes, err := taa.Solve(inst, caps, taa.Options{LP: lpOpts, Relaxed: rel})
 	if err != nil {
 		if solvectx.Is(err) {
 			return rp.finish(start, best, bestProfit, buf, err), nil

@@ -2,6 +2,7 @@ package demand
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"metis/internal/wan"
@@ -30,6 +31,11 @@ func TestRequestValidate(t *testing.T) {
 	valid := Request{ID: 1, Src: 0, Dst: 1, Start: 0, End: 11, Rate: 0.2, Value: 1}
 	if err := valid.Validate(net, 12); err != nil {
 		t.Fatalf("valid request rejected: %v", err)
+	}
+	atLimit := valid
+	atLimit.Rate = MaxRequestRate
+	if err := atLimit.Validate(net, 12); err != nil {
+		t.Fatalf("request at the rate limit rejected: %v", err)
 	}
 	tests := []struct {
 		name string
@@ -70,7 +76,13 @@ func TestRequestValidateTypedErrors(t *testing.T) {
 		{name: "out of horizon", mut: func(r *Request) { r.End = 12 }, field: FieldWindow},
 		{name: "inverted window", mut: func(r *Request) { r.Start = 5; r.End = 4 }, field: FieldWindow},
 		{name: "zero rate", mut: func(r *Request) { r.Rate = 0 }, field: FieldRate},
+		{name: "NaN rate", mut: func(r *Request) { r.Rate = math.NaN() }, field: FieldRate},
+		{name: "infinite rate", mut: func(r *Request) { r.Rate = math.Inf(1) }, field: FieldRate},
+		{name: "rate 1e19", mut: func(r *Request) { r.Rate = 1e19 }, field: FieldRate},
+		{name: "rate 1e300", mut: func(r *Request) { r.Rate = 1e300 }, field: FieldRate},
 		{name: "negative value", mut: func(r *Request) { r.Value = -1 }, field: FieldValue},
+		{name: "NaN value", mut: func(r *Request) { r.Value = math.NaN() }, field: FieldValue},
+		{name: "infinite value", mut: func(r *Request) { r.Value = math.Inf(1) }, field: FieldValue},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -220,48 +232,6 @@ func TestGeneratorConfigValidation(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			cfg := DefaultGeneratorConfig(1)
 			tt.mut(&cfg)
-			if _, err := NewGenerator(net, cfg); err == nil {
-				t.Fatal("want error, got nil")
-			}
-		})
-	}
-}
-
-func TestSlotWeightsBiasArrivals(t *testing.T) {
-	net := wan.SubB4()
-	cfg := DefaultGeneratorConfig(7)
-	// All demand lands in the last quarter of the year.
-	cfg.SlotWeights = make([]float64, cfg.Slots)
-	cfg.SlotWeights[9], cfg.SlotWeights[10], cfg.SlotWeights[11] = 1, 1, 1
-	g, err := NewGenerator(net, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs, err := g.GenerateN(300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range reqs {
-		if r.Start < 9 {
-			t.Fatalf("request started at %d despite zero weight", r.Start)
-		}
-	}
-}
-
-func TestSlotWeightsValidation(t *testing.T) {
-	net := wan.SubB4()
-	tests := []struct {
-		name    string
-		weights []float64
-	}{
-		{name: "wrong length", weights: []float64{1, 2}},
-		{name: "negative", weights: append(make([]float64, 11), -1)},
-		{name: "all zero", weights: make([]float64, 12)},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			cfg := DefaultGeneratorConfig(1)
-			cfg.SlotWeights = tt.weights
 			if _, err := NewGenerator(net, cfg); err == nil {
 				t.Fatal("want error, got nil")
 			}

@@ -30,11 +30,6 @@ type GeneratorConfig struct {
 	Slots int
 	// RateLo and RateHi bound the uniform bandwidth requirement in units.
 	RateLo, RateHi float64
-	// SlotWeights optionally biases request start slots (length must
-	// equal Slots when set): slot s is drawn with probability
-	// proportional to SlotWeights[s]. Models seasonal demand — e.g.
-	// year-end traffic peaks. Nil means uniform arrivals.
-	SlotWeights []float64
 	// MarkupLo and MarkupHi bound the uniform value markup. A request's
 	// value is
 	//
@@ -72,21 +67,6 @@ func (c GeneratorConfig) validate() error {
 		return fmt.Errorf("demand: config: rate bounds (%v, %v) invalid", c.RateLo, c.RateHi)
 	case c.MarkupLo < 0 || c.MarkupHi < c.MarkupLo:
 		return fmt.Errorf("demand: config: markup bounds (%v, %v) invalid", c.MarkupLo, c.MarkupHi)
-	}
-	if c.SlotWeights != nil {
-		if len(c.SlotWeights) != c.Slots {
-			return fmt.Errorf("demand: config: %d slot weights for %d slots", len(c.SlotWeights), c.Slots)
-		}
-		var total float64
-		for s, w := range c.SlotWeights {
-			if w < 0 {
-				return fmt.Errorf("demand: config: negative weight %v for slot %d", w, s)
-			}
-			total += w
-		}
-		if total <= 0 {
-			return fmt.Errorf("demand: config: slot weights sum to %v", total)
-		}
 	}
 	return nil
 }
@@ -171,9 +151,6 @@ func (g *Generator) one() (Request, error) {
 		dst++
 	}
 	start := g.rng.Intn(g.cfg.Slots)
-	if g.cfg.SlotWeights != nil {
-		start = g.rng.PickWeighted(g.cfg.SlotWeights)
-	}
 	end := g.rng.IntBetween(start, g.cfg.Slots-1)
 	rate := g.rng.Uniform(g.cfg.RateLo, g.cfg.RateHi)
 

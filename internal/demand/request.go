@@ -6,6 +6,7 @@ package demand
 
 import (
 	"fmt"
+	"math"
 
 	"metis/internal/wan"
 )
@@ -59,6 +60,14 @@ func (e *ValidationError) Error() string {
 	return fmt.Sprintf("demand: request %d: %s: %s", e.RequestID, e.Field, e.Msg)
 }
 
+// MaxRequestRate bounds a request's rate in bandwidth units (1e6 units
+// = 10 Pbps). It is far above the paper's workloads (the generator draws
+// 0.01–0.5 units) and far below 2^53, where a float64 stops holding
+// whole units exactly, so a link's summed load always rounds up to an
+// in-range int purchase; past 2^63 that conversion overflows and the
+// purchase reads zero units.
+const MaxRequestRate = 1e6
+
 // Validate checks the request against a network and billing-cycle
 // length. Failures are *ValidationError values.
 func (r Request) Validate(net *wan.Network, slots int) error {
@@ -74,8 +83,12 @@ func (r Request) Validate(net *wan.Network, slots int) error {
 		return fail(FieldDst, "src == dst == %d", r.Src)
 	case r.Start < 0 || r.End >= slots || r.Start > r.End:
 		return fail(FieldWindow, "slot window [%d, %d] invalid for %d slots", r.Start, r.End, slots)
-	case r.Rate <= 0:
-		return fail(FieldRate, "non-positive rate %v", r.Rate)
+	case math.IsNaN(r.Rate) || r.Rate <= 0:
+		return fail(FieldRate, "rate %v is not positive", r.Rate)
+	case r.Rate > MaxRequestRate:
+		return fail(FieldRate, "rate %v above the limit %v", r.Rate, MaxRequestRate)
+	case math.IsNaN(r.Value) || math.IsInf(r.Value, 0):
+		return fail(FieldValue, "non-finite value %v", r.Value)
 	case r.Value < 0:
 		return fail(FieldValue, "negative value %v", r.Value)
 	}

@@ -4,6 +4,7 @@ import (
 	"strconv"
 
 	"metis/internal/core"
+	"metis/internal/lp"
 	"metis/internal/maa"
 	"metis/internal/stats"
 	"metis/internal/wan"
@@ -40,7 +41,7 @@ func AblationTheta(cfg Config) (*Figure, error) {
 		defer cancel()
 		res, err := core.SolveCtx(ctx, inst, core.Config{
 			Theta: thetas[p], TauStep: cfg.TauStep, MAARounds: cfg.MAARounds,
-			LP: cfg.LP, Seed: cfg.Seed, ColdLP: cfg.ColdLP, Tracer: cfg.Tracer,
+			Seed: cfg.Seed, ColdLP: cfg.coldLP, Tracer: cfg.Tracer,
 		})
 		if err != nil {
 			return err
@@ -86,7 +87,7 @@ func AblationTau(cfg Config) (*Figure, error) {
 		defer cancel()
 		res, err := core.SolveCtx(ctx, inst, core.Config{
 			Theta: cfg.Theta, TauStep: rules[p].step, TauFrac: rules[p].frac, MAARounds: cfg.MAARounds,
-			LP: cfg.LP, Seed: cfg.Seed, ColdLP: cfg.ColdLP, Tracer: cfg.Tracer,
+			Seed: cfg.Seed, ColdLP: cfg.coldLP, Tracer: cfg.Tracer,
 		})
 		if err != nil {
 			return err
@@ -123,7 +124,7 @@ func AblationPaths(cfg Config) (*Figure, error) {
 		defer cancel()
 		res, err := core.SolveCtx(ctx, inst, core.Config{
 			Theta: cfg.Theta, TauStep: cfg.TauStep, MAARounds: cfg.MAARounds,
-			LP: cfg.LP, Seed: cfg.Seed, ColdLP: cfg.ColdLP, Tracer: cfg.Tracer,
+			Seed: cfg.Seed, ColdLP: cfg.coldLP, Tracer: cfg.Tracer,
 		})
 		if err != nil {
 			return err
@@ -159,7 +160,7 @@ func AblationRounding(cfg Config) (*Figure, error) {
 		// identical randomness, more rounds), so points are independent.
 		ctx, cancel := cfg.pointCtx()
 		defer cancel()
-		res, err := maa.Solve(inst, maa.Options{LP: cfg.LP, Rounds: sweep[p], RNG: stats.NewRNG(cfg.Seed), Ctx: ctx})
+		res, err := maa.Solve(inst, maa.Options{LP: lp.Options{Ctx: ctx}, Rounds: sweep[p], RNG: stats.NewRNG(cfg.Seed)})
 		if err != nil {
 			return err
 		}

@@ -14,7 +14,6 @@ import (
 	"context"
 	"time"
 
-	"metis/internal/lp"
 	"metis/internal/obs"
 )
 
@@ -67,13 +66,11 @@ type Config struct {
 	// value, except its wall-clock columns.
 	Parallel int
 
-	// LP configures every relaxation solve.
-	LP lp.Options
-
-	// ColdLP disables simplex warm starts and incremental relaxation
+	// coldLP disables simplex warm starts and incremental relaxation
 	// models in every Metis run (see core.Config.ColdLP), restoring the
-	// pre-warm-start behavior bit-for-bit.
-	ColdLP bool
+	// pre-warm-start behavior bit-for-bit. It is the oracle the
+	// package's warm/cold parity tests compare every figure against.
+	coldLP bool
 
 	// Tracer, when non-nil, threads the structured trace sink into every
 	// Metis solve of the figure sweeps (see core.Config.Tracer). Note

@@ -372,7 +372,7 @@ func atoiOrFail(t *testing.T, s string) int {
 func TestWarmColdFigureParity(t *testing.T) {
 	warmCfg := QuickConfig()
 	coldCfg := QuickConfig()
-	coldCfg.ColdLP = true
+	coldCfg.coldLP = true
 
 	type runner struct {
 		name string

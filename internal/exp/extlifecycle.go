@@ -37,7 +37,7 @@ func ExtensionMultiCycle(cfg Config) (*Figure, error) {
 		ID: "ext-multicycle", Title: "Cumulative profit across billing cycles (SUB-B4, +15%/cycle)", XLabel: "cycle",
 		Series: []string{"Metis", "EcoFlow", "Accept-all", "Forecast-online"},
 	}
-	metisCfg := core.Config{Theta: cfg.Theta, TauStep: cfg.TauStep, MAARounds: cfg.MAARounds, LP: cfg.LP, ColdLP: cfg.ColdLP, Tracer: cfg.Tracer}
+	metisCfg := core.Config{Theta: cfg.Theta, TauStep: cfg.TauStep, MAARounds: cfg.MAARounds, ColdLP: cfg.coldLP, Tracer: cfg.Tracer}
 	fc, err := forecast.NewEWMA(0.5)
 	if err != nil {
 		return nil, err
@@ -158,7 +158,7 @@ func ExtensionResilience(cfg Config) (*Figure, error) {
 		defer cancel()
 		metis, err := core.SolveCtx(ctx, inst, core.Config{
 			Theta: cfg.Theta, TauStep: cfg.TauStep, MAARounds: cfg.MAARounds,
-			LP: cfg.LP, Seed: cfg.Seed, ColdLP: cfg.ColdLP, Tracer: cfg.Tracer,
+			Seed: cfg.Seed, ColdLP: cfg.coldLP, Tracer: cfg.Tracer,
 		})
 		if err != nil {
 			return err

@@ -7,6 +7,7 @@ import (
 
 	"metis/internal/core"
 	"metis/internal/demand"
+	"metis/internal/lp"
 	"metis/internal/maa"
 	"metis/internal/serve"
 	"metis/internal/stats"
@@ -51,13 +52,13 @@ func ExtensionOnline(cfg Config) (*Figure, error) {
 		}
 		ctx, cancel := cfg.pointCtx()
 		defer cancel()
-		planRes, err := maa.Solve(forecast, maa.Options{LP: cfg.LP, Rounds: cfg.MAARounds, RNG: stats.NewRNG(cfg.Seed), Ctx: ctx})
+		planRes, err := maa.Solve(forecast, maa.Options{LP: lp.Options{Ctx: ctx}, Rounds: cfg.MAARounds, RNG: stats.NewRNG(cfg.Seed)})
 		if err != nil {
 			return err
 		}
 		metisCfg := core.Config{
 			Theta: cfg.Theta, TauStep: cfg.TauStep, MAARounds: cfg.MAARounds,
-			LP: cfg.LP, Seed: cfg.Seed, ColdLP: cfg.ColdLP, Tracer: cfg.Tracer,
+			Seed: cfg.Seed, ColdLP: cfg.coldLP, Tracer: cfg.Tracer,
 		}
 		policies := []serve.Policy{
 			serve.GreedyPolicy{},

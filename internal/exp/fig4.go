@@ -4,6 +4,7 @@ import (
 	"strconv"
 
 	"metis/internal/baseline"
+	"metis/internal/lp"
 	"metis/internal/maa"
 	"metis/internal/opt"
 	"metis/internal/spm"
@@ -46,7 +47,7 @@ func Fig4a(cfg Config) (*Figure, error) {
 		}
 		ctx, cancel := cfg.pointCtx()
 		defer cancel()
-		res, err := maa.Solve(inst, maa.Options{LP: cfg.LP, Rounds: cfg.MAARounds, Uniforms: blocks[p], Ctx: ctx})
+		res, err := maa.Solve(inst, maa.Options{LP: lp.Options{Ctx: ctx}, Rounds: cfg.MAARounds, Uniforms: blocks[p]})
 		if err != nil {
 			return err
 		}
@@ -94,11 +95,7 @@ func Fig4b(cfg Config) (*Figure, error) {
 		}
 		ctx, cancel := cfg.pointCtx()
 		defer cancel()
-		lpOpts := cfg.LP
-		if lpOpts.Ctx == nil {
-			lpOpts.Ctx = ctx
-		}
-		rel, err := spm.SolveRLRelaxation(inst, lpOpts)
+		rel, err := spm.SolveRLRelaxation(inst, lp.Options{Ctx: ctx})
 		if err != nil {
 			return err
 		}
@@ -156,7 +153,7 @@ func Fig4cd(cfg Config) ([]*Figure, error) {
 		caps := inst.UniformCaps(cfg.UniformCapUnits)
 		ctx, cancel := cfg.pointCtx()
 		defer cancel()
-		ta, err := taa.Solve(inst, caps, taa.Options{LP: cfg.LP, Ctx: ctx})
+		ta, err := taa.Solve(inst, caps, taa.Options{LP: lp.Options{Ctx: ctx}})
 		if err != nil {
 			return err
 		}

@@ -44,7 +44,7 @@ func Fig5(cfg Config) ([]*Figure, error) {
 		defer cancel()
 		metis, err := core.SolveCtx(ctx, inst, core.Config{
 			Theta: cfg.Theta, TauStep: cfg.TauStep, MAARounds: cfg.MAARounds,
-			LP: cfg.LP, Seed: cfg.Seed, ColdLP: cfg.ColdLP, Tracer: cfg.Tracer,
+			Seed: cfg.Seed, ColdLP: cfg.coldLP, Tracer: cfg.Tracer,
 		})
 		if err != nil {
 			return err

@@ -16,7 +16,7 @@ func TestFullScaleWarmColdParity(t *testing.T) {
 	warmCfg := DefaultConfig()
 	warmCfg.Parallel = 4
 	coldCfg := warmCfg
-	coldCfg.ColdLP = true
+	coldCfg.coldLP = true
 
 	type runner struct {
 		name string

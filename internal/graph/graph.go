@@ -1,7 +1,6 @@
 // Package graph implements the directed-graph substrate used by the
 // Inter-DC WAN model: shortest paths (Dijkstra), k-shortest loopless
-// paths (Yen), reachability, and max-flow (Edmonds–Karp) for feasibility
-// sanity checks.
+// paths (Yen) and reachability.
 package graph
 
 import (

@@ -196,39 +196,6 @@ func TestStronglyConnected(t *testing.T) {
 	}
 }
 
-func TestMaxFlowClassic(t *testing.T) {
-	// Classic CLRS max-flow instance, max flow 23.
-	g := New(6)
-	caps := make([]float64, 0, 9)
-	add := func(from, to int, c float64) {
-		mustAdd(t, g, from, to, 1)
-		caps = append(caps, c)
-	}
-	add(0, 1, 16)
-	add(0, 2, 13)
-	add(1, 2, 10)
-	add(2, 1, 4)
-	add(1, 3, 12)
-	add(3, 2, 9)
-	add(2, 4, 14)
-	add(4, 3, 7)
-	add(3, 5, 20)
-	mustAdd(t, g, 4, 5, 1)
-	caps = append(caps, 4)
-
-	if got := g.MaxFlow(0, 5, caps); got != 23 {
-		t.Fatalf("max flow = %v, want 23", got)
-	}
-}
-
-func TestMaxFlowDisconnected(t *testing.T) {
-	g := New(3)
-	mustAdd(t, g, 0, 1, 1)
-	if got := g.MaxFlow(0, 2, []float64{5}); got != 0 {
-		t.Fatalf("max flow = %v, want 0", got)
-	}
-}
-
 func TestEdgesCopyIsolated(t *testing.T) {
 	g := diamond(t, 1, 1, 2, 2)
 	es := g.Edges()

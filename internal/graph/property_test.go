@@ -123,39 +123,3 @@ func TestKShortestMatchesBruteForce(t *testing.T) {
 		}
 	}
 }
-
-// TestMaxFlowMinCutBound checks max-flow against the trivial cut bounds
-// (out-capacity of src, in-capacity of dst) on random graphs.
-func TestMaxFlowMinCutBound(t *testing.T) {
-	rng := stats.NewRNG(41)
-	for trial := 0; trial < 40; trial++ {
-		n := 4 + rng.Intn(4)
-		g := randomGraph(rng, n, 2*n)
-		caps := make([]float64, g.NumEdges())
-		for i := range caps {
-			caps[i] = rng.Uniform(1, 10)
-		}
-		src, dst := 0, n/2
-		if src == dst {
-			continue
-		}
-		flow := g.MaxFlow(src, dst, caps)
-
-		var outCap, inCap float64
-		for _, e := range g.Edges() {
-			if e.From == src {
-				outCap += caps[e.ID]
-			}
-			if e.To == dst {
-				inCap += caps[e.ID]
-			}
-		}
-		if flow < -1e-9 || flow > outCap+1e-9 || flow > inCap+1e-9 {
-			t.Fatalf("trial %d: flow %v violates cut bounds out=%v in=%v", trial, flow, outCap, inCap)
-		}
-		// The ring guarantees a positive path, so flow must be positive.
-		if flow <= 0 {
-			t.Fatalf("trial %d: flow %v should be positive on a ring", trial, flow)
-		}
-	}
-}

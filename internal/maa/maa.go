@@ -8,7 +8,6 @@
 package maa
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -28,12 +27,15 @@ var ErrNoRequests = errors.New("maa: instance has no requests")
 
 // Options tunes MAA.
 type Options struct {
-	// LP configures the relaxation solve.
+	// LP configures the relaxation solve. LP.Ctx, when non-nil, makes
+	// the call cancellable: it is polled before the LP and before each
+	// randomized rounding, and on expiry Solve returns an error matching
+	// solvectx.ErrCanceled/ErrDeadline.
 	LP lp.Options
 	// Relaxed optionally supplies a pre-solved RL-SPM relaxation for the
-	// instance (e.g. from an incremental spm.RLModel that warm-starts
-	// across Metis rounds); when set, the internal LP solve is skipped.
-	// Its X must cover exactly the instance's requests.
+	// instance (core passes the previous round's relaxation when the
+	// accepted set is unchanged); when set, the internal LP solve is
+	// skipped. Its X must cover exactly the instance's requests.
 	Relaxed *spm.RelaxedRL
 	// Rounds is the number of independent randomized roundings; the
 	// cheapest rounded schedule wins (default 1, the paper's algorithm).
@@ -47,13 +49,6 @@ type Options struct {
 	// that share one RNG across many Solve calls pre-draw one block per
 	// call so the calls can run concurrently.
 	Uniforms []float64
-	// Ctx, when non-nil, makes the call cancellable: it is threaded into
-	// the relaxation solve (unless LP.Ctx is already set) and checked
-	// between stages — before the LP, and before each randomized
-	// rounding. On expiry Solve returns an error matching
-	// solvectx.ErrCanceled/ErrDeadline. Nil preserves the old behavior
-	// exactly.
-	Ctx context.Context
 }
 
 // Result is MAA's output.
@@ -114,9 +109,6 @@ func Solve(inst *sched.Instance, opts Options) (*Result, error) {
 	}
 	if opts.RNG == nil && opts.Uniforms == nil {
 		return nil, errors.New("maa: options require an RNG (or pre-drawn Uniforms)")
-	}
-	if opts.LP.Ctx == nil {
-		opts.LP.Ctx = opts.Ctx
 	}
 	ctx := opts.LP.Ctx
 	if fault.Active() {

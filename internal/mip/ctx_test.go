@@ -14,7 +14,7 @@ func TestCtxPreCanceledNoWarmStart(t *testing.T) {
 	p, cols := buildKnapsack(t, []float64{10, 13, 7}, []float64{5, 6, 4}, 10)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sol, err := Solve(p, lp.Maximize, cols, Options{Ctx: ctx})
+	sol, err := Solve(p, lp.Maximize, cols, Options{LP: lp.Options{Ctx: ctx}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestCtxPreCanceledReturnsWarmStartIncumbent(t *testing.T) {
 	warm := []float64{1, 0, 1, 0, 0}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sol, err := Solve(p, lp.Maximize, cols, Options{Ctx: ctx, WarmStart: warm})
+	sol, err := Solve(p, lp.Maximize, cols, Options{LP: lp.Options{Ctx: ctx}, WarmStart: warm})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestCtxCancelMidSearchKeepsIncumbent(t *testing.T) {
 	fault.Reset()
 	fault.Enable("lp.solve", fault.Spec{Kind: fault.KindCancel, After: 4, Cancel: cancel})
 
-	sol, err := Solve(p, lp.Maximize, cols, Options{Ctx: ctx, WarmStart: warm})
+	sol, err := Solve(p, lp.Maximize, cols, Options{LP: lp.Options{Ctx: ctx}, WarmStart: warm})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@
 package mip
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"time"
@@ -56,12 +55,19 @@ func (s Status) String() string {
 	}
 }
 
+// intTol is the integrality tolerance: a relaxation value within it of
+// an integer counts as integral.
+const intTol = 1e-6
+
 // Options tunes the branch & bound search.
 type Options struct {
-	// LP configures the per-node simplex solves.
+	// LP configures the per-node simplex solves. LP.Ctx, when non-nil,
+	// also makes the search cancellable: it is checked between nodes,
+	// and on cancellation or ctx deadline the solve keeps its anytime
+	// contract — it returns the incumbent (WarmStart included) with
+	// Canceled set rather than an error. It is the search's only
+	// wall-clock bound.
 	LP lp.Options
-	// IntTol is the integrality tolerance (default 1e-6).
-	IntTol float64
 	// MaxNodes bounds the number of explored nodes (default 200000).
 	// It is the search's work budget: a solve stopped by it depends
 	// only on the problem and the options, never on the machine.
@@ -72,26 +78,17 @@ type Options struct {
 	// which keeps budgeted or canceled solves from returning nothing
 	// and tightens the search.
 	WarmStart []float64
-	// ColdLP disables simplex warm starts: every node's relaxation is
+	// coldLP disables simplex warm starts: every node's relaxation is
 	// solved cold from the all-slack basis, restoring the pre-warm-start
-	// behavior exactly. By default each child node repairs its parent's
+	// behavior exactly. It is the oracle the in-package parity test
+	// compares against. By default each child node repairs its parent's
 	// optimal basis with dual simplex after the single branching bound
 	// flip, which typically takes a handful of pivots instead of a full
 	// two-phase solve.
-	ColdLP bool
-	// Ctx, when non-nil, makes the search cancellable: it is threaded
-	// into every node's LP solve (unless LP.Ctx is already set) and
-	// checked between nodes. On cancellation or ctx deadline the solve
-	// keeps its anytime contract — it returns the incumbent (WarmStart
-	// included) with Canceled set rather than an error. It is the
-	// search's only wall-clock bound.
-	Ctx context.Context
+	coldLP bool
 }
 
 func (o Options) withDefaults() Options {
-	if o.IntTol <= 0 {
-		o.IntTol = 1e-6
-	}
 	if o.MaxNodes <= 0 {
 		o.MaxNodes = 200000
 	}
@@ -106,9 +103,9 @@ type Solution struct {
 	Bound     float64   // best proven bound on the optimum (±Inf when none was proven)
 	Gap       float64   // |Objective−Bound| / max(1, |Objective|); 0 when optimal, +Inf when no bound
 	Nodes     int       // explored nodes
-	// Canceled reports that Options.Ctx stopped the search (as opposed to
-	// MaxNodes). The Status still describes what the solve has:
-	// StatusFeasible with an incumbent, StatusLimit without.
+	// Canceled reports that Options.LP.Ctx stopped the search (as
+	// opposed to MaxNodes). The Status still describes what the solve
+	// has: StatusFeasible with an incumbent, StatusLimit without.
 	Canceled bool
 }
 
@@ -153,9 +150,6 @@ func Solve(prob *lp.Problem, sense lp.Sense, integerCols []int, opts Options) (*
 func solveBB(prob *lp.Problem, sense lp.Sense, integerCols []int, opts Options) (*Solution, error) {
 	o := opts.withDefaults()
 	o.LP.Warm = nil // Solve manages warm-start handles per node
-	if o.LP.Ctx == nil {
-		o.LP.Ctx = o.Ctx
-	}
 	for _, j := range integerCols {
 		if j < 0 || j >= prob.NumVariables() {
 			return nil, fmt.Errorf("mip: integer column %d out of range", j)
@@ -177,7 +171,7 @@ func solveBB(prob *lp.Problem, sense lp.Sense, integerCols []int, opts Options) 
 	// Solve manages Options.LP.Warm itself, overriding any caller value.
 	rootOpts := o.LP
 	var rootBasis *lp.Basis
-	if o.ColdLP {
+	if o.coldLP {
 		rootOpts.Warm = nil
 	} else {
 		rootBasis = lp.NewBasis()
@@ -285,7 +279,7 @@ func (s *searcher) better(a, b float64) bool {
 // bound flip away from the basis it repairs.
 func (s *searcher) branch(rel *lp.Solution, basis *lp.Basis) {
 	s.nodes++
-	if s.opts.Ctx != nil && s.opts.Ctx.Err() != nil {
+	if s.opts.LP.Ctx != nil && s.opts.LP.Ctx.Err() != nil {
 		s.limited = true
 		s.canceled = true
 		return
@@ -310,7 +304,7 @@ func (s *searcher) branch(rel *lp.Solution, basis *lp.Basis) {
 	for _, j := range s.intCols {
 		v := rel.X[j]
 		d := math.Abs(v - math.Round(v))
-		if d > s.opts.IntTol && d > fracDist {
+		if d > intTol && d > fracDist {
 			frac, fracDist = j, d
 		}
 	}

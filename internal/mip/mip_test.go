@@ -271,7 +271,7 @@ func TestWarmColdSameIncumbentAndBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		pc, colsC := buildKnapsack(t, values, weights, capacity)
-		cold, err := Solve(pc, lp.Maximize, colsC, Options{ColdLP: true})
+		cold, err := Solve(pc, lp.Maximize, colsC, Options{coldLP: true})
 		if err != nil {
 			t.Fatal(err)
 		}

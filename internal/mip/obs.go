@@ -10,6 +10,6 @@ var (
 	cIncumbents  = obs.NewCounter("mip.incumbents", "incumbent improvements found")
 	cPruneBound  = obs.NewCounter("mip.prune_bound", "subtrees pruned by the incumbent bound")
 	cPruneInfeas = obs.NewCounter("mip.prune_infeasible", "child nodes pruned as LP-infeasible")
-	cCanceled    = obs.NewCounter("mip.canceled", "branch & bound searches stopped by Options.Ctx")
+	cCanceled    = obs.NewCounter("mip.canceled", "branch & bound searches stopped by Options.LP.Ctx")
 	gLastGap     = obs.NewFloatGauge("mip.last_gap", "relative optimality gap of the most recent solve")
 )

@@ -1,7 +1,7 @@
 // Package obs is the solver-wide instrumentation layer: cheap atomic
 // counters and gauges collected in a central registry, a structured
 // trace sink for the Metis alternation timeline, and HTTP exposition
-// (Prometheus text format, expvar, pprof).
+// (Prometheus text format and pprof).
 //
 // Design rules, in priority order:
 //

@@ -208,7 +208,4 @@ func TestServeMetrics(t *testing.T) {
 	if out := get("/metrics"); !strings.Contains(out, "metis_test_counter 11") {
 		t.Fatalf("/metrics missing counter:\n%s", out)
 	}
-	if out := get("/debug/vars"); !strings.Contains(out, "\"metis\"") {
-		t.Fatalf("/debug/vars missing metis expvar:\n%s", out)
-	}
 }

@@ -1,23 +1,11 @@
 package obs
 
 import (
-	"expvar"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 	"time"
 )
-
-// publishOnce guards the expvar registration: expvar.Publish panics on
-// duplicate names, and tests may start several metrics servers.
-var publishOnce sync.Once
-
-func publishExpvar() {
-	publishOnce.Do(func() {
-		expvar.Publish("metis", expvar.Func(func() any { return Snapshot() }))
-	})
-}
 
 // MetricsServer is a live metrics endpoint started by ServeMetrics.
 type MetricsServer struct {
@@ -30,18 +18,15 @@ type MetricsServer struct {
 // Register mounts the metrics endpoints onto mux:
 //
 //	/metrics        Prometheus text exposition of the obs registry
-//	/debug/vars     expvar (includes the registry under "metis")
 //	/debug/pprof/   the standard pprof handlers
 //
 // Embedding daemons (metisd) use this to expose solver metrics on
 // their own API mux instead of a second listener.
 func Register(mux *http.ServeMux) {
-	publishExpvar()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = WritePrometheus(w)
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

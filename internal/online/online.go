@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"sort"
 
+	"metis/internal/lp"
 	"metis/internal/sched"
 	"metis/internal/spm"
 	"metis/internal/taa"
@@ -38,8 +39,9 @@ type State struct {
 
 // NewState returns a fresh provider state over inst: nothing purchased,
 // nothing committed, an all-declined schedule. ctx (which may be nil) is
-// threaded into policy-run solvers via Context. Drivers such as
-// serve.Server's epoch tick construct one per decision batch.
+// threaded into the solves the policies run, so a mid-batch solve stops
+// promptly. Drivers such as serve.Server's epoch tick construct one per
+// decision batch.
 func NewState(ctx context.Context, inst *sched.Instance) *State {
 	return &State{
 		inst:     inst,
@@ -71,10 +73,6 @@ func NewStateAt(ctx context.Context, inst *sched.Instance, purchased []int, load
 	held := sched.CapacityOf(inst.Network(), loads, purchased).Clone()
 	return &State{inst: inst, capacity: held, schedule: sched.NewSchedule(inst), ctx: ctx}, nil
 }
-
-// Context returns the state's context (possibly nil); policies that run
-// solvers thread it in so a mid-batch solve stops promptly.
-func (st *State) Context() context.Context { return st.ctx }
 
 // Instance returns the underlying instance.
 func (st *State) Instance() *sched.Instance { return st.inst }
@@ -178,7 +176,7 @@ func (p ProvisionedTAA) DecideBatch(st *State, _ int, batch []int) error {
 	if err != nil {
 		return err
 	}
-	opts := taa.Options{Ctx: st.ctx}
+	opts := taa.Options{LP: lp.Options{Ctx: st.ctx}}
 	if guide != nil {
 		opts.Relaxed = &spm.RelaxedBL{X: guide}
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"metis/internal/core"
+	"metis/internal/lp"
 	"metis/internal/maa"
 	"metis/internal/sched"
 	"metis/internal/spm"
@@ -58,7 +59,7 @@ func SPM(ctx context.Context, inst *sched.Instance, maxNodes int, warm *sched.Sc
 		}
 	}
 	start := time.Now()
-	res, err := spm.SolveExactSPM(inst, spm.ExactOptions{MaxNodes: maxNodes, Warm: warm, Ctx: ctx})
+	res, err := spm.SolveExactSPM(inst, spm.ExactOptions{LP: lp.Options{Ctx: ctx}, MaxNodes: maxNodes, Warm: warm})
 	if err != nil {
 		return nil, err
 	}
@@ -76,10 +77,10 @@ func SPM(ctx context.Context, inst *sched.Instance, maxNodes int, warm *sched.Sc
 func RLSPM(ctx context.Context, inst *sched.Instance, maxNodes int) (*Result, error) {
 	start := time.Now()
 	var warm *sched.Schedule
-	if m, err := maa.Solve(inst, maa.Options{RNG: stats.NewRNG(1), Rounds: 20, Ctx: ctx}); err == nil {
+	if m, err := maa.Solve(inst, maa.Options{LP: lp.Options{Ctx: ctx}, RNG: stats.NewRNG(1), Rounds: 20}); err == nil {
 		warm = m.Schedule
 	}
-	res, err := spm.SolveExactRL(inst, spm.ExactOptions{MaxNodes: maxNodes, Warm: warm, Ctx: ctx})
+	res, err := spm.SolveExactRL(inst, spm.ExactOptions{LP: lp.Options{Ctx: ctx}, MaxNodes: maxNodes, Warm: warm})
 	if err != nil {
 		return nil, err
 	}

@@ -345,6 +345,36 @@ func TestRunLoopTicksAndDrains(t *testing.T) {
 	}
 }
 
+// TestHugeRateRefused: a rate above demand.MaxRequestRate answers 422 on
+// the rate field. Admitted, a rate of 1e300 rounded up to a purchase
+// outside int's range, was charged zero units, and left the pair's
+// links open to every later request for free.
+func TestHugeRateRefused(t *testing.T) {
+	s := newTestServer(t, func(c *Config) { c.Check = true })
+	rr := httptest.NewRecorder()
+	body := `{"src":0,"dst":1,"start":0,"end":11,"rate":1e300,"value":1}`
+	s.Handler().ServeHTTP(rr, httptest.NewRequest("POST", "/v1/requests", strings.NewReader(body)))
+	if rr.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("rate 1e300: status %d, want 422 (body %s)", rr.Code, rr.Body.String())
+	}
+	var m map[string]string
+	if err := json.Unmarshal(rr.Body.Bytes(), &m); err != nil || m["field"] != demand.FieldRate {
+		t.Fatalf("rate 1e300: reply %s, want field %q", rr.Body.String(), demand.FieldRate)
+	}
+
+	d, err := s.Submit(goodRequest(1e6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Tick(context.Background())
+	if got := s.Decision(d.ID); got == nil || got.Status != StatusAccepted {
+		t.Fatalf("later request: decision %+v, want accepted", got)
+	}
+	if st := s.Stats(); st.PurchasedUnits == 0 || st.CheckFailures != 0 {
+		t.Fatalf("later request: %d units purchased, %d check failures; want a purchase and none", st.PurchasedUnits, st.CheckFailures)
+	}
+}
+
 func TestHTTPAPI(t *testing.T) {
 	s := newTestServer(t, nil)
 	ts := httptest.NewServer(s.Handler())

@@ -13,7 +13,13 @@ import (
 
 // ExactOptions tunes the exact MILP reference solvers.
 type ExactOptions struct {
-	// LP configures the per-node simplex solves.
+	// LP configures the per-node simplex solves. LP.Ctx, when non-nil,
+	// makes the search cancellable (see mip.Options.LP). On expiry the
+	// solvers keep their anytime contract where a fallback incumbent
+	// exists (OPT(SPM)/OPT(BL-SPM) fall back to the empty schedule or the
+	// Warm seed) and set ExactResult.Canceled; OPT(RL-SPM), which has no
+	// always-feasible fallback, returns solvectx.ErrCanceled/ErrDeadline
+	// instead.
 	LP lp.Options
 	// MaxNodes bounds the number of branch & bound nodes (0 = default).
 	// A budgeted solve returns the best incumbent found ("anytime").
@@ -22,16 +28,6 @@ type ExactOptions struct {
 	// (e.g. a Metis or MAA result), guaranteeing the anytime result is
 	// never worse than the heuristic.
 	Warm *sched.Schedule
-	// ColdLP disables simplex warm starts in the branch & bound dive
-	// (see mip.Options.ColdLP).
-	ColdLP bool
-	// Ctx, when non-nil, makes the search cancellable (see
-	// mip.Options.Ctx). On expiry the solvers keep their anytime
-	// contract where a fallback incumbent exists (OPT(SPM)/OPT(BL-SPM)
-	// fall back to the empty schedule or the Warm seed) and set
-	// ExactResult.Canceled; OPT(RL-SPM), which has no always-feasible
-	// fallback, returns solvectx.ErrCanceled/ErrDeadline instead.
-	Ctx context.Context
 }
 
 // warmVector encodes a schedule as a MILP point over the given routing
@@ -65,7 +61,7 @@ type ExactResult struct {
 	Nodes int
 	// Status is the underlying branch & bound outcome.
 	Status mip.Status
-	// Canceled reports that ExactOptions.Ctx stopped the search.
+	// Canceled reports that ExactOptions.LP.Ctx stopped the search.
 	Canceled bool
 }
 
@@ -110,10 +106,7 @@ func SolveExactSPM(inst *sched.Instance, opts ExactOptions) (*ExactResult, error
 	if opts.Warm != nil {
 		warm = warmVector(p.NumVariables(), inst, xCols, cCols, opts.Warm)
 	}
-	sol, err := mip.Solve(p, lp.Maximize, intCols, mip.Options{
-		LP: opts.LP, MaxNodes: opts.MaxNodes,
-		WarmStart: warm, ColdLP: opts.ColdLP, Ctx: opts.Ctx,
-	})
+	sol, err := mip.Solve(p, lp.Maximize, intCols, mip.Options{LP: opts.LP, MaxNodes: opts.MaxNodes, WarmStart: warm})
 	if err != nil {
 		return nil, err
 	}
@@ -130,7 +123,7 @@ func SolveExactSPM(inst *sched.Instance, opts ExactOptions) (*ExactResult, error
 			Canceled:  sol.Canceled,
 		}, nil
 	}
-	return decodeExact(inst, xCols, sol, "OPT(SPM)", opts.Ctx)
+	return decodeExact(inst, xCols, sol, "OPT(SPM)", opts.LP.Ctx)
 }
 
 // SolveExactRL solves the exact RL-SPM MILP — the paper's OPT(RL-SPM)
@@ -174,14 +167,11 @@ func SolveExactRL(inst *sched.Instance, opts ExactOptions) (*ExactResult, error)
 	if opts.Warm != nil {
 		warm = warmVector(p.NumVariables(), inst, xCols, cCols, opts.Warm)
 	}
-	sol, err := mip.Solve(p, lp.Minimize, intCols, mip.Options{
-		LP: opts.LP, MaxNodes: opts.MaxNodes,
-		WarmStart: warm, ColdLP: opts.ColdLP, Ctx: opts.Ctx,
-	})
+	sol, err := mip.Solve(p, lp.Minimize, intCols, mip.Options{LP: opts.LP, MaxNodes: opts.MaxNodes, WarmStart: warm})
 	if err != nil {
 		return nil, err
 	}
-	return decodeExact(inst, xCols, sol, "OPT(RL-SPM)", opts.Ctx)
+	return decodeExact(inst, xCols, sol, "OPT(RL-SPM)", opts.LP.Ctx)
 }
 
 // SolveExactBL solves the exact BL-SPM MILP: maximize revenue under
@@ -228,10 +218,7 @@ func SolveExactBL(inst *sched.Instance, caps []int, opts ExactOptions) (*ExactRe
 			}
 		}
 	}
-	sol, err := mip.Solve(p, lp.Maximize, intCols, mip.Options{
-		LP: opts.LP, MaxNodes: opts.MaxNodes,
-		WarmStart: warm, ColdLP: opts.ColdLP, Ctx: opts.Ctx,
-	})
+	sol, err := mip.Solve(p, lp.Maximize, intCols, mip.Options{LP: opts.LP, MaxNodes: opts.MaxNodes, WarmStart: warm})
 	if err != nil {
 		return nil, err
 	}
@@ -245,7 +232,7 @@ func SolveExactBL(inst *sched.Instance, caps []int, opts ExactOptions) (*ExactRe
 			Canceled: sol.Canceled,
 		}, nil
 	}
-	return decodeExact(inst, xCols, sol, "OPT(BL-SPM)", opts.Ctx)
+	return decodeExact(inst, xCols, sol, "OPT(BL-SPM)", opts.LP.Ctx)
 }
 
 func collectIntCols(xCols [][]int, cCols []int) []int {

@@ -14,7 +14,6 @@
 package taa
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -31,7 +30,10 @@ import (
 
 // Options tunes TAA.
 type Options struct {
-	// LP configures the relaxation solve.
+	// LP configures the relaxation solve. LP.Ctx, when non-nil, makes
+	// the call cancellable: it is polled between stages and every 32
+	// levels of the estimator walk, and on expiry SolveVar returns an
+	// error matching solvectx.ErrCanceled/ErrDeadline.
 	LP lp.Options
 	// Relaxed optionally supplies a pre-solved BL-SPM relaxation for the
 	// instance and capacities (e.g. from an incremental spm.BLModel that
@@ -39,13 +41,6 @@ type Options struct {
 	// is skipped. Its X must cover exactly the instance's requests, and
 	// it must have been solved under the same capacities.
 	Relaxed *spm.RelaxedBL
-	// Ctx, when non-nil, makes the call cancellable: it is threaded into
-	// the relaxation solve (unless LP.Ctx is already set) and polled
-	// between stages and every 32 levels of the estimator walk. On
-	// expiry SolveVar returns an error matching
-	// solvectx.ErrCanceled/ErrDeadline. Nil preserves the old behavior
-	// exactly.
-	Ctx context.Context
 }
 
 // Result is TAA's output.
@@ -99,9 +94,6 @@ func SolveVar(inst *sched.Instance, caps [][]float64, opts Options) (*Result, er
 	}
 	if inst.NumRequests() == 0 {
 		return &Result{Schedule: sched.NewSchedule(inst)}, nil
-	}
-	if opts.LP.Ctx == nil {
-		opts.LP.Ctx = opts.Ctx
 	}
 	ctx := opts.LP.Ctx
 	if fault.Active() {

@@ -190,12 +190,6 @@ func (n *Network) CheapestPathPrice(src, dst int) (float64, error) {
 	return p.Cost, nil
 }
 
-// MaxFlow returns the maximum src→dst flow under the given per-link
-// capacities (indexed by link id). Used as a feasibility sanity check.
-func (n *Network) MaxFlow(src, dst int, caps []float64) float64 {
-	return n.g.MaxFlow(src, dst, caps)
-}
-
 // linkPrice derives a directed link's price from its endpoint regions:
 // the mean of the two regions' relative prices. Only relative prices
 // matter for the paper's reported ratios.

@@ -162,18 +162,6 @@ func TestNewNetworkValidation(t *testing.T) {
 	}
 }
 
-func TestMaxFlowSanity(t *testing.T) {
-	n := SubB4()
-	caps := make([]float64, n.NumLinks())
-	for i := range caps {
-		caps[i] = 10
-	}
-	// DC1 has exactly two outgoing links, so max flow from it is 20.
-	if got := n.MaxFlow(0, 5, caps); got != 20 {
-		t.Fatalf("max flow = %v, want 20", got)
-	}
-}
-
 func TestRegionString(t *testing.T) {
 	tests := []struct {
 		r    Region
