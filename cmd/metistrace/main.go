@@ -108,7 +108,7 @@ func run(args []string, w io.Writer) error {
 // lack the status/elapsed fields; their columns come out empty or zero.
 func epochsTable(recs []obs.WireRecord) *tableio.Table {
 	t := tableio.New("Service epochs",
-		"epoch", "slot", "policy", "status", "batch", "accepted", "rejected", "shed", "queue", "elapsed_ms", "budget_ms")
+		"epoch", "slot", "policy", "status", "batch", "accepted", "rejected", "expired", "shed", "queue", "elapsed_ms", "budget_ms")
 	n := 0
 	for i := range recs {
 		r := &recs[i]
@@ -124,6 +124,7 @@ func epochsTable(recs []obs.WireRecord) *tableio.Table {
 			strconv.Itoa(int(r.FieldFloat("batch"))),
 			strconv.Itoa(int(r.FieldFloat("accepted"))),
 			strconv.Itoa(int(r.FieldFloat("rejected"))),
+			strconv.Itoa(int(r.FieldFloat("expired"))),
 			strconv.Itoa(int(r.FieldFloat("shed"))),
 			strconv.Itoa(int(r.FieldFloat("queue_depth"))),
 			tableio.FormatFloat(r.FieldFloat("elapsed_ms")),

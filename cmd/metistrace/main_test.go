@@ -147,7 +147,7 @@ this line is not json
 	if !strings.Contains(got, "Service epochs") {
 		t.Errorf("output missing epochs table:\n%s", got)
 	}
-	for _, want := range []string{"greedy", "ok"} {
+	for _, want := range []string{"greedy", "ok", "expired"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("epochs table missing %q:\n%s", want, got)
 		}

@@ -39,10 +39,9 @@ func AblationTheta(cfg Config) (*Figure, error) {
 		}
 		ctx, cancel := cfg.pointCtx()
 		defer cancel()
-		res, err := core.SolveCtx(ctx, inst, core.Config{
-			Theta: thetas[p], TauStep: cfg.TauStep, MAARounds: cfg.MAARounds,
-			Seed: cfg.Seed, ColdLP: cfg.coldLP, Tracer: cfg.Tracer,
-		})
+		mc := cfg.metisConfig()
+		mc.Theta = thetas[p]
+		res, err := core.SolveCtx(ctx, inst, mc)
 		if err != nil {
 			return err
 		}
@@ -85,10 +84,9 @@ func AblationTau(cfg Config) (*Figure, error) {
 		}
 		ctx, cancel := cfg.pointCtx()
 		defer cancel()
-		res, err := core.SolveCtx(ctx, inst, core.Config{
-			Theta: cfg.Theta, TauStep: rules[p].step, TauFrac: rules[p].frac, MAARounds: cfg.MAARounds,
-			Seed: cfg.Seed, ColdLP: cfg.coldLP, Tracer: cfg.Tracer,
-		})
+		mc := cfg.metisConfig()
+		mc.TauStep, mc.TauFrac = rules[p].step, rules[p].frac
+		res, err := core.SolveCtx(ctx, inst, mc)
 		if err != nil {
 			return err
 		}
@@ -122,10 +120,7 @@ func AblationPaths(cfg Config) (*Figure, error) {
 		}
 		ctx, cancel := cfg.pointCtx()
 		defer cancel()
-		res, err := core.SolveCtx(ctx, inst, core.Config{
-			Theta: cfg.Theta, TauStep: cfg.TauStep, MAARounds: cfg.MAARounds,
-			Seed: cfg.Seed, ColdLP: cfg.coldLP, Tracer: cfg.Tracer,
-		})
+		res, err := core.SolveCtx(ctx, inst, cfg.metisConfig())
 		if err != nil {
 			return err
 		}

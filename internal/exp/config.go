@@ -14,6 +14,7 @@ import (
 	"context"
 	"time"
 
+	"metis/internal/core"
 	"metis/internal/obs"
 )
 
@@ -113,6 +114,15 @@ func (c Config) pointCtx() (context.Context, context.CancelFunc) {
 		parent = context.Background()
 	}
 	return context.WithTimeout(parent, c.Deadline)
+}
+
+// metisConfig is the Metis configuration every figure solves with;
+// sweeps that vary θ, the τ rule or the seed override those fields.
+func (c Config) metisConfig() core.Config {
+	return core.Config{
+		Theta: c.Theta, TauStep: c.TauStep, MAARounds: c.MAARounds,
+		Seed: c.Seed, ColdLP: c.coldLP, Tracer: c.Tracer,
+	}
 }
 
 // DefaultConfig returns paper-scale settings (a full run takes a few

@@ -37,7 +37,7 @@ func ExtensionMultiCycle(cfg Config) (*Figure, error) {
 		ID: "ext-multicycle", Title: "Cumulative profit across billing cycles (SUB-B4, +15%/cycle)", XLabel: "cycle",
 		Series: []string{"Metis", "EcoFlow", "Accept-all", "Forecast-online"},
 	}
-	metisCfg := core.Config{Theta: cfg.Theta, TauStep: cfg.TauStep, MAARounds: cfg.MAARounds, ColdLP: cfg.coldLP, Tracer: cfg.Tracer}
+	metisCfg := cfg.metisConfig()
 	fc, err := forecast.NewEWMA(0.5)
 	if err != nil {
 		return nil, err
@@ -156,10 +156,7 @@ func ExtensionResilience(cfg Config) (*Figure, error) {
 		}
 		ctx, cancel := cfg.pointCtx()
 		defer cancel()
-		metis, err := core.SolveCtx(ctx, inst, core.Config{
-			Theta: cfg.Theta, TauStep: cfg.TauStep, MAARounds: cfg.MAARounds,
-			Seed: cfg.Seed, ColdLP: cfg.coldLP, Tracer: cfg.Tracer,
-		})
+		metis, err := core.SolveCtx(ctx, inst, cfg.metisConfig())
 		if err != nil {
 			return err
 		}

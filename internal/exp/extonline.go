@@ -56,10 +56,7 @@ func ExtensionOnline(cfg Config) (*Figure, error) {
 		if err != nil {
 			return err
 		}
-		metisCfg := core.Config{
-			Theta: cfg.Theta, TauStep: cfg.TauStep, MAARounds: cfg.MAARounds,
-			Seed: cfg.Seed, ColdLP: cfg.coldLP, Tracer: cfg.Tracer,
-		}
+		metisCfg := cfg.metisConfig()
 		policies := []serve.Policy{
 			serve.GreedyPolicy{},
 			&serve.TAAPolicy{Plan: planRes.Charged},

@@ -42,10 +42,7 @@ func Fig5(cfg Config) ([]*Figure, error) {
 		}
 		ctx, cancel := cfg.pointCtx()
 		defer cancel()
-		metis, err := core.SolveCtx(ctx, inst, core.Config{
-			Theta: cfg.Theta, TauStep: cfg.TauStep, MAARounds: cfg.MAARounds,
-			Seed: cfg.Seed, ColdLP: cfg.coldLP, Tracer: cfg.Tracer,
-		})
+		metis, err := core.SolveCtx(ctx, inst, cfg.metisConfig())
 		if err != nil {
 			return err
 		}

@@ -139,7 +139,7 @@ func (w *Basis) grow(p *Problem, mat *csc, opts Options) bool {
 	// new slacks (one per appended row).
 	slack0 := oldArtStart - nS0
 	newArtStart := s.artStart
-	s.state = growInts(s.state, s.n)
+	s.state = grow(s.state, s.n, s.n)
 	copy(s.state[:nS0], oldState[:nS0])
 	for j := nS0; j < nS1; j++ {
 		s.state[j] = atLower
@@ -155,8 +155,8 @@ func (w *Basis) grow(p *Problem, mat *csc, opts Options) bool {
 		s.state[newArtStart+k] = oldState[oldArtStart+k]
 		s.up[newArtStart+k] = oldUp[oldArtStart+k] // locked at 0 since phase 1
 	}
-	s.basic = growInts(s.basic, m1)
-	s.xB = growFloats(s.xB, m1)
+	s.basic = grow(s.basic, m1, m1)
+	s.xB = grow(s.xB, m1, m1)
 	for i := 0; i < m0; i++ {
 		j := oldBasic[i]
 		switch {
@@ -199,7 +199,7 @@ func (w *Basis) grow(p *Problem, mat *csc, opts Options) bool {
 	s.yDense = false
 	s.alpha, s.alphaNZ, s.alphaMark = nil, nil, nil
 	s.alphaStamp = 0
-	s.b = growFloats(s.b, m1)
+	s.b = grow(s.b, m1, m1)
 	s.luFail = false
 
 	w.m, w.nStruct, w.sign = m1, nS1, sign

@@ -67,12 +67,15 @@ type luBasis struct {
 	// right-hand side cannot reach.
 	etaMask []uint64
 
-	// Reverse (row-wise) patterns of the factors, rebuilt with them:
-	// posStep inverts colOrder; utCols[utPtr[t]:utPtr[t+1]] lists the
-	// steps k > t whose U column contains t, and ltCols likewise lists
-	// the steps k < t whose L column contains row rowOf[t]. They drive
-	// the reachability passes of btranSparse, which walks dependencies
-	// in the direction opposite to the stored CSC factors.
+	// Patterns rebuilt with the factors for the sparse solves' dfs
+	// walks. lSteps is lRows mapped through pinv: L column k's
+	// successors as steps, the L graph of ftranSparse. posStep inverts
+	// colOrder. The reverse (row-wise) patterns drive btranSparse, which
+	// walks dependencies opposite to the stored CSC factors:
+	// utCols[utPtr[t]:utPtr[t+1]] lists the steps k > t whose U column
+	// contains t, and ltCols likewise lists the steps k < t whose L
+	// column contains row rowOf[t].
+	lSteps  []int32
 	posStep []int32
 	utPtr   []int32
 	utCols  []int32
@@ -83,10 +86,10 @@ type luBasis struct {
 	work    []float64 // step-space solve scratch
 	colBuf  []float64 // row-space gather buffer (zeroed between uses)
 	posBuf  []float64 // position-space gather buffer
-	stack   []int32   // DFS stack
-	pstack  []int32   // postorder-DFS child cursors (parallel to stack)
-	reach   []int32   // reachable steps of the current column
-	reachU  []int32   // reachable steps of the U-graph (sparse FTRAN)
+	stack   []int32   // DFS stack (capacity ≥ m, set by factor)
+	pstack  []int32   // dfs successor cursors (parallel to stack)
+	reach   []int32   // steps reached in L: factor's column, ftranSparse's b
+	reachU  []int32   // steps reached in U by ftranSparse, postorder
 	rowMark []int32   // per-row visit stamp of the current column
 	stepMk  []int32   // per-step DFS stamp
 	posMk   []int32   // per-position stamp (sparse FTRAN nonzero dedup)
@@ -98,7 +101,7 @@ type luBasis struct {
 
 	// Sparse-BTRAN scratch. workB carries the Uᵀ solve and is all-zero
 	// between calls (btranSparse restores the zeros it writes); reachB
-	// and reachC hold the Uᵀ / Lᵀ reachability sets.
+	// and reachC hold the steps dfs reached in Uᵀ / Lᵀ, in postorder.
 	workB  []float64
 	reachB []int32
 	reachC []int32
@@ -166,17 +169,19 @@ func (lu *luBasis) factor(m int, colPtr, rowIdx []int32, vals []float64, basic [
 	lu.etaMask = slices.Grow(lu.etaMask[:0], m)[:m]
 	clear(lu.etaMask)
 
-	lu.rowOf = growInt32s(lu.rowOf, m, m)
-	lu.pinv = growInt32s(lu.pinv, m, m)
-	lu.colOrder = growInt32s(lu.colOrder, m, m)
-	lu.uDiag = growFloats(lu.uDiag, m)
-	lu.work = growFloats(lu.work, m)
-	lu.posBuf = growFloats(lu.posBuf, m)
-	lu.rowMark = growInt32s(lu.rowMark, m, m)
-	lu.stepMk = growInt32s(lu.stepMk, m, m)
-	lu.posMk = growInt32s(lu.posMk, m, m)
-	lu.rowCnt = growInt32s(lu.rowCnt, m, m)
-	lu.colBuf = growFloats(lu.colBuf, m)
+	lu.rowOf = grow(lu.rowOf, m, m)
+	lu.pinv = grow(lu.pinv, m, m)
+	lu.colOrder = grow(lu.colOrder, m, m)
+	lu.uDiag = grow(lu.uDiag, m, m)
+	lu.work = grow(lu.work, m, m)
+	lu.posBuf = grow(lu.posBuf, m, m)
+	lu.rowMark = grow(lu.rowMark, m, m)
+	lu.stepMk = grow(lu.stepMk, m, m)
+	lu.posMk = grow(lu.posMk, m, m)
+	lu.rowCnt = grow(lu.rowCnt, m, m)
+	lu.stack = grow(lu.stack, m, m)
+	lu.pstack = grow(lu.pstack, m, m)
+	lu.colBuf = grow(lu.colBuf, m, m)
 	clear(lu.colBuf)
 	lu.lPtr = append(lu.lPtr[:0], 0)
 	lu.lRows = lu.lRows[:0]
@@ -199,7 +204,7 @@ func (lu *luBasis) factor(m int, colPtr, rowIdx []int32, vals []float64, basic [
 			lu.rowCnt[rowIdx[q]]++
 		}
 	}
-	bucket := growInt32s(lu.order, maxNNZ+2, maxNNZ+2)
+	bucket := grow(lu.order, maxNNZ+2, maxNNZ+2)
 	lu.order = bucket
 	clear(bucket)
 	for _, j := range basic {
@@ -318,19 +323,20 @@ func (lu *luBasis) factor(m int, colPtr, rowIdx []int32, vals []float64, basic [
 	return true
 }
 
-// buildReverse derives the row-wise reachability patterns (posStep,
-// utPtr/utCols, ltPtr/ltCols) from the freshly built factors: one
-// counting pass and one fill pass over each factor, O(nnz(L)+nnz(U)+m).
+// buildReverse derives the step-space and row-wise reachability
+// patterns (posStep, lSteps, utPtr/utCols, ltPtr/ltCols) from the
+// freshly built factors: one counting pass and one fill pass over each
+// factor, O(nnz(L)+nnz(U)+m).
 func (lu *luBasis) buildReverse() {
 	m := lu.m
-	lu.posStep = growInt32s(lu.posStep, m, m)
+	lu.posStep = grow(lu.posStep, m, m)
 	for k := 0; k < m; k++ {
 		lu.posStep[lu.colOrder[k]] = int32(k)
 	}
-	lu.workB = growFloats(lu.workB, m)
+	lu.workB = grow(lu.workB, m, m)
 	clear(lu.workB) // establish the all-zero invariant btranSparse keeps
 
-	lu.utPtr = growInt32s(lu.utPtr, m+1, m+1)
+	lu.utPtr = grow(lu.utPtr, m+1, m+1)
 	clear(lu.utPtr)
 	for _, t := range lu.uRows {
 		lu.utPtr[t+1]++
@@ -338,7 +344,7 @@ func (lu *luBasis) buildReverse() {
 	for t := 0; t < m; t++ {
 		lu.utPtr[t+1] += lu.utPtr[t]
 	}
-	lu.utCols = growInt32s(lu.utCols, len(lu.uRows), len(lu.uRows))
+	lu.utCols = grow(lu.utCols, len(lu.uRows), len(lu.uRows))
 	fill := append(lu.order[:0], lu.utPtr[:m]...)
 	for k := 0; k < m; k++ {
 		for idx := lu.uPtr[k]; idx < lu.uPtr[k+1]; idx++ {
@@ -348,7 +354,7 @@ func (lu *luBasis) buildReverse() {
 		}
 	}
 
-	lu.ltPtr = growInt32s(lu.ltPtr, m+1, m+1)
+	lu.ltPtr = grow(lu.ltPtr, m+1, m+1)
 	clear(lu.ltPtr)
 	for _, r := range lu.lRows {
 		lu.ltPtr[lu.pinv[r]+1]++
@@ -356,11 +362,13 @@ func (lu *luBasis) buildReverse() {
 	for t := 0; t < m; t++ {
 		lu.ltPtr[t+1] += lu.ltPtr[t]
 	}
-	lu.ltCols = growInt32s(lu.ltCols, len(lu.lRows), len(lu.lRows))
+	lu.ltCols = grow(lu.ltCols, len(lu.lRows), len(lu.lRows))
+	lu.lSteps = grow(lu.lSteps, len(lu.lRows), len(lu.lRows))
 	fill = append(lu.order[:0], lu.ltPtr[:m]...)
 	for k := 0; k < m; k++ {
 		for idx := lu.lPtr[k]; idx < lu.lPtr[k+1]; idx++ {
 			t := lu.pinv[lu.lRows[idx]]
+			lu.lSteps[idx] = t
 			lu.ltCols[fill[t]] = int32(k)
 			fill[t]++
 		}
@@ -385,6 +393,46 @@ func (lu *luBasis) dfsReach(start int32, stamp int32) {
 			}
 		}
 	}
+}
+
+// dfs appends to out every step reachable from start through the graph
+// whose step s has successors adj[ptr[s]:ptr[s+1]], skipping and
+// marking steps through lu.stepMk and stamp, and returns out. The walk
+// is POSTORDER: a step is appended only after all its successors, so
+// the reverse of the append order is a topological order and the
+// solves need no sort (Gilbert–Peierls; the design of CSparse's
+// cs_dfs). It is iterative: stack[:head+1] is the current path and
+// pstack[i] the next successor of stack[i] to scan; a walk pushes a
+// step at most once, so both fit in m entries. The four solve graphs
+// are L (lPtr/lSteps), U (uPtr/uRows), Uᵀ (utPtr/utCols) and Lᵀ
+// (ltPtr/ltCols), all in step space, so callers need a complete
+// factorization.
+func (lu *luBasis) dfs(ptr, adj []int32, start, stamp int32, out []int32) []int32 {
+	mk := lu.stepMk
+	mk[start] = stamp
+	if ptr[start] == ptr[start+1] {
+		return append(out, start) // a hypersparse solve's common case
+	}
+	stack, pstack := lu.stack[:lu.m], lu.pstack[:lu.m]
+	stack[0], pstack[0] = start, ptr[start]
+	for head := 0; head >= 0; {
+		s := stack[head]
+		idx, end := pstack[head], ptr[s+1]
+		for idx < end && mk[adj[idx]] == stamp {
+			idx++
+		}
+		if idx == end {
+			out = append(out, s)
+			head--
+			continue
+		}
+		t := adj[idx]
+		pstack[head] = idx + 1
+		mk[t] = stamp
+		head++
+		stack[head], pstack[head] = t, ptr[t]
+	}
+	return out
 }
 
 // ftran solves B·x = b. b is indexed by original row and is DESTROYED
@@ -446,13 +494,13 @@ func (lu *luBasis) ftranSparse(rows []int32, vals []float64, x []float64) []int3
 	// REVERSE append order is topological (small steps before large) —
 	// no sort needed (Gilbert–Peierls).
 	stamp := lu.nextStamp()
-	lu.reach = lu.reach[:0]
+	reach := lu.reach[:0]
 	for _, r := range rows {
 		if s := lu.pinv[r]; lu.stepMk[s] != stamp {
-			lu.dfsReachPost(s, stamp)
+			reach = lu.dfs(lu.lPtr, lu.lSteps, s, stamp, reach)
 		}
 	}
-	reach := lu.reach
+	lu.reach = reach
 
 	// Forward solve L·z = P·b over the reached steps only. Every row an
 	// L column can touch belongs to a reached step, so pre-zeroing the
@@ -481,17 +529,18 @@ func (lu *luBasis) ftranSparse(rows []int32, vals []float64, x []float64) []int3
 	// nonzero pattern of the backward solve. Same postorder trick;
 	// reverse append order processes larger steps first.
 	stamp = lu.nextStamp()
-	lu.reachU = lu.reachU[:0]
+	reachU := lu.reachU[:0]
 	for _, k := range reach {
 		if b[lu.rowOf[k]] != 0 && lu.stepMk[k] != stamp {
-			lu.dfsReachUPost(k, stamp)
+			reachU = lu.dfs(lu.uPtr, lu.uRows, k, stamp, reachU)
 		}
 	}
+	lu.reachU = reachU
 
 	// Backward solve U·x̂ = z over the reached steps, scattering results
 	// straight into position space and recording the pattern.
 	w := lu.work
-	for _, k := range lu.reachU {
+	for _, k := range reachU {
 		w[k] = 0
 	}
 	for _, k := range reach {
@@ -501,8 +550,8 @@ func (lu *luBasis) ftranSparse(rows []int32, vals []float64, x []float64) []int3
 	xStamp := lu.nextStamp()
 	xNZ := lu.xNZ[:0]
 	uPtr, uRows, uVals := lu.uPtr, lu.uRows, lu.uVals
-	for i := len(lu.reachU) - 1; i >= 0; i-- {
-		k := lu.reachU[i]
+	for i := len(reachU) - 1; i >= 0; i-- {
+		k := reachU[i]
 		v := w[k]
 		if v == 0 {
 			continue
@@ -545,67 +594,6 @@ func (lu *luBasis) ftranSparse(rows []int32, vals []float64, x []float64) []int3
 	// any of them saves.
 	lu.xNZ = xNZ
 	return xNZ
-}
-
-// dfsReachPost collects every step reachable from start through L's
-// elimination graph into lu.reach in POSTORDER: a step is appended only
-// after all its successors, so the reverse of the append order is a
-// topological order and the caller skips the sort entirely. Solve-time
-// only: it assumes a complete factorization (every row pivoted).
-func (lu *luBasis) dfsReachPost(start int32, stamp int32) {
-	stack := append(lu.stack[:0], start)
-	pstack := append(lu.pstack[:0], lu.lPtr[start])
-	lu.stepMk[start] = stamp
-	for len(stack) > 0 {
-		d := len(stack) - 1
-		s := stack[d]
-		descended := false
-		for idx := pstack[d]; idx < lu.lPtr[s+1]; idx++ {
-			if t := lu.pinv[lu.lRows[idx]]; lu.stepMk[t] != stamp {
-				pstack[d] = idx + 1
-				lu.stepMk[t] = stamp
-				stack = append(stack, t)
-				pstack = append(pstack, lu.lPtr[t])
-				descended = true
-				break
-			}
-		}
-		if !descended {
-			lu.reach = append(lu.reach, s)
-			stack = stack[:d]
-			pstack = pstack[:d]
-		}
-	}
-	lu.stack, lu.pstack = stack, pstack
-}
-
-// dfsReachUPost is dfsReachPost over U's graph (an edge k→t exists when
-// U column k updates step t < k), appending to lu.reachU.
-func (lu *luBasis) dfsReachUPost(start int32, stamp int32) {
-	stack := append(lu.stack[:0], start)
-	pstack := append(lu.pstack[:0], lu.uPtr[start])
-	lu.stepMk[start] = stamp
-	for len(stack) > 0 {
-		d := len(stack) - 1
-		k := stack[d]
-		descended := false
-		for idx := pstack[d]; idx < lu.uPtr[k+1]; idx++ {
-			if t := lu.uRows[idx]; lu.stepMk[t] != stamp {
-				pstack[d] = idx + 1
-				lu.stepMk[t] = stamp
-				stack = append(stack, t)
-				pstack = append(pstack, lu.uPtr[t])
-				descended = true
-				break
-			}
-		}
-		if !descended {
-			lu.reachU = append(lu.reachU, k)
-			stack = stack[:d]
-			pstack = pstack[:d]
-		}
-	}
-	lu.stack, lu.pstack = stack, pstack
 }
 
 // applyEtasFwd applies every recorded eta inverse to x (position space).
@@ -712,18 +700,19 @@ func (lu *luBasis) btranSparse(c []float64, cNZ []int32, y []float64, yPrev []in
 	// candidate nonzero pattern of the forward solve Uᵀ·z = ĉ. Reverse
 	// postorder order processes smaller steps first.
 	stamp = lu.nextStamp()
-	lu.reachB = lu.reachB[:0]
+	reachB := lu.reachB[:0]
 	for _, p := range cNZ {
 		if c[p] != 0 {
 			if k := lu.posStep[p]; lu.stepMk[k] != stamp {
-				lu.dfsReachUT(k, stamp)
+				reachB = lu.dfs(lu.utPtr, lu.utCols, k, stamp, reachB)
 			}
 		}
 	}
+	lu.reachB = reachB
 	wb := lu.workB
 	uPtr, uRows, uVals := lu.uPtr, lu.uRows, lu.uVals
-	for i := len(lu.reachB) - 1; i >= 0; i-- {
-		k := lu.reachB[i]
+	for i := len(reachB) - 1; i >= 0; i-- {
+		k := reachB[i]
 		acc := c[lu.colOrder[k]]
 		lo, hi := uPtr[k], uPtr[k+1]
 		vals := uVals[lo:hi]
@@ -738,16 +727,17 @@ func (lu *luBasis) btranSparse(c []float64, cNZ []int32, y []float64, yPrev []in
 	// Reverse postorder processes larger steps first, and zs are wiped
 	// as the solve consumes them, restoring workB's all-zero invariant.
 	stamp = lu.nextStamp()
-	lu.reachC = lu.reachC[:0]
-	for _, k := range lu.reachB {
+	reachC := lu.reachC[:0]
+	for _, k := range reachB {
 		if lu.stepMk[k] != stamp {
-			lu.dfsReachLT(k, stamp)
+			reachC = lu.dfs(lu.ltPtr, lu.ltCols, k, stamp, reachC)
 		}
 	}
+	lu.reachC = reachC
 	yNZ = yPrev[:0]
 	lPtr, lRows, lVals := lu.lPtr, lu.lRows, lu.lVals
-	for i := len(lu.reachC) - 1; i >= 0; i-- {
-		k := lu.reachC[i]
+	for i := len(reachC) - 1; i >= 0; i-- {
+		k := reachC[i]
 		acc := wb[k]
 		wb[k] = 0
 		lo, hi := lPtr[k], lPtr[k+1]
@@ -760,66 +750,6 @@ func (lu *luBasis) btranSparse(c []float64, cNZ []int32, y []float64, yPrev []in
 		yNZ = append(yNZ, r)
 	}
 	return cNZ, yNZ
-}
-
-// dfsReachUT is dfsReachPost over the transposed-U graph (an edge t→k,
-// t < k, exists when U column k contains step t), appending to
-// lu.reachB.
-func (lu *luBasis) dfsReachUT(start int32, stamp int32) {
-	stack := append(lu.stack[:0], start)
-	pstack := append(lu.pstack[:0], lu.utPtr[start])
-	lu.stepMk[start] = stamp
-	for len(stack) > 0 {
-		d := len(stack) - 1
-		t := stack[d]
-		descended := false
-		for idx := pstack[d]; idx < lu.utPtr[t+1]; idx++ {
-			if k := lu.utCols[idx]; lu.stepMk[k] != stamp {
-				pstack[d] = idx + 1
-				lu.stepMk[k] = stamp
-				stack = append(stack, k)
-				pstack = append(pstack, lu.utPtr[k])
-				descended = true
-				break
-			}
-		}
-		if !descended {
-			lu.reachB = append(lu.reachB, t)
-			stack = stack[:d]
-			pstack = pstack[:d]
-		}
-	}
-	lu.stack, lu.pstack = stack, pstack
-}
-
-// dfsReachLT is dfsReachPost over the transposed-L graph (an edge t→k,
-// t > k, exists when L column k contains the row pivoted at t),
-// appending to lu.reachC.
-func (lu *luBasis) dfsReachLT(start int32, stamp int32) {
-	stack := append(lu.stack[:0], start)
-	pstack := append(lu.pstack[:0], lu.ltPtr[start])
-	lu.stepMk[start] = stamp
-	for len(stack) > 0 {
-		d := len(stack) - 1
-		t := stack[d]
-		descended := false
-		for idx := pstack[d]; idx < lu.ltPtr[t+1]; idx++ {
-			if k := lu.ltCols[idx]; lu.stepMk[k] != stamp {
-				pstack[d] = idx + 1
-				lu.stepMk[k] = stamp
-				stack = append(stack, k)
-				pstack = append(pstack, lu.ltPtr[k])
-				descended = true
-				break
-			}
-		}
-		if !descended {
-			lu.reachC = append(lu.reachC, t)
-			stack = stack[:d]
-			pstack = pstack[:d]
-		}
-	}
-	lu.stack, lu.pstack = stack, pstack
 }
 
 // appendEta records the product-form update for a pivot that replaces

@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -389,6 +390,136 @@ func TestLUStampWraparound(t *testing.T) {
 		prev = append(prev[:0], lu.ftranSparse(r, v, x)...)
 		if d := maxAbsDiff(x, want); d > 1e-9 {
 			t.Fatalf("trial %d (stamp near wraparound): sparse FTRAN differs by %g", trial, d)
+		}
+	}
+}
+
+// refPostorder is the recursive reference for luBasis.dfs: from each
+// start not yet seen, visit successors adj[ptr[s]:ptr[s+1]] in stored
+// order and emit a step after all of them.
+func refPostorder(ptr, adj, starts []int32, m int) []int32 {
+	seen := make([]bool, m)
+	var out []int32
+	var visit func(s int32)
+	visit = func(s int32) {
+		seen[s] = true
+		for _, t := range adj[ptr[s]:ptr[s+1]] {
+			if !seen[t] {
+				visit(t)
+			}
+		}
+		out = append(out, s)
+	}
+	for _, s := range starts {
+		if !seen[s] {
+			visit(s)
+		}
+	}
+	return out
+}
+
+// TestLUDFSPostorder pins the walk order of the sparse solves: dfs must
+// return exactly the recursive postorder, over several starts sharing
+// one stamp, on all four solve graphs of a factor carrying etas. The
+// solves accumulate in the reverse of this order, so a different walk
+// changes their floating-point results even where the solve-vs-dense
+// tolerances above cannot see it.
+func TestLUDFSPostorder(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	m := 60
+	colPtr, rowIdx, vals := randBasisCSC(rng, m, 0.06)
+	lu := new(luBasis)
+	if !lu.factor(m, colPtr, rowIdx, vals, identityBasic(m)) {
+		t.Fatal("factor reported singular")
+	}
+	w := make([]float64, m)
+	for e := 0; e < 5; e++ {
+		b := make([]float64, m)
+		b[rng.Intn(m)] = 1
+		b[rng.Intn(m)] += 1 + rng.Float64()
+		lu.ftran(b, w)
+		p := 0
+		for i, v := range w {
+			if math.Abs(v) > math.Abs(w[p]) {
+				p = i
+			}
+		}
+		if lu.appendEta(p, w, nil) != etaOK {
+			t.Fatalf("eta %d refused", e)
+		}
+	}
+	for idx, r := range lu.lRows {
+		if lu.lSteps[idx] != lu.pinv[r] {
+			t.Fatalf("lSteps[%d] = %d, want pinv[%d] = %d", idx, lu.lSteps[idx], r, lu.pinv[r])
+		}
+	}
+	graphs := []struct {
+		name     string
+		ptr, adj []int32
+	}{
+		{"L", lu.lPtr, lu.lSteps},
+		{"U", lu.uPtr, lu.uRows},
+		{"Uᵀ", lu.utPtr, lu.utCols},
+		{"Lᵀ", lu.ltPtr, lu.ltCols},
+	}
+	for _, g := range graphs {
+		branching := 0
+		for s := 0; s < m; s++ {
+			if g.ptr[s+1]-g.ptr[s] > 1 {
+				branching++
+			}
+		}
+		if branching == 0 {
+			t.Fatalf("%s graph has no step with two successors; the order check is vacuous", g.name)
+		}
+		for trial := 0; trial < 50; trial++ {
+			starts := make([]int32, 1+rng.Intn(4))
+			for i := range starts {
+				starts[i] = int32(rng.Intn(m))
+			}
+			stamp := lu.nextStamp()
+			var got []int32
+			for _, s := range starts {
+				if lu.stepMk[s] != stamp {
+					got = lu.dfs(g.ptr, g.adj, s, stamp, got)
+				}
+			}
+			if want := refPostorder(g.ptr, g.adj, starts, m); !slices.Equal(got, want) {
+				t.Fatalf("%s graph from %v: dfs = %v, want %v", g.name, starts, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkLUSparseSolves times one hypersparse FTRAN of each basis
+// column and one BTRAN of each unit vector against a fixed factor whose
+// columns average one off-diagonal entry, so most reachability walks
+// visit a few steps and their per-call cost shows.
+func BenchmarkLUSparseSolves(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	m := 1500
+	colPtr, rowIdx, vals := randBasisCSC(rng, m, 1/float64(m))
+	lu := new(luBasis)
+	if !lu.factor(m, colPtr, rowIdx, vals, identityBasic(m)) {
+		b.Fatal("factor reported singular")
+	}
+	x := make([]float64, m)
+	y := make([]float64, m)
+	c := make([]float64, m)
+	var xNZ, yNZ, cNZ []int32
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for r := 0; r < m; r++ {
+			for _, p := range xNZ {
+				x[p] = 0
+			}
+			lo, hi := colPtr[r], colPtr[r+1]
+			xNZ = lu.ftranSparse(rowIdx[lo:hi], vals[lo:hi], x)
+			c[r] = 1
+			cNZ, yNZ = lu.btranSparse(c, append(cNZ[:0], int32(r)), y, yNZ)
+			for _, p := range cNZ {
+				c[p] = 0
+			}
 		}
 	}
 }

@@ -14,7 +14,7 @@ func (s *simplex) ensureCSR() {
 	}
 	m, n := s.m, s.n
 	nnz := int(s.colPtr[n])
-	s.rowPtr = growInt32s(s.rowPtr, m+1, m+1)
+	s.rowPtr = grow(s.rowPtr, m+1, m+1)
 	rowPtr := s.rowPtr
 	clear(rowPtr)
 	for _, r := range s.rowIdx[:nnz] {
@@ -23,8 +23,8 @@ func (s *simplex) ensureCSR() {
 	for i := 0; i < m; i++ {
 		rowPtr[i+1] += rowPtr[i]
 	}
-	s.colInd = growInt32s(s.colInd, nnz, nnz)
-	s.rVals = growFloats(s.rVals, nnz)
+	s.colInd = grow(s.colInd, nnz, nnz)
+	s.rVals = grow(s.rVals, nnz, nnz)
 	// Scatter with rowPtr as running cursors; columns are visited in
 	// ascending order, so each row's entries land column-sorted.
 	for j := 0; j < n; j++ {
@@ -55,10 +55,10 @@ func (s *simplex) ensureCSR() {
 func (s *simplex) gatherPivotRow(rho []float64, rhoNZ []int32) []int32 {
 	s.ensureCSR()
 	if len(s.alphaMark) != s.n {
-		s.alpha = growFloats(s.alpha, s.n)
+		s.alpha = grow(s.alpha, s.n, s.n)
 		clear(s.alpha)
-		s.alphaNZ = growInt32s(s.alphaNZ, 0, s.n)
-		s.alphaMark = growInt32s(s.alphaMark, s.n, s.n)
+		s.alphaNZ = grow(s.alphaNZ, 0, s.n)
+		s.alphaMark = grow(s.alphaMark, s.n, s.n)
 		clear(s.alphaMark)
 		s.alphaStamp = 0
 	}

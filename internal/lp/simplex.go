@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -207,39 +208,15 @@ func (s *simplex) release() {
 	simplexPool.Put(s)
 }
 
-// growFloats returns a slice of length n, reusing buf's backing array
-// when it is large enough. The contents are unspecified — unlike make,
-// the reuse path does NOT zero — so callers must fully initialize.
-func growFloats(buf []float64, n int) []float64 {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]float64, n)
-}
-
-// growFloatsCap is growFloats with an independent capacity request for
-// append-style fills.
-func growFloatsCap(buf []float64, n, c int) []float64 {
+// grow returns a slice of length n, reusing buf's backing array when
+// its capacity is at least c (c ≥ n; a larger c reserves room for
+// append-style fills). The contents are unspecified — unlike make, the
+// reuse path does NOT zero — so callers must fully initialize.
+func grow[T any](buf []T, n, c int) []T {
 	if cap(buf) >= c {
 		return buf[:n]
 	}
-	return make([]float64, n, c)
-}
-
-// growInts is growFloats for int slices.
-func growInts(buf []int, n int) []int {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]int, n)
-}
-
-// growInt32s is growFloatsCap for int32 slices.
-func growInt32s(buf []int32, n, c int) []int32 {
-	if cap(buf) >= c {
-		return buf[:n]
-	}
-	return make([]int32, n, c)
+	return make([]T, n, c)
 }
 
 // Solve optimizes the problem. It returns a Solution whose Status is
@@ -333,7 +310,7 @@ func (p *Problem) solveColdAttempt(opts Options) *Solution {
 	s.chooseBasis()
 	s.slackBasis()
 	if s.lu == nil {
-		s.binv = growFloats(s.binv, m*m)
+		s.binv = grow(s.binv, m*m, m*m)
 		clear(s.binv)
 		for i := 0; i < m; i++ {
 			s.binv[i*m+i] = 1
@@ -430,7 +407,7 @@ func (p *Problem) solveColdAttempt(opts Options) *Solution {
 
 	// Phase 1: minimize the sum of artificials (skipped when none).
 	if !dualStart && s.nArt > 0 {
-		s.phase1 = growFloats(s.phase1, s.n)
+		s.phase1 = grow(s.phase1, s.n, s.n)
 		phase1 := s.phase1
 		clear(phase1)
 		for j := s.artStart; j < s.n; j++ {
@@ -509,7 +486,7 @@ func (p *Problem) layout(s *simplex) float64 {
 
 	// Shift structural variables to lower bound 0 and compute the
 	// adjusted rhs: b_i' = b_i − Σ_j a_ij·lo_j.
-	s.b = growFloats(s.b, m)
+	s.b = grow(s.b, m, m)
 	rhs := s.b
 	copy(rhs, p.rhs)
 	shiftObj := 0.0
@@ -524,7 +501,7 @@ func (p *Problem) layout(s *simplex) float64 {
 	}
 
 	// Row normalization signs: rows with negative adjusted rhs flip.
-	s.signBuf = growFloats(s.signBuf, m)
+	s.signBuf = grow(s.signBuf, m, m)
 	sign := s.signBuf
 	for i := range sign {
 		if rhs[i] < 0 {
@@ -545,7 +522,7 @@ func (p *Problem) layout(s *simplex) float64 {
 func (s *simplex) layoutColumns(p *Problem, mat *csc, sign []float64) {
 	nStruct := len(p.obj)
 	m := len(p.rel)
-	s.slackNB = growInts(s.slackNB, m)
+	s.slackNB = grow(s.slackNB, m, m)
 	slackBasic := s.slackNB
 	nSlack := 0
 	for i := 0; i < m; i++ {
@@ -555,11 +532,11 @@ func (s *simplex) layoutColumns(p *Problem, mat *csc, sign []float64) {
 		}
 	}
 	nnzStruct := len(mat.vals)
-	s.colPtr = append(growInt32s(s.colPtr, 0, nStruct+2*m+1), 0)
-	s.rowIdx = growInt32s(s.rowIdx, nnzStruct, nnzStruct+2*m)
-	s.vals = growFloatsCap(s.vals, nnzStruct, nnzStruct+2*m)
-	s.cost = growFloatsCap(s.cost, 0, nStruct+nSlack+m)
-	s.up = growFloatsCap(s.up, 0, nStruct+nSlack+m)
+	s.colPtr = append(grow(s.colPtr, 0, nStruct+2*m+1), 0)
+	s.rowIdx = grow(s.rowIdx, nnzStruct, nnzStruct+2*m)
+	s.vals = grow(s.vals, nnzStruct, nnzStruct+2*m)
+	s.cost = grow(s.cost, 0, nStruct+nSlack+m)
+	s.up = grow(s.up, 0, nStruct+nSlack+m)
 
 	// Structural columns: CSC values with normalized row signs.
 	copy(s.rowIdx, mat.rows)
@@ -618,13 +595,13 @@ func (s *simplex) layoutColumns(p *Problem, mat *csc, sign []float64) {
 // to the caller.
 func (s *simplex) slackBasis() {
 	m := s.m
-	s.state = growInts(s.state, s.n)
+	s.state = grow(s.state, s.n, s.n)
 	clear(s.state) // atLower == 0
-	s.basic = growInts(s.basic, m)
-	s.xB = growFloats(s.xB, m)
-	s.y = growFloats(s.y, m)
-	s.w = growFloats(s.w, m)
-	s.nz = growInt32s(s.nz, 0, m)
+	s.basic = grow(s.basic, m, m)
+	s.xB = grow(s.xB, m, m)
+	s.y = grow(s.y, m, m)
+	s.w = grow(s.w, m, m)
+	s.nz = grow(s.nz, 0, m)
 	art := s.artStart
 	for i, j := range s.slackNB[:m] {
 		if j == -1 {
@@ -839,7 +816,7 @@ func (s *simplex) computeDuals(cost, y []float64, costRows []int) []int {
 		// objective over a small variable subset); with a dense cost
 		// vector its reachability DFS visits nearly every step and the
 		// plain dense solve is cheaper.
-		cb := growFloats(s.cB, s.m)
+		cb := grow(s.cB, s.m, s.m)
 		s.cB = cb
 		cbNZ := s.cbNZ[:0]
 		for i, j := range s.basic {
@@ -1284,9 +1261,11 @@ func (s *simplex) iterate(cost []float64) Status {
 
 		// Candidate bookkeeping: enter left the pool, exit rejoined it
 		// (unless permanently fixed at zero).
-		cands = removeSorted(cands, int32(enter))
-		if up[exit] != 0 {
-			cands = insertSorted(cands, int32(exit))
+		if i, ok := slices.BinarySearch(cands, int32(enter)); ok {
+			cands = slices.Delete(cands, i, i+1)
+		}
+		if i, ok := slices.BinarySearch(cands, int32(exit)); !ok && up[exit] != 0 {
+			cands = slices.Insert(cands, i, int32(exit))
 		}
 
 		if !s.basisPivot(leave, w) {
@@ -1415,42 +1394,6 @@ func (s *simplex) pivotBinv(leave int, w []float64) {
 			row[k] -= f * rowL[k]
 		}
 	}
-}
-
-// searchInt32 returns the first index in xs (ascending) not less than v.
-func searchInt32(xs []int32, v int32) int {
-	lo, hi := 0, len(xs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if xs[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// insertSorted inserts v into ascending xs if absent.
-func insertSorted(xs []int32, v int32) []int32 {
-	i := searchInt32(xs, v)
-	if i < len(xs) && xs[i] == v {
-		return xs
-	}
-	xs = append(xs, 0)
-	copy(xs[i+1:], xs[i:])
-	xs[i] = v
-	return xs
-}
-
-// removeSorted removes v from ascending xs if present.
-func removeSorted(xs []int32, v int32) []int32 {
-	i := searchInt32(xs, v)
-	if i >= len(xs) || xs[i] != v {
-		return xs
-	}
-	copy(xs[i:], xs[i+1:])
-	return xs[:len(xs)-1]
 }
 
 func norm1(xs []float64) float64 {

@@ -95,7 +95,7 @@ func (s *simplex) factorSeed() bool {
 	if !lu.factor(m, s.colPtr, s.rowIdx, s.vals, s.basic) {
 		return false
 	}
-	s.binv = growFloats(s.binv, m*m)
+	s.binv = grow(s.binv, m*m, m*m)
 	e, x := s.y, s.w // free until the first solve
 	for r := 0; r < m; r++ {
 		clear(e)
@@ -469,7 +469,7 @@ func (s *simplex) dualIterate() int {
 		s.wNZ = s.wNZ[:0]
 		s.yNZp = s.yNZp[:0]
 		s.yDense = false
-		s.rho = growFloats(s.rho, m)
+		s.rho = grow(s.rho, m, m)
 		clear(s.rho)
 		s.rhoNZp = s.rhoNZp[:0]
 	}
@@ -544,7 +544,7 @@ func (s *simplex) dualIterate() int {
 			// between uses) carries the single seed, and rho keeps the
 			// zero-outside-pattern invariant across iterations.
 			rho = s.rho
-			cb := growFloats(s.cB, m)
+			cb := grow(s.cB, m, m)
 			s.cB = cb
 			cbNZ := append(s.cbNZ[:0], int32(leave))
 			cb[leave] = 1
@@ -744,8 +744,8 @@ func (s *simplex) rowKey(i int) float64 {
 // buildLeaveIndex keys every row and marks every block for a rescan.
 func (s *simplex) buildLeaveIndex() {
 	nb := (s.m + 63) >> 6
-	s.leaveKey = growFloats(s.leaveKey, s.m)
-	s.leaveWin = growInt32s(s.leaveWin, nb, nb)
+	s.leaveKey = grow(s.leaveKey, s.m, s.m)
+	s.leaveWin = grow(s.leaveWin, nb, nb)
 	for i := range s.leaveKey {
 		s.leaveKey[i] = s.rowKey(i)
 	}

@@ -157,34 +157,11 @@ func (in *Instance) Validate() error {
 				Msg: fmt.Sprintf("no candidate path from %d to %d", r.Src, r.Dst)}
 		}
 		for j, p := range in.paths[i] {
-			if err := validatePath(in.net, r, p); err != nil {
+			if err := in.net.CheckWalk(p.Links, r.Src, r.Dst); err != nil {
 				return &demand.ValidationError{RequestID: r.ID, Field: demand.FieldPaths,
 					Msg: fmt.Sprintf("candidate path %d: %v", j, err)}
 			}
 		}
-	}
-	return nil
-}
-
-// validatePath checks that p is a contiguous r.Src→r.Dst walk over
-// existing links.
-func validatePath(net *wan.Network, r demand.Request, p wan.Path) error {
-	if len(p.Links) == 0 {
-		return fmt.Errorf("empty link list")
-	}
-	at := r.Src
-	for _, e := range p.Links {
-		if e < 0 || e >= net.NumLinks() {
-			return fmt.Errorf("link id %d out of range", e)
-		}
-		l := net.Link(e)
-		if l.From != at {
-			return fmt.Errorf("link %d starts at %d, walk is at %d", e, l.From, at)
-		}
-		at = l.To
-	}
-	if at != r.Dst {
-		return fmt.Errorf("walk ends at %d, want dst %d", at, r.Dst)
 	}
 	return nil
 }

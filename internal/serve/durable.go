@@ -7,7 +7,6 @@ import (
 
 	"metis/internal/demand"
 	"metis/internal/wal"
-	"metis/internal/wan"
 )
 
 // walOutcome is one request's decision inside a tick record, in batch
@@ -414,29 +413,9 @@ func (s *Server) fits(tr *walTick, got map[int64]pending, n int) error {
 		if o.Kind != walKindAccept {
 			continue
 		}
-		if err := pathErr(s.cfg.Net, o.Links, r.Src, r.Dst); err != nil {
+		if err := s.cfg.Net.CheckWalk(o.Links, r.Src, r.Dst); err != nil {
 			return fmt.Errorf("accepts id %d on links %v: %w", o.ID, o.Links, err)
 		}
-	}
-	return nil
-}
-
-// pathErr reports why links is not a chain of net's links from DC src
-// to DC dst, or nil when it is.
-func pathErr(net *wan.Network, links []int, src, dst int) error {
-	at := src
-	for _, e := range links {
-		if e < 0 || e >= net.NumLinks() {
-			return fmt.Errorf("link %d is not on %s (%d links)", e, net.Name(), net.NumLinks())
-		}
-		l := net.Link(e)
-		if l.From != at {
-			return fmt.Errorf("link %d leaves DC %d, the path is at DC %d", e, l.From, at)
-		}
-		at = l.To
-	}
-	if at != dst {
-		return fmt.Errorf("the path ends at DC %d, the request goes to DC %d", at, dst)
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"metis/internal/demand"
 	"metis/internal/fault"
 	"metis/internal/obs"
 	"metis/internal/wan"
@@ -291,6 +292,55 @@ func TestLifecycleTrace(t *testing.T) {
 	}
 	if !sawArrival || !sawSolve || !sawEpoch {
 		t.Fatalf("lifecycle trace incomplete: arrival=%v solve=%v epoch=%v", sawArrival, sawSolve, sawEpoch)
+	}
+}
+
+// TestEpochSpanMatchesRecord: the serve.epoch span's counts are the
+// scorecard record's, so an expired request is counted as expired and
+// not also as rejected.
+func TestEpochSpanMatchesRecord(t *testing.T) {
+	var buf bytes.Buffer
+	tr := obs.NewJSONLTracer(&buf)
+	s := newTestServer(t, func(c *Config) { c.Tracer = tr })
+	s.Tick(context.Background())
+	s.Tick(context.Background()) // the next tick decides slot 2
+	expired := goodRequest(1e6)
+	expired.End = 1
+	poor := goodRequest(1e-6)
+	poor.Rate = 0.9
+	for _, r := range []demand.Request{goodRequest(1e6), poor, expired} {
+		if _, err := s.Submit(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Tick(context.Background())
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := obs.ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var span *obs.WireRecord
+	for i := range recs {
+		if recs[i].Name == "serve.epoch" {
+			span = &recs[i]
+		}
+	}
+	rows := s.EpochRecords()
+	if span == nil || len(rows) != 3 {
+		t.Fatalf("got %d epoch records and span %v, want 3 and the last tick's span", len(rows), span)
+	}
+	rec := rows[2]
+	if rec.Batch != 3 || rec.Accepted != 1 || rec.Rejected != 1 || rec.Expired != 1 {
+		t.Fatalf("record %+v, want batch 3 with 1 accepted, 1 rejected, 1 expired", rec)
+	}
+	for field, want := range map[string]int{
+		"batch": rec.Batch, "accepted": rec.Accepted, "rejected": rec.Rejected, "expired": rec.Expired,
+	} {
+		if got := span.FieldFloat(field); got != float64(want) {
+			t.Errorf("span %s = %v, record says %d", field, got, want)
+		}
 	}
 }
 

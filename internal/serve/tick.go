@@ -350,17 +350,17 @@ func (s *Server) record(t *tick) {
 
 	if s.cfg.Tracer != nil {
 		obs.Span(s.cfg.Tracer, "serve.epoch", t.start, obs.Fields{
-			"epoch":       t.epoch,
+			"epoch":       rec.Epoch,
 			"cycle":       rec.Cycle,
-			"slot":        t.slot,
-			"batch":       len(t.batch),
-			"accepted":    nAccepted,
-			"rejected":    len(t.batch) - nAccepted,
-			"expired":     nExpired,
+			"slot":        rec.Slot,
+			"batch":       rec.Batch,
+			"accepted":    rec.Accepted,
+			"rejected":    rec.Rejected,
+			"expired":     rec.Expired,
 			"shed":        rec.Shed,
-			"degraded":    t.rec.Degraded,
+			"degraded":    rec.Degraded,
 			"status":      rec.SolveStatus,
-			"policy":      s.cfg.Policy.Name(),
+			"policy":      rec.Policy,
 			"budget_ms":   rec.BudgetMillis,
 			"elapsed_ms":  rec.ElapsedMillis,
 			"queue_depth": rec.QueueDepth,

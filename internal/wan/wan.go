@@ -179,6 +179,26 @@ func (n *Network) Paths(src, dst, k int) ([]Path, error) {
 	return out, nil
 }
 
+// CheckWalk reports why links is not a chain of the network's links
+// from DC src to DC dst, or nil when it is.
+func (n *Network) CheckWalk(links []int, src, dst int) error {
+	at := src
+	for _, e := range links {
+		if e < 0 || e >= len(n.links) {
+			return fmt.Errorf("link %d is not on %s (%d links)", e, n.name, len(n.links))
+		}
+		l := n.links[e]
+		if l.From != at {
+			return fmt.Errorf("link %d leaves DC %d, the path is at DC %d", e, l.From, at)
+		}
+		at = l.To
+	}
+	if at != dst {
+		return fmt.Errorf("the path ends at DC %d, the request goes to DC %d", at, dst)
+	}
+	return nil
+}
+
 // CheapestPathPrice returns the price of the cheapest src→dst path, i.e.
 // the cost of carrying one bandwidth unit for a full billing cycle along
 // the cheapest route.

@@ -2,6 +2,7 @@ package wan
 
 import (
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -283,5 +284,39 @@ func TestPathsErrorsNotCached(t *testing.T) {
 	defer n.pathMu.Unlock()
 	if len(n.paths) != 0 {
 		t.Fatalf("%d path-table entries after only refused queries", len(n.paths))
+	}
+}
+
+func TestCheckWalk(t *testing.T) {
+	n := SubB4()
+	p, err := n.Paths(0, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walk := p[0].Links
+	if len(walk) < 2 {
+		t.Fatalf("cheapest 0→3 path %v has one link; want a multi-hop walk", walk)
+	}
+	cases := []struct {
+		name     string
+		links    []int
+		src, dst int
+		want     string // "" means valid
+	}{
+		{"valid", walk, 0, 3, ""},
+		{"out-of-range link", append([]int{n.NumLinks()}, walk[1:]...), 0, 3, "link 14 is not on SUB-B4 (14 links)"},
+		{"negative link", []int{-1}, 0, 3, "link -1 is not on SUB-B4"},
+		{"discontinuous walk", walk[1:], 0, 3, "leaves DC"},
+		{"wrong end", walk[:len(walk)-1], 0, 3, "the path ends at DC"},
+		{"empty walk", nil, 0, 3, "the path ends at DC 0, the request goes to DC 3"},
+	}
+	for _, c := range cases {
+		err := n.CheckWalk(c.links, c.src, c.dst)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: CheckWalk(%v) = %v, want nil", c.name, c.links, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: CheckWalk(%v) = %v, want an error containing %q", c.name, c.links, err, c.want)
+		}
 	}
 }
