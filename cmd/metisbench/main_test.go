@@ -3,10 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"metis/internal/exp"
+	"metis/internal/obs"
 )
 
 func TestRunQuickFigure(t *testing.T) {
@@ -101,4 +105,57 @@ func TestRunJSON(t *testing.T) {
 	if rec.Name != "ablation-rounding" || rec.NsPerOp <= 0 || rec.AllocsPerOp == 0 {
 		t.Fatalf("benchmark record %+v: want positive ns and allocs", rec)
 	}
+}
+
+// TestRunDeadlineDegrades: a fig5 run whose first Metis round stalls
+// past the per-point deadline still succeeds, prints every fig5 row, and
+// counts the cut-short solve as degraded.
+func TestRunDeadlineDegrades(t *testing.T) {
+	before := obs.Snapshot()["solve.degraded"]
+	out := stdoutOf(t, func() error {
+		return run([]string{"-fig", "fig5", "-quick", "-csv",
+			"-deadline", "250ms", "-fault", "core.round:sleep:1:500ms"})
+	})
+	if got := obs.Snapshot()["solve.degraded"] - before; got < 1 {
+		t.Fatalf("solve.degraded moved by %v, want ≥ 1", got)
+	}
+	tables := strings.Split(strings.TrimSpace(out), "\n\n")
+	if len(tables) != 3 {
+		t.Fatalf("got %d tables, want fig5a, fig5b and fig5c:\n%s", len(tables), out)
+	}
+	for _, tab := range tables {
+		rows := strings.Split(tab, "\n")
+		if rows[0] != "K,Metis,EcoFlow" || len(rows) != 1+len(exp.QuickConfig().Fig5Ks) {
+			t.Fatalf("table %q: want header K,Metis,EcoFlow and one row per K %v", tab, exp.QuickConfig().Fig5Ks)
+		}
+		for i, k := range exp.QuickConfig().Fig5Ks {
+			if cells := strings.Split(rows[1+i], ","); cells[0] != fmt.Sprint(k) || len(cells) != 3 || cells[1] == "" {
+				t.Fatalf("row %q: want K=%d with a Metis and an EcoFlow value", rows[1+i], k)
+			}
+		}
+	}
+}
+
+// stdoutOf runs f with os.Stdout sent to a file and returns what f
+// printed.
+func stdoutOf(t *testing.T, f func() error) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "stdout")
+	tmp, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = tmp
+	err = f()
+	os.Stdout = stdout
+	tmp.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }

@@ -149,12 +149,6 @@ func run(args []string) (err error) {
 			plan[e] = *planUnits
 		}
 	}
-	// metis-incremental's fallback full solve runs the default θ and
-	// MAA roundings from seed 1.
-	policy, err := metis.NewServePolicy(*policyName, plan, *replanEvery, metis.Config{Seed: 1})
-	if err != nil {
-		return err
-	}
 
 	var tracer obs.Tracer
 	if *traceOut != "" {
@@ -169,6 +163,13 @@ func run(args []string) (err error) {
 			}
 		}()
 		tracer = jt
+	}
+
+	// metis-incremental's fallback full solve runs the default θ and
+	// MAA roundings from seed 1; its replans are traced with the daemon.
+	policy, err := metis.NewServePolicy(*policyName, plan, *replanEvery, metis.Config{Seed: 1, Tracer: tracer})
+	if err != nil {
+		return err
 	}
 
 	// A leader's WAL opens before the server so every ack is durable

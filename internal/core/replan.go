@@ -195,6 +195,11 @@ func (rp *Replanner) refine(ctx context.Context) (*Result, error) {
 	if lpOpts.Ctx == nil {
 		lpOpts.Ctx = ctx
 	}
+	// The run tracer reaches the relaxation and TAA as in SolveCtx; an
+	// explicitly set LP.Tracer wins.
+	if lpOpts.Tracer == nil {
+		lpOpts.Tracer = cfg.Tracer
+	}
 	inst := rp.inst
 
 	// Carry the incumbent onto the (possibly extended) instance; path

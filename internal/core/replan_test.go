@@ -210,3 +210,25 @@ func TestReplannerCycleWrapReset(t *testing.T) {
 		t.Fatalf("post-wrap profit diverged: %v vs %v", ri.Profit, rc.Profit)
 	}
 }
+
+// TestReplanTracedByConfigTracer: a replanner traced through
+// Config.Tracer alone (LP.Tracer nil) emits its relaxation's lp.solve
+// and its admission's taa.solve spans, as SolveCtx does.
+func TestReplanTracedByConfigTracer(t *testing.T) {
+	net := wan.SubB4()
+	rec := &spanRecorder{}
+	rp := NewReplanner(net, 12, 3, Config{Theta: 2, Seed: 5, Tracer: rec}, ReplanIncremental)
+	if err := rp.Observe(requestPool(t, net, 30, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rp.Replan(nil); err != nil {
+		t.Fatal(err)
+	}
+	spans := map[string]int{}
+	for _, r := range rec.recs {
+		spans[r.Name]++
+	}
+	if spans["lp.solve"] == 0 || spans["taa.solve"] == 0 {
+		t.Fatalf("replan spans %v, want lp.solve and taa.solve", spans)
+	}
+}

@@ -44,9 +44,6 @@ func NewMatrix(n int) *Matrix {
 // Pair returns the statistics of the (src, dst) pair.
 func (m *Matrix) Pair(src, dst int) PairStats { return m.pairs[[2]int{src, dst}] }
 
-// NumDCs returns the number of DCs the matrix covers.
-func (m *Matrix) NumDCs() int { return m.n }
-
 // TotalCount returns the total forecast request count.
 func (m *Matrix) TotalCount() float64 {
 	var c float64

@@ -11,7 +11,6 @@ import (
 // scanLeave is the reference leaving-row rule: one pass over every row,
 // the largest violation wins, ties to the lowest row.
 func scanLeave(s *simplex) (int, float64) {
-	tol := s.opts.Tol
 	leave, viol, worst := -1, 0.0, 0.0
 	for i := 0; i < s.m; i++ {
 		xv := s.xB[i]

@@ -13,7 +13,7 @@ var (
 	cPivots      = obs.NewCounter("lp.pivots", "basis-changing pivots, primal and dual")
 	cBoundFlips  = obs.NewCounter("lp.bound_flips", "bound-flip iterations (entering variable crossed its range; no basis change)")
 	cDegenerate  = obs.NewCounter("lp.degenerate_pivots", "primal pivots with a (near-)zero step; sustained runs trigger Bland's anti-cycling rule")
-	cIterLimit   = obs.NewCounter("lp.iterlimit", "solves that stopped at Options.MaxIters")
+	cIterLimit   = obs.NewCounter("lp.iterlimit", "solves that stopped at the iteration cap")
 	cCanceled    = obs.NewCounter("lp.canceled", "solves stopped by Options.Ctx cancellation or deadline")
 
 	cLUFactors      = obs.NewCounter("lp.lu.factors", "sparse LU (re)factorizations of the basis matrix")

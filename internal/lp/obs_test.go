@@ -17,7 +17,7 @@ func delta(snap map[string]float64, names ...string) map[string]float64 {
 	return d
 }
 
-// TestMaxItersLimitCounted: a solve stopped by Options.MaxIters reports
+// TestMaxItersLimitCounted: a solve stopped by the iteration cap reports
 // StatusIterLimit and bumps lp.iterlimit exactly once.
 func TestMaxItersLimitCounted(t *testing.T) {
 	p := NewProblem(Maximize)
@@ -31,7 +31,7 @@ func TestMaxItersLimitCounted(t *testing.T) {
 	mustTerm(t, p, c2, y, 1)
 
 	snap := obs.Snapshot()
-	sol, err := p.Solve(Options{MaxIters: 1})
+	sol, err := p.Solve(Options{maxIters: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestWarmHitCounted(t *testing.T) {
 	}
 }
 
-// TestWarmStallCountsColdFallback: with MaxIters=1 the dual repair
+// TestWarmStallCountsColdFallback: with maxIters=1 the dual repair
 // cannot certify feasibility restoration, so the warm attempt stalls,
 // invalidates the handle, and hands over to the cold path — visible as
 // one attempt, one stall, one cold fallback, zero hits.
@@ -142,7 +142,7 @@ func TestWarmStallCountsColdFallback(t *testing.T) {
 	}
 
 	snap := obs.Snapshot()
-	sol, err := p.Solve(Options{Warm: basis, MaxIters: 1})
+	sol, err := p.Solve(Options{Warm: basis, maxIters: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

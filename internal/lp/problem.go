@@ -309,7 +309,7 @@ type Solution struct {
 	// Computed only for warm-capable optimal solves (Options.Warm != nil);
 	// always false otherwise. Consumers that need the exact vertex a cold
 	// solve would pick make the optimum unique in their model (an
-	// objective tie-break above Tol, as spm.BLSession does) and re-solve
+	// objective tie-break above the simplex tolerance, as spm.BLSession does) and re-solve
 	// cold when this is still set.
 	Degenerate bool
 	// Factorized reports whether the solve ran against the sparse

@@ -52,13 +52,13 @@ const pricingSection = 1024
 // surface StatusNumeric.
 const statusNumeric Status = -1
 
-// Options tunes the simplex solver.
+// tol is the simplex feasibility/optimality tolerance. It is typed so
+// that constant expressions over it round as a float64 variable would.
+const tol float64 = 1e-7
+
+// Options tunes the simplex solver. Total simplex iterations across both
+// phases are capped at 200 + 40·(rows+cols).
 type Options struct {
-	// Tol is the feasibility/optimality tolerance (default 1e-7).
-	Tol float64
-	// MaxIters bounds total simplex iterations across both phases
-	// (default 200 + 40·(rows+cols)).
-	MaxIters int
 	// Warm is an optional warm-start handle. When non-nil, Solve first
 	// tries to repair the handle's retained basis with bounded-variable
 	// dual simplex (or a primal cleanup) instead of running two-phase
@@ -82,14 +82,14 @@ type Options struct {
 
 	// basis overrides the row-count choice of basis representation.
 	basis basisKind
+	// maxIters, when positive, replaces the iteration cap; in-package
+	// tests use it to stop a solve early.
+	maxIters int
 }
 
 func (o Options) withDefaults(m, n int) Options {
-	if o.Tol <= 0 {
-		o.Tol = 1e-7
-	}
-	if o.MaxIters <= 0 {
-		o.MaxIters = 200 + 40*(m+n)
+	if o.maxIters <= 0 {
+		o.maxIters = 200 + 40*(m+n)
 	}
 	return o
 }
@@ -390,7 +390,7 @@ func (p *Problem) solveColdAttempt(opts Options) *Solution {
 			} else {
 				// Restore the pristine slack/artificial start for the
 				// classic two-phase fallback. The repair's iterations stay
-				// on s.iters, counting against the same MaxIters budget.
+				// on s.iters, counting against the same iteration cap.
 				cDualColdBails.Inc()
 				for j := s.artStart; j < s.n; j++ {
 					s.up[j] = math.Inf(1)
@@ -427,7 +427,7 @@ func (p *Problem) solveColdAttempt(opts Options) *Solution {
 			s.release()
 			return &Solution{Status: st, Iters: iters}
 		}
-		if s.objective(phase1) > s.opts.Tol*(1+norm1(s.b)) {
+		if s.objective(phase1) > tol*(1+norm1(s.b)) {
 			iters := s.iters
 			cPhase1Iters.Add(int64(iters))
 			opts.Warm.invalidate()
@@ -762,7 +762,7 @@ func (s *simplex) refreshXB() {
 	if s.lu != nil {
 		s.lu.ftran(rhs, s.xB)
 		for i, v := range s.xB {
-			if v < 0 && v > -s.opts.Tol {
+			if v < 0 && v > -tol {
 				s.xB[i] = 0
 			}
 		}
@@ -774,7 +774,7 @@ func (s *simplex) refreshXB() {
 		for r, bv := range row {
 			v += bv * rhs[r]
 		}
-		if v < 0 && v > -s.opts.Tol {
+		if v < 0 && v > -tol {
 			v = 0
 		}
 		s.xB[i] = v
@@ -960,7 +960,6 @@ func (s *simplex) iterate(cost []float64) Status {
 	if !s.ensureLU() {
 		return statusNumeric
 	}
-	tol := s.opts.Tol
 	degenerate := 0
 
 	// The pricing ladder has two rungs: sectional Dantzig drives the
@@ -1037,7 +1036,7 @@ func (s *simplex) iterate(cost []float64) Status {
 	yValid := false
 	ctx := s.opts.Ctx
 
-	for ; s.iters < s.opts.MaxIters; s.iters++ {
+	for ; s.iters < s.opts.maxIters; s.iters++ {
 		// Cancellation poll, batched so the hot loop pays one mask-and-
 		// branch per iteration and a ctx.Err() call every 32nd. The poll
 		// sits at the iteration boundary, before any pivot work, so a

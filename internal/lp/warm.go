@@ -373,7 +373,6 @@ func (s *simplex) degenerateOptimum() bool {
 	}
 	y := s.y
 	s.computeDuals(s.cost, y, make([]int, 0, m))
-	tol := s.opts.Tol
 	for j := 0; j < s.n; j++ {
 		if s.state[j] == isBasic || s.up[j] == 0 {
 			continue
@@ -388,7 +387,6 @@ func (s *simplex) degenerateOptimum() bool {
 // primalFeasible reports whether every basic value lies within its
 // variable's bounds (up to tolerance).
 func (s *simplex) primalFeasible() bool {
-	tol := s.opts.Tol
 	for i, xv := range s.xB {
 		if xv < -tol {
 			return false
@@ -411,7 +409,6 @@ func (s *simplex) dualFeasible() bool {
 	}
 	y := s.y
 	s.computeDuals(s.cost, y, make([]int, 0, m))
-	tol := s.opts.Tol
 	for j := 0; j < s.n; j++ {
 		st := s.state[j]
 		if st == isBasic || s.up[j] == 0 {
@@ -495,10 +492,10 @@ func (s *simplex) dualIterate() int {
 	// problem size. A repair grinding past a few multiples of m is
 	// degenerate-crawling, and the cold two-phase solve is faster than
 	// finishing the crawl — so hand over instead of burning the caller's
-	// whole MaxIters budget here. (Observed before this cap: K=10⁴ BL
+	// whole iteration cap here. (Observed before this cap: K=10⁴ BL
 	// repairs consuming the full ~10⁶-iteration budget, minutes per
 	// round, before stalling into the same cold fallback.)
-	limit := s.opts.MaxIters
+	limit := s.opts.maxIters
 	if rc := 200 + 4*m; rc < limit {
 		limit = rc
 	}
@@ -723,7 +720,7 @@ func (s *simplex) dualIterate() int {
 // and 0 when within bounds. (An upper bound of +Inf needs no explicit
 // check: xv > ub+tol is then false.)
 func (s *simplex) rowViol(i int) float64 {
-	xv, tol := s.xB[i], s.opts.Tol
+	xv := s.xB[i]
 	if xv < -tol {
 		return xv
 	}
@@ -827,7 +824,7 @@ func (s *simplex) residualOK() bool {
 			sub(j, v)
 		}
 	}
-	lim := 1e2 * s.opts.Tol * (1 + maxB)
+	lim := 1e2 * tol * (1 + maxB)
 	for _, rv := range r {
 		if math.Abs(rv) > lim {
 			return false

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"metis/internal/demand"
-	"metis/internal/lp"
 	"metis/internal/sched"
 	"metis/internal/stats"
 	"metis/internal/wan"
@@ -128,16 +127,6 @@ func TestRoundingRatioReasonable(t *testing.T) {
 	// allow more headroom but still require the same order.
 	if ratio > 2.0 {
 		t.Fatalf("rounding ratio %v unexpectedly large", ratio)
-	}
-}
-
-func TestLPOptionsPropagate(t *testing.T) {
-	inst := instance(t, wan.SubB4(), 10, 8)
-	// An absurdly small iteration limit must surface as an error, which
-	// proves the LP options reach the relaxation solve.
-	_, err := Solve(inst, Options{RNG: stats.NewRNG(1), LP: lp.Options{MaxIters: 1}})
-	if err == nil {
-		t.Fatal("want error under MaxIters=1")
 	}
 }
 

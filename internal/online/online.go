@@ -74,9 +74,6 @@ func NewStateAt(ctx context.Context, inst *sched.Instance, purchased []int, load
 	return &State{inst: inst, capacity: held, schedule: sched.NewSchedule(inst), ctx: ctx}, nil
 }
 
-// Instance returns the underlying instance.
-func (st *State) Instance() *sched.Instance { return st.inst }
-
 // Schedule returns the live schedule the state is building. Callers
 // must treat it as read-only; commitments go through Commit.
 func (st *State) Schedule() *sched.Schedule { return st.schedule }

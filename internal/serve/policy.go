@@ -155,6 +155,17 @@ type MetisPolicy struct {
 	plan       []int // current capacity plan
 	lastReplan int   // epoch of the last replan attempt
 	havePlan   bool
+
+	// This policy's replans and degraded replans, beside the
+	// process-wide counters: a tick's scorecard row bills only its own
+	// server's policy.
+	replans, replansDegraded int64
+}
+
+// replanCounts reports how many replans this policy has attempted and
+// how many of them degraded.
+func (p *MetisPolicy) replanCounts() (replans, degraded int64) {
+	return p.replans, p.replansDegraded
 }
 
 // Name implements Policy.
@@ -183,6 +194,7 @@ func (p *MetisPolicy) Decide(ctx context.Context, led *Ledger, inst *sched.Insta
 	due := !p.havePlan || epoch-p.lastReplan >= p.ReplanEvery
 	if due && p.rp.NumObserved() > p.rp.NumPlanned() {
 		p.lastReplan = epoch
+		p.replans++
 		cReplans.Inc()
 		// Reserve the tail of the tick budget for the admission pass:
 		// the replan is an optimization, admission is the service. A
@@ -205,11 +217,13 @@ func (p *MetisPolicy) Decide(ctx context.Context, led *Ledger, inst *sched.Insta
 			p.plan = append(p.plan[:0], res.Charged...)
 			p.havePlan = true
 			if res.Degraded {
+				p.replansDegraded++
 				cReplansDegraded.Inc()
 			}
 		case solvectx.Is(err):
 			// The budget expired before any incumbent existed; keep the
 			// previous plan (or none) and let TAA admit into it.
+			p.replansDegraded++
 			cReplansDegraded.Inc()
 		default:
 			return nil, fmt.Errorf("serve: metis replan: %w", err)

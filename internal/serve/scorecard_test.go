@@ -12,6 +12,8 @@ import (
 	"metis/internal/demand"
 	"metis/internal/fault"
 	"metis/internal/obs"
+	"metis/internal/online"
+	"metis/internal/sched"
 	"metis/internal/wan"
 )
 
@@ -149,6 +151,47 @@ func TestScorecardReplanColumns(t *testing.T) {
 				r.Replans, r.ReplansDegraded, r.Degraded, r.SolveStatus, SolveReplanDegraded)
 		}
 	})
+}
+
+// tickingPolicy ticks another server before it decides its own batch
+// greedily: the other server's replans run inside this server's tick,
+// as they do when two servers share a process.
+type tickingPolicy struct{ other *Server }
+
+func (tickingPolicy) Name() string { return "ticking" }
+func (tickingPolicy) Reset()       {}
+func (p tickingPolicy) Decide(ctx context.Context, led *Ledger, inst *sched.Instance, epoch, slot int) (*online.State, error) {
+	p.other.Tick(context.Background())
+	return GreedyPolicy{}.Decide(ctx, led, inst, epoch, slot)
+}
+
+// TestEpochRecordCountsOwnReplans: a scorecard row bills only its own
+// server's replans, not another server's that ran during the tick.
+func TestEpochRecordCountsOwnReplans(t *testing.T) {
+	metis := newTestServer(t, func(c *Config) {
+		c.Epoch = time.Hour
+		c.Policy = incrementalPolicy(t, 1)
+	})
+	for _, r := range genPool(t, wan.SubB4(), 3, 31) {
+		if _, err := metis.Submit(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := newTestServer(t, func(c *Config) {
+		c.Epoch = time.Hour
+		c.Policy = tickingPolicy{other: metis}
+	})
+	if _, err := s.Submit(goodRequest(1e6)); err != nil {
+		t.Fatal(err)
+	}
+	s.Tick(context.Background())
+	if r := metis.EpochRecords()[0]; r.Replans != 1 {
+		t.Fatalf("metis-incremental row: replans %d, want 1", r.Replans)
+	}
+	if r := s.EpochRecords()[0]; r.Replans != 0 || r.ReplansDegraded != 0 || r.SolveStatus != SolveOK {
+		t.Fatalf("outer row: replans %d degraded %d status %q, want 0, 0, %q",
+			r.Replans, r.ReplansDegraded, r.SolveStatus, SolveOK)
+	}
 }
 
 func TestHealthTransitions(t *testing.T) {

@@ -563,3 +563,90 @@ func TestDecisionIDBounds(t *testing.T) {
 		}
 	}
 }
+
+// submitPassed submits n requests whose window has already passed,
+// ticking after every chunk of at most chunk requests, and fails on any
+// that is not queued. The tick rejects a passed window without calling the
+// policy, so ids advance at intake speed.
+func submitPassed(t *testing.T, s *Server, n, chunk int) {
+	t.Helper()
+	past := goodRequest(1)
+	past.Start, past.End = 0, 0
+	batch := make([]demand.Request, chunk)
+	for i := range batch {
+		batch[i] = past
+	}
+	for n > 0 {
+		k := min(n, chunk)
+		for _, r := range s.SubmitAll(batch[:k]) {
+			if r.Status != StatusQueued {
+				t.Fatalf("submit: %+v, want queued", r)
+			}
+		}
+		s.Tick(context.Background())
+		n -= k
+	}
+}
+
+// TestDecisionRetentionDropsOldest: past DecisionRetention ids the
+// oldest decision records go, and exactly the newest DecisionRetention
+// stay.
+func TestDecisionRetentionDropsOldest(t *testing.T) {
+	s := newTestServer(t, func(c *Config) { c.Slots, c.QueueLimit = 64, 1<<15 })
+	s.Tick(context.Background()) // slot 1: a window ending in slot 0 has passed
+	const n = DecisionRetention + 10
+	submitPassed(t, s, n, 1<<15)
+	newest := int64(n) // ids run 1..n
+	oldest := newest - DecisionRetention + 1
+	for _, id := range []int64{oldest, newest} {
+		if d := s.Decision(id); d == nil || d.Status != StatusRejected {
+			t.Fatalf("decision %d: %+v, want a retained rejection", id, d)
+		}
+	}
+	for _, id := range []int64{1, oldest - 1} {
+		if d := s.Decision(id); d != nil {
+			t.Fatalf("decision %d: %+v, want pruned", id, d)
+		}
+	}
+}
+
+// TestQueuedRequestNeverPruned: with a queue limit past
+// DecisionRetention, a tick that decides one request leaves every
+// queued request's record in place, however many ids are newer.
+func TestQueuedRequestNeverPruned(t *testing.T) {
+	const limit = DecisionRetention + 8
+	s := newTestServer(t, func(c *Config) { c.Slots, c.QueueLimit, c.MaxBatch = 64, limit, 1 })
+	s.Tick(context.Background())
+	submitPassed(t, s, limit, limit) // its one tick decides id 1 only
+	for id := int64(2); id <= limit; id++ {
+		if d := s.Decision(id); d == nil || d.Status != StatusQueued {
+			t.Fatalf("queued decision %d: %+v, want still queued", id, d)
+		}
+	}
+	if d := s.Decision(1); d == nil || d.Status != StatusRejected {
+		t.Fatalf("decision 1: %+v, want rejected", d)
+	}
+}
+
+// TestGreedyExpiredBudgetNotDegraded: greedy never solves an LP, so a
+// tick whose budget has already expired still decides with it and
+// records no degraded epoch.
+func TestGreedyExpiredBudgetNotDegraded(t *testing.T) {
+	s := newTestServer(t, nil)
+	d, err := s.Submit(goodRequest(1e6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	s.Tick(ctx)
+	if got := s.Decision(d.ID); got.Status != StatusAccepted || got.Degraded {
+		t.Fatalf("decision %+v, want accepted, not degraded", got)
+	}
+	if st := s.Stats(); st.DegradedEpochs != 0 {
+		t.Fatalf("degraded epochs = %d, want 0", st.DegradedEpochs)
+	}
+	if r := s.EpochRecords()[0]; r.Degraded || r.SolveStatus != SolveOK {
+		t.Fatalf("epoch record: degraded %v status %q, want false, %q", r.Degraded, r.SolveStatus, SolveOK)
+	}
+}

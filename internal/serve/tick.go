@@ -22,7 +22,7 @@ type tick struct {
 	epoch, slot              int
 	batch                    []pending
 	revBefore, costBefore    float64
-	replans, replansDegraded int64   // the replan counters, for the scorecard row
+	replans, replansDegraded int64   // the policy's replan counts, for the scorecard row
 	waitSum, waitMax         float64 // queue wait, seconds
 
 	// Set by decide.
@@ -68,7 +68,7 @@ func (s *Server) claim(ctx context.Context) *tick {
 		ctx = context.Background()
 	}
 	t.ctx, t.cancel = context.WithTimeout(ctx, t.budget)
-	t.replans, t.replansDegraded = cReplans.Value(), cReplansDegraded.Value()
+	t.replans, t.replansDegraded = s.replanCounts()
 
 	s.mu.Lock()
 	t.epoch = s.epoch
@@ -372,6 +372,7 @@ func (s *Server) record(t *tick) {
 // epochRecord builds the tick's scorecard row from the committed state,
 // less its status. Callers hold s.mu.
 func (s *Server) epochRecord(t *tick, nAccepted, nExpired int, elapsed time.Duration) EpochRecord {
+	replans, replansDegraded := s.replanCounts()
 	rec := EpochRecord{
 		Epoch:         t.epoch,
 		Cycle:         t.epoch / s.cfg.Slots,
@@ -392,8 +393,8 @@ func (s *Server) epochRecord(t *tick, nAccepted, nExpired int, elapsed time.Dura
 		RevenueDelta:  s.revenue - t.revBefore,
 		CostDelta:     s.led.Cost() - t.costBefore,
 
-		Replans:         cReplans.Value() - t.replans,
-		ReplansDegraded: cReplansDegraded.Value() - t.replansDegraded,
+		Replans:         replans - t.replans,
+		ReplansDegraded: replansDegraded - t.replansDegraded,
 	}
 	rec.ProfitDelta = rec.RevenueDelta - rec.CostDelta
 	if len(t.batch) > 0 {
@@ -401,6 +402,15 @@ func (s *Server) epochRecord(t *tick, nAccepted, nExpired int, elapsed time.Dura
 		rec.QueueWaitMaxMillis = t.waitMax * 1e3
 	}
 	return rec
+}
+
+// replanCounts reads the policy's own replan counts; a policy that
+// never replans has none.
+func (s *Server) replanCounts() (replans, degraded int64) {
+	if rc, ok := s.cfg.Policy.(interface{ replanCounts() (int64, int64) }); ok {
+		return rc.replanCounts()
+	}
+	return 0, 0
 }
 
 // wrapCycle opens a new billing cycle when epoch is the first slot of

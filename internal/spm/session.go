@@ -39,7 +39,7 @@ import (
 // function of the model, which makes the optimum unique by construction
 // and costs the bound at most tieBreak relative (see RelaxedBL.Revenue
 // in SolveSubset). Inputs the tie-break cannot separate — zero-value
-// requests, reduced costs that still land within lp.Options.Tol — keep
+// requests, reduced costs that still land within lp's tolerance — keep
 // the fallback rung: a warm solve that reports a degenerate optimum is
 // re-solved cold on the same model, restoring exact agreement with the
 // rebuild path, and counted (spm.session.cold_resolves of
@@ -146,11 +146,11 @@ func (s *BLSession) append(inst *sched.Instance, from int) error {
 // tieBreak is the relative size of the objective tie-break. It is
 // bounded from both sides:
 //
-//   - Below by lp.Options.Tol: optimality and degeneracy are judged on
+//   - Below by lp's simplex tolerance: optimality and degeneracy are judged on
 //     reduced costs at an absolute 1e-7, and a request's own paths are
 //     priced tieBreak·value/paths apart. Generated values run from about
 //     1e-2 to 1 over 3 paths, so 1e-3 separates them by ≥ 3e-6. At 1e-5
-//     the gap sinks under Tol and four in five warm optima still report
+//     the gap sinks under it and four in five warm optima still report
 //     degenerate on the service-scale trace; at 1e-4, one in four; at
 //     1e-3, one in fifty.
 //   - Above by the relaxation's use as an upper bound: every column's
@@ -176,12 +176,6 @@ func tiedValue(value float64, i, j, n int) float64 {
 // SetOptions replaces the LP options used by subsequent solves; the
 // replanner threads each tick's solve context through here.
 func (s *BLSession) SetOptions(opts lp.Options) { s.opts = opts }
-
-// Instance returns the session's current (extended) instance.
-func (s *BLSession) Instance() *sched.Instance { return s.inst }
-
-// NumRequests returns the number of requests folded into the model.
-func (s *BLSession) NumRequests() int { return len(s.active) }
 
 // SolveSubset solves the relaxation restricted to subset (indices into
 // the session's instance) under per-link capacities caps, constant

@@ -43,7 +43,6 @@ var sessionShapes = []struct {
 	name  string
 	net   func() *wan.Network
 	shape func(pool []demand.Request) // edits the generated pool in place
-	opts  lp.Options
 }{
 	{name: "generated", net: wan.SubB4},
 	{name: "one value and rate", net: wan.SubB4, shape: func(pool []demand.Request) {
@@ -61,8 +60,6 @@ var sessionShapes = []struct {
 	// Every link doubled: a request's candidate paths repeat the same
 	// route at the same price over twin links.
 	{name: "repeated paths", net: twinLinkNet},
-	// Coarser than the tie-break: every warm optimum reports degenerate.
-	{name: "coarse tolerance", net: wan.SubB4, opts: lp.Options{Tol: 1e-3}},
 }
 
 // twinLinkNet is a three-DC ring with every directed link present twice.
@@ -98,7 +95,7 @@ func TestBLSessionMatchesColdRebuild(t *testing.T) {
 				if sh.shape != nil {
 					sh.shape(pool)
 				}
-				sessionVersusRebuild(t, net, pool, sh.opts, seed)
+				sessionVersusRebuild(t, net, pool, seed)
 			}
 		})
 	}
@@ -107,7 +104,7 @@ func TestBLSessionMatchesColdRebuild(t *testing.T) {
 // sessionVersusRebuild feeds pool to one persistent session in random
 // batches, with random expiries and capacity drift between solves, and
 // checks every solve against a fresh session and the untied BLModel.
-func sessionVersusRebuild(t *testing.T, net *wan.Network, pool []demand.Request, opts lp.Options, seed int64) {
+func sessionVersusRebuild(t *testing.T, net *wan.Network, pool []demand.Request, seed int64) {
 	t.Helper()
 	rng := stats.NewRNG(seed)
 	var (
@@ -137,7 +134,7 @@ func sessionVersusRebuild(t *testing.T, net *wan.Network, pool []demand.Request,
 		}
 		used += batch
 		if sess == nil {
-			if sess, err = NewBLSession(inst, opts); err != nil {
+			if sess, err = NewBLSession(inst, lp.Options{}); err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
 		} else if err = sess.Extend(inst); err != nil {
@@ -162,7 +159,7 @@ func sessionVersusRebuild(t *testing.T, net *wan.Network, pool []demand.Request,
 		if err != nil {
 			t.Fatalf("seed %d step %d session: %v", seed, step, err)
 		}
-		fresh, err := NewBLSession(inst, opts)
+		fresh, err := NewBLSession(inst, lp.Options{})
 		if err != nil {
 			t.Fatalf("seed %d step %d rebuild: %v", seed, step, err)
 		}
@@ -185,11 +182,7 @@ func sessionVersusRebuild(t *testing.T, net *wan.Network, pool []demand.Request,
 		}
 
 		// The tie-break only ever adds to a column's price, by at most
-		// tieBreak of it. (At a coarse Tol neither objective is resolved
-		// finely enough to order the two.)
-		if opts.Tol != 0 {
-			continue
-		}
+		// tieBreak of it.
 		model, err := NewBLModel(inst, lp.Options{})
 		if err != nil {
 			t.Fatalf("seed %d step %d untied model: %v", seed, step, err)
@@ -303,7 +296,7 @@ func FuzzEpochDelta(f *testing.F) {
 				}
 				used += batch
 				if sess == nil {
-					if sess, err = NewBLSession(inst, sh.opts); err != nil {
+					if sess, err = NewBLSession(inst, lp.Options{}); err != nil {
 						t.Fatal(err)
 					}
 				} else if err = sess.Extend(inst); err != nil {
@@ -327,7 +320,7 @@ func FuzzEpochDelta(f *testing.F) {
 			if err != nil {
 				t.Fatalf("seed %d step %d (op %d): session: %v", seed, step, op, err)
 			}
-			fresh, err := NewBLSession(inst, sh.opts)
+			fresh, err := NewBLSession(inst, lp.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

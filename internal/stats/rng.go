@@ -16,8 +16,8 @@ import (
 //
 // An RNG is NOT safe for concurrent use: every draw mutates the
 // underlying generator state. Concurrent code must give each goroutine
-// its own substream — see Split — or pre-draw the values it needs while
-// still single-threaded.
+// its own generator or pre-draw the values it needs while still
+// single-threaded.
 type RNG struct {
 	r *rand.Rand
 }
@@ -35,27 +35,6 @@ func SplitMix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
-}
-
-// Split derives n deterministic, statistically independent substreams
-// from this generator. It consumes exactly one draw from the parent to
-// obtain a base seed, then hash-mixes (base, child index) through
-// SplitMix64 so sibling streams are decorrelated even for adjacent
-// indices. The same parent state always yields the same substreams, so
-// work fanned out across goroutines stays reproducible; the substreams
-// themselves are independent RNGs and may be used from different
-// goroutines (one goroutine per substream).
-func (g *RNG) Split(n int) []*RNG {
-	if n <= 0 {
-		return nil
-	}
-	base := g.r.Uint64()
-	out := make([]*RNG, n)
-	for i := range out {
-		child := SplitMix64(base + uint64(i)*0x9e3779b97f4a7c15)
-		out[i] = NewRNG(int64(child))
-	}
-	return out
 }
 
 // Float64 returns a uniform sample from [0, 1).

@@ -122,85 +122,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestSplitDeterministic(t *testing.T) {
-	a := NewRNG(7)
-	b := NewRNG(7)
-	subsA := a.Split(4)
-	subsB := b.Split(4)
-	if len(subsA) != 4 || len(subsB) != 4 {
-		t.Fatalf("Split(4) returned %d/%d substreams", len(subsA), len(subsB))
-	}
-	for i := range subsA {
-		for d := 0; d < 50; d++ {
-			if x, y := subsA[i].Float64(), subsB[i].Float64(); x != y {
-				t.Fatalf("substream %d draw %d: %v != %v across identical parents", i, d, x, y)
-			}
-		}
-	}
-	// Split consumes exactly one parent draw, so both parents must be in
-	// identical states afterwards.
-	for d := 0; d < 20; d++ {
-		if x, y := a.Float64(), b.Float64(); x != y {
-			t.Fatalf("parent draw %d after Split: %v != %v", d, x, y)
-		}
-	}
-}
-
-func TestSplitSubstreamsDecorrelated(t *testing.T) {
-	subs := NewRNG(11).Split(3)
-	const n = 2000
-	draws := make([][]float64, len(subs))
-	for i, g := range subs {
-		draws[i] = make([]float64, n)
-		for d := range draws[i] {
-			draws[i][d] = g.Float64()
-		}
-	}
-	for i := 0; i < len(subs); i++ {
-		// Each substream must look uniform on [0,1): mean ≈ 1/2 well
-		// within 5σ = 5·(1/√12)/√n.
-		mean := 0.0
-		for _, v := range draws[i] {
-			mean += v
-		}
-		mean /= n
-		if tol := 5.0 / math.Sqrt(12*n); math.Abs(mean-0.5) > tol {
-			t.Errorf("substream %d mean %v, want 0.5±%v", i, mean, tol)
-		}
-		for j := i + 1; j < len(subs); j++ {
-			// Pearson correlation between aligned draws ≈ 0 within 5/√n,
-			// and the streams must not be shifted copies of each other.
-			var sxy float64
-			same := 0
-			for d := 0; d < n; d++ {
-				sxy += (draws[i][d] - 0.5) * (draws[j][d] - 0.5)
-				if draws[i][d] == draws[j][d] {
-					same++
-				}
-			}
-			corr := sxy / n * 12 // divide by Var(U[0,1)) = 1/12
-			if tol := 5.0 / math.Sqrt(n); math.Abs(corr) > tol {
-				t.Errorf("substreams %d,%d correlation %v, want 0±%v", i, j, corr, tol)
-			}
-			if same > 0 {
-				t.Errorf("substreams %d,%d share %d identical aligned draws", i, j, same)
-			}
-		}
-	}
-}
-
-func TestSplitEdgeCases(t *testing.T) {
-	if got := NewRNG(1).Split(0); got != nil {
-		t.Fatalf("Split(0) = %v, want nil", got)
-	}
-	if got := NewRNG(1).Split(-3); got != nil {
-		t.Fatalf("Split(-3) = %v, want nil", got)
-	}
-	if got := NewRNG(1).Split(1); len(got) != 1 {
-		t.Fatalf("Split(1) returned %d substreams", len(got))
-	}
-}
-
 func TestPickWeightedWithMatchesPickWeighted(t *testing.T) {
 	// PickWeightedWith(u, w) with u drawn from a twin RNG must replicate
 	// PickWeighted exactly, including which calls consume a draw: that
