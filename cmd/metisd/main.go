@@ -36,7 +36,7 @@
 //	GET  /ha/v1/wal          leader: durable WAL bytes for a standby mirror, waiting for the next group
 //	                         commit when there are none; headers carry the fencing token, durable end and lag
 //	POST /ha/v1/fence        step down when presented a newer fencing token
-//	GET  /metrics            Prometheus metrics incl. latency histograms (plus /debug/pprof)
+//	GET  /metrics            Prometheus solver, WAL and HA instruments (plus /debug/pprof)
 package main
 
 import (

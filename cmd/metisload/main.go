@@ -6,12 +6,12 @@
 //	metisd -addr :8080 -network SUB-B4 -epoch 100ms &
 //	metisload -addr http://localhost:8080 -in trace.jsonl -min-accepts 1
 //
-// Each arrival is POSTed at its trace timestamp (scaled by -speedup);
-// after the last submit, metisload waits for the daemon to decide the
-// whole queue and reports throughput, per-outcome counts and the
-// daemon's decision-latency quantiles (p50/p95/p99). The default output
-// is a human-readable digest; -json emits the machine-readable summary
-// that the CI smokes assert on.
+// Each arrival is POSTed at its trace timestamp; after the last submit,
+// metisload waits for the daemon to decide the whole queue and reports
+// throughput, per-outcome counts and the daemon's decision-latency
+// quantiles (p50/p95/p99). The default output is a human-readable
+// digest; -json emits the machine-readable summary that the CI smokes
+// assert on.
 //
 // Open-loop mode stress-tests ingest and decision throughput instead of
 // replaying wall-clock arrivals: -open-loop ignores the trace
@@ -91,7 +91,6 @@ func run(args []string) error {
 	var (
 		addr       = fs.String("addr", "http://localhost:8080", "metisd base URL")
 		inPath     = fs.String("in", "-", "JSONL arrival trace (\"-\" = stdin)")
-		speedup    = fs.Float64("speedup", 1, "replay time compression (2 = twice as fast as the trace)")
 		settle     = fs.Duration("settle", 30*time.Second, "how long to wait for the daemon to decide the full queue")
 		minAccepts = fs.Int64("min-accepts", 0, "fail unless at least this many requests are accepted")
 		jsonOut    = fs.Bool("json", false, "emit the machine-readable JSON summary instead of the text digest")
@@ -102,9 +101,6 @@ func run(args []string) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *speedup <= 0 {
-		return fmt.Errorf("-speedup must be positive")
 	}
 	if *repeat < 1 {
 		return fmt.Errorf("-repeat must be at least 1")
@@ -145,7 +141,7 @@ func run(args []string) error {
 					j = len(arrivals)
 				}
 				if !*openLoop {
-					pace(start, repBase+arrivals[i].AtMillis, *speedup)
+					pace(start, repBase+arrivals[i].AtMillis)
 				}
 				reqs := make([]metis.Request, 0, j-i)
 				for _, a := range arrivals[i:j] {
@@ -159,7 +155,7 @@ func run(args []string) error {
 		}
 		for i := range arrivals {
 			if !*openLoop {
-				pace(start, repBase+arrivals[i].AtMillis, *speedup)
+				pace(start, repBase+arrivals[i].AtMillis)
 			}
 			body, err := json.Marshal(&arrivals[i].Request)
 			if err != nil {
@@ -227,11 +223,9 @@ func run(args []string) error {
 	return nil
 }
 
-// pace sleeps until the trace offset atMillis (compressed by speedup)
-// has elapsed since start.
-func pace(start time.Time, atMillis int64, speedup float64) {
-	due := time.Duration(float64(atMillis)/speedup) * time.Millisecond
-	if wait := due - time.Since(start); wait > 0 {
+// pace sleeps until the trace offset atMillis has elapsed since start.
+func pace(start time.Time, atMillis int64) {
+	if wait := time.Duration(atMillis)*time.Millisecond - time.Since(start); wait > 0 {
 		time.Sleep(wait)
 	}
 }

@@ -90,7 +90,6 @@ type Node struct {
 
 // NewLeader wraps a serving leader whose WAL lives in dir.
 func NewLeader(srv *serve.Server, dir string) *Node {
-	gRole.Set(0)
 	return &Node{srv: srv, dir: dir}
 }
 
@@ -101,7 +100,6 @@ func NewStandby(srv *serve.Server, dir, primary string, client *http.Client) *No
 	if client == nil {
 		client = &http.Client{Timeout: 10 * time.Second}
 	}
-	gRole.Set(1)
 	return &Node{
 		srv: srv, dir: dir,
 		primary: primary,
@@ -183,7 +181,6 @@ func (n *Node) handleFence(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n.srv.Fence()
-	gRole.Set(2)
 	writeJSON(w, http.StatusOK, map[string]string{"role": n.srv.Role()})
 }
 
@@ -346,7 +343,6 @@ func (n *Node) Promote(ctx context.Context) (PromoteReport, error) {
 	n.promoted.Store(true)
 	rep.Token = token
 	cPromotions.Inc()
-	gRole.Set(0)
 
 	// Best-effort: tell the old primary it is fenced. It is usually
 	// dead (that is why we promoted); if it is merely partitioned it

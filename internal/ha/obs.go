@@ -3,11 +3,8 @@ package ha
 import "metis/internal/obs"
 
 // HA instruments, in the process-wide obs registry so metisd's
-// /metrics endpoint exposes them next to the serve and wal counters.
+// /metrics endpoint exposes them next to the wal and solver counters.
 var (
-	// gRole mirrors the node's role as a number: 0 leader, 1 standby,
-	// 2 fenced (same encoding as the serve package's internal roles).
-	gRole        = obs.NewGauge("ha.role", "node role: 0 leader, 1 standby, 2 fenced")
 	gLagBytes    = obs.NewGauge("ha.lag_bytes", "durable bytes of the leader's WAL the standby's last fetch left behind, as the leader counted them")
 	cPromotions  = obs.NewCounter("ha.promotions", "standby promotions to leader")
 	cFetches     = obs.NewCounter("ha.fetches", "standby replication rounds against the leader")

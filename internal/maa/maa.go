@@ -184,9 +184,6 @@ func Solve(inst *sched.Instance, opts Options) (*Result, error) {
 	}
 	cSolves.Inc()
 	cRoundings.Add(int64(rounds))
-	if rel.Cost > 0 {
-		gCeilInflate.Set(bestCost / rel.Cost)
-	}
 	if opts.LP.Tracer != nil {
 		obs.Span(opts.LP.Tracer, "maa.solve", t0, obs.Fields{
 			"k":              k,

@@ -9,5 +9,4 @@ var (
 	cSolves       = obs.NewCounter("maa.solves", "completed MAA solves")
 	cRoundings    = obs.NewCounter("maa.roundings", "randomized roundings evaluated (Options.Rounds per solve)")
 	cFallbackRows = obs.NewCounter("maa.fallback_rows", "requests rounded to path 0 because their fractional row vanished")
-	gCeilInflate  = obs.NewFloatGauge("maa.ceiling_inflation", "rounded cost / fractional cost of the most recent solve")
 )

@@ -127,17 +127,13 @@ func Solve(prob *lp.Problem, sense lp.Sense, integerCols []int, opts Options) (*
 	if sol.Canceled {
 		cCanceled.Inc()
 	}
-	// A boundless solve carries Gap = +Inf, which neither the gauge nor
-	// the JSON trace encoder can represent — leave the gauge at its last
-	// finite value and skip the span field.
-	if !math.IsInf(sol.Gap, 0) {
-		gLastGap.Set(sol.Gap)
-	}
 	if opts.LP.Tracer != nil {
 		fields := obs.Fields{
 			"status": sol.Status.String(),
 			"nodes":  sol.Nodes,
 		}
+		// A boundless solve carries Gap = +Inf, which the JSON trace
+		// encoder cannot represent: skip the field.
 		if !math.IsInf(sol.Gap, 0) {
 			fields["gap"] = sol.Gap
 		}

@@ -11,5 +11,4 @@ var (
 	cPruneBound  = obs.NewCounter("mip.prune_bound", "subtrees pruned by the incumbent bound")
 	cPruneInfeas = obs.NewCounter("mip.prune_infeasible", "child nodes pruned as LP-infeasible")
 	cCanceled    = obs.NewCounter("mip.canceled", "branch & bound searches stopped by Options.LP.Ctx")
-	gLastGap     = obs.NewFloatGauge("mip.last_gap", "relative optimality gap of the most recent solve")
 )

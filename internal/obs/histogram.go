@@ -26,7 +26,8 @@ const (
 // (one atomic add per bucket plus CAS loops for sum/max), so it is
 // safe on the request hot path; readers see a consistent-enough view
 // for operational use (buckets are read without a global lock, so a
-// snapshot taken mid-Observe may be off by the in-flight sample).
+// snapshot taken mid-Observe may be off by the in-flight sample). The
+// zero value is an unregistered, empty histogram ready for use.
 type Histogram struct {
 	name, help string
 	counts     [histNBuckets]atomic.Uint64
@@ -36,31 +37,10 @@ type Histogram struct {
 }
 
 // NewHistogram registers and returns a histogram. Names are dotted
-// paths ("serve.queue_wait_seconds"); duplicate registration panics.
+// paths; duplicate registration panics.
 func NewHistogram(name, help string) *Histogram {
 	h := &Histogram{name: name, help: help}
 	register(h)
-	return h
-}
-
-// GetOrNewHistogram returns the registered histogram with this name,
-// creating and registering it when absent. It panics when the name is
-// already taken by a non-histogram metric. It exists for dynamically
-// named instruments (per-policy latency histograms) that several
-// server instances in one process must share.
-func GetOrNewHistogram(name, help string) *Histogram {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	if m, ok := registry.byName[name]; ok {
-		h, ok := m.(*Histogram)
-		if !ok {
-			panic("obs: metric " + name + " already registered with a different kind")
-		}
-		return h
-	}
-	h := &Histogram{name: name, help: help}
-	registry.byName[name] = h
-	registry.list = append(registry.list, h)
 	return h
 }
 

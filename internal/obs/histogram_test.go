@@ -140,17 +140,3 @@ func TestHistogramPrometheus(t *testing.T) {
 		t.Fatalf("final cumulative bucket = %d, want 3", last)
 	}
 }
-
-func TestGetOrNewHistogram(t *testing.T) {
-	h1 := GetOrNewHistogram("test.hist.dynamic", "dyn")
-	h2 := GetOrNewHistogram("test.hist.dynamic", "dyn")
-	if h1 != h2 {
-		t.Fatal("GetOrNewHistogram returned distinct instances for one name")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("GetOrNewHistogram on a counter name did not panic")
-		}
-	}()
-	GetOrNewHistogram("test.counter", "kind clash")
-}

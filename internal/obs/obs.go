@@ -23,7 +23,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -112,32 +111,6 @@ func (g *Gauge) Float() float64 { return float64(g.v.Load()) }
 
 func (g *Gauge) reset() { g.v.Store(0) }
 
-// FloatGauge is an atomic last-value float gauge (stored as bits).
-type FloatGauge struct {
-	name, help string
-	bits       atomic.Uint64
-}
-
-// Set stores v.
-func (g *FloatGauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the stored value.
-func (g *FloatGauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Name returns the metric name.
-func (g *FloatGauge) Name() string { return g.name }
-
-// Help returns the metric description.
-func (g *FloatGauge) Help() string { return g.help }
-
-// Kind returns KindGauge.
-func (g *FloatGauge) Kind() Kind { return KindGauge }
-
-// Float returns the stored value.
-func (g *FloatGauge) Float() float64 { return g.Value() }
-
-func (g *FloatGauge) reset() { g.bits.Store(0) }
-
 // registry is the process-wide instrument registry. Instruments are
 // registered once as package variables; registration order is kept so
 // expositions group related metrics together.
@@ -168,13 +141,6 @@ func NewCounter(name, help string) *Counter {
 // NewGauge registers and returns an integer gauge.
 func NewGauge(name, help string) *Gauge {
 	g := &Gauge{name: name, help: help}
-	register(g)
-	return g
-}
-
-// NewFloatGauge registers and returns a float gauge.
-func NewFloatGauge(name, help string) *FloatGauge {
-	g := &FloatGauge{name: name, help: help}
 	register(g)
 	return g
 }

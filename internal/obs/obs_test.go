@@ -15,7 +15,6 @@ import (
 var (
 	tCounter = NewCounter("test.counter", "a test counter")
 	tGauge   = NewGauge("test.gauge", "a test gauge")
-	tFloat   = NewFloatGauge("test.float", "a test float gauge")
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -29,17 +28,13 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := tGauge.Value(); got != -7 {
 		t.Fatalf("gauge = %d, want -7", got)
 	}
-	tFloat.Set(1.25)
-	if got := tFloat.Value(); got != 1.25 {
-		t.Fatalf("float gauge = %v, want 1.25", got)
-	}
 
 	snap := Snapshot()
-	if snap["test.counter"] != 5 || snap["test.gauge"] != -7 || snap["test.float"] != 1.25 {
+	if snap["test.counter"] != 5 || snap["test.gauge"] != -7 {
 		t.Fatalf("snapshot = %v", snap)
 	}
 	ResetAll()
-	if tCounter.Value() != 0 || tGauge.Value() != 0 || tFloat.Value() != 0 {
+	if tCounter.Value() != 0 || tGauge.Value() != 0 {
 		t.Fatal("ResetAll did not zero the instruments")
 	}
 }
@@ -80,7 +75,7 @@ func TestPromName(t *testing.T) {
 func TestWritePrometheus(t *testing.T) {
 	ResetAll()
 	tCounter.Add(3)
-	tFloat.Set(0.5)
+	tGauge.Set(-2)
 	var buf bytes.Buffer
 	if err := WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -90,8 +85,8 @@ func TestWritePrometheus(t *testing.T) {
 		"# HELP metis_test_counter a test counter",
 		"# TYPE metis_test_counter counter",
 		"metis_test_counter 3",
-		"# TYPE metis_test_float gauge",
-		"metis_test_float 0.5",
+		"# TYPE metis_test_gauge gauge",
+		"metis_test_gauge -2",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("prometheus output missing %q:\n%s", want, out)

@@ -360,7 +360,7 @@ func (s *Server) recoverTick(tr *walTick, off wal.Offset, st *RecoverStats, cu *
 		}
 		return fmt.Errorf("serve: wal tick %d at %v %w", tr.Epoch, off, err)
 	}
-	gQueueDepth.Set(s.queueDepth.Add(-int64(len(got))))
+	s.queueDepth.Add(-int64(len(got)))
 
 	if s.wrapCycle(tr.Epoch) && cu != nil {
 		// The policy was reset: what the pass gathered belongs to the

@@ -93,7 +93,6 @@ func (s *Server) submitAt(req demand.Request, now time.Time) (*Decision, wal.Off
 	if s.queueDepth.Add(1) > int64(s.cfg.QueueLimit) {
 		s.queueDepth.Add(-1)
 		s.nShed.Add(1)
-		cShed.Inc()
 		if s.cfg.Tracer != nil {
 			obs.Event(s.cfg.Tracer, "serve.arrival", obs.Fields{"outcome": "shed"})
 		}
@@ -116,12 +115,9 @@ func (s *Server) submitAt(req demand.Request, now time.Time) (*Decision, wal.Off
 	d := s.queueDecision(id, req)
 	s.push(pending{id: id, req: req, at: now})
 	s.nSubmitted.Add(1)
-	cSubmitted.Inc()
-	depth := s.queueDepth.Load()
-	gQueueDepth.Set(depth)
 	if s.cfg.Tracer != nil {
 		obs.Event(s.cfg.Tracer, "serve.arrival", obs.Fields{
-			"id": id, "outcome": "queued", "queue_depth": depth,
+			"id": id, "outcome": "queued", "queue_depth": s.queueDepth.Load(),
 		})
 	}
 	return &d, off, nil
@@ -201,13 +197,13 @@ func (s *Server) push(p pending) {
 }
 
 // requeue puts arrivals back in the intake queue, counting them in the
-// queue depth and its gauge: a fenced tick's batch, or an arrival
+// queue depth: a fenced tick's batch, or an arrival
 // recovery takes over (adopt).
 func (s *Server) requeue(ps ...pending) {
 	for _, p := range ps {
 		s.push(p)
 	}
-	gQueueDepth.Set(s.queueDepth.Add(int64(len(ps))))
+	s.queueDepth.Add(int64(len(ps)))
 }
 
 // adopt queues an arrival recovery takes over from the log, stamped

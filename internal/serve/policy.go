@@ -156,9 +156,8 @@ type MetisPolicy struct {
 	lastReplan int   // epoch of the last replan attempt
 	havePlan   bool
 
-	// This policy's replans and degraded replans, beside the
-	// process-wide counters: a tick's scorecard row bills only its own
-	// server's policy.
+	// This policy's replans and degraded replans; a tick's scorecard
+	// row reads their change over the tick.
 	replans, replansDegraded int64
 }
 
@@ -195,7 +194,6 @@ func (p *MetisPolicy) Decide(ctx context.Context, led *Ledger, inst *sched.Insta
 	if due && p.rp.NumObserved() > p.rp.NumPlanned() {
 		p.lastReplan = epoch
 		p.replans++
-		cReplans.Inc()
 		// Reserve the tail of the tick budget for the admission pass:
 		// the replan is an optimization, admission is the service. A
 		// replan cut short returns its best incumbent (degraded) — it
@@ -218,13 +216,11 @@ func (p *MetisPolicy) Decide(ctx context.Context, led *Ledger, inst *sched.Insta
 			p.havePlan = true
 			if res.Degraded {
 				p.replansDegraded++
-				cReplansDegraded.Inc()
 			}
 		case solvectx.Is(err):
 			// The budget expired before any incumbent existed; keep the
 			// previous plan (or none) and let TAA admit into it.
 			p.replansDegraded++
-			cReplansDegraded.Inc()
 		default:
 			return nil, fmt.Errorf("serve: metis replan: %w", err)
 		}

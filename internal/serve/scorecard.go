@@ -25,9 +25,8 @@ const (
 )
 
 // EpochRecord is one row of the epoch health scorecard: everything one
-// tick did. The replan columns are deltas of the process-wide
-// serve.replans counters over the tick, so concurrent servers in one
-// process smear each other's — the daemon runs exactly one.
+// tick did. The replan columns are the change in this server's policy's
+// own replan counts over the tick.
 type EpochRecord struct {
 	Epoch      int    `json:"epoch"`
 	Cycle      int    `json:"cycle"`

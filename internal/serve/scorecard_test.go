@@ -259,6 +259,43 @@ func TestStatsLatencySummaries(t *testing.T) {
 	}
 }
 
+// Two servers running the same policy in one process each digest only
+// their own arrivals.
+func TestStatsLatencyPerServer(t *testing.T) {
+	a, b := newTestServer(t, nil), newTestServer(t, nil)
+	arrivals := map[*Server]int{a: 3, b: 5}
+	for s, n := range arrivals {
+		for i := 0; i < n; i++ {
+			req := goodRequest(1e6)
+			if i%2 == 1 {
+				req = goodRequest(1e-6) // worthless: rejected
+				req.Rate = 0.9
+			}
+			if _, err := s.Submit(req); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	a.Tick(context.Background())
+	b.Tick(context.Background())
+	for s, n := range arrivals {
+		st := s.Stats()
+		if st.Accepted == 0 || st.Rejected == 0 || st.Accepted+st.Rejected != int64(n) {
+			t.Fatalf("server with %d arrivals: %d accepted, %d rejected", n, st.Accepted, st.Rejected)
+		}
+		lat := st.Latency
+		if got := lat["queueWait"].Count; got != uint64(n) {
+			t.Errorf("server with %d arrivals: queueWait count %d", n, got)
+		}
+		if got := lat[OutcomeAccepted].Count; got != uint64(st.Accepted) {
+			t.Errorf("server with %d arrivals: accepted latency count %d, want %d", n, got, st.Accepted)
+		}
+		if got := lat[OutcomeRejected].Count; got != uint64(st.Rejected) {
+			t.Errorf("server with %d arrivals: rejected latency count %d, want %d", n, got, st.Rejected)
+		}
+	}
+}
+
 func TestDebugEpochsEndpoint(t *testing.T) {
 	s := newTestServer(t, nil)
 	s.Tick(context.Background())

@@ -178,8 +178,8 @@ type Stats struct {
 	Draining    bool    `json:"draining"`
 	EpochMillis int64   `json:"epochMillis"`
 	Slots       int     `json:"slots"`
-	// Latency summarizes the lifecycle histograms for this server's
-	// policy: "queueWait" plus one entry per decision outcome.
+	// Latency summarizes this server's own lifecycle histograms:
+	// "queueWait" plus one entry per decision outcome.
 	Latency map[string]LatencySummary `json:"latency,omitempty"`
 }
 
@@ -229,8 +229,13 @@ type LinkState struct {
 // ticks and readers take s.mu first.
 type Server struct {
 	cfg   Config
-	lat   *latencyObs
 	score *scoreRing
+
+	// Request-lifecycle histograms, this server's alone; Stats digests
+	// them. queueWait runs from arrival to batch claim, the others from
+	// arrival to a committed decision of that outcome.
+	queueWait                             obs.Histogram
+	acceptedLat, rejectedLat, degradedLat obs.Histogram
 
 	// Ingest path: lock-free id assignment and depth accounting plus
 	// per-shard queue/decision locks. No submit ever touches s.mu.
@@ -253,7 +258,7 @@ type Server struct {
 	epoch     int        // ticks processed
 	walFrom   wal.Offset // ApplyLog's cursor: the next pass starts here
 
-	// Per-instance stats (the obs counters are process-global).
+	// Decision, epoch and check counts that Stats serves.
 	nAccepted, nRejected, nDegraded, nOverruns int64
 	nDegradedDecisions                         int64
 	nCheckFailures                             int64
@@ -277,7 +282,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:   cfg,
-		lat:   newLatencyObs(cfg.Policy.Name()),
 		score: newScoreRing(cfg.ScorecardSize),
 		led:   NewLedger(cfg.Net, cfg.Slots),
 	}
@@ -326,10 +330,6 @@ func (s *Server) Snapshot(w io.Writer) error {
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	lat := map[string]LatencySummary{"queueWait": summarize(s.lat.queueWait)}
-	for outcome, h := range s.lat.decision {
-		lat[outcome] = summarize(h)
-	}
 	return Stats{
 		Policy:            s.cfg.Policy.Name(),
 		Role:              roleName(s.role.Load()),
@@ -354,7 +354,12 @@ func (s *Server) Stats() Stats {
 		Draining:          s.draining.Load(),
 		EpochMillis:       s.cfg.Epoch.Milliseconds(),
 		Slots:             s.cfg.Slots,
-		Latency:           lat,
+		Latency: map[string]LatencySummary{
+			"queueWait":     summarize(&s.queueWait),
+			OutcomeAccepted: summarize(&s.acceptedLat),
+			OutcomeRejected: summarize(&s.rejectedLat),
+			OutcomeDegraded: summarize(&s.degradedLat),
+		},
 	}
 }
 

@@ -60,7 +60,7 @@ func (s *Server) Tick(ctx context.Context) {
 // claim opens the tick: it takes the queued batch, still counted in
 // Stats' and Health's queue depth through s.nDeciding until the tick
 // ends, and observes each arrival's queue wait (arrival → batch claim)
-// into the policy's histogram and the scorecard row's aggregate.
+// into the server's histogram and the scorecard row's aggregate.
 func (s *Server) claim(ctx context.Context) *tick {
 	t := &tick{start: time.Now()}
 	t.budget = time.Duration(float64(s.cfg.Epoch) * s.cfg.TickBudget)
@@ -77,13 +77,12 @@ func (s *Server) claim(ctx context.Context) *tick {
 	t.batch = s.claimIntake(s.cfg.MaxBatch)
 	s.nDeciding = len(t.batch)
 	s.queueDepth.Add(-int64(len(t.batch)))
-	gQueueDepth.Set(s.queueDepth.Load())
 	t.revBefore, t.costBefore = s.revenue, s.led.Cost()
 	s.mu.Unlock()
 
 	for _, p := range t.batch {
 		w := t.start.Sub(p.at).Seconds()
-		s.lat.queueWait.Observe(w)
+		s.queueWait.Observe(w)
 		t.waitSum += w
 		if w > t.waitMax {
 			t.waitMax = w
@@ -239,7 +238,6 @@ func (s *Server) commitTick(tr *walTick, reqs []demand.Request) {
 		// (recoverTick has checked a logged vector's length).
 		s.led.Provision(tr.Purchased)
 	}
-	gPurchasedUnits.Set(int64(s.led.PurchasedUnits()))
 
 	cycle := tr.Epoch / s.cfg.Slots
 	for i := range tr.Outcomes {
@@ -249,18 +247,14 @@ func (s *Server) commitTick(tr *walTick, reqs []demand.Request) {
 			status = StatusAccepted
 			s.nAccepted++
 			s.revenue += reqs[i].Value
-			cAccepted.Inc()
 		} else {
 			s.nRejected++
-			cRejected.Inc()
 		}
 		if o.Kind == walKindExpired {
 			reason = "window expired before decision"
-			cExpired.Inc()
 		}
 		if o.Degraded {
 			s.nDegradedDecisions++
-			cDegradedDecisions.Inc()
 		}
 		ds := s.dshard(o.ID)
 		ds.mu.Lock()
@@ -272,7 +266,6 @@ func (s *Server) commitTick(tr *walTick, reqs []demand.Request) {
 	}
 	if tr.Degraded {
 		s.nDegraded++
-		cDegraded.Inc()
 	}
 	if s.cfg.Check {
 		// Invariant sweep over the committed state: no per-(link, slot)
@@ -281,7 +274,6 @@ func (s *Server) commitTick(tr *walTick, reqs []demand.Request) {
 		if err := spm.CheckLedger(s.led.Loads(), s.led.Purchased()); err != nil {
 			s.nCheckFailures++
 			s.lastCheckErr = err.Error()
-			cCheckFailures.Inc()
 		}
 	}
 	// Bound the decision history: drop the oldest records once the map
@@ -308,14 +300,14 @@ func (s *Server) record(t *tick) {
 	var nAccepted, nExpired int
 	for k := range t.rec.Outcomes {
 		o := &t.rec.Outcomes[k]
-		outcome := OutcomeRejected
+		h := &s.rejectedLat
 		switch {
 		case o.Degraded:
-			outcome = OutcomeDegraded
+			h = &s.degradedLat
 		case o.Kind == walKindAccept:
-			outcome = OutcomeAccepted
+			h = &s.acceptedLat
 		}
-		s.lat.decision[outcome].Observe(t.now.Sub(t.batch[k].at).Seconds())
+		h.Observe(t.now.Sub(t.batch[k].at).Seconds())
 		switch o.Kind {
 		case walKindAccept:
 			nAccepted++
@@ -326,10 +318,7 @@ func (s *Server) record(t *tick) {
 	elapsed := time.Since(t.start)
 	if elapsed > t.budget {
 		s.nOverruns++
-		cOverruns.Inc()
 	}
-	cEpochs.Inc()
-	histTick.Observe(elapsed.Seconds())
 
 	rec := s.epochRecord(t, nAccepted, nExpired, elapsed)
 	switch {
@@ -423,6 +412,5 @@ func (s *Server) wrapCycle(epoch int) bool {
 	}
 	s.led.Reset()
 	s.cfg.Policy.Reset()
-	cCycles.Inc()
 	return true
 }
