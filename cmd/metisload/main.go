@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"sort"
@@ -37,13 +38,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "metisload:", err)
 		os.Exit(1)
 	}
 }
 
-// summary is the replay report printed to stdout.
+// summary is the replay report run writes.
 type summary struct {
 	Arrivals          int                                  `json:"arrivals"`
 	Submitted         int                                  `json:"submitted"`
@@ -62,14 +63,14 @@ type summary struct {
 	Latency           map[string]metis.ServeLatencySummary `json:"latency,omitempty"`
 }
 
-// writeText prints the human-readable digest of one replay.
-func (s *summary) writeText(policy string) {
-	fmt.Printf("metisload: %d arrivals in %.1fs: %d submitted, %d shed, %d invalid\n",
+// writeText writes the human-readable digest of one replay to w.
+func (s *summary) writeText(w io.Writer, policy string) {
+	fmt.Fprintf(w, "metisload: %d arrivals in %.1fs: %d submitted, %d shed, %d invalid\n",
 		s.Arrivals, float64(s.ElapsedMillis)/1e3, s.Submitted, s.Shed, s.Invalid)
-	fmt.Printf("metisload: %d accepted, %d rejected (%d degraded decisions) over %d epochs (%d degraded, %d overruns), %.1f decisions/sec, policy=%s\n",
+	fmt.Fprintf(w, "metisload: %d accepted, %d rejected (%d degraded decisions) over %d epochs (%d degraded, %d overruns), %.1f decisions/sec, policy=%s\n",
 		s.Accepted, s.Rejected, s.DegradedDecisions, s.Epochs, s.DegradedEpochs, s.Overruns, s.DecisionsPerSec, policy)
 	if s.CheckFailures > 0 {
-		fmt.Printf("metisload: LEDGER CHECK FAILURES: %d (last: %s)\n", s.CheckFailures, s.LastCheckError)
+		fmt.Fprintf(w, "metisload: LEDGER CHECK FAILURES: %d (last: %s)\n", s.CheckFailures, s.LastCheckError)
 	}
 	keys := make([]string, 0, len(s.Latency))
 	for k := range s.Latency {
@@ -81,12 +82,14 @@ func (s *summary) writeText(policy string) {
 		if l.Count == 0 {
 			continue
 		}
-		fmt.Printf("metisload: latency %-9s p50=%.2fms p95=%.2fms p99=%.2fms max=%.2fms (n=%d)\n",
+		fmt.Fprintf(w, "metisload: latency %-9s p50=%.2fms p95=%.2fms p99=%.2fms max=%.2fms (n=%d)\n",
 			k, l.P50Millis, l.P95Millis, l.P99Millis, l.MaxMillis, l.Count)
 	}
 }
 
-func run(args []string) error {
+// run replays the trace args name and writes the summary, or with
+// -json its JSON form, to out.
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("metisload", flag.ContinueOnError)
 	var (
 		addr       = fs.String("addr", "http://localhost:8080", "metisd base URL")
@@ -201,13 +204,13 @@ func run(args []string) error {
 	}
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(&sum); err != nil {
 			return err
 		}
 	} else {
-		sum.writeText(stats.Policy)
+		sum.writeText(out, stats.Policy)
 	}
 	if sum.Accepted < *minAccepts {
 		return fmt.Errorf("accepted %d requests, want at least %d", sum.Accepted, *minAccepts)

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -13,12 +16,13 @@ import (
 	"metis"
 )
 
-// startDaemon serves a fresh admission daemon, ticking every 10 ms, over
-// an httptest server; cleanup stops the tick loop and the listener.
-func startDaemon(t *testing.T, queueLimit int) string {
+// startDaemon serves a fresh admission daemon, ticking every epoch,
+// over an httptest server; cleanup stops the tick loop and the
+// listener.
+func startDaemon(t *testing.T, queueLimit int, epoch time.Duration) string {
 	t.Helper()
 	srv, err := metis.NewServer(metis.ServeConfig{
-		Net: metis.SubB4(), Epoch: 10 * time.Millisecond, QueueLimit: queueLimit,
+		Net: metis.SubB4(), Epoch: epoch, QueueLimit: queueLimit,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -63,34 +67,63 @@ func writeTrace(t *testing.T, n int) string {
 }
 
 func TestRunPacedReplay(t *testing.T) {
-	addr := startDaemon(t, 0)
+	addr := startDaemon(t, 0, 10*time.Millisecond)
 	trace := writeTrace(t, 20)
-	if err := run([]string{"-addr", addr, "-in", trace, "-min-accepts", "1", "-max-errors", "0"}); err != nil {
+	if err := run([]string{"-addr", addr, "-in", trace, "-min-accepts", "1", "-max-errors", "0"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunOpenLoopBatches(t *testing.T) {
-	addr := startDaemon(t, 0)
+	addr := startDaemon(t, 0, 10*time.Millisecond)
 	trace := writeTrace(t, 120)
-	if err := run([]string{"-addr", addr, "-in", trace, "-open-loop", "-batch", "50", "-min-accepts", "1", "-max-errors", "0", "-json"}); err != nil {
+	if err := run([]string{"-addr", addr, "-in", trace, "-open-loop", "-batch", "50", "-min-accepts", "1", "-max-errors", "0", "-json"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunMaxErrorsFailsOnShed(t *testing.T) {
 	// One POST of 50 into a queue of 8 sheds most of the batch.
-	addr := startDaemon(t, 8)
+	addr := startDaemon(t, 8, 10*time.Millisecond)
 	trace := writeTrace(t, 50)
-	err := run([]string{"-addr", addr, "-in", trace, "-open-loop", "-batch", "50", "-max-errors", "0"})
+	err := run([]string{"-addr", addr, "-in", trace, "-open-loop", "-batch", "50", "-max-errors", "0"}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "exceed -max-errors 0") {
 		t.Fatalf("run = %v, want a -max-errors failure", err)
 	}
 }
 
 func TestRunRefusesSpeedup(t *testing.T) {
-	err := run([]string{"-speedup", "2"})
+	err := run([]string{"-speedup", "2"}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -speedup") {
 		t.Fatalf("run = %v, want -speedup refused", err)
+	}
+}
+
+// TestRunJSONSummary decodes the -json summary of a paced replay and
+// checks the fields the CI replay and flood smokes assert on. The
+// 100 ms epoch gives each tick an 80 ms budget, so an overrun means a
+// stalled tick, not a busy host.
+func TestRunJSONSummary(t *testing.T) {
+	addr := startDaemon(t, 0, 100*time.Millisecond)
+	trace := writeTrace(t, 20)
+	var out bytes.Buffer
+	if err := run([]string{"-addr", addr, "-in", trace, "-min-accepts", "1", "-json"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	var s summary
+	dec := json.NewDecoder(&out)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
+		t.Fatalf("decode -json summary: %v\n%s", err, out.String())
+	}
+	switch acc := s.Latency["accepted"]; {
+	case s.Arrivals != 20 || s.Submitted != s.Arrivals || s.Shed+s.Invalid != 0:
+		t.Fatalf("summary %+v: want all 20 arrivals submitted", s)
+	case s.Accepted+s.Rejected != int64(s.Submitted) || s.Accepted == 0:
+		t.Fatalf("summary %+v: want every submit decided, some accepted", s)
+	case s.Overruns != 0 || s.CheckFailures != 0:
+		t.Fatalf("summary %+v: want no overrun and no check failure", s)
+	case acc.Count == 0 || acc.P99Millis < acc.P50Millis:
+		t.Fatalf("accepted latency %+v: want samples with p99 ≥ p50", acc)
 	}
 }

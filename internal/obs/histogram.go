@@ -1,10 +1,7 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"math"
-	"strconv"
 	"sync/atomic"
 )
 
@@ -22,26 +19,17 @@ const (
 )
 
 // Histogram is an atomic, log-bucketed, mergeable histogram with
-// quantile estimation and Prometheus exposition. Observe is lock-free
-// (one atomic add per bucket plus CAS loops for sum/max), so it is
-// safe on the request hot path; readers see a consistent-enough view
-// for operational use (buckets are read without a global lock, so a
-// snapshot taken mid-Observe may be off by the in-flight sample). The
-// zero value is an unregistered, empty histogram ready for use.
+// quantile estimation. Observe is lock-free (one atomic add per bucket
+// plus CAS loops for sum/max), so it is safe on the request hot path;
+// readers see a consistent-enough view for operational use (buckets are
+// read without a global lock, so a snapshot taken mid-Observe may be off
+// by the in-flight sample). It is never registered: its owner serves
+// its Summary. The zero value is an empty histogram ready for use.
 type Histogram struct {
-	name, help string
-	counts     [histNBuckets]atomic.Uint64
-	total      atomic.Uint64
-	sumBits    atomic.Uint64 // float64 bits, CAS-accumulated
-	maxBits    atomic.Uint64 // float64 bits; valid for non-negative observations
-}
-
-// NewHistogram registers and returns a histogram. Names are dotted
-// paths; duplicate registration panics.
-func NewHistogram(name, help string) *Histogram {
-	h := &Histogram{name: name, help: help}
-	register(h)
-	return h
+	counts  [histNBuckets]atomic.Uint64
+	total   atomic.Uint64
+	sumBits atomic.Uint64 // float64 bits, CAS-accumulated
+	maxBits atomic.Uint64 // float64 bits; valid for non-negative observations
 }
 
 // bucketIndex maps a value to its bucket.
@@ -180,60 +168,4 @@ func (h *Histogram) Summary() HistogramSummary {
 		P95:   h.Quantile(0.95),
 		P99:   h.Quantile(0.99),
 	}
-}
-
-// Name returns the metric name.
-func (h *Histogram) Name() string { return h.name }
-
-// Help returns the metric description.
-func (h *Histogram) Help() string { return h.help }
-
-// Kind returns KindHistogram.
-func (h *Histogram) Kind() Kind { return KindHistogram }
-
-// Float returns the sample count as a float64 (the scalar view used by
-// Snapshot; quantiles need the full histogram).
-func (h *Histogram) Float() float64 { return float64(h.total.Load()) }
-
-func (h *Histogram) reset() {
-	for i := range h.counts {
-		h.counts[i].Store(0)
-	}
-	h.total.Store(0)
-	h.sumBits.Store(0)
-	h.maxBits.Store(0)
-}
-
-// writeProm writes the Prometheus histogram exposition: cumulative
-// _bucket lines for every non-empty bucket (a legal sparse encoding —
-// cumulative counts stay exact), then _sum and _count.
-func (h *Histogram) writeProm(w io.Writer) error {
-	pn := PromName(h.name)
-	if h.help != "" {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", pn, h.help); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", pn); err != nil {
-		return err
-	}
-	var cum uint64
-	for i := 0; i < histNBuckets-1; i++ {
-		n := h.counts[i].Load()
-		if n == 0 {
-			continue
-		}
-		cum += n
-		le := strconv.FormatFloat(bucketUpper(i), 'g', -1, 64)
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", pn, le, cum); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", pn, h.total.Load()); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum %v\n%s_count %d\n", pn, h.Sum(), pn, h.total.Load()); err != nil {
-		return err
-	}
-	return nil
 }

@@ -1,7 +1,8 @@
 // Package obs is the solver-wide instrumentation layer: cheap atomic
-// counters and gauges collected in a central registry, a structured
-// trace sink for the Metis alternation timeline, and HTTP exposition
-// (Prometheus text format and pprof).
+// counters and gauges collected in a central registry, an unregistered
+// latency histogram its owner digests, a structured trace sink for the
+// Metis alternation timeline, and HTTP exposition (Prometheus text
+// format and pprof).
 //
 // Design rules, in priority order:
 //
@@ -38,8 +39,6 @@ const (
 	KindCounter Kind = iota + 1
 	// KindGauge is a last-value measurement.
 	KindGauge
-	// KindHistogram is a log-bucketed distribution (see Histogram).
-	KindHistogram
 )
 
 // Metric is the registry's view of one instrument.
@@ -184,12 +183,6 @@ func WritePrometheus(w io.Writer) error {
 	Each(func(m Metric) { list = append(list, m) })
 	sort.Slice(list, func(a, b int) bool { return list[a].Name() < list[b].Name() })
 	for _, m := range list {
-		if h, ok := m.(*Histogram); ok {
-			if err := h.writeProm(w); err != nil {
-				return err
-			}
-			continue
-		}
 		kind := "counter"
 		if m.Kind() == KindGauge {
 			kind = "gauge"

@@ -19,9 +19,10 @@
 package online
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"metis/internal/lp"
 	"metis/internal/sched"
@@ -106,13 +107,28 @@ type Policy interface {
 type Greedy struct{}
 
 // DecideBatch implements Policy: one pass of the shared admission
-// loop over the batch in descending value order (stable).
+// loop over the batch in descending value order, ties in batch order.
+// Sorting (value, batch position) keys gives exactly the stable order
+// without a reflection-based stable sort.
 func (Greedy) DecideBatch(st *State, _ int, batch []int) error {
-	inst := st.inst
-	ordered := append([]int(nil), batch...)
-	sort.SliceStable(ordered, func(a, b int) bool {
-		return inst.Request(ordered[a]).Value > inst.Request(ordered[b]).Value
+	type key struct {
+		value float64
+		pos   int
+	}
+	keys := make([]key, len(batch))
+	for k, i := range batch {
+		keys[k] = key{st.inst.Request(i).Value, k}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if c := cmp.Compare(b.value, a.value); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
 	})
+	ordered := make([]int, len(batch))
+	for k, kk := range keys {
+		ordered[k] = batch[kk.pos]
+	}
 	st.capacity.Admit(st.schedule, ordered, 1)
 	return nil
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"metis/internal/demand"
@@ -278,23 +279,32 @@ func (s *Server) catchUp(cu *catchUp, ticks int) error {
 }
 
 // recoverArrival re-queues one logged arrival (the request carries the
-// server-assigned id), stamped with now. A second frame for an id the
-// server already knows can only come from a damaged log and is refused:
+// server-assigned id), stamped with now, when the pass took it over. A
+// frame with an id below 1, which the server never assigns, or a second
+// frame for a known id can only come from a damaged log and is refused:
 // an acked request is never enqueued twice.
 func (s *Server) recoverArrival(req demand.Request, off wal.Offset, now time.Time, st *RecoverStats) error {
 	id := int64(req.ID)
+	if id < 1 {
+		return fmt.Errorf("serve: wal arrival at %v: id %d was never assigned", off, id)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if id >= s.nextID.Load() {
 		s.nextID.Store(id + 1)
 	}
-	if s.Decision(id) != nil {
+	s.dlog.mu.RLock()
+	known := s.dlog.at(id) != nil
+	s.dlog.mu.RUnlock()
+	if known {
 		return fmt.Errorf("serve: wal arrival at %v: id %d is already known (duplicate frame)", off, id)
 	}
 	if err := req.Validate(s.cfg.Net, s.cfg.Slots); err != nil {
 		return fmt.Errorf("serve: wal arrival %d at %v: %w", id, off, err)
 	}
-	s.adopt(id, req, now)
+	p := pending{id: id, req: req, at: now}
+	s.dlog.queue(p)
+	s.requeue(p)
 	s.nSubmitted.Add(1)
 	st.Arrivals++
 	return nil
@@ -338,26 +348,20 @@ func (s *Server) recoverTick(tr *walTick, off wal.Offset, st *RecoverStats, cu *
 		want[o.ID] = true
 	}
 
-	// Claim exactly the logged batch out of the queue.
+	// Claim exactly the logged batch out of the queue, if it fits.
 	got := make(map[int64]pending, len(want))
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		kept := sh.queue[:0]
-		for _, p := range sh.queue {
-			if want[p.id] {
-				got[p.id] = p
-			} else {
-				kept = append(kept, p)
-			}
+	s.in.mu.Lock()
+	for _, p := range s.in.queue {
+		if want[p.id] {
+			got[p.id] = p
 		}
-		sh.queue = kept
-		sh.mu.Unlock()
 	}
-	if err := s.fits(tr, got, len(want)); err != nil {
-		for _, p := range got {
-			s.push(p)
-		}
+	err := s.fits(tr, got, len(want))
+	if err == nil {
+		s.in.queue = slices.DeleteFunc(s.in.queue, func(p pending) bool { return want[p.id] })
+	}
+	s.in.mu.Unlock()
+	if err != nil {
 		return fmt.Errorf("serve: wal tick %d at %v %w", tr.Epoch, off, err)
 	}
 	s.queueDepth.Add(-int64(len(got)))

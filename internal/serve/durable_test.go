@@ -228,7 +228,7 @@ func TestRecoverWALRefusals(t *testing.T) {
 	arrival := func(id int64) frame {
 		req := goodRequest(10)
 		req.ID = int(id)
-		return frame{walRecArrival, encodeArrival(&req)}
+		return frame{walRecArrival, appendArrival(nil, &req)}
 	}
 	tick := func(tr walTick) frame { return frame{walRecTick, encodeTick(&tr)} }
 	inst, err := sched.NewInstance(wan.SubB4(), demand.DefaultSlots, []demand.Request{goodRequest(10)}, 1)
@@ -271,6 +271,7 @@ func TestRecoverWALRefusals(t *testing.T) {
 		{"JSON-era tick", []frame{{2, []byte(`{"epoch":0,"slot":0}`)}}, "JSON-era", 0},
 		{"JSON-era fence", []frame{{3, []byte(`{"token":7}`)}}, "JSON-era", 0},
 		{"arrival repeats a known id", []frame{arrival(1)}, "id 1 is already known", 0},
+		{"arrival id below 1", []frame{arrival(0)}, "id 0 was never assigned", 0},
 		{"tick at an applied epoch", []frame{tick(walTick{}), tick(walTick{})}, "epoch 0 is already applied", 1},
 	}
 	for _, tc := range cases {
@@ -361,18 +362,14 @@ func TestRecoverWALRefusals(t *testing.T) {
 	})
 }
 
-// queuedIDs returns the ids in s's intake queue, ascending.
+// queuedIDs returns the ids in s's intake queue, in queue order.
 func queuedIDs(s *Server) []int64 {
+	s.in.mu.Lock()
+	defer s.in.mu.Unlock()
 	var ids []int64
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for _, p := range sh.queue {
-			ids = append(ids, p.id)
-		}
-		sh.mu.Unlock()
+	for _, p := range s.in.queue {
+		ids = append(ids, p.id)
 	}
-	slices.Sort(ids)
 	return ids
 }
 

@@ -43,13 +43,12 @@ func incrementalPolicy(t *testing.T, replanEvery int) Policy {
 	return p
 }
 
-// TestConcurrentShardedIntakeLedger hammers the sharded intake queue
-// and the ledger from all sides at once — parallel submitters, epoch
+// TestConcurrentIntakeLedger hammers the intake queue, the decision
+// log and the ledger from all sides at once — parallel submitters, epoch
 // ticks, ledger and counter reads and decision lookups — then drains
 // and checks global accounting plus the spm ledger invariants. Run
-// under -race this is the data-race certificate for the sharded hot
-// path.
-func TestConcurrentShardedIntakeLedger(t *testing.T) {
+// under -race this is the data-race certificate for the hot path.
+func TestConcurrentIntakeLedger(t *testing.T) {
 	s := newTestServer(t, func(c *Config) {
 		c.QueueLimit = 1 << 16
 		c.Epoch = time.Minute // budget never expires mid-test

@@ -1,10 +1,11 @@
 package serve
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -20,24 +21,69 @@ type pending struct {
 	at  time.Time // arrival time, anchor for queue-wait and decision latency
 }
 
-// intakeShards and decisionShards size the sharded arrival queue and
-// decision-record map. Submits hash by request id, so concurrent
-// clients contend on different shard locks instead of one global mutex.
-const (
-	intakeShards   = 16
-	decisionShards = 16
-)
-
-// intakeShard is one stripe of the arrival queue.
-type intakeShard struct {
+// intake is the arrival queue. A submit assigns its batch's ids, logs
+// their arrival frames and appends them under mu, so the queue is in id
+// order by construction and a tick claims a prefix of it.
+type intake struct {
 	mu    sync.Mutex
 	queue []pending
+	frame []byte // the arrival frame being logged, reused under mu
 }
 
-// decisionShard is one stripe of the decision-record map.
-type decisionShard struct {
-	mu sync.RWMutex
-	m  map[int64]*Decision
+// decisionPage is the number of consecutive ids on a decision-log page.
+const decisionPage = 1024
+
+// decisionLog holds the decision records by value. Ids are dense and
+// pruned from the bottom, so a page is allocated when its first id is
+// recorded and dropped once all its ids are pruned. A zero record (ID 0)
+// is an id pruned or never recorded, such as one a failed WAL append burned.
+type decisionLog struct {
+	mu    sync.RWMutex
+	first int64 // page number of pages[0], whose ids start at first·decisionPage
+	pages []*[decisionPage]Decision
+}
+
+// at returns id's record, nil for a pruned, unknown or non-positive id;
+// callers hold mu.
+func (l *decisionLog) at(id int64) *Decision {
+	if i := id/decisionPage - l.first; id >= 1 && i >= 0 && i < int64(len(l.pages)) && l.pages[i] != nil {
+		if d := &l.pages[i][id%decisionPage]; d.ID != 0 {
+			return d
+		}
+	}
+	return nil
+}
+
+// queue records each of ps (ids ≥ 1) as queued, allocating pages.
+func (l *decisionLog) queue(ps ...pending) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, q := range ps {
+		p := q.id / decisionPage
+		if p < l.first { // a replayed log's arrival frames out of id order
+			l.pages, l.first = slices.Insert(l.pages, 0, make([]*[decisionPage]Decision, l.first-p)...), p
+		}
+		if n := p - l.first + 1 - int64(len(l.pages)); n > 0 {
+			l.pages = append(l.pages, make([]*[decisionPage]Decision, n)...)
+		}
+		pg := &l.pages[p-l.first]
+		if *pg == nil {
+			*pg = new([decisionPage]Decision)
+		}
+		(*pg)[q.id%decisionPage] = Decision{ID: q.id, Status: StatusQueued, Request: q.req}
+	}
+}
+
+// prune drops every record below id: the pages wholly below it go, and
+// the rest of them are cleared. Callers hold mu for writing.
+func (l *decisionLog) prune(id int64) {
+	for len(l.pages) > 0 && (l.first+1)*decisionPage <= id {
+		l.pages[0] = nil // let the collector have it
+		l.pages, l.first = l.pages[1:], l.first+1
+	}
+	if len(l.pages) > 0 && l.pages[0] != nil && l.first*decisionPage < id {
+		clear(l.pages[0][:id-l.first*decisionPage])
+	}
 }
 
 // ErrDraining is returned by Submit once drain has begun.
@@ -48,22 +94,20 @@ var ErrDraining = errors.New("serve: draining, not accepting new requests")
 var ErrQueueFull = errors.New("serve: arrival queue full")
 
 // Submit validates and enqueues one reservation request for the next
-// epoch tick. The request's ID field is ignored; the server assigns its
-// own. On success the returned decision has StatusQueued. Submit never
-// takes the server's tick lock: ids come from an atomic counter and the
-// arrival lands in an intake shard, so concurrent clients contend only
-// per shard.
+// epoch tick: a batch of one. The request's ID field is ignored; the
+// server assigns its own. On success the returned decision has
+// StatusQueued.
 func (s *Server) Submit(req demand.Request) (*Decision, error) {
-	d, off, err := s.submitAt(req, time.Now())
+	var out [1]BatchResult
+	off, err := s.admit([]demand.Request{req}, time.Now(), out[:])
+	if err == nil {
+		err = s.walWait(off) // ack once fsynced, batched with every in-flight wait
+	}
 	if err != nil {
 		return nil, err
 	}
-	// Ack only after the arrival record is fsynced (group commit: the
-	// wait batches with every other in-flight submit and tick).
-	if err := s.walWait(off); err != nil {
-		return nil, err
-	}
-	return d, nil
+	req.ID = int(out[0].ID)
+	return &Decision{ID: out[0].ID, Status: StatusQueued, Request: req}, nil
 }
 
 // walWait blocks until off is durable (no-op without a WAL).
@@ -77,50 +121,70 @@ func (s *Server) walWait(off wal.Offset) error {
 	return nil
 }
 
-func (s *Server) submitAt(req demand.Request, now time.Time) (*Decision, wal.Offset, error) {
-	if r := s.role.Load(); r != roleLeader {
-		return nil, wal.Offset{}, roleErr(r)
-	}
-	if s.draining.Load() {
-		return nil, wal.Offset{}, ErrDraining
-	}
-	req.ID = 0 // assigned below; validate with a neutral id
-	if err := req.Validate(s.cfg.Net, s.cfg.Slots); err != nil {
-		cInvalid.Inc()
-		return nil, wal.Offset{}, err
-	}
-	// Reserve a depth slot before the id so a shed never burns an id.
-	if s.queueDepth.Add(1) > int64(s.cfg.QueueLimit) {
-		s.queueDepth.Add(-1)
-		s.nShed.Add(1)
-		if s.cfg.Tracer != nil {
-			obs.Event(s.cfg.Tracer, "serve.arrival", obs.Fields{"outcome": "shed"})
-		}
-		return nil, wal.Offset{}, ErrQueueFull
-	}
-	id := s.nextID.Add(1) - 1
-	req.ID = int(id)
-	// The arrival record goes to the log before the request is queued,
-	// so any tick that decides it is logged after it. The durability
-	// wait happens in the caller.
-	var off wal.Offset
-	if w := s.cfg.WAL; w != nil {
-		var err error
-		off, err = w.Append(walRecArrival, encodeArrival(&req))
-		if err != nil {
+// admit validates reqs and queues the valid ones in order, filling
+// out[i] for reqs[i]: the assigned id of a queued request, the refusal
+// of the rest. It returns the WAL offset the acks must wait for and the
+// last refusal's error. The batch takes the intake lock once: ids,
+// arrival frames, the queue and the decision records are written under
+// it. admit never takes s.mu.
+func (s *Server) admit(reqs []demand.Request, now time.Time, out []BatchResult) (off wal.Offset, last error) {
+	in := &s.in
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	first := len(in.queue)
+	for i := range reqs {
+		req := reqs[i]
+		req.ID = 0 // assigned below; validate with a neutral id
+		status, err := "draining", error(nil)
+		if r := s.role.Load(); r != roleLeader {
+			err = roleErr(r)
+		} else if s.draining.Load() {
+			err = ErrDraining
+		} else if err = req.Validate(s.cfg.Net, s.cfg.Slots); err != nil {
+			status = "invalid"
+			cInvalid.Inc()
+		} else if s.queueDepth.Add(1) > int64(s.cfg.QueueLimit) {
+			// The depth slot is reserved before the id, so a shed never
+			// burns an id.
 			s.queueDepth.Add(-1)
-			return nil, wal.Offset{}, fmt.Errorf("serve: wal append: %w", err)
+			s.nShed.Add(1)
+			status, err = "shed", ErrQueueFull
+			if s.cfg.Tracer != nil {
+				obs.Event(s.cfg.Tracer, "serve.arrival", obs.Fields{"outcome": "shed"})
+			}
+		}
+		if err != nil {
+			out[i], last = BatchResult{Status: status, Error: err.Error()}, err
+			continue
+		}
+		req.ID = int(s.nextID.Add(1) - 1)
+		// The arrival record goes to the log before the request is
+		// queued, so any tick that decides it is logged after it. The
+		// durability wait happens in the caller.
+		if w := s.cfg.WAL; w != nil {
+			in.frame = appendArrival(in.frame[:0], &req)
+			o, err := w.Append(walRecArrival, in.frame)
+			if err != nil {
+				s.queueDepth.Add(-1)
+				last = fmt.Errorf("serve: wal append: %w", err)
+				out[i] = BatchResult{Status: "invalid", Error: last.Error()}
+				continue
+			}
+			off = o
+		}
+		in.queue = append(in.queue, pending{id: int64(req.ID), req: req, at: now})
+		out[i] = BatchResult{ID: int64(req.ID), Status: StatusQueued}
+		if s.cfg.Tracer != nil {
+			obs.Event(s.cfg.Tracer, "serve.arrival", obs.Fields{
+				"id": req.ID, "outcome": "queued", "queue_depth": s.queueDepth.Load(),
+			})
 		}
 	}
-	d := s.queueDecision(id, req)
-	s.push(pending{id: id, req: req, at: now})
-	s.nSubmitted.Add(1)
-	if s.cfg.Tracer != nil {
-		obs.Event(s.cfg.Tracer, "serve.arrival", obs.Fields{
-			"id": id, "outcome": "queued", "queue_depth": s.queueDepth.Load(),
-		})
-	}
-	return &d, off, nil
+	s.nSubmitted.Add(int64(len(in.queue) - first))
+	// The records go in before in.mu is released: a tick cannot claim
+	// an arrival whose record is not there yet.
+	s.dlog.queue(in.queue[first:]...)
+	return off, last
 }
 
 // BatchResult is one entry of a batch-submit response: the assigned id
@@ -135,28 +199,11 @@ type BatchResult struct {
 // per request. Outcomes are independent: a shed or invalid entry does
 // not stop the rest of the batch.
 func (s *Server) SubmitAll(reqs []demand.Request) []BatchResult {
-	now := time.Now()
 	out := make([]BatchResult, len(reqs))
-	var maxOff wal.Offset
-	for i, r := range reqs {
-		d, off, err := s.submitAt(r, now)
-		switch {
-		case err == nil:
-			out[i] = BatchResult{ID: d.ID, Status: StatusQueued}
-			if off.After(maxOff) {
-				maxOff = off
-			}
-		case errors.Is(err, ErrQueueFull):
-			out[i] = BatchResult{Status: "shed", Error: err.Error()}
-		case errors.Is(err, ErrDraining) || errors.Is(err, ErrStandby) || errors.Is(err, ErrFenced):
-			out[i] = BatchResult{Status: "draining", Error: err.Error()}
-		default:
-			out[i] = BatchResult{Status: "invalid", Error: err.Error()}
-		}
-	}
+	off, _ := s.admit(reqs, time.Now(), out)
 	// One durability wait covers the whole batch — the point of group
 	// commit: a 500-request batch costs one fsync, not 500.
-	if err := s.walWait(maxOff); err != nil {
+	if err := s.walWait(off); err != nil {
 		for i := range out {
 			if out[i].Status == StatusQueued {
 				out[i] = BatchResult{ID: out[i].ID, Status: "error", Error: err.Error()}
@@ -166,91 +213,47 @@ func (s *Server) SubmitAll(reqs []demand.Request) []BatchResult {
 	return out
 }
 
-// claimIntake steals every shard's queue and merges them back into
-// submission (id) order. When max > 0 only the oldest max arrivals are
-// claimed; the rest are re-queued for the next tick. Callers hold s.mu.
+// claimIntake takes the queued arrivals in id order: all of them, or
+// the oldest max when max > 0, the rest staying at the queue's front. A
+// claimed prefix shares the queue's array, which appends (past its end)
+// and requeue's sort (inside the queue) never touch. Callers hold s.mu.
 func (s *Server) claimIntake(max int) []pending {
-	var batch []pending
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		batch = append(batch, sh.queue...)
-		sh.queue = nil
-		sh.mu.Unlock()
-	}
-	sort.Slice(batch, func(a, b int) bool { return batch[a].id < batch[b].id })
+	s.in.mu.Lock()
+	defer s.in.mu.Unlock()
+	batch := s.in.queue
 	if max > 0 && len(batch) > max {
-		for _, p := range batch[max:] {
-			s.push(p)
-		}
-		batch = batch[:max]
+		batch, s.in.queue = batch[:max:max], batch[max:]
+	} else {
+		s.in.queue = make([]pending, 0, len(batch))
 	}
 	return batch
 }
 
-// push appends p to its intake shard's queue.
-func (s *Server) push(p pending) {
-	sh := &s.shards[uint64(p.id)%intakeShards]
-	sh.mu.Lock()
-	sh.queue = append(sh.queue, p)
-	sh.mu.Unlock()
-}
-
-// requeue puts arrivals back in the intake queue, counting them in the
-// queue depth: a fenced tick's batch, or an arrival
-// recovery takes over (adopt).
+// requeue puts arrivals, in id order, back in the intake queue and
+// counts them in the queue depth. A fenced tick's batch lands behind
+// higher ids, and so may an arrival recovery takes over from a log
+// written with a sharded queue; the queue is then sorted back.
 func (s *Server) requeue(ps ...pending) {
-	for _, p := range ps {
-		s.push(p)
+	s.in.mu.Lock()
+	n := len(s.in.queue)
+	s.in.queue = append(s.in.queue, ps...)
+	if n > 0 && len(ps) > 0 && ps[0].id < s.in.queue[n-1].id {
+		slices.SortFunc(s.in.queue, func(a, b pending) int { return cmp.Compare(a.id, b.id) })
 	}
+	s.in.mu.Unlock()
 	s.queueDepth.Add(int64(len(ps)))
-}
-
-// adopt queues an arrival recovery takes over from the log, stamped
-// with at, the time recovery took it over: its queue wait and decision
-// latency count from then. A standby applying its mirror stamps each
-// arrival when the round that brought it applies it. Callers hold s.mu.
-func (s *Server) adopt(id int64, req demand.Request, at time.Time) {
-	s.queueDecision(id, req)
-	s.requeue(pending{id: id, req: req, at: at})
-	if id < s.pruneFrom {
-		s.pruneFrom = id
-	}
-}
-
-// queueDecision records id as queued and returns a copy of the record.
-// The copy is taken under the shard lock: once the record is in the map
-// a concurrent tick may claim the request and mutate it (also under
-// this lock), so an unsynchronized read races.
-func (s *Server) queueDecision(id int64, req demand.Request) Decision {
-	d := &Decision{ID: id, Status: StatusQueued, Request: req}
-	ds := s.dshard(id)
-	ds.mu.Lock()
-	ds.m[id] = d
-	cp := *d
-	ds.mu.Unlock()
-	return cp
-}
-
-// dshard returns id's decision shard; an id the server never assigns
-// (zero or negative) maps to a shard like any other and is simply not
-// found there.
-func (s *Server) dshard(id int64) *decisionShard {
-	return &s.dshards[uint64(id)%decisionShards]
 }
 
 // Decision returns the decision record for id, or nil.
 func (s *Server) Decision(id int64) *Decision {
-	ds := s.dshard(id)
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
-	d, ok := ds.m[id]
-	if !ok {
-		return nil
+	s.dlog.mu.RLock()
+	defer s.dlog.mu.RUnlock()
+	if d := s.dlog.at(id); d != nil {
+		cp := *d
+		cp.Links = append([]int(nil), d.Links...)
+		return &cp
 	}
-	cp := *d
-	cp.Links = append([]int(nil), d.Links...)
-	return &cp
+	return nil
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {

@@ -2,11 +2,20 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+
+	"metis/internal/demand"
+	"metis/internal/online"
+	"metis/internal/sched"
+	"metis/internal/wal"
 )
 
 // TestIntakeContract pins what the two admission endpoints accept and
@@ -144,5 +153,309 @@ func TestIntakeContract(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// batchRecorder wraps a policy and records the ids of every batch a
+// tick asks it to decide, in the order the tick passed them.
+type batchRecorder struct {
+	Policy
+	mu      sync.Mutex
+	batches [][]int
+}
+
+func (p *batchRecorder) Decide(ctx context.Context, led *Ledger, inst *sched.Instance, epoch, slot int) (*online.State, error) {
+	ids := make([]int, inst.NumRequests())
+	for i := range ids {
+		ids[i] = inst.Request(i).ID
+	}
+	p.mu.Lock()
+	p.batches = append(p.batches, ids)
+	p.mu.Unlock()
+	return p.Policy.Decide(ctx, led, inst, epoch, slot)
+}
+
+// claimed returns every recorded batch joined, in call order, and fails
+// the test unless it is strictly ascending: the queue is in id order
+// and each claim takes a prefix of it.
+func (p *batchRecorder) claimed(t *testing.T) []int {
+	t.Helper()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	all := slices.Concat(p.batches...)
+	for i := 1; i < len(all); i++ {
+		if all[i] <= all[i-1] {
+			t.Fatalf("claimed ids out of id order at %d: %v", i, all[max(0, i-5):min(len(all), i+5)])
+		}
+	}
+	return all
+}
+
+// TestConcurrentIntake: goroutines mixing Submit and SubmitAll race a
+// ticking loop with MaxBatch set and a reader of Decision and Stats.
+// Ids are unique and dense, and the ticks claim them in id order. A
+// fenced tick puts its batch back in front of the rest in id order, and
+// a server recovered from the log then decides every acked id exactly
+// once.
+func TestConcurrentIntake(t *testing.T) {
+	const (
+		submitters = 4
+		rounds     = 60
+		maxBatch   = 37
+	)
+	dir := filepath.Join(t.TempDir(), "wal")
+	l, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &batchRecorder{Policy: GreedyPolicy{}}
+	s := walServer(t, l, func(c *Config) { c.Policy, c.MaxBatch = rec, maxBatch })
+	ctx := context.Background()
+
+	var (
+		mu    sync.Mutex
+		acked []int64
+		wg    sync.WaitGroup
+	)
+	submit := func(g, rounds int) {
+		var mine []int64
+		for r := 0; r < rounds; r++ {
+			if (g+r)%2 == 0 {
+				d, err := s.Submit(goodRequest(float64(1 + r)))
+				if err != nil {
+					t.Errorf("submit: %v", err)
+					return
+				}
+				mine = append(mine, d.ID)
+				continue
+			}
+			batch := make([]demand.Request, 1+r%5)
+			for i := range batch {
+				batch[i] = goodRequest(float64(r + i))
+			}
+			for _, res := range s.SubmitAll(batch) {
+				if res.Status != StatusQueued {
+					t.Errorf("batch entry %+v, want queued", res)
+					return
+				}
+				mine = append(mine, res.ID)
+			}
+		}
+		mu.Lock()
+		acked = append(acked, mine...)
+		mu.Unlock()
+	}
+	done := make(chan struct{})
+	var bg sync.WaitGroup
+	bg.Add(2)
+	go func() {
+		defer bg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				s.Tick(ctx)
+			}
+		}
+	}()
+	go func() {
+		defer bg.Done()
+		for id := int64(0); ; id++ {
+			select {
+			case <-done:
+				return
+			default:
+				s.Decision(id % 2048)
+				s.Stats()
+			}
+		}
+	}()
+	for g := range submitters {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			submit(g, rounds)
+		}()
+	}
+	wg.Wait()
+	close(done)
+	bg.Wait()
+	submit(1, 40) // a backlog past MaxBatch for the fenced tick
+	if t.Failed() {
+		return
+	}
+
+	slices.Sort(acked)
+	for i, id := range acked {
+		if id != int64(i+1) {
+			t.Fatalf("acked ids are not 1..%d: position %d holds %d", len(acked), i, id)
+		}
+	}
+	rec.claimed(t)
+	var queued []int64
+	for _, id := range acked {
+		if s.Decision(id).Status == StatusQueued {
+			queued = append(queued, id)
+		}
+	}
+	if len(queued) <= maxBatch {
+		t.Fatalf("%d queued before the fenced tick, want more than MaxBatch %d", len(queued), maxBatch)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s.Tick(ctx) // its fsync fails: fenced, batch requeued
+	if s.Role() != RoleFenced {
+		t.Fatalf("role %q after the failed tick, want fenced", s.Role())
+	}
+	if got := queuedIDs(s); !slices.Equal(got, queued) {
+		t.Fatalf("queue after the fenced tick:\n%v\nwant\n%v", got, queued)
+	}
+
+	l2, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	rec2 := &batchRecorder{Policy: GreedyPolicy{}}
+	r := walServer(t, l2, func(c *Config) { c.Policy, c.MaxBatch = rec2, maxBatch })
+	if _, err := r.RecoverWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if got := queuedIDs(r); !slices.Equal(got, queued) {
+		t.Fatalf("recovered queue:\n%v\nwant\n%v", got, queued)
+	}
+	for i := 0; i < len(queued)/maxBatch+1; i++ {
+		r.Tick(ctx)
+	}
+	rec2.claimed(t)
+	for _, id := range acked {
+		if d := r.Decision(id); d == nil || (d.Status != StatusAccepted && d.Status != StatusRejected) {
+			t.Fatalf("acked id %d: %+v, want decided", id, d)
+		}
+	}
+	if st := r.Stats(); st.Accepted+st.Rejected != int64(len(acked)) || st.QueueDepth != 0 {
+		t.Fatalf("%d accepted + %d rejected with %d queued, want %d acked ids decided once each",
+			st.Accepted, st.Rejected, st.QueueDepth, len(acked))
+	}
+}
+
+// TestDecisionFloorAtPageBoundaries: with the queue limit at
+// DecisionRetention the retention is raised to twice the limit, and
+// after every tick Decision is nil exactly below nextID − retention.
+// Ticks of 1000 ids walk the floor across the 1024-id pages of the
+// decision log; each is checked at the floor and at the edges of the
+// floor's page.
+func TestDecisionFloorAtPageBoundaries(t *testing.T) {
+	const limit = DecisionRetention
+	s := newTestServer(t, func(c *Config) { c.Slots, c.QueueLimit = 64, limit })
+	if got := s.cfg.retention(); got != 2*limit {
+		t.Fatalf("retention %d, want %d", got, 2*limit)
+	}
+	s.Tick(context.Background()) // slot 1: a window ending in slot 0 has passed
+	const chunk = 1000
+	for n := 0; n < 2*limit+4*decisionPage; n += chunk {
+		submitPassed(t, s, chunk, chunk)
+		next := s.nextID.Load()
+		floor := next - 2*limit
+		if floor < 1 {
+			continue
+		}
+		page := floor / decisionPage * decisionPage
+		for _, id := range []int64{floor - 1, floor, page - 1, page, page + decisionPage - 1, page + decisionPage, next - 1, next} {
+			if got, want := s.Decision(id) != nil, id >= floor && id < next; got != want {
+				t.Fatalf("next id %d, floor %d: Decision(%d) present = %v, want %v", next, floor, id, got, want)
+			}
+		}
+	}
+	if n := len(s.dlog.pages); n > 2*limit/decisionPage+1 {
+		t.Fatalf("%d decision pages held, want at most %d", n, 2*limit/decisionPage+1)
+	}
+}
+
+// TestDecisionLogPutBelowFloor: an arrival replayed below the pruned
+// floor lowers the floor and is retained, and the pruned records it
+// uncovers stay absent.
+func TestDecisionLogPutBelowFloor(t *testing.T) {
+	var l decisionLog
+	for id := int64(1); id <= 3*decisionPage; id++ {
+		l.queue(pending{id: id})
+	}
+	l.prune(2*decisionPage + 2)
+	if len(l.pages) != 2 || l.at(2*decisionPage+1) != nil || l.at(2*decisionPage+2) == nil {
+		t.Fatalf("after the prune: %d pages from page %d", len(l.pages), l.first)
+	}
+	l.queue(pending{id: 100})
+	for id := int64(-1); id <= 3*decisionPage+1; id++ {
+		want := id == 100 || (id >= 2*decisionPage+2 && id <= 3*decisionPage)
+		if got := l.at(id) != nil; got != want {
+			t.Fatalf("id %d present = %v, want %v", id, got, want)
+		}
+	}
+}
+
+// TestRecoverOutOfOrderArrivals: a log written by a server whose queue
+// was sharded may hold arrival frames out of id order. Recovery queues
+// them in id order, a logged tick claims its ids wherever they sit, and
+// the next live tick decides the rest in id order.
+func TestRecoverOutOfOrderArrivals(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	l, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrival := func(id int) {
+		req := goodRequest(10)
+		req.ID = id
+		if _, err := l.Append(walRecArrival, appendArrival(nil, &req)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	arrival(2)
+	arrival(1)
+	arrival(3)
+	declined := func(id int64) walOutcome {
+		return walOutcome{ID: id, Kind: walKindReject, Reason: "declined by policy"}
+	}
+	tr := walTick{Outcomes: []walOutcome{declined(1), declined(2)}}
+	if _, err := l.Append(walRecTick, encodeTick(&tr)); err != nil {
+		t.Fatal(err)
+	}
+	arrival(5)
+	arrival(4)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	rec := &batchRecorder{Policy: GreedyPolicy{}}
+	s := walServer(t, l2, func(c *Config) { c.Policy = rec })
+	st, err := s.RecoverWAL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Arrivals != 5 || st.Ticks != 1 {
+		t.Fatalf("recovered %+v, want 5 arrivals and 1 tick", st)
+	}
+	if got := queuedIDs(s); !slices.Equal(got, []int64{3, 4, 5}) {
+		t.Fatalf("recovered queue %v, want [3 4 5]", got)
+	}
+	for _, id := range []int64{1, 2} {
+		if d := s.Decision(id); d == nil || d.Status != StatusRejected {
+			t.Fatalf("decision %d: %+v, want the logged rejection", id, d)
+		}
+	}
+	d, err := s.Submit(goodRequest(10))
+	if err != nil || d.ID != 6 {
+		t.Fatalf("live submit after recovery: %+v, %v; want id 6", d, err)
+	}
+	s.Tick(context.Background())
+	if got := rec.claimed(t); !slices.Equal(got, []int{3, 4, 5, 6}) {
+		t.Fatalf("first live tick decided %v, want [3 4 5 6]", got)
 	}
 }

@@ -3,7 +3,7 @@
 // HTTP, batches arrivals into per-slot epochs, and decides each batch
 // with a pluggable admission policy under a per-tick deadline. The
 // solver stack stays pure and batch-oriented; this package owns all the
-// operational state — the link-state ledger, the sharded arrival queue,
+// operational state — the link-state ledger, the id-ordered arrival queue,
 // load shedding, the write-ahead log and its recovery, and graceful
 // drain.
 package serve

@@ -217,16 +217,15 @@ type LinkState struct {
 }
 
 // Server is the admission-control daemon: an HTTP ingest surface over a
-// bounded, sharded arrival queue, an epoch tick loop deciding batches
+// bounded, id-ordered arrival queue, an epoch tick loop deciding batches
 // against the ledger, and WAL replay for crash recovery. A tick's
 // decisions take effect only as a redo record (walTick) passed to
 // commitTick, live and on replay alike.
 //
 // s.mu guards s.led and the fields declared after it; it is the
 // ledger's one lock, held by every tick phase, read endpoint and
-// recovery step that touches the ledger. Lock order: s.mu →
-// intakeShard.mu / decisionShard.mu. Submit takes only shard locks;
-// ticks and readers take s.mu first.
+// recovery step that touches the ledger. Lock order: s.mu → in.mu →
+// dlog.mu. A submit batch takes in.mu and dlog.mu once each, never s.mu.
 type Server struct {
 	cfg   Config
 	score *scoreRing
@@ -237,15 +236,15 @@ type Server struct {
 	queueWait                             obs.Histogram
 	acceptedLat, rejectedLat, degradedLat obs.Histogram
 
-	// Ingest path: lock-free id assignment and depth accounting plus
-	// per-shard queue/decision locks. No submit ever touches s.mu.
+	// Ingest path: ids are assigned under in.mu (by recovery under
+	// s.mu); readers load the atomics without a lock.
 	nextID     atomic.Int64
 	queueDepth atomic.Int64 // arrivals queued, not yet claimed by a tick
 	draining   atomic.Bool
 	nSubmitted atomic.Int64
 	nShed      atomic.Int64
-	shards     [intakeShards]intakeShard
-	dshards    [decisionShards]decisionShard
+	in         intake
+	dlog       decisionLog
 
 	// Durability & HA.
 	role  atomic.Int32  // roleLeader / roleStandby / roleFenced
@@ -254,7 +253,6 @@ type Server struct {
 	mu        sync.Mutex
 	led       *Ledger
 	nDeciding int        // arrivals claimed by an in-flight tick, still in the queue depth
-	pruneFrom int64      // lowest decision id possibly still retained
 	epoch     int        // ticks processed
 	walFrom   wal.Offset // ApplyLog's cursor: the next pass starts here
 
@@ -286,10 +284,6 @@ func New(cfg Config) (*Server, error) {
 		led:   NewLedger(cfg.Net, cfg.Slots),
 	}
 	s.nextID.Store(1)
-	s.pruneFrom = 1
-	for i := range s.dshards {
-		s.dshards[i].m = make(map[int64]*Decision)
-	}
 	return s, nil
 }
 
@@ -474,7 +468,7 @@ func (s *Server) Run(ctx context.Context) error {
 // Drain performs the graceful-shutdown sequence: stop intake and decide
 // the remaining queue in final ticks. It is idempotent. The loop
 // (rather than a single tick) closes the race with a submit that passed
-// the draining check just as the flag flipped and landed in a shard
+// the draining check just as the flag flipped and landed in the queue
 // after the first final claim.
 func (s *Server) Drain() {
 	if s.draining.Swap(true) {

@@ -240,6 +240,7 @@ func (s *Server) commitTick(tr *walTick, reqs []demand.Request) {
 	}
 
 	cycle := tr.Epoch / s.cfg.Slots
+	s.dlog.mu.Lock()
 	for i := range tr.Outcomes {
 		o := &tr.Outcomes[i]
 		status, reason := StatusRejected, o.Reason
@@ -256,14 +257,16 @@ func (s *Server) commitTick(tr *walTick, reqs []demand.Request) {
 		if o.Degraded {
 			s.nDegradedDecisions++
 		}
-		ds := s.dshard(o.ID)
-		ds.mu.Lock()
-		if d, ok := ds.m[o.ID]; ok { // still retained
+		if d := s.dlog.at(o.ID); d != nil { // still retained
 			d.Status, d.Reason, d.Links, d.Degraded = status, reason, o.Links, o.Degraded
 			d.Epoch, d.Cycle, d.Slot = tr.Epoch, cycle, tr.Slot
 		}
-		ds.mu.Unlock()
 	}
+	// Bound the decision history below nextID − retention. Retention
+	// exceeds the queue limit, so no queued request is pruned — nor an
+	// id recoverArrival must still recognise as a duplicate.
+	s.dlog.prune(s.nextID.Load() - s.cfg.retention())
+	s.dlog.mu.Unlock()
 	if tr.Degraded {
 		s.nDegraded++
 	}
@@ -275,17 +278,6 @@ func (s *Server) commitTick(tr *walTick, reqs []demand.Request) {
 			s.nCheckFailures++
 			s.lastCheckErr = err.Error()
 		}
-	}
-	// Bound the decision history: drop the oldest records once the map
-	// outgrows the retention window. Only ids below nextID − retention
-	// go, and retention exceeds the queue limit, so a queued request is
-	// never pruned — nor, during recovery, an id recoverArrival must
-	// still recognise as a duplicate.
-	for retention := s.cfg.retention(); s.nextID.Load()-s.pruneFrom > retention; s.pruneFrom++ {
-		ds := s.dshard(s.pruneFrom)
-		ds.mu.Lock()
-		delete(ds.m, s.pruneFrom)
-		ds.mu.Unlock()
 	}
 	s.epoch++
 }

@@ -198,10 +198,9 @@ func (r *walReader) done() error {
 	return nil
 }
 
-// encodeArrival encodes one acked arrival; req carries the
-// server-assigned id.
-func encodeArrival(req *demand.Request) []byte {
-	b := make([]byte, 0, 5*binary.MaxVarintLen64+16) // the largest arrival
+// appendArrival appends the frame body of one acked arrival to b; req
+// carries the server-assigned id.
+func appendArrival(b []byte, req *demand.Request) []byte {
 	b = appendInt(b, req.ID)
 	b = appendInt(b, req.Src)
 	b = appendInt(b, req.Dst)

@@ -167,7 +167,7 @@ func TestWALCodecRoundTrip(t *testing.T) {
 		a := randArrival(rng)
 		var wantA demand.Request
 		viaJSON(t, a, &wantA)
-		gotA, err := decodeArrival(encodeArrival(&a))
+		gotA, err := decodeArrival(appendArrival(nil, &a))
 		if err != nil {
 			t.Fatalf("arrival %+v: %v", a, err)
 		}
@@ -203,7 +203,7 @@ var goldenFrames = []struct {
 	{
 		"arrival", "d20f060e0416" + "9a9999999999c93f" + "0000000000c05e40",
 		func() []byte {
-			return encodeArrival(&demand.Request{ID: 1001, Src: 3, Dst: 7, Start: 2, End: 11, Rate: 0.2, Value: 123})
+			return appendArrival(nil, &demand.Request{ID: 1001, Src: 3, Dst: 7, Start: 2, End: 11, Rate: 0.2, Value: 123})
 		},
 		func(b []byte) (any, error) { return decodeArrival(b) },
 	},
@@ -311,8 +311,8 @@ func FuzzWALFrameDecode(f *testing.F) {
 		}
 		if errA == nil {
 			// Compared as bytes: a NaN rate is a legal frame and not == itself.
-			enc := encodeArrival(&a)
-			if again, err := decodeArrival(enc); err != nil || !bytes.Equal(encodeArrival(&again), enc) {
+			enc := appendArrival(nil, &a)
+			if again, err := decodeArrival(enc); err != nil || !bytes.Equal(appendArrival(nil, &again), enc) {
 				t.Fatalf("arrival %+v re-decoded to %+v, %v", a, again, err)
 			}
 		}
