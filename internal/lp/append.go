@@ -177,8 +177,8 @@ func (w *Basis) grow(p *Problem, mat *csc, opts Options) bool {
 	}
 
 	// Basis storage: re-decide the representation for the new size. On the
-	// factorized path the factors are rebuilt from the basic set by the
-	// caller's ensureLU; on the dense-inverse path the grown inverse is
+	// factorized path the factors are rebuilt from the basic set by
+	// solveWarm; on the dense-inverse path the grown inverse is
 	// diag(Binv_old, I) because appended rows meet old basic columns
 	// nowhere.
 	s.chooseBasis()
@@ -200,7 +200,6 @@ func (w *Basis) grow(p *Problem, mat *csc, opts Options) bool {
 	s.alpha, s.alphaNZ, s.alphaMark = nil, nil, nil
 	s.alphaStamp = 0
 	s.b = grow(s.b, m1, m1)
-	s.luFail = false
 
 	w.m, w.nStruct, w.sign = m1, nS1, sign
 	return true

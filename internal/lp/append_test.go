@@ -296,7 +296,7 @@ func TestWarmGrowRandomized(t *testing.T) {
 					if err := q.SetRHS(i, rhs); err != nil {
 						t.Fatal(err)
 					}
-				} else if prev := p.RHS(i); prev != q.RHS(i) {
+				} else if prev := p.rhs[i]; prev != q.rhs[i] {
 					if err := q.SetRHS(i, prev); err != nil {
 						t.Fatal(err)
 					}

@@ -8,23 +8,31 @@ import (
 
 // FuzzSimplex differentially fuzzes the sparse revised simplex against
 // refSolve, an independent dense two-phase tableau implementation with
-// Bland's rule. The fuzzer decodes the raw bytes into a tiny bounded LP
+// Bland's rule. The fuzzer decodes the raw bytes into a bounded LP
 // (every variable has a finite upper bound, so unbounded problems are
-// impossible by construction), solves it with both implementations, and
-// requires the statuses to agree — and, when both are optimal, the
-// objective values to match within 1e-6.
+// impossible by construction) — a tiny one, or, after a leading
+// parallelShape byte, one of at least luAutoRows nearly parallel rows —
+// solves it with both implementations, and requires the statuses to
+// agree — and, when both are optimal, the objective values to match
+// within 1e-6.
 func FuzzSimplex(f *testing.F) {
 	// Seed corpus: a few byte strings that decode into LPs exercising
-	// each relation, both senses, and an infeasible system.
+	// each relation, both senses, an infeasible system, and the
+	// LU-sized nearly parallel shape.
 	f.Add([]byte{0, 0})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{255, 254, 253, 252, 251, 250, 249, 248, 247, 246})
 	f.Add([]byte{7, 1, 0, 2, 6, 6, 3, 0, 8, 1, 4, 4, 2, 9, 5, 0, 1})
 	f.Add([]byte{42, 42, 42, 42, 42, 42, 42, 42, 42, 42, 42, 42, 42, 42})
 	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4})
+	f.Add([]byte{parallelShape, 5, 3, 1, 6, 3, 0, 2, 5, 1, 4, 3, 6, 2, 1, 0, 5, 6, 3, 1, 0, 4, 2, 6, 6, 5, 1, 0, 3, 7, 9, 11, 2})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fz, ok := decodeFuzzLP(data)
+		decode := decodeFuzzLP
+		if len(data) > 0 && data[0] == parallelShape {
+			decode = decodeParallelLP
+		}
+		fz, ok := decode(data)
 		if !ok {
 			t.Skip("not enough bytes")
 		}
@@ -103,8 +111,9 @@ func FuzzWarmRepair(f *testing.F) {
 }
 
 // TestSimplexDifferentialSweep runs the same differential oracle as
-// FuzzSimplex over a deterministic pseudo-random sweep, so plain
-// `go test` exercises the comparison even when fuzzing is never run.
+// FuzzSimplex over a deterministic pseudo-random sweep of both shapes,
+// so plain `go test` exercises the comparison even when fuzzing is
+// never run.
 func TestSimplexDifferentialSweep(t *testing.T) {
 	state := uint64(0x243f6a8885a308d3)
 	next := func() byte {
@@ -121,6 +130,18 @@ func TestSimplexDifferentialSweep(t *testing.T) {
 		fz, ok := decodeFuzzLP(buf)
 		if !ok {
 			t.Fatalf("trial %d: 48 bytes must always decode", trial)
+		}
+		checkAgainstReference(t, fz)
+	}
+	for trial := 0; trial < 40; trial++ {
+		buf := make([]byte, 200)
+		for i := range buf {
+			buf[i] = next()
+		}
+		buf[0] = parallelShape
+		fz, ok := decodeParallelLP(buf)
+		if !ok {
+			t.Fatalf("parallel trial %d: 200 bytes must always decode", trial)
 		}
 		checkAgainstReference(t, fz)
 	}
@@ -177,6 +198,60 @@ func decodeFuzzLP(data []byte) (fuzzLP, bool) {
 	return fz, true
 }
 
+// parallelShape is the leading byte that selects decodeParallelLP.
+const parallelShape = 0x80
+
+// decodeParallelLP turns a byte string that starts with parallelShape
+// into an LP the LU basis solves: n∈[2,8] variables, k∈[1,4] base rows
+// decoded as decodeFuzzLP decodes its rows, and copies of them up to
+// m∈[luAutoRows, luAutoRows+15] rows. Each copy changes one coefficient
+// of its base row by one unit and its right-hand side by at most one,
+// so the rows are nearly parallel and the bases they make are close to
+// singular. Bytes past the end read as zero.
+func decodeParallelLP(data []byte) (fuzzLP, bool) {
+	if len(data) < 3 {
+		return fuzzLP{}, false
+	}
+	pos := 1
+	next := func() int {
+		if pos >= len(data) {
+			return 0
+		}
+		pos++
+		return int(data[pos-1])
+	}
+	n := 2 + next()%7
+	k := 1 + next()%4
+	m := luAutoRows + next()%16
+	fz := fuzzLP{sense: Maximize}
+	if next()%2 == 0 {
+		fz.sense = Minimize
+	}
+	for range n {
+		fz.obj = append(fz.obj, float64(next()%7-3))
+		fz.hi = append(fz.hi, float64(1+next()%4))
+	}
+	for i := range m {
+		if i < k {
+			row := make([]float64, n)
+			for j := range row {
+				row[j] = float64(next()%7 - 3)
+			}
+			fz.rows = append(fz.rows, row)
+			fz.rels = append(fz.rels, Rel(1+next()%3))
+			fz.rhs = append(fz.rhs, float64(next()%9-4))
+			continue
+		}
+		b := next()
+		row := append([]float64(nil), fz.rows[i%k]...)
+		row[b%n] += float64(1 - 2*(b/n%2))
+		fz.rows = append(fz.rows, row)
+		fz.rels = append(fz.rels, fz.rels[i%k])
+		fz.rhs = append(fz.rhs, fz.rhs[i%k]+float64(b/(2*n)%3-1))
+	}
+	return fz, true
+}
+
 // build assembles the package's sparse Problem for the instance.
 func (fz fuzzLP) build(t *testing.T) *Problem {
 	t.Helper()
@@ -204,14 +279,15 @@ func (fz fuzzLP) build(t *testing.T) *Problem {
 }
 
 // checkAgainstReference solves the instance with both implementations
-// and compares. Iteration-limited runs (either side) are skipped — the
-// oracle only judges runs both solvers finished. Every instance is also
-// re-solved through the LU-factorized basis, which must agree with the
-// dense-inverse path on status and objective: the fuzzer is the widest
-// net we have over the two basis representations disagreeing.
+// and compares, the package's on the dense-inverse basis. Iteration-
+// limited runs (either side) are skipped — the oracle only judges runs
+// both solvers finished. Every instance is also re-solved through the
+// LU-factorized basis, which must agree with the dense-inverse path on
+// status and objective: the fuzzer is the widest net we have over the
+// two basis representations disagreeing.
 func checkAgainstReference(t *testing.T, fz fuzzLP) {
 	t.Helper()
-	sol, err := fz.build(t).Solve(Options{})
+	sol, err := fz.build(t).Solve(Options{basis: basisInverse})
 	if err != nil {
 		t.Fatalf("%v\nSolve: %v", fz, err)
 	}

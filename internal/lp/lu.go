@@ -754,31 +754,17 @@ func (lu *luBasis) btranSparse(c []float64, cNZ []int32, y []float64, yPrev []in
 
 // appendEta records the product-form update for a pivot that replaces
 // the column at basis position p, given the FTRAN direction
-// w = B⁻¹·a_enter and its nonzero pattern wNZ (nil means scan all of
-// w). etaUnstable / etaFill mean the update was refused and the caller
-// must refactorize (the factors are untouched and still describe the
-// pre-pivot basis).
+// w = B⁻¹·a_enter and its nonzero pattern wNZ. etaUnstable / etaFill
+// mean the update was refused and the caller must refactorize (the
+// factors are untouched and still describe the pre-pivot basis).
 func (lu *luBasis) appendEta(p int, w []float64, wNZ []int32) etaOutcome {
 	piv := w[p]
 	nz := 0
 	maxAbs := 0.0
-	if wNZ != nil {
-		for _, i := range wNZ {
-			if v := w[i]; v != 0 {
-				nz++
-				if a := math.Abs(v); a > maxAbs {
-					maxAbs = a
-				}
-			}
-		}
-	} else {
-		for _, v := range w {
-			if v != 0 {
-				nz++
-				if a := math.Abs(v); a > maxAbs {
-					maxAbs = a
-				}
-			}
+	for _, i := range wNZ {
+		if v := w[i]; v != 0 {
+			nz++
+			maxAbs = max(maxAbs, math.Abs(v))
 		}
 	}
 	if math.Abs(piv) < luEtaStabTol*maxAbs {
@@ -792,21 +778,11 @@ func (lu *luBasis) appendEta(p int, w []float64, wNZ []int32) etaOutcome {
 	lu.etaPos = append(lu.etaPos, int32(p))
 	lu.etaVals = append(lu.etaVals, piv)
 	lu.etaMask[p] |= bit
-	if wNZ != nil {
-		for _, i := range wNZ {
-			if v := w[i]; v != 0 && int(i) != p {
-				lu.etaPos = append(lu.etaPos, i)
-				lu.etaVals = append(lu.etaVals, v)
-				lu.etaMask[i] |= bit
-			}
-		}
-	} else {
-		for i, v := range w {
-			if v != 0 && i != p {
-				lu.etaPos = append(lu.etaPos, int32(i))
-				lu.etaVals = append(lu.etaVals, v)
-				lu.etaMask[i] |= bit
-			}
+	for _, i := range wNZ {
+		if v := w[i]; v != 0 && int(i) != p {
+			lu.etaPos = append(lu.etaPos, i)
+			lu.etaVals = append(lu.etaVals, v)
+			lu.etaMask[i] |= bit
 		}
 	}
 	lu.etaPtr = append(lu.etaPtr, int32(len(lu.etaPos)))

@@ -315,7 +315,7 @@ func TestLUEtaUpdates(t *testing.T) {
 		if leave < 0 || best < 1e-9 {
 			continue // direction vanished; skip this candidate
 		}
-		if lu.appendEta(leave, w, nil) != etaOK {
+		if appendDenseEta(lu, leave, w) != etaOK {
 			// Refused update: refactor the post-pivot basis, as
 			// simplex.basisPivot does.
 			basic[leave] = enter
@@ -444,7 +444,7 @@ func TestLUDFSPostorder(t *testing.T) {
 				p = i
 			}
 		}
-		if lu.appendEta(p, w, nil) != etaOK {
+		if appendDenseEta(lu, p, w) != etaOK {
 			t.Fatalf("eta %d refused", e)
 		}
 	}
@@ -522,4 +522,14 @@ func BenchmarkLUSparseSolves(b *testing.B) {
 			}
 		}
 	}
+}
+
+// appendDenseEta calls appendEta for a direction w held densely: its
+// pattern is every position.
+func appendDenseEta(lu *luBasis, p int, w []float64) etaOutcome {
+	pattern := make([]int32, len(w))
+	for i := range pattern {
+		pattern[i] = int32(i)
+	}
+	return lu.appendEta(p, w, pattern)
 }

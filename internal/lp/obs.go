@@ -12,7 +12,7 @@ var (
 	cPhase2Iters = obs.NewCounter("lp.phase2_iters", "phase-2 (optimality) simplex iterations of cold solves")
 	cPivots      = obs.NewCounter("lp.pivots", "basis-changing pivots, primal and dual")
 	cBoundFlips  = obs.NewCounter("lp.bound_flips", "bound-flip iterations (entering variable crossed its range; no basis change)")
-	cDegenerate  = obs.NewCounter("lp.degenerate_pivots", "primal pivots with a (near-)zero step; sustained runs trigger Bland's anti-cycling rule")
+	cDegenerate  = obs.NewCounter("lp.degenerate_pivots", "primal pivots with a (near-)zero step; sustained runs demote the primal to hashed ratio-test ties, then to Bland's rule")
 	cIterLimit   = obs.NewCounter("lp.iterlimit", "solves that stopped at the iteration cap")
 	cCanceled    = obs.NewCounter("lp.canceled", "solves stopped by Options.Ctx cancellation or deadline")
 
@@ -21,10 +21,10 @@ var (
 	cLURefactorStab = obs.NewCounter("lp.lu.refactor_unstable", "refactorizations forced by an unstable eta pivot")
 	cLURefactorFill = obs.NewCounter("lp.lu.refactor_fill", "refactorizations forced by eta-file fill growth or the eta-count cap")
 	cLUFillNNZ      = obs.NewCounter("lp.lu.fill_nnz", "cumulative nonzeros (L+U+diag) across factorizations; divide by lp.lu.factors for mean fill")
-	cLUSingular     = obs.NewCounter("lp.lu.singular", "factorization attempts that found the basis numerically singular")
+	cLUSingular     = obs.NewCounter("lp.lu.singular", "factorizations that found the basis numerically singular; mid-solve, the pivot that made it is rejected")
 
 	cPricingScanned   = obs.NewCounter("lp.pricing.scanned", "candidate columns priced across primal entering scans (both rungs)")
-	cPricingFallbacks = obs.NewCounter("lp.pricing.fallbacks", "primal pricing-rule demotions sectional Dantzig -> Bland on degenerate plateaus")
+	cPricingFallbacks = obs.NewCounter("lp.pricing.fallbacks", "primal anti-cycling demotions on degenerate plateaus: sectional Dantzig -> hashed ratio-test ties -> Bland")
 
 	cDualColdStarts = obs.NewCounter("lp.pricing.dual_cold_starts", "cold solves that skipped primal phase 1 via a dual cold start (slack basis dual feasible; dual simplex restores primal feasibility)")
 	cDualColdBails  = obs.NewCounter("lp.pricing.dual_cold_bails", "dual cold starts that stalled and fell back to classic two-phase primal simplex")

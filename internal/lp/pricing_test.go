@@ -30,8 +30,9 @@ func bealeProblem(t *testing.T) *Problem {
 }
 
 // degenerateChain maximizes Σx over x_j ≤ x_{j+1}, x_n ≤ 1: every
-// pivot but the last is degenerate (the rhs is all zeros), so the
-// 40-pivot streak hands the plateau to Bland's rule. Optimum n.
+// pivot but the last is degenerate (the rhs is all zeros), so
+// 40-pivot streaks demote it to the hashed tie order and then to
+// Bland's rule. Optimum n.
 func degenerateChain(t *testing.T, n int) *Problem {
 	t.Helper()
 	p := NewProblem(Maximize)
@@ -47,12 +48,36 @@ func degenerateChain(t *testing.T, n int) *Problem {
 	return p
 }
 
-// TestCyclingInstanceAllPricings drives both rungs of the pricing
+// hallMcKinnon is the two-row cycling example of Hall and McKinnon
+// (2004), with a cap row Σx ≤ 1 added to bound it. Dantzig's rule
+// cycles on it through six bases, and its ratio tests never tie, so no
+// tie-break can end the cycle: only Bland's entering rule does.
+// Optimum −0.875.
+func hallMcKinnon(t *testing.T) *Problem {
+	t.Helper()
+	p := NewProblem(Minimize)
+	for _, c := range []float64{-2.3, -2.15, 13.55, 0.4} {
+		mustVar(t, p, c, 0, math.Inf(1), "x")
+	}
+	for _, row := range [][]float64{{0.4, 0.2, -1.4, -0.2}, {-7.8, -1.4, 7.8, 0.4}, {1, 1, 1, 1}} {
+		rhs := 0.0
+		if row[0] == 1 {
+			rhs = 1
+		}
+		r := mustCon(t, p, LE, rhs, "row")
+		for j, a := range row {
+			mustTerm(t, p, r, j, a)
+		}
+	}
+	return p
+}
+
+// TestCyclingInstanceAllPricings drives every rung of the anti-cycling
 // ladder on both basis representations under default options — no
-// option names Bland's rule, so these instances are its termination
-// reproducers: Beale's cycling instance must reach its known optimum,
-// and the degenerate chain must reach its optimum through at least one
-// demotion to Bland.
+// option names a rung, so these instances are its termination
+// reproducers: Beale's cycling instance must reach its known optimum
+// with no demotion, the degenerate chain through at least one, and
+// Hall and McKinnon's instance only through both, down to Bland's rule.
 func TestCyclingInstanceAllPricings(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -62,10 +87,11 @@ func TestCyclingInstanceAllPricings(t *testing.T) {
 			name      string
 			p         *Problem
 			want      float64
-			demotions bool
+			demotions int64
 		}{
-			{"beale", bealeProblem(t), -0.05, false},
-			{"chain", degenerateChain(t, 100), 100, true},
+			{"beale", bealeProblem(t), -0.05, 0},
+			{"chain", degenerateChain(t, 100), 100, 1},
+			{"hall-mckinnon", hallMcKinnon(t), -0.875, 2},
 		} {
 			before := cPricingFallbacks.Value()
 			sol, err := inst.p.Solve(Options{basis: c.basis})
@@ -81,8 +107,8 @@ func TestCyclingInstanceAllPricings(t *testing.T) {
 			if math.Abs(sol.Objective-inst.want) > 1e-6 {
 				t.Fatalf("%s/%s: objective %v, want %v", inst.name, c.name, sol.Objective, inst.want)
 			}
-			if inst.demotions && cPricingFallbacks.Value() == before {
-				t.Fatalf("%s/%s: never demoted to Bland", inst.name, c.name)
+			if got := cPricingFallbacks.Value() - before; got < inst.demotions {
+				t.Fatalf("%s/%s: %d demotions, want at least %d", inst.name, c.name, got, inst.demotions)
 			}
 		}
 	}

@@ -47,11 +47,11 @@ const (
 	// deadline passed) before the solve finished. The Solution carries no
 	// X; a warm-start Basis interrupted mid-repair stays usable.
 	StatusCanceled
-	// StatusNumeric reports that the factorized basis path broke down
-	// numerically (singular or unstable LU refactorization) and the
-	// problem was too large to retry against the dense fallback. The
-	// Solution carries no X. Rare in practice: the solver retries small
-	// problems densely and refactorizes before giving up.
+	// StatusNumeric reports a basis the solve could not repair. A pivot
+	// whose basis does not factor is rejected and the solve goes on from
+	// the basis before it; it ends here only if that basis no longer
+	// factors either, or if every improving column is held out by such
+	// a rejection. The Solution carries Iters and no X.
 	StatusNumeric
 )
 
@@ -248,9 +248,6 @@ func (p *Problem) SetRHS(row int, b float64) error {
 	p.rhs[row] = b
 	return nil
 }
-
-// RHS returns the current right-hand side of constraint row.
-func (p *Problem) RHS(row int) float64 { return p.rhs[row] }
 
 // mergedColumn returns column j with duplicate rows summed and zeros
 // dropped, sorted by row. A column whose rows already strictly ascend is

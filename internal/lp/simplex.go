@@ -13,9 +13,8 @@ import (
 )
 
 // basisKind forces a basis representation. The zero value lets the row
-// count decide (luAutoRows); the other two exist for solveCold's
-// singular retry and for in-package tests that hold the two
-// representations against each other at one size.
+// count decide (luAutoRows); the other two exist for in-package tests
+// that hold the two representations against each other at one size.
 type basisKind int8
 
 const (
@@ -30,27 +29,15 @@ const (
 // above it the O(m²) per-pivot cost (and O(m²) memory) loses to sparse
 // triangular solves, and only the O(nnz) factors make K=10000-scale
 // instances (m ≈ 10⁴ rows) tractable. The dense inverse is also the
-// retry rung after a singular factorization and the differential
-// reference for LU: both must agree on status and objective within
-// tolerance on every instance (see the parity and fuzz tests).
+// differential reference for LU: both must agree on status and
+// objective within tolerance on every instance (see the parity and
+// fuzz tests).
 const luAutoRows = 128
-
-// maxFallbackBinvCells caps the dense-inverse retry after a factorized
-// numeric failure: beyond this, allocating the m×m inverse would be
-// worse than the failure, so the retry re-runs factorized instead.
-const maxFallbackBinvCells = 1 << 24
 
 // pricingSection is the sectional-pricing window: the number of
 // candidate columns priced per section before the best improving one
 // (if any) is taken. Lists at most this long get a plain full scan.
 const pricingSection = 1024
-
-// statusNumeric is an internal sentinel: the LU-factorized basis went
-// numerically singular mid-solve. It never escapes the package —
-// solveCold retries on the dense-inverse path and solveWarm converts it
-// to a cold fallback; only when every fallback fails does a solve
-// surface StatusNumeric.
-const statusNumeric Status = -1
 
 // tol is the simplex feasibility/optimality tolerance. It is typed so
 // that constant expressions over it round as a float64 variable would.
@@ -133,10 +120,6 @@ type simplex struct {
 	// dispatch on lu != nil.
 	binv []float64
 	lu   *luBasis
-	// luFail records a numerically singular (re)factorization; the
-	// solve-level paths translate it into a dense-inverse or cold
-	// fallback.
-	luFail bool
 
 	opts  Options
 	iters int
@@ -220,8 +203,9 @@ func grow[T any](buf []T, n, c int) []T {
 }
 
 // Solve optimizes the problem. It returns a Solution whose Status is
-// StatusOptimal, StatusInfeasible, StatusUnbounded or StatusIterLimit;
-// X is populated only for StatusOptimal.
+// StatusOptimal, StatusInfeasible, StatusUnbounded, StatusIterLimit,
+// StatusCanceled or StatusNumeric; X is populated only for
+// StatusOptimal.
 func (p *Problem) Solve(opts Options) (*Solution, error) {
 	if p.sense != Minimize && p.sense != Maximize {
 		return nil, fmt.Errorf("lp: invalid sense %d", p.sense)
@@ -273,38 +257,13 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 	return sol, nil
 }
 
-// solveCold runs two-phase primal simplex from the all-slack basis,
-// retrying on the dense-inverse path if the factorized basis goes
-// numerically singular (a nil return from the attempt).
+// solveCold runs two-phase primal simplex from the all-slack basis.
 func (p *Problem) solveCold(opts Options) *Solution {
-	sol := p.solveColdAttempt(opts)
-	if sol != nil {
-		return sol
-	}
-	// Factorized numeric failure. Small problems rerun on the dense
-	// inverse, which cannot go singular mid-pivot; a retry would replay
-	// the identical pivot sequence on a problem too big for an m×m
-	// inverse, so that case surfaces StatusNumeric instead.
-	cLUSingular.Inc()
-	if m := len(p.rel); m*m <= maxFallbackBinvCells {
-		opts.basis = basisInverse
-		sol = p.solveColdAttempt(opts)
-	}
-	if sol == nil {
-		sol = &Solution{Status: StatusNumeric}
-	}
-	return sol
-}
-
-// solveColdAttempt is one cold solve; it returns nil when the
-// LU-factorized basis went numerically singular and the caller should
-// retry on another path.
-func (p *Problem) solveColdAttempt(opts Options) *Solution {
 	nStruct := len(p.obj)
 	m := len(p.rel)
 	s := simplexPool.Get().(*simplex)
 	s.m, s.opts = m, opts.withDefaults(m, nStruct)
-	s.iters, s.luFail = 0, false
+	s.iters = 0
 	shiftObj := p.layout(s)
 	sign := s.signBuf
 	s.chooseBasis()
@@ -315,14 +274,8 @@ func (p *Problem) solveColdAttempt(opts Options) *Solution {
 		for i := 0; i < m; i++ {
 			s.binv[i*m+i] = 1
 		}
-	}
-	if s.lu != nil && !s.refactorLU() {
-		// The initial basis is a +1 diagonal; a singular factorization
-		// here means scratch corruption, not bad data — bail to the
-		// dense-inverse retry rather than guessing.
-		opts.Warm.invalidate()
-		s.release()
-		return nil
+	} else {
+		s.refactorLU() // a +1 diagonal: never singular
 	}
 
 	// Dual cold start. At y = 0 every nonbasic column prices out at its
@@ -361,28 +314,19 @@ func (p *Problem) solveColdAttempt(opts Options) *Solution {
 				}
 			}
 			s.refreshXB()
-			dst := dualDone
+			st := StatusOptimal
 			if !s.primalFeasible() {
-				dst = s.dualIterate()
+				st = s.dualIterate()
 			}
-			switch dst {
-			case dualDone:
+			switch st {
+			case StatusOptimal:
 				s.refreshXB()
 				dualStart = s.primalFeasible()
-			case dualInfeasible:
-				iters := s.iters
-				cPhase1Iters.Add(int64(iters))
-				opts.Warm.invalidate()
-				s.release()
-				return &Solution{Status: StatusInfeasible, Iters: iters}
-			case dualCanceled:
-				iters := s.iters
-				cPhase1Iters.Add(int64(iters))
-				opts.Warm.invalidate()
-				s.release()
-				return &Solution{Status: StatusCanceled, Iters: iters}
-			default: // dualStalled
+			case StatusIterLimit:
 				dualStart = false
+			default:
+				cPhase1Iters.Add(int64(s.iters))
+				return s.end(st, opts.Warm)
 			}
 			if dualStart {
 				p1 = s.iters
@@ -396,11 +340,7 @@ func (p *Problem) solveColdAttempt(opts Options) *Solution {
 					s.up[j] = math.Inf(1)
 				}
 				s.slackBasis()
-				if !s.refactorLU() {
-					opts.Warm.invalidate()
-					s.release()
-					return nil
-				}
+				s.refactorLU()
 			}
 		}
 	}
@@ -414,25 +354,13 @@ func (p *Problem) solveColdAttempt(opts Options) *Solution {
 			phase1[j] = 1
 		}
 		st := s.iterate(phase1)
-		if st == statusNumeric {
+		if st == StatusIterLimit || st == StatusCanceled || st == StatusNumeric {
 			cPhase1Iters.Add(int64(s.iters))
-			opts.Warm.invalidate()
-			s.release()
-			return nil
-		}
-		if st == StatusIterLimit || st == StatusCanceled {
-			iters := s.iters
-			cPhase1Iters.Add(int64(iters))
-			opts.Warm.invalidate()
-			s.release()
-			return &Solution{Status: st, Iters: iters}
+			return s.end(st, opts.Warm)
 		}
 		if s.objective(phase1) > tol*(1+norm1(s.b)) {
-			iters := s.iters
-			cPhase1Iters.Add(int64(iters))
-			opts.Warm.invalidate()
-			s.release()
-			return &Solution{Status: StatusInfeasible, Iters: iters}
+			cPhase1Iters.Add(int64(s.iters))
+			return s.end(StatusInfeasible, opts.Warm)
 		}
 		p1 = s.iters
 		cPhase1Iters.Add(int64(p1))
@@ -448,16 +376,8 @@ func (p *Problem) solveColdAttempt(opts Options) *Solution {
 	// Phase 2.
 	st := s.iterate(s.cost)
 	cPhase2Iters.Add(int64(s.iters - p1))
-	switch st {
-	case statusNumeric:
-		opts.Warm.invalidate()
-		s.release()
-		return nil
-	case StatusIterLimit, StatusUnbounded, StatusCanceled:
-		iters := s.iters
-		opts.Warm.invalidate()
-		s.release()
-		return &Solution{Status: st, Iters: iters}
+	if st != StatusOptimal {
+		return s.end(st, opts.Warm)
 	}
 
 	s.refreshXB()
@@ -470,6 +390,16 @@ func (p *Problem) solveColdAttempt(opts Options) *Solution {
 		s.release()
 	}
 	return sol
+}
+
+// end finishes a cold solve that stopped short of an optimum: it drops
+// the warm handle's basis, releases s, and reports the status with the
+// iterations run.
+func (s *simplex) end(st Status, warm *Basis) *Solution {
+	iters := s.iters
+	warm.invalidate()
+	s.release()
+	return &Solution{Status: st, Iters: iters}
 }
 
 // layout builds s's working problem for p, as the cold path and a
@@ -781,23 +711,13 @@ func (s *simplex) refreshXB() {
 	}
 }
 
-// ensureLU (re)factors the basis when the factorized representation is
-// active but stale — a cloned handle, or after an update was refused.
-// It reports false (and sets luFail) on a numerically singular basis.
-func (s *simplex) ensureLU() bool {
-	if s.lu == nil || s.lu.ok {
-		return true
-	}
-	return s.refactorLU()
-}
-
 // refactorLU factors the current basis from scratch and records the
-// factor-size counters. False means singular; s.luFail is set.
+// factor-size counters. False means singular.
 func (s *simplex) refactorLU() bool {
 	cLUFactors.Inc()
 	s.refactored = true // dualIterate refreshes incremental duals off this
 	if !s.lu.factor(s.m, s.colPtr, s.rowIdx, s.vals, s.basic) {
-		s.luFail = true
+		cLUSingular.Inc()
 		return false
 	}
 	cLUFillNNZ.Add(int64(s.lu.nnz()))
@@ -852,11 +772,17 @@ func (s *simplex) computeDuals(cost, y []float64, costRows []int) []int {
 	return s.buildDuals(cost, y, costRows)
 }
 
-// basisPivot applies a basis change at row leave with FTRAN direction w:
-// a product-form update (or, when refused, a refactorization) of the LU
-// factors, or the dense Binv row reduction. False means the refactor
-// found a singular basis and the solve must abort to a fallback path.
-func (s *simplex) basisPivot(leave int, w []float64) bool {
+// basisPivot makes enter basic at row leave, given its FTRAN direction
+// w: a product-form update (or, when refused, a refactorization) of the
+// LU factors, or the dense Binv row reduction. False means the
+// post-pivot basis is singular. The pivot is then rejected: s.basic is
+// left as it was and refactored, and the caller goes on without it
+// (iterate holds enter out until its next accepted pivot; dualIterate
+// hands over). If even that basis no longer factors, s.lu.ok is false
+// and the solve cannot go on.
+func (s *simplex) basisPivot(leave, enter int, w []float64) bool {
+	exit := s.basic[leave]
+	s.basic[leave] = enter
 	if s.lu == nil {
 		s.pivotBinv(leave, w)
 		return true
@@ -870,8 +796,12 @@ func (s *simplex) basisPivot(leave int, w []float64) bool {
 	case etaFill:
 		cLURefactorFill.Inc()
 	}
-	// s.basic already names the post-pivot basis; factor it fresh.
-	return s.refactorLU()
+	if s.refactorLU() {
+		return true
+	}
+	s.basic[leave] = exit
+	s.refactorLU()
+	return false
 }
 
 // buildDuals fills y = c_B^T · Binv: one contiguous Binv row per basic
@@ -944,7 +874,9 @@ func (s *simplex) buildDuals(cost, y []float64, costRows []int) []int {
 
 // iterate runs primal simplex iterations with the given cost vector
 // until optimality, unboundedness, or the iteration limit. It returns
-// StatusOptimal when no improving entering variable exists.
+// StatusOptimal when no improving entering variable exists, and
+// StatusNumeric only when the basis a rejected pivot returns to no
+// longer factors, or every improving column is held out by one.
 //
 // The hot loops are laid out for memory behavior: the dual update
 // streams over contiguous Binv rows, pricing walks flat CSC arrays, and
@@ -957,15 +889,15 @@ func (s *simplex) iterate(cost []float64) Status {
 		s.w = make([]float64, m)
 		s.nz = make([]int32, 0, m)
 	}
-	if !s.ensureLU() {
-		return statusNumeric
-	}
 	degenerate := 0
 
-	// The pricing ladder has two rungs: sectional Dantzig drives the
-	// scan, a degenerate streak demotes it to Bland's rule, and real
-	// progress promotes it back.
-	bland := false
+	// The anti-cycling ladder has three rungs. On rung 0 sectional
+	// Dantzig drives the scan and the ratio test sends near-equal ratios
+	// to the largest |pivot|, then the first row. More than 40 zero
+	// steps in a row demote to rung 1, where equal |pivot|s go by
+	// tieOrder instead; more than m further zero steps demote to rung
+	// 2, Bland's rule. Real progress promotes back to rung 0.
+	rung := 0
 
 	// Pivot/flip/degenerate/pricing tallies stay in locals through the
 	// hot loop and flush to the atomic counters once per iterate call.
@@ -1015,6 +947,9 @@ func (s *simplex) iterate(cost []float64) Status {
 			cands = append(cands, int32(j))
 		}
 	}
+	// held lists the entering columns of rejected pivots (basisPivot),
+	// kept off cands until the next accepted pivot changes the basis.
+	var held []int32
 
 	// Sectional (partial) pricing state. Pricing every candidate on
 	// every iteration is the single largest per-iteration cost once the
@@ -1053,7 +988,7 @@ func (s *simplex) iterate(cost []float64) Status {
 
 		enter := -1
 		var enterDir float64
-		if bland {
+		if rung == 2 {
 			for bi, j32 := range cands {
 				j := int(j32)
 				st := state[j]
@@ -1120,6 +1055,9 @@ func (s *simplex) iterate(cost []float64) Status {
 			cursor = base
 		}
 		if enter == -1 {
+			if len(held) > 0 {
+				return StatusNumeric
+			}
 			return StatusOptimal
 		}
 
@@ -1166,11 +1104,12 @@ func (s *simplex) iterate(cost []float64) Status {
 			if limit < theta-1e-12 {
 				theta, leave, leaveTo = limit, i, to
 			} else if limit < theta+1e-12 && leave != -1 {
-				if bland {
+				if rung == 2 {
 					if s.basic[i] < s.basic[leave] {
 						theta, leave, leaveTo = limit, i, to
 					}
-				} else if math.Abs(g) > math.Abs(enterDir*w[leave]) {
+				} else if a, b := math.Abs(g), math.Abs(w[leave]); a > b ||
+					rung == 1 && a == b && tieOrder(s.basic[i], s.iters) < tieOrder(s.basic[leave], s.iters) {
 					theta, leave, leaveTo = limit, i, to
 				}
 			}
@@ -1181,22 +1120,38 @@ func (s *simplex) iterate(cost []float64) Status {
 		if theta < 0 {
 			theta = 0
 		}
+		exit := -1
+		if leave != -1 {
+			exit = s.basic[leave]
+		}
+		if exit != -1 && !s.basisPivot(leave, enter, w) {
+			// The basis enter makes is singular: hold enter out and
+			// price again from the basis it would have left.
+			if !s.lu.ok {
+				return StatusNumeric
+			}
+			held = append(held, int32(enter))
+			if i, ok := slices.BinarySearch(cands, int32(enter)); ok {
+				cands = slices.Delete(cands, i, i+1)
+			}
+			yValid = false
+			continue
+		}
 
-		// Anti-cycling ladder: a run of degenerate pivots hands the
-		// plateau to Bland's rule, whose ordered first-improving scan
-		// guarantees termination; real progress promotes back to
-		// sectional Dantzig.
+		// Anti-cycling ladder: each run of degenerate pivots demotes one
+		// rung. Rung 2 holds until real progress, and Bland's rule
+		// guarantees that it comes, so every plateau ends.
 		if theta <= 1e-12 {
 			degenerate++
 			degenTotal++
-			if degenerate > 40 && !bland {
-				bland = true
+			if rung == 0 && degenerate > 40 || rung == 1 && degenerate > m {
+				rung++
 				degenerate = 0
 				fallbacks++
 			}
 		} else {
 			degenerate = 0
-			bland = false
+			rung = 0
 		}
 
 		// Move basic variables. A degenerate step (theta == 0) moves
@@ -1245,8 +1200,7 @@ func (s *simplex) iterate(cost []float64) Status {
 		pivots++
 		yValid = false
 
-		// Pivot: basic[leave] exits, enter becomes basic.
-		exit := s.basic[leave]
+		// Pivot: basisPivot made enter basic in exit's place.
 		state[exit] = leaveTo
 		var enterVal float64
 		if enterDir > 0 {
@@ -1254,24 +1208,39 @@ func (s *simplex) iterate(cost []float64) Status {
 		} else {
 			enterVal = up[enter] - theta
 		}
-		s.basic[leave] = enter
 		state[enter] = isBasic
 		s.xB[leave] = enterVal
 
-		// Candidate bookkeeping: enter left the pool, exit rejoined it
-		// (unless permanently fixed at zero).
+		// Candidate bookkeeping: enter left the pool, exit and the held
+		// columns rejoined it (unless permanently fixed at zero).
 		if i, ok := slices.BinarySearch(cands, int32(enter)); ok {
 			cands = slices.Delete(cands, i, i+1)
 		}
 		if i, ok := slices.BinarySearch(cands, int32(exit)); !ok && up[exit] != 0 {
 			cands = slices.Insert(cands, i, int32(exit))
 		}
-
-		if !s.basisPivot(leave, w) {
-			return statusNumeric
+		for _, j := range held {
+			i, _ := slices.BinarySearch(cands, j)
+			cands = slices.Insert(cands, i, j)
 		}
+		held = held[:0]
 	}
 	return StatusIterLimit
+}
+
+// tieOrder ranks basic column j for rung 1's ratio-test ties at
+// iteration it: a hash, so the order is fixed for one iteration and
+// unrelated to the next one's. A cycle whose ties are resolved afresh
+// each time around is unlikely to repeat (the random choice rule),
+// which ends most plateaus before Bland's rule must: its leaving rule
+// picks a row whatever the pivot's size, and on the nearly parallel
+// rows of an SPM relaxation with cut rows it crawls (DESIGN.md,
+// "Anti-cycling at scale").
+func tieOrder(j, it int) uint64 {
+	x := uint64(j)*0x9e3779b97f4a7c15 ^ uint64(it)*0xbf58476d1ce4e5b9
+	x ^= x >> 31
+	x *= 0x94d049bb133111eb
+	return x ^ x>>29
 }
 
 // direction computes w = B⁻¹ · A_enter: an FTRAN against the factors

@@ -168,17 +168,8 @@ func (w *Basis) Clone() *Basis {
 	if s.lu != nil {
 		s.lu = new(luBasis) // refactored on demand from s.basic
 	}
-	s.luFail = false
 	return &Basis{matrix: w.matrix, m: w.m, nStruct: w.nStruct, sign: w.sign, sx: &s, ok: true}
 }
-
-// dual simplex outcomes (internal to the warm path).
-const (
-	dualDone       = iota // primal feasibility restored
-	dualInfeasible        // a row proves the primal problem infeasible
-	dualStalled           // iteration cap or numerical trouble: fall back cold
-	dualCanceled          // Options.Ctx fired mid-repair
-)
 
 // warmOutcome classifies how a solve interacted with the warm path;
 // it feeds the lp.warm.* counters and the "warm" span field.
@@ -197,9 +188,10 @@ const (
 	// warmInfeasibleBasis: status snaps after bound deltas broke dual
 	// feasibility, so the basis could not seed a dual repair.
 	warmInfeasibleBasis
-	// warmStall: the repair ran but gave up — dual iteration cap,
-	// tiny pivot, failed feasibility recheck, cleanup iteration limit,
-	// or accumulated factorization drift.
+	// warmStall: the repair ran but gave up — dual iteration cap, a
+	// dual pivot it could not take, failed feasibility recheck, cleanup
+	// iteration limit, or accumulated factorization drift — or the
+	// retained basic set no longer factors.
 	warmStall
 	// warmCanceled: Options.Ctx fired before or during the repair. The
 	// basis is left intact (feasibility is re-verified on the next warm
@@ -289,9 +281,10 @@ func (p *Problem) solveWarm(opts Options) (*Solution, warmOutcome) {
 		}
 	}
 
-	// A cloned factorized handle carries the basic set but not the
-	// factors; rebuild them before the first FTRAN below.
-	if !s.ensureLU() {
+	// A cloned or grown factorized handle carries the basic set but not
+	// the factors; rebuild them before the first FTRAN below. A basic set
+	// that no longer factors is no basis to start from, like a stale one.
+	if s.lu != nil && !s.lu.ok && !s.refactorLU() {
 		w.invalidate()
 		return nil, warmStall
 	}
@@ -306,18 +299,21 @@ func (p *Problem) solveWarm(opts Options) (*Solution, warmOutcome) {
 			return nil, warmInfeasibleBasis
 		}
 		switch s.dualIterate() {
-		case dualInfeasible:
+		case StatusInfeasible:
 			// The basis itself is still dual feasible and reusable once
 			// the caller relaxes the offending bounds again.
 			return &Solution{Status: StatusInfeasible, Iters: s.iters, Warm: true, Basis: w}, warmHit
-		case dualStalled:
+		case StatusIterLimit:
 			w.invalidate()
 			return nil, warmStall
-		case dualCanceled:
+		case StatusCanceled:
 			// Stop here rather than falling back cold — the caller asked
 			// for the solve to end, not for a fresh one. The interrupted
 			// basis stays captured; the next warm attempt re-verifies it.
 			return &Solution{Status: StatusCanceled, Iters: s.iters, Warm: true, Basis: w}, warmCanceled
+		case StatusNumeric:
+			w.invalidate()
+			return &Solution{Status: StatusNumeric, Iters: s.iters, Warm: true}, warmHit
 		}
 		s.refreshXB()
 		if !s.primalFeasible() {
@@ -329,20 +325,16 @@ func (p *Problem) solveWarm(opts Options) (*Solution, warmOutcome) {
 	// Primal cleanup: certifies optimality from the repaired basis (zero
 	// pivots when the dual repair kept reduced costs optimal) and mops
 	// up any tolerance-level dual infeasibility from status snaps.
-	switch s.iterate(s.cost) {
+	switch st := s.iterate(s.cost); st {
 	case StatusIterLimit:
 		// Give the cold path its own full iteration budget.
 		w.invalidate()
 		return nil, warmStall
-	case StatusUnbounded:
+	case StatusUnbounded, StatusNumeric:
 		w.invalidate()
-		return &Solution{Status: StatusUnbounded, Iters: s.iters, Warm: true}, warmHit
+		return &Solution{Status: st, Iters: s.iters, Warm: true}, warmHit
 	case StatusCanceled:
 		return &Solution{Status: StatusCanceled, Iters: s.iters, Warm: true, Basis: w}, warmCanceled
-	case statusNumeric:
-		// Factorization breakdown mid-cleanup: refactor via a cold solve.
-		w.invalidate()
-		return nil, warmStall
 	}
 
 	s.refreshXB()
@@ -448,7 +440,15 @@ func (s *simplex) reducedCost(cost []float64, j int, y []float64) float64 {
 // anti-cycling rung: termination is the 200+4m pivot cap, after which
 // both callers hand over to a path with its own guarantee (the dual
 // cold start to two-phase primal, a warm repair to the cold solve).
-func (s *simplex) dualIterate() int {
+//
+// It returns StatusOptimal once the basis is primal feasible,
+// StatusInfeasible when a row proves the problem infeasible,
+// StatusIterLimit at the pivot cap or on a pivot it cannot take (one
+// too small, or one whose basis does not factor: both callers hand over
+// as at the cap), StatusCanceled when Options.Ctx fires, and
+// StatusNumeric when the basis a rejected pivot returns to no longer
+// factors.
+func (s *simplex) dualIterate() Status {
 	m := s.m
 	if s.y == nil {
 		s.y = make([]float64, m)
@@ -503,14 +503,14 @@ func (s *simplex) dualIterate() int {
 		// Same batched cancellation poll as iterate: iteration boundary
 		// only, so the basis is always consistent on a canceled return.
 		if ctx != nil && s.iters&31 == 0 && ctx.Err() != nil {
-			return dualCanceled
+			return StatusCanceled
 		}
 		// Leaving row: the basic variable farthest outside its bounds,
 		// ties to the lowest row. viol is signed: negative below zero,
 		// positive above upper.
 		leave, viol := s.pickLeave()
 		if leave == -1 {
-			return dualDone
+			return StatusOptimal
 		}
 
 		// Duals y = c_B^T·Binv for the ratio test's reduced costs. The
@@ -642,13 +642,20 @@ func (s *simplex) dualIterate() int {
 		if enter == -1 {
 			// No column can push the leaving variable back: the row
 			// proves there is no primal feasible point.
-			return dualInfeasible
+			return StatusInfeasible
 		}
 
 		s.direction(enter, w)
 		piv := w[leave]
-		if math.Abs(piv) < pivTol {
-			return dualStalled
+		exit := s.basic[leave]
+		if math.Abs(piv) < pivTol || !s.basisPivot(leave, enter, w) {
+			// Skipping the pivot would let the next candidate step past
+			// this column's breakpoint and lose dual feasibility; hand
+			// over instead.
+			if s.lu != nil && !s.lu.ok {
+				return StatusNumeric
+			}
+			return StatusIterLimit
 		}
 		if s.lu != nil && yOK {
 			// Incremental dual update against the pre-pivot duals, before
@@ -667,13 +674,11 @@ func (s *simplex) dualIterate() int {
 		if state[enter] == atUpper {
 			enterBase = up[enter]
 		}
-		exit := s.basic[leave]
 		if viol < 0 {
 			state[exit] = atLower
 		} else {
 			state[exit] = atUpper
 		}
-		s.basic[leave] = enter
 		state[enter] = isBasic
 		// Move the basic values and re-key exactly the rows that moved:
 		// the direction's pattern, which holds the leaving row.
@@ -695,9 +700,6 @@ func (s *simplex) dualIterate() int {
 		s.xB[leave] = enterBase + t
 		s.rekey(leave)
 
-		if !s.basisPivot(leave, w) {
-			return dualStalled
-		}
 		if s.refactored {
 			// Fresh factors: refresh the incrementally updated duals.
 			s.refactored = false
@@ -705,7 +707,7 @@ func (s *simplex) dualIterate() int {
 		}
 		pivots++
 	}
-	return dualStalled
+	return StatusIterLimit
 }
 
 // The dual simplex's leaving-row index. leaveKey[i] is row i's

@@ -28,8 +28,8 @@ func TestSetRHSKeepsCSCCache(t *testing.T) {
 	if p.matrix != cached {
 		t.Fatal("SetRHS invalidated the CSC cache")
 	}
-	if got := p.RHS(c); got != 7 {
-		t.Fatalf("RHS(c) = %v, want 7", got)
+	if got := p.rhs[c]; got != 7 {
+		t.Fatalf("rhs[c] = %v, want 7", got)
 	}
 	if sol := solveOptimal(t, p); sol.Objective != 7 {
 		t.Fatalf("after SetRHS: objective %v, want 7", sol.Objective)

@@ -25,13 +25,15 @@ const (
 	// StatusOptimal means the search tree was exhausted; the incumbent
 	// is a proven optimum (within tolerance).
 	StatusOptimal Status = iota + 1
-	// StatusFeasible means the node budget or the context stopped the
-	// search with at least one incumbent; Gap bounds its suboptimality.
+	// StatusFeasible means the node budget, the context or an LP
+	// relaxation that did not finish (iteration cap or numeric
+	// breakdown) stopped the search with at least one incumbent; Gap
+	// bounds its suboptimality.
 	StatusFeasible
 	// StatusInfeasible means no integer-feasible point exists.
 	StatusInfeasible
-	// StatusLimit means the node budget or the context stopped the
-	// search before any incumbent was found.
+	// StatusLimit means the search stopped as for StatusFeasible
+	// before any incumbent was found.
 	StatusLimit
 	// StatusUnbounded means the LP relaxation is unbounded.
 	StatusUnbounded
@@ -182,7 +184,7 @@ func solveBB(prob *lp.Problem, sense lp.Sense, integerCols []int, opts Options) 
 		return &Solution{Status: StatusInfeasible, Nodes: 1}, nil
 	case lp.StatusUnbounded:
 		return &Solution{Status: StatusUnbounded, Nodes: 1}, nil
-	case lp.StatusIterLimit, lp.StatusCanceled:
+	case lp.StatusIterLimit, lp.StatusCanceled, lp.StatusNumeric:
 		// The root relaxation never finished, so no bound was proven.
 		// Keep the anytime contract: fall back to the caller's warm start
 		// as the incumbent when one exists, with an unbounded gap.
@@ -349,7 +351,8 @@ func (s *searcher) branch(rel *lp.Solution, basis *lp.Basis) {
 		child, solveErr := s.prob.Solve(childOpts)
 		if solveErr == nil && child.Status == lp.StatusOptimal {
 			s.branch(child, childBasis)
-		} else if solveErr == nil && child.Status == lp.StatusIterLimit {
+		} else if solveErr == nil && (child.Status == lp.StatusIterLimit || child.Status == lp.StatusNumeric) {
+			// An unfinished child proves nothing about its subtree.
 			s.limited = true
 		} else if solveErr == nil && child.Status == lp.StatusCanceled {
 			s.limited = true

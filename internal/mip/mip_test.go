@@ -290,3 +290,51 @@ func TestWarmColdSameIncumbentAndBound(t *testing.T) {
 		}
 	}
 }
+
+// numericLP is a relaxation the simplex cannot finish: a enters at a
+// zero level on the "tiny" row, and b's only pivot there (2e-9 after
+// a's 1e-3 scales it) makes a basis that does not factor. The pivot is
+// rejected, b is held out, and no improving column is left. The 126
+// empty rows put the basis on the LU path.
+func numericLP(t *testing.T) (*lp.Problem, int) {
+	t.Helper()
+	p := lp.NewProblem(lp.Maximize)
+	a, _ := p.AddVariable(2, 0, math.Inf(1), "a")
+	b, _ := p.AddVariable(1, 0, math.Inf(1), "b")
+	tiny, _ := p.AddConstraint(lp.LE, 0, "tiny")
+	_ = p.AddTerm(tiny, a, 1e-3)
+	_ = p.AddTerm(tiny, b, 2e-12)
+	cap, _ := p.AddConstraint(lp.LE, 1, "cap")
+	_ = p.AddTerm(cap, b, 1)
+	for range 126 {
+		_, _ = p.AddConstraint(lp.LE, 1, "empty")
+	}
+	sol, err := p.Solve(lp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != lp.StatusNumeric {
+		t.Fatalf("relaxation %v, want %v: the case under test was not reached", sol.Status, lp.StatusNumeric)
+	}
+	return p, a
+}
+
+// An unfinished root relaxation proves no bound: it is a limit, and a
+// warm start is the incumbent of last resort, as at the iteration cap.
+func TestNumericRootIsLimit(t *testing.T) {
+	p, a := numericLP(t)
+	sol, err := Solve(p, lp.Maximize, []int{a}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != StatusLimit || sol.X != nil {
+		t.Fatalf("status %v (X %v), want %v without X", sol.Status, sol.X, StatusLimit)
+	}
+	sol, err = Solve(p, lp.Maximize, []int{a}, Options{WarmStart: []float64{0, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != StatusFeasible || sol.Objective != 0 || !math.IsInf(sol.Gap, 1) {
+		t.Fatalf("status %v objective %v gap %v, want the warm start as a feasible incumbent with an unbounded gap", sol.Status, sol.Objective, sol.Gap)
+	}
+}

@@ -135,11 +135,12 @@ func (s *Server) admit(reqs []demand.Request, now time.Time, out []BatchResult) 
 	for i := range reqs {
 		req := reqs[i]
 		req.ID = 0 // assigned below; validate with a neutral id
-		status, err := "draining", error(nil)
+		var status string
+		var err error
 		if r := s.role.Load(); r != roleLeader {
-			err = roleErr(r)
+			status, err = roleName(r), roleErr(r)
 		} else if s.draining.Load() {
-			err = ErrDraining
+			status, err = "draining", ErrDraining
 		} else if err = req.Validate(s.cfg.Net, s.cfg.Slots); err != nil {
 			status = "invalid"
 			cInvalid.Inc()
@@ -167,7 +168,7 @@ func (s *Server) admit(reqs []demand.Request, now time.Time, out []BatchResult) 
 			if err != nil {
 				s.queueDepth.Add(-1)
 				last = fmt.Errorf("serve: wal append: %w", err)
-				out[i] = BatchResult{Status: "invalid", Error: last.Error()}
+				out[i] = BatchResult{Status: "error", Error: last.Error()}
 				continue
 			}
 			off = o
@@ -188,10 +189,18 @@ func (s *Server) admit(reqs []demand.Request, now time.Time, out []BatchResult) 
 }
 
 // BatchResult is one entry of a batch-submit response: the assigned id
-// for a queued request, or the shed/invalid/draining outcome.
+// for a queued request, or why it was not queued. Status is one of
+//
+//   - "queued": logged and waiting for a tick (ID is set);
+//   - "shed": the arrival queue was full;
+//   - "invalid": the request failed validation;
+//   - "draining": the server has begun to drain;
+//   - "standby" or "fenced": the server's role refuses submits;
+//   - "error": the WAL append or the batch's fsync failed (after an
+//     fsync failure, ID is the id the request was given).
 type BatchResult struct {
 	ID     int64  `json:"id,omitempty"`
-	Status string `json:"status"` // queued, shed, invalid or draining
+	Status string `json:"status"`
 	Error  string `json:"error,omitempty"`
 }
 

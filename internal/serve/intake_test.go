@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -457,5 +458,69 @@ func TestRecoverOutOfOrderArrivals(t *testing.T) {
 	s.Tick(context.Background())
 	if got := rec.claimed(t); !slices.Equal(got, []int{3, 4, 5, 6}) {
 		t.Fatalf("first live tick decided %v, want [3 4 5 6]", got)
+	}
+}
+
+// TestSubmitAllStatuses pins the status of every batch entry that is
+// not queued to its cause: a role that refuses submits names the role,
+// and a WAL append that fails reads "error", like a failed fsync. The
+// log is closed, as in TestTickFencesOnWALFailure: the next batch's
+// fsync fails, and the failure latches, so the batch after it fails in
+// the append.
+func TestSubmitAllStatuses(t *testing.T) {
+	bad := goodRequest(1)
+	bad.Rate = -1
+	for _, c := range []struct {
+		name   string
+		limit  int
+		setup  func(*Server, *wal.Log) error
+		status [3]string // two good requests, then the bad one
+		errs   string    // a substring of every refusal's error
+	}{
+		{name: "leader", status: [3]string{"queued", "queued", "invalid"}, errs: "rate"},
+		{name: "full", limit: 1, status: [3]string{"queued", "shed", "invalid"}, errs: ""},
+		{name: "draining", setup: func(s *Server, _ *wal.Log) error { s.Drain(); return nil },
+			status: [3]string{"draining", "draining", "draining"}, errs: ErrDraining.Error()},
+		{name: "standby", setup: func(s *Server, _ *wal.Log) error { s.SetStandby(); return nil },
+			status: [3]string{"standby", "standby", "standby"}, errs: ErrStandby.Error()},
+		{name: "fenced", setup: func(s *Server, _ *wal.Log) error { s.Fence(); return nil },
+			status: [3]string{"fenced", "fenced", "fenced"}, errs: ErrFenced.Error()},
+		{name: "wal closed", setup: func(s *Server, l *wal.Log) error {
+			if err := l.Close(); err != nil {
+				return err
+			}
+			if r := s.SubmitAll([]demand.Request{goodRequest(1)})[0]; r.Status != "error" || r.ID == 0 || !strings.Contains(r.Error, "wal fsync") {
+				return fmt.Errorf("batch after the close: %+v, want an fsync error", r)
+			}
+			return nil
+		}, status: [3]string{"error", "error", "invalid"}, errs: ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			l, err := wal.Open(filepath.Join(t.TempDir(), "wal"), wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := walServer(t, l, func(cfg *Config) { cfg.QueueLimit = c.limit })
+			if c.setup != nil {
+				if err := c.setup(s, l); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := s.SubmitAll([]demand.Request{goodRequest(1), goodRequest(2), bad})
+			for i, r := range got {
+				if r.Status != c.status[i] {
+					t.Fatalf("entry %d: status %q (%s), want %q", i, r.Status, r.Error, c.status[i])
+				}
+				if (r.Status == StatusQueued) != (r.ID > 0) || (r.Status == StatusQueued) != (r.Error == "") {
+					t.Fatalf("entry %d: %+v", i, r)
+				}
+				if r.Status != StatusQueued && !strings.Contains(r.Error, c.errs) {
+					t.Fatalf("entry %d: error %q, want it to contain %q", i, r.Error, c.errs)
+				}
+			}
+			if c.name == "wal closed" && !strings.Contains(got[0].Error, "wal append") {
+				t.Fatalf("error %q, want one naming the WAL append", got[0].Error)
+			}
+		})
 	}
 }

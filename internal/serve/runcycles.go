@@ -35,8 +35,8 @@ type CycleResult struct {
 // say); with a short Epoch a slow policy degrades ticks exactly as the
 // daemon's would. RunCycles refuses, with an error and no results, a
 // server that is not at a cycle boundary with an empty queue, a request
-// the server does not queue (shed, invalid or draining), and a ctx that
-// has expired before a tick; the expiry's error matches
+// the server does not queue (any BatchResult status but queued), and a
+// ctx that has expired before a tick; the expiry's error matches
 // solvectx.ErrCanceled/ErrDeadline, since a partial cycle has no
 // meaningful accounting. A nil ctx never expires.
 func (s *Server) RunCycles(ctx context.Context, cycles [][]demand.Request) ([]CycleResult, error) {
