@@ -19,6 +19,10 @@ const Decline = -1
 //
 // All rates, values and capacities are normalized to [0, 1] internally
 // (dividing by the max rate / max value), matching the paper's setup.
+//
+// Its per-request and per-term tables are flat arrays that Reset
+// rebuilds in place, so a caller that walks one estimator per round
+// (TAA inside a Metis solve) allocates them about once.
 type Estimator struct {
 	inst *sched.Instance
 
@@ -35,11 +39,13 @@ type Estimator struct {
 	u          []float64
 	hasRevenue bool
 
-	// Per-request sparse incidence: touched[i] lists the estimator
-	// indices whose factor for request i differs from 1 while i is
-	// undecided; undec[i] holds those factors.
-	touched [][]int
-	undec   [][]float64
+	// Per-request sparse incidence: touched[touchOff[i]:touchEnd[i]]
+	// lists, in ascending order, the estimator indices whose factor for
+	// request i differs from 1 while i is undecided; undec holds those
+	// factors at the same positions. Decide empties the range.
+	touchOff, touchEnd []int32
+	touched            []int32
+	undec              []float64
 
 	// estLink/estSlot identify capacity estimators (index ≥ 1).
 	estLink, estSlot []int
@@ -47,30 +53,55 @@ type Estimator struct {
 	// expRate[i] = e^{λ·r'_i}; expVal[i] = e^{−t0·v'_i}.
 	expRate, expVal []float64
 
-	// accept[i] = µ·Σ_j x̂[i][j], the total acceptance probability.
-	accept [][]float64 // accept[i][j] = µ·x̂[i][j]
+	// accept[pathOff[i]+j] = µ·x̂[i][j], the scaled probability that
+	// request i takes path j.
+	pathOff []int
+	accept  []float64
+
+	// Build scratch (see build).
+	cellEst  []int32   // (link, slot) → estimator index, 0 = none
+	linkProb []float64 // per link: one request's scaled load probability
+	reqOff   []int32   // request i's links: reqLink[reqOff[i]:reqOff[i+1]]
+	reqLink  []int32
+	reqProb  []float64
+	estOff   []int32 // estimator m's requests: estReq[estOff[m]:estOff[m+1]]
+	estReq   []int32
+	estProb  []float64
+	fill     []int32
 }
 
 // NewEstimator builds the pessimistic estimator for inst under the
 // given capacities (caps[e][t], possibly time-varying) and the relaxed
 // BL-SPM routing x̂ (rows may sum to less than 1), scaled by µ.
 func NewEstimator(inst *sched.Instance, caps [][]float64, xhat [][]float64, mu float64) (*Estimator, error) {
+	e := new(Estimator)
+	if err := e.Reset(inst, caps, xhat, mu); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// Reset rebuilds e as NewEstimator(inst, caps, xhat, mu) would, in the
+// arrays of its last build. After an error e must be Reset again before
+// it is used.
+func (e *Estimator) Reset(inst *sched.Instance, caps [][]float64, xhat [][]float64, mu float64) error {
 	if len(caps) != inst.Network().NumLinks() {
-		return nil, fmt.Errorf("chernoff: capacity matrix has %d links, want %d", len(caps), inst.Network().NumLinks())
+		return fmt.Errorf("chernoff: capacity matrix has %d links, want %d", len(caps), inst.Network().NumLinks())
 	}
 	for e := range caps {
 		if len(caps[e]) != inst.Slots() {
-			return nil, fmt.Errorf("chernoff: capacity matrix link %d has %d slots, want %d", e, len(caps[e]), inst.Slots())
+			return fmt.Errorf("chernoff: capacity matrix link %d has %d slots, want %d", e, len(caps[e]), inst.Slots())
 		}
 	}
 	if len(xhat) != inst.NumRequests() {
-		return nil, fmt.Errorf("chernoff: x̂ covers %d requests, instance has %d", len(xhat), inst.NumRequests())
+		return fmt.Errorf("chernoff: x̂ covers %d requests, instance has %d", len(xhat), inst.NumRequests())
 	}
 	if mu <= 0 || mu >= 1 {
-		return nil, fmt.Errorf("chernoff: µ = %v outside (0, 1)", mu)
+		return fmt.Errorf("chernoff: µ = %v outside (0, 1)", mu)
 	}
 
-	e := &Estimator{inst: inst, mu: mu, lambda: math.Log(1 / mu)}
+	e.inst, e.mu, e.lambda = inst, mu, math.Log(1/mu)
+	e.t0, e.vmax, e.rmax, e.is, e.ib, e.hasRevenue = 0, 0, 0, 0, 0, false
 	n := inst.NumRequests()
 
 	for i := 0; i < n; i++ {
@@ -83,32 +114,34 @@ func NewEstimator(inst *sched.Instance, caps [][]float64, xhat [][]float64, mu f
 		}
 	}
 	if e.rmax <= 0 {
-		return nil, fmt.Errorf("chernoff: no positive request rate")
+		return fmt.Errorf("chernoff: no positive request rate")
 	}
 
 	// Scaled acceptance probabilities and the scaled expected revenue.
-	e.accept = make([][]float64, n)
+	e.pathOff = resize(e.pathOff, n+1)
+	e.accept = e.accept[:0]
 	var isNorm float64
 	for i := 0; i < n; i++ {
 		if len(xhat[i]) != inst.NumPaths(i) {
-			return nil, fmt.Errorf("chernoff: x̂[%d] has %d entries, want %d", i, len(xhat[i]), inst.NumPaths(i))
+			return fmt.Errorf("chernoff: x̂[%d] has %d entries, want %d", i, len(xhat[i]), inst.NumPaths(i))
 		}
-		e.accept[i] = make([]float64, len(xhat[i]))
+		e.pathOff[i] = len(e.accept)
 		var rowSum float64
-		for j, v := range xhat[i] {
+		for _, v := range xhat[i] {
 			if v < 0 {
 				v = 0
 			}
-			e.accept[i][j] = mu * v
+			e.accept = append(e.accept, mu*v)
 			rowSum += v
 		}
 		if rowSum > 1+1e-6 {
-			return nil, fmt.Errorf("chernoff: x̂[%d] sums to %v > 1", i, rowSum)
+			return fmt.Errorf("chernoff: x̂[%d] sums to %v > 1", i, rowSum)
 		}
 		if e.vmax > 0 {
 			isNorm += mu * rowSum * inst.Request(i).Value / e.vmax
 		}
 	}
+	e.pathOff[n] = len(e.accept)
 	e.is = isNorm
 
 	// Revenue tilt. Skipped when the scaled expected revenue vanishes —
@@ -116,7 +149,7 @@ func NewEstimator(inst *sched.Instance, caps [][]float64, xhat [][]float64, mu f
 	if e.is > 1e-12 {
 		delta, err := D(e.is, 1/float64(inst.Network().NumLinks()+1))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		e.t0 = math.Log1p(delta)
 		// I_B below zero is a vacuous target (any schedule clears it);
@@ -125,8 +158,8 @@ func NewEstimator(inst *sched.Instance, caps [][]float64, xhat [][]float64, mu f
 		e.hasRevenue = true
 	}
 
-	e.expRate = make([]float64, n)
-	e.expVal = make([]float64, n)
+	e.expRate = resize(e.expRate, n)
+	e.expVal = resize(e.expVal, n)
 	for i := 0; i < n; i++ {
 		r := inst.Request(i)
 		e.expRate[i] = math.Exp(e.lambda * r.Rate / e.rmax)
@@ -138,96 +171,158 @@ func NewEstimator(inst *sched.Instance, caps [][]float64, xhat [][]float64, mu f
 	}
 
 	e.build(caps)
-	return e, nil
+	return nil
+}
+
+// resize returns buf with length n, reusing its array when it is large
+// enough. The contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) >= n {
+		return buf[:n]
+	}
+	return make([]T, n)
 }
 
 // build enumerates capacity estimators and the per-request incidence,
-// then initializes every u term with all requests undecided.
+// then initializes every u term with all requests undecided. Estimator
+// indices are handed out in order of first use: request by request,
+// each request's links in the order its paths first reach them, slots
+// ascending.
 func (e *Estimator) build(caps [][]float64) {
 	inst := e.inst
 	n := inst.NumRequests()
 	slots := inst.Slots()
 	links := inst.Network().NumLinks()
 
-	// usage[e][t] = per-request scaled probability of loading (e, t).
-	type usage struct {
-		req  []int
-		prob []float64 // µ·Σ_{j uses link} x̂[i][j]
-	}
-	idx := make([]int, links*slots) // (link, slot) → estimator index, 0 = none
-	var est []usage
-	e.estLink = []int{-1} // index 0 is the revenue term
-	e.estSlot = []int{-1}
-
+	// Pass 1: per request, the scaled probability that its chosen path
+	// uses each link (µ·Σ_{j uses link} x̂[i][j], summed over j in
+	// order), and the estimator index of every (link, slot) it may load.
+	e.cellEst = resize(e.cellEst, links*slots)
+	clear(e.cellEst)
+	e.linkProb = resize(e.linkProb, links)
+	clear(e.linkProb)
+	e.reqOff = resize(e.reqOff, n+1)
+	e.reqLink, e.reqProb = e.reqLink[:0], e.reqProb[:0]
+	e.estLink = append(e.estLink[:0], -1) // index 0 is the revenue term
+	e.estSlot = append(e.estSlot[:0], -1)
+	e.estOff = append(e.estOff[:0], 0)
 	for i := 0; i < n; i++ {
 		r := inst.Request(i)
-		// Per link, the scaled probability that i's chosen path uses it.
-		perLink := make(map[int]float64)
+		first := len(e.reqLink)
+		e.reqOff[i] = int32(first)
 		for j := 0; j < inst.NumPaths(i); j++ {
-			p := e.accept[i][j]
+			p := e.accept[e.pathOff[i]+j]
 			if p == 0 {
 				continue
 			}
 			for _, l := range inst.Path(i, j).Links {
-				perLink[l] += p
+				if e.linkProb[l] == 0 {
+					e.reqLink = append(e.reqLink, int32(l))
+				}
+				e.linkProb[l] += p
 			}
 		}
-		for l, prob := range perLink {
+		for _, l := range e.reqLink[first:] {
+			e.reqProb = append(e.reqProb, e.linkProb[l])
+			e.linkProb[l] = 0
 			for t := r.Start; t <= r.End; t++ {
-				key := l*slots + t
-				id := idx[key]
+				key := int(l)*slots + t
+				id := e.cellEst[key]
 				if id == 0 {
-					est = append(est, usage{})
-					id = len(est) // estimator index = 1 + position
-					idx[key] = id
-					e.estLink = append(e.estLink, l)
+					id = int32(len(e.estLink))
+					e.cellEst[key] = id
+					e.estLink = append(e.estLink, int(l))
 					e.estSlot = append(e.estSlot, t)
+					e.estOff = append(e.estOff, 0)
 				}
-				u := &est[id-1]
-				u.req = append(u.req, i)
-				u.prob = append(u.prob, prob)
+				e.estOff[id]++
+			}
+		}
+	}
+	e.reqOff[n] = int32(len(e.reqLink))
+	nEst := len(e.estLink)
+
+	// Pass 2: each estimator's requests, in request order, in one flat
+	// array (estOff[m] counted m's requests; make it m's start).
+	var sum int32
+	for m := 1; m < nEst; m++ {
+		sum, e.estOff[m] = sum+e.estOff[m], sum
+	}
+	e.estOff = append(e.estOff, sum)
+	e.estReq, e.estProb = resize(e.estReq, int(sum)), resize(e.estProb, int(sum))
+	e.fill = append(e.fill[:0], e.estOff...)
+	for i := 0; i < n; i++ {
+		r := inst.Request(i)
+		for q := e.reqOff[i]; q < e.reqOff[i+1]; q++ {
+			l := int(e.reqLink[q])
+			for t := r.Start; t <= r.End; t++ {
+				id := e.cellEst[l*slots+t]
+				e.estReq[e.fill[id]] = int32(i)
+				e.estProb[e.fill[id]] = e.reqProb[q]
+				e.fill[id]++
 			}
 		}
 	}
 
-	// Initialize u values and the per-request incidence lists.
-	e.u = make([]float64, 1+len(est))
-	e.touched = make([][]int, n)
-	e.undec = make([][]float64, n)
-
+	// Initialize u values and the per-request incidence lists: the
+	// revenue term first, then the capacity terms in index order.
+	e.u = resize(e.u, nEst)
+	clear(e.u)
+	e.touchOff = resize(e.touchOff, n+1)
+	e.touchEnd = resize(e.touchEnd, n)
+	var total int32
+	for i := 0; i < n; i++ {
+		e.touchOff[i] = total
+		if e.hasRevenue && e.revUndecided(i) != 1 {
+			total++
+		}
+		r := inst.Request(i)
+		total += (e.reqOff[i+1] - e.reqOff[i]) * int32(r.End-r.Start+1)
+	}
+	e.touchOff[n] = total
+	e.touched = resize(e.touched, int(total))
+	e.undec = resize(e.undec, int(total))
+	copy(e.touchEnd, e.touchOff[:n])
 	if e.hasRevenue {
 		u := math.Exp(e.t0 * e.ib)
 		for i := 0; i < n; i++ {
 			f := e.revUndecided(i)
 			u *= f
 			if f != 1 {
-				e.touched[i] = append(e.touched[i], 0)
-				e.undec[i] = append(e.undec[i], f)
+				e.touch(i, 0, f)
 			}
 		}
 		e.u[0] = u
 	}
-
-	for k, ug := range est {
-		l, t := e.estLink[k+1], e.estSlot[k+1]
+	for m := 1; m < nEst; m++ {
+		l, t := e.estLink[m], e.estSlot[m]
 		cNorm := caps[l][t] / e.rmax
 		u := math.Exp(-e.lambda * cNorm)
-		for pos, i := range ug.req {
+		for q := e.estOff[m]; q < e.estOff[m+1]; q++ {
+			i := e.estReq[q]
 			// Undecided factor: 1 + p·(e^{λr'} − 1).
-			f := 1 + ug.prob[pos]*(e.expRate[i]-1)
+			f := 1 + e.estProb[q]*(e.expRate[i]-1)
 			u *= f
-			e.touched[i] = append(e.touched[i], k+1)
-			e.undec[i] = append(e.undec[i], f)
+			e.touch(int(i), m, f)
 		}
-		e.u[k+1] = u
+		e.u[m] = u
 	}
+}
+
+// touch appends estimator m, with request i's undecided factor f in it,
+// to i's incidence list.
+func (e *Estimator) touch(i, m int, f float64) {
+	q := e.touchEnd[i]
+	e.touched[q] = int32(m)
+	e.undec[q] = f
+	e.touchEnd[i] = q + 1
 }
 
 // revUndecided returns request i's undecided factor in the revenue
 // term: E[e^{−t0·v'_i·X_i}] = A_i·e^{−t0·v'_i} + (1 − A_i).
 func (e *Estimator) revUndecided(i int) float64 {
 	var a float64
-	for _, p := range e.accept[i] {
+	for _, p := range e.accept[e.pathOff[i]:e.pathOff[i+1]] {
 		a += p
 	}
 	return a*e.expVal[i] + (1 - a)
@@ -260,8 +355,9 @@ func (e *Estimator) Mu() float64 { return e.mu }
 // conditional expectation one level down the decision tree.
 func (e *Estimator) CandidateU(i, option int) float64 {
 	u := e.URoot()
-	for pos, m := range e.touched[i] {
-		ratio := e.decidedFactor(i, option, m) / e.undec[i][pos]
+	for q := e.touchOff[i]; q < e.touchEnd[i]; q++ {
+		m := int(e.touched[q])
+		ratio := e.decidedFactor(i, option, m) / e.undec[q]
 		u += e.u[m] * (ratio - 1)
 	}
 	return u
@@ -270,13 +366,13 @@ func (e *Estimator) CandidateU(i, option int) float64 {
 // Decide permanently fixes request i to the given option and updates
 // every affected estimator term.
 func (e *Estimator) Decide(i, option int) {
-	for pos, m := range e.touched[i] {
-		e.u[m] *= e.decidedFactor(i, option, m) / e.undec[i][pos]
+	for q := e.touchOff[i]; q < e.touchEnd[i]; q++ {
+		m := int(e.touched[q])
+		e.u[m] *= e.decidedFactor(i, option, m) / e.undec[q]
 	}
 	// Once decided, the request's factors are burned into u; clear the
 	// incidence so a second Decide cannot double-apply.
-	e.touched[i] = nil
-	e.undec[i] = nil
+	e.touchEnd[i] = e.touchOff[i]
 }
 
 // decidedFactor returns request i's factor in estimator m when fixed to

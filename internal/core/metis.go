@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"metis/internal/fault"
@@ -60,7 +61,10 @@ type Config struct {
 	// MAARounds is the number of randomized roundings per MAA call
 	// (default 1; the best-of-R rounding is an extension knob).
 	MAARounds int
-	// LP configures all relaxation solves.
+	// LP configures all relaxation solves. Its Ctx is not read from
+	// here: the context SolveCtx is given (none for Solve) is the one
+	// carrier, and SolveCtx installs it as LP.Ctx for every stage. A nil
+	// LP.Tracer falls back to Tracer.
 	LP lp.Options
 	// Seed drives MAA's randomized rounding.
 	Seed int64
@@ -172,19 +176,32 @@ func Solve(inst *sched.Instance, cfg Config) (*Result, error) {
 //     reason — a degraded run is a successful solve with fewer rounds,
 //     not an error.
 //
-// The context is threaded into every stage beneath as cfg.LP.Ctx (a
-// Ctx the caller already put there wins), so a round blocked inside a
-// large simplex solve still stops within one iteration batch.
+// ctx is the one carrier of the run's context: it is threaded into
+// every stage beneath as cfg.LP.Ctx, replacing whatever the caller left
+// there, so a round blocked inside a large simplex solve still stops
+// within one iteration batch.
+//
+// A Solve allocates its working storage once, not once per round: MAA's
+// RL-SPM LP is rebuilt each round into the arrays of the last build and
+// solved in the same simplex working arrays, and TAA's Chernoff
+// estimator is rebuilt in place. Every relaxation is still the cold
+// solve of the same matrix, so results are those of rebuilding from
+// fresh memory, bit for bit.
 func SolveCtx(ctx context.Context, inst *sched.Instance, cfg Config) (*Result, error) {
+	st := storagePool.Get().(*solveStorage)
+	defer storagePool.Put(st)
+	return solve(ctx, inst, cfg, st)
+}
+
+// solve is SolveCtx in the given storage.
+func solve(ctx context.Context, inst *sched.Instance, cfg Config, st *solveStorage) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if inst.NumRequests() == 0 {
 		return nil, ErrNoRequests
 	}
 	// Thread the context into every stage: MAA, TAA and the incremental
 	// BL model all read cfg.LP.Ctx (the model captures it at build time).
-	if cfg.LP.Ctx == nil {
-		cfg.LP.Ctx = ctx
-	}
+	cfg.LP.Ctx = ctx
 	if err := solvectx.Err(cfg.LP.Ctx); err != nil {
 		cCanceled.Inc()
 		return nil, fmt.Errorf("core: %w", err)
@@ -231,22 +248,26 @@ func SolveCtx(ctx context.Context, inst *sched.Instance, cfg Config) (*Result, e
 	// about 1%), and the warm ≡ ColdLP parity tests gate every figure on
 	// it.
 	//
-	// MAA deliberately gets no such model: randomized rounding consumes
-	// the vertex itself — every fractional coordinate shifts the path
-	// picks — and these relaxations are massively degenerate, so a warm
-	// solve is free to return a different optimal vertex and silently
-	// change the rounded schedule. MAA's relaxation therefore always
-	// comes from the cold solve of the round's sub-instance. What *is*
-	// reused there, bit for bit, is the previous round's relaxation
-	// whenever TAA declined nothing: the accepted set, and hence the
-	// RL-SPM LP, is then identical (RL-SPM depends only on the request
-	// set, not on capacities).
+	// MAA gets no such model, because its rounding draws path picks from
+	// the relaxation's vertex and a different start moves that vertex
+	// at a measured profit cost. A crash-started RL solve (each
+	// request's cheapest path basic, later rounds from MAA's previous
+	// routing) ran offline-plan 1.5–2.2x faster but lost 0.96% profit
+	// per θ = 8 cell (23 wins, 33 losses) where changing only the LU
+	// refactor interval moves the same cells by −0.20% on average (see
+	// ROADMAP item 2). So MAA's relaxation is the cold solve of the
+	// round's sub-instance, rebuilt each round into the Solve's storage
+	// (solveStorage). The previous round's relaxation is reused outright
+	// when TAA declined nothing: the accepted set, and hence the RL-SPM
+	// LP, is then identical (RL-SPM depends only on the request set,
+	// not on capacities).
 	var blModel *spm.BLModel
 	if !cfg.ColdLP {
 		var err error
 		if blModel, err = spm.NewBLModel(inst, cfg.LP); err != nil {
 			return nil, fmt.Errorf("core: build BL model: %w", err)
 		}
+		defer blModel.Release()
 	}
 	var (
 		lastAccepted []int
@@ -284,7 +305,7 @@ func SolveCtx(ctx context.Context, inst *sched.Instance, cfg Config) (*Result, e
 			// skip it.
 			maaOpts.Relaxed = lastRel
 		}
-		maaRes, err := maa.Solve(sub, maaOpts)
+		maaRes, err := st.maa.Solve(sub, maaOpts)
 		if err != nil {
 			if solvectx.Is(err) {
 				cause = fmt.Errorf("core: round %d: %w", round, err)
@@ -342,7 +363,7 @@ func SolveCtx(ctx context.Context, inst *sched.Instance, cfg Config) (*Result, e
 				blStart = "warm"
 			}
 		}
-		taaRes, err := taa.Solve(sub, caps, taaOpts)
+		taaRes, err := st.taa.Solve(sub, caps, taaOpts)
 		if err != nil {
 			if solvectx.Is(err) {
 				cause = fmt.Errorf("core: round %d: %w", round, err)
@@ -435,6 +456,18 @@ func SolveCtx(ctx context.Context, inst *sched.Instance, cfg Config) (*Result, e
 		Cause:    cause,
 	}, nil
 }
+
+// solveStorage is what one Solve reuses from round to round: MAA's
+// RL-SPM LP with its simplex working arrays, and TAA's Chernoff
+// estimator. A Solve takes one from storagePool and puts it back when it
+// ends, so the next Solve starts from it too; Solves that run in
+// parallel (exp's figure workers) each hold their own.
+type solveStorage struct {
+	maa maa.Solver
+	taa taa.Solver
+}
+
+var storagePool = sync.Pool{New: func() any { return new(solveStorage) }}
 
 // liftSchedule maps a schedule over a Subset instance back onto the
 // original instance: sub request k corresponds to inst request

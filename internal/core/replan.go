@@ -191,12 +191,10 @@ func (rp *Replanner) Replan(ctx context.Context) (*Result, error) {
 func (rp *Replanner) refine(ctx context.Context) (*Result, error) {
 	start := time.Now()
 	cfg := rp.cfg.withDefaults()
+	// As in SolveCtx, ctx is the one carrier of the context, and the run
+	// tracer reaches the relaxation and TAA unless LP.Tracer is set.
 	lpOpts := cfg.LP
-	if lpOpts.Ctx == nil {
-		lpOpts.Ctx = ctx
-	}
-	// The run tracer reaches the relaxation and TAA as in SolveCtx; an
-	// explicitly set LP.Tracer wins.
+	lpOpts.Ctx = ctx
 	if lpOpts.Tracer == nil {
 		lpOpts.Tracer = cfg.Tracer
 	}

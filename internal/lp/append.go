@@ -17,7 +17,8 @@ import (
 //
 // Appending a column and then touching the matrix through AddTerm (or
 // AddVariable) still invalidates the cache as usual; append-only
-// history is what keeps the warm handle alive.
+// history is what keeps the warm handle alive. On a Reset problem the
+// compressed matrix is the column's only copy.
 func (p *Problem) AppendColumn(obj, lo, hi float64, rows []int, vals []float64, name string) (int, error) {
 	if math.IsInf(lo, 0) || math.IsNaN(lo) || math.IsNaN(hi) || math.IsInf(hi, -1) {
 		return 0, fmt.Errorf("lp: column %q: invalid bounds [%v, %v]", name, lo, hi)
@@ -45,9 +46,21 @@ func (p *Problem) AppendColumn(obj, lo, hi float64, rows []int, vals []float64, 
 	p.obj = append(p.obj, obj)
 	p.lo = append(p.lo, lo)
 	p.hi = append(p.hi, hi)
+	if mat := p.matrix; mat != nil {
+		for k, r := range rows {
+			if vals[k] != 0 {
+				mat.rows = append(mat.rows, int32(r))
+				mat.vals = append(mat.vals, vals[k])
+			}
+		}
+		mat.colPtr = append(mat.colPtr, int32(len(mat.rows)))
+	}
+	if p.packed {
+		return j, nil // the matrix is the only copy (Reset)
+	}
 	// The entry list is stored already row-sorted with zeros dropped —
 	// exactly what mergedColumn produces — so a from-scratch CSC rebuild
-	// of this problem is bit-identical to the in-place extension below.
+	// of this problem is bit-identical to the in-place extension above.
 	col := make([]entry, 0, len(rows))
 	for k, r := range rows {
 		if vals[k] != 0 {
@@ -55,13 +68,6 @@ func (p *Problem) AppendColumn(obj, lo, hi float64, rows []int, vals []float64, 
 		}
 	}
 	p.cols = append(p.cols, col)
-	if mat := p.matrix; mat != nil {
-		for _, e := range col {
-			mat.rows = append(mat.rows, int32(e.row))
-			mat.vals = append(mat.vals, e.val)
-		}
-		mat.colPtr = append(mat.colPtr, int32(len(mat.rows)))
-	}
 	return j, nil
 }
 

@@ -102,6 +102,15 @@ type Problem struct {
 	// does not invalidate it, so branch & bound re-solves skip the
 	// merge/sort entirely.
 	matrix *csc
+	// packed marks a Problem rebuilt with Reset: matrix is its only copy
+	// of the constraint matrix and cols is not kept (AddTerm and
+	// AddVariable rebuild cols from matrix first).
+	packed bool
+	// keepWork marks a Problem that was Reset: work holds its simplex
+	// working arrays between cold solves, and Release returns them to
+	// simplexPool.
+	keepWork bool
+	work     *simplex
 }
 
 // csc is a compressed-sparse-column matrix: column j's nonzeros are
@@ -144,6 +153,57 @@ func NewProblem(sense Sense) *Problem {
 	return &Problem{sense: sense}
 }
 
+// Reset empties p for a rebuild under sense and keeps its storage, so
+// that a model rebuilt round after round (MAA's RL-SPM relaxation) is
+// written into the arrays of its last build. A Reset problem is built
+// column-major: rows with AddConstraint, then each column whole with
+// AppendColumn, which writes straight into the compressed matrix — no
+// per-term lists and no merge on the first Solve. It also keeps its
+// simplex working arrays from one cold solve to the next instead of
+// returning them to the shared pool; Release returns them. A Reset
+// problem is an ordinary Problem otherwise: AddTerm and AddVariable
+// still work on it.
+func (p *Problem) Reset(sense Sense) {
+	p.sense = sense
+	p.obj, p.lo, p.hi = p.obj[:0], p.lo[:0], p.hi[:0]
+	p.rel, p.rhs = p.rel[:0], p.rhs[:0]
+	p.cols = nil
+	// A new header over the old arrays: a Basis fingerprints the matrix
+	// by pointer, so a handle captured before the rebuild reads stale.
+	m := &csc{colPtr: []int32{0}}
+	if old := p.matrix; old != nil {
+		m = &csc{colPtr: old.colPtr[:1], rows: old.rows[:0], vals: old.vals[:0]}
+		m.colPtr[0] = 0
+	}
+	p.matrix = m
+	p.packed, p.keepWork = true, true
+}
+
+// Release returns the simplex working arrays a Reset problem keeps
+// between solves to the shared pool. p stays usable; its next solve
+// takes pooled arrays.
+func (p *Problem) Release() {
+	if p.work != nil {
+		p.work.release()
+		p.work = nil
+	}
+}
+
+// unpack rebuilds the per-column term lists of a Reset problem from its
+// compressed matrix, before AddTerm or AddVariable edits them.
+func (p *Problem) unpack() {
+	mat := p.matrix
+	p.cols = p.cols[:0]
+	for j := range p.obj {
+		col := make([]entry, 0, mat.colPtr[j+1]-mat.colPtr[j])
+		for q := mat.colPtr[j]; q < mat.colPtr[j+1]; q++ {
+			col = append(col, entry{row: int(mat.rows[q]), val: mat.vals[q]})
+		}
+		p.cols = append(p.cols, col)
+	}
+	p.packed = false
+}
+
 // NumVariables returns the number of variables added so far.
 func (p *Problem) NumVariables() int { return len(p.obj) }
 
@@ -156,6 +216,9 @@ func (p *Problem) AddVariable(obj, lo, hi float64, name string) (int, error) {
 	}
 	if lo > hi {
 		return 0, fmt.Errorf("lp: variable %q: lower bound %v exceeds upper %v", name, lo, hi)
+	}
+	if p.packed {
+		p.unpack()
 	}
 	j := len(p.obj)
 	p.obj = append(p.obj, obj)
@@ -195,6 +258,9 @@ func (p *Problem) AddTerm(row, col int, coef float64) error {
 	}
 	if coef == 0 {
 		return nil
+	}
+	if p.packed {
+		p.unpack()
 	}
 	p.cols[col] = append(p.cols[col], entry{row: row, val: coef})
 	p.matrix = nil

@@ -191,6 +191,27 @@ func (s *simplex) release() {
 	simplexPool.Put(s)
 }
 
+// takeWork returns working arrays for a solve of p: the ones a Reset
+// problem kept from its last solve, or pooled ones.
+func (p *Problem) takeWork() *simplex {
+	if s := p.work; s != nil {
+		p.work = nil
+		return s
+	}
+	return simplexPool.Get().(*simplex)
+}
+
+// putWork hands back arrays a solve of p did not capture into a warm
+// handle: a Reset problem keeps them for its next solve, any other
+// returns them to the pool.
+func (p *Problem) putWork(s *simplex) {
+	if p.keepWork && p.work == nil {
+		p.work = s
+		return
+	}
+	s.release()
+}
+
 // grow returns a slice of length n, reusing buf's backing array when
 // its capacity is at least c (c ≥ n; a larger c reserves room for
 // append-style fills). The contents are unspecified — unlike make, the
@@ -261,7 +282,7 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 func (p *Problem) solveCold(opts Options) *Solution {
 	nStruct := len(p.obj)
 	m := len(p.rel)
-	s := simplexPool.Get().(*simplex)
+	s := p.takeWork()
 	s.m, s.opts = m, opts.withDefaults(m, nStruct)
 	s.iters = 0
 	shiftObj := p.layout(s)
@@ -326,7 +347,7 @@ func (p *Problem) solveCold(opts Options) *Solution {
 				dualStart = false
 			default:
 				cPhase1Iters.Add(int64(s.iters))
-				return s.end(st, opts.Warm)
+				return p.end(s, st, opts.Warm)
 			}
 			if dualStart {
 				p1 = s.iters
@@ -356,11 +377,11 @@ func (p *Problem) solveCold(opts Options) *Solution {
 		st := s.iterate(phase1)
 		if st == StatusIterLimit || st == StatusCanceled || st == StatusNumeric {
 			cPhase1Iters.Add(int64(s.iters))
-			return s.end(st, opts.Warm)
+			return p.end(s, st, opts.Warm)
 		}
 		if s.objective(phase1) > tol*(1+norm1(s.b)) {
 			cPhase1Iters.Add(int64(s.iters))
-			return s.end(StatusInfeasible, opts.Warm)
+			return p.end(s, StatusInfeasible, opts.Warm)
 		}
 		p1 = s.iters
 		cPhase1Iters.Add(int64(p1))
@@ -377,7 +398,7 @@ func (p *Problem) solveCold(opts Options) *Solution {
 	st := s.iterate(s.cost)
 	cPhase2Iters.Add(int64(s.iters - p1))
 	if st != StatusOptimal {
-		return s.end(st, opts.Warm)
+		return p.end(s, st, opts.Warm)
 	}
 
 	s.refreshXB()
@@ -387,18 +408,18 @@ func (p *Problem) solveCold(opts Options) *Solution {
 		sol.Basis = opts.Warm
 		sol.Degenerate = s.degenerateOptimum()
 	} else {
-		s.release()
+		p.putWork(s)
 	}
 	return sol
 }
 
 // end finishes a cold solve that stopped short of an optimum: it drops
-// the warm handle's basis, releases s, and reports the status with the
-// iterations run.
-func (s *simplex) end(st Status, warm *Basis) *Solution {
+// the warm handle's basis, hands s back, and reports the status with
+// the iterations run.
+func (p *Problem) end(s *simplex, st Status, warm *Basis) *Solution {
 	iters := s.iters
 	warm.invalidate()
-	s.release()
+	p.putWork(s)
 	return &Solution{Status: st, Iters: iters}
 }
 

@@ -25,6 +25,9 @@ type Basis struct {
 	sign    []float64 // row normalization signs of the capture solve
 	sx      *simplex  // retained working problem; nil when invalid
 	ok      bool
+	// shared marks a handle whose working arrays Clone shares with
+	// another handle; Release then drops them instead of pooling them.
+	shared bool
 }
 
 // NewBasis returns an empty handle: the first Solve using it runs cold
@@ -52,18 +55,18 @@ func (p *Problem) SeedBasis(rows, cols []int) *Basis {
 		return w
 	}
 	m, nStruct := len(p.rel), len(p.obj)
-	s := simplexPool.Get().(*simplex)
+	s := p.takeWork()
 	s.m, s.opts = m, Options{}.withDefaults(m, nStruct)
 	p.layout(s)
 	if s.nArt > 0 {
-		s.release()
+		p.putWork(s)
 		return w
 	}
 	s.slackBasis()
 	for k, i := range rows {
 		j := cols[k]
 		if i < 0 || i >= m || j < 0 || j >= nStruct || s.state[j] == isBasic || s.basic[i] != s.slackNB[i] {
-			s.release()
+			p.putWork(s)
 			return w
 		}
 		s.state[s.basic[i]] = atLower
@@ -72,7 +75,7 @@ func (p *Problem) SeedBasis(rows, cols []int) *Basis {
 	}
 	s.chooseBasis()
 	if !s.factorSeed() {
-		s.release()
+		p.putWork(s)
 		return w
 	}
 	// The hypersparse duals solve needs y zero outside its last pattern.
@@ -114,6 +117,21 @@ func (w *Basis) Valid() bool { return w != nil && w.ok && w.sx != nil }
 // Reset drops the retained basis; the next solve runs cold.
 func (w *Basis) Reset() { w.invalidate() }
 
+// Release drops the retained basis like Reset and returns its working
+// arrays to the shared pool, for the next solve of any Problem: a
+// handle that lives for one run (the BL-SPM model of a Metis solve)
+// hands them on when the run ends. A handle Clone made, or cloned,
+// shares arrays with the other one and only drops them.
+func (w *Basis) Release() {
+	if w == nil {
+		return
+	}
+	if w.sx != nil && !w.shared {
+		w.sx.release()
+	}
+	w.invalidate()
+}
+
 func (w *Basis) invalidate() {
 	if w == nil {
 		return
@@ -134,6 +152,7 @@ func (w *Basis) capture(p *Problem, s *simplex, sign []float64) {
 	w.sign = sign
 	w.sx = s
 	w.ok = true
+	w.shared = false
 }
 
 // Clone returns an independent copy of the handle for branch & bound
@@ -168,7 +187,8 @@ func (w *Basis) Clone() *Basis {
 	if s.lu != nil {
 		s.lu = new(luBasis) // refactored on demand from s.basic
 	}
-	return &Basis{matrix: w.matrix, m: w.m, nStruct: w.nStruct, sign: w.sign, sx: &s, ok: true}
+	w.shared = true
+	return &Basis{matrix: w.matrix, m: w.m, nStruct: w.nStruct, sign: w.sign, sx: &s, ok: true, shared: true}
 }
 
 // warmOutcome classifies how a solve interacted with the warm path;

@@ -104,6 +104,26 @@ func (r *Result) TheoreticalRatio(links int) float64 {
 
 // Solve runs MAA on inst.
 func Solve(inst *sched.Instance, opts Options) (*Result, error) {
+	var s Solver
+	defer s.Release()
+	return s.Solve(inst, opts)
+}
+
+// Solver runs MAA calls in shared storage: each call's RL-SPM relaxation
+// is rebuilt and solved in the arrays of the last one (spm.RLSolver), so
+// the rounds of one Metis solve allocate it about once. Results are the
+// package-level Solve's, bit for bit. The zero value is ready to use; a
+// Solver is not safe for concurrent use.
+type Solver struct {
+	rl spm.RLSolver
+}
+
+// Release returns the simplex working arrays the solver keeps to lp's
+// shared pool. The solver stays usable.
+func (s *Solver) Release() { s.rl.Release() }
+
+// Solve runs MAA on inst.
+func (s *Solver) Solve(inst *sched.Instance, opts Options) (*Result, error) {
 	if inst.NumRequests() == 0 {
 		return nil, ErrNoRequests
 	}
@@ -129,7 +149,7 @@ func Solve(inst *sched.Instance, opts Options) (*Result, error) {
 	rel := opts.Relaxed
 	if rel == nil {
 		var err error
-		rel, err = spm.SolveRLRelaxation(inst, opts.LP)
+		rel, err = s.rl.Solve(inst, opts.LP)
 		if err != nil {
 			return nil, fmt.Errorf("maa: %w", err)
 		}
@@ -174,12 +194,12 @@ func Solve(inst *sched.Instance, opts Options) (*Result, error) {
 		if err := solvectx.Err(ctx); err != nil {
 			return nil, fmt.Errorf("maa: %w", err)
 		}
-		s, err := roundWith(inst, rel, uniforms[r*drawn:(r+1)*drawn])
+		sc, err := roundWith(inst, rel, uniforms[r*drawn:(r+1)*drawn])
 		if err != nil {
 			return nil, err
 		}
-		if cost := s.Cost(); best == nil || cost < bestCost {
-			best, bestCost = s, cost
+		if cost := sc.Cost(); best == nil || cost < bestCost {
+			best, bestCost = sc, cost
 		}
 	}
 	cSolves.Inc()

@@ -72,7 +72,7 @@ func SolveExactSPM(inst *sched.Instance, opts ExactOptions) (*ExactResult, error
 	net := inst.Network()
 	p := lp.NewProblem(lp.Maximize)
 
-	xCols, err := addRoutingVars(p, inst, 1)
+	xCols, err := addRoutingVars(p, inst)
 	if err != nil {
 		return nil, err
 	}
@@ -130,37 +130,13 @@ func SolveExactSPM(inst *sched.Instance, opts ExactOptions) (*ExactResult, error
 // reference: serve every request with integral routing and integer
 // bandwidth at minimum cost.
 func SolveExactRL(inst *sched.Instance, opts ExactOptions) (*ExactResult, error) {
-	net := inst.Network()
-	p := lp.NewProblem(lp.Minimize)
-
-	xCols, err := addRoutingVars(p, inst, 0)
-	if err != nil {
+	p := new(lp.Problem)
+	defer p.Release()
+	var b rlBuild
+	if err := b.build(p, inst); err != nil {
 		return nil, err
 	}
-	cCols := make([]int, net.NumLinks())
-	for e := range cCols {
-		cCols[e], err = p.AddVariable(net.Link(e).Price, 0, math.Inf(1), "c")
-		if err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < inst.NumRequests(); i++ {
-		row, err := p.AddConstraint(lp.EQ, 1, "serve")
-		if err != nil {
-			return nil, err
-		}
-		for j := range xCols[i] {
-			if err := p.AddTerm(row, xCols[i][j], 1); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if _, err := addCapacityRows(p, inst, xCols,
-		func(e int) int { return cCols[e] },
-		func(e, t int) float64 { return 0 },
-	); err != nil {
-		return nil, err
-	}
+	xCols, cCols := rlColumns(inst)
 
 	intCols := collectIntCols(xCols, cCols)
 	var warm []float64
@@ -183,7 +159,7 @@ func SolveExactBL(inst *sched.Instance, caps []int, opts ExactOptions) (*ExactRe
 	}
 	p := lp.NewProblem(lp.Maximize)
 
-	xCols, err := addRoutingVars(p, inst, 1)
+	xCols, err := addRoutingVars(p, inst)
 	if err != nil {
 		return nil, err
 	}

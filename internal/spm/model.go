@@ -2,7 +2,6 @@ package spm
 
 import (
 	"fmt"
-	"math"
 
 	"metis/internal/lp"
 	"metis/internal/sched"
@@ -33,40 +32,16 @@ type RLModel struct {
 // NewRLModel builds the relaxed RL-SPM LP for the full instance, with
 // every request active. opts configures all subsequent solves.
 func NewRLModel(inst *sched.Instance, opts lp.Options) (*RLModel, error) {
-	net := inst.Network()
-	p := lp.NewProblem(lp.Minimize)
-
-	xCols, err := addRoutingVars(p, inst, 0)
-	if err != nil {
+	p := new(lp.Problem)
+	var b rlBuild
+	if err := b.build(p, inst); err != nil {
 		return nil, err
 	}
-	cCols := make([]int, net.NumLinks())
-	for e := range cCols {
-		cCols[e], err = p.AddVariable(net.Link(e).Price, 0, math.Inf(1), "c")
-		if err != nil {
-			return nil, err
-		}
-	}
+	xCols, cCols := rlColumns(inst)
 	serveRows := make([]int, inst.NumRequests())
-	for i := 0; i < inst.NumRequests(); i++ {
-		row, err := p.AddConstraint(lp.EQ, 1, "serve")
-		if err != nil {
-			return nil, err
-		}
-		serveRows[i] = row
-		for j := range xCols[i] {
-			if err := p.AddTerm(row, xCols[i][j], 1); err != nil {
-				return nil, err
-			}
-		}
+	for i := range serveRows {
+		serveRows[i] = i
 	}
-	if _, err := addCapacityRows(p, inst, xCols,
-		func(e int) int { return cCols[e] },
-		func(e, t int) float64 { return 0 },
-	); err != nil {
-		return nil, err
-	}
-
 	active := make([]bool, inst.NumRequests())
 	for i := range active {
 		active[i] = true
@@ -166,7 +141,7 @@ type BLModel struct {
 func NewBLModel(inst *sched.Instance, opts lp.Options) (*BLModel, error) {
 	p := lp.NewProblem(lp.Maximize)
 
-	xCols, err := addRoutingVars(p, inst, 1)
+	xCols, err := addRoutingVars(p, inst)
 	if err != nil {
 		return nil, err
 	}
@@ -200,6 +175,11 @@ func NewBLModel(inst *sched.Instance, opts lp.Options) (*BLModel, error) {
 		basis: lp.NewBasis(), opts: opts, active: active,
 	}, nil
 }
+
+// Release returns the working arrays of the model's basis to lp's
+// shared pool; the next solve runs cold. A Metis solve releases its
+// model when it ends.
+func (m *BLModel) Release() { m.basis.Release() }
 
 // Seed starts the model's next solve from a routing when the model
 // holds no basis yet, instead of from the all-slack basis. routing is a
@@ -306,18 +286,16 @@ func (m *BLModel) SolveSubset(subset []int, caps []int) (*RelaxedBL, error) {
 // subset[k].
 func extractSubsetX(x []float64, xCols [][]int, subset []int) [][]float64 {
 	out := make([][]float64, len(subset))
+	n := 0
+	for _, i := range subset {
+		n += len(xCols[i])
+	}
+	flat := make([]float64, 0, n)
 	for k, i := range subset {
-		out[k] = make([]float64, len(xCols[i]))
-		for j, col := range xCols[i] {
-			v := x[col]
-			if v < 0 {
-				v = 0
-			}
-			if v > 1 {
-				v = 1
-			}
-			out[k][j] = v
+		for _, col := range xCols[i] {
+			flat = append(flat, clamp01(x[col]))
 		}
+		out[k] = flat[len(flat)-len(xCols[i]) : len(flat) : len(flat)]
 	}
 	return out
 }

@@ -12,6 +12,7 @@ package spm
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"metis/internal/lp"
 	"metis/internal/sched"
@@ -32,43 +33,30 @@ type RelaxedRL struct {
 // SolveRLRelaxation solves the relaxed RL-SPM for inst: every request
 // must be (fractionally) served and bandwidth is continuous.
 func SolveRLRelaxation(inst *sched.Instance, opts lp.Options) (*RelaxedRL, error) {
-	net := inst.Network()
-	p := lp.NewProblem(lp.Minimize)
+	var r RLSolver
+	defer r.Release()
+	return r.Solve(inst, opts)
+}
 
-	xCols, err := addRoutingVars(p, inst, 0)
-	if err != nil {
+// RLSolver solves relaxed RL-SPM LPs in storage it keeps from one solve
+// to the next: each Solve rebuilds its instance's LP into the arrays of
+// the last build (lp.Problem.Reset), and the simplex runs in the working
+// arrays of the last solve. Metis's MAA stage builds nearly the same LP
+// every round, so a Metis solve allocates it about once. Every solve is
+// still the cold solve of a freshly built LP, bit for bit. The zero
+// value is ready to use; an RLSolver is not safe for concurrent use.
+type RLSolver struct {
+	p lp.Problem
+	b rlBuild
+}
+
+// Solve builds and solves the relaxed RL-SPM of inst. The result owns
+// its arrays; nothing in it aliases the solver's storage.
+func (r *RLSolver) Solve(inst *sched.Instance, opts lp.Options) (*RelaxedRL, error) {
+	if err := r.b.build(&r.p, inst); err != nil {
 		return nil, err
 	}
-	cCols := make([]int, net.NumLinks())
-	for e := range cCols {
-		cCols[e], err = p.AddVariable(net.Link(e).Price, 0, math.Inf(1), "c")
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Σ_j x[i][j] = 1 for every request.
-	for i := 0; i < inst.NumRequests(); i++ {
-		row, err := p.AddConstraint(lp.EQ, 1, "serve")
-		if err != nil {
-			return nil, err
-		}
-		for j := range xCols[i] {
-			if err := p.AddTerm(row, xCols[i][j], 1); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// Σ load(e, t) − c_e <= 0 for every (link, slot) that can carry load.
-	if _, err := addCapacityRows(p, inst, xCols,
-		func(e int) int { return cCols[e] },
-		func(e, t int) float64 { return 0 },
-	); err != nil {
-		return nil, err
-	}
-
-	sol, err := p.Solve(opts)
+	sol, err := r.p.Solve(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -78,16 +66,130 @@ func SolveRLRelaxation(inst *sched.Instance, opts lp.Options) (*RelaxedRL, error
 	if sol.Status != lp.StatusOptimal {
 		return nil, fmt.Errorf("spm: relaxed RL-SPM: %v", sol.Status)
 	}
-
-	res := &RelaxedRL{
-		X:    extractX(sol.X, xCols),
-		C:    make([]float64, net.NumLinks()),
+	nx := len(sol.X) - inst.Network().NumLinks()
+	return &RelaxedRL{
+		X:    extractX(sol.X, inst),
+		C:    append([]float64(nil), sol.X[nx:]...),
 		Cost: sol.Objective,
+	}, nil
+}
+
+// Release returns the simplex working arrays the solver keeps between
+// solves to lp's shared pool. The solver stays usable.
+func (r *RLSolver) Release() { r.p.Release() }
+
+// rlBuild is the scratch of buildRL, kept with the LP it builds.
+type rlBuild struct {
+	cellRow []int32   // (link, slot) cell → capacity row, or -1
+	links   []int     // one path's links, ascending
+	rows    []int     // one column's rows
+	vals    []float64 // and its coefficients
+}
+
+// build writes the relaxed RL-SPM LP of inst into p, over p's and b's
+// storage from the last build:
+//
+//	min Σ_e u_e·c_e  s.t.  Σ_j x[i][j] = 1              per request i
+//	                       Σ_{i,j ∋ e, t} r_i·x[i][j] − c_e ≤ 0   per (e, t)
+//	                       0 ≤ x ≤ 1,  c ≥ 0
+//
+// Columns are the routing variables request by request (x[i][j] is
+// column Σ_{i'<i} paths(i') + j), then one bandwidth column per link.
+// Rows are the serve rows (row i for request i), then one capacity row
+// per (link, slot) pair some candidate path loads, in link-major order.
+// One counting pass numbers the capacity rows; each column is then
+// emitted whole, its rows ascending, into the compressed matrix. This is
+// the only RL-SPM builder: RLSolver, RLModel and SolveExactRL use it.
+func (b *rlBuild) build(p *lp.Problem, inst *sched.Instance) error {
+	net := inst.Network()
+	slots := inst.Slots()
+	k := inst.NumRequests()
+
+	cells := net.NumLinks() * slots
+	b.cellRow = slices.Grow(b.cellRow[:0], cells)[:cells]
+	clear(b.cellRow)
+	for i := 0; i < k; i++ {
+		r := inst.Request(i)
+		for j := 0; j < inst.NumPaths(i); j++ {
+			for _, e := range inst.Path(i, j).Links {
+				for t := r.Start; t <= r.End; t++ {
+					b.cellRow[e*slots+t] = 1
+				}
+			}
+		}
 	}
-	for e, col := range cCols {
-		res.C[e] = sol.X[col]
+	rows := k
+	for c, used := range b.cellRow {
+		if used == 0 {
+			b.cellRow[c] = -1
+			continue
+		}
+		b.cellRow[c] = int32(rows)
+		rows++
 	}
-	return res, nil
+
+	p.Reset(lp.Minimize)
+	for i := 0; i < rows; i++ {
+		rel, rhs, name := lp.LE, 0.0, "cap"
+		if i < k {
+			rel, rhs, name = lp.EQ, 1, "serve"
+		}
+		if _, err := p.AddConstraint(rel, rhs, name); err != nil {
+			return err
+		}
+	}
+	for i := 0; i < k; i++ {
+		r := inst.Request(i)
+		for j := 0; j < inst.NumPaths(i); j++ {
+			// Candidate paths are loopless, so each link (and each
+			// capacity row) occurs once in the column.
+			b.links = append(b.links[:0], inst.Path(i, j).Links...)
+			slices.Sort(b.links)
+			b.rows = append(b.rows[:0], i)
+			b.vals = append(b.vals[:0], 1)
+			for _, e := range b.links {
+				for t := r.Start; t <= r.End; t++ {
+					b.rows = append(b.rows, int(b.cellRow[e*slots+t]))
+					b.vals = append(b.vals, r.Rate)
+				}
+			}
+			if _, err := p.AppendColumn(0, 0, 1, b.rows, b.vals, "x"); err != nil {
+				return err
+			}
+		}
+	}
+	for e := 0; e < net.NumLinks(); e++ {
+		b.rows, b.vals = b.rows[:0], b.vals[:0]
+		for _, row := range b.cellRow[e*slots : (e+1)*slots] {
+			if row >= 0 {
+				b.rows = append(b.rows, int(row))
+				b.vals = append(b.vals, -1)
+			}
+		}
+		if _, err := p.AppendColumn(net.Link(e).Price, 0, math.Inf(1), b.rows, b.vals, "c"); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// rlColumns returns the column layout of build's LP for inst: xCols[i][j]
+// is the column of x[i][j] and cCols[e] the bandwidth column of link e.
+func rlColumns(inst *sched.Instance) (xCols [][]int, cCols []int) {
+	xCols = make([][]int, inst.NumRequests())
+	col := 0
+	for i := range xCols {
+		xCols[i] = make([]int, inst.NumPaths(i))
+		for j := range xCols[i] {
+			xCols[i][j] = col
+			col++
+		}
+	}
+	cCols = make([]int, inst.Network().NumLinks())
+	for e := range cCols {
+		cCols[e] = col + e
+	}
+	return xCols, cCols
 }
 
 // RelaxedBL is the optimal solution of the relaxed BL-SPM LP.
@@ -121,7 +223,7 @@ func SolveBLRelaxationVar(inst *sched.Instance, caps [][]float64, opts lp.Option
 	}
 	p := lp.NewProblem(lp.Maximize)
 
-	xCols, err := addRoutingVars(p, inst, 1)
+	xCols, err := addRoutingVars(p, inst)
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +252,7 @@ func SolveBLRelaxationVar(inst *sched.Instance, caps [][]float64, opts lp.Option
 	if sol.Status != lp.StatusOptimal {
 		return nil, fmt.Errorf("spm: relaxed BL-SPM: %v", sol.Status)
 	}
-	return &RelaxedBL{X: extractX(sol.X, xCols), Revenue: sol.Objective}, nil
+	return &RelaxedBL{X: extractX(sol.X, inst), Revenue: sol.Objective}, nil
 }
 
 // ExpandCaps broadcasts a per-link capacity vector to the per-(link,
@@ -184,17 +286,12 @@ func validateVarCaps(inst *sched.Instance, caps [][]float64) error {
 }
 
 // addRoutingVars adds one [0, 1] routing variable x[i][j] per request
-// and candidate path; objMode selects their objective.
-//   - 0: zero objective (RL-SPM; cost sits on the bandwidth variables)
-//   - 1: request value (BL-SPM / SPM revenue)
-func addRoutingVars(p *lp.Problem, inst *sched.Instance, objMode int) ([][]int, error) {
+// and candidate path, priced at the request's value (BL-SPM and SPM
+// revenue; the RL-SPM builder lays out its own).
+func addRoutingVars(p *lp.Problem, inst *sched.Instance) ([][]int, error) {
 	xCols := make([][]int, inst.NumRequests())
 	for i := range xCols {
-		r := inst.Request(i)
-		obj := 0.0
-		if objMode == 1 {
-			obj = r.Value
-		}
+		obj := inst.Request(i).Value
 		xCols[i] = make([]int, inst.NumPaths(i))
 		for j := range xCols[i] {
 			col, err := p.AddVariable(obj, 0, 1, "x")
@@ -299,20 +396,35 @@ func addCapacityRowsVar(p *lp.Problem, inst *sched.Instance, xCols [][]int, caps
 	return err
 }
 
-func extractX(x []float64, xCols [][]int) [][]float64 {
-	out := make([][]float64, len(xCols))
-	for i := range xCols {
-		out[i] = make([]float64, len(xCols[i]))
-		for j, col := range xCols[i] {
-			v := x[col]
-			if v < 0 {
-				v = 0
-			}
-			if v > 1 {
-				v = 1
-			}
-			out[i][j] = v
+// extractX reads the clamped routing rows out of a solution whose first
+// columns are inst's routing variables request by request (x[i][j] at
+// column Σ_{i'<i} paths(i') + j), as addRoutingVars and the RL-SPM
+// builder lay them out. The rows share one backing array.
+func extractX(x []float64, inst *sched.Instance) [][]float64 {
+	out := make([][]float64, inst.NumRequests())
+	n := 0
+	for i := range out {
+		n += inst.NumPaths(i)
+	}
+	flat := make([]float64, n)
+	col := 0
+	for i := range out {
+		out[i] = flat[col : col+inst.NumPaths(i) : col+inst.NumPaths(i)]
+		for j := range out[i] {
+			out[i][j] = clamp01(x[col])
+			col++
 		}
 	}
 	return out
+}
+
+// clamp01 clamps a routing value to [0, 1].
+func clamp01(v float64) float64 {
+	if v < 0 {
+		return 0
+	}
+	if v > 1 {
+		return 1
+	}
+	return v
 }

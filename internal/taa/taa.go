@@ -64,6 +64,27 @@ type Result struct {
 // Solve runs TAA on inst under the given integer link capacities
 // (constant across slots).
 func Solve(inst *sched.Instance, caps []int, opts Options) (*Result, error) {
+	return new(Solver).Solve(inst, caps, opts)
+}
+
+// SolveVar runs TAA under time-varying capacities: caps[e][t] bounds
+// link e's load at slot t. This powers the online extension, where
+// earlier commitments consume part of the capacity.
+func SolveVar(inst *sched.Instance, caps [][]float64, opts Options) (*Result, error) {
+	return new(Solver).SolveVar(inst, caps, opts)
+}
+
+// Solver runs TAA calls in shared storage: each call's Chernoff
+// estimator is rebuilt in the arrays of the last one, so the rounds of
+// one Metis solve allocate it about once. Results are the package-level
+// functions', bit for bit. The zero value is ready to use; a Solver is
+// not safe for concurrent use.
+type Solver struct {
+	est chernoff.Estimator
+}
+
+// Solve is the package-level Solve in the solver's storage.
+func (ts *Solver) Solve(inst *sched.Instance, caps []int, opts Options) (*Result, error) {
 	if len(caps) != inst.Network().NumLinks() {
 		return nil, fmt.Errorf("taa: capacity vector has %d entries, want %d", len(caps), inst.Network().NumLinks())
 	}
@@ -72,13 +93,11 @@ func Solve(inst *sched.Instance, caps []int, opts Options) (*Result, error) {
 			return nil, fmt.Errorf("taa: negative capacity %d on link %d", c, e)
 		}
 	}
-	return SolveVar(inst, spm.ExpandCaps(inst, caps), opts)
+	return ts.SolveVar(inst, spm.ExpandCaps(inst, caps), opts)
 }
 
-// SolveVar runs TAA under time-varying capacities: caps[e][t] bounds
-// link e's load at slot t. This powers the online extension, where
-// earlier commitments consume part of the capacity.
-func SolveVar(inst *sched.Instance, caps [][]float64, opts Options) (*Result, error) {
+// SolveVar is the package-level SolveVar in the solver's storage.
+func (ts *Solver) SolveVar(inst *sched.Instance, caps [][]float64, opts Options) (*Result, error) {
 	if len(caps) != inst.Network().NumLinks() {
 		return nil, fmt.Errorf("taa: capacity matrix has %d links, want %d", len(caps), inst.Network().NumLinks())
 	}
@@ -154,8 +173,8 @@ func SolveVar(inst *sched.Instance, caps [][]float64, opts Options) (*Result, er
 		cMuFloor.Inc()
 		return finishSolve(&Result{Schedule: s, Revenue: s.Revenue(), Relaxed: rel}, opts, t0, 0), nil
 	}
-	est, err := chernoff.NewEstimator(inst, caps, rel.X, mu)
-	if err != nil {
+	est := &ts.est
+	if err := est.Reset(inst, caps, rel.X, mu); err != nil {
 		return nil, fmt.Errorf("taa: %w", err)
 	}
 
