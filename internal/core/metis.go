@@ -15,11 +15,13 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -181,15 +183,20 @@ func Solve(inst *sched.Instance, cfg Config) (*Result, error) {
 // there, so a round blocked inside a large simplex solve still stops
 // within one iteration batch.
 //
-// A Solve allocates its working storage once, not once per round: MAA's
-// RL-SPM LP is rebuilt each round into the arrays of the last build and
-// solved in the same simplex working arrays, and TAA's Chernoff
-// estimator is rebuilt in place. Every relaxation is still the cold
-// solve of the same matrix, so results are those of rebuilding from
-// fresh memory, bit for bit.
+// A Solve allocates only what its Result holds. Everything it works in
+// is storage that Solves hand on to one another (solveStorage): the
+// round's sub-instance, MAA's RL-SPM LP with its simplex arrays, the BL
+// model with the arrays of its seeded basis, TAA's Chernoff estimator,
+// every schedule, load matrix and index list of the rounds, and the RNG
+// source, re-seeded in place. LPs are rebuilt into the arrays of the
+// last build, rows and columns in the same order, so every relaxation
+// is the solve of the same matrix and results are those of rebuilding
+// from fresh memory, bit for bit. The Result is copied out of the
+// storage once, and the storage keeps no reference to inst, ctx or
+// cfg's tracer when the Solve ends.
 func SolveCtx(ctx context.Context, inst *sched.Instance, cfg Config) (*Result, error) {
-	st := storagePool.Get().(*solveStorage)
-	defer storagePool.Put(st)
+	st := takeStorage()
+	defer putStorage(st)
 	return solve(ctx, inst, cfg, st)
 }
 
@@ -212,27 +219,29 @@ func solve(ctx context.Context, inst *sched.Instance, cfg Config, st *solveStora
 		cfg.LP.Tracer = cfg.Tracer
 	}
 	start := time.Now()
-	rng := stats.NewRNG(cfg.Seed)
+	defer st.drop()
+	st.rng.Reseed(cfg.Seed)
+	sp := &st.sp
 
 	// SP Updater state: profit starts at zero (accept nothing, buy
-	// nothing); any schedule must beat it to be recorded. A cheap
-	// bottom-up greedy seeds the updater so that sparse workloads —
-	// where the accept-everything starting point is deeply unprofitable
-	// and θ rounds of alternation cannot reach the profitable core —
-	// still produce a sensible schedule.
-	best := sched.NewSchedule(inst)
+	// nothing); any schedule must beat it to be recorded, and is copied
+	// into best when it does. A cheap bottom-up greedy seeds the updater
+	// so that sparse workloads — where the accept-everything starting
+	// point is deeply unprofitable and θ rounds of alternation cannot
+	// reach the profitable core — still produce a sensible schedule.
+	best := &st.best
+	best.Reset(inst)
 	bestProfit := 0.0
-	var loadsBuf [][]float64 // scratch reused by every pruning pass
-	greedySeed := greedyProfitCandidate(inst)
-	greedyProfit, loadsBuf := pruneUnprofitable(greedySeed, loadsBuf)
-	if greedyProfit > bestProfit {
-		best, bestProfit = greedySeed, greedyProfit
+	greedySeed := greedyProfitCandidate(inst, &st.greedy)
+	if greedyProfit := sp.prune(greedySeed); greedyProfit > bestProfit {
+		best.CopyFrom(greedySeed)
+		bestProfit = greedyProfit
 	}
 
 	// Indices (into inst) of the currently accepted request set.
-	accepted := make([]int, inst.NumRequests())
-	for i := range accepted {
-		accepted[i] = i
+	accepted := st.accepted[:0]
+	for i := range inst.NumRequests() {
+		accepted = append(accepted, i)
 	}
 
 	// Incremental BL relaxation model: the BL-SPM LP is built once over
@@ -263,23 +272,23 @@ func solve(ctx context.Context, inst *sched.Instance, cfg Config, st *solveStora
 	// not on capacities).
 	var blModel *spm.BLModel
 	if !cfg.ColdLP {
-		var err error
-		if blModel, err = spm.NewBLModel(inst, cfg.LP); err != nil {
+		blModel = &st.bl
+		if err := blModel.Build(inst, cfg.LP); err != nil {
 			return nil, fmt.Errorf("core: build BL model: %w", err)
 		}
-		defer blModel.Release()
 	}
-	var (
-		lastAccepted []int
-		lastRel      *spm.RelaxedRL
-	)
+	lastAccepted := st.lastAccepted[:0]
+	var lastRel *spm.RelaxedRL
 
 	// Degradation state: when the context expires mid-run, the loop
 	// breaks at the next checkpoint and the solve returns the best
 	// incumbent with Degraded set instead of an error.
 	var cause error
 
-	var rounds []RoundStats
+	rounds := st.rounds[:0]
+	// The lists go back to the storage however the Solve ends; accepted
+	// and st.next are never the same array.
+	defer func() { st.accepted, st.lastAccepted, st.rounds = accepted, lastAccepted, rounds }()
 	stall := 0 // consecutive rounds in which TAA declined nothing
 	for round := 1; round <= cfg.Theta && len(accepted) > 0; round++ {
 		// Per-round checkpoint (and fault site): a budget that expires
@@ -292,13 +301,13 @@ func solve(ctx context.Context, inst *sched.Instance, cfg Config, st *solveStora
 			break
 		}
 		roundStart := time.Now()
-		sub, err := inst.Subset(accepted)
-		if err != nil {
+		sub := &st.sub
+		if err := sub.SetSubset(inst, accepted); err != nil {
 			return nil, fmt.Errorf("core: round %d: %w", round, err)
 		}
 
 		// RL-SPM Solver.
-		maaOpts := maa.Options{LP: cfg.LP, Rounds: cfg.MAARounds, RNG: rng}
+		maaOpts := maa.Options{LP: cfg.LP, Rounds: cfg.MAARounds, RNG: &st.rng}
 		if !cfg.ColdLP && lastRel != nil && equalInts(lastAccepted, accepted) {
 			// Identical accepted set ⇒ identical RL-SPM LP ⇒ the cold
 			// solve would reproduce last round's relaxation bit for bit;
@@ -315,16 +324,17 @@ func solve(ctx context.Context, inst *sched.Instance, cfg Config, st *solveStora
 		}
 		lastAccepted = append(lastAccepted[:0], accepted...)
 		lastRel = maaRes.Relaxed
-		maaSched := liftSchedule(inst, accepted, maaRes.Schedule)
-		var maaProfit float64
-		maaProfit, loadsBuf = pruneUnprofitable(maaSched, loadsBuf)
+		maaSched := &st.maaSched
+		liftSchedule(maaSched, inst, accepted, maaRes.Schedule)
+		maaProfit := sp.prune(maaSched)
 		if fault.Active() {
 			// Fault site: a poisoned profit must never displace the
 			// incumbent (NaN fails every > comparison below).
 			maaProfit = fault.NaN("core.profit", maaProfit)
 		}
 		if maaProfit > bestProfit {
-			best, bestProfit = maaSched, maaProfit
+			best.CopyFrom(maaSched)
+			bestProfit = maaProfit
 		}
 		maaElapsed := time.Since(roundStart)
 
@@ -335,8 +345,7 @@ func solve(ctx context.Context, inst *sched.Instance, cfg Config, st *solveStora
 		// trading requests for bandwidth.
 		caps := maaRes.Charged
 		step := cfg.TauStep << uint(min(stall, 20))
-		var shrinkLink, shrinkStep int
-		shrinkLink, shrinkStep, loadsBuf = shrinkLeastUtilized(maaRes.Schedule, caps, step, cfg.TauFrac, loadsBuf)
+		shrinkLink, shrinkStep := shrinkLeastUtilized(maaRes.Schedule, caps, step, cfg.TauFrac, sp)
 
 		// BL-SPM Solver. The model's first solve starts from MAA's
 		// routing: TAA's LP is then one shrunk link away from a basis
@@ -371,16 +380,18 @@ func solve(ctx context.Context, inst *sched.Instance, cfg Config, st *solveStora
 			}
 			return nil, fmt.Errorf("core: round %d: %w", round, err)
 		}
-		taaSched := liftSchedule(inst, accepted, taaRes.Schedule)
-		var taaProfit float64
-		taaProfit, loadsBuf = pruneUnprofitable(taaSched, loadsBuf)
+		taaSched := &st.taaSched
+		liftSchedule(taaSched, inst, accepted, taaRes.Schedule)
+		taaProfit := sp.prune(taaSched)
 		if taaProfit > bestProfit {
-			best, bestProfit = taaSched, taaProfit
+			best.CopyFrom(taaSched)
+			bestProfit = taaProfit
 		}
 
 		// The next round's request set is TAA's acceptance decision
-		// after pruning (taaSched lives on the original instance).
-		next := taaSched.Accepted()
+		// after pruning (taaSched lives on the original instance),
+		// written into the spare list.
+		next := taaSched.AcceptedInto(st.next)
 		rounds = append(rounds, RoundStats{
 			Round:       round,
 			Accepted:    len(accepted),
@@ -418,7 +429,7 @@ func solve(ctx context.Context, inst *sched.Instance, cfg Config, st *solveStora
 		} else {
 			stall = 0
 		}
-		accepted = next
+		accepted, st.next = next, accepted
 	}
 	cSolves.Inc()
 	cRounds.Add(int64(len(rounds)))
@@ -429,8 +440,8 @@ func solve(ctx context.Context, inst *sched.Instance, cfg Config, st *solveStora
 
 	// One loads pass backs Cost and Charged both (Revenue never looks
 	// at loads), instead of recomputing the matrix per accessor.
-	loadsBuf = best.LoadsInto(loadsBuf)
-	charged := sched.ChargedOf(loadsBuf)
+	sp.loads = best.LoadsInto(sp.loads)
+	charged := sched.ChargedOf(sp.loads)
 	if cfg.Tracer != nil {
 		fields := obs.Fields{
 			"k":        inst.NumRequests(),
@@ -444,36 +455,93 @@ func solve(ctx context.Context, inst *sched.Instance, cfg Config, st *solveStora
 		}
 		obs.Span(cfg.Tracer, "metis.solve", start, fields)
 	}
-	return &Result{
-		Schedule: best,
+	res := &Result{
+		Schedule: best.Clone(),
 		Profit:   bestProfit,
 		Revenue:  best.Revenue(),
 		Cost:     best.CostOfCharged(charged),
 		Charged:  charged,
-		Rounds:   rounds,
 		Elapsed:  time.Since(start),
 		Degraded: cause != nil,
 		Cause:    cause,
-	}, nil
+	}
+	if len(rounds) > 0 {
+		res.Rounds = slices.Clone(rounds)
+	}
+	return res, nil
 }
 
-// solveStorage is what one Solve reuses from round to round: MAA's
-// RL-SPM LP with its simplex working arrays, and TAA's Chernoff
-// estimator. A Solve takes one from storagePool and puts it back when it
-// ends, so the next Solve starts from it too; Solves that run in
-// parallel (exp's figure workers) each hold their own.
+// solveStorage is what Solves hand on to one another: everything a
+// Solve works in, from MAA's and TAA's solvers and the BL model to the
+// round's sub-instance, the SP Updater's schedules and the index lists.
+// A Solve takes one from storagePool and puts it back when it ends, so
+// the next Solve starts from it; Solves that run at once (exp's figure
+// workers) each hold their own.
 type solveStorage struct {
-	maa maa.Solver
-	taa taa.Solver
+	maa    maa.Solver
+	taa    taa.Solver
+	bl     spm.BLModel
+	rng    stats.RNG
+	sub    sched.Instance
+	greedy greedyBuf
+	sp     spScratch
+
+	// The SP Updater's best schedule (a copy) and the round's lifted
+	// MAA and TAA schedules, all on the Solve's instance.
+	best, maaSched, taaSched sched.Schedule
+
+	accepted, next, lastAccepted []int
+	rounds                       []RoundStats
 }
 
-var storagePool = sync.Pool{New: func() any { return new(solveStorage) }}
+// drop ends a Solve's use of st: whatever referenced the Solve's
+// instance, context or tracer lets go of it, and the arrays stay.
+// Everything else in st references only st.
+func (st *solveStorage) drop() {
+	st.sub.Drop()
+	st.bl.Drop()
+	st.greedy.drop()
+	st.best.Reset(nil)
+	st.maaSched.Reset(nil)
+	st.taaSched.Reset(nil)
+}
 
-// liftSchedule maps a schedule over a Subset instance back onto the
-// original instance: sub request k corresponds to inst request
-// mapping[k], and candidate path indices coincide by construction.
-func liftSchedule(inst *sched.Instance, mapping []int, sub *sched.Schedule) *sched.Schedule {
-	s := sched.NewSchedule(inst)
+// storagePool holds the storage of finished Solves for the next ones,
+// at most GOMAXPROCS of them: the next Solve takes the last one put
+// back, on whichever P it runs. (A sync.Pool would hand a Solve on
+// another P a new storage, and lose all of them at a collection.)
+var storagePool struct {
+	sync.Mutex
+	free []*solveStorage
+}
+
+func takeStorage() *solveStorage {
+	storagePool.Lock()
+	defer storagePool.Unlock()
+	n := len(storagePool.free)
+	if n == 0 {
+		return new(solveStorage)
+	}
+	st := storagePool.free[n-1]
+	storagePool.free[n-1] = nil
+	storagePool.free = storagePool.free[:n-1]
+	return st
+}
+
+func putStorage(st *solveStorage) {
+	storagePool.Lock()
+	defer storagePool.Unlock()
+	if len(storagePool.free) < runtime.GOMAXPROCS(0) {
+		storagePool.free = append(storagePool.free, st)
+	}
+}
+
+// liftSchedule makes s the schedule over inst that sub, a schedule over
+// a Subset instance, describes: sub request k corresponds to inst
+// request mapping[k], and candidate path indices coincide by
+// construction.
+func liftSchedule(s *sched.Schedule, inst *sched.Instance, mapping []int, sub *sched.Schedule) {
+	s.Reset(inst)
 	for k, orig := range mapping {
 		if c := sub.Choice(k); c != sched.Declined {
 			// Assign cannot fail: path sets are shared with the subset.
@@ -482,22 +550,38 @@ func liftSchedule(inst *sched.Instance, mapping []int, sub *sched.Schedule) *sch
 			}
 		}
 	}
-	return s
 }
 
-// greedyProfitCandidate builds a bottom-up schedule: requests are
+// greedyBuf is greedyProfitCandidate's storage.
+type greedyBuf struct {
+	byValue, byMarkup []int
+	markup            []float64
+	sweep             [2]sched.Schedule
+	capacity          sched.Capacity
+	loads             [][]float64
+}
+
+// drop lets go of the instance and network of the last candidate.
+func (g *greedyBuf) drop() {
+	g.sweep[0].Reset(nil)
+	g.sweep[1].Reset(nil)
+	g.capacity.Renew(nil, 0)
+}
+
+// greedyProfitCandidate builds a bottom-up schedule in g: requests are
 // accepted on the candidate path with the lowest marginal purchase
 // cost iff their value exceeds that marginal cost, sweeping repeatedly
 // so that headroom created by earlier acceptances admits later
 // requests. Two orderings are tried — descending value (big buyers
 // create reusable pools) and descending markup (most profitable
 // first) — and the better schedule wins (markup must be strictly
-// better).
-func greedyProfitCandidate(inst *sched.Instance) *sched.Schedule {
+// better). The schedule is g's until its next candidate.
+func greedyProfitCandidate(inst *sched.Instance, g *greedyBuf) *sched.Schedule {
 	slots := inst.Slots()
-	byValue := make([]int, inst.NumRequests())
-	byMarkup := make([]int, inst.NumRequests())
-	markup := make([]float64, inst.NumRequests())
+	n := inst.NumRequests()
+	byValue := slices.Grow(g.byValue[:0], n)[:n]
+	byMarkup := slices.Grow(g.byMarkup[:0], n)[:n]
+	markup := slices.Grow(g.markup[:0], n)[:n]
 	for i := range byValue {
 		byValue[i] = i
 		byMarkup[i] = i
@@ -505,53 +589,67 @@ func greedyProfitCandidate(inst *sched.Instance) *sched.Schedule {
 		amortized := r.Rate * float64(r.Duration()) / float64(slots) * inst.Path(i, 0).Price
 		markup[i] = r.Value / amortized
 	}
-	sort.SliceStable(byValue, func(a, b int) bool {
-		return inst.Request(byValue[a]).Value > inst.Request(byValue[b]).Value
+	slices.SortStableFunc(byValue, func(a, b int) int {
+		return cmp.Compare(inst.Request(b).Value, inst.Request(a).Value)
 	})
-	sort.SliceStable(byMarkup, func(a, b int) bool { return markup[byMarkup[a]] > markup[byMarkup[b]] })
+	slices.SortStableFunc(byMarkup, func(a, b int) int { return cmp.Compare(markup[b], markup[a]) })
+	g.byValue, g.byMarkup, g.markup = byValue, byMarkup, markup
 
-	best := greedySweep(inst, byValue)
-	if alt := greedySweep(inst, byMarkup); alt.Profit() > best.Profit() {
+	best, alt := &g.sweep[0], &g.sweep[1]
+	g.sweepInto(best, inst, byValue)
+	g.sweepInto(alt, inst, byMarkup)
+	if g.profit(alt) > g.profit(best) {
 		best = alt
 	}
 	return best
+}
+
+// profit is s.Profit() in g's load matrix.
+func (g *greedyBuf) profit(s *sched.Schedule) float64 {
+	g.loads = s.LoadsInto(g.loads)
+	return s.Revenue() - s.CostWithLoads(g.loads)
 }
 
 // greedyPasses bounds the admission passes of a greedy sweep; later
 // passes admit what headroom bought by later requests makes free.
 const greedyPasses = 4
 
-// greedySweep runs marginal-cost admission over the given order from
-// empty capacity until a fixpoint (bounded passes).
-func greedySweep(inst *sched.Instance, order []int) *sched.Schedule {
-	s := sched.NewSchedule(inst)
-	sched.NewCapacity(inst.Network(), inst.Slots()).Admit(s, order, greedyPasses)
-	return s
+// sweepInto makes s the schedule of marginal-cost admission over the
+// given order from empty capacity, run until a fixpoint (bounded
+// passes).
+func (g *greedyBuf) sweepInto(s *sched.Schedule, inst *sched.Instance, order []int) {
+	s.Reset(inst)
+	g.capacity.Renew(inst.Network(), inst.Slots())
+	g.capacity.Admit(s, order, greedyPasses)
 }
 
-// pruneUnprofitable is the SP Updater's local-improvement step: it
-// repeatedly declines any served request whose value is below the
-// bandwidth cost its removal frees up (whole charged units only — the
-// integer billing granularity is exactly why single removals rarely
-// pay, and why candidates are retried until a fixpoint). Requests are
-// tried in ascending value order. It returns the schedule's profit
-// after pruning.
-//
-// buf is an optional per-link load scratch matrix; the pruner runs
-// twice per alternation round, so reusing it across calls removes the
-// dominant allocation of the round loop. The (possibly re-shaped)
-// buffer is returned for the next call. Every load matrix it consumes
-// is recomputed fresh via LoadsInto, so the profit is bit-identical to
-// the allocate-per-call version.
-func pruneUnprofitable(s *sched.Schedule, buf [][]float64) (float64, [][]float64) {
+// spScratch is what the SP Updater's passes reuse from call to call: a
+// per-link load matrix and the pruner's candidate order. Every load
+// matrix a pass consumes is recomputed fresh via LoadsInto, so results
+// are bit-identical to allocating per call.
+type spScratch struct {
+	loads [][]float64
+	order []int
+}
+
+// prune is the SP Updater's local-improvement step: it repeatedly
+// declines any served request whose value is below the bandwidth cost
+// its removal frees up (whole charged units only — the integer billing
+// granularity is exactly why single removals rarely pay, and why
+// candidates are retried until a fixpoint). Requests are tried in
+// ascending value order. It returns the schedule's profit after
+// pruning.
+func (sp *spScratch) prune(s *sched.Schedule) float64 {
 	inst := s.Instance()
 	net := inst.Network()
 	slots := inst.Slots()
-	loads := s.LoadsInto(buf)
+	sp.loads = s.LoadsInto(sp.loads)
+	loads := sp.loads
 
-	order := s.Accepted()
-	sort.Slice(order, func(a, b int) bool {
-		return inst.Request(order[a]).Value < inst.Request(order[b]).Value
+	sp.order = s.AcceptedInto(sp.order)
+	order := sp.order
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Compare(inst.Request(a).Value, inst.Request(b).Value)
 	})
 
 	for pass := 0; pass < 16; pass++ {
@@ -602,19 +700,19 @@ func pruneUnprofitable(s *sched.Schedule, buf [][]float64) (float64, [][]float64
 	// Recompute loads fresh for the final profit: the incrementally
 	// maintained matrix can differ from a from-scratch sum in the last
 	// ulp, and charged units must match what Cost() would report.
-	loads = s.LoadsInto(loads)
-	return s.Revenue() - s.CostWithLoads(loads), loads
+	sp.loads = s.LoadsInto(loads)
+	return s.Revenue() - s.CostWithLoads(sp.loads)
 }
 
 // shrinkLeastUtilized implements the τ rule: reduce the capacity of the
 // link with the minimum average utilization among links with positive
 // capacity, by max(step, ceil(frac·units)) units. Ties break toward the
-// lower link id. buf is the round loop's load scratch matrix (see
-// pruneUnprofitable). It returns the shrunk link id (-1 when no link
-// has positive capacity), the number of units actually removed, and the
-// refilled load matrix for the next use.
-func shrinkLeastUtilized(s *sched.Schedule, caps []int, step int, frac float64, buf [][]float64) (int, int, [][]float64) {
-	loads := s.LoadsInto(buf)
+// lower link id. It computes the loads in sp's matrix, and returns the
+// shrunk link id (-1 when no link has positive capacity) and the number
+// of units actually removed.
+func shrinkLeastUtilized(s *sched.Schedule, caps []int, step int, frac float64, sp *spScratch) (int, int) {
+	sp.loads = s.LoadsInto(sp.loads)
+	loads := sp.loads
 	slots := s.Instance().Slots()
 	target := -1
 	bestUtil := math.Inf(1)
@@ -632,7 +730,7 @@ func shrinkLeastUtilized(s *sched.Schedule, caps []int, step int, frac float64, 
 		}
 	}
 	if target < 0 {
-		return -1, 0, loads
+		return -1, 0
 	}
 	if frac > 0 {
 		if byFrac := int(math.Ceil(frac * float64(caps[target]))); byFrac > step {
@@ -643,7 +741,7 @@ func shrinkLeastUtilized(s *sched.Schedule, caps []int, step int, frac float64, 
 		step = caps[target]
 	}
 	caps[target] -= step
-	return target, step, loads
+	return target, step
 }
 
 // equalInts reports whether a and b hold the same values.

@@ -56,7 +56,7 @@ type Replanner struct {
 	profit    float64
 	charged   []int
 	planned   int // requests observed at the last completed replan
-	loadsBuf  [][]float64
+	sp        spScratch
 	relX      [][]float64 // last BL relaxation's fractional X, aligned to observed positions
 }
 
@@ -203,39 +203,38 @@ func (rp *Replanner) refine(ctx context.Context) (*Result, error) {
 	// Carry the incumbent onto the (possibly extended) instance; path
 	// sets are shared by Instance.Extend, so prefix choices stay valid.
 	inc := rp.liftIncumbent()
-	incProfit, buf := pruneUnprofitable(inc, rp.loadsBuf)
+	incProfit := rp.sp.prune(inc)
 
 	// Greedy extension: admit declined requests on their cheapest
 	// marginal path on top of the incumbent's committed loads. On the
 	// first replan of a cycle this degenerates to the full greedy seed.
 	var ext *sched.Schedule
 	if rp.incumbent == nil {
-		ext = greedyProfitCandidate(inst)
+		ext = greedyProfitCandidate(inst, new(greedyBuf))
 	} else {
 		ext = inc.Clone()
-		buf = greedyExtend(ext, buf)
+		rp.sp.loads = greedyExtend(ext, rp.sp.loads)
 	}
-	var extProfit float64
-	extProfit, buf = pruneUnprofitable(ext, buf)
+	extProfit := rp.sp.prune(ext)
 
 	best, bestProfit := inc, incProfit
 	if extProfit > bestProfit {
 		best, bestProfit = ext, extProfit
 	}
 	if err := solvectx.Err(lpOpts.Ctx); err != nil {
-		return rp.finish(start, best, bestProfit, buf, err), nil
+		return rp.finish(start, best, bestProfit, err), nil
 	}
 
 	// Capacity target for this round: what the greedy extension
 	// purchases. TAA then maximizes revenue under that budget, possibly
 	// trading low-value requests away.
-	buf = ext.LoadsInto(buf)
-	caps := sched.ChargedOf(buf)
+	rp.sp.loads = ext.LoadsInto(rp.sp.loads)
+	caps := sched.ChargedOf(rp.sp.loads)
 
 	rel, err := rp.relax(lpOpts, caps)
 	if err != nil {
 		if solvectx.Is(err) {
-			return rp.finish(start, best, bestProfit, buf, err), nil
+			return rp.finish(start, best, bestProfit, err), nil
 		}
 		return nil, err
 	}
@@ -247,16 +246,15 @@ func (rp *Replanner) refine(ctx context.Context) (*Result, error) {
 	taaRes, err := taa.Solve(inst, caps, taa.Options{LP: lpOpts, Relaxed: rel})
 	if err != nil {
 		if solvectx.Is(err) {
-			return rp.finish(start, best, bestProfit, buf, err), nil
+			return rp.finish(start, best, bestProfit, err), nil
 		}
 		return nil, err
 	}
-	var taaProfit float64
-	taaProfit, buf = pruneUnprofitable(taaRes.Schedule, buf)
+	taaProfit := rp.sp.prune(taaRes.Schedule)
 	if taaProfit > bestProfit {
 		best, bestProfit = taaRes.Schedule, taaProfit
 	}
-	return rp.finish(start, best, bestProfit, buf, nil), nil
+	return rp.finish(start, best, bestProfit, nil), nil
 }
 
 // relax solves the BL relaxation over the whole observed workload
@@ -312,9 +310,9 @@ func (rp *Replanner) adopt(s *sched.Schedule, profit float64, charged []int) {
 	rp.planned = rp.inst.NumRequests()
 }
 
-func (rp *Replanner) finish(start time.Time, best *sched.Schedule, profit float64, buf [][]float64, cause error) *Result {
-	rp.loadsBuf = best.LoadsInto(buf)
-	charged := sched.ChargedOf(rp.loadsBuf)
+func (rp *Replanner) finish(start time.Time, best *sched.Schedule, profit float64, cause error) *Result {
+	rp.sp.loads = best.LoadsInto(rp.sp.loads)
+	charged := sched.ChargedOf(rp.sp.loads)
 	res := &Result{
 		Schedule: best,
 		Profit:   profit,
@@ -330,10 +328,10 @@ func (rp *Replanner) finish(start time.Time, best *sched.Schedule, profit float6
 }
 
 // greedyExtend admits currently declined requests on top of an existing
-// schedule with the greedySweep marginal-cost rule, seeded with the
-// schedule's committed loads and purchases. Candidates are tried in
-// descending value order. It mutates s and returns the (re-shaped) load
-// scratch for reuse.
+// schedule with the greedy seed's marginal-cost rule (Capacity.Admit),
+// seeded with the schedule's committed loads and purchases. Candidates
+// are tried in descending value order. It mutates s and returns the
+// (re-shaped) load scratch for reuse.
 func greedyExtend(s *sched.Schedule, buf [][]float64) [][]float64 {
 	inst := s.Instance()
 	loads := s.LoadsInto(buf)

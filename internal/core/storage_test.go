@@ -3,9 +3,11 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"weak"
 
 	"metis/internal/obs"
 	"metis/internal/sched"
@@ -96,4 +98,66 @@ func TestSolveStorageReuse(t *testing.T) {
 			t.Errorf("concurrent solve %d:\n got %s\nwant %s", i, got[i], want[i])
 		}
 	}
+}
+
+// resultDigest is everything a Result holds that reused storage could
+// overwrite: the profit's bits, every request's choice, the purchase and
+// the round history.
+func resultDigest(res *Result) string {
+	n := res.Schedule.Instance().NumRequests()
+	choices := make([]int, n)
+	for i := range choices {
+		choices[i] = res.Schedule.Choice(i)
+	}
+	rounds := make([]RoundStats, len(res.Rounds))
+	copy(rounds, res.Rounds)
+	for i := range rounds {
+		rounds[i].MAAElapsed, rounds[i].TAAElapsed, rounds[i].Elapsed = 0, 0, 0
+	}
+	return fmt.Sprintf("%#x %v %v %+v", math.Float64bits(res.Profit), choices, res.Charged, rounds)
+}
+
+// TestResultOutlivesStorage: a Result owns what it holds. Solving an
+// instance of another shape in the same storage afterwards leaves its
+// profit, choices, purchase and rounds as they were.
+func TestResultOutlivesStorage(t *testing.T) {
+	cfg := Config{Theta: 4, Seed: 1}
+	var st solveStorage
+	resA, err := solve(nil, instance(t, wan.B4(), 300, 1000), cfg, &st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := resultDigest(resA)
+	if _, err := solve(nil, instance(t, wan.SubB4(), 120, 7), cfg, &st); err != nil {
+		t.Fatal(err)
+	}
+	if got := resultDigest(resA); got != want {
+		t.Errorf("result changed when its storage solved another instance:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestStorageForgetsInstance: storage kept for the next Solve holds no
+// reference to the last Solve's instance or network, so both are
+// collected once the caller drops them and the Result.
+func TestStorageForgetsInstance(t *testing.T) {
+	var st solveStorage
+	instRef, netRef := solveAndForget(t, &st)
+	runtime.GC()
+	if instRef.Value() != nil {
+		t.Error("storage still references the solved instance")
+	}
+	if netRef.Value() != nil {
+		t.Error("storage still references the instance's network")
+	}
+	runtime.KeepAlive(&st)
+}
+
+// solveAndForget solves a fresh instance in st and returns weak
+// references to the instance and its network.
+func solveAndForget(t *testing.T, st *solveStorage) (weak.Pointer[sched.Instance], weak.Pointer[wan.Network]) {
+	inst := instance(t, wan.B4(), 100, 1001)
+	if _, err := solve(nil, inst, Config{Theta: 4, Seed: 1}, st); err != nil {
+		t.Fatal(err)
+	}
+	return weak.Make(inst), weak.Make(inst.Network())
 }

@@ -7,13 +7,15 @@ import (
 )
 
 // The experiment tests run at QuickConfig scale and assert the paper's
-// comparison *shapes*, not absolute values.
+// comparison *shapes*; checkGolden pins every figure they compute to
+// its checked-in values.
 
 func TestFig3Shapes(t *testing.T) {
 	figs := quickExactRun(t, 1).fig3
 	if len(figs) != 3 {
 		t.Fatalf("got %d figures, want 3", len(figs))
 	}
+	checkGolden(t, figs...)
 	profit, accepted := figs[0], figs[1]
 	for r := range profit.X {
 		optSPM, _ := profit.Value(r, "OPT(SPM)")
@@ -44,6 +46,7 @@ func TestFig4aShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, fig)
 	for r := range fig.X {
 		maaCost, _ := fig.Value(r, "MAA")
 		mc, _ := fig.Value(r, "MinCost")
@@ -63,6 +66,7 @@ func TestFig4bShapes(t *testing.T) {
 	if len(fig.X) != 2 {
 		t.Fatalf("want 2 networks, got %v", fig.X)
 	}
+	checkGolden(t, fig)
 	for r := range fig.X {
 		mean, _ := fig.Value(r, "mean")
 		p95, _ := fig.Value(r, "p95")
@@ -83,6 +87,7 @@ func TestFig4cdShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, figs...)
 	revenue, accepted := figs[0], figs[1]
 	for r := range revenue.X {
 		taaRev, _ := revenue.Value(r, "TAA")
@@ -107,6 +112,7 @@ func TestFig5Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, figs...)
 	profit, accepted, util := figs[0], figs[1], figs[2]
 	for r := range profit.X {
 		metis, _ := profit.Value(r, "Metis")
@@ -144,6 +150,7 @@ func TestAblations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkGolden(t, fig)
 		// Profit is monotone in θ for a fixed seed (SP Updater keeps the
 		// best schedule and early rounds coincide).
 		var prev float64
@@ -156,15 +163,18 @@ func TestAblations(t *testing.T) {
 		}
 	})
 	t.Run("tau", func(t *testing.T) {
-		if _, err := AblationTau(cfg); err != nil {
+		fig, err := AblationTau(cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
+		checkGolden(t, fig)
 	})
 	t.Run("paths", func(t *testing.T) {
 		fig, err := AblationPaths(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkGolden(t, fig)
 		if len(fig.X) != 4 {
 			t.Fatalf("want 4 rows, got %d", len(fig.X))
 		}
@@ -174,6 +184,7 @@ func TestAblations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkGolden(t, fig)
 		// Best-of-R cost is non-increasing in R for nested seeds... the
 		// RNG restarts per call, so only sanity-check the ratios.
 		for r := range fig.X {
@@ -190,6 +201,7 @@ func TestExtensionOnlineShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, fig)
 	for r := range fig.X {
 		offline, _ := fig.Value(r, "Offline")
 		greedy, _ := fig.Value(r, "Greedy")
@@ -210,6 +222,7 @@ func TestExtensionMultiCycleShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, fig)
 	if len(fig.X) != 6 {
 		t.Fatalf("want 6 cycles, got %d", len(fig.X))
 	}
@@ -299,6 +312,7 @@ func TestExtensionResilienceShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, fig)
 	for r := range fig.X {
 		avg, _ := fig.Value(r, "avg retention")
 		minR, _ := fig.Value(r, "min retention")

@@ -78,7 +78,7 @@ func (p *Problem) AppendColumn(obj, lo, hi float64, rows []int, vals []float64, 
 // under the grow path's +1 row sign, which slots straight into the
 // basis. Anything else falls back to a cold solve.
 func (w *Basis) growCompatible(p *Problem, mat *csc, nStruct int) bool {
-	if !w.Valid() || mat != w.matrix || nStruct < w.nStruct || len(p.rel) < w.m {
+	if !w.Valid() || mat != w.matrix || p.builds != w.builds || nStruct < w.nStruct || len(p.rel) < w.m {
 		return false
 	}
 	for i := w.m; i < len(p.rel); i++ {

@@ -111,6 +111,13 @@ type Problem struct {
 	// simplexPool.
 	keepWork bool
 	work     *simplex
+	// builds counts Resets: a Basis captured before the last one reads
+	// stale although the matrix header is the same object.
+	builds int
+	// sol, x and duals hold a Reset problem's solution, which its next
+	// Solve rewrites.
+	sol      Solution
+	x, duals []float64
 }
 
 // csc is a compressed-sparse-column matrix: column j's nonzeros are
@@ -160,22 +167,23 @@ func NewProblem(sense Sense) *Problem {
 // AppendColumn, which writes straight into the compressed matrix — no
 // per-term lists and no merge on the first Solve. It also keeps its
 // simplex working arrays from one cold solve to the next instead of
-// returning them to the shared pool; Release returns them. A Reset
-// problem is an ordinary Problem otherwise: AddTerm and AddVariable
-// still work on it.
+// returning them to the shared pool (a warm handle's arrays come back to
+// it when the handle is dropped); Release returns them. Its Solution,
+// with X and Duals, is its own too and its next Solve rewrites it, so a
+// caller that keeps any of it past that copies it out. A Reset problem
+// is an ordinary Problem otherwise: AddTerm and AddVariable still work
+// on it.
 func (p *Problem) Reset(sense Sense) {
 	p.sense = sense
 	p.obj, p.lo, p.hi = p.obj[:0], p.lo[:0], p.hi[:0]
 	p.rel, p.rhs = p.rel[:0], p.rhs[:0]
 	p.cols = nil
-	// A new header over the old arrays: a Basis fingerprints the matrix
-	// by pointer, so a handle captured before the rebuild reads stale.
-	m := &csc{colPtr: []int32{0}}
-	if old := p.matrix; old != nil {
-		m = &csc{colPtr: old.colPtr[:1], rows: old.rows[:0], vals: old.vals[:0]}
-		m.colPtr[0] = 0
+	if m := p.matrix; m != nil {
+		m.colPtr, m.rows, m.vals = append(m.colPtr[:0], 0), m.rows[:0], m.vals[:0]
+	} else {
+		p.matrix = &csc{colPtr: []int32{0}}
 	}
-	p.matrix = m
+	p.builds++
 	p.packed, p.keepWork = true, true
 }
 
@@ -379,4 +387,48 @@ type Solution struct {
 	// LU-factorized basis (problems of luAutoRows rows and up) rather
 	// than a dense basis inverse.
 	Factorized bool
+}
+
+// Diff describes the first difference between p and q as LPs, or
+// returns "" when they are the same LP bit for bit: sense, objective,
+// bounds, row relations, right-hand sides and the compressed constraint
+// matrix (column pointers, row indices and values). Names are not
+// compared. Model builders are tested against reference builds with it.
+func (p *Problem) Diff(q *Problem) string {
+	if p.sense != q.sense {
+		return fmt.Sprintf("sense %d, other %d", p.sense, q.sense)
+	}
+	floats := []struct {
+		what string
+		a, b []float64
+	}{{"objective", p.obj, q.obj}, {"lower bounds", p.lo, q.lo}, {"upper bounds", p.hi, q.hi}, {"rhs", p.rhs, q.rhs}}
+	for _, f := range floats {
+		if d := diffSlices(f.what, f.a, f.b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }); d != "" {
+			return d
+		}
+	}
+	if d := diffSlices("relations", p.rel, q.rel, func(x, y Rel) bool { return x == y }); d != "" {
+		return d
+	}
+	a, b := p.matrixCSC(), q.matrixCSC()
+	eq32 := func(x, y int32) bool { return x == y }
+	if d := diffSlices("colPtr", a.colPtr, b.colPtr, eq32); d != "" {
+		return d
+	}
+	if d := diffSlices("rows", a.rows, b.rows, eq32); d != "" {
+		return d
+	}
+	return diffSlices("vals", a.vals, b.vals, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+func diffSlices[T any](what string, a, b []T, eq func(x, y T) bool) string {
+	if len(a) != len(b) {
+		return fmt.Sprintf("%s: %d entries, other %d", what, len(a), len(b))
+	}
+	for i := range a {
+		if !eq(a[i], b[i]) {
+			return fmt.Sprintf("%s[%d]: %v, other %v", what, i, a[i], b[i])
+		}
+	}
+	return ""
 }

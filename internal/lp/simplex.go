@@ -157,6 +157,13 @@ type simplex struct {
 	phase1  []float64
 	slackNB []int
 	signBuf []float64
+	// iterate's pricing candidates and held-out columns, the dense
+	// duals' cost-row list, and residualOK's residual: per-call scratch
+	// kept with the arrays like the buffers above.
+	cands    []int32
+	held     []int32
+	costRows []int
+	resid    []float64
 
 	// rowPtr/colInd/rVals mirror the working matrix row-major (CSR) for
 	// the dual ratio test's pivot-row gather (pricing.go); alpha* is the
@@ -188,14 +195,22 @@ var simplexPool = sync.Pool{New: func() any { return new(simplex) }}
 // release returns s's arrays to the pool. Callers must copy out
 // anything they still need first and must not touch s afterwards.
 func (s *simplex) release() {
+	s.opts = Options{}
 	simplexPool.Put(s)
 }
 
 // takeWork returns working arrays for a solve of p: the ones a Reset
-// problem kept from its last solve, or pooled ones.
-func (p *Problem) takeWork() *simplex {
+// problem kept from its last solve, else those of the warm handle the
+// solve replaces (unless Clone shares them), else pooled ones.
+func (p *Problem) takeWork(warm *Basis) *simplex {
 	if s := p.work; s != nil {
 		p.work = nil
+		return s
+	}
+	if warm != nil && warm.sx != nil && !warm.shared {
+		s := warm.sx
+		warm.sx = nil
+		warm.invalidate()
 		return s
 	}
 	return simplexPool.Get().(*simplex)
@@ -206,6 +221,7 @@ func (p *Problem) takeWork() *simplex {
 // returns them to the pool.
 func (p *Problem) putWork(s *simplex) {
 	if p.keepWork && p.work == nil {
+		s.opts = Options{}
 		p.work = s
 		return
 	}
@@ -282,7 +298,7 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 func (p *Problem) solveCold(opts Options) *Solution {
 	nStruct := len(p.obj)
 	m := len(p.rel)
-	s := p.takeWork()
+	s := p.takeWork(opts.Warm)
 	s.m, s.opts = m, opts.withDefaults(m, nStruct)
 	s.iters = 0
 	shiftObj := p.layout(s)
@@ -576,7 +592,7 @@ func (p *Problem) extract(s *simplex, sign []float64, shiftObj float64) *Solutio
 	// instead of an O(m) scan per basic column), then shift and sum. The
 	// per-column values and the objective's accumulation order match
 	// value()-based extraction exactly.
-	x := make([]float64, nStruct)
+	x := p.solutionArray(&p.x, nStruct)
 	for i, j := range s.basic {
 		if j < nStruct {
 			x[j] = s.xB[i]
@@ -600,7 +616,7 @@ func (p *Problem) extract(s *simplex, sign []float64, shiftObj float64) *Solutio
 	// same ascending-row order as the column-wise loop, so the result is
 	// bit-identical, but Binv streams in storage order instead of
 	// striding down columns).
-	duals := make([]float64, m)
+	duals := p.solutionArray(&p.duals, m)
 	if s.lu != nil {
 		c := s.lu.posBuf
 		for i, j := range s.basic {
@@ -626,7 +642,23 @@ func (p *Problem) extract(s *simplex, sign []float64, shiftObj float64) *Solutio
 		}
 		duals[i] = y
 	}
-	return &Solution{Status: StatusOptimal, Objective: obj, X: x, Duals: duals, Iters: s.iters, Factorized: s.lu != nil}
+	sol := &p.sol
+	if !p.keepWork {
+		sol = new(Solution)
+	}
+	*sol = Solution{Status: StatusOptimal, Objective: obj, X: x, Duals: duals, Iters: s.iters, Factorized: s.lu != nil}
+	return sol
+}
+
+// solutionArray returns n zeros for a solution's X or Duals: a Reset
+// problem's own array buf, or a new one.
+func (p *Problem) solutionArray(buf *[]float64, n int) []float64 {
+	if !p.keepWork {
+		return make([]float64, n)
+	}
+	*buf = grow(*buf, n, n)
+	clear(*buf)
+	return *buf
 }
 
 // chooseBasis picks the basis representation for the working problem's
@@ -956,13 +988,13 @@ func (s *simplex) iterate(cost []float64) Status {
 	}
 	colPtr, rowIdx, vals := s.colPtr, s.rowIdx, s.vals
 	state, up := s.state, s.up
-	costRows := make([]int, 0, m) // rows whose basic variable has nonzero cost
+	costRows := s.costRows[:0] // rows whose basic variable has nonzero cost
 
 	// Pricing candidates: nonbasic columns that can move (up > 0),
 	// ascending. Kept sorted across pivots so both Dantzig ties and
 	// Bland's rule see columns in exactly the order the full scan did;
 	// columns not on the list would be skipped by that scan anyway.
-	cands := make([]int32, 0, s.n)
+	cands := s.cands[:0]
 	for j := 0; j < s.n; j++ {
 		if state[j] != isBasic && up[j] != 0 {
 			cands = append(cands, int32(j))
@@ -970,7 +1002,8 @@ func (s *simplex) iterate(cost []float64) Status {
 	}
 	// held lists the entering columns of rejected pivots (basisPivot),
 	// kept off cands until the next accepted pivot changes the basis.
-	var held []int32
+	held := s.held[:0]
+	defer func() { s.cands, s.held, s.costRows = cands, held, costRows }()
 
 	// Sectional (partial) pricing state. Pricing every candidate on
 	// every iteration is the single largest per-iteration cost once the

@@ -10,7 +10,7 @@ import "math"
 // bounded-variable dual simplex after SetBounds/SetRHS deltas instead
 // of re-running two-phase simplex from the all-slack basis.
 //
-// A Basis is bound to the Problem's cached constraint matrix: any
+// A Basis is bound to the Problem's cached constraint matrix: a Reset or any
 // AddVariable/AddTerm call invalidates the cache and silently demotes
 // the next warm solve to a cold one (which refreshes the handle). The
 // zero handle from NewBasis is valid input — the first solve runs cold
@@ -20,6 +20,7 @@ import "math"
 // the Problem whose Solve produced it.
 type Basis struct {
 	matrix  *csc // fingerprint: the Problem's cached CSC at capture time
+	builds  int  // and its Reset count
 	m       int
 	nStruct int
 	sign    []float64 // row normalization signs of the capture solve
@@ -28,6 +29,9 @@ type Basis struct {
 	// shared marks a handle whose working arrays Clone shares with
 	// another handle; Release then drops them instead of pooling them.
 	shared bool
+	// home is the Reset problem whose solve the handle captured (nil for
+	// any other problem): dropping the basis hands its arrays back to it.
+	home *Problem
 }
 
 // NewBasis returns an empty handle: the first Solve using it runs cold
@@ -55,7 +59,7 @@ func (p *Problem) SeedBasis(rows, cols []int) *Basis {
 		return w
 	}
 	m, nStruct := len(p.rel), len(p.obj)
-	s := p.takeWork()
+	s := p.takeWork(nil)
 	s.m, s.opts = m, Options{}.withDefaults(m, nStruct)
 	p.layout(s)
 	if s.nArt > 0 {
@@ -114,20 +118,22 @@ func (s *simplex) factorSeed() bool {
 // Valid reports whether the handle holds a reusable basis.
 func (w *Basis) Valid() bool { return w != nil && w.ok && w.sx != nil }
 
-// Reset drops the retained basis; the next solve runs cold.
+// Reset drops the retained basis; the next solve runs cold. The
+// working arrays of a handle captured on a Reset problem go back to
+// that problem, for its next cold solve or seed.
 func (w *Basis) Reset() { w.invalidate() }
 
 // Release drops the retained basis like Reset and returns its working
-// arrays to the shared pool, for the next solve of any Problem: a
-// handle that lives for one run (the BL-SPM model of a Metis solve)
-// hands them on when the run ends. A handle Clone made, or cloned,
-// shares arrays with the other one and only drops them.
+// arrays to the shared pool, for the next solve of any Problem. A
+// handle Clone made, or cloned, shares arrays with the other one and
+// only drops them.
 func (w *Basis) Release() {
 	if w == nil {
 		return
 	}
 	if w.sx != nil && !w.shared {
 		w.sx.release()
+		w.sx = nil
 	}
 	w.invalidate()
 }
@@ -136,17 +142,26 @@ func (w *Basis) invalidate() {
 	if w == nil {
 		return
 	}
+	if h := w.home; h != nil && w.sx != nil && !w.shared && h.work == nil {
+		w.sx.opts = Options{}
+		h.work = w.sx
+	}
 	w.ok = false
 	w.sx = nil
 	w.matrix = nil
 	w.sign = nil
+	w.home = nil
 }
 
 // capture takes ownership of the cold solve's final working state. The
 // simplex arrays are moved, not copied — the cold path discards them
 // anyway — so capturing is O(1).
 func (w *Basis) capture(p *Problem, s *simplex, sign []float64) {
-	w.matrix = p.matrix
+	w.home = nil
+	if p.keepWork {
+		w.home = p
+	}
+	w.matrix, w.builds = p.matrix, p.builds
 	w.m = s.m
 	w.nStruct = len(p.obj)
 	w.sign = sign
@@ -178,6 +193,7 @@ func (w *Basis) Clone() *Basis {
 	s.cB, s.cbNZ, s.yNZp, s.rhoNZp = nil, nil, nil, nil
 	s.yDense = false
 	s.phase1, s.slackNB, s.signBuf = nil, nil, nil
+	s.cands, s.held, s.costRows, s.resid = nil, nil, nil, nil
 	// The pivot-row accumulator is per-solve scratch. The CSR mirror is
 	// immutable alongside the shared matrix arrays, so it (and csrOK) is
 	// shared as-is.
@@ -188,7 +204,7 @@ func (w *Basis) Clone() *Basis {
 		s.lu = new(luBasis) // refactored on demand from s.basic
 	}
 	w.shared = true
-	return &Basis{matrix: w.matrix, m: w.m, nStruct: w.nStruct, sign: w.sign, sx: &s, ok: true, shared: true}
+	return &Basis{matrix: w.matrix, builds: w.builds, m: w.m, nStruct: w.nStruct, sign: w.sign, sx: &s, ok: true, shared: true}
 }
 
 // warmOutcome classifies how a solve interacted with the warm path;
@@ -253,7 +269,7 @@ func (p *Problem) solveWarm(opts Options) (*Solution, warmOutcome) {
 	}
 	nStruct := len(p.obj)
 	mat := p.matrixCSC()
-	if mat != w.matrix || nStruct != w.nStruct || len(p.rel) != w.m {
+	if mat != w.matrix || p.builds != w.builds || nStruct != w.nStruct || len(p.rel) != w.m {
 		// Append-only growth (AppendColumn / empty ≤ rows) keeps the
 		// cached matrix object alive; absorb it into the retained basis
 		// instead of bailing cold. Any other shape change is stale.
@@ -384,7 +400,7 @@ func (s *simplex) degenerateOptimum() bool {
 		s.nz = make([]int32, 0, m)
 	}
 	y := s.y
-	s.computeDuals(s.cost, y, make([]int, 0, m))
+	s.costRows = s.computeDuals(s.cost, y, s.costRows)
 	for j := 0; j < s.n; j++ {
 		if s.state[j] == isBasic || s.up[j] == 0 {
 			continue
@@ -420,7 +436,7 @@ func (s *simplex) dualFeasible() bool {
 		s.nz = make([]int32, 0, m)
 	}
 	y := s.y
-	s.computeDuals(s.cost, y, make([]int, 0, m))
+	s.costRows = s.computeDuals(s.cost, y, s.costRows)
 	for j := 0; j < s.n; j++ {
 		st := s.state[j]
 		if st == isBasic || s.up[j] == 0 {
@@ -823,7 +839,8 @@ func (s *simplex) pickLeave() (int, float64) {
 // objective.
 func (s *simplex) residualOK() bool {
 	m := s.m
-	r := make([]float64, m)
+	s.resid = grow(s.resid, m, m)
+	r := s.resid
 	copy(r, s.b)
 	maxB := 0.0
 	for _, bv := range s.b {

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"metis/internal/fault"
@@ -91,8 +92,9 @@ func (r *Result) CeilingRatio() float64 {
 
 // TheoreticalRatio returns the Theorem 4 approximation guarantee for
 // the given network size: (α+1)/α · log|E|/loglog|E| (the constant in
-// the O(·) taken as 1). It contextualizes measured ratios like
-// Result.Cost/Relaxed.Cost.
+// the O(·) taken as 1). No solver path reads it: it is the Theorem 4
+// oracle the package's tests hold measured ratios
+// Result.Cost/Relaxed.Cost against.
 func (r *Result) TheoreticalRatio(links int) float64 {
 	if links < 3 {
 		// loglog degenerates below e; the bound is vacuous here.
@@ -110,12 +112,19 @@ func Solve(inst *sched.Instance, opts Options) (*Result, error) {
 }
 
 // Solver runs MAA calls in shared storage: each call's RL-SPM relaxation
-// is rebuilt and solved in the arrays of the last one (spm.RLSolver), so
-// the rounds of one Metis solve allocate it about once. Results are the
-// package-level Solve's, bit for bit. The zero value is ready to use; a
-// Solver is not safe for concurrent use.
+// is rebuilt and solved in the arrays of the last one (spm.RLSolver),
+// and its roundings, charged bandwidth and result are written into the
+// arrays of the last call, so the rounds of one Metis solve allocate
+// them about once. A result is the solver's: its next Solve rewrites
+// it. Results are the package-level Solve's, bit for bit. The zero value
+// is ready to use; a Solver is not safe for concurrent use.
 type Solver struct {
-	rl spm.RLSolver
+	rl       spm.RLSolver
+	uniforms []float64
+	sc       [2]sched.Schedule // the cheapest rounding so far and the next
+	loads    [][]float64
+	charged  []int
+	res      Result
 }
 
 // Release returns the simplex working arrays the solver keeps to lp's
@@ -179,7 +188,8 @@ func (s *Solver) Solve(inst *sched.Instance, opts Options) (*Result, error) {
 		}
 		uniforms = opts.Uniforms[:rounds*drawn]
 	} else {
-		uniforms = make([]float64, rounds*drawn)
+		s.uniforms = slices.Grow(s.uniforms[:0], rounds*drawn)[:rounds*drawn]
+		uniforms = s.uniforms
 		for i := range uniforms {
 			uniforms[i] = opts.RNG.Float64()
 		}
@@ -194,14 +204,20 @@ func (s *Solver) Solve(inst *sched.Instance, opts Options) (*Result, error) {
 		if err := solvectx.Err(ctx); err != nil {
 			return nil, fmt.Errorf("maa: %w", err)
 		}
-		sc, err := roundWith(inst, rel, uniforms[r*drawn:(r+1)*drawn])
-		if err != nil {
+		sc := &s.sc[0]
+		if sc == best {
+			sc = &s.sc[1]
+		}
+		if err := roundInto(sc, inst, rel, uniforms[r*drawn:(r+1)*drawn]); err != nil {
 			return nil, err
 		}
-		if cost := sc.Cost(); best == nil || cost < bestCost {
+		s.loads = sc.LoadsInto(s.loads)
+		if cost := sc.CostWithLoads(s.loads); best == nil || cost < bestCost {
 			best, bestCost = sc, cost
 		}
 	}
+	s.loads = best.LoadsInto(s.loads)
+	s.charged = sched.ChargedInto(s.charged, s.loads)
 	cSolves.Inc()
 	cRoundings.Add(int64(rounds))
 	if opts.LP.Tracer != nil {
@@ -213,20 +229,21 @@ func (s *Solver) Solve(inst *sched.Instance, opts Options) (*Result, error) {
 			"relaxed_reused": opts.Relaxed != nil,
 		})
 	}
-	return &Result{
+	s.res = Result{
 		Schedule: best,
-		Charged:  best.ChargedBandwidth(),
+		Charged:  s.charged,
 		Cost:     bestCost,
 		Relaxed:  rel,
-	}, nil
+	}
+	return &s.res, nil
 }
 
-// roundWith is Round driven by pre-drawn uniforms, one per request with
-// positive fractional mass, in request order. It produces exactly the
-// schedule Round would for uniforms drawn from an RNG in the same
-// order.
-func roundWith(inst *sched.Instance, rel *spm.RelaxedRL, uniforms []float64) (*sched.Schedule, error) {
-	s := sched.NewSchedule(inst)
+// roundInto makes s the rounding Round draws, driven by pre-drawn
+// uniforms, one per request with positive fractional mass, in request
+// order. It produces exactly the schedule Round would for uniforms
+// drawn from an RNG in the same order.
+func roundInto(s *sched.Schedule, inst *sched.Instance, rel *spm.RelaxedRL, uniforms []float64) error {
+	s.Reset(inst)
 	pos := 0
 	for i := 0; i < inst.NumRequests(); i++ {
 		j := -1
@@ -241,10 +258,10 @@ func roundWith(inst *sched.Instance, rel *spm.RelaxedRL, uniforms []float64) (*s
 			cFallbackRows.Inc()
 		}
 		if err := s.Assign(i, j); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return s, nil
+	return nil
 }
 
 // Round performs one randomized rounding of the relaxed solution:

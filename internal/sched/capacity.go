@@ -31,6 +31,19 @@ func NewCapacity(net *wan.Network, slots int) *Capacity {
 	return CapacityOf(net, loads, make([]int, net.NumLinks()))
 }
 
+// Renew makes c the empty capacity NewCapacity(net, slots) returns, in
+// c's arrays. Renew(nil, 0) drops c's network and keeps only the arrays.
+func (c *Capacity) Renew(net *wan.Network, slots int) {
+	links := 0
+	if net != nil {
+		links = net.NumLinks()
+	}
+	c.net = net
+	c.loads = ZeroLoads(c.loads, links, slots)
+	c.purchased = slices.Grow(c.purchased[:0], links)[:links]
+	clear(c.purchased)
+}
+
 // CapacityOf returns capacity holding loads and purchased as they are,
 // without copying: commits write through to them.
 func CapacityOf(net *wan.Network, loads [][]float64, purchased []int) *Capacity {

@@ -118,16 +118,35 @@ func (in *Instance) Path(i, j int) wan.Path { return in.paths[i][j] }
 // keep (candidate paths are reused, not re-enumerated). Indices refer to
 // positions in this instance, not request ids.
 func (in *Instance) Subset(keep []int) (*Instance, error) {
-	reqs := make([]demand.Request, 0, len(keep))
-	paths := make([][]wan.Path, 0, len(keep))
-	for _, idx := range keep {
-		if idx < 0 || idx >= len(in.reqs) {
-			return nil, fmt.Errorf("sched: subset index %d out of range", idx)
-		}
-		reqs = append(reqs, in.reqs[idx])
-		paths = append(paths, in.paths[idx])
+	sub := new(Instance)
+	if err := sub.SetSubset(in, keep); err != nil {
+		return nil, err
 	}
-	return &Instance{net: in.net, slots: in.slots, reqs: reqs, paths: paths}, nil
+	return sub, nil
+}
+
+// SetSubset makes in the instance of's Subset(keep) returns, in in's
+// arrays: a loop that takes one subset per round allocates them about
+// once. On an error in is left empty.
+func (in *Instance) SetSubset(of *Instance, keep []int) error {
+	in.Drop()
+	for _, idx := range keep {
+		if idx < 0 || idx >= len(of.reqs) {
+			in.Drop()
+			return fmt.Errorf("sched: subset index %d out of range", idx)
+		}
+		in.reqs = append(in.reqs, of.reqs[idx])
+		in.paths = append(in.paths, of.paths[idx])
+	}
+	in.net, in.slots = of.net, of.slots
+	return nil
+}
+
+// Drop empties in and keeps its arrays for the next SetSubset; in then
+// holds no reference to the instance it was a subset of.
+func (in *Instance) Drop() {
+	clear(in.paths)
+	in.net, in.slots, in.reqs, in.paths = nil, 0, in.reqs[:0], in.paths[:0]
 }
 
 // Validate re-checks the full instance state: every request against the

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Declined marks a request that is not served by a schedule.
@@ -21,11 +22,29 @@ type Schedule struct {
 
 // NewSchedule returns a schedule over inst with every request declined.
 func NewSchedule(inst *Instance) *Schedule {
-	choice := make([]int, inst.NumRequests())
-	for i := range choice {
-		choice[i] = Declined
+	s := new(Schedule)
+	s.Reset(inst)
+	return s
+}
+
+// Reset makes s the schedule NewSchedule(inst) returns, in s's array.
+// Reset(nil) drops s's instance and keeps only the array.
+func (s *Schedule) Reset(inst *Instance) {
+	s.inst = inst
+	if inst == nil {
+		s.choice = s.choice[:0]
+		return
 	}
-	return &Schedule{inst: inst, choice: choice}
+	s.choice = slices.Grow(s.choice[:0], inst.NumRequests())[:inst.NumRequests()]
+	for i := range s.choice {
+		s.choice[i] = Declined
+	}
+}
+
+// CopyFrom makes s a copy of o, in s's array.
+func (s *Schedule) CopyFrom(o *Schedule) {
+	s.inst = o.inst
+	s.choice = append(s.choice[:0], o.choice...)
 }
 
 // Instance returns the schedule's instance.
@@ -52,8 +71,11 @@ func (s *Schedule) Decline(i int) {
 func (s *Schedule) Choice(i int) int { return s.choice[i] }
 
 // Accepted returns the indices of served requests, in order.
-func (s *Schedule) Accepted() []int {
-	var out []int
+func (s *Schedule) Accepted() []int { return s.AcceptedInto(nil) }
+
+// AcceptedInto is Accepted written into buf's array.
+func (s *Schedule) AcceptedInto(buf []int) []int {
+	out := buf[:0]
 	for i, c := range s.choice {
 		if c != Declined {
 			out = append(out, i)
@@ -75,9 +97,7 @@ func (s *Schedule) NumAccepted() int {
 
 // Clone returns an independent copy of the schedule.
 func (s *Schedule) Clone() *Schedule {
-	choice := make([]int, len(s.choice))
-	copy(choice, s.choice)
-	return &Schedule{inst: s.inst, choice: choice}
+	return &Schedule{inst: s.inst, choice: slices.Clone(s.choice)}
 }
 
 // Loads returns the per-link, per-slot bandwidth load implied by the
@@ -86,39 +106,15 @@ func (s *Schedule) Loads() [][]float64 {
 	return s.LoadsInto(nil)
 }
 
-// LoadsInto is Loads with buffer reuse: when loads has the right shape
-// (NumLinks rows of Slots columns) it is zeroed and refilled in place,
-// otherwise a new matrix is allocated. The accumulation order is
-// identical to Loads, so the results are bit-for-bit the same; the
-// returned matrix is the one that was filled. Hot callers that
-// recompute loads repeatedly (the profit pruner, the experiment
-// harness) use it to avoid re-allocating per call.
+// LoadsInto is Loads with buffer reuse: loads is reshaped to NumLinks
+// rows of Slots columns in its own arrays where they are large enough,
+// zeroed and refilled. The accumulation order is identical to Loads, so
+// the results are bit-for-bit the same; the returned matrix is the one
+// that was filled. Hot callers that recompute loads repeatedly (the
+// profit pruner, the experiment harness) use it to avoid re-allocating
+// per call.
 func (s *Schedule) LoadsInto(loads [][]float64) [][]float64 {
-	links := s.inst.Network().NumLinks()
-	slots := s.inst.Slots()
-	if len(loads) == links {
-		for e := range loads {
-			if len(loads[e]) != slots {
-				loads = nil
-				break
-			}
-		}
-	} else {
-		loads = nil
-	}
-	if loads == nil {
-		loads = make([][]float64, links)
-		for e := range loads {
-			loads[e] = make([]float64, slots)
-		}
-	} else {
-		for e := range loads {
-			ts := loads[e]
-			for t := range ts {
-				ts[t] = 0
-			}
-		}
-	}
+	loads = ZeroLoads(loads, s.inst.Network().NumLinks(), s.inst.Slots())
 	for i, c := range s.choice {
 		if c == Declined {
 			continue
@@ -133,12 +129,26 @@ func (s *Schedule) LoadsInto(loads [][]float64) [][]float64 {
 	return loads
 }
 
+// ZeroLoads returns buf reshaped to a links × slots matrix of zeros,
+// reusing its arrays where they are large enough.
+func ZeroLoads(buf [][]float64, links, slots int) [][]float64 {
+	buf = slices.Grow(buf[:0], links)[:links]
+	for e := range buf {
+		buf[e] = slices.Grow(buf[e][:0], slots)[:slots]
+		clear(buf[e])
+	}
+	return buf
+}
+
 // ChargedOf returns the integer bandwidth purchase implied by per-link
 // loads: the ceiling of each link's peak. It is the loads→charging step
 // of ChargedBandwidth, split out so callers holding a loads matrix can
 // avoid recomputing it.
-func ChargedOf(loads [][]float64) []int {
-	charged := make([]int, len(loads))
+func ChargedOf(loads [][]float64) []int { return ChargedInto(nil, loads) }
+
+// ChargedInto is ChargedOf written into buf's array.
+func ChargedInto(buf []int, loads [][]float64) []int {
+	charged := slices.Grow(buf[:0], len(loads))[:len(loads)]
 	for e, ts := range loads {
 		var peak float64
 		for _, v := range ts {

@@ -49,7 +49,7 @@ func TestLoadsIntoReusesBuffer(t *testing.T) {
 		}
 	}
 	// Dirty the buffer, refill, and demand identical values in the SAME
-	// backing arrays: that is the allocation contract pruneUnprofitable
+	// backing arrays: that is the allocation contract the SP Updater
 	// relies on.
 	for e := range buf {
 		for ts := range buf[e] {

@@ -30,17 +30,19 @@ type ExactOptions struct {
 	Warm *sched.Schedule
 }
 
-// warmVector encodes a schedule as a MILP point over the given routing
-// and bandwidth columns.
-func warmVector(n int, inst *sched.Instance, xCols [][]int, cCols []int, s *sched.Schedule) []float64 {
+// warmVector encodes a schedule as a MILP point over b's last build:
+// its routing columns and, when the LP has them, its bandwidth columns.
+func warmVector(n int, b *lpBuild, s *sched.Schedule) []float64 {
 	x := make([]float64, n)
-	for i := range xCols {
+	for i, cols := range b.xCols {
 		if c := s.Choice(i); c != sched.Declined {
-			x[xCols[i][c]] = 1
+			x[cols[c]] = 1
 		}
 	}
-	for e, units := range s.ChargedBandwidth() {
-		x[cCols[e]] = float64(units)
+	if n > b.nx {
+		for e, units := range s.ChargedBandwidth() {
+			x[b.nx+e] = float64(units)
+		}
 	}
 	return x
 }
@@ -69,85 +71,14 @@ type ExactResult struct {
 // reference: choose an acceptance set, integral routing, and integer
 // bandwidth purchase maximizing revenue minus cost.
 func SolveExactSPM(inst *sched.Instance, opts ExactOptions) (*ExactResult, error) {
-	net := inst.Network()
-	p := lp.NewProblem(lp.Maximize)
-
-	xCols, err := addRoutingVars(p, inst)
-	if err != nil {
-		return nil, err
-	}
-	cCols := make([]int, net.NumLinks())
-	for e := range cCols {
-		cCols[e], err = p.AddVariable(-net.Link(e).Price, 0, math.Inf(1), "c")
-		if err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < inst.NumRequests(); i++ {
-		row, err := p.AddConstraint(lp.LE, 1, "accept")
-		if err != nil {
-			return nil, err
-		}
-		for j := range xCols[i] {
-			if err := p.AddTerm(row, xCols[i][j], 1); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if _, err := addCapacityRows(p, inst, xCols,
-		func(e int) int { return cCols[e] },
-		func(e, t int) float64 { return 0 },
-	); err != nil {
-		return nil, err
-	}
-
-	intCols := collectIntCols(xCols, cCols)
-	var warm []float64
-	if opts.Warm != nil {
-		warm = warmVector(p.NumVariables(), inst, xCols, cCols, opts.Warm)
-	}
-	sol, err := mip.Solve(p, lp.Maximize, intCols, mip.Options{LP: opts.LP, MaxNodes: opts.MaxNodes, WarmStart: warm})
-	if err != nil {
-		return nil, err
-	}
-	if sol.Status == mip.StatusLimit {
-		// No incumbent before the limit; the empty schedule (accept
-		// nothing, buy nothing, profit 0) is always feasible for SPM.
-		return &ExactResult{
-			Schedule:  sched.NewSchedule(inst),
-			Objective: 0,
-			Proven:    false,
-			Gap:       math.Abs(sol.Bound),
-			Nodes:     sol.Nodes,
-			Status:    sol.Status,
-			Canceled:  sol.Canceled,
-		}, nil
-	}
-	return decodeExact(inst, xCols, sol, "OPT(SPM)", opts.LP.Ctx)
+	return solveExact(inst, spmLP, nil, opts, "OPT(SPM)")
 }
 
 // SolveExactRL solves the exact RL-SPM MILP — the paper's OPT(RL-SPM)
 // reference: serve every request with integral routing and integer
 // bandwidth at minimum cost.
 func SolveExactRL(inst *sched.Instance, opts ExactOptions) (*ExactResult, error) {
-	p := new(lp.Problem)
-	defer p.Release()
-	var b rlBuild
-	if err := b.build(p, inst); err != nil {
-		return nil, err
-	}
-	xCols, cCols := rlColumns(inst)
-
-	intCols := collectIntCols(xCols, cCols)
-	var warm []float64
-	if opts.Warm != nil {
-		warm = warmVector(p.NumVariables(), inst, xCols, cCols, opts.Warm)
-	}
-	sol, err := mip.Solve(p, lp.Minimize, intCols, mip.Options{LP: opts.LP, MaxNodes: opts.MaxNodes, WarmStart: warm})
-	if err != nil {
-		return nil, err
-	}
-	return decodeExact(inst, xCols, sol, "OPT(RL-SPM)", opts.LP.Ctx)
+	return solveExact(inst, rlLP, nil, opts, "OPT(RL-SPM)")
 }
 
 // SolveExactBL solves the exact BL-SPM MILP: maximize revenue under
@@ -157,49 +88,37 @@ func SolveExactBL(inst *sched.Instance, caps []int, opts ExactOptions) (*ExactRe
 	if len(caps) != inst.Network().NumLinks() {
 		return nil, fmt.Errorf("spm: capacity vector has %d entries, want %d", len(caps), inst.Network().NumLinks())
 	}
-	p := lp.NewProblem(lp.Maximize)
+	return solveExact(inst, blLP, ExpandCaps(inst, caps), opts, "OPT(BL-SPM)")
+}
 
-	xCols, err := addRoutingVars(p, inst)
-	if err != nil {
+// solveExact builds the LP of the given kind and runs branch & bound
+// over it with every column integral.
+func solveExact(inst *sched.Instance, kind lpKind, caps [][]float64, opts ExactOptions, what string) (*ExactResult, error) {
+	var (
+		p lp.Problem
+		b lpBuild
+	)
+	defer p.Release()
+	if err := b.build(&p, inst, kind, caps); err != nil {
 		return nil, err
 	}
-	for i := 0; i < inst.NumRequests(); i++ {
-		row, err := p.AddConstraint(lp.LE, 1, "accept")
-		if err != nil {
-			return nil, err
-		}
-		for j := range xCols[i] {
-			if err := p.AddTerm(row, xCols[i][j], 1); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if _, err := addCapacityRows(p, inst, xCols,
-		func(e int) int { return -1 },
-		func(e, t int) float64 { return float64(caps[e]) },
-	); err != nil {
-		return nil, err
-	}
-
-	var intCols []int
-	for i := range xCols {
-		intCols = append(intCols, xCols[i]...)
-	}
+	n := p.NumVariables()
 	var warm []float64
 	if opts.Warm != nil {
-		warm = make([]float64, p.NumVariables())
-		for i := range xCols {
-			if c := opts.Warm.Choice(i); c != sched.Declined {
-				warm[xCols[i][c]] = 1
-			}
-		}
+		warm = warmVector(n, &b, opts.Warm)
 	}
-	sol, err := mip.Solve(p, lp.Maximize, intCols, mip.Options{LP: opts.LP, MaxNodes: opts.MaxNodes, WarmStart: warm})
+	sense := lp.Maximize
+	if kind == rlLP {
+		sense = lp.Minimize
+	}
+	sol, err := mip.Solve(&p, sense, b.cols[:n], mip.Options{LP: opts.LP, MaxNodes: opts.MaxNodes, WarmStart: warm})
 	if err != nil {
 		return nil, err
 	}
-	if sol.Status == mip.StatusLimit {
-		// Declining everything is always feasible for BL-SPM.
+	if sol.Status == mip.StatusLimit && kind != rlLP {
+		// No incumbent before the limit; the empty schedule (accept
+		// nothing, buy nothing, profit 0) is always feasible for SPM and
+		// BL-SPM.
 		return &ExactResult{
 			Schedule: sched.NewSchedule(inst),
 			Gap:      math.Abs(sol.Bound),
@@ -208,16 +127,7 @@ func SolveExactBL(inst *sched.Instance, caps []int, opts ExactOptions) (*ExactRe
 			Canceled: sol.Canceled,
 		}, nil
 	}
-	return decodeExact(inst, xCols, sol, "OPT(BL-SPM)", opts.LP.Ctx)
-}
-
-func collectIntCols(xCols [][]int, cCols []int) []int {
-	var intCols []int
-	for i := range xCols {
-		intCols = append(intCols, xCols[i]...)
-	}
-	intCols = append(intCols, cCols...)
-	return intCols
+	return decodeExact(inst, b.xCols, sol, what, opts.LP.Ctx)
 }
 
 func decodeExact(inst *sched.Instance, xCols [][]int, sol *mip.Solution, what string, ctx context.Context) (*ExactResult, error) {

@@ -2,6 +2,7 @@ package spm
 
 import (
 	"fmt"
+	"slices"
 
 	"metis/internal/lp"
 	"metis/internal/sched"
@@ -19,37 +20,25 @@ import (
 //
 // An RLModel is not safe for concurrent use.
 type RLModel struct {
-	inst      *sched.Instance
-	p         *lp.Problem
-	xCols     [][]int
-	cCols     []int
-	serveRows []int
-	basis     *lp.Basis
-	opts      lp.Options
-	active    []bool
+	p      lp.Problem
+	b      lpBuild
+	basis  *lp.Basis
+	opts   lp.Options
+	active []bool
 }
 
 // NewRLModel builds the relaxed RL-SPM LP for the full instance, with
 // every request active. opts configures all subsequent solves.
 func NewRLModel(inst *sched.Instance, opts lp.Options) (*RLModel, error) {
-	p := new(lp.Problem)
-	var b rlBuild
-	if err := b.build(p, inst); err != nil {
+	m := &RLModel{basis: lp.NewBasis(), opts: opts}
+	if err := m.b.build(&m.p, inst, rlLP, nil); err != nil {
 		return nil, err
 	}
-	xCols, cCols := rlColumns(inst)
-	serveRows := make([]int, inst.NumRequests())
-	for i := range serveRows {
-		serveRows[i] = i
+	m.active = make([]bool, inst.NumRequests())
+	for i := range m.active {
+		m.active[i] = true
 	}
-	active := make([]bool, inst.NumRequests())
-	for i := range active {
-		active[i] = true
-	}
-	return &RLModel{
-		inst: inst, p: p, xCols: xCols, cCols: cCols, serveRows: serveRows,
-		basis: lp.NewBasis(), opts: opts, active: active,
-	}, nil
+	return m, nil
 }
 
 // SolveSubset solves the relaxation restricted to the given request
@@ -74,15 +63,12 @@ func (m *RLModel) SolveSubset(subset []int) (*RelaxedRL, error) {
 	if sol.Status != lp.StatusOptimal {
 		return nil, fmt.Errorf("spm: relaxed RL-SPM: %v", sol.Status)
 	}
-	res := &RelaxedRL{
-		X:    extractSubsetX(sol.X, m.xCols, subset),
-		C:    make([]float64, len(m.cCols)),
+	var x xRows
+	return &RelaxedRL{
+		X:    x.read(sol.X, m.b.xCols, subset),
+		C:    append([]float64(nil), sol.X[m.b.nx:]...),
 		Cost: sol.Objective,
-	}
-	for e, col := range m.cCols {
-		res.C[e] = sol.X[col]
-	}
-	return res, nil
+	}, nil
 }
 
 // toggle applies the active-set delta for subset: requests leaving the
@@ -104,12 +90,12 @@ func (m *RLModel) toggle(subset []int) error {
 		if want[i] {
 			hi, rhs = 1, 1
 		}
-		for _, col := range m.xCols[i] {
+		for _, col := range m.b.xCols[i] {
 			if err := m.p.SetBounds(col, 0, hi); err != nil {
 				return err
 			}
 		}
-		if err := m.p.SetRHS(m.serveRows[i], rhs); err != nil {
+		if err := m.p.SetRHS(i, rhs); err != nil {
 			return err
 		}
 		m.active[i] = want[i]
@@ -123,63 +109,57 @@ func (m *RLModel) toggle(subset []int) error {
 // accept rows are ≤ 1 and stay satisfied at zero) and the per-link
 // capacities, applied to the capacity rows via SetRHS.
 //
-// A BLModel is not safe for concurrent use.
+// A model keeps its storage from one Build to the next: the LP, the
+// working arrays of its basis, and the result of its last solve, which
+// its next solve rewrites. A BLModel is not safe for concurrent use.
 type BLModel struct {
-	inst       *sched.Instance
-	p          *lp.Problem
-	xCols      [][]int
-	acceptRows []int
-	capRows    [][]int
-	basis      *lp.Basis
-	opts       lp.Options
-	active     []bool
+	p                  lp.Problem
+	b                  lpBuild
+	basis              *lp.Basis
+	opts               lp.Options
+	active             []bool
+	want               []bool
+	seedRows, seedCols []int
+	x                  xRows
+	rel                RelaxedBL
 }
 
 // NewBLModel builds the relaxed BL-SPM LP for the full instance, with
 // every request active and all capacities zero (SolveSubset installs
 // the round's capacities before every solve).
 func NewBLModel(inst *sched.Instance, opts lp.Options) (*BLModel, error) {
-	p := lp.NewProblem(lp.Maximize)
-
-	xCols, err := addRoutingVars(p, inst)
-	if err != nil {
+	m := new(BLModel)
+	if err := m.Build(inst, opts); err != nil {
 		return nil, err
 	}
-	acceptRows := make([]int, inst.NumRequests())
-	for i := range acceptRows {
-		row, err := p.AddConstraint(lp.LE, 1, "accept")
-		if err != nil {
-			return nil, err
-		}
-		acceptRows[i] = row
-		for j := range xCols[i] {
-			if err := p.AddTerm(row, xCols[i][j], 1); err != nil {
-				return nil, err
-			}
-		}
-	}
-	capRows, err := addCapacityRows(p, inst, xCols,
-		func(e int) int { return -1 },
-		func(e, t int) float64 { return 0 },
-	)
-	if err != nil {
-		return nil, err
-	}
-
-	active := make([]bool, inst.NumRequests())
-	for i := range active {
-		active[i] = true
-	}
-	return &BLModel{
-		inst: inst, p: p, xCols: xCols, acceptRows: acceptRows, capRows: capRows,
-		basis: lp.NewBasis(), opts: opts, active: active,
-	}, nil
+	return m, nil
 }
 
-// Release returns the working arrays of the model's basis to lp's
-// shared pool; the next solve runs cold. A Metis solve releases its
-// model when it ends.
-func (m *BLModel) Release() { m.basis.Release() }
+// Build rebuilds m as NewBLModel(inst, opts) would, in the arrays of its
+// last build; the working arrays of the basis it held serve its next
+// seed or cold solve.
+func (m *BLModel) Build(inst *sched.Instance, opts lp.Options) error {
+	m.basis.Reset()
+	if m.basis == nil {
+		m.basis = lp.NewBasis()
+	}
+	if err := m.b.build(&m.p, inst, blLP, nil); err != nil {
+		return err
+	}
+	m.opts = opts
+	m.active = slices.Grow(m.active[:0], inst.NumRequests())[:inst.NumRequests()]
+	for i := range m.active {
+		m.active[i] = true
+	}
+	return nil
+}
+
+// Drop ends a run of the model: it forgets the options it was built with
+// and its basis, whose working arrays it keeps for the next Build.
+func (m *BLModel) Drop() {
+	m.basis.Reset()
+	m.opts = lp.Options{}
+}
 
 // Seed starts the model's next solve from a routing when the model
 // holds no basis yet, instead of from the all-slack basis. routing is a
@@ -200,22 +180,22 @@ func (m *BLModel) Seed(subset []int, routing *sched.Schedule) bool {
 	if m.basis.Valid() || routing.Instance().NumRequests() != len(subset) {
 		return false
 	}
-	rows := make([]int, 0, len(subset))
-	cols := make([]int, 0, len(subset))
+	rows, cols := m.seedRows[:0], m.seedCols[:0]
 	for k, i := range subset {
-		if i < 0 || i >= len(m.xCols) {
+		if i < 0 || i >= len(m.b.xCols) {
 			return false
 		}
 		c := routing.Choice(k)
 		if c == sched.Declined {
 			continue
 		}
-		if c >= len(m.xCols[i]) {
+		if c >= len(m.b.xCols[i]) {
 			return false
 		}
-		rows = append(rows, m.acceptRows[i])
-		cols = append(cols, m.xCols[i][c])
+		rows = append(rows, i)
+		cols = append(cols, m.b.xCols[i][c])
 	}
+	m.seedRows, m.seedCols = rows, cols
 	m.basis = m.p.SeedBasis(rows, cols)
 	return m.basis.Valid()
 }
@@ -223,42 +203,41 @@ func (m *BLModel) Seed(subset []int, routing *sched.Schedule) bool {
 // SolveSubset solves the relaxation restricted to the given request
 // subset under per-link capacities caps (constant across slots, like
 // taa.Solve). The returned solution is subset-shaped, matching a
-// sub-instance built from the same subset.
+// sub-instance built from the same subset; it is the model's, and its
+// next solve rewrites it.
 func (m *BLModel) SolveSubset(subset []int, caps []int) (*RelaxedBL, error) {
-	if len(caps) != len(m.capRows) {
-		return nil, fmt.Errorf("spm: BLModel: capacity vector has %d entries, want %d", len(caps), len(m.capRows))
+	if links := len(m.b.cellRow) / m.b.slots; len(caps) != links {
+		return nil, fmt.Errorf("spm: BLModel: capacity vector has %d entries, want %d", len(caps), links)
 	}
-	want := make([]bool, len(m.active))
+	m.want = slices.Grow(m.want[:0], len(m.active))[:len(m.active)]
+	clear(m.want)
 	for _, i := range subset {
 		if i < 0 || i >= len(m.active) {
 			return nil, fmt.Errorf("spm: BLModel: request %d out of range", i)
 		}
-		want[i] = true
+		m.want[i] = true
 	}
-	for i := range m.active {
-		if m.active[i] == want[i] {
+	for i, want := range m.want {
+		if m.active[i] == want {
 			continue
 		}
 		hi := 0.0
-		if want[i] {
+		if want {
 			hi = 1
 		}
-		for _, col := range m.xCols[i] {
+		for _, col := range m.b.xCols[i] {
 			if err := m.p.SetBounds(col, 0, hi); err != nil {
 				return nil, err
 			}
 		}
-		m.active[i] = want[i]
+		m.active[i] = want
 	}
-	for e, rows := range m.capRows {
-		c := float64(caps[e])
-		for _, row := range rows {
-			if row < 0 {
-				continue
-			}
-			if err := m.p.SetRHS(row, c); err != nil {
-				return nil, err
-			}
+	for c, row := range m.b.cellRow {
+		if row < 0 {
+			continue
+		}
+		if err := m.p.SetRHS(int(row), float64(caps[c/m.b.slots])); err != nil {
+			return nil, err
 		}
 	}
 
@@ -274,28 +253,10 @@ func (m *BLModel) SolveSubset(subset []int, caps []int) (*RelaxedBL, error) {
 	if sol.Status != lp.StatusOptimal {
 		return nil, fmt.Errorf("spm: relaxed BL-SPM: %v", sol.Status)
 	}
-	return &RelaxedBL{
-		X:       extractSubsetX(sol.X, m.xCols, subset),
+	m.rel = RelaxedBL{
+		X:       m.x.read(sol.X, m.b.xCols, subset),
 		Revenue: sol.Objective,
 		Warm:    sol.Warm,
-	}, nil
-}
-
-// extractSubsetX is extractX restricted and reindexed to subset: row k
-// of the result is the clamped routing row of full-instance request
-// subset[k].
-func extractSubsetX(x []float64, xCols [][]int, subset []int) [][]float64 {
-	out := make([][]float64, len(subset))
-	n := 0
-	for _, i := range subset {
-		n += len(xCols[i])
 	}
-	flat := make([]float64, 0, n)
-	for k, i := range subset {
-		for _, col := range xCols[i] {
-			flat = append(flat, clamp01(x[col]))
-		}
-		out[k] = flat[len(flat)-len(xCols[i]) : len(flat) : len(flat)]
-	}
-	return out
+	return &m.rel, nil
 }

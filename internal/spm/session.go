@@ -273,7 +273,7 @@ func (s *BLSession) SolveSubset(subset []int, caps []int) (*RelaxedBL, error) {
 	s.solved = len(s.active)
 	cSessionSolves.Inc()
 	return &RelaxedBL{
-		X:       extractSubsetX(sol.X, s.xCols, subset),
+		X:       new(xRows).read(sol.X, s.xCols, subset),
 		Revenue: sol.Objective,
 	}, nil
 }

@@ -40,20 +40,23 @@ func SolveRLRelaxation(inst *sched.Instance, opts lp.Options) (*RelaxedRL, error
 
 // RLSolver solves relaxed RL-SPM LPs in storage it keeps from one solve
 // to the next: each Solve rebuilds its instance's LP into the arrays of
-// the last build (lp.Problem.Reset), and the simplex runs in the working
-// arrays of the last solve. Metis's MAA stage builds nearly the same LP
-// every round, so a Metis solve allocates it about once. Every solve is
-// still the cold solve of a freshly built LP, bit for bit. The zero
-// value is ready to use; an RLSolver is not safe for concurrent use.
+// the last build (lp.Problem.Reset), the simplex runs in the working
+// arrays of the last solve, and the result is read out into the arrays
+// of the last result. Metis's MAA stage builds nearly the same LP every
+// round, so a Metis solve allocates it about once. Every solve is still
+// the cold solve of a freshly built LP, bit for bit. The zero value is
+// ready to use; an RLSolver is not safe for concurrent use.
 type RLSolver struct {
-	p lp.Problem
-	b rlBuild
+	p   lp.Problem
+	b   lpBuild
+	x   xRows
+	rel RelaxedRL
 }
 
-// Solve builds and solves the relaxed RL-SPM of inst. The result owns
-// its arrays; nothing in it aliases the solver's storage.
+// Solve builds and solves the relaxed RL-SPM of inst. The result is the
+// solver's: its next Solve rewrites it.
 func (r *RLSolver) Solve(inst *sched.Instance, opts lp.Options) (*RelaxedRL, error) {
-	if err := r.b.build(&r.p, inst); err != nil {
+	if err := r.b.build(&r.p, inst, rlLP, nil); err != nil {
 		return nil, err
 	}
 	sol, err := r.p.Solve(opts)
@@ -66,50 +69,79 @@ func (r *RLSolver) Solve(inst *sched.Instance, opts lp.Options) (*RelaxedRL, err
 	if sol.Status != lp.StatusOptimal {
 		return nil, fmt.Errorf("spm: relaxed RL-SPM: %v", sol.Status)
 	}
-	nx := len(sol.X) - inst.Network().NumLinks()
-	return &RelaxedRL{
-		X:    extractX(sol.X, inst),
-		C:    append([]float64(nil), sol.X[nx:]...),
+	r.rel = RelaxedRL{
+		X:    r.x.read(sol.X, r.b.xCols, r.b.requests()),
+		C:    append(r.rel.C[:0], sol.X[r.b.nx:]...),
 		Cost: sol.Objective,
-	}, nil
+	}
+	return &r.rel, nil
 }
 
 // Release returns the simplex working arrays the solver keeps between
 // solves to lp's shared pool. The solver stays usable.
 func (r *RLSolver) Release() { r.p.Release() }
 
-// rlBuild is the scratch of buildRL, kept with the LP it builds.
-type rlBuild struct {
-	cellRow []int32   // (link, slot) cell → capacity row, or -1
-	links   []int     // one path's links, ascending
-	rows    []int     // one column's rows
-	vals    []float64 // and its coefficients
+// lpKind is one of the SPM linear programs lpBuild lays out.
+type lpKind int
+
+const (
+	// rlLP is relaxed RL-SPM: serve every request at least bandwidth cost.
+	rlLP lpKind = iota
+	// blLP is relaxed BL-SPM: most revenue under capacities.
+	blLP
+	// spmLP is relaxed SPM: most revenue minus bandwidth cost.
+	spmLP
+)
+
+// lpBuild lays out the SPM linear programs. It is the only SPM builder
+// (the RL-SPM and BL-SPM relaxations, their models and the exact
+// solvers all build through it) and keeps its scratch, and the column
+// index it hands out, with the LP it builds.
+type lpBuild struct {
+	slots   int
+	cellRow []int32 // (link, slot) cell → capacity row, or -1
+	nx      int     // routing columns; link e's bandwidth column is nx+e
+	cols    []int   // 0, 1, 2, …, one per column
+	xCols   [][]int // xCols[i][j] is the column of x[i][j], a view of cols
+	links   []int   // one path's links, ascending
+	rows    []int   // one column's rows
+	vals    []float64
 }
 
-// build writes the relaxed RL-SPM LP of inst into p, over p's and b's
-// storage from the last build:
+// requests lists the requests of the last build, 0, 1, …, K−1: a
+// prefix of cols, since every request has a routing column.
+func (b *lpBuild) requests() []int { return b.cols[:len(b.xCols)] }
+
+// build writes the SPM LP of the given kind for inst into p, over p's
+// and b's storage from the last build. All of them share one layout:
 //
-//	min Σ_e u_e·c_e  s.t.  Σ_j x[i][j] = 1              per request i
-//	                       Σ_{i,j ∋ e, t} r_i·x[i][j] − c_e ≤ 0   per (e, t)
-//	                       0 ≤ x ≤ 1,  c ≥ 0
+//	columns  x[i][j] request by request (column Σ_{i'<i} paths(i') + j),
+//	         0 ≤ x ≤ 1; then, except in BL-SPM, one bandwidth column
+//	         c_e ≥ 0 per link
+//	rows     one per request (row i): Σ_j x[i][j] = 1 in RL-SPM (serve),
+//	         ≤ 1 otherwise (accept); then one capacity row per (link,
+//	         slot) cell some candidate path loads, in link-major order:
+//	         Σ_{i,j ∋ e, t} r_i·x[i][j] − c_e ≤ 0, or, in BL-SPM,
+//	         Σ r_i·x[i][j] ≤ caps[e][t] (0 for nil caps)
+//	objective  RL-SPM  min Σ_e u_e·c_e
+//	           BL-SPM  max Σ_{i,j} v_i·x[i][j]
+//	           SPM     max Σ_{i,j} v_i·x[i][j] − Σ_e u_e·c_e
 //
-// Columns are the routing variables request by request (x[i][j] is
-// column Σ_{i'<i} paths(i') + j), then one bandwidth column per link.
-// Rows are the serve rows (row i for request i), then one capacity row
-// per (link, slot) pair some candidate path loads, in link-major order.
 // One counting pass numbers the capacity rows; each column is then
-// emitted whole, its rows ascending, into the compressed matrix. This is
-// the only RL-SPM builder: RLSolver, RLModel and SolveExactRL use it.
-func (b *rlBuild) build(p *lp.Problem, inst *sched.Instance) error {
+// emitted whole, its rows ascending, into the compressed matrix.
+func (b *lpBuild) build(p *lp.Problem, inst *sched.Instance, kind lpKind, caps [][]float64) error {
 	net := inst.Network()
 	slots := inst.Slots()
 	k := inst.NumRequests()
 
 	cells := net.NumLinks() * slots
+	b.slots = slots
 	b.cellRow = slices.Grow(b.cellRow[:0], cells)[:cells]
 	clear(b.cellRow)
+	b.nx = 0
 	for i := 0; i < k; i++ {
 		r := inst.Request(i)
+		b.nx += inst.NumPaths(i)
 		for j := 0; j < inst.NumPaths(i); j++ {
 			for _, e := range inst.Path(i, j).Links {
 				for t := r.Start; t <= r.End; t++ {
@@ -127,19 +159,47 @@ func (b *rlBuild) build(p *lp.Problem, inst *sched.Instance) error {
 		b.cellRow[c] = int32(rows)
 		rows++
 	}
+	n := b.nx
+	if kind != blLP {
+		n += net.NumLinks()
+	}
+	for j := len(b.cols); j < n; j++ {
+		b.cols = append(b.cols, j)
+	}
+	b.xCols = slices.Grow(b.xCols[:0], k)[:k]
+	for i, col := 0, 0; i < k; i++ {
+		b.xCols[i] = b.cols[col : col+inst.NumPaths(i) : col+inst.NumPaths(i)]
+		col += inst.NumPaths(i)
+	}
 
-	p.Reset(lp.Minimize)
-	for i := 0; i < rows; i++ {
-		rel, rhs, name := lp.LE, 0.0, "cap"
-		if i < k {
-			rel, rhs, name = lp.EQ, 1, "serve"
-		}
-		if _, err := p.AddConstraint(rel, rhs, name); err != nil {
+	sense, rel, name := lp.Maximize, lp.LE, "accept"
+	if kind == rlLP {
+		sense, rel, name = lp.Minimize, lp.EQ, "serve"
+	}
+	p.Reset(sense)
+	for i := 0; i < k; i++ {
+		if _, err := p.AddConstraint(rel, 1, name); err != nil {
 			return err
+		}
+	}
+	for c, row := range b.cellRow {
+		if row < 0 {
+			continue
+		}
+		rhs := 0.0
+		if caps != nil {
+			rhs = caps[c/slots][c%slots]
+		}
+		if _, err := p.AddConstraint(lp.LE, rhs, "cap"); err != nil {
+			return fmt.Errorf("spm: capacity of link %d slot %d: %w", c/slots, c%slots, err)
 		}
 	}
 	for i := 0; i < k; i++ {
 		r := inst.Request(i)
+		obj := r.Value
+		if kind == rlLP {
+			obj = 0
+		}
 		for j := 0; j < inst.NumPaths(i); j++ {
 			// Candidate paths are loopless, so each link (and each
 			// capacity row) occurs once in the column.
@@ -153,10 +213,13 @@ func (b *rlBuild) build(p *lp.Problem, inst *sched.Instance) error {
 					b.vals = append(b.vals, r.Rate)
 				}
 			}
-			if _, err := p.AppendColumn(0, 0, 1, b.rows, b.vals, "x"); err != nil {
+			if _, err := p.AppendColumn(obj, 0, 1, b.rows, b.vals, "x"); err != nil {
 				return err
 			}
 		}
+	}
+	if kind == blLP {
+		return nil
 	}
 	for e := 0; e < net.NumLinks(); e++ {
 		b.rows, b.vals = b.rows[:0], b.vals[:0]
@@ -166,30 +229,15 @@ func (b *rlBuild) build(p *lp.Problem, inst *sched.Instance) error {
 				b.vals = append(b.vals, -1)
 			}
 		}
-		if _, err := p.AppendColumn(net.Link(e).Price, 0, math.Inf(1), b.rows, b.vals, "c"); err != nil {
+		price := net.Link(e).Price
+		if kind == spmLP {
+			price = -price
+		}
+		if _, err := p.AppendColumn(price, 0, math.Inf(1), b.rows, b.vals, "c"); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// rlColumns returns the column layout of build's LP for inst: xCols[i][j]
-// is the column of x[i][j] and cCols[e] the bandwidth column of link e.
-func rlColumns(inst *sched.Instance) (xCols [][]int, cCols []int) {
-	xCols = make([][]int, inst.NumRequests())
-	col := 0
-	for i := range xCols {
-		xCols[i] = make([]int, inst.NumPaths(i))
-		for j := range xCols[i] {
-			xCols[i][j] = col
-			col++
-		}
-	}
-	cCols = make([]int, inst.Network().NumLinks())
-	for e := range cCols {
-		cCols[e] = col + e
-	}
-	return xCols, cCols
 }
 
 // RelaxedBL is the optimal solution of the relaxed BL-SPM LP.
@@ -221,27 +269,15 @@ func SolveBLRelaxationVar(inst *sched.Instance, caps [][]float64, opts lp.Option
 	if err := validateVarCaps(inst, caps); err != nil {
 		return nil, err
 	}
-	p := lp.NewProblem(lp.Maximize)
-
-	xCols, err := addRoutingVars(p, inst)
-	if err != nil {
+	var (
+		p lp.Problem
+		b lpBuild
+		x xRows
+	)
+	defer p.Release()
+	if err := b.build(&p, inst, blLP, caps); err != nil {
 		return nil, err
 	}
-	for i := 0; i < inst.NumRequests(); i++ {
-		row, err := p.AddConstraint(lp.LE, 1, "accept")
-		if err != nil {
-			return nil, err
-		}
-		for j := range xCols[i] {
-			if err := p.AddTerm(row, xCols[i][j], 1); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := addCapacityRowsVar(p, inst, xCols, caps); err != nil {
-		return nil, err
-	}
-
 	sol, err := p.Solve(opts)
 	if err != nil {
 		return nil, err
@@ -252,15 +288,19 @@ func SolveBLRelaxationVar(inst *sched.Instance, caps [][]float64, opts lp.Option
 	if sol.Status != lp.StatusOptimal {
 		return nil, fmt.Errorf("spm: relaxed BL-SPM: %v", sol.Status)
 	}
-	return &RelaxedBL{X: extractX(sol.X, inst), Revenue: sol.Objective}, nil
+	return &RelaxedBL{X: x.read(sol.X, b.xCols, b.requests()), Revenue: sol.Objective}, nil
 }
 
 // ExpandCaps broadcasts a per-link capacity vector to the per-(link,
 // slot) form used by the time-varying solvers.
 func ExpandCaps(inst *sched.Instance, caps []int) [][]float64 {
-	out := make([][]float64, len(caps))
+	return ExpandCapsInto(nil, inst, caps)
+}
+
+// ExpandCapsInto is ExpandCaps written into buf's arrays.
+func ExpandCapsInto(buf [][]float64, inst *sched.Instance, caps []int) [][]float64 {
+	out := sched.ZeroLoads(buf, len(caps), inst.Slots())
 	for e, c := range caps {
-		out[e] = make([]float64, inst.Slots())
 		for t := range out[e] {
 			out[e][t] = float64(c)
 		}
@@ -285,137 +325,29 @@ func validateVarCaps(inst *sched.Instance, caps [][]float64) error {
 	return nil
 }
 
-// addRoutingVars adds one [0, 1] routing variable x[i][j] per request
-// and candidate path, priced at the request's value (BL-SPM and SPM
-// revenue; the RL-SPM builder lays out its own).
-func addRoutingVars(p *lp.Problem, inst *sched.Instance) ([][]int, error) {
-	xCols := make([][]int, inst.NumRequests())
-	for i := range xCols {
-		obj := inst.Request(i).Value
-		xCols[i] = make([]int, inst.NumPaths(i))
-		for j := range xCols[i] {
-			col, err := p.AddVariable(obj, 0, 1, "x")
-			if err != nil {
-				return nil, err
-			}
-			xCols[i][j] = col
-		}
-	}
-	return xCols, nil
+// xRows is storage for routing rows read out of a solution.
+type xRows struct {
+	rows [][]float64
+	flat []float64
 }
 
-// addCapacityRows adds one row per (link, slot) pair that can carry
-// load: Σ_{i,j} r_i·x[i][j]·I − (bandwidth var, optional) <= rhs(e, t).
-// bwVar returns, per link, the bandwidth column or -1 for none. The
-// returned index is rows[e][t] = the row added for that pair, or -1
-// where no request can load the link — incremental models use it to
-// retarget capacities via SetRHS.
-func addCapacityRows(p *lp.Problem, inst *sched.Instance, xCols [][]int, bwVar func(e int) int, rhs func(e, t int) float64) ([][]int, error) {
-	net := inst.Network()
-	slots := inst.Slots()
-
-	// terms for cell (e, t) live at flat[off[e*slots+t]:off[e*slots+t+1]]:
-	// a counting pass sizes each cell exactly, then a second pass fills a
-	// single flat backing array. The per-cell append version of this loop
-	// was a model-construction hot spot (tens of thousands of tiny slice
-	// growths per build).
-	type term struct {
-		col  int
-		rate float64
-	}
-	cells := net.NumLinks() * slots
-	off := make([]int, cells+1)
-	for i := 0; i < inst.NumRequests(); i++ {
-		r := inst.Request(i)
-		for j := range xCols[i] {
-			for _, e := range inst.Path(i, j).Links {
-				base := e*slots + 1
-				for t := r.Start; t <= r.End; t++ {
-					off[base+t]++
-				}
-			}
-		}
-	}
-	for c := 0; c < cells; c++ {
-		off[c+1] += off[c]
-	}
-	flat := make([]term, off[cells])
-	fill := make([]int, cells)
-	copy(fill, off[:cells])
-	for i := 0; i < inst.NumRequests(); i++ {
-		r := inst.Request(i)
-		for j := range xCols[i] {
-			col := xCols[i][j]
-			for _, e := range inst.Path(i, j).Links {
-				base := e * slots
-				for t := r.Start; t <= r.End; t++ {
-					flat[fill[base+t]] = term{col: col, rate: r.Rate}
-					fill[base+t]++
-				}
-			}
-		}
-	}
-
-	rows := make([][]int, net.NumLinks())
-	for e := 0; e < net.NumLinks(); e++ {
-		col := bwVar(e)
-		rows[e] = make([]int, slots)
-		for t := 0; t < slots; t++ {
-			rows[e][t] = -1
-			c := e*slots + t
-			if off[c] == off[c+1] {
-				continue
-			}
-			row, err := p.AddConstraint(lp.LE, rhs(e, t), "cap")
-			if err != nil {
-				return nil, fmt.Errorf("spm: capacity of link %d slot %d: %w", e, t, err)
-			}
-			rows[e][t] = row
-			for _, tm := range flat[off[c]:off[c+1]] {
-				if err := p.AddTerm(row, tm.col, tm.rate); err != nil {
-					return nil, err
-				}
-			}
-			if col >= 0 {
-				if err := p.AddTerm(row, col, -1); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return rows, nil
-}
-
-// addCapacityRowsVar adds Σ load(e, t) <= caps[e][t] rows for every
-// (link, slot) that can carry load.
-func addCapacityRowsVar(p *lp.Problem, inst *sched.Instance, xCols [][]int, caps [][]float64) error {
-	_, err := addCapacityRows(p, inst, xCols,
-		func(e int) int { return -1 },
-		func(e, t int) float64 { return caps[e][t] },
-	)
-	return err
-}
-
-// extractX reads the clamped routing rows out of a solution whose first
-// columns are inst's routing variables request by request (x[i][j] at
-// column Σ_{i'<i} paths(i') + j), as addRoutingVars and the RL-SPM
-// builder lay them out. The rows share one backing array.
-func extractX(x []float64, inst *sched.Instance) [][]float64 {
-	out := make([][]float64, inst.NumRequests())
+// read fills r with the clamped routing rows of the given requests, row
+// k holding request reqs[k]'s columns xCols[reqs[k]], and returns them.
+// The rows share one backing array; the next read rewrites them.
+func (r *xRows) read(x []float64, xCols [][]int, reqs []int) [][]float64 {
 	n := 0
-	for i := range out {
-		n += inst.NumPaths(i)
+	for _, i := range reqs {
+		n += len(xCols[i])
 	}
-	flat := make([]float64, n)
-	col := 0
-	for i := range out {
-		out[i] = flat[col : col+inst.NumPaths(i) : col+inst.NumPaths(i)]
-		for j := range out[i] {
-			out[i][j] = clamp01(x[col])
-			col++
+	r.rows = slices.Grow(r.rows[:0], len(reqs))[:len(reqs)]
+	r.flat = slices.Grow(r.flat[:0], n)
+	for k, i := range reqs {
+		for _, col := range xCols[i] {
+			r.flat = append(r.flat, clamp01(x[col]))
 		}
+		r.rows[k] = r.flat[len(r.flat)-len(xCols[i]) : len(r.flat) : len(r.flat)]
 	}
-	return out
+	return r.rows
 }
 
 // clamp01 clamps a routing value to [0, 1].

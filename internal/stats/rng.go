@@ -27,6 +27,17 @@ func NewRNG(seed int64) *RNG {
 	return &RNG{r: rand.New(rand.NewSource(seed))}
 }
 
+// Reseed makes g draw what NewRNG(seed) draws, in g's own source: a
+// loop that seeds one generator per run allocates it once. The zero RNG
+// may be reseeded.
+func (g *RNG) Reseed(seed int64) {
+	if g.r == nil {
+		g.r = rand.New(rand.NewSource(seed))
+		return
+	}
+	g.r.Seed(seed)
+}
+
 // SplitMix64 is the SplitMix64 output function: a bijective avalanche
 // mix, the standard way to derive well-separated child seeds (or any
 // fixed, well-spread key) from sequential inputs.

@@ -14,9 +14,10 @@
 package taa
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"metis/internal/chernoff"
@@ -75,12 +76,23 @@ func SolveVar(inst *sched.Instance, caps [][]float64, opts Options) (*Result, er
 }
 
 // Solver runs TAA calls in shared storage: each call's Chernoff
-// estimator is rebuilt in the arrays of the last one, so the rounds of
-// one Metis solve allocate it about once. Results are the package-level
-// functions', bit for bit. The zero value is ready to use; a Solver is
-// not safe for concurrent use.
+// estimator, schedules, load trackers, walk order and result are
+// rebuilt in the arrays of the last call, so the rounds of one Metis
+// solve allocate them about once. A result is the solver's: its next
+// call rewrites it. Results are the package-level functions', bit for
+// bit. The zero value is ready to use; a Solver is not safe for
+// concurrent use.
 type Solver struct {
-	est chernoff.Estimator
+	est       chernoff.Estimator
+	caps      [][]float64       // Solve's per-slot capacities
+	sc        [2]sched.Schedule // the walk's schedule and the greedy one
+	lt        [2]loadTracker    // and their loads
+	order     []int
+	density   []float64 // walkOrder's sort keys, by request
+	remaining []int
+	footprint []float64 // packRemaining's sort keys, by request
+	loads     [][]float64
+	res       Result
 }
 
 // Solve is the package-level Solve in the solver's storage.
@@ -93,7 +105,8 @@ func (ts *Solver) Solve(inst *sched.Instance, caps []int, opts Options) (*Result
 			return nil, fmt.Errorf("taa: negative capacity %d on link %d", c, e)
 		}
 	}
-	return ts.SolveVar(inst, spm.ExpandCaps(inst, caps), opts)
+	ts.caps = spm.ExpandCapsInto(ts.caps, inst, caps)
+	return ts.SolveVar(inst, ts.caps, opts)
 }
 
 // SolveVar is the package-level SolveVar in the solver's storage.
@@ -111,8 +124,11 @@ func (ts *Solver) SolveVar(inst *sched.Instance, caps [][]float64, opts Options)
 			}
 		}
 	}
+	s := &ts.sc[0]
+	s.Reset(inst)
 	if inst.NumRequests() == 0 {
-		return &Result{Schedule: sched.NewSchedule(inst)}, nil
+		ts.res = Result{Schedule: s}
+		return &ts.res, nil
 	}
 	ctx := opts.LP.Ctx
 	if fault.Active() {
@@ -156,7 +172,8 @@ func (ts *Solver) SolveVar(inst *sched.Instance, caps [][]float64, opts Options)
 	}
 	if minCap == 0 || rmax <= 0 {
 		// No capacity anywhere: decline everything.
-		return finishSolve(&Result{Schedule: sched.NewSchedule(inst), Relaxed: rel}, opts, t0, 0), nil
+		ts.res = Result{Schedule: s, Relaxed: rel}
+		return finishSolve(&ts.res, opts, t0, 0), nil
 	}
 
 	// With very small capacities relative to the largest rate,
@@ -166,21 +183,22 @@ func (ts *Solver) SolveVar(inst *sched.Instance, caps [][]float64, opts Options)
 	const muFloor = 1e-6
 	mu, err := chernoff.SelectMu(minCap/rmax, inst.Slots(), inst.Network().NumLinks())
 	if err != nil || mu < muFloor {
-		s := greedySchedule(inst, caps, walkOrder(inst))
-		if ferr := feasibleUnderVar(s, caps); ferr != nil {
+		g := ts.greedySchedule(inst, caps, ts.walkOrder(inst))
+		if ferr := ts.feasibleUnderVar(g, caps); ferr != nil {
 			return nil, fmt.Errorf("taa: internal: produced infeasible schedule: %w", ferr)
 		}
 		cMuFloor.Inc()
-		return finishSolve(&Result{Schedule: s, Revenue: s.Revenue(), Relaxed: rel}, opts, t0, 0), nil
+		ts.res = Result{Schedule: g, Revenue: g.Revenue(), Relaxed: rel}
+		return finishSolve(&ts.res, opts, t0, 0), nil
 	}
 	est := &ts.est
 	if err := est.Reset(inst, caps, rel.X, mu); err != nil {
 		return nil, fmt.Errorf("taa: %w", err)
 	}
 
-	s := sched.NewSchedule(inst)
-	loads := newLoadTracker(inst, caps)
-	order := walkOrder(inst)
+	loads := &ts.lt[0]
+	loads.reset(inst, caps)
+	order := ts.walkOrder(inst)
 	for idx, i := range order {
 		// Mid-walk checkpoint: the estimator walk is the long sequential
 		// stage of TAA, so poll every 32 levels.
@@ -237,28 +255,29 @@ func (ts *Solver) SolveVar(inst *sched.Instance, caps [][]float64, opts Options)
 	// smallest-footprint requests first (rate · duration · hops). This
 	// cannot reduce revenue and lifts the accepted count — BL-SPM's
 	// other success metric in the paper's evaluation.
-	packRemaining(inst, s, loads)
+	ts.packRemaining(inst, s, loads)
 
 	// The estimator walk optimizes the probabilistic bound, not revenue
 	// itself; a plain density-greedy pass can win on revenue. Both are
 	// feasible, so return whichever earns more — the Theorem 6 target
 	// still holds (revenue only moves up).
-	if g := greedySchedule(inst, caps, order); g.Revenue() > s.Revenue() {
+	if g := ts.greedySchedule(inst, caps, order); g.Revenue() > s.Revenue() {
 		s = g
 	}
 
-	if err := feasibleUnderVar(s, caps); err != nil {
+	if err := ts.feasibleUnderVar(s, caps); err != nil {
 		// The hard feasibility filter makes this unreachable; failing
 		// loudly here protects the invariant.
 		return nil, fmt.Errorf("taa: internal: produced infeasible schedule: %w", err)
 	}
-	return finishSolve(&Result{
+	ts.res = Result{
 		Schedule:      s,
 		Revenue:       s.Revenue(),
 		Mu:            mu,
 		RevenueTarget: est.IBValue(),
 		Relaxed:       rel,
-	}, opts, t0, len(order)), nil
+	}
+	return finishSolve(&ts.res, opts, t0, len(order)), nil
 }
 
 // finishSolve flushes the per-solve counters and emits the "taa.solve"
@@ -294,36 +313,42 @@ var ErrNilInstance = errors.New("taa: nil instance")
 // hard feasibility filter, fixing capacity-efficient high-value
 // requests first prevents bulky early requests from crowding out
 // valuable later ones.
-func walkOrder(inst *sched.Instance) []int {
-	order := make([]int, inst.NumRequests())
-	density := make([]float64, inst.NumRequests())
+func (ts *Solver) walkOrder(inst *sched.Instance) []int {
+	n := inst.NumRequests()
+	order := slices.Grow(ts.order[:0], n)[:n]
+	density := slices.Grow(ts.density[:0], n)[:n]
 	for i := range order {
 		order[i] = i
 		r := inst.Request(i)
-		hops := len(inst.Path(i, 0).Links)
-		for j := 1; j < inst.NumPaths(i); j++ {
-			if h := len(inst.Path(i, j).Links); h < hops {
-				hops = h
-			}
-		}
-		density[i] = r.Value / (r.Rate * float64(r.Duration()) * float64(hops))
+		density[i] = r.Value / (r.Rate * float64(r.Duration()) * float64(minHops(inst, i)))
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return density[order[a]] > density[order[b]]
-	})
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(density[b], density[a]) })
+	ts.order, ts.density = order, density
 	return order
+}
+
+// minHops returns the hop count of request i's shortest candidate path.
+func minHops(inst *sched.Instance, i int) int {
+	hops := len(inst.Path(i, 0).Links)
+	for j := 1; j < inst.NumPaths(i); j++ {
+		if h := len(inst.Path(i, j).Links); h < hops {
+			hops = h
+		}
+	}
+	return hops
 }
 
 // greedySchedule accepts requests in the given order on the
 // fewest-hops candidate path that fits the remaining capacity, then
 // count-packs whatever is left.
-func greedySchedule(inst *sched.Instance, caps [][]float64, order []int) *sched.Schedule {
-	s := sched.NewSchedule(inst)
-	loads := newLoadTracker(inst, caps)
+func (ts *Solver) greedySchedule(inst *sched.Instance, caps [][]float64, order []int) *sched.Schedule {
+	s, loads := &ts.sc[1], &ts.lt[1]
+	s.Reset(inst)
+	loads.reset(inst, caps)
 	for _, i := range order {
 		admitMinHops(inst, s, loads, i)
 	}
-	packRemaining(inst, s, loads)
+	ts.packRemaining(inst, s, loads)
 	return s
 }
 
@@ -350,29 +375,23 @@ func admitMinHops(inst *sched.Instance, s *sched.Schedule, loads *loadTracker, i
 
 // packRemaining admits still-declined requests in ascending resource
 // footprint (rate · duration · min hops) onto fitting min-hop paths.
-func packRemaining(inst *sched.Instance, s *sched.Schedule, loads *loadTracker) {
-	var remaining []int
-	footprint := make(map[int]float64)
-	for i := 0; i < inst.NumRequests(); i++ {
+func (ts *Solver) packRemaining(inst *sched.Instance, s *sched.Schedule, loads *loadTracker) {
+	n := inst.NumRequests()
+	remaining := ts.remaining[:0]
+	footprint := slices.Grow(ts.footprint[:0], n)[:n]
+	for i := 0; i < n; i++ {
 		if s.Choice(i) != sched.Declined {
 			continue
 		}
 		r := inst.Request(i)
-		hops := len(inst.Path(i, 0).Links)
-		for j := 1; j < inst.NumPaths(i); j++ {
-			if h := len(inst.Path(i, j).Links); h < hops {
-				hops = h
-			}
-		}
 		remaining = append(remaining, i)
-		footprint[i] = r.Rate * float64(r.Duration()) * float64(hops)
+		footprint[i] = r.Rate * float64(r.Duration()) * float64(minHops(inst, i))
 	}
-	sort.SliceStable(remaining, func(a, b int) bool {
-		return footprint[remaining[a]] < footprint[remaining[b]]
-	})
+	slices.SortStableFunc(remaining, func(a, b int) int { return cmp.Compare(footprint[a], footprint[b]) })
 	for _, i := range remaining {
 		admitMinHops(inst, s, loads, i)
 	}
+	ts.remaining, ts.footprint = remaining, footprint
 }
 
 // loadTracker maintains the exact loads of already-fixed requests and
@@ -384,12 +403,10 @@ type loadTracker struct {
 	loads [][]float64
 }
 
-func newLoadTracker(inst *sched.Instance, caps [][]float64) *loadTracker {
-	loads := make([][]float64, inst.Network().NumLinks())
-	for e := range loads {
-		loads[e] = make([]float64, inst.Slots())
-	}
-	return &loadTracker{inst: inst, caps: caps, loads: loads}
+// reset empties lt for a walk over inst under caps, in lt's arrays.
+func (lt *loadTracker) reset(inst *sched.Instance, caps [][]float64) {
+	lt.inst, lt.caps = inst, caps
+	lt.loads = sched.ZeroLoads(lt.loads, inst.Network().NumLinks(), inst.Slots())
 }
 
 func (lt *loadTracker) fits(i, j int) bool {
@@ -415,10 +432,10 @@ func (lt *loadTracker) add(i, j int) {
 }
 
 // feasibleUnderVar checks a schedule against time-varying capacities.
-func feasibleUnderVar(s *sched.Schedule, caps [][]float64) error {
-	loads := s.Loads()
-	for e := range loads {
-		for t, v := range loads[e] {
+func (ts *Solver) feasibleUnderVar(s *sched.Schedule, caps [][]float64) error {
+	ts.loads = s.LoadsInto(ts.loads)
+	for e := range ts.loads {
+		for t, v := range ts.loads[e] {
 			if v > caps[e][t]+1e-9 {
 				return &sched.CapacityViolationError{Link: e, Slot: t, Load: v, Capacity: int(caps[e][t])}
 			}
