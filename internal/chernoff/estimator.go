@@ -337,14 +337,9 @@ func (e *Estimator) URoot() float64 {
 	return s
 }
 
-// IS returns the scaled normalized expected revenue I_S = µ·Î'.
-func (e *Estimator) IS() float64 { return e.is }
-
-// IB returns the revenue target I_B = I_S·(1 − D(I_S, 1/(N+1))) in
-// normalized units.
-func (e *Estimator) IB() float64 { return e.ib }
-
-// IBValue returns I_B converted back to un-normalized revenue units.
+// IBValue returns the revenue target I_B = I_S·(1 − D(I_S, 1/(N+1))),
+// with I_S = µ·Î' the scaled normalized expected revenue, converted back
+// to un-normalized revenue units.
 func (e *Estimator) IBValue() float64 { return e.ib * e.vmax }
 
 // Mu returns the scaling factor µ.

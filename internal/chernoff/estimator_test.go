@@ -142,7 +142,7 @@ func TestIBValueScalesBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est.IS() <= 0 {
+	if est.is <= 0 {
 		t.Fatal("expected positive scaled revenue")
 	}
 	var vmax float64
@@ -151,7 +151,7 @@ func TestIBValueScalesBack(t *testing.T) {
 			vmax = v
 		}
 	}
-	if got, want := est.IBValue(), est.IB()*vmax; math.Abs(got-want) > 1e-12 {
+	if got, want := est.IBValue(), est.ib*vmax; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("IBValue = %v, want %v", got, want)
 	}
 	if est.Mu() != 0.5 {
@@ -180,8 +180,8 @@ func TestZeroValueWorkloadSupported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est.IS() != 0 {
-		t.Fatalf("IS = %v, want 0", est.IS())
+	if est.is != 0 {
+		t.Fatalf("IS = %v, want 0", est.is)
 	}
 	if u := est.URoot(); math.IsNaN(u) {
 		t.Fatal("u_root is NaN for zero-value workload")

@@ -173,15 +173,15 @@ func TestValueTracksReferencePriceAndDuration(t *testing.T) {
 	net := wan.B4()
 	cfg := DefaultGeneratorConfig(3)
 	g, _ := NewGenerator(net, cfg)
-	if g.ReferencePrice() <= 0 {
-		t.Fatalf("reference price %v not positive", g.ReferencePrice())
+	if g.refPrice <= 0 {
+		t.Fatalf("reference price %v not positive", g.refPrice)
 	}
 	reqs, err := g.GenerateN(2000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range reqs {
-		amortized := r.Rate * float64(r.Duration()) / float64(cfg.Slots) * g.ReferencePrice()
+		amortized := r.Rate * float64(r.Duration()) / float64(cfg.Slots) * g.refPrice
 		ratio := r.Value / amortized
 		if ratio < cfg.MarkupLo-1e-9 || ratio > cfg.MarkupHi+1e-9 {
 			t.Fatalf("markup ratio %v outside [%v, %v]", ratio, cfg.MarkupLo, cfg.MarkupHi)

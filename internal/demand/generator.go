@@ -101,10 +101,6 @@ func NewGenerator(net *wan.Network, cfg GeneratorConfig) (*Generator, error) {
 	}, nil
 }
 
-// ReferencePrice returns the network-wide median cheapest-path price
-// the value model uses as its cloud list-price proxy.
-func (g *Generator) ReferencePrice() float64 { return g.refPrice }
-
 // referencePrice computes the median cheapest-path price over all
 // ordered DC pairs.
 func referencePrice(net *wan.Network) (float64, error) {

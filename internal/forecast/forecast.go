@@ -44,7 +44,9 @@ func NewMatrix(n int) *Matrix {
 // Pair returns the statistics of the (src, dst) pair.
 func (m *Matrix) Pair(src, dst int) PairStats { return m.pairs[[2]int{src, dst}] }
 
-// TotalCount returns the total forecast request count.
+// TotalCount returns the total forecast request count. The package's
+// tests (TestObserveAggregates, the EWMA tests) read it as the volume
+// oracle; no production path does.
 func (m *Matrix) TotalCount() float64 {
 	var c float64
 	for _, p := range m.pairs {

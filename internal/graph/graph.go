@@ -71,7 +71,10 @@ func (g *Graph) AddEdge(from, to int, weight float64) (int, error) {
 	return id, nil
 }
 
-// OutEdges returns the ids of edges leaving v.
+// OutEdges returns the ids of edges leaving v. The brute-force path
+// enumeration of TestShortestPathMatchesBruteForce and
+// TestKShortestMatchesBruteForce walks the graph through it, apart
+// from the search code it checks.
 func (g *Graph) OutEdges(v int) []int {
 	ids := make([]int, len(g.out[v]))
 	copy(ids, g.out[v])
@@ -125,7 +128,9 @@ func (g *Graph) Reachable(src, dst int) bool {
 	return false
 }
 
-// StronglyConnected reports whether every node can reach every other node.
+// StronglyConnected reports whether every node can reach every other
+// node. TestStronglyConnected and wan's topology shape tests
+// (TestB4Shape, TestSubB4Shape) hold the built networks to it.
 func (g *Graph) StronglyConnected() bool {
 	if g.n <= 1 {
 		return true

@@ -6,19 +6,15 @@ import (
 )
 
 // AppendColumn adds a variable together with its full constraint
-// column in one call, without invalidating the cached constraint
-// matrix: rows must be strictly increasing indices of existing
-// constraints and vals their coefficients. Unlike AddVariable/AddTerm
-// — which force the next solve to rebuild the CSC form and drop any
-// retained warm basis — AppendColumn extends the cached matrix in
-// place, so a Basis captured before the append stays usable: the next
-// warm solve grows the retained basis with the new column nonbasic at
-// its lower bound (see Basis.grow) instead of falling back cold.
-//
-// Appending a column and then touching the matrix through AddTerm (or
-// AddVariable) still invalidates the cache as usual; append-only
-// history is what keeps the warm handle alive. On a Reset problem the
-// compressed matrix is the column's only copy.
+// column: obj is its objective coefficient, lo and hi its bounds (lo
+// finite and <= hi; hi may be math.Inf(1)), rows strictly increasing
+// indices of existing constraints and vals their coefficients (exact
+// zeros are dropped). It returns the column index; name is used in
+// error messages only. The column goes straight into the compressed
+// matrix, which keeps every earlier column in place, so a Basis
+// captured before the append stays usable: the next warm solve grows
+// the retained basis with the new column nonbasic at its lower bound
+// (see Basis.grow) instead of falling back cold.
 func (p *Problem) AppendColumn(obj, lo, hi float64, rows []int, vals []float64, name string) (int, error) {
 	if math.IsInf(lo, 0) || math.IsNaN(lo) || math.IsNaN(hi) || math.IsInf(hi, -1) {
 		return 0, fmt.Errorf("lp: column %q: invalid bounds [%v, %v]", name, lo, hi)
@@ -46,39 +42,25 @@ func (p *Problem) AppendColumn(obj, lo, hi float64, rows []int, vals []float64, 
 	p.obj = append(p.obj, obj)
 	p.lo = append(p.lo, lo)
 	p.hi = append(p.hi, hi)
-	if mat := p.matrix; mat != nil {
-		for k, r := range rows {
-			if vals[k] != 0 {
-				mat.rows = append(mat.rows, int32(r))
-				mat.vals = append(mat.vals, vals[k])
-			}
-		}
-		mat.colPtr = append(mat.colPtr, int32(len(mat.rows)))
-	}
-	if p.packed {
-		return j, nil // the matrix is the only copy (Reset)
-	}
-	// The entry list is stored already row-sorted with zeros dropped —
-	// exactly what mergedColumn produces — so a from-scratch CSC rebuild
-	// of this problem is bit-identical to the in-place extension above.
-	col := make([]entry, 0, len(rows))
+	mat := &p.matrix
 	for k, r := range rows {
 		if vals[k] != 0 {
-			col = append(col, entry{row: r, val: vals[k]})
+			mat.rows = append(mat.rows, int32(r))
+			mat.vals = append(mat.vals, vals[k])
 		}
 	}
-	p.cols = append(p.cols, col)
+	mat.colPtr = append(mat.colPtr, int32(len(mat.rows)))
 	return j, nil
 }
 
 // growCompatible reports whether the retained basis can absorb the
-// Problem's shape growth in place: the cached matrix must be the very
-// object captured (append-only history), dimensions may only grow, and
-// every appended row must be a ≤ constraint — those get a +1 slack
-// under the grow path's +1 row sign, which slots straight into the
-// basis. Anything else falls back to a cold solve.
-func (w *Basis) growCompatible(p *Problem, mat *csc, nStruct int) bool {
-	if !w.Valid() || mat != w.matrix || p.builds != w.builds || nStruct < w.nStruct || len(p.rel) < w.m {
+// Problem's shape growth in place: the handle must have been captured
+// on p since its last Reset (append-only history), dimensions may only
+// grow, and every appended row must be a ≤ constraint — those get a +1
+// slack under the grow path's +1 row sign, which slots straight into
+// the basis. Anything else falls back to a cold solve.
+func (w *Basis) growCompatible(p *Problem, nStruct int) bool {
+	if !w.Valid() || w.home != p || p.builds != w.builds || nStruct < w.nStruct || len(p.rel) < w.m {
 		return false
 	}
 	for i := w.m; i < len(p.rel); i++ {
@@ -90,8 +72,9 @@ func (w *Basis) growCompatible(p *Problem, mat *csc, nStruct int) bool {
 }
 
 // grow rebuilds the retained working problem for a Problem that gained
-// columns (AppendColumn) and/or ≤ rows (AddConstraint with no terms in
-// pre-existing columns) since capture, preserving the old basis:
+// columns (AppendColumn) and/or ≤ rows (AddConstraint, which meet only
+// the columns appended after them) since capture, preserving the old
+// basis:
 //
 //   - appended structural columns enter nonbasic at lower bound;
 //   - appended rows get their +1 slack basic (the new basis matrix is

@@ -10,27 +10,18 @@ import (
 // simplex iterations to cross several 32-iteration cancellation polls.
 func chainProblem(t *testing.T, k int) *Problem {
 	t.Helper()
-	p := NewProblem(Maximize)
+	d := newDraft(t, Maximize)
 	vars := make([]int, k)
 	for j := 0; j < k; j++ {
-		v, err := p.AddVariable(1+0.001*float64(j%7), 0, 2+float64(j%3), "x")
-		if err != nil {
-			t.Fatal(err)
-		}
-		vars[j] = v
+		vars[j] = d.variable(1+0.001*float64(j%7), 0, 2+float64(j%3), "x")
 	}
 	for i := 0; i+2 < k; i++ {
-		r, err := p.AddConstraint(LE, 3+float64(i%5), "cap")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for d := 0; d < 3; d++ {
-			if err := p.AddTerm(r, vars[i+d], 1); err != nil {
-				t.Fatal(err)
-			}
+		r := d.row(LE, 3+float64(i%5), "cap")
+		for s := 0; s < 3; s++ {
+			d.term(r, vars[i+s], 1)
 		}
 	}
-	return p
+	return d.build()
 }
 
 func TestSolvePreCanceled(t *testing.T) {
@@ -59,6 +50,8 @@ func TestSolvePreCanceledKeepsWarmBasis(t *testing.T) {
 	if ref.Status != StatusOptimal || !warm.Valid() {
 		t.Fatalf("capture solve: status=%v valid=%v", ref.Status, warm.Valid())
 	}
+	// The retry rewrites p's Solution: keep the objective it is held to.
+	refObj := ref.Objective
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -81,8 +74,8 @@ func TestSolvePreCanceledKeepsWarmBasis(t *testing.T) {
 	if again.Status != StatusOptimal || !again.Warm {
 		t.Fatalf("retry: status=%v warm=%v", again.Status, again.Warm)
 	}
-	if math.Abs(again.Objective-ref.Objective) > 1e-9 {
-		t.Fatalf("retry objective %v != reference %v", again.Objective, ref.Objective)
+	if math.Abs(again.Objective-refObj) > 1e-9 {
+		t.Fatalf("retry objective %v != reference %v", again.Objective, refObj)
 	}
 }
 

@@ -117,9 +117,9 @@ func sortMerge(col []entry) []entry {
 	return final
 }
 
-// TestMergedColumnFastPath checks that every column shape lands in the
-// CSC matrix exactly as the sort-and-merge path would put it, whether or
-// not it takes the already-sorted shortcut.
+// TestMergedColumnFastPath checks that every column shape a draft
+// emits lands in the CSC matrix exactly as the sort-and-merge path would
+// put it, whether or not it takes the already-sorted shortcut.
 func TestMergedColumnFastPath(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -134,17 +134,17 @@ func TestMergedColumnFastPath(t *testing.T) {
 		{"duplicates cancel", []entry{{2, 1.5}, {0, 1}, {2, -1.5}}},
 		{"only a cancelling pair", []entry{{3, 7}, {3, -7}}},
 	}
-	p := NewProblem(Minimize)
+	d := newDraft(t, Minimize)
 	for i := 0; i < 6; i++ {
-		mustCon(t, p, LE, 1, "r")
+		d.row(LE, 1, "r")
 	}
 	for _, c := range cases {
-		j := mustVar(t, p, 1, 0, 1, c.name)
+		j := d.variable(1, 0, 1, c.name)
 		for _, e := range c.terms {
-			mustTerm(t, p, e.row, j, e.val)
+			d.term(e.row, j, e.val)
 		}
 	}
-	mat := p.matrixCSC()
+	mat := d.build().matrix
 	for j, c := range cases {
 		want := sortMerge(c.terms)
 		lo, hi := mat.colPtr[j], mat.colPtr[j+1]
@@ -165,12 +165,12 @@ func TestMergedColumnFastPath(t *testing.T) {
 // pivots — more than the 200+4m = 204 the dual repair is allowed.
 func capLP(t *testing.T, rhs float64) *Problem {
 	t.Helper()
-	p := NewProblem(Minimize)
-	r := mustCon(t, p, EQ, rhs, "sum")
+	d := newDraft(t, Minimize)
+	r := d.row(EQ, rhs, "sum")
 	for j := 0; j < 300; j++ {
-		mustTerm(t, p, r, mustVar(t, p, 1+float64(j)/1000, 0, 1, "x"), 1)
+		d.term(r, d.variable(1+float64(j)/1000, 0, 1, "x"), 1)
 	}
-	return p
+	return d.build()
 }
 
 // TestDualCapHandsOver drives the dual simplex to its pivot cap from

@@ -10,17 +10,18 @@ import (
 func TestDualsClassicMax(t *testing.T) {
 	// max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 → obj 36.
 	// Known duals: 0, 3/2, 1.
-	p := NewProblem(Maximize)
-	x := mustVar(t, p, 3, 0, math.Inf(1), "x")
-	y := mustVar(t, p, 5, 0, math.Inf(1), "y")
-	c1 := mustCon(t, p, LE, 4, "c1")
-	c2 := mustCon(t, p, LE, 12, "c2")
-	c3 := mustCon(t, p, LE, 18, "c3")
-	mustTerm(t, p, c1, x, 1)
-	mustTerm(t, p, c2, y, 2)
-	mustTerm(t, p, c3, x, 3)
-	mustTerm(t, p, c3, y, 2)
+	d := newDraft(t, Maximize)
+	x := d.variable(3, 0, math.Inf(1), "x")
+	y := d.variable(5, 0, math.Inf(1), "y")
+	c1 := d.row(LE, 4, "c1")
+	c2 := d.row(LE, 12, "c2")
+	c3 := d.row(LE, 18, "c3")
+	d.term(c1, x, 1)
+	d.term(c2, y, 2)
+	d.term(c3, x, 3)
+	d.term(c3, y, 2)
 
+	p := d.build()
 	sol := solveOptimal(t, p)
 	want := []float64{0, 1.5, 1}
 	for i, w := range want {
@@ -32,16 +33,17 @@ func TestDualsClassicMax(t *testing.T) {
 
 func TestDualsClassicMin(t *testing.T) {
 	// min 2x + 3y s.t. x + y >= 4, x + 2y >= 6 → obj 10, duals 1, 1.
-	p := NewProblem(Minimize)
-	x := mustVar(t, p, 2, 0, math.Inf(1), "x")
-	y := mustVar(t, p, 3, 0, math.Inf(1), "y")
-	c1 := mustCon(t, p, GE, 4, "c1")
-	c2 := mustCon(t, p, GE, 6, "c2")
-	mustTerm(t, p, c1, x, 1)
-	mustTerm(t, p, c1, y, 1)
-	mustTerm(t, p, c2, x, 1)
-	mustTerm(t, p, c2, y, 2)
+	d := newDraft(t, Minimize)
+	x := d.variable(2, 0, math.Inf(1), "x")
+	y := d.variable(3, 0, math.Inf(1), "y")
+	c1 := d.row(GE, 4, "c1")
+	c2 := d.row(GE, 6, "c2")
+	d.term(c1, x, 1)
+	d.term(c1, y, 1)
+	d.term(c2, x, 1)
+	d.term(c2, y, 2)
 
+	p := d.build()
 	sol := solveOptimal(t, p)
 	for i := 0; i < 2; i++ {
 		if math.Abs(sol.Duals[i]-1) > 1e-6 {
@@ -58,19 +60,20 @@ func TestStrongDualityRandom(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		nv := 2 + rng.Intn(5)
 		nc := 2 + rng.Intn(5)
-		p := NewProblem(Maximize)
+		d := newDraft(t, Maximize)
 		for j := 0; j < nv; j++ {
-			mustVar(t, p, rng.Uniform(0.1, 3), 0, math.Inf(1), "x")
+			d.variable(rng.Uniform(0.1, 3), 0, math.Inf(1), "x")
 		}
 		rhs := make([]float64, nc)
 		for i := 0; i < nc; i++ {
 			rhs[i] = rng.Uniform(1, 10)
-			row := mustCon(t, p, LE, rhs[i], "c")
+			row := d.row(LE, rhs[i], "c")
 			for j := 0; j < nv; j++ {
 				// Strictly positive coefficients keep the LP bounded.
-				mustTerm(t, p, row, j, rng.Uniform(0.2, 2))
+				d.term(row, j, rng.Uniform(0.2, 2))
 			}
 		}
+		p := d.build()
 		sol := solveOptimal(t, p)
 		var dualObj float64
 		for i := 0; i < nc; i++ {
@@ -89,15 +92,14 @@ func TestStrongDualityRandom(t *testing.T) {
 // differences.
 func TestDualsShadowPrice(t *testing.T) {
 	build := func(cap float64) *Problem {
-		p := NewProblem(Maximize)
-		x, _ := p.AddVariable(2, 0, math.Inf(1), "x")
-		y, _ := p.AddVariable(1, 0, math.Inf(1), "y")
-		c1, _ := p.AddConstraint(LE, cap, "cap")
-		_ = p.AddTerm(c1, x, 1)
-		_ = p.AddTerm(c1, y, 1)
-		c2, _ := p.AddConstraint(LE, 3, "xcap")
-		_ = p.AddTerm(c2, x, 1)
-		return p
+		d := newDraft(t, Maximize)
+		x := d.variable(2, 0, math.Inf(1), "x")
+		y := d.variable(1, 0, math.Inf(1), "y")
+		c1 := d.row(LE, cap, "cap")
+		d.term(c1, x, 1)
+		d.term(c1, y, 1)
+		d.term(d.row(LE, 3, "xcap"), x, 1)
+		return d.build()
 	}
 	base := solveOptimal(t, build(5))
 	bumped := solveOptimal(t, build(5.5))

@@ -255,27 +255,17 @@ func decodeParallelLP(data []byte) (fuzzLP, bool) {
 // build assembles the package's sparse Problem for the instance.
 func (fz fuzzLP) build(t *testing.T) *Problem {
 	t.Helper()
-	p := NewProblem(fz.sense)
+	d := newDraft(t, fz.sense)
 	for j := range fz.obj {
-		if _, err := p.AddVariable(fz.obj[j], 0, fz.hi[j], fmt.Sprintf("x%d", j)); err != nil {
-			t.Fatalf("AddVariable: %v", err)
-		}
+		d.variable(fz.obj[j], 0, fz.hi[j], fmt.Sprintf("x%d", j))
 	}
 	for i := range fz.rows {
-		row, err := p.AddConstraint(fz.rels[i], fz.rhs[i], fmt.Sprintf("c%d", i))
-		if err != nil {
-			t.Fatalf("AddConstraint: %v", err)
-		}
+		row := d.row(fz.rels[i], fz.rhs[i], fmt.Sprintf("c%d", i))
 		for j, coef := range fz.rows[i] {
-			if coef == 0 {
-				continue
-			}
-			if err := p.AddTerm(row, j, coef); err != nil {
-				t.Fatalf("AddTerm: %v", err)
-			}
+			d.term(row, j, coef)
 		}
 	}
-	return p
+	return d.build()
 }
 
 // checkAgainstReference solves the instance with both implementations

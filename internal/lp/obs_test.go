@@ -20,16 +20,17 @@ func delta(snap map[string]float64, names ...string) map[string]float64 {
 // TestMaxItersLimitCounted: a solve stopped by the iteration cap reports
 // StatusIterLimit and bumps lp.iterlimit exactly once.
 func TestMaxItersLimitCounted(t *testing.T) {
-	p := NewProblem(Maximize)
-	x := mustVar(t, p, 3, 0, 10, "x")
-	y := mustVar(t, p, 2, 0, 10, "y")
-	c1 := mustCon(t, p, LE, 8, "c1")
-	c2 := mustCon(t, p, LE, 9, "c2")
-	mustTerm(t, p, c1, x, 1)
-	mustTerm(t, p, c1, y, 1)
-	mustTerm(t, p, c2, x, 2)
-	mustTerm(t, p, c2, y, 1)
+	dr := newDraft(t, Maximize)
+	x := dr.variable(3, 0, 10, "x")
+	y := dr.variable(2, 0, 10, "y")
+	c1 := dr.row(LE, 8, "c1")
+	c2 := dr.row(LE, 9, "c2")
+	dr.term(c1, x, 1)
+	dr.term(c1, y, 1)
+	dr.term(c2, x, 2)
+	dr.term(c2, y, 1)
 
+	p := dr.build()
 	snap := obs.Snapshot()
 	sol, err := p.Solve(Options{maxIters: 1})
 	if err != nil {
@@ -74,15 +75,16 @@ var warmCounterNames = []string{
 // LE capacities, c2 binding at the optimum.
 func warmTestProblem(t *testing.T) (*Problem, int) {
 	t.Helper()
-	p := NewProblem(Maximize)
-	x := mustVar(t, p, 3, 0, 10, "x")
-	y := mustVar(t, p, 2, 0, 10, "y")
-	c1 := mustCon(t, p, LE, 8, "c1")
-	c2 := mustCon(t, p, LE, 9, "c2")
-	mustTerm(t, p, c1, x, 1)
-	mustTerm(t, p, c1, y, 1)
-	mustTerm(t, p, c2, x, 2)
-	mustTerm(t, p, c2, y, 1)
+	d := newDraft(t, Maximize)
+	x := d.variable(3, 0, 10, "x")
+	y := d.variable(2, 0, 10, "y")
+	c1 := d.row(LE, 8, "c1")
+	c2 := d.row(LE, 9, "c2")
+	d.term(c1, x, 1)
+	d.term(c1, y, 1)
+	d.term(c2, x, 2)
+	d.term(c2, y, 1)
+	p := d.build()
 	return p, c2
 }
 
@@ -163,19 +165,20 @@ func TestWarmStallCountsColdFallback(t *testing.T) {
 	}
 }
 
-// TestWarmStaleCounted: growing the problem after capture makes the
+// TestWarmStaleCounted: rebuilding the problem after capture makes the
 // handle stale; the attempt is counted as stale plus cold fallback.
 func TestWarmStaleCounted(t *testing.T) {
-	p := NewProblem(Maximize)
-	x := mustVar(t, p, 1, 0, 4, "x")
-	c := mustCon(t, p, LE, 10, "cap")
-	mustTerm(t, p, c, x, 1)
+	dr := newDraft(t, Maximize)
+	x := dr.variable(1, 0, 4, "x")
+	c := dr.row(LE, 10, "cap")
+	dr.term(c, x, 1)
 	basis := NewBasis()
+	p := dr.build()
 	if _, err := p.Solve(Options{Warm: basis}); err != nil {
 		t.Fatal(err)
 	}
-	y := mustVar(t, p, 2, 0, 4, "y")
-	mustTerm(t, p, c, y, 1)
+	dr.term(c, dr.variable(2, 0, 4, "y"), 1)
+	dr.into(p)
 
 	snap := obs.Snapshot()
 	sol, err := p.Solve(Options{Warm: basis})

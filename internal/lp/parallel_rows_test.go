@@ -42,33 +42,21 @@ func spmCutLP(t testing.TB, k int, seed int64, shuffle *stats.RNG) *Problem {
 	if err != nil {
 		t.Fatal(err)
 	}
-	must := func(_ int, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	p := NewProblem(Maximize)
+	d := newDraft(t, Maximize)
 	xCols := make([][]int, k)
 	for i := range xCols {
 		for range inst.NumPaths(i) {
-			j, err := p.AddVariable(inst.Request(i).Value, 0, 1, "x")
-			must(j, err)
-			xCols[i] = append(xCols[i], j)
+			xCols[i] = append(xCols[i], d.variable(inst.Request(i).Value, 0, 1, "x"))
 		}
 	}
 	cCols := make([]int, net.NumLinks())
 	for e := range cCols {
-		j, err := p.AddVariable(-net.Link(e).Price, 0, math.Inf(1), "c")
-		must(j, err)
-		cCols[e] = j
+		cCols[e] = d.variable(-net.Link(e).Price, 0, math.Inf(1), "c")
 	}
 	for i := range k {
-		row, err := p.AddConstraint(LE, 1, "accept")
-		must(row, err)
+		row := d.row(LE, 1, "accept")
 		for _, j := range xCols[i] {
-			must(0, p.AddTerm(row, j, 1))
+			d.term(row, j, 1)
 		}
 	}
 	for e := range cCols {
@@ -84,14 +72,13 @@ func spmCutLP(t testing.TB, k int, seed int64, shuffle *stats.RNG) *Problem {
 						continue
 					}
 					if row < 0 {
-						row, err = p.AddConstraint(LE, 0, "cap")
-						must(row, err)
+						row = d.row(LE, 0, "cap")
 					}
-					must(0, p.AddTerm(row, j, r.Rate))
+					d.term(row, j, r.Rate)
 				}
 			}
 			if row >= 0 {
-				must(0, p.AddTerm(row, cCols[e], -1))
+				d.term(row, cCols[e], -1)
 			}
 		}
 	}
@@ -117,16 +104,15 @@ func spmCutLP(t testing.TB, k int, seed int64, shuffle *stats.RNG) *Problem {
 		cuts = shuffled
 	}
 	for _, c := range cuts {
-		row, err := p.AddConstraint(LE, 0, "cut")
-		must(row, err)
+		row := d.row(LE, 0, "cut")
 		for pj, j := range xCols[c.i] {
 			if slices.Contains(inst.Path(c.i, pj).Links, c.e) {
-				must(0, p.AddTerm(row, j, 1))
+				d.term(row, j, 1)
 			}
 		}
-		must(0, p.AddTerm(row, cCols[c.e], -1))
+		d.term(row, cCols[c.e], -1)
 	}
-	return p
+	return d.build()
 }
 
 // TestSolveNearlyParallelRows is the LP that once ended in
@@ -167,12 +153,13 @@ func certifyOptimal(t *testing.T, p *Problem, sol *Solution) {
 			t.Fatalf("x[%d] = %g outside [%g, %g]", j, x, p.lo[j], p.hi[j])
 		}
 	}
+	mat := &p.matrix
 	act := make([]float64, m)
 	scale := make([]float64, m)
-	for j, col := range p.cols {
-		for _, e := range col {
-			act[e.row] += e.val * sol.X[j]
-			scale[e.row] += math.Abs(e.val * sol.X[j])
+	for j := range n {
+		for q := mat.colPtr[j]; q < mat.colPtr[j+1]; q++ {
+			act[mat.rows[q]] += mat.vals[q] * sol.X[j]
+			scale[mat.rows[q]] += math.Abs(mat.vals[q] * sol.X[j])
 		}
 	}
 	for i := range m {
@@ -204,10 +191,10 @@ func certifyOptimal(t *testing.T, p *Problem, sol *Solution) {
 		}
 		dual += p.rhs[i] * y
 	}
-	for j, col := range p.cols {
+	for j := range n {
 		d := sgn * p.obj[j]
-		for _, e := range col {
-			d -= sgn * sol.Duals[e.row] * e.val
+		for q := mat.colPtr[j]; q < mat.colPtr[j+1]; q++ {
+			d -= sgn * sol.Duals[mat.rows[q]] * mat.vals[q]
 		}
 		switch {
 		case d <= 0:
@@ -236,13 +223,14 @@ func certifyOptimal(t *testing.T, p *Problem, sol *Solution) {
 func TestBadlyScaledStep(t *testing.T) {
 	for _, basis := range []basisKind{basisInverse, basisLU} {
 		for _, third := range []bool{false, true} {
-			p := NewProblem(Maximize)
-			x := mustVar(t, p, 1, 0, math.Inf(1), "x")
-			mustTerm(t, p, mustCon(t, p, LE, 1, "limit"), x, 1e-3)
-			mustTerm(t, p, mustCon(t, p, LE, 1, "steep"), x, -1e6)
+			d := newDraft(t, Maximize)
+			x := d.variable(1, 0, math.Inf(1), "x")
+			d.term(d.row(LE, 1, "limit"), x, 1e-3)
+			d.term(d.row(LE, 1, "steep"), x, -1e6)
 			if third {
-				mustTerm(t, p, mustCon(t, p, LE, 2000, "loose"), x, 1)
+				d.term(d.row(LE, 2000, "loose"), x, 1)
 			}
+			p := d.build()
 			sol, err := p.Solve(Options{basis: basis})
 			if err != nil {
 				t.Fatal(err)
@@ -264,19 +252,20 @@ func TestBadlyScaledStep(t *testing.T) {
 // progress b could not, and finish on the warm path with the optimum.
 // The 126 empty rows put the basis on the LU path.
 func TestSingularPivotRejected(t *testing.T) {
-	p := NewProblem(Maximize)
-	a := mustVar(t, p, 0, 0, math.Inf(1), "a")
-	b := mustVar(t, p, 1, 0, math.Inf(1), "b")
-	c := mustVar(t, p, 1, 0, math.Inf(1), "c")
-	r0 := mustCon(t, p, LE, 0, "tiny")
-	mustTerm(t, p, r0, a, 1e-3)
-	mustTerm(t, p, r0, b, 2e-12)
-	r1 := mustCon(t, p, LE, 1, "share")
-	mustTerm(t, p, r1, b, 1)
-	mustTerm(t, p, r1, c, 1)
+	d := newDraft(t, Maximize)
+	a := d.variable(0, 0, math.Inf(1), "a")
+	b := d.variable(1, 0, math.Inf(1), "b")
+	c := d.variable(1, 0, math.Inf(1), "c")
+	r0 := d.row(LE, 0, "tiny")
+	d.term(r0, a, 1e-3)
+	d.term(r0, b, 2e-12)
+	r1 := d.row(LE, 1, "share")
+	d.term(r1, b, 1)
+	d.term(r1, c, 1)
 	for range luAutoRows - 2 {
-		mustCon(t, p, LE, 1, "empty")
+		d.row(LE, 1, "empty")
 	}
+	p := d.build()
 	seed := p.SeedBasis([]int{r0}, []int{a})
 	if !seed.Valid() {
 		t.Fatal("seed refused")
@@ -303,16 +292,17 @@ func TestSingularPivotRejected(t *testing.T) {
 // which proves the LP infeasible (b ≤ 1 caps 2e-12·b far below the
 // 1e-6 that a ≥ 0 needs).
 func TestDualRejectedPivotHandsOver(t *testing.T) {
-	p := NewProblem(Minimize)
-	a := mustVar(t, p, 0, 0, math.Inf(1), "a")
-	b := mustVar(t, p, 1, 0, math.Inf(1), "b")
-	r0 := mustCon(t, p, LE, 0, "tiny")
-	mustTerm(t, p, r0, a, 1e-3)
-	mustTerm(t, p, r0, b, -2e-12)
-	mustTerm(t, p, mustCon(t, p, LE, 1, "cap"), b, 1)
+	d := newDraft(t, Minimize)
+	a := d.variable(0, 0, math.Inf(1), "a")
+	b := d.variable(1, 0, math.Inf(1), "b")
+	r0 := d.row(LE, 0, "tiny")
+	d.term(r0, a, 1e-3)
+	d.term(r0, b, -2e-12)
+	d.term(d.row(LE, 1, "cap"), b, 1)
 	for range luAutoRows - 2 {
-		mustCon(t, p, LE, 1, "empty")
+		d.row(LE, 1, "empty")
 	}
+	p := d.build()
 	seed := p.SeedBasis([]int{r0}, []int{a})
 	if !seed.Valid() {
 		t.Fatal("seed refused")

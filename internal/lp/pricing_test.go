@@ -9,24 +9,24 @@ import (
 // optimum is -0.05 in Minimize sense.
 func bealeProblem(t *testing.T) *Problem {
 	t.Helper()
-	p := NewProblem(Minimize)
-	x4 := mustVar(t, p, -0.75, 0, math.Inf(1), "x4")
-	x5 := mustVar(t, p, 150, 0, math.Inf(1), "x5")
-	x6 := mustVar(t, p, -0.02, 0, math.Inf(1), "x6")
-	x7 := mustVar(t, p, 6, 0, math.Inf(1), "x7")
-	c1 := mustCon(t, p, LE, 0, "c1")
-	c2 := mustCon(t, p, LE, 0, "c2")
-	c3 := mustCon(t, p, LE, 1, "c3")
-	mustTerm(t, p, c1, x4, 0.25)
-	mustTerm(t, p, c1, x5, -60)
-	mustTerm(t, p, c1, x6, -0.04)
-	mustTerm(t, p, c1, x7, 9)
-	mustTerm(t, p, c2, x4, 0.5)
-	mustTerm(t, p, c2, x5, -90)
-	mustTerm(t, p, c2, x6, -0.02)
-	mustTerm(t, p, c2, x7, 3)
-	mustTerm(t, p, c3, x6, 1)
-	return p
+	d := newDraft(t, Minimize)
+	x4 := d.variable(-0.75, 0, math.Inf(1), "x4")
+	x5 := d.variable(150, 0, math.Inf(1), "x5")
+	x6 := d.variable(-0.02, 0, math.Inf(1), "x6")
+	x7 := d.variable(6, 0, math.Inf(1), "x7")
+	c1 := d.row(LE, 0, "c1")
+	c2 := d.row(LE, 0, "c2")
+	c3 := d.row(LE, 1, "c3")
+	d.term(c1, x4, 0.25)
+	d.term(c1, x5, -60)
+	d.term(c1, x6, -0.04)
+	d.term(c1, x7, 9)
+	d.term(c2, x4, 0.5)
+	d.term(c2, x5, -90)
+	d.term(c2, x6, -0.02)
+	d.term(c2, x7, 3)
+	d.term(c3, x6, 1)
+	return d.build()
 }
 
 // degenerateChain maximizes Σx over x_j ≤ x_{j+1}, x_n ≤ 1: every
@@ -35,17 +35,17 @@ func bealeProblem(t *testing.T) *Problem {
 // Bland's rule. Optimum n.
 func degenerateChain(t *testing.T, n int) *Problem {
 	t.Helper()
-	p := NewProblem(Maximize)
+	d := newDraft(t, Maximize)
 	for j := 0; j < n; j++ {
-		mustVar(t, p, 1, 0, math.Inf(1), "x")
+		d.variable(1, 0, math.Inf(1), "x")
 	}
 	for j := 0; j+1 < n; j++ {
-		r := mustCon(t, p, LE, 0, "chain")
-		mustTerm(t, p, r, j, 1)
-		mustTerm(t, p, r, j+1, -1)
+		r := d.row(LE, 0, "chain")
+		d.term(r, j, 1)
+		d.term(r, j+1, -1)
 	}
-	mustTerm(t, p, mustCon(t, p, LE, 1, "cap"), n-1, 1)
-	return p
+	d.term(d.row(LE, 1, "cap"), n-1, 1)
+	return d.build()
 }
 
 // hallMcKinnon is the two-row cycling example of Hall and McKinnon
@@ -55,21 +55,21 @@ func degenerateChain(t *testing.T, n int) *Problem {
 // Optimum −0.875.
 func hallMcKinnon(t *testing.T) *Problem {
 	t.Helper()
-	p := NewProblem(Minimize)
+	d := newDraft(t, Minimize)
 	for _, c := range []float64{-2.3, -2.15, 13.55, 0.4} {
-		mustVar(t, p, c, 0, math.Inf(1), "x")
+		d.variable(c, 0, math.Inf(1), "x")
 	}
 	for _, row := range [][]float64{{0.4, 0.2, -1.4, -0.2}, {-7.8, -1.4, 7.8, 0.4}, {1, 1, 1, 1}} {
 		rhs := 0.0
 		if row[0] == 1 {
 			rhs = 1
 		}
-		r := mustCon(t, p, LE, rhs, "row")
+		r := d.row(LE, rhs, "row")
 		for j, a := range row {
-			mustTerm(t, p, r, j, a)
+			d.term(r, j, a)
 		}
 	}
-	return p
+	return d.build()
 }
 
 // TestCyclingInstanceAllPricings drives every rung of the anti-cycling

@@ -24,32 +24,7 @@ func randomColumns(rng *stats.RNG, m, n int, density float64) []appendCol {
 	return cols
 }
 
-// termByTerm builds max obj·x, rows ≤ rhs, 0 ≤ x ≤ 1 the classic way:
-// AddVariable, AddConstraint and one AddTerm per nonzero.
-func termByTerm(t *testing.T, rhs []float64, cols []appendCol) *Problem {
-	t.Helper()
-	p := NewProblem(Maximize)
-	for _, c := range cols {
-		if _, err := p.AddVariable(c.obj, 0, 1, ""); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, b := range rhs {
-		if _, err := p.AddConstraint(LE, b, ""); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for j, c := range cols {
-		for k, r := range c.rows {
-			if err := p.AddTerm(r, j, c.vals[k]); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	return p
-}
-
-// rebuild makes p the same LP column-major, over its last build.
+// rebuild makes p max obj·x, rows ≤ rhs, 0 ≤ x ≤ 1, over its last build.
 func rebuild(t *testing.T, p *Problem, rhs []float64, cols []appendCol) {
 	t.Helper()
 	p.Reset(Maximize)
@@ -77,10 +52,10 @@ func sameSolve(t *testing.T, what string, got, want *Solution) {
 
 // TestResetRebuild: a problem rebuilt with Reset — rows by
 // AddConstraint, columns whole by AppendColumn, into the arrays and
-// simplex working arrays of its last build — has the compressed matrix
-// of the same LP built term by term and solves to the same pivots and
+// simplex working arrays of its last build — is the LP a fresh problem
+// built the same way is, bit for bit, and solves to the same pivots and
 // bits, across rebuilds that grow and shrink it on both sides of the
-// dense/LU switch; an AddTerm after a Reset build edits the same LP.
+// dense/LU switch. The zero Problem, once Reset, is a fresh problem.
 func TestResetRebuild(t *testing.T) {
 	rng := stats.NewRNG(4811)
 	var p Problem
@@ -90,81 +65,161 @@ func TestResetRebuild(t *testing.T) {
 			rhs[i] = rng.Uniform(1, 8)
 		}
 		cols := randomColumns(rng, m, m+rng.Intn(m), 6/float64(m))
-		fresh := termByTerm(t, rhs, cols)
+		fresh := new(Problem)
+		rebuild(t, fresh, rhs, cols)
 		rebuild(t, &p, rhs, cols)
-		got, want := p.matrixCSC(), fresh.matrixCSC()
-		if !slices.Equal(got.colPtr, want.colPtr) || !slices.Equal(got.rows, want.rows) || !slices.Equal(got.vals, want.vals) {
-			t.Fatalf("trial %d: rebuilt matrix differs from the term-by-term one", trial)
+		if d := p.Diff(fresh); d != "" {
+			t.Fatalf("trial %d: rebuilt problem differs from a fresh one: %s", trial, d)
 		}
 		a, _ := p.Solve(Options{})
 		b, _ := fresh.Solve(Options{})
 		sameSolve(t, "rebuilt", a, b)
 		if p.work == nil {
-			t.Fatalf("trial %d: a Reset problem gave its working arrays away", trial)
+			t.Fatalf("trial %d: a problem gave its working arrays away", trial)
 		}
 	}
-
-	// An edit after a Reset build: the term lists come back from the
-	// compressed matrix.
-	rhs := []float64{2, 3, 1}
-	cols := randomColumns(rng, 3, 5, 0.7)
-	fresh := termByTerm(t, rhs, cols)
-	rebuild(t, &p, rhs, cols)
-	for _, q := range []*Problem{&p, fresh} {
-		if err := q.AddTerm(1, 4, 0.25); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a, _ := p.Solve(Options{})
-	b, _ := fresh.Solve(Options{})
-	sameSolve(t, "edited", a, b)
-	if p.work == nil {
-		t.Fatal("an edited Reset problem gave its working arrays away")
-	}
-
 	p.Release()
 	if p.work != nil {
 		t.Fatal("Release kept the working arrays")
 	}
 }
 
-// TestBasisReleaseKeepsClone: Release pools a handle's working arrays,
-// but not the ones Clone shares with another handle — other solves that
-// take pooled arrays must leave the clone intact, and it still
-// warm-solves (no cold fallback) to the cold optimum.
-func TestBasisReleaseKeepsClone(t *testing.T) {
+// bigLP is max obj·x over 140 random ≤ rows and 180 columns in [0, 1]:
+// large enough for the LU basis.
+func bigLP(t *testing.T) *draft {
 	rng := stats.NewRNG(2207)
-	rhs := make([]float64, 140)
-	for i := range rhs {
-		rhs[i] = rng.Uniform(1, 8)
+	d := newDraft(t, Maximize)
+	for range 140 {
+		d.row(LE, rng.Uniform(1, 8), "")
 	}
-	p := termByTerm(t, rhs, randomColumns(rng, len(rhs), 180, 0.04))
+	for _, c := range randomColumns(rng, 140, 180, 0.04) {
+		j := d.variable(c.obj, 0, 1, "")
+		for k, r := range c.rows {
+			d.term(r, j, c.vals[k])
+		}
+	}
+	return d
+}
+
+// sharesMatrix reports whether two working problems share the
+// backing array of their working matrix, as a handle and its Clone do.
+func sharesMatrix(a, b *simplex) bool {
+	return a != nil && b != nil && len(a.vals) > 0 && len(b.vals) > 0 && &a.vals[0] == &b.vals[0]
+}
+
+// TestBasisResetKeepsClone: dropping a handle hands its working arrays
+// back to its home problem, but never the ones Clone shares with
+// another handle — whichever of the two is reset. The problem's arrays
+// go on to the pool and to another LP's solves, which must leave the
+// clone intact: it still warm-solves (no cold fallback) to the cold
+// optimum.
+func TestBasisResetKeepsClone(t *testing.T) {
+	p := bigLP(t).build()
 	parent := NewBasis()
 	if sol, _ := p.Solve(Options{Warm: parent}); sol.Status != StatusOptimal {
 		t.Fatalf("parent solve: %v", sol.Status)
 	}
 	clone := parent.Clone()
-	parent.Release()
+	parent.Reset()
 	if parent.Valid() {
-		t.Fatal("a released handle still holds a basis")
+		t.Fatal("a reset handle still holds a basis")
+	}
+	if sharesMatrix(p.work, clone.sx) {
+		t.Fatal("a reset handle gave its problem the arrays its clone shares")
 	}
 
-	// Solves of a smaller LP run in pooled arrays, overwriting whatever
-	// the pool handed them.
-	q := termByTerm(t, rhs[:130], randomColumns(rng, 130, 150, 0.05))
+	// Solves of another LP run in the arrays p gave back, overwriting
+	// them.
+	p.Release()
+	rng := stats.NewRNG(2208)
+	rhs := make([]float64, 150)
+	for i := range rhs {
+		rhs[i] = rng.Uniform(1, 8)
+	}
+	var q Problem
+	rebuild(t, &q, rhs, randomColumns(rng, 150, 170, 0.05))
 	for range 3 {
 		if _, err := q.Solve(Options{}); err != nil {
 			t.Fatal(err)
 		}
+		q.Release()
 	}
 
 	if err := p.SetBounds(0, 0, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	warm, _ := p.Solve(Options{Warm: clone})
+	warmStatus, warmObj, warmPath := warm.Status, warm.Objective, warm.Warm
 	cold, _ := p.Solve(Options{})
-	if !warm.Warm || warm.Status != cold.Status || math.Abs(warm.Objective-cold.Objective) > 1e-9*(1+math.Abs(cold.Objective)) {
-		t.Fatalf("clone after its parent's release: %v obj %v (warm path %v), cold %v obj %v",
-			warm.Status, warm.Objective, warm.Warm, cold.Status, cold.Objective)
+	if !warmPath || warmStatus != cold.Status || math.Abs(warmObj-cold.Objective) > 1e-9*(1+math.Abs(cold.Objective)) {
+		t.Fatalf("clone after its parent's reset: %v obj %v (warm path %v), cold %v obj %v",
+			warmStatus, warmObj, warmPath, cold.Status, cold.Objective)
+	}
+
+	// The other way round: a reset clone keeps its parent's arrays.
+	p.Release()
+	child := clone.Clone()
+	child.Reset()
+	if sharesMatrix(p.work, clone.sx) {
+		t.Fatal("a reset clone gave its problem the arrays its parent shares")
+	}
+}
+
+// TestBasisFingerprint: a handle belongs to the problem whose solve
+// captured it and to that problem's build. Passed to a second problem
+// with the same rows, columns and data, it is stale and the solve runs
+// cold; so it is after a Reset of its own problem, even one that
+// rebuilds the same LP. Appended columns and ≤ rows keep it: the next
+// solve grows the retained basis on the warm path.
+func TestBasisFingerprint(t *testing.T) {
+	d := bigLP(t)
+	p, q := d.build(), d.build()
+	h := NewBasis()
+	sol, err := p.Solve(Options{Warm: h})
+	if err != nil || sol.Status != StatusOptimal {
+		t.Fatalf("capture solve: %v %v", sol.Status, err)
+	}
+	want := sol.Objective
+	staleSolve := func(what string, r *Problem) {
+		t.Helper()
+		stale, grows := cWarmStale.Value(), cWarmGrows.Value()
+		sol, err := r.Solve(Options{Warm: h})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Warm || cWarmStale.Value() != stale+1 || cWarmGrows.Value() != grows {
+			t.Fatalf("%s: warm path %v, stale +%d, grows +%d; want a cold solve counted stale",
+				what, sol.Warm, cWarmStale.Value()-stale, cWarmGrows.Value()-grows)
+		}
+		if sol.Status != StatusOptimal || math.Float64bits(sol.Objective) != math.Float64bits(want) {
+			t.Fatalf("%s: %v obj %v, want optimal %v", what, sol.Status, sol.Objective, want)
+		}
+	}
+	staleSolve("another problem's handle", q)
+	if h.home != q {
+		t.Fatal("the cold solve did not recapture the handle on its problem")
+	}
+	d.into(q)
+	staleSolve("a handle captured before a Reset", q)
+
+	// Growth: a ≤ row and a column over it and an old row.
+	grows := cWarmGrows.Value()
+	r := mustCon(t, q, LE, 0.5, "new")
+	if _, err := q.AppendColumn(7, 0, 1, []int{3, r}, []float64{0.5, 1}, "y"); err != nil {
+		t.Fatal(err)
+	}
+	if sol, err = q.Solve(Options{Warm: h}); err != nil || sol.Status != StatusOptimal {
+		t.Fatalf("grown solve: %v %v", sol.Status, err)
+	}
+	if !sol.Warm || cWarmGrows.Value() != grows+1 {
+		t.Fatalf("grown solve: warm path %v, grows +%d; want the warm grow path", sol.Warm, cWarmGrows.Value()-grows)
+	}
+	got := sol.Objective
+	y := d.variable(7, 0, 1, "y")
+	d.term(3, y, 0.5)
+	d.term(d.row(LE, 0.5, "new"), y, 1)
+	ref := solveOptimal(t, d.build())
+	if math.Abs(got-ref.Objective) > 1e-9*(1+math.Abs(ref.Objective)) {
+		t.Fatalf("grown warm objective %.15g, cold %.15g", got, ref.Objective)
 	}
 }

@@ -16,16 +16,16 @@ func randomSeed(p *Problem, rng *stats.RNG, k int) (rows, cols []int) {
 		if len(cols) == k {
 			break
 		}
-		col := p.mergedColumn(j)
+		col := p.matrix.rows[p.matrix.colPtr[j]:p.matrix.colPtr[j+1]]
 		if len(col) == 0 {
 			continue
 		}
-		e := col[rng.Intn(len(col))]
-		if taken[e.row] {
+		r := int(col[rng.Intn(len(col))])
+		if taken[r] {
 			continue
 		}
-		taken[e.row] = true
-		rows = append(rows, e.row)
+		taken[r] = true
+		rows = append(rows, r)
 		cols = append(cols, j)
 	}
 	return rows, cols
@@ -39,22 +39,22 @@ func randomSeed(p *Problem, rng *stats.RNG, k int) (rows, cols []int) {
 // seed that routing names: each request's first path in its accept row.
 func routingLP(t *testing.T, rng *stats.RNG, requests, links int) (p *Problem, rows, cols []int) {
 	t.Helper()
-	p = NewProblem(Maximize)
+	d := newDraft(t, Maximize)
 	for i := 0; i < requests; i++ {
-		mustCon(t, p, LE, 1, "accept")
+		d.row(LE, 1, "accept")
 	}
 	capRow := make([]int, links)
 	for l := range capRow {
-		capRow[l] = mustCon(t, p, LE, 0, "cap")
+		capRow[l] = d.row(LE, 0, "cap")
 	}
 	load := make([]float64, links)
 	for i := 0; i < requests; i++ {
 		value, rate := rng.Uniform(1, 5), rng.Uniform(0.1, 1)
 		for j := 0; j < 3; j++ {
-			x := mustVar(t, p, value, 0, 1, "x")
-			mustTerm(t, p, i, x, 1)
+			x := d.variable(value, 0, 1, "x")
+			d.term(i, x, 1)
 			for _, l := range rng.Perm(links)[:1+rng.Intn(3)] {
-				mustTerm(t, p, capRow[l], x, rate)
+				d.term(capRow[l], x, rate)
 				if j == 0 {
 					load[l] += rate
 				}
@@ -64,6 +64,7 @@ func routingLP(t *testing.T, rng *stats.RNG, requests, links int) (p *Problem, r
 			}
 		}
 	}
+	p = d.build()
 	for l, row := range capRow {
 		if err := p.SetRHS(row, load[l]*rng.Uniform(0.5, 1.1)); err != nil {
 			t.Fatal(err)
@@ -161,24 +162,24 @@ func TestSeedBasisRefused(t *testing.T) {
 	// x and y have identical columns, so seeding both is singular. pad
 	// adds rows that cannot bind, to reach the factorized basis.
 	build := func(pad int, extra Rel) *Problem {
-		p := NewProblem(Maximize)
-		x := mustVar(t, p, 3, 0, 4, "x")
-		y := mustVar(t, p, 2, 0, 4, "y")
-		z := mustVar(t, p, 1, 0, 4, "z")
-		c1 := mustCon(t, p, LE, 5, "c1")
-		c2 := mustCon(t, p, LE, 7, "c2")
+		d := newDraft(t, Maximize)
+		x := d.variable(3, 0, 4, "x")
+		y := d.variable(2, 0, 4, "y")
+		z := d.variable(1, 0, 4, "z")
+		c1 := d.row(LE, 5, "c1")
+		c2 := d.row(LE, 7, "c2")
 		for _, v := range []int{x, y} {
-			mustTerm(t, p, c1, v, 1)
-			mustTerm(t, p, c2, v, 2)
+			d.term(c1, v, 1)
+			d.term(c2, v, 2)
 		}
-		mustTerm(t, p, c2, z, 1)
+		d.term(c2, z, 1)
 		if extra != 0 {
-			mustTerm(t, p, mustCon(t, p, extra, 1, "extra"), z, 1)
+			d.term(d.row(extra, 1, "extra"), z, 1)
 		}
 		for i := 0; i < pad; i++ {
-			mustTerm(t, p, mustCon(t, p, LE, 1e6, "pad"), z, 1)
+			d.term(d.row(LE, 1e6, "pad"), z, 1)
 		}
-		return p
+		return d.build()
 	}
 	cases := []struct {
 		name       string

@@ -184,12 +184,12 @@ type simplex struct {
 	leaveWin []int32
 }
 
-// simplexPool recycles simplex working arrays across cold solves. The
-// arrays of one K=100 RL-SPM solve run to megabytes (Binv alone is m²
-// floats), and Metis performs thousands of cold solves per run, so
-// reuse removes a large slice of allocation and GC cost. A simplex that
-// was captured into a warm-start Basis must never be released: the
-// handle keeps using its arrays.
+// simplexPool supplies the working arrays of a problem's first solve
+// and takes back those Release returns. The arrays of one K=100 RL-SPM
+// solve run to megabytes (Binv alone is m² floats), and the one-shot
+// SPM relaxations release theirs for the next. A simplex that was
+// captured into a warm-start Basis must never be released: the handle
+// keeps using its arrays.
 var simplexPool = sync.Pool{New: func() any { return new(simplex) }}
 
 // release returns s's arrays to the pool. Callers must copy out
@@ -199,9 +199,9 @@ func (s *simplex) release() {
 	simplexPool.Put(s)
 }
 
-// takeWork returns working arrays for a solve of p: the ones a Reset
-// problem kept from its last solve, else those of the warm handle the
-// solve replaces (unless Clone shares them), else pooled ones.
+// takeWork returns working arrays for a solve of p: the ones p kept
+// from its last solve, else those of the warm handle the solve replaces
+// (unless Clone shares them), else pooled ones.
 func (p *Problem) takeWork(warm *Basis) *simplex {
 	if s := p.work; s != nil {
 		p.work = nil
@@ -216,16 +216,15 @@ func (p *Problem) takeWork(warm *Basis) *simplex {
 	return simplexPool.Get().(*simplex)
 }
 
-// putWork hands back arrays a solve of p did not capture into a warm
-// handle: a Reset problem keeps them for its next solve, any other
-// returns them to the pool.
+// putWork keeps arrays a solve of p did not capture into a warm handle
+// for p's next solve.
 func (p *Problem) putWork(s *simplex) {
-	if p.keepWork && p.work == nil {
-		s.opts = Options{}
-		p.work = s
+	if p.work != nil {
+		s.release()
 		return
 	}
-	s.release()
+	s.opts = Options{}
+	p.work = s
 }
 
 // grow returns a slice of length n, reusing buf's backing array when
@@ -242,7 +241,8 @@ func grow[T any](buf []T, n, c int) []T {
 // Solve optimizes the problem. It returns a Solution whose Status is
 // StatusOptimal, StatusInfeasible, StatusUnbounded, StatusIterLimit,
 // StatusCanceled or StatusNumeric; X is populated only for
-// StatusOptimal.
+// StatusOptimal. An optimal Solution, with its X and Duals, is p's own
+// and the next Solve of p rewrites it.
 func (p *Problem) Solve(opts Options) (*Solution, error) {
 	if p.sense != Minimize && p.sense != Maximize {
 		return nil, fmt.Errorf("lp: invalid sense %d", p.sense)
@@ -446,10 +446,10 @@ func (p *Problem) end(s *simplex, st Status, warm *Basis) *Solution {
 // returns the objective offset of the bound shift.
 func (p *Problem) layout(s *simplex) float64 {
 	m := len(p.rel)
-	// The working matrix is rebuilt below, so any pooled CSR mirror is
+	// The working matrix is rebuilt below, so any kept CSR mirror is
 	// stale.
 	s.csrOK = false
-	mat := p.matrixCSC()
+	mat := &p.matrix
 
 	// Shift structural variables to lower bound 0 and compute the
 	// adjusted rhs: b_i' = b_i − Σ_j a_ij·lo_j.
@@ -581,7 +581,7 @@ func (s *simplex) slackBasis() {
 	}
 }
 
-// extract decodes the optimal working basis into a Solution: structural
+// extract decodes the optimal working basis into p's Solution: structural
 // values shifted back by the lower bounds, the objective in the original
 // sense, and shadow prices y = c_B^T·Binv mapped back through the row
 // signs (and the sense flip for Maximize).
@@ -592,7 +592,9 @@ func (p *Problem) extract(s *simplex, sign []float64, shiftObj float64) *Solutio
 	// instead of an O(m) scan per basic column), then shift and sum. The
 	// per-column values and the objective's accumulation order match
 	// value()-based extraction exactly.
-	x := p.solutionArray(&p.x, nStruct)
+	p.x = grow(p.x, nStruct, nStruct)
+	x := p.x
+	clear(x)
 	for i, j := range s.basic {
 		if j < nStruct {
 			x[j] = s.xB[i]
@@ -616,7 +618,9 @@ func (p *Problem) extract(s *simplex, sign []float64, shiftObj float64) *Solutio
 	// same ascending-row order as the column-wise loop, so the result is
 	// bit-identical, but Binv streams in storage order instead of
 	// striding down columns).
-	duals := p.solutionArray(&p.duals, m)
+	p.duals = grow(p.duals, m, m)
+	duals := p.duals
+	clear(duals)
 	if s.lu != nil {
 		c := s.lu.posBuf
 		for i, j := range s.basic {
@@ -643,22 +647,8 @@ func (p *Problem) extract(s *simplex, sign []float64, shiftObj float64) *Solutio
 		duals[i] = y
 	}
 	sol := &p.sol
-	if !p.keepWork {
-		sol = new(Solution)
-	}
 	*sol = Solution{Status: StatusOptimal, Objective: obj, X: x, Duals: duals, Iters: s.iters, Factorized: s.lu != nil}
 	return sol
-}
-
-// solutionArray returns n zeros for a solution's X or Duals: a Reset
-// problem's own array buf, or a new one.
-func (p *Problem) solutionArray(buf *[]float64, n int) []float64 {
-	if !p.keepWork {
-		return make([]float64, n)
-	}
-	*buf = grow(*buf, n, n)
-	clear(*buf)
-	return *buf
 }
 
 // chooseBasis picks the basis representation for the working problem's

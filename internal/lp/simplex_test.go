@@ -2,18 +2,112 @@ package lp
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"metis/internal/stats"
 )
 
-func mustVar(t *testing.T, p *Problem, obj, lo, hi float64, name string) int {
-	t.Helper()
-	j, err := p.AddVariable(obj, lo, hi, name)
-	if err != nil {
-		t.Fatal(err)
+// entry is one term of a draft column.
+type entry struct {
+	row int
+	val float64
+}
+
+// draft is a test LP written term by term, in any order: variables,
+// rows and coefficients interleaved, repeated terms of one cell
+// accumulating. build emits it through the column API — every row with
+// AddConstraint, then each column whole with AppendColumn — each
+// column's terms sorted by row, with duplicates summed in the order
+// they came and exact zeros dropped.
+type draft struct {
+	t           testing.TB
+	sense       Sense
+	obj, lo, hi []float64
+	rel         []Rel
+	rhs         []float64
+	cols        [][]entry
+}
+
+func newDraft(t testing.TB, sense Sense) *draft { return &draft{t: t, sense: sense} }
+
+// variable adds a variable with objective coefficient obj and bounds
+// [lo, hi] and returns its column index. Names are not kept.
+func (d *draft) variable(obj, lo, hi float64, _ string) int {
+	d.obj, d.lo, d.hi = append(d.obj, obj), append(d.lo, lo), append(d.hi, hi)
+	d.cols = append(d.cols, nil)
+	return len(d.obj) - 1
+}
+
+// row adds the constraint "· rel rhs" and returns its row index.
+func (d *draft) row(rel Rel, rhs float64, _ string) int {
+	d.rel, d.rhs = append(d.rel, rel), append(d.rhs, rhs)
+	return len(d.rel) - 1
+}
+
+// term adds v·x[col] to row.
+func (d *draft) term(row, col int, v float64) {
+	d.t.Helper()
+	if row < 0 || row >= len(d.rel) || col < 0 || col >= len(d.obj) {
+		d.t.Fatalf("term (%d, %d) out of range", row, col)
 	}
-	return j
+	if v != 0 {
+		d.cols[col] = append(d.cols[col], entry{row, v})
+	}
+}
+
+// build returns the drafted LP as a new Problem.
+func (d *draft) build() *Problem {
+	d.t.Helper()
+	p := NewProblem(d.sense)
+	d.into(p)
+	return p
+}
+
+// into rebuilds p as the drafted LP, over p's last build.
+func (d *draft) into(p *Problem) {
+	d.t.Helper()
+	p.Reset(d.sense)
+	for i, rel := range d.rel {
+		if _, err := p.AddConstraint(rel, d.rhs[i], ""); err != nil {
+			d.t.Fatal(err)
+		}
+	}
+	var rows []int
+	var vals []float64
+	for j, col := range d.cols {
+		rows, vals = rows[:0], vals[:0]
+		for _, e := range mergedColumn(col) {
+			rows, vals = append(rows, e.row), append(vals, e.val)
+		}
+		if _, err := p.AppendColumn(d.obj[j], d.lo[j], d.hi[j], rows, vals, ""); err != nil {
+			d.t.Fatal(err)
+		}
+	}
+}
+
+// mergedColumn returns col with duplicate rows summed and zeros
+// dropped, sorted by row. A column whose rows already strictly ascend
+// is returned as it is (term keeps no zeros).
+func mergedColumn(col []entry) []entry {
+	ascending := true
+	for k := 1; k < len(col) && ascending; k++ {
+		ascending = col[k-1].row < col[k].row
+	}
+	if ascending {
+		return col
+	}
+	sorted := slices.Clone(col)
+	slices.SortStableFunc(sorted, func(a, b entry) int { return a.row - b.row })
+	out := sorted[:0]
+	for _, e := range sorted {
+		if len(out) > 0 && out[len(out)-1].row == e.row {
+			out[len(out)-1].val += e.val
+			continue
+		}
+		out = append(out, e)
+	}
+	return slices.DeleteFunc(out, func(e entry) bool { return e.val == 0 })
 }
 
 func mustCon(t *testing.T, p *Problem, rel Rel, rhs float64, name string) int {
@@ -23,13 +117,6 @@ func mustCon(t *testing.T, p *Problem, rel Rel, rhs float64, name string) int {
 		t.Fatal(err)
 	}
 	return i
-}
-
-func mustTerm(t *testing.T, p *Problem, row, col int, v float64) {
-	t.Helper()
-	if err := p.AddTerm(row, col, v); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func solveOptimal(t *testing.T, p *Problem) *Solution {
@@ -47,17 +134,18 @@ func solveOptimal(t *testing.T, p *Problem) *Solution {
 func TestMaximizeTwoVarClassic(t *testing.T) {
 	// max 3x + 5y  s.t. x <= 4, 2y <= 12, 3x + 2y <= 18.
 	// Classic optimum: x=2, y=6, obj=36.
-	p := NewProblem(Maximize)
-	x := mustVar(t, p, 3, 0, math.Inf(1), "x")
-	y := mustVar(t, p, 5, 0, math.Inf(1), "y")
-	c1 := mustCon(t, p, LE, 4, "c1")
-	c2 := mustCon(t, p, LE, 12, "c2")
-	c3 := mustCon(t, p, LE, 18, "c3")
-	mustTerm(t, p, c1, x, 1)
-	mustTerm(t, p, c2, y, 2)
-	mustTerm(t, p, c3, x, 3)
-	mustTerm(t, p, c3, y, 2)
+	d := newDraft(t, Maximize)
+	x := d.variable(3, 0, math.Inf(1), "x")
+	y := d.variable(5, 0, math.Inf(1), "y")
+	c1 := d.row(LE, 4, "c1")
+	c2 := d.row(LE, 12, "c2")
+	c3 := d.row(LE, 18, "c3")
+	d.term(c1, x, 1)
+	d.term(c2, y, 2)
+	d.term(c3, x, 3)
+	d.term(c3, y, 2)
 
+	p := d.build()
 	sol := solveOptimal(t, p)
 	if math.Abs(sol.Objective-36) > 1e-6 {
 		t.Fatalf("objective = %v, want 36", sol.Objective)
@@ -69,16 +157,17 @@ func TestMaximizeTwoVarClassic(t *testing.T) {
 
 func TestMinimizeWithGEConstraints(t *testing.T) {
 	// min 2x + 3y  s.t. x + y >= 4, x + 2y >= 6. Optimum x=2, y=2, obj=10.
-	p := NewProblem(Minimize)
-	x := mustVar(t, p, 2, 0, math.Inf(1), "x")
-	y := mustVar(t, p, 3, 0, math.Inf(1), "y")
-	c1 := mustCon(t, p, GE, 4, "c1")
-	c2 := mustCon(t, p, GE, 6, "c2")
-	mustTerm(t, p, c1, x, 1)
-	mustTerm(t, p, c1, y, 1)
-	mustTerm(t, p, c2, x, 1)
-	mustTerm(t, p, c2, y, 2)
+	d := newDraft(t, Minimize)
+	x := d.variable(2, 0, math.Inf(1), "x")
+	y := d.variable(3, 0, math.Inf(1), "y")
+	c1 := d.row(GE, 4, "c1")
+	c2 := d.row(GE, 6, "c2")
+	d.term(c1, x, 1)
+	d.term(c1, y, 1)
+	d.term(c2, x, 1)
+	d.term(c2, y, 2)
 
+	p := d.build()
 	sol := solveOptimal(t, p)
 	if math.Abs(sol.Objective-10) > 1e-6 {
 		t.Fatalf("objective = %v, want 10", sol.Objective)
@@ -87,13 +176,14 @@ func TestMinimizeWithGEConstraints(t *testing.T) {
 
 func TestEqualityConstraint(t *testing.T) {
 	// min x + 2y  s.t. x + y == 3, y <= 1 → x=2, y=1, obj=4.
-	p := NewProblem(Minimize)
-	x := mustVar(t, p, 1, 0, math.Inf(1), "x")
-	y := mustVar(t, p, 2, 0, 1, "y")
-	c1 := mustCon(t, p, EQ, 3, "c1")
-	mustTerm(t, p, c1, x, 1)
-	mustTerm(t, p, c1, y, 1)
+	d := newDraft(t, Minimize)
+	x := d.variable(1, 0, math.Inf(1), "x")
+	y := d.variable(2, 0, 1, "y")
+	c1 := d.row(EQ, 3, "c1")
+	d.term(c1, x, 1)
+	d.term(c1, y, 1)
 
+	p := d.build()
 	sol := solveOptimal(t, p)
 	// y more expensive than x, so y goes to 0: x=3, obj=3.
 	if math.Abs(sol.Objective-3) > 1e-6 {
@@ -107,13 +197,14 @@ func TestEqualityConstraint(t *testing.T) {
 func TestUpperBoundsRespected(t *testing.T) {
 	// max x + y with x <= 1.5 (bound), x + y <= 2 → obj = 2,
 	// any split with x <= 1.5. Then tighten: max 2x + y → x=1.5, y=0.5.
-	p := NewProblem(Maximize)
-	x := mustVar(t, p, 2, 0, 1.5, "x")
-	y := mustVar(t, p, 1, 0, math.Inf(1), "y")
-	c := mustCon(t, p, LE, 2, "cap")
-	mustTerm(t, p, c, x, 1)
-	mustTerm(t, p, c, y, 1)
+	d := newDraft(t, Maximize)
+	x := d.variable(2, 0, 1.5, "x")
+	y := d.variable(1, 0, math.Inf(1), "y")
+	c := d.row(LE, 2, "cap")
+	d.term(c, x, 1)
+	d.term(c, y, 1)
 
+	p := d.build()
 	sol := solveOptimal(t, p)
 	if math.Abs(sol.Objective-3.5) > 1e-6 {
 		t.Fatalf("objective = %v, want 3.5", sol.Objective)
@@ -125,13 +216,14 @@ func TestUpperBoundsRespected(t *testing.T) {
 
 func TestNonzeroLowerBounds(t *testing.T) {
 	// min x + y  s.t. x + y >= 3, x >= 1 (bound), y >= 0.5 (bound).
-	p := NewProblem(Minimize)
-	x := mustVar(t, p, 1, 1, math.Inf(1), "x")
-	y := mustVar(t, p, 1, 0.5, math.Inf(1), "y")
-	c := mustCon(t, p, GE, 3, "c")
-	mustTerm(t, p, c, x, 1)
-	mustTerm(t, p, c, y, 1)
+	d := newDraft(t, Minimize)
+	x := d.variable(1, 1, math.Inf(1), "x")
+	y := d.variable(1, 0.5, math.Inf(1), "y")
+	c := d.row(GE, 3, "c")
+	d.term(c, x, 1)
+	d.term(c, y, 1)
 
+	p := d.build()
 	sol := solveOptimal(t, p)
 	if math.Abs(sol.Objective-3) > 1e-6 {
 		t.Fatalf("objective = %v, want 3", sol.Objective)
@@ -143,13 +235,14 @@ func TestNonzeroLowerBounds(t *testing.T) {
 
 func TestInfeasible(t *testing.T) {
 	// x <= 1 and x >= 2 simultaneously.
-	p := NewProblem(Minimize)
-	x := mustVar(t, p, 1, 0, math.Inf(1), "x")
-	c1 := mustCon(t, p, LE, 1, "c1")
-	c2 := mustCon(t, p, GE, 2, "c2")
-	mustTerm(t, p, c1, x, 1)
-	mustTerm(t, p, c2, x, 1)
+	d := newDraft(t, Minimize)
+	x := d.variable(1, 0, math.Inf(1), "x")
+	c1 := d.row(LE, 1, "c1")
+	c2 := d.row(GE, 2, "c2")
+	d.term(c1, x, 1)
+	d.term(c2, x, 1)
 
+	p := d.build()
 	sol, err := p.Solve(Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -161,11 +254,12 @@ func TestInfeasible(t *testing.T) {
 
 func TestUnbounded(t *testing.T) {
 	// max x with only x >= 0.
-	p := NewProblem(Maximize)
-	x := mustVar(t, p, 1, 0, math.Inf(1), "x")
-	c := mustCon(t, p, GE, 0, "c")
-	mustTerm(t, p, c, x, 1)
+	d := newDraft(t, Maximize)
+	x := d.variable(1, 0, math.Inf(1), "x")
+	c := d.row(GE, 0, "c")
+	d.term(c, x, 1)
 
+	p := d.build()
 	sol, err := p.Solve(Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -177,11 +271,12 @@ func TestUnbounded(t *testing.T) {
 
 func TestNegativeRHSNormalization(t *testing.T) {
 	// min x  s.t. -x <= -2  (i.e. x >= 2) → x = 2.
-	p := NewProblem(Minimize)
-	x := mustVar(t, p, 1, 0, math.Inf(1), "x")
-	c := mustCon(t, p, LE, -2, "c")
-	mustTerm(t, p, c, x, -1)
+	d := newDraft(t, Minimize)
+	x := d.variable(1, 0, math.Inf(1), "x")
+	c := d.row(LE, -2, "c")
+	d.term(c, x, -1)
 
+	p := d.build()
 	sol := solveOptimal(t, p)
 	if math.Abs(sol.Objective-2) > 1e-6 {
 		t.Fatalf("objective = %v, want 2", sol.Objective)
@@ -191,12 +286,13 @@ func TestNegativeRHSNormalization(t *testing.T) {
 func TestAccumulatingTerms(t *testing.T) {
 	// Adding 1 then 2 on the same cell gives coefficient 3:
 	// min x s.t. 3x >= 6 → x = 2.
-	p := NewProblem(Minimize)
-	x := mustVar(t, p, 1, 0, math.Inf(1), "x")
-	c := mustCon(t, p, GE, 6, "c")
-	mustTerm(t, p, c, x, 1)
-	mustTerm(t, p, c, x, 2)
+	d := newDraft(t, Minimize)
+	x := d.variable(1, 0, math.Inf(1), "x")
+	c := d.row(GE, 6, "c")
+	d.term(c, x, 1)
+	d.term(c, x, 2)
 
+	p := d.build()
 	sol := solveOptimal(t, p)
 	if math.Abs(sol.X[x]-2) > 1e-6 {
 		t.Fatalf("x = %v, want 2", sol.X[x])
@@ -209,24 +305,25 @@ func TestDegenerateLP(t *testing.T) {
 	// s.t. 0.25x4 - 60x5 - 0.04x6 + 9x7 <= 0
 	//      0.5x4 - 90x5 - 0.02x6 + 3x7 <= 0
 	//      x6 <= 1
-	p := NewProblem(Minimize)
-	x4 := mustVar(t, p, -0.75, 0, math.Inf(1), "x4")
-	x5 := mustVar(t, p, 150, 0, math.Inf(1), "x5")
-	x6 := mustVar(t, p, -0.02, 0, math.Inf(1), "x6")
-	x7 := mustVar(t, p, 6, 0, math.Inf(1), "x7")
-	c1 := mustCon(t, p, LE, 0, "c1")
-	c2 := mustCon(t, p, LE, 0, "c2")
-	c3 := mustCon(t, p, LE, 1, "c3")
-	mustTerm(t, p, c1, x4, 0.25)
-	mustTerm(t, p, c1, x5, -60)
-	mustTerm(t, p, c1, x6, -0.04)
-	mustTerm(t, p, c1, x7, 9)
-	mustTerm(t, p, c2, x4, 0.5)
-	mustTerm(t, p, c2, x5, -90)
-	mustTerm(t, p, c2, x6, -0.02)
-	mustTerm(t, p, c2, x7, 3)
-	mustTerm(t, p, c3, x6, 1)
+	d := newDraft(t, Minimize)
+	x4 := d.variable(-0.75, 0, math.Inf(1), "x4")
+	x5 := d.variable(150, 0, math.Inf(1), "x5")
+	x6 := d.variable(-0.02, 0, math.Inf(1), "x6")
+	x7 := d.variable(6, 0, math.Inf(1), "x7")
+	c1 := d.row(LE, 0, "c1")
+	c2 := d.row(LE, 0, "c2")
+	c3 := d.row(LE, 1, "c3")
+	d.term(c1, x4, 0.25)
+	d.term(c1, x5, -60)
+	d.term(c1, x6, -0.04)
+	d.term(c1, x7, 9)
+	d.term(c2, x4, 0.5)
+	d.term(c2, x5, -90)
+	d.term(c2, x6, -0.02)
+	d.term(c2, x7, 3)
+	d.term(c3, x6, 1)
 
+	p := d.build()
 	sol := solveOptimal(t, p)
 	if math.Abs(sol.Objective-(-0.05)) > 1e-6 {
 		t.Fatalf("objective = %v, want -0.05", sol.Objective)
@@ -235,10 +332,10 @@ func TestDegenerateLP(t *testing.T) {
 
 func TestVariableValidation(t *testing.T) {
 	p := NewProblem(Minimize)
-	if _, err := p.AddVariable(1, math.Inf(-1), 1, "bad-lo"); err == nil {
+	if _, err := p.AppendColumn(1, math.Inf(-1), 1, nil, nil, "bad-lo"); err == nil {
 		t.Error("want error for -Inf lower bound")
 	}
-	if _, err := p.AddVariable(1, 2, 1, "lo>hi"); err == nil {
+	if _, err := p.AppendColumn(1, 2, 1, nil, nil, "lo>hi"); err == nil {
 		t.Error("want error for lo > hi")
 	}
 	if _, err := p.AddConstraint(Rel(9), 0, "bad-rel"); err == nil {
@@ -247,20 +344,24 @@ func TestVariableValidation(t *testing.T) {
 	if _, err := p.AddConstraint(LE, math.NaN(), "nan-rhs"); err == nil {
 		t.Error("want error for NaN rhs")
 	}
-	if err := p.AddTerm(0, 0, 1); err == nil {
-		t.Error("want error for term on missing row/col")
+	if _, err := p.AppendColumn(1, 0, 1, []int{0}, []float64{1}, "no-row"); err == nil {
+		t.Error("want error for a term on a missing row")
+	}
+	if p.NumVariables() != 0 {
+		t.Fatalf("failed appends left %d variables behind", p.NumVariables())
 	}
 }
 
 func TestFixedVariable(t *testing.T) {
 	// x fixed at 2 by equal bounds: min y s.t. y >= 5 - x → y = 3.
-	p := NewProblem(Minimize)
-	x := mustVar(t, p, 0, 2, 2, "x")
-	y := mustVar(t, p, 1, 0, math.Inf(1), "y")
-	c := mustCon(t, p, GE, 5, "c")
-	mustTerm(t, p, c, x, 1)
-	mustTerm(t, p, c, y, 1)
+	d := newDraft(t, Minimize)
+	x := d.variable(0, 2, 2, "x")
+	y := d.variable(1, 0, math.Inf(1), "y")
+	c := d.row(GE, 5, "c")
+	d.term(c, x, 1)
+	d.term(c, y, 1)
 
+	p := d.build()
 	sol := solveOptimal(t, p)
 	if math.Abs(sol.X[x]-2) > 1e-9 {
 		t.Fatalf("x = %v, want fixed 2", sol.X[x])
@@ -285,27 +386,28 @@ func TestAssignmentLPIntegrality(t *testing.T) {
 			}
 		}
 
-		p := NewProblem(Minimize)
+		d := newDraft(t, Minimize)
 		vars := make([][]int, n)
 		for i := 0; i < n; i++ {
 			vars[i] = make([]int, n)
 			for j := 0; j < n; j++ {
-				vars[i][j] = mustVar(t, p, cost[i][j], 0, 1, "x")
+				vars[i][j] = d.variable(cost[i][j], 0, 1, "x")
 			}
 		}
 		for i := 0; i < n; i++ {
-			r := mustCon(t, p, EQ, 1, "row")
+			r := d.row(EQ, 1, "row")
 			for j := 0; j < n; j++ {
-				mustTerm(t, p, r, vars[i][j], 1)
+				d.term(r, vars[i][j], 1)
 			}
 		}
 		for j := 0; j < n; j++ {
-			c := mustCon(t, p, EQ, 1, "col")
+			c := d.row(EQ, 1, "col")
 			for i := 0; i < n; i++ {
-				mustTerm(t, p, c, vars[i][j], 1)
+				d.term(c, vars[i][j], 1)
 			}
 		}
 
+		p := d.build()
 		sol := solveOptimal(t, p)
 		want := bruteForceAssignment(cost)
 		if math.Abs(sol.Objective-want) > 1e-6 {
@@ -350,15 +452,13 @@ func TestRandomLPsFeasibleAndBounded(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		nv := 3 + rng.Intn(6)
 		nc := 2 + rng.Intn(5)
-		p := NewProblem(Minimize)
+		d := newDraft(t, Minimize)
 		objs := make([]float64, nv)
 		his := make([]float64, nv)
 		for j := 0; j < nv; j++ {
 			objs[j] = rng.Uniform(-2, 5)
 			his[j] = rng.Uniform(0.5, 4)
-			if _, err := p.AddVariable(objs[j], 0, his[j], "x"); err != nil {
-				t.Fatal(err)
-			}
+			d.variable(objs[j], 0, his[j], "x")
 		}
 		type rowSpec struct {
 			rel  Rel
@@ -370,17 +470,17 @@ func TestRandomLPsFeasibleAndBounded(t *testing.T) {
 			// Non-negative coefficients with <= keeps instances feasible
 			// (origin feasible) and bounded (via variable bounds).
 			r := rowSpec{rel: LE, rhs: rng.Uniform(1, 8), coef: make([]float64, nv)}
-			row := mustCon(t, p, r.rel, r.rhs, "c")
+			row := d.row(r.rel, r.rhs, "c")
 			for j := 0; j < nv; j++ {
 				if rng.Float64() < 0.6 {
 					r.coef[j] = rng.Uniform(0, 3)
-					mustTerm(t, p, row, j, r.coef[j])
+					d.term(row, j, r.coef[j])
 				}
 			}
 			rows[i] = r
 		}
 
-		sol := solveOptimal(t, p)
+		sol := solveOptimal(t, d.build())
 		// Check feasibility of the reported point.
 		for i, r := range rows {
 			var lhs float64
@@ -431,21 +531,26 @@ func TestStatusString(t *testing.T) {
 // nonzero density.
 func randomBoundedLP(t *testing.T, rng *stats.RNG, m, n int, density float64) *Problem {
 	t.Helper()
-	p := NewProblem(Maximize)
+	return randomBoundedDraft(t, rng, m, n, density).build()
+}
+
+// randomBoundedDraft drafts the LP randomBoundedLP builds.
+func randomBoundedDraft(t *testing.T, rng *stats.RNG, m, n int, density float64) *draft {
+	d := newDraft(t, Maximize)
 	for j := 0; j < n; j++ {
-		mustVar(t, p, rng.Uniform(0.1, 5), 0, rng.Uniform(0.5, 3), "")
+		d.variable(rng.Uniform(0.1, 5), 0, rng.Uniform(0.5, 3), "")
 	}
 	for i := 0; i < m; i++ {
-		mustCon(t, p, LE, rng.Uniform(1, 6), "")
+		d.row(LE, rng.Uniform(1, 6), "")
 	}
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			if rng.Float64() < density {
-				mustTerm(t, p, i, j, rng.Uniform(0.1, 2))
+				d.term(i, j, rng.Uniform(0.1, 2))
 			}
 		}
 	}
-	return p
+	return d
 }
 
 // TestBasisSizeSwitch pins the only selector left, the row count: the
@@ -454,11 +559,11 @@ func randomBoundedLP(t *testing.T, rng *stats.RNG, m, n int, density float64) *P
 // same objective.
 func TestBasisSizeSwitch(t *testing.T) {
 	build := func(m int) *Problem {
-		p := randomBoundedLP(t, stats.NewRNG(17), luAutoRows-1, 60, 0.1)
+		d := randomBoundedDraft(t, stats.NewRNG(17), luAutoRows-1, 60, 0.1)
 		for i := luAutoRows - 1; i < m; i++ {
-			mustTerm(t, p, mustCon(t, p, LE, 1e6, "pad"), 0, 1)
+			d.term(d.row(LE, 1e6, "pad"), 0, 1)
 		}
-		return p
+		return d.build()
 	}
 	below := solveOptimal(t, build(luAutoRows-1))
 	at := solveOptimal(t, build(luAutoRows))
@@ -472,27 +577,30 @@ func TestBasisSizeSwitch(t *testing.T) {
 	}
 }
 
-// TestCSCCacheInvalidation: growing the problem after a solve must
-// rebuild the cached column form; a stale cache would silently solve
-// the old problem.
+// TestCSCCacheInvalidation: growing the problem after a solve — a row,
+// then a column appended into the compressed matrix — must take effect
+// on the next solve; a stale matrix would silently solve the old
+// problem.
 func TestCSCCacheInvalidation(t *testing.T) {
-	p := NewProblem(Maximize)
-	x := mustVar(t, p, 1, 0, 10, "x")
-	c := mustCon(t, p, LE, 4, "cap")
-	mustTerm(t, p, c, x, 1)
+	d := newDraft(t, Maximize)
+	x := d.variable(1, 0, 10, "x")
+	c := d.row(LE, 4, "cap")
+	d.term(c, x, 1)
+	p := d.build()
 	sol := solveOptimal(t, p)
 	if sol.Objective != 4 {
 		t.Fatalf("objective %v, want 4", sol.Objective)
 	}
-	// New variable and term after the first solve.
-	y := mustVar(t, p, 2, 0, 10, "y")
+	// New row and column after the first solve.
 	c2 := mustCon(t, p, LE, 3, "cap2")
-	mustTerm(t, p, c2, y, 1)
+	if _, err := p.AppendColumn(2, 0, 10, []int{c2}, []float64{1}, "y"); err != nil {
+		t.Fatal(err)
+	}
 	sol = solveOptimal(t, p)
 	if sol.Objective != 10 {
 		t.Fatalf("after growth: objective %v, want 10 (x=4, y=3)", sol.Objective)
 	}
-	// SetBounds must take effect without an explicit cache rebuild.
+	// SetBounds must take effect without a rebuild.
 	if err := p.SetBounds(x, 0, 1); err != nil {
 		t.Fatal(err)
 	}

@@ -10,28 +10,27 @@ import "math"
 // bounded-variable dual simplex after SetBounds/SetRHS deltas instead
 // of re-running two-phase simplex from the all-slack basis.
 //
-// A Basis is bound to the Problem's cached constraint matrix: a Reset or any
-// AddVariable/AddTerm call invalidates the cache and silently demotes
-// the next warm solve to a cold one (which refreshes the handle). The
-// zero handle from NewBasis is valid input — the first solve runs cold
-// and captures.
+// A Basis is bound to the Problem whose solve captured it (its home)
+// and to that problem's build: passed to another Problem, or after a
+// Reset of its own, it is stale and the next solve runs cold (which
+// refreshes the handle). Appended columns and ≤ rows keep it usable.
+// The zero handle from NewBasis is valid input — the first solve runs
+// cold and captures. Dropping the basis (Reset, a stalled warm solve)
+// hands its working arrays back to its home problem, and a cold solve
+// that replaces it runs in them.
 //
-// A Basis is not safe for concurrent use, and must only be passed to
-// the Problem whose Solve produced it.
+// A Basis is not safe for concurrent use.
 type Basis struct {
-	matrix  *csc // fingerprint: the Problem's cached CSC at capture time
-	builds  int  // and its Reset count
+	home    *Problem // fingerprint: the problem whose solve captured it
+	builds  int      // and that problem's Reset count at capture
 	m       int
 	nStruct int
 	sign    []float64 // row normalization signs of the capture solve
 	sx      *simplex  // retained working problem; nil when invalid
 	ok      bool
 	// shared marks a handle whose working arrays Clone shares with
-	// another handle; Release then drops them instead of pooling them.
+	// another handle; dropping it never hands them back to home.
 	shared bool
-	// home is the Reset problem whose solve the handle captured (nil for
-	// any other problem): dropping the basis hands its arrays back to it.
-	home *Problem
 }
 
 // NewBasis returns an empty handle: the first Solve using it runs cold
@@ -119,24 +118,9 @@ func (s *simplex) factorSeed() bool {
 func (w *Basis) Valid() bool { return w != nil && w.ok && w.sx != nil }
 
 // Reset drops the retained basis; the next solve runs cold. The
-// working arrays of a handle captured on a Reset problem go back to
-// that problem, for its next cold solve or seed.
+// working arrays go back to the handle's home problem, for its next
+// cold solve or seed, unless Clone shares them.
 func (w *Basis) Reset() { w.invalidate() }
-
-// Release drops the retained basis like Reset and returns its working
-// arrays to the shared pool, for the next solve of any Problem. A
-// handle Clone made, or cloned, shares arrays with the other one and
-// only drops them.
-func (w *Basis) Release() {
-	if w == nil {
-		return
-	}
-	if w.sx != nil && !w.shared {
-		w.sx.release()
-		w.sx = nil
-	}
-	w.invalidate()
-}
 
 func (w *Basis) invalidate() {
 	if w == nil {
@@ -148,7 +132,6 @@ func (w *Basis) invalidate() {
 	}
 	w.ok = false
 	w.sx = nil
-	w.matrix = nil
 	w.sign = nil
 	w.home = nil
 }
@@ -157,11 +140,7 @@ func (w *Basis) invalidate() {
 // simplex arrays are moved, not copied — the cold path discards them
 // anyway — so capturing is O(1).
 func (w *Basis) capture(p *Problem, s *simplex, sign []float64) {
-	w.home = nil
-	if p.keepWork {
-		w.home = p
-	}
-	w.matrix, w.builds = p.matrix, p.builds
+	w.home, w.builds = p, p.builds
 	w.m = s.m
 	w.nStruct = len(p.obj)
 	w.sign = sign
@@ -204,7 +183,7 @@ func (w *Basis) Clone() *Basis {
 		s.lu = new(luBasis) // refactored on demand from s.basic
 	}
 	w.shared = true
-	return &Basis{matrix: w.matrix, builds: w.builds, m: w.m, nStruct: w.nStruct, sign: w.sign, sx: &s, ok: true, shared: true}
+	return &Basis{home: w.home, builds: w.builds, m: w.m, nStruct: w.nStruct, sign: w.sign, sx: &s, ok: true, shared: true}
 }
 
 // warmOutcome classifies how a solve interacted with the warm path;
@@ -268,12 +247,12 @@ func (p *Problem) solveWarm(opts Options) (*Solution, warmOutcome) {
 		return nil, warmEmpty
 	}
 	nStruct := len(p.obj)
-	mat := p.matrixCSC()
-	if mat != w.matrix || p.builds != w.builds || nStruct != w.nStruct || len(p.rel) != w.m {
-		// Append-only growth (AppendColumn / empty ≤ rows) keeps the
-		// cached matrix object alive; absorb it into the retained basis
-		// instead of bailing cold. Any other shape change is stale.
-		if !w.growCompatible(p, mat, nStruct) {
+	mat := &p.matrix
+	if w.home != p || p.builds != w.builds || nStruct != w.nStruct || len(p.rel) != w.m {
+		// Append-only growth (AppendColumn / ≤ rows) since capture is
+		// absorbed into the retained basis instead of bailing cold. Any
+		// other change is stale.
+		if !w.growCompatible(p, nStruct) {
 			return nil, warmStale
 		}
 		if !w.grow(p, mat, opts) {

@@ -2,40 +2,38 @@ package lp
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"metis/internal/stats"
 )
 
 // TestSetRHSKeepsCSCCache: SetRHS mirrors the SetBounds contract — the
-// cached CSC matrix survives, yet the new right-hand side takes effect
-// on the next solve.
+// constraint matrix is left as it was and a captured basis stays warm,
+// yet the new right-hand side takes effect on the next solve.
 func TestSetRHSKeepsCSCCache(t *testing.T) {
-	p := NewProblem(Maximize)
-	x := mustVar(t, p, 1, 0, 10, "x")
-	c := mustCon(t, p, LE, 4, "cap")
-	mustTerm(t, p, c, x, 1)
-	if sol := solveOptimal(t, p); sol.Objective != 4 {
-		t.Fatalf("objective %v, want 4", sol.Objective)
+	d := newDraft(t, Maximize)
+	x := d.variable(1, 0, 10, "x")
+	c := d.row(LE, 4, "cap")
+	d.term(c, x, 1)
+	p := d.build()
+	basis := NewBasis()
+	if sol, err := p.Solve(Options{Warm: basis}); err != nil || sol.Objective != 4 {
+		t.Fatalf("objective %v (%v), want 4", sol.Objective, err)
 	}
-	cached := p.matrix
-	if cached == nil {
-		t.Fatal("CSC cache not built by Solve")
-	}
+	before := d.build().matrix
 	if err := p.SetRHS(c, 7); err != nil {
 		t.Fatal(err)
-	}
-	if p.matrix != cached {
-		t.Fatal("SetRHS invalidated the CSC cache")
 	}
 	if got := p.rhs[c]; got != 7 {
 		t.Fatalf("rhs[c] = %v, want 7", got)
 	}
-	if sol := solveOptimal(t, p); sol.Objective != 7 {
-		t.Fatalf("after SetRHS: objective %v, want 7", sol.Objective)
+	sol, err := p.Solve(Options{Warm: basis})
+	if err != nil || !sol.Warm || sol.Objective != 7 {
+		t.Fatalf("after SetRHS: objective %v (warm %v, %v), want a warm 7", sol.Objective, sol.Warm, err)
 	}
-	if p.matrix != cached {
-		t.Fatal("re-solve after SetRHS rebuilt the CSC cache")
+	if !slices.Equal(p.matrix.colPtr, before.colPtr) || !slices.Equal(p.matrix.rows, before.rows) || !slices.Equal(p.matrix.vals, before.vals) {
+		t.Fatal("SetRHS or the re-solve changed the constraint matrix")
 	}
 	if err := p.SetRHS(-1, 1); err == nil {
 		t.Fatal("SetRHS(-1) succeeded, want error")
@@ -50,15 +48,16 @@ func TestSetRHSKeepsCSCCache(t *testing.T) {
 // objective matches a cold solve of the modified problem.
 func TestWarmBasicReuse(t *testing.T) {
 	build := func() (*Problem, int, int, int) {
-		p := NewProblem(Maximize)
-		x := mustVar(t, p, 3, 0, 10, "x")
-		y := mustVar(t, p, 2, 0, 10, "y")
-		c1 := mustCon(t, p, LE, 8, "c1")
-		c2 := mustCon(t, p, LE, 9, "c2")
-		mustTerm(t, p, c1, x, 1)
-		mustTerm(t, p, c1, y, 1)
-		mustTerm(t, p, c2, x, 2)
-		mustTerm(t, p, c2, y, 1)
+		d := newDraft(t, Maximize)
+		x := d.variable(3, 0, 10, "x")
+		y := d.variable(2, 0, 10, "y")
+		c1 := d.row(LE, 8, "c1")
+		c2 := d.row(LE, 9, "c2")
+		d.term(c1, x, 1)
+		d.term(c1, y, 1)
+		d.term(c2, x, 2)
+		d.term(c2, y, 1)
+		p := d.build()
 		return p, x, y, c2
 	}
 	p, _, _, c2 := build()
@@ -101,13 +100,14 @@ func TestWarmBasicReuse(t *testing.T) {
 // exactly (matching cold), and the retained basis must stay usable when
 // the offending change is reverted.
 func TestWarmInfeasibleAndRecovery(t *testing.T) {
-	p := NewProblem(Minimize)
-	x := mustVar(t, p, 1, 0, 1, "x")
-	y := mustVar(t, p, 2, 0, 1, "y")
-	serve := mustCon(t, p, EQ, 1, "serve")
-	mustTerm(t, p, serve, x, 1)
-	mustTerm(t, p, serve, y, 1)
+	d := newDraft(t, Minimize)
+	x := d.variable(1, 0, 1, "x")
+	y := d.variable(2, 0, 1, "y")
+	serve := d.row(EQ, 1, "serve")
+	d.term(serve, x, 1)
+	d.term(serve, y, 1)
 	basis := NewBasis()
+	p := d.build()
 	if _, err := p.Solve(Options{Warm: basis}); err != nil {
 		t.Fatal(err)
 	}
@@ -139,20 +139,22 @@ func TestWarmInfeasibleAndRecovery(t *testing.T) {
 	}
 }
 
-// TestWarmStaleBasisFallsBackCold: growing the problem invalidates the
-// CSC cache, so a retained basis must be silently discarded and the
+// TestWarmStaleBasisFallsBackCold: rebuilding the problem (Reset) makes
+// a retained basis stale, so it must be silently discarded and the
 // solve must still be correct.
 func TestWarmStaleBasisFallsBackCold(t *testing.T) {
-	p := NewProblem(Maximize)
-	x := mustVar(t, p, 1, 0, 4, "x")
-	c := mustCon(t, p, LE, 10, "cap")
-	mustTerm(t, p, c, x, 1)
+	d := newDraft(t, Maximize)
+	x := d.variable(1, 0, 4, "x")
+	c := d.row(LE, 10, "cap")
+	d.term(c, x, 1)
 	basis := NewBasis()
+	p := d.build()
 	if _, err := p.Solve(Options{Warm: basis}); err != nil {
 		t.Fatal(err)
 	}
-	y := mustVar(t, p, 2, 0, 4, "y")
-	mustTerm(t, p, c, y, 1)
+	y := d.variable(2, 0, 4, "y")
+	d.term(c, y, 1)
+	d.into(p)
 	sol, err := p.Solve(Options{Warm: basis})
 	if err != nil {
 		t.Fatal(err)
@@ -179,17 +181,20 @@ func TestWarmStaleBasisFallsBackCold(t *testing.T) {
 // TestBasisCloneIndependent: a cloned handle (branch & bound child) can
 // pivot freely without corrupting the parent's basis.
 func TestBasisCloneIndependent(t *testing.T) {
-	p := NewProblem(Maximize)
-	x := mustVar(t, p, 3, 0, 1, "x")
-	y := mustVar(t, p, 2, 0, 1, "y")
-	c := mustCon(t, p, LE, 1.5, "cap")
-	mustTerm(t, p, c, x, 1)
-	mustTerm(t, p, c, y, 1)
+	d := newDraft(t, Maximize)
+	x := d.variable(3, 0, 1, "x")
+	y := d.variable(2, 0, 1, "y")
+	c := d.row(LE, 1.5, "cap")
+	d.term(c, x, 1)
+	d.term(c, y, 1)
 	parent := NewBasis()
+	p := d.build()
 	root, err := p.Solve(Options{Warm: parent})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The next solve rewrites p's Solution: keep what is compared.
+	rootObj := root.Objective
 
 	child := parent.Clone()
 	if err := p.SetBounds(x, 0, 0); err != nil { // branch x = 0
@@ -211,8 +216,8 @@ func TestBasisCloneIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(parentSol.Objective-root.Objective) > 1e-9 {
-		t.Fatalf("parent objective %v after child pivots, want %v", parentSol.Objective, root.Objective)
+	if math.Abs(parentSol.Objective-rootObj) > 1e-9 {
+		t.Fatalf("parent objective %v after child pivots, want %v", parentSol.Objective, rootObj)
 	}
 	if !parentSol.Warm {
 		t.Fatal("parent handle no longer warm after child solves")

@@ -17,14 +17,11 @@ func buildKnapsack(t *testing.T, values, weights []float64, capacity float64) (*
 		t.Fatal(err)
 	}
 	for i := range values {
-		j, err := p.AddVariable(values[i], 0, 1, "x")
+		j, err := p.AppendColumn(values[i], 0, 1, []int{row}, weights[i:i+1], "x")
 		if err != nil {
 			t.Fatal(err)
 		}
 		cols[i] = j
-		if err := p.AddTerm(row, j, weights[i]); err != nil {
-			t.Fatal(err)
-		}
 	}
 	return p, cols
 }
@@ -102,11 +99,9 @@ func TestMinimizationIntegerProgram(t *testing.T) {
 	// min 3x + 2y  s.t. x + y >= 3.5, x,y integer, 0 <= x,y <= 10.
 	// LP optimum is y=3.5 (cost 7); ILP optimum y=4, x=0 → cost 8.
 	p := lp.NewProblem(lp.Minimize)
-	x, _ := p.AddVariable(3, 0, 10, "x")
-	y, _ := p.AddVariable(2, 0, 10, "y")
 	row, _ := p.AddConstraint(lp.GE, 3.5, "c")
-	_ = p.AddTerm(row, x, 1)
-	_ = p.AddTerm(row, y, 1)
+	x, _ := p.AppendColumn(3, 0, 10, []int{row}, []float64{1}, "x")
+	y, _ := p.AppendColumn(2, 0, 10, []int{row}, []float64{1}, "y")
 
 	sol, err := Solve(p, lp.Minimize, []int{x, y}, Options{})
 	if err != nil {
@@ -124,11 +119,9 @@ func TestMixedIntegerKeepsContinuousFree(t *testing.T) {
 	// max x + y, x integer <= 2.5 bound, y continuous, x + y <= 3.9.
 	// Optimum: x = 2 (integer), y = 1.9.
 	p := lp.NewProblem(lp.Maximize)
-	x, _ := p.AddVariable(1, 0, 2.5, "x")
-	y, _ := p.AddVariable(1, 0, math.Inf(1), "y")
 	row, _ := p.AddConstraint(lp.LE, 3.9, "c")
-	_ = p.AddTerm(row, x, 1)
-	_ = p.AddTerm(row, y, 1)
+	x, _ := p.AppendColumn(1, 0, 2.5, []int{row}, []float64{1}, "x")
+	p.AppendColumn(1, 0, math.Inf(1), []int{row}, []float64{1}, "y")
 
 	sol, err := Solve(p, lp.Maximize, []int{x}, Options{})
 	if err != nil {
@@ -148,9 +141,8 @@ func TestMixedIntegerKeepsContinuousFree(t *testing.T) {
 func TestInfeasibleInteger(t *testing.T) {
 	// 0.4 <= x <= 0.6 with x integer: no integer point.
 	p := lp.NewProblem(lp.Minimize)
-	x, _ := p.AddVariable(1, 0.4, 0.6, "x")
 	row, _ := p.AddConstraint(lp.GE, 0.4, "c")
-	_ = p.AddTerm(row, x, 1)
+	x, _ := p.AppendColumn(1, 0.4, 0.6, []int{row}, []float64{1}, "x")
 
 	sol, err := Solve(p, lp.Minimize, []int{x}, Options{})
 	if err != nil {
@@ -163,9 +155,8 @@ func TestInfeasibleInteger(t *testing.T) {
 
 func TestLPInfeasibleRoot(t *testing.T) {
 	p := lp.NewProblem(lp.Minimize)
-	x, _ := p.AddVariable(1, 0, 1, "x")
 	c1, _ := p.AddConstraint(lp.GE, 2, "c1")
-	_ = p.AddTerm(c1, x, 1)
+	x, _ := p.AppendColumn(1, 0, 1, []int{c1}, []float64{1}, "x")
 
 	sol, err := Solve(p, lp.Minimize, []int{x}, Options{})
 	if err != nil {
@@ -299,16 +290,13 @@ func TestWarmColdSameIncumbentAndBound(t *testing.T) {
 func numericLP(t *testing.T) (*lp.Problem, int) {
 	t.Helper()
 	p := lp.NewProblem(lp.Maximize)
-	a, _ := p.AddVariable(2, 0, math.Inf(1), "a")
-	b, _ := p.AddVariable(1, 0, math.Inf(1), "b")
 	tiny, _ := p.AddConstraint(lp.LE, 0, "tiny")
-	_ = p.AddTerm(tiny, a, 1e-3)
-	_ = p.AddTerm(tiny, b, 2e-12)
 	cap, _ := p.AddConstraint(lp.LE, 1, "cap")
-	_ = p.AddTerm(cap, b, 1)
 	for range 126 {
 		_, _ = p.AddConstraint(lp.LE, 1, "empty")
 	}
+	a, _ := p.AppendColumn(2, 0, math.Inf(1), []int{tiny}, []float64{1e-3}, "a")
+	p.AppendColumn(1, 0, math.Inf(1), []int{tiny, cap}, []float64{2e-12, 1}, "b")
 	sol, err := p.Solve(lp.Options{})
 	if err != nil {
 		t.Fatal(err)

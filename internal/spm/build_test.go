@@ -2,6 +2,7 @@ package spm
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"metis/internal/lp"
@@ -11,14 +12,71 @@ import (
 )
 
 // The term-by-term builders below are the reference for lpBuild: each
-// LP is laid out variable by variable and term by term through
-// AddVariable, AddConstraint and AddTerm, and lp merges the terms into
-// its compressed matrix on the first solve, as the package built every
-// SPM LP before the counted column builder.
+// LP is laid out variable by variable and term by term into a refLP,
+// which then hands lp its rows and its columns sorted by row, as the
+// package built every SPM LP before the counted column builder.
+
+// refLP is an LP written term by term: variables, rows and (row,
+// column) terms in any order, a cell's terms accumulating.
+type refLP struct {
+	sense       lp.Sense
+	obj, lo, hi []float64
+	rel         []lp.Rel
+	rhs         []float64
+	terms       [][]refTerm // per column
+}
+
+type refTerm struct {
+	row int
+	val float64
+}
+
+func (r *refLP) addVariable(obj, lo, hi float64) int {
+	r.obj, r.lo, r.hi = append(r.obj, obj), append(r.lo, lo), append(r.hi, hi)
+	r.terms = append(r.terms, nil)
+	return len(r.obj) - 1
+}
+
+func (r *refLP) addConstraint(rel lp.Rel, rhs float64) int {
+	r.rel, r.rhs = append(r.rel, rel), append(r.rhs, rhs)
+	return len(r.rel) - 1
+}
+
+func (r *refLP) addTerm(row, col int, v float64) {
+	r.terms[col] = append(r.terms[col], refTerm{row, v})
+}
+
+// problem emits the LP: every row, then each column with its terms
+// sorted by row, duplicates summed and exact zeros dropped.
+func (r *refLP) problem(t *testing.T) *lp.Problem {
+	p := lp.NewProblem(r.sense)
+	for i, rel := range r.rel {
+		if _, err := p.AddConstraint(rel, r.rhs[i], ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for j, col := range r.terms {
+		col = slices.Clone(col)
+		slices.SortStableFunc(col, func(a, b refTerm) int { return a.row - b.row })
+		var rows []int
+		var vals []float64
+		for k, e := range col {
+			if k > 0 && col[k-1].row == e.row {
+				vals[len(vals)-1] += e.val
+				continue
+			}
+			rows, vals = append(rows, e.row), append(vals, e.val)
+		}
+		if _, err := p.AppendColumn(r.obj[j], r.lo[j], r.hi[j], rows, vals, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return p
+}
 
 // refRoutingVars adds one [0, 1] routing variable x[i][j] per request
 // and candidate path, priced at the request's value, or at zero.
-func refRoutingVars(t *testing.T, p *lp.Problem, inst *sched.Instance, priced bool) [][]int {
+func refRoutingVars(p *refLP, inst *sched.Instance, priced bool) [][]int {
 	xCols := make([][]int, inst.NumRequests())
 	for i := range xCols {
 		obj := 0.0
@@ -27,34 +85,25 @@ func refRoutingVars(t *testing.T, p *lp.Problem, inst *sched.Instance, priced bo
 		}
 		xCols[i] = make([]int, inst.NumPaths(i))
 		for j := range xCols[i] {
-			col, err := p.AddVariable(obj, 0, 1, "x")
-			if err != nil {
-				t.Fatal(err)
-			}
-			xCols[i][j] = col
+			xCols[i][j] = p.addVariable(obj, 0, 1)
 		}
 	}
 	return xCols
 }
 
 // refRequestRows adds one row Σ_j x[i][j] rel 1 per request.
-func refRequestRows(t *testing.T, p *lp.Problem, xCols [][]int, rel lp.Rel) {
+func refRequestRows(p *refLP, xCols [][]int, rel lp.Rel) {
 	for i := range xCols {
-		row, err := p.AddConstraint(rel, 1, "request")
-		if err != nil {
-			t.Fatal(err)
-		}
+		row := p.addConstraint(rel, 1)
 		for _, col := range xCols[i] {
-			if err := p.AddTerm(row, col, 1); err != nil {
-				t.Fatal(err)
-			}
+			p.addTerm(row, col, 1)
 		}
 	}
 }
 
 // refCapacityRows adds one row per (link, slot) pair that can carry
 // load: Σ_{i,j} r_i·x[i][j] − c_e (when cCols is non-nil) ≤ rhs(e, t).
-func refCapacityRows(t *testing.T, p *lp.Problem, inst *sched.Instance, xCols [][]int, cCols []int, rhs func(e, t int) float64) {
+func refCapacityRows(p *refLP, inst *sched.Instance, xCols [][]int, cCols []int, rhs func(e, t int) float64) {
 	net := inst.Network()
 	slots := inst.Slots()
 	type term struct {
@@ -78,19 +127,12 @@ func refCapacityRows(t *testing.T, p *lp.Problem, inst *sched.Instance, xCols []
 			if len(terms) == 0 {
 				continue
 			}
-			row, err := p.AddConstraint(lp.LE, rhs(e, tt), "cap")
-			if err != nil {
-				t.Fatal(err)
-			}
+			row := p.addConstraint(lp.LE, rhs(e, tt))
 			for _, tm := range terms {
-				if err := p.AddTerm(row, tm.col, tm.rate); err != nil {
-					t.Fatal(err)
-				}
+				p.addTerm(row, tm.col, tm.rate)
 			}
 			if cCols != nil {
-				if err := p.AddTerm(row, cCols[e], -1); err != nil {
-					t.Fatal(err)
-				}
+				p.addTerm(row, cCols[e], -1)
 			}
 		}
 	}
@@ -103,8 +145,8 @@ func refBuild(t *testing.T, inst *sched.Instance, kind lpKind, caps [][]float64)
 	if kind == rlLP {
 		sense, rel = lp.Minimize, lp.EQ
 	}
-	p := lp.NewProblem(sense)
-	xCols := refRoutingVars(t, p, inst, kind != rlLP)
+	p := &refLP{sense: sense}
+	xCols := refRoutingVars(p, inst, kind != rlLP)
 	var cCols []int
 	if kind != blLP {
 		cCols = make([]int, net.NumLinks())
@@ -113,21 +155,17 @@ func refBuild(t *testing.T, inst *sched.Instance, kind lpKind, caps [][]float64)
 			if kind == spmLP {
 				price = -price
 			}
-			col, err := p.AddVariable(price, 0, math.Inf(1), "c")
-			if err != nil {
-				t.Fatal(err)
-			}
-			cCols[e] = col
+			cCols[e] = p.addVariable(price, 0, math.Inf(1))
 		}
 	}
-	refRequestRows(t, p, xCols, rel)
-	refCapacityRows(t, p, inst, xCols, cCols, func(e, tt int) float64 {
+	refRequestRows(p, xCols, rel)
+	refCapacityRows(p, inst, xCols, cCols, func(e, tt int) float64 {
 		if caps == nil {
 			return 0
 		}
 		return caps[e][tt]
 	})
-	return p
+	return p.problem(t)
 }
 
 // TestBuildMatchesTermByTerm: every SPM LP the counted column builder

@@ -83,16 +83,14 @@ func SolveVar(inst *sched.Instance, caps [][]float64, opts Options) (*Result, er
 // bit. The zero value is ready to use; a Solver is not safe for
 // concurrent use.
 type Solver struct {
-	est       chernoff.Estimator
-	caps      [][]float64       // Solve's per-slot capacities
-	sc        [2]sched.Schedule // the walk's schedule and the greedy one
-	lt        [2]loadTracker    // and their loads
-	order     []int
-	density   []float64 // walkOrder's sort keys, by request
-	remaining []int
-	footprint []float64 // packRemaining's sort keys, by request
-	loads     [][]float64
-	res       Result
+	est     chernoff.Estimator
+	caps    [][]float64       // Solve's per-slot capacities
+	sc      [2]sched.Schedule // the walk's schedule and the greedy one
+	lt      [2]loadTracker    // and their loads
+	order   []int
+	density []float64 // walkOrder's sort keys, by request
+	loads   [][]float64
+	res     Result
 }
 
 // Solve is the package-level Solve in the solver's storage.
@@ -244,18 +242,14 @@ func (ts *Solver) SolveVar(inst *sched.Instance, caps [][]float64, opts Options)
 	// still holds for the final schedule.
 	// Among the fitting candidate paths, admitMinHops takes the one
 	// with the fewest hops: under fixed capacities the scarce resource
-	// is link-slots, not money.
+	// is link-slots, not money. The pass offers every request each path
+	// once; loads only grow, so a request it leaves declined fits no
+	// path of the final schedule either.
 	for _, i := range order {
 		if s.Choice(i) == sched.Declined {
 			admitMinHops(inst, s, loads, i)
 		}
 	}
-
-	// Count-packing pass: among whatever still fits, admit the
-	// smallest-footprint requests first (rate · duration · hops). This
-	// cannot reduce revenue and lifts the accepted count — BL-SPM's
-	// other success metric in the paper's evaluation.
-	ts.packRemaining(inst, s, loads)
 
 	// The estimator walk optimizes the probabilistic bound, not revenue
 	// itself; a plain density-greedy pass can win on revenue. Both are
@@ -339,8 +333,7 @@ func minHops(inst *sched.Instance, i int) int {
 }
 
 // greedySchedule accepts requests in the given order on the
-// fewest-hops candidate path that fits the remaining capacity, then
-// count-packs whatever is left.
+// fewest-hops candidate path that fits the remaining capacity.
 func (ts *Solver) greedySchedule(inst *sched.Instance, caps [][]float64, order []int) *sched.Schedule {
 	s, loads := &ts.sc[1], &ts.lt[1]
 	s.Reset(inst)
@@ -348,7 +341,6 @@ func (ts *Solver) greedySchedule(inst *sched.Instance, caps [][]float64, order [
 	for _, i := range order {
 		admitMinHops(inst, s, loads, i)
 	}
-	ts.packRemaining(inst, s, loads)
 	return s
 }
 
@@ -371,27 +363,6 @@ func admitMinHops(inst *sched.Instance, s *sched.Schedule, loads *loadTracker, i
 	if err := s.Assign(i, best); err != nil {
 		panic("taa: greedy assign: " + err.Error())
 	}
-}
-
-// packRemaining admits still-declined requests in ascending resource
-// footprint (rate · duration · min hops) onto fitting min-hop paths.
-func (ts *Solver) packRemaining(inst *sched.Instance, s *sched.Schedule, loads *loadTracker) {
-	n := inst.NumRequests()
-	remaining := ts.remaining[:0]
-	footprint := slices.Grow(ts.footprint[:0], n)[:n]
-	for i := 0; i < n; i++ {
-		if s.Choice(i) != sched.Declined {
-			continue
-		}
-		r := inst.Request(i)
-		remaining = append(remaining, i)
-		footprint[i] = r.Rate * float64(r.Duration()) * float64(minHops(inst, i))
-	}
-	slices.SortStableFunc(remaining, func(a, b int) int { return cmp.Compare(footprint[a], footprint[b]) })
-	for _, i := range remaining {
-		admitMinHops(inst, s, loads, i)
-	}
-	ts.remaining, ts.footprint = remaining, footprint
 }
 
 // loadTracker maintains the exact loads of already-fixed requests and

@@ -207,3 +207,92 @@ func TestTAAVsExactOptimum(t *testing.T) {
 		}
 	}
 }
+
+// TestDeclinedFitsNoPath pins what TAA's passes leave behind: each
+// offers every request each of its fitting candidate paths, and loads
+// only grow, so in the returned schedule no declined request fits any
+// of its paths under the capacities minus the final loads — on the
+// estimator path (Solve and SolveVar) and on the µ-floor greedy path.
+func TestDeclinedFitsNoPath(t *testing.T) {
+	b4 := instance(t, wan.B4(), 200, 31)
+	sub := instance(t, wan.SubB4(), 150, 32)
+	perSlot := func(inst *sched.Instance, seed int) [][]float64 {
+		caps := make([][]float64, inst.Network().NumLinks())
+		for e := range caps {
+			caps[e] = make([]float64, inst.Slots())
+			for tt := range caps[e] {
+				caps[e][tt] = float64(1 + (e*7+tt*3+seed)%5)
+			}
+		}
+		return caps
+	}
+	// A tenth of a unit everywhere, a fifth of the largest rate, leaves
+	// inequality (6) no µ above the floor.
+	tiny := func(inst *sched.Instance) [][]float64 {
+		caps := perSlot(inst, 0)
+		for e := range caps {
+			for tt := range caps[e] {
+				caps[e][tt] = 0.1
+			}
+		}
+		return caps
+	}
+	cases := []struct {
+		name    string
+		inst    *sched.Instance
+		caps    [][]float64
+		perSlot bool
+		muFloor bool
+	}{
+		{"B4/Solve", b4, spm.ExpandCaps(b4, b4.UniformCaps(4)), false, false},
+		{"SUB-B4/Solve", sub, spm.ExpandCaps(sub, sub.UniformCaps(2)), false, false},
+		{"B4/SolveVar", b4, perSlot(b4, 1), true, false},
+		{"SUB-B4/SolveVar", sub, perSlot(sub, 2), true, false},
+		{"B4/mu-floor", b4, tiny(b4), true, true},
+		{"SUB-B4/mu-floor", sub, tiny(sub), true, true},
+	}
+	for _, c := range cases {
+		floors := cMuFloor.Value()
+		var res *Result
+		var err error
+		if c.perSlot {
+			res, err = SolveVar(c.inst, c.caps, Options{})
+		} else {
+			caps := make([]int, len(c.caps))
+			for e := range caps {
+				caps[e] = int(c.caps[e][0])
+			}
+			res, err = Solve(c.inst, caps, Options{})
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if took := cMuFloor.Value() > floors; took != c.muFloor {
+			t.Fatalf("%s: µ-floor path taken %v, want %v", c.name, took, c.muFloor)
+		}
+		s := res.Schedule
+		loads := s.Loads()
+		declined := 0
+		for i := 0; i < c.inst.NumRequests(); i++ {
+			if s.Choice(i) != sched.Declined {
+				continue
+			}
+			declined++
+			r := c.inst.Request(i)
+			for j := 0; j < c.inst.NumPaths(i); j++ {
+				fits := true
+				for _, e := range c.inst.Path(i, j).Links {
+					for tt := r.Start; tt <= r.End; tt++ {
+						fits = fits && loads[e][tt]+r.Rate <= c.caps[e][tt]+1e-9
+					}
+				}
+				if fits {
+					t.Fatalf("%s: declined request %d fits its path %d", c.name, i, j)
+				}
+			}
+		}
+		if declined == 0 {
+			t.Fatalf("%s: nothing declined, the property is vacuous", c.name)
+		}
+	}
+}

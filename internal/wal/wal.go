@@ -326,7 +326,9 @@ func (l *Log) AppendedEnd() Offset {
 }
 
 // DurableEnd returns the group-commit floor: everything at or before it
-// has been fsynced.
+// has been fsynced. No production path calls it: it is the oracle of
+// the package's tests and of ha's TestOnlyDurableBytesCross and
+// TestOneRequestPerRound, which hold shipping to durable bytes.
 func (l *Log) DurableEnd() Offset {
 	l.sMu.Lock()
 	defer l.sMu.Unlock()

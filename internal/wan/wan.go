@@ -146,9 +146,6 @@ func (n *Network) Links() []Link {
 	return out
 }
 
-// StronglyConnected reports whether every DC can reach every other DC.
-func (n *Network) StronglyConnected() bool { return n.g.StronglyConnected() }
-
 // Paths returns up to k cheapest loopless paths from src to dst ordered
 // by ascending price. The result is memoised per (src, dst, k): every
 // caller gets the same slice and the same Path.Links backing arrays, so

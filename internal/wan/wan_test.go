@@ -15,7 +15,7 @@ func TestB4Shape(t *testing.T) {
 	if got := n.NumLinks(); got != 38 {
 		t.Errorf("NumLinks = %d, want 38 (19 bidirectional)", got)
 	}
-	if !n.StronglyConnected() {
+	if !n.g.StronglyConnected() {
 		t.Error("B4 must be strongly connected")
 	}
 }
@@ -28,7 +28,7 @@ func TestSubB4Shape(t *testing.T) {
 	if got := n.NumLinks(); got != 14 {
 		t.Errorf("NumLinks = %d, want 14 (7 bidirectional)", got)
 	}
-	if !n.StronglyConnected() {
+	if !n.g.StronglyConnected() {
 		t.Error("SUB-B4 must be strongly connected")
 	}
 }
