@@ -1,7 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"metis/internal/obs"
@@ -26,10 +31,10 @@ func TestSolveGoldenBits(t *testing.T) {
 		pivots  int64
 		long    bool
 	}{
-		{"SUB-B4/K600", wan.SubB4(), 1, 600, Config{Seed: 1}, 0x406156b397b74aca, 569, 5732, false},
-		{"SUB-B4/K2400", wan.SubB4(), 1, 2400, Config{Seed: 1}, 0x4081f44b82b40140, 2330, 22352, true},
-		{"B4/K1000", wan.B4(), 1000, 1000, Config{Theta: 4, Seed: 1}, 0x4086df1f47deb852, 932, 7140, false},
-		{"B4/K100", wan.B4(), 1001, 100, Config{Theta: 4, Seed: 1}, 0x40405dc996e888d8, 33, 591, false},
+		{"SUB-B4/K600", wan.SubB4(), 1, 600, Config{Seed: 1}, 0x40611d01a75b7768, 564, 5837, false},
+		{"SUB-B4/K2400", wan.SubB4(), 1, 2400, Config{Seed: 1}, 0x40821136606ac8aa, 2323, 22081, true},
+		{"B4/K1000", wan.B4(), 1000, 1000, Config{Theta: 4, Seed: 1}, 0x408648f5acf73cec, 931, 7452, false},
+		{"B4/K100", wan.B4(), 1001, 100, Config{Theta: 4, Seed: 1}, 0x40405dc996e888d8, 33, 589, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -55,5 +60,48 @@ func TestSolveGoldenBits(t *testing.T) {
 				t.Errorf("lp.pivots delta %d, want %d", pivots, c.pivots)
 			}
 		})
+	}
+}
+
+// TestTheta8Cells pins Metis's profit on the θ = 8 floor instances to
+// testdata/theta8_cells.csv, each value in Go's shortest round-trip
+// form: SUB-B4 at K = 100…600 and B4 at K = 100, 300 and 500, each on
+// generator seeds 1–10, solved with Config{MAARounds: 3, Seed: 1}. A
+// change that moves the vertex of MAA's RL relaxation is judged on
+// these cells against the noise floor (ROADMAP, "How a claim is
+// judged"): it replaces the file with the CSV the failure prints, and
+// the file's diff is its profit verdict. The race detector would slow
+// its 90 solves tenfold, and it starts no goroutine, so it skips there.
+func TestTheta8Cells(t *testing.T) {
+	if raceEnabled {
+		t.Skip("90 θ = 8 solves skipped under -race")
+	}
+	var b strings.Builder
+	b.WriteString("network,k,seed,profit\n")
+	for _, cell := range []struct {
+		net *wan.Network
+		ks  []int
+	}{
+		{wan.SubB4(), []int{100, 200, 300, 400, 500, 600}},
+		{wan.B4(), []int{100, 300, 500}},
+	} {
+		for _, k := range cell.ks {
+			for seed := int64(1); seed <= 10; seed++ {
+				res, err := Solve(instance(t, cell.net, k, seed), Config{MAARounds: 3, Seed: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(&b, "%s,%d,%d,%s\n", cell.net.Name(), k, seed, strconv.FormatFloat(res.Profit, 'g', -1, 64))
+			}
+		}
+	}
+	got := b.String()
+	path := filepath.Join("testdata", "theta8_cells.csv")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v; computed:\n%s", err, got)
+	}
+	if got != string(want) {
+		t.Fatalf("θ = 8 cells differ from %s; computed:\n%s", path, got)
 	}
 }

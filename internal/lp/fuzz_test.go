@@ -11,10 +11,11 @@ import (
 // Bland's rule. The fuzzer decodes the raw bytes into a bounded LP
 // (every variable has a finite upper bound, so unbounded problems are
 // impossible by construction) — a tiny one, or, after a leading
-// parallelShape byte, one of at least luAutoRows nearly parallel rows —
-// solves it with both implementations, and requires the statuses to
-// agree — and, when both are optimal, the objective values to match
-// within 1e-6.
+// parallelShape byte, one of at least luAutoRows nearly parallel rows,
+// or, after a leading keyShape byte, one of at least luAutoRows rows a
+// third of which are key rows — solves it with both implementations,
+// and requires the statuses to agree — and, when both are optimal, the
+// objective values to match within 1e-6.
 func FuzzSimplex(f *testing.F) {
 	// Seed corpus: a few byte strings that decode into LPs exercising
 	// each relation, both senses, an infeasible system, and the
@@ -26,18 +27,43 @@ func FuzzSimplex(f *testing.F) {
 	f.Add([]byte{42, 42, 42, 42, 42, 42, 42, 42, 42, 42, 42, 42, 42, 42})
 	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4})
 	f.Add([]byte{parallelShape, 5, 3, 1, 6, 3, 0, 2, 5, 1, 4, 3, 6, 2, 1, 0, 5, 6, 3, 1, 0, 4, 2, 6, 6, 5, 1, 0, 3, 7, 9, 11, 2})
+	f.Add(keyLPSeed(0x5be0cd19137e2179))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		decode := decodeFuzzLP
-		if len(data) > 0 && data[0] == parallelShape {
-			decode = decodeParallelLP
-		}
-		fz, ok := decode(data)
+		fz, _, ok := decodeShape(data)
 		if !ok {
 			t.Skip("not enough bytes")
 		}
 		checkAgainstReference(t, fz)
 	})
+}
+
+// decodeShape decodes data with the decoder its leading byte selects
+// and reports how many bytes the LP took.
+func decodeShape(data []byte) (fuzzLP, int, bool) {
+	if len(data) > 0 {
+		switch data[0] {
+		case parallelShape:
+			return decodeParallelLP(data)
+		case keyShape:
+			return decodeKeyLP(data)
+		}
+	}
+	return decodeFuzzLP(data)
+}
+
+// keyLPSeed returns keyShape and 1400 pseudo-random bytes, enough for
+// decodeKeyLP's largest LP.
+func keyLPSeed(state uint64) []byte {
+	buf := make([]byte, 1401)
+	buf[0] = keyShape
+	for i := 1; i < len(buf); i++ {
+		state ^= state << 13
+		state ^= state >> 7
+		state ^= state << 17
+		buf[i] = byte(state)
+	}
+	return buf
 }
 
 // FuzzWarmRepair fuzzes the warm repair — the dual simplex's second
@@ -48,6 +74,21 @@ func FuzzSimplex(f *testing.F) {
 // cold solve of the same problem and, at optimality, its objective
 // within 1e-9.
 func FuzzWarmRepair(f *testing.F) {
+	// A key-row LP whose deltas deactivate key row 0's set the way
+	// spm.RLModel drops a request: each member's bounds to [0, 0]
+	// (odd op, b = 0), then the row's rhs to 0 (even op, b = 4).
+	key := keyLPSeed(0x6a09e667f3bcc908)
+	fz, used, ok := decodeKeyLP(key)
+	if !ok {
+		f.Fatal("the key-row seed must decode")
+	}
+	key = key[:used]
+	for j, coef := range fz.rows[0] {
+		if coef != 0 {
+			key = append(key, 1, byte(j), 0)
+		}
+	}
+	f.Add(append(key, 0, 0, 4))
 	// Seed corpus: 64 pseudo-random bytes each, enough for the largest
 	// LP and seven deltas after it.
 	state := uint64(0x13198a2e03707344)
@@ -63,12 +104,12 @@ func FuzzWarmRepair(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fz, ok := decodeFuzzLP(data)
+		fz, used, ok := decodeShape(data)
 		if !ok {
 			t.Skip("not enough bytes")
 		}
 		m, n := len(fz.rows), len(fz.obj)
-		deltas := data[min(len(data), 3+2*n+m*(n+2)):] // what decodeFuzzLP left
+		deltas := data[used:]
 		p, q := fz.build(t), fz.build(t)
 		w := NewBasis()
 		if _, err := p.Solve(Options{basis: basisLU, Warm: w}); err != nil {
@@ -127,21 +168,36 @@ func TestSimplexDifferentialSweep(t *testing.T) {
 		for i := range buf {
 			buf[i] = next()
 		}
-		fz, ok := decodeFuzzLP(buf)
+		fz, _, ok := decodeFuzzLP(buf)
 		if !ok {
 			t.Fatalf("trial %d: 48 bytes must always decode", trial)
 		}
 		checkAgainstReference(t, fz)
 	}
+	// The nearly-parallel shape, and its ×1e2 variant.
+	for _, scale := range []float64{1, 1e2} {
+		for trial := 0; trial < 40; trial++ {
+			buf := make([]byte, 200)
+			for i := range buf {
+				buf[i] = next()
+			}
+			buf[0] = parallelShape
+			fz, _, ok := decodeParallelScaled(buf, scale)
+			if !ok {
+				t.Fatalf("parallel trial %d: 200 bytes must always decode", trial)
+			}
+			checkAgainstReference(t, fz)
+		}
+	}
 	for trial := 0; trial < 40; trial++ {
-		buf := make([]byte, 200)
+		buf := make([]byte, 1401)
 		for i := range buf {
 			buf[i] = next()
 		}
-		buf[0] = parallelShape
-		fz, ok := decodeParallelLP(buf)
+		buf[0] = keyShape
+		fz, _, ok := decodeKeyLP(buf)
 		if !ok {
-			t.Fatalf("parallel trial %d: 200 bytes must always decode", trial)
+			t.Fatalf("key-row trial %d: 1401 bytes must always decode", trial)
 		}
 		checkAgainstReference(t, fz)
 	}
@@ -163,7 +219,7 @@ type fuzzLP struct {
 // right-hand sides in [-4,4], and finite variable upper bounds in
 // [1,4]. Integral data keeps every basic solution exactly
 // representable, so the two implementations can be compared tightly.
-func decodeFuzzLP(data []byte) (fuzzLP, bool) {
+func decodeFuzzLP(data []byte) (fuzzLP, int, bool) {
 	pos := 0
 	next := func() byte {
 		if pos >= len(data) {
@@ -174,7 +230,7 @@ func decodeFuzzLP(data []byte) (fuzzLP, bool) {
 		return b
 	}
 	if len(data) < 2 {
-		return fuzzLP{}, false
+		return fuzzLP{}, 0, false
 	}
 	m := 1 + int(next()%4)
 	n := 1 + int(next()%5)
@@ -195,7 +251,7 @@ func decodeFuzzLP(data []byte) (fuzzLP, bool) {
 		fz.rels = append(fz.rels, Rel(1+next()%3))
 		fz.rhs = append(fz.rhs, float64(int(next()%9)-4))
 	}
-	return fz, true
+	return fz, pos, true
 }
 
 // parallelShape is the leading byte that selects decodeParallelLP.
@@ -208,9 +264,17 @@ const parallelShape = 0x80
 // of its base row by one unit and its right-hand side by at most one,
 // so the rows are nearly parallel and the bases they make are close to
 // singular. Bytes past the end read as zero.
-func decodeParallelLP(data []byte) (fuzzLP, bool) {
+func decodeParallelLP(data []byte) (fuzzLP, int, bool) {
+	return decodeParallelScaled(data, 1)
+}
+
+// decodeParallelScaled is decodeParallelLP with the base rows'
+// coefficients multiplied by scale before the copies change them by a
+// unit: at scale 1e2 the copies are a hundred times closer to parallel,
+// against the same right-hand sides.
+func decodeParallelScaled(data []byte, scale float64) (fuzzLP, int, bool) {
 	if len(data) < 3 {
-		return fuzzLP{}, false
+		return fuzzLP{}, 0, false
 	}
 	pos := 1
 	next := func() int {
@@ -235,7 +299,7 @@ func decodeParallelLP(data []byte) (fuzzLP, bool) {
 		if i < k {
 			row := make([]float64, n)
 			for j := range row {
-				row[j] = float64(next()%7 - 3)
+				row[j] = scale * float64(next()%7-3)
 			}
 			fz.rows = append(fz.rows, row)
 			fz.rels = append(fz.rels, Rel(1+next()%3))
@@ -249,7 +313,75 @@ func decodeParallelLP(data []byte) (fuzzLP, bool) {
 		fz.rels = append(fz.rels, fz.rels[i%k])
 		fz.rhs = append(fz.rhs, fz.rhs[i%k]+float64(b/(2*n)%3-1))
 	}
-	return fz, true
+	return fz, min(pos, len(data)), true
+}
+
+// keyShape is the leading byte that selects decodeKeyLP.
+const keyShape = 0x81
+
+// decodeKeyLP turns a byte string that starts with keyShape into an LP
+// the LU basis solves over key rows, shaped like the SPM relaxations:
+// m∈[luAutoRows, luAutoRows+15] rows, the first k∈[⌈m/3⌉, ⌈m/3⌉+7]
+// of them key rows Σ_{j∈set} x_j = 1 or ≤ 1 over disjoint sets of 2–4
+// variables, then 0–3 variables in no set, and m−k coupling rows of
+// three terms each with coefficients in [-3,3]: Σ ≤ r with r∈[0,4],
+// or one in eight Σ ≥ −r. Bytes past the end read as zero.
+func decodeKeyLP(data []byte) (fuzzLP, int, bool) {
+	if len(data) < 3 {
+		return fuzzLP{}, 0, false
+	}
+	pos := 1
+	next := func() int {
+		if pos >= len(data) {
+			return 0
+		}
+		pos++
+		return int(data[pos-1])
+	}
+	m := luAutoRows + next()%16
+	k := (m+2)/3 + next()%8
+	fz := fuzzLP{sense: Maximize}
+	if next()%2 == 0 {
+		fz.sense = Minimize
+	}
+	var sets [][2]int // each key row's variables [lo, hi)
+	for range k {
+		lo := len(fz.obj)
+		for range 2 + next()%3 {
+			fz.obj = append(fz.obj, float64(next()%7-3))
+			fz.hi = append(fz.hi, float64(1+next()%4))
+		}
+		sets = append(sets, [2]int{lo, len(fz.obj)})
+	}
+	for range next() % 4 {
+		fz.obj = append(fz.obj, float64(next()%7-3))
+		fz.hi = append(fz.hi, float64(1+next()%4))
+	}
+	n := len(fz.obj)
+	for _, set := range sets {
+		row := make([]float64, n)
+		for j := set[0]; j < set[1]; j++ {
+			row[j] = 1
+		}
+		fz.rows = append(fz.rows, row)
+		fz.rels = append(fz.rels, []Rel{EQ, LE}[next()%2])
+		fz.rhs = append(fz.rhs, 1)
+	}
+	for range m - k {
+		row := make([]float64, n)
+		for range 3 {
+			row[next()%n] += float64(next()%7 - 3)
+		}
+		b := next()
+		rel, rhs := LE, float64(b%5)
+		if b%8 == 7 {
+			rel, rhs = GE, -rhs
+		}
+		fz.rows = append(fz.rows, row)
+		fz.rels = append(fz.rels, rel)
+		fz.rhs = append(fz.rhs, rhs)
+	}
+	return fz, min(pos, len(data)), true
 }
 
 // build assembles the package's sparse Problem for the instance.
@@ -358,6 +490,17 @@ const (
 	refMaxIter = 5000
 )
 
+// refTol holds refSolve's tolerances, scaled to the LP's data so that
+// larger coefficients are not judged by the absolute tolerances of the
+// small integral ones: pivots and the artificials' drive-out against
+// 10·refEps times the largest constraint coefficient, reduced costs
+// against refEps times the largest objective coefficient, ratio ties
+// against refEps times the largest right-hand side or bound, and the
+// phase-1 sum against 1e-7 times that.
+type refTol struct {
+	piv, cost, ratio, phase1 float64
+}
+
 // refSolve returns the status and (for refOptimal) the objective value
 // in the instance's own sense. Because every variable carries a finite
 // upper bound, the feasible region is a polytope and unbounded rays
@@ -382,6 +525,17 @@ func refSolve(fz fuzzLP) (refResult, float64) {
 		rhs = append(rhs, fz.hi[j])
 	}
 	m := len(rows)
+	coef, rhsMag, objMag := 1.0, 1.0, 1.0
+	for i := range rows {
+		for _, v := range rows[i] {
+			coef = max(coef, math.Abs(v))
+		}
+		rhsMag = max(rhsMag, math.Abs(rhs[i]))
+	}
+	for _, v := range fz.obj {
+		objMag = max(objMag, math.Abs(v))
+	}
+	tl := refTol{piv: 10 * refEps * coef, cost: refEps * objMag, ratio: refEps * rhsMag, phase1: 1e-7 * rhsMag}
 
 	// Normalize to b ≥ 0 (flip rows with negative rhs), then add one
 	// slack per ≤ row, one surplus per ≥ row, and an artificial for
@@ -445,7 +599,7 @@ func refSolve(fz fuzzLP) (refResult, float64) {
 		for j := artStart; j < total; j++ {
 			c1[j] = -1
 		}
-		st := refIterate(T, basis, c1, total)
+		st := refIterate(T, basis, c1, total, tl)
 		if st == refIterLimit {
 			return refIterLimit, 0
 		}
@@ -455,7 +609,7 @@ func refSolve(fz fuzzLP) (refResult, float64) {
 				sum += T[i][total]
 			}
 		}
-		if sum > 1e-7 {
+		if sum > tl.phase1 {
 			return refInfeasible, 0
 		}
 		// Drive remaining (degenerate, zero-level) artificials out of
@@ -467,7 +621,7 @@ func refSolve(fz fuzzLP) (refResult, float64) {
 				continue
 			}
 			for j := 0; j < artStart; j++ {
-				if math.Abs(T[i][j]) > refEps {
+				if math.Abs(T[i][j]) > tl.piv {
 					refPivot(T, basis, i, j)
 					break
 				}
@@ -490,7 +644,7 @@ func refSolve(fz fuzzLP) (refResult, float64) {
 	for j := 0; j < n; j++ {
 		c2[j] = sign * fz.obj[j]
 	}
-	if st := refIterate(T, basis, c2, artStart); st == refIterLimit {
+	if st := refIterate(T, basis, c2, artStart, tl); st == refIterLimit {
 		return refIterLimit, 0
 	}
 	obj := 0.0
@@ -506,7 +660,7 @@ func refSolve(fz fuzzLP) (refResult, float64) {
 // tableau, considering entering columns j < limit only. The caller
 // guarantees boundedness, so a missing ratio-test row means numerical
 // trouble and is treated as an iteration-limit skip.
-func refIterate(T [][]float64, basis []int, c []float64, limit int) refResult {
+func refIterate(T [][]float64, basis []int, c []float64, limit int, tl refTol) refResult {
 	m := len(T)
 	total := len(c)
 	for iter := 0; iter < refMaxIter; iter++ {
@@ -527,7 +681,7 @@ func refIterate(T [][]float64, basis []int, c []float64, limit int) refResult {
 			for i := 0; i < m; i++ {
 				r -= c[basis[i]] * T[i][j]
 			}
-			if r > refEps {
+			if r > tl.cost {
 				enter = j
 				break
 			}
@@ -539,11 +693,11 @@ func refIterate(T [][]float64, basis []int, c []float64, limit int) refResult {
 		leave := -1
 		best := math.Inf(1)
 		for i := 0; i < m; i++ {
-			if T[i][enter] <= refEps {
+			if T[i][enter] <= tl.piv {
 				continue
 			}
 			ratio := T[i][total] / T[i][enter]
-			if ratio < best-refEps || (ratio < best+refEps && (leave < 0 || basis[i] < basis[leave])) {
+			if ratio < best-tl.ratio || (ratio < best+tl.ratio && (leave < 0 || basis[i] < basis[leave])) {
 				best = ratio
 				leave = i
 			}

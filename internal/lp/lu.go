@@ -25,6 +25,15 @@ import (
 // in the opposite order. Both skip structurally zero positions, so a
 // sparse right-hand side costs O(nnz touched), not O(m²).
 //
+// Key rows (generalized upper bounding, Dantzig & Van Slyke): a key
+// row is one whose coefficients are all +1 and whose columns lie in no
+// other key row (keyRows.find). factor picks one basic member of each
+// key row as its key column and factors only the Schur complement over
+// the other rows, S = A_N − A_K·G_N, where the key block is I, A_K holds
+// the key columns' other entries and G_N has a 1 where a non-key basic
+// column is a member of a key row. The solves wrap S's with the key
+// block's two substitutions. A basis without key rows factors B itself.
+//
 // Each basis change is absorbed as a rank-1 product-form update (the
 // eta form of the Forrest–Tomlin family): B_new = B·E with E the
 // identity except column p := the FTRAN direction w, so
@@ -37,6 +46,7 @@ import (
 type luBasis struct {
 	ok bool
 	m  int
+	ms int // rows S spans: m less the key rows; the elimination's steps
 
 	// Elimination-order maps: step k pivoted original row rowOf[k] and
 	// basis position colOrder[k]; pinv inverts rowOf.
@@ -55,6 +65,40 @@ type luBasis struct {
 	uRows []int32
 	uVals []float64
 	uDiag []float64
+
+	// Key block of the last factor; nk == 0 when the basis has none.
+	// Key g is the key row keyRow[g] (keyOnRow inverts it; both are the
+	// layout's keyRows). Its key column sits at basis position keyPos[g]
+	// and is column kCol[g] of the factored working matrix aPtr/aRows/
+	// aVals; that column's entries off row keyRow[g] are A_K's column g.
+	// Row-wise, ktRow/ktVals[ktPtr[r]:
+	// ktPtr[r+1]] list the key rows whose A_K column meets row r, with
+	// its entry there. Per position p, keyAt[p] is the key whose key
+	// column sits there and member[p] the key whose row a non-key column
+	// there is a member of (else -1); mPos[mPtr[g]:mPtr[g+1]] lists key
+	// g's non-key members. factor builds S in sPtr/sRows/sVals, its
+	// column i at basis position nPos[i] (sCols is the identity over S's
+	// columns).
+	nk       int
+	keyRow   []int32
+	keyOnRow []int32
+	keyPos   []int32
+	kCol     []int32
+	aPtr     []int32
+	aRows    []int32
+	aVals    []float64
+	ktPtr    []int32
+	ktRow    []int32
+	ktVals   []float64
+	keyAt    []int32
+	member   []int32
+	mPtr     []int32
+	mPos     []int32
+	sPtr     []int32
+	sRows    []int32
+	sVals    []float64
+	sCols    []int
+	nPos     []int32
 
 	// Product-form eta file: eta e spans
 	// etaPos/etaVals[etaPtr[e]:etaPtr[e+1]], pivot entry first. Positions
@@ -98,6 +142,7 @@ type luBasis struct {
 	rowCnt  []int32 // basis-matrix row counts (Markowitz tie-break)
 	order   []int32 // column-ordering scratch
 	xNZ     []int32 // nonzero positions of the last sparse FTRAN
+	keyHit  []int32 // ftranSparse: indices of b's entries on key rows
 
 	// Sparse-BTRAN scratch. workB carries the Uᵀ solve and is all-zero
 	// between calls (btranSparse restores the zeros it writes); reachB
@@ -151,18 +196,251 @@ const (
 	etaFill
 )
 
-// nnz returns the size of the factors (L + U + diagonal).
+// nnz returns the size of the factored basis: L + U + diagonal, plus
+// the key block's entries (A_K and G_N; its identity is in the
+// diagonal), so that the eta-fill bound weighs the eta file against
+// the whole basis whether or not key rows spare it the elimination.
 func (lu *luBasis) nnz() int {
-	return len(lu.lVals) + len(lu.uVals) + lu.m
+	return len(lu.lVals) + len(lu.uVals) + len(lu.ktRow) + len(lu.mPos) + lu.m
+}
+
+// keyRows is a working matrix's key-row structure (see luBasis): row
+// lists the key rows in ascending order, onRow maps a row to its index
+// in row (or -1), and of maps a column to the key row it is a member
+// of (or -1). The simplex finds it with the layout and hands it to
+// every factor.
+type keyRows struct {
+	row   []int32
+	onRow []int32
+	of    []int32
+	ptr   []int32 // find's scratch: candidate rows' columns, row-wise
+	cols  []int32
+}
+
+// find marks the key rows of the m-row working matrix colPtr/rowIdx/
+// vals: scanning rows in order, a row is a key row when every
+// coefficient in it is +1 and none of its columns is a member of an
+// earlier key row. Every layout row has a slack or artificial, so a
+// key row always has a member.
+func (k *keyRows) find(m int, colPtr, rowIdx []int32, vals []float64) {
+	n := len(colPtr) - 1
+	k.onRow = grow(k.onRow, m, m)
+	k.of = grow(k.of, n, n)
+	k.row = k.row[:0]
+	const candidate = -2
+	onRow := k.onRow
+	for i := range onRow {
+		onRow[i] = candidate
+	}
+	for q, r := range rowIdx {
+		if vals[q] != 1 {
+			onRow[r] = -1
+		}
+	}
+	ptr := grow(k.ptr, m+1, m+1)
+	clear(ptr)
+	for _, r := range rowIdx {
+		if onRow[r] == candidate {
+			ptr[r+1]++
+		}
+	}
+	for i := 0; i < m; i++ {
+		ptr[i+1] += ptr[i]
+	}
+	cols := grow(k.cols, int(ptr[m]), int(ptr[m]))
+	for j := 0; j < n; j++ {
+		k.of[j] = -1
+		for q := colPtr[j]; q < colPtr[j+1]; q++ {
+			if r := rowIdx[q]; onRow[r] == candidate {
+				cols[ptr[r]] = int32(j)
+				ptr[r]++
+			}
+		}
+	}
+	// The fill advanced each candidate row's start to its end: row i's
+	// columns are cols[ptr[i-1]:ptr[i]] (from 0 for row 0).
+	start := int32(0)
+	for i := 0; i < m; i++ {
+		end := ptr[i]
+		if onRow[i] != candidate {
+			start = end
+			continue
+		}
+		onRow[i] = -1
+		free := true
+		for _, j := range cols[start:end] {
+			if k.of[j] >= 0 {
+				free = false
+				break
+			}
+		}
+		if free {
+			g := int32(len(k.row))
+			for _, j := range cols[start:end] {
+				k.of[j] = g
+			}
+			onRow[i] = g
+			k.row = append(k.row, int32(i))
+		}
+		start = end
+	}
+	k.ptr, k.cols = ptr, cols
+}
+
+// splitKeys picks each key row's key column among the basic columns —
+// the member with the fewest entries (the row's slack or artificial
+// whenever that is basic), ties to the lowest column index — records
+// the key block, and builds S = A_N − A_K·G_N in sPtr/sRows/sVals with
+// one column per non-key position, in ascending position order. A
+// member's S column is its own entries off its key row less its key
+// column's, merged by row; for path columns of one request every
+// difference is 0 or exact. False means a key row has no basic member:
+// the basis is singular.
+func (lu *luBasis) splitKeys(colPtr, rowIdx []int32, vals []float64, basic []int, keys *keyRows) bool {
+	m, nk := lu.m, len(keys.row)
+	keyPos := grow(lu.keyPos, nk, nk)
+	lu.keyPos = keyPos
+	for g := range keyPos {
+		keyPos[g] = -1
+	}
+	for p, j := range basic {
+		g := keys.of[j]
+		if g < 0 {
+			continue
+		}
+		if cur := keyPos[g]; cur >= 0 {
+			jc := basic[cur]
+			n, nc := colPtr[j+1]-colPtr[j], colPtr[jc+1]-colPtr[jc]
+			if n > nc || (n == nc && j > jc) {
+				continue
+			}
+		}
+		keyPos[g] = int32(p)
+	}
+	for _, p := range keyPos {
+		if p < 0 {
+			return false
+		}
+	}
+	lu.nk = nk
+	lu.keyRow, lu.keyOnRow = keys.row, keys.onRow
+
+	lu.keyAt = grow(lu.keyAt, m, m)
+	lu.member = grow(lu.member, m, m)
+	lu.mPtr = grow(lu.mPtr, nk+1, nk+1)
+	clear(lu.mPtr)
+	for p, j := range basic {
+		lu.keyAt[p], lu.member[p] = -1, -1
+		if g := keys.of[j]; g >= 0 && keyPos[g] != int32(p) {
+			lu.member[p] = g
+			lu.mPtr[g+1]++
+		}
+	}
+	for g := 0; g < nk; g++ {
+		lu.mPtr[g+1] += lu.mPtr[g]
+		lu.keyAt[keyPos[g]] = int32(g)
+	}
+	lu.mPos = grow(lu.mPos, int(lu.mPtr[nk]), int(lu.mPtr[nk]))
+	fill := append(lu.order[:0], lu.mPtr[:nk]...)
+	for p, g := range lu.member {
+		if g >= 0 {
+			lu.mPos[fill[g]] = int32(p)
+			fill[g]++
+		}
+	}
+	lu.order = fill[:0]
+
+	// A_K: the key columns in place, and row-wise.
+	lu.aPtr, lu.aRows, lu.aVals = colPtr, rowIdx, vals
+	lu.kCol = grow(lu.kCol, nk, nk)
+	lu.ktPtr = grow(lu.ktPtr, m+1, m+1)
+	clear(lu.ktPtr)
+	for g, p := range keyPos {
+		j := basic[p]
+		lu.kCol[g] = int32(j)
+		for _, r := range rowIdx[colPtr[j]:colPtr[j+1]] {
+			lu.ktPtr[r+1]++
+		}
+		lu.ktPtr[keys.row[g]+1]--
+	}
+	for r := 0; r < m; r++ {
+		lu.ktPtr[r+1] += lu.ktPtr[r]
+	}
+	kNNZ := int(lu.ktPtr[m])
+	lu.ktRow = grow(lu.ktRow, kNNZ, kNNZ)
+	lu.ktVals = grow(lu.ktVals, kNNZ, kNNZ)
+	fill = append(lu.order[:0], lu.ktPtr[:m]...)
+	for g, r0 := range keys.row {
+		j := lu.kCol[g]
+		for q := colPtr[j]; q < colPtr[j+1]; q++ {
+			if r := rowIdx[q]; r != r0 {
+				lu.ktRow[fill[r]] = r0
+				lu.ktVals[fill[r]] = vals[q]
+				fill[r]++
+			}
+		}
+	}
+	lu.order = fill[:0]
+
+	// S, one column per non-key position.
+	lu.sPtr = append(lu.sPtr[:0], 0)
+	lu.sRows, lu.sVals, lu.nPos = lu.sRows[:0], lu.sVals[:0], lu.nPos[:0]
+	for p, j := range basic {
+		if lu.keyAt[p] >= 0 {
+			continue
+		}
+		q, qEnd := colPtr[j], colPtr[j+1]
+		if g := lu.member[p]; g < 0 {
+			lu.sRows = append(lu.sRows, rowIdx[q:qEnd]...)
+			lu.sVals = append(lu.sVals, vals[q:qEnd]...)
+		} else {
+			r0, k := keys.row[g], lu.kCol[g]
+			kq, kEnd := colPtr[k], colPtr[k+1]
+			for q < qEnd || kq < kEnd {
+				switch {
+				case q < qEnd && rowIdx[q] == r0:
+					q++
+				case kq < kEnd && rowIdx[kq] == r0:
+					kq++
+				case kq == kEnd || (q < qEnd && rowIdx[q] < rowIdx[kq]):
+					lu.sRows = append(lu.sRows, rowIdx[q])
+					lu.sVals = append(lu.sVals, vals[q])
+					q++
+				case q == qEnd || rowIdx[kq] < rowIdx[q]:
+					lu.sRows = append(lu.sRows, rowIdx[kq])
+					lu.sVals = append(lu.sVals, -vals[kq])
+					kq++
+				default:
+					if v := vals[q] - vals[kq]; v != 0 {
+						lu.sRows = append(lu.sRows, rowIdx[q])
+						lu.sVals = append(lu.sVals, v)
+					}
+					q++
+					kq++
+				}
+			}
+		}
+		lu.sPtr = append(lu.sPtr, int32(len(lu.sRows)))
+		lu.nPos = append(lu.nPos, int32(p))
+	}
+	ms := len(lu.nPos)
+	lu.sCols = grow(lu.sCols, ms, ms)
+	for i := range lu.sCols {
+		lu.sCols[i] = i
+	}
+	return true
 }
 
 // factor builds the decomposition for the basis matrix whose column i
-// is working-matrix column basic[i] (CSC arrays colPtr/rowIdx/vals).
-// It returns false iff the basis is numerically singular; lu.ok mirrors
-// the result. Any eta file from a previous factor is discarded.
-func (lu *luBasis) factor(m int, colPtr, rowIdx []int32, vals []float64, basic []int) bool {
+// is working-matrix column basic[i] (CSC arrays colPtr/rowIdx/vals),
+// whose key rows are keys (nil: none). It returns false iff the basis
+// is numerically singular; lu.ok mirrors the result. Any eta file from
+// a previous factor is discarded.
+func (lu *luBasis) factor(m int, colPtr, rowIdx []int32, vals []float64, basic []int, keys *keyRows) bool {
 	lu.m = m
 	lu.ok = false
+	lu.nk = 0
+	lu.ktRow, lu.mPos = lu.ktRow[:0], lu.mPos[:0]
 	lu.etaPtr = append(lu.etaPtr[:0], 0)
 	lu.etaPos = lu.etaPos[:0]
 	lu.etaVals = lu.etaVals[:0]
@@ -189,6 +467,15 @@ func (lu *luBasis) factor(m int, colPtr, rowIdx []int32, vals []float64, basic [
 	lu.uPtr = append(lu.uPtr[:0], 0)
 	lu.uRows = lu.uRows[:0]
 	lu.uVals = lu.uVals[:0]
+	ms := m
+	if keys != nil && len(keys.row) > 0 {
+		if !lu.splitKeys(colPtr, rowIdx, vals, basic, keys) {
+			return false
+		}
+		colPtr, rowIdx, vals, basic = lu.sPtr, lu.sRows, lu.sVals, lu.sCols
+		ms = len(basic)
+	}
+	lu.ms = ms
 
 	// Static Markowitz-style column order: ascending nonzero count via a
 	// counting sort (ties keep ascending basis position, so the order —
@@ -224,7 +511,7 @@ func (lu *luBasis) factor(m int, colPtr, rowIdx []int32, vals []float64, basic [
 	}
 
 	w := lu.colBuf // dense by original row; cleared per column below
-	for k := 0; k < m; k++ {
+	for k := 0; k < ms; k++ {
 		pos := lu.colOrder[k]
 		j := basic[pos]
 		stamp := lu.nextStamp()
@@ -318,6 +605,11 @@ func (lu *luBasis) factor(m int, colPtr, rowIdx []int32, vals []float64, basic [
 			w[r] = 0
 		}
 	}
+	if lu.nk > 0 {
+		for k, i := range lu.colOrder[:ms] {
+			lu.colOrder[k] = lu.nPos[i]
+		}
+	}
 	lu.buildReverse()
 	lu.ok = true
 	return true
@@ -328,12 +620,17 @@ func (lu *luBasis) factor(m int, colPtr, rowIdx []int32, vals []float64, basic [
 // freshly built factors: one counting pass and one fill pass over each
 // factor, O(nnz(L)+nnz(U)+m).
 func (lu *luBasis) buildReverse() {
-	m := lu.m
-	lu.posStep = grow(lu.posStep, m, m)
+	m := lu.ms
+	lu.posStep = grow(lu.posStep, lu.m, lu.m)
+	if lu.nk > 0 {
+		for _, p := range lu.keyPos {
+			lu.posStep[p] = -1 // key positions have no step
+		}
+	}
 	for k := 0; k < m; k++ {
 		lu.posStep[lu.colOrder[k]] = int32(k)
 	}
-	lu.workB = grow(lu.workB, m, m)
+	lu.workB = grow(lu.workB, lu.m, lu.m)
 	clear(lu.workB) // establish the all-zero invariant btranSparse keeps
 
 	lu.utPtr = grow(lu.utPtr, m+1, m+1)
@@ -440,7 +737,13 @@ func (lu *luBasis) dfs(ptr, adj []int32, start, stamp int32, out []int32) []int3
 // position and fully overwritten. b and x must both have length m and
 // must not alias.
 func (lu *luBasis) ftran(b, x []float64) {
-	m := lu.m
+	m := lu.ms
+	// Key rows: b_A ← b_A − A_K·b_G, leaving b_G in place for x_K.
+	for g, r := range lu.keyRow[:lu.nk] {
+		if v := b[r]; v != 0 {
+			lu.subKey(g, v, b)
+		}
+	}
 	// Forward solve L·z = P·b, column-oriented: position rowOf[k] holds
 	// z[k] once steps < k have been applied, and no later column writes
 	// it again.
@@ -470,6 +773,17 @@ func (lu *luBasis) ftran(b, x []float64) {
 			w[lu.uRows[idx]] -= lu.uVals[idx] * v
 		}
 	}
+	// Key columns: x_K = b_G − G_N·x_N.
+	if lu.nk > 0 {
+		for g, p := range lu.keyPos[:lu.nk] {
+			x[p] = b[lu.keyRow[g]]
+		}
+		for p, g := range lu.member[:lu.m] {
+			if g >= 0 {
+				x[lu.keyPos[g]] -= x[p]
+			}
+		}
+	}
 	// Product-form updates, oldest first: x ← E⁻¹·x.
 	lu.applyEtasFwd(x)
 }
@@ -493,14 +807,27 @@ func (lu *luBasis) ftranSparse(rows []int32, vals []float64, x []float64) []int3
 	// postorder DFS appends a step only after all its successors, so
 	// REVERSE append order is topological (small steps before large) —
 	// no sort needed (Gilbert–Peierls).
+	// An entry on a key row g enters as −A_K's column g, whose rows join
+	// the pattern; keyHit remembers it for x_K.
 	stamp := lu.nextStamp()
 	reach := lu.reach[:0]
-	for _, r := range rows {
+	keyHit := lu.keyHit[:0]
+	for i, r := range rows {
+		if lu.nk > 0 && lu.keyOnRow[r] >= 0 {
+			keyHit = append(keyHit, int32(i))
+			j := lu.kCol[lu.keyOnRow[r]]
+			for _, r2 := range lu.aRows[lu.aPtr[j]:lu.aPtr[j+1]] {
+				if s := lu.pinv[r2]; r2 != r && lu.stepMk[s] != stamp {
+					reach = lu.dfs(lu.lPtr, lu.lSteps, s, stamp, reach)
+				}
+			}
+			continue
+		}
 		if s := lu.pinv[r]; lu.stepMk[s] != stamp {
 			reach = lu.dfs(lu.lPtr, lu.lSteps, s, stamp, reach)
 		}
 	}
-	lu.reach = reach
+	lu.reach, lu.keyHit = reach, keyHit
 
 	// Forward solve L·z = P·b over the reached steps only. Every row an
 	// L column can touch belongs to a reached step, so pre-zeroing the
@@ -508,8 +835,19 @@ func (lu *luBasis) ftranSparse(rows []int32, vals []float64, x []float64) []int3
 	for _, k := range reach {
 		b[lu.rowOf[k]] = 0
 	}
-	for i, r := range rows {
-		b[r] = vals[i]
+	if len(keyHit) == 0 {
+		for i, r := range rows {
+			b[r] = vals[i]
+		}
+	} else {
+		for i, r := range rows {
+			if lu.keyOnRow[r] < 0 {
+				b[r] = vals[i]
+			}
+		}
+		for _, i := range keyHit {
+			lu.subKey(int(lu.keyOnRow[rows[i]]), vals[i], b)
+		}
 	}
 	lPtr, lRows, lVals := lu.lPtr, lu.lRows, lu.lVals
 	for i := len(reach) - 1; i >= 0; i-- {
@@ -568,23 +906,47 @@ func (lu *luBasis) ftranSparse(rows []int32, vals []float64, x []float64) []int3
 		xNZ = append(xNZ, pos)
 	}
 
+	// Key columns: x_K = b_G − G_N·x_N, over the keys b hits and those
+	// of the members x_N reached.
+	if lu.nk > 0 {
+		nN := len(xNZ)
+		for _, i := range keyHit {
+			p := lu.keyPos[lu.keyOnRow[rows[i]]]
+			x[p] = vals[i]
+			lu.posMk[p] = xStamp
+			xNZ = append(xNZ, p)
+		}
+		for _, pos := range xNZ[:nN] {
+			if g := lu.member[pos]; g >= 0 {
+				p := lu.keyPos[g]
+				x[p] -= x[pos]
+				if lu.posMk[p] != xStamp {
+					lu.posMk[p] = xStamp
+					xNZ = append(xNZ, p)
+				}
+			}
+		}
+	}
+
 	// Product-form updates, oldest first, extending the pattern as etas
 	// fill in new positions.
-	for e := 0; e+1 < len(lu.etaPtr); e++ {
-		start, end := lu.etaPtr[e], lu.etaPtr[e+1]
-		p := lu.etaPos[start]
+	etaPtr, etaPos, etaVals, posMk := lu.etaPtr, lu.etaPos, lu.etaVals, lu.posMk
+	for e := 1; e < len(etaPtr); e++ {
+		start, end := etaPtr[e-1], etaPtr[e]
+		p := etaPos[start]
 		xp := x[p]
 		if xp == 0 {
 			continue
 		}
-		xp /= lu.etaVals[start]
+		xp /= etaVals[start]
 		x[p] = xp
-		for idx := start + 1; idx < end; idx++ {
-			pos := lu.etaPos[idx]
-			x[pos] -= lu.etaVals[idx] * xp
-			if lu.posMk[pos] != xStamp {
-				lu.posMk[pos] = xStamp
-				xNZ = append(xNZ, pos)
+		pos := etaPos[start+1 : end]
+		vals := etaVals[start+1 : end][:len(pos)]
+		for q, i := range pos {
+			x[i] -= vals[q] * xp
+			if posMk[i] != xStamp {
+				posMk[i] = xStamp
+				xNZ = append(xNZ, i)
 			}
 		}
 	}
@@ -598,17 +960,20 @@ func (lu *luBasis) ftranSparse(rows []int32, vals []float64, x []float64) []int3
 
 // applyEtasFwd applies every recorded eta inverse to x (position space).
 func (lu *luBasis) applyEtasFwd(x []float64) {
-	for e := 0; e+1 < len(lu.etaPtr); e++ {
-		start, end := lu.etaPtr[e], lu.etaPtr[e+1]
-		p := lu.etaPos[start]
+	etaPtr, etaPos, etaVals := lu.etaPtr, lu.etaPos, lu.etaVals
+	for e := 1; e < len(etaPtr); e++ {
+		start, end := etaPtr[e-1], etaPtr[e]
+		p := etaPos[start]
 		xp := x[p]
 		if xp == 0 {
 			continue
 		}
-		xp /= lu.etaVals[start]
+		xp /= etaVals[start]
 		x[p] = xp
-		for idx := start + 1; idx < end; idx++ {
-			x[lu.etaPos[idx]] -= lu.etaVals[idx] * xp
+		pos := etaPos[start+1 : end]
+		vals := etaVals[start+1 : end][:len(pos)]
+		for q, i := range pos {
+			x[i] -= vals[q] * xp
 		}
 	}
 }
@@ -617,7 +982,7 @@ func (lu *luBasis) applyEtasFwd(x []float64) {
 // DESTROYED; y is indexed by original row and fully overwritten. c and
 // y must both have length m and must not alias.
 func (lu *luBasis) btran(c, y []float64) {
-	m := lu.m
+	m := lu.ms
 	// Eta transposes first, newest first: c ← E⁻ᵀ·c.
 	for e := len(lu.etaPtr) - 2; e >= 0; e-- {
 		start, end := lu.etaPtr[e], lu.etaPtr[e+1]
@@ -627,6 +992,14 @@ func (lu *luBasis) btran(c, y []float64) {
 			acc -= lu.etaVals[idx] * c[lu.etaPos[idx]]
 		}
 		c[p] = acc / lu.etaVals[start]
+	}
+	// Key rows: c_N ← c_N − G_Nᵀ·c_K, leaving c_K in place for y_G.
+	if lu.nk > 0 {
+		for p, g := range lu.member[:lu.m] {
+			if g >= 0 {
+				c[p] -= c[lu.keyPos[g]]
+			}
+		}
 	}
 	// Forward solve Uᵀ·z = ĉ in step space (Uᵀ is lower triangular).
 	w := lu.work
@@ -645,6 +1018,36 @@ func (lu *luBasis) btran(c, y []float64) {
 		}
 		y[lu.rowOf[k]] = acc
 	}
+	// Key rows: y_G = c_K − A_Kᵀ·y_A.
+	for g, p := range lu.keyPos[:lu.nk] {
+		y[lu.keyRow[g]] = lu.keyDual(g, c[p], y)
+	}
+}
+
+// subKey subtracts v times A_K's column g from the row-space vector b.
+func (lu *luBasis) subKey(g int, v float64, b []float64) {
+	j, r0 := lu.kCol[g], lu.keyRow[g]
+	lo, hi := lu.aPtr[j], lu.aPtr[j+1]
+	vals := lu.aVals[lo:hi]
+	for q, r := range lu.aRows[lo:hi] {
+		if r != r0 {
+			b[r] -= vals[q] * v
+		}
+	}
+}
+
+// keyDual returns c_K[g] − (A_Kᵀ·y)[g], the dual of key row g given
+// the key column's cost cg and the duals y of the other rows.
+func (lu *luBasis) keyDual(g int, cg float64, y []float64) float64 {
+	j, r0 := lu.kCol[g], lu.keyRow[g]
+	lo, hi := lu.aPtr[j], lu.aPtr[j+1]
+	vals := lu.aVals[lo:hi]
+	for q, r := range lu.aRows[lo:hi] {
+		if r != r0 {
+			cg -= vals[q] * y[r]
+		}
+	}
+	return cg
 }
 
 // btranSparse solves Bᵀ·y = c for a sparse c, exploiting hypersparsity
@@ -667,28 +1070,29 @@ func (lu *luBasis) btranSparse(c []float64, cNZ []int32, y []float64, yPrev []in
 
 	// Eta transposes, newest first: c ← E⁻ᵀ·c. active holds the etas
 	// that touch a position c may be nonzero at; any other eta reads
-	// only zeros, so its accumulation is skipped. Every pivot position
-	// still joins the pattern in eta order, which keeps the discovery
-	// order — and so the downstream accumulation order — of the full
-	// pass.
+	// only zeros and leaves its pivot zero, so its arithmetic is
+	// skipped. Every pivot position still joins the pattern in eta
+	// order, which keeps the discovery order — and so the downstream
+	// accumulation order — of the full pass.
 	stamp := lu.nextStamp()
 	var active uint64
 	for _, p := range cNZ {
 		lu.posMk[p] = stamp
 		active |= lu.etaMask[p]
 	}
-	for e := len(lu.etaPtr) - 2; e >= 0; e-- {
-		start, end := lu.etaPtr[e], lu.etaPtr[e+1]
-		p := lu.etaPos[start]
+	etaPtr, etaPos, etaVals := lu.etaPtr, lu.etaPos, lu.etaVals
+	for e := len(etaPtr) - 2; e >= 0; e-- {
+		start, end := etaPtr[e], etaPtr[e+1]
+		p := etaPos[start]
 		if active&(1<<e) != 0 {
 			acc := c[p]
-			for idx := start + 1; idx < end; idx++ {
-				acc -= lu.etaVals[idx] * c[lu.etaPos[idx]]
+			pos := etaPos[start+1 : end]
+			vals := etaVals[start+1 : end][:len(pos)]
+			for q, i := range pos {
+				acc -= vals[q] * c[i]
 			}
-			c[p] = acc / lu.etaVals[start]
+			c[p] = acc / etaVals[start]
 			active |= lu.etaMask[p]
-		} else {
-			c[p] /= lu.etaVals[start]
 		}
 		if lu.posMk[p] != stamp {
 			lu.posMk[p] = stamp
@@ -696,14 +1100,36 @@ func (lu *luBasis) btranSparse(c []float64, cNZ []int32, y []float64, yPrev []in
 		}
 	}
 
+	// Key rows: c_N ← c_N − G_Nᵀ·c_K; a key position's value reaches
+	// its row's non-key members, which join the pattern. c_K stays for
+	// y_G.
+	nC := len(cNZ)
+	if lu.nk > 0 {
+		for _, p := range cNZ[:nC] {
+			g := lu.keyAt[p]
+			if g < 0 || c[p] == 0 {
+				continue
+			}
+			v := c[p]
+			for _, q := range lu.mPos[lu.mPtr[g]:lu.mPtr[g+1]] {
+				c[q] -= v
+				if lu.posMk[q] != stamp {
+					lu.posMk[q] = stamp
+					cNZ = append(cNZ, q)
+				}
+			}
+		}
+	}
+
 	// Reachable steps of the transposed-U graph from ĉ's pattern: the
 	// candidate nonzero pattern of the forward solve Uᵀ·z = ĉ. Reverse
-	// postorder order processes smaller steps first.
+	// postorder order processes smaller steps first. Key positions have
+	// no step.
 	stamp = lu.nextStamp()
 	reachB := lu.reachB[:0]
 	for _, p := range cNZ {
 		if c[p] != 0 {
-			if k := lu.posStep[p]; lu.stepMk[k] != stamp {
+			if k := lu.posStep[p]; k >= 0 && lu.stepMk[k] != stamp {
 				reachB = lu.dfs(lu.utPtr, lu.utCols, k, stamp, reachB)
 			}
 		}
@@ -748,6 +1174,36 @@ func (lu *luBasis) btranSparse(c []float64, cNZ []int32, y []float64, yPrev []in
 		r := lu.rowOf[k]
 		y[r] = acc
 		yNZ = append(yNZ, r)
+	}
+
+	// Key rows: y_G = c_K − A_Kᵀ·y_A, pushed from y_A's pattern through
+	// the row-wise index, so only the keys it meets are touched.
+	if lu.nk > 0 {
+		mark := lu.nextStamp()
+		nA := len(yNZ)
+		for _, p := range cNZ[:nC] {
+			if g := lu.keyAt[p]; g >= 0 && c[p] != 0 {
+				r0 := lu.keyRow[g]
+				lu.rowMark[r0] = mark
+				y[r0] = c[p]
+				yNZ = append(yNZ, r0)
+			}
+		}
+		for _, r := range yNZ[:nA] {
+			v := y[r]
+			if v == 0 {
+				continue
+			}
+			lo, hi := lu.ktPtr[r], lu.ktPtr[r+1]
+			vals := lu.ktVals[lo:hi]
+			for q, r0 := range lu.ktRow[lo:hi] {
+				if lu.rowMark[r0] != mark {
+					lu.rowMark[r0] = mark
+					yNZ = append(yNZ, r0)
+				}
+				y[r0] -= vals[q] * v
+			}
+		}
 	}
 	return cNZ, yNZ
 }

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -87,7 +88,7 @@ func TestLUFactorSolve(t *testing.T) {
 			colPtr, rowIdx, vals := randBasisCSC(rng, m, density)
 			basic := identityBasic(m)
 			lu := new(luBasis)
-			if !lu.factor(m, colPtr, rowIdx, vals, basic) {
+			if !lu.factor(m, colPtr, rowIdx, vals, basic, nil) {
 				t.Fatalf("m=%d density=%v: factor reported singular", m, density)
 			}
 			b := make([]float64, m)
@@ -120,7 +121,7 @@ func TestLUSingular(t *testing.T) {
 	rowIdx := []int32{0, 1, 0, 1}
 	vals := []float64{1, 2, 1, 2}
 	lu := new(luBasis)
-	if lu.factor(3, colPtr, rowIdx, vals, identityBasic(3)) {
+	if lu.factor(3, colPtr, rowIdx, vals, identityBasic(3), nil) {
 		t.Error("factor accepted a basis with an empty column")
 	}
 	colPtr = []int32{0, 2, 4, 6}
@@ -130,7 +131,7 @@ func TestLUSingular(t *testing.T) {
 	// column 2 the sum of the others.
 	vals[4], vals[5] = -1, 1
 	// cols: (1,1,0),(0,1,1),(-1,0,1): col0 - col1 + col2 = 0 → singular.
-	if lu.factor(3, colPtr, rowIdx, vals, identityBasic(3)) {
+	if lu.factor(3, colPtr, rowIdx, vals, identityBasic(3), nil) {
 		t.Error("factor accepted a numerically singular basis")
 	}
 	if lu.ok {
@@ -150,7 +151,7 @@ func TestLUFtranSparseMatchesDense(t *testing.T) {
 		colPtr, rowIdx, vals := randBasisCSC(rng, m, 0.06)
 		basic := identityBasic(m)
 		lu := new(luBasis)
-		if !lu.factor(m, colPtr, rowIdx, vals, basic) {
+		if !lu.factor(m, colPtr, rowIdx, vals, basic, nil) {
 			t.Fatalf("m=%d: factor reported singular", m)
 		}
 		x := make([]float64, m)
@@ -209,7 +210,7 @@ func TestLUBtranSparseMatchesDense(t *testing.T) {
 		colPtr, rowIdx, vals := randBasisCSC(rng, m, 0.06)
 		basic := identityBasic(m)
 		lu := new(luBasis)
-		if !lu.factor(m, colPtr, rowIdx, vals, basic) {
+		if !lu.factor(m, colPtr, rowIdx, vals, basic, nil) {
 			t.Fatalf("m=%d: factor reported singular", m)
 		}
 		c := make([]float64, m)
@@ -291,7 +292,7 @@ func TestLUEtaUpdates(t *testing.T) {
 	}
 	basic := identityBasic(m)
 	lu := new(luBasis)
-	if !lu.factor(m, colPtr, rowIdx, vals, basic) {
+	if !lu.factor(m, colPtr, rowIdx, vals, basic, nil) {
 		t.Fatal("initial factor reported singular")
 	}
 
@@ -319,7 +320,7 @@ func TestLUEtaUpdates(t *testing.T) {
 			// Refused update: refactor the post-pivot basis, as
 			// simplex.basisPivot does.
 			basic[leave] = enter
-			if !lu.factor(m, colPtr, rowIdx, vals, basic) {
+			if !lu.factor(m, colPtr, rowIdx, vals, basic, nil) {
 				t.Fatalf("pivot %d: refactorization reported singular", pivot)
 			}
 		} else {
@@ -327,7 +328,7 @@ func TestLUEtaUpdates(t *testing.T) {
 		}
 
 		fresh := new(luBasis)
-		if !fresh.factor(m, colPtr, rowIdx, vals, basic) {
+		if !fresh.factor(m, colPtr, rowIdx, vals, basic, nil) {
 			t.Fatalf("pivot %d: reference factor reported singular", pivot)
 		}
 		b := make([]float64, m)
@@ -371,7 +372,7 @@ func TestLUStampWraparound(t *testing.T) {
 	colPtr, rowIdx, vals := randBasisCSC(rng, m, 0.1)
 	basic := identityBasic(m)
 	lu := new(luBasis)
-	if !lu.factor(m, colPtr, rowIdx, vals, basic) {
+	if !lu.factor(m, colPtr, rowIdx, vals, basic, nil) {
 		t.Fatal("factor reported singular")
 	}
 	lu.stamp = math.MaxInt32 - 3
@@ -429,7 +430,7 @@ func TestLUDFSPostorder(t *testing.T) {
 	m := 60
 	colPtr, rowIdx, vals := randBasisCSC(rng, m, 0.06)
 	lu := new(luBasis)
-	if !lu.factor(m, colPtr, rowIdx, vals, identityBasic(m)) {
+	if !lu.factor(m, colPtr, rowIdx, vals, identityBasic(m), nil) {
 		t.Fatal("factor reported singular")
 	}
 	w := make([]float64, m)
@@ -500,7 +501,7 @@ func BenchmarkLUSparseSolves(b *testing.B) {
 	m := 1500
 	colPtr, rowIdx, vals := randBasisCSC(rng, m, 1/float64(m))
 	lu := new(luBasis)
-	if !lu.factor(m, colPtr, rowIdx, vals, identityBasic(m)) {
+	if !lu.factor(m, colPtr, rowIdx, vals, identityBasic(m), nil) {
 		b.Fatal("factor reported singular")
 	}
 	x := make([]float64, m)
@@ -532,4 +533,533 @@ func appendDenseEta(lu *luBasis, p int, w []float64) etaOutcome {
 		pattern[i] = int32(i)
 	}
 	return lu.appendEta(p, w, pattern)
+}
+
+// keyedMatrix is a random RL-shaped working matrix laid out as the
+// simplex lays one out: nKey serve rows (rows 0..nKey-1), then nCap
+// capacity rows. Each serve row has a set of 2–4 path columns, +1 on
+// the row and capacity coefficients in [0.01, 0.5] on 1–4 capacity
+// rows; then come bandwidth columns with −1 on up to three capacity
+// rows each, then one +1 slack (or artificial) per row. Rows are sorted
+// within each column.
+type keyedMatrix struct {
+	m, nKey        int
+	colPtr, rowIdx []int32
+	vals           []float64
+	sets           [][]int // set g: the path columns of serve row g
+	bw             []int   // bandwidth columns
+	slack          []int   // slack[i]: row i's slack column
+	keys           keyRows
+}
+
+func newKeyedMatrix(rng *rand.Rand, nKey, nCap int) *keyedMatrix {
+	km := &keyedMatrix{m: nKey + nCap, nKey: nKey, colPtr: []int32{0}}
+	addCol := func(entries map[int32]float64) int {
+		rows := make([]int32, 0, len(entries))
+		for r := range entries {
+			rows = append(rows, r)
+		}
+		slices.Sort(rows)
+		for _, r := range rows {
+			km.rowIdx = append(km.rowIdx, r)
+			km.vals = append(km.vals, entries[r])
+		}
+		km.colPtr = append(km.colPtr, int32(len(km.rowIdx)))
+		return len(km.colPtr) - 2
+	}
+	capRow := func() int32 { return int32(nKey + rng.Intn(nCap)) }
+	for g := 0; g < nKey; g++ {
+		var set []int
+		for range 2 + rng.Intn(3) {
+			entries := map[int32]float64{int32(g): 1}
+			for range 1 + rng.Intn(4) {
+				entries[capRow()] = 0.01 + 0.49*rng.Float64()
+			}
+			set = append(set, addCol(entries))
+		}
+		km.sets = append(km.sets, set)
+	}
+	for range max(1, nCap/3) {
+		entries := map[int32]float64{}
+		for range 1 + rng.Intn(3) {
+			entries[capRow()] = -1
+		}
+		km.bw = append(km.bw, addCol(entries))
+	}
+	for i := 0; i < km.m; i++ {
+		km.slack = append(km.slack, addCol(map[int32]float64{int32(i): 1}))
+	}
+	km.keys.find(km.m, km.colPtr, km.rowIdx, km.vals)
+	return km
+}
+
+// dense returns the basis matrix of basic, row-major.
+func (km *keyedMatrix) dense(basic []int) [][]float64 {
+	B := make([][]float64, km.m)
+	for i := range B {
+		B[i] = make([]float64, km.m)
+	}
+	for p, j := range basic {
+		for q := km.colPtr[j]; q < km.colPtr[j+1]; q++ {
+			B[km.rowIdx[q]][p] = km.vals[q]
+		}
+	}
+	return B
+}
+
+// denseSolve solves A·x = b by Gaussian elimination with partial
+// pivoting, or reports A singular.
+func denseSolve(A [][]float64, b []float64) ([]float64, bool) {
+	n := len(b)
+	M := make([][]float64, n)
+	for i := range M {
+		M[i] = append(append([]float64(nil), A[i]...), b[i])
+	}
+	for k := 0; k < n; k++ {
+		p := k
+		for i := k + 1; i < n; i++ {
+			if math.Abs(M[i][k]) > math.Abs(M[p][k]) {
+				p = i
+			}
+		}
+		if math.Abs(M[p][k]) < 1e-12 {
+			return nil, false
+		}
+		M[k], M[p] = M[p], M[k]
+		for i := k + 1; i < n; i++ {
+			f := M[i][k] / M[k][k]
+			for j := k; j <= n; j++ {
+				M[i][j] -= f * M[k][j]
+			}
+		}
+	}
+	x := make([]float64, n)
+	for i := n - 1; i >= 0; i-- {
+		v := M[i][n]
+		for j := i + 1; j < n; j++ {
+			v -= M[i][j] * x[j]
+		}
+		x[i] = v / M[i][i]
+	}
+	return x, true
+}
+
+func transpose(A [][]float64) [][]float64 {
+	T := make([][]float64, len(A))
+	for i := range T {
+		T[i] = make([]float64, len(A))
+		for j := range A {
+			T[i][j] = A[j][i]
+		}
+	}
+	return T
+}
+
+// randomKeyedBasis picks a nonsingular basic set: per serve row its
+// slack or one of its paths, and per capacity row its slack, with
+// extra paths and bandwidth columns swapped in for some capacity
+// slacks; three names a set that must hold three basic paths (-1:
+// none).
+func (km *keyedMatrix) randomKeyedBasis(rng *rand.Rand, three int) []int {
+	for {
+		basic := make([]int, km.m)
+		inBasis := map[int]bool{}
+		for g, set := range km.sets {
+			basic[g] = km.slack[g]
+			if rng.Intn(4) > 0 || g == three {
+				basic[g] = set[rng.Intn(len(set))]
+			}
+			inBasis[basic[g]] = true
+		}
+		var extra []int
+		if three >= 0 {
+			for _, j := range km.sets[three] {
+				if !inBasis[j] && len(extra) < 2 {
+					extra = append(extra, j)
+				}
+			}
+		}
+		for range (km.m - km.nKey) / 3 {
+			var j int
+			if rng.Intn(2) == 0 {
+				set := km.sets[rng.Intn(len(km.sets))]
+				j = set[rng.Intn(len(set))]
+			} else {
+				j = km.bw[rng.Intn(len(km.bw))]
+			}
+			if !inBasis[j] && !slices.Contains(extra, j) {
+				extra = append(extra, j)
+			}
+		}
+		for i := km.nKey; i < km.m; i++ {
+			basic[i] = km.slack[i]
+		}
+		for k, p := range rng.Perm(km.m - km.nKey)[:len(extra)] {
+			basic[km.nKey+p] = extra[k]
+		}
+		if _, ok := denseSolve(km.dense(basic), make([]float64, km.m)); ok {
+			return basic
+		}
+	}
+}
+
+// checkKeyedSolves holds every solve of lu against dense solves with
+// the basis matrix of basic, to 1e-9 relative.
+func (km *keyedMatrix) checkKeyedSolves(t *testing.T, rng *rand.Rand, lu *luBasis, basic []int, what string) {
+	t.Helper()
+	m := km.m
+	B := km.dense(basic)
+	BT := transpose(B)
+	near := func(got, want []float64, solve string) {
+		t.Helper()
+		scale := 1.0
+		for _, v := range want {
+			scale = max(scale, math.Abs(v))
+		}
+		if d := maxAbsDiff(got, want); d > 1e-9*scale {
+			t.Fatalf("%s: %s differs from the dense solve by %g (scale %g)", what, solve, d, scale)
+		}
+	}
+	b := make([]float64, m)
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	want, ok := denseSolve(B, b)
+	if !ok {
+		t.Fatalf("%s: reference basis singular", what)
+	}
+	got := make([]float64, m)
+	lu.ftran(append([]float64(nil), b...), got)
+	near(got, want, "ftran")
+	want, _ = denseSolve(BT, b)
+	lu.btran(append([]float64(nil), b...), got)
+	near(got, want, "btran")
+
+	// ftranSparse of every column (basic or not), btranSparse of every
+	// unit vector, each through its buffer's zero-outside-pattern
+	// invariant.
+	x := make([]float64, m)
+	var xNZ []int32
+	for j := 0; j+1 < len(km.colPtr); j++ {
+		for _, p := range xNZ {
+			x[p] = 0
+		}
+		lo, hi := km.colPtr[j], km.colPtr[j+1]
+		xNZ = lu.ftranSparse(km.rowIdx[lo:hi], km.vals[lo:hi], x)
+		a := make([]float64, m)
+		for q := lo; q < hi; q++ {
+			a[km.rowIdx[q]] = km.vals[q]
+		}
+		want, _ := denseSolve(B, a)
+		near(x, want, fmt.Sprintf("ftranSparse of column %d", j))
+		for p, v := range x {
+			if v != 0 && !slices.Contains(xNZ, int32(p)) {
+				t.Fatalf("%s: ftranSparse of column %d: position %d nonzero outside the pattern", what, j, p)
+			}
+		}
+	}
+	c := make([]float64, m)
+	y := make([]float64, m)
+	var cNZ, yNZ []int32
+	for p := 0; p < m; p++ {
+		c[p] = 1
+		cNZ, yNZ = lu.btranSparse(c, append(cNZ[:0], int32(p)), y, yNZ)
+		for _, q := range cNZ {
+			c[q] = 0
+		}
+		e := make([]float64, m)
+		e[p] = 1
+		want, _ := denseSolve(BT, e)
+		near(y, want, fmt.Sprintf("btranSparse of e_%d", p))
+		for r, v := range y {
+			if v != 0 && !slices.Contains(yNZ, int32(r)) {
+				t.Fatalf("%s: btranSparse of e_%d: row %d nonzero outside the pattern", what, p, r)
+			}
+		}
+	}
+}
+
+// TestLUKeyRows factors random RL-shaped bases with key rows and holds
+// FTRAN and BTRAN, dense and sparse, against dense solves: fresh, and
+// after 64 pivots absorbed as etas (refactoring when an update is
+// refused, as the simplex does).
+func TestLUKeyRows(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		nKey, nCap int
+		basis      string
+	}{
+		{"slack-keys", 30, 20, "slack"},
+		{"random", 30, 20, "random"},
+		{"random-wide", 60, 12, "random"},
+		{"three-members", 30, 20, "three"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 4; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				km := newKeyedMatrix(rng, tc.nKey, tc.nCap)
+				if len(km.keys.row) != tc.nKey {
+					t.Fatalf("found %d key rows, want the %d serve rows", len(km.keys.row), tc.nKey)
+				}
+				var basic []int
+				switch tc.basis {
+				case "slack":
+					basic = slices.Clone(km.slack)
+				case "three":
+					g := slices.IndexFunc(km.sets, func(set []int) bool { return len(set) >= 3 })
+					basic = km.randomKeyedBasis(rng, g)
+				default:
+					basic = km.randomKeyedBasis(rng, -1)
+				}
+				lu := new(luBasis)
+				if !lu.factor(km.m, km.colPtr, km.rowIdx, km.vals, basic, &km.keys) {
+					t.Fatalf("seed %d: factor reported singular", seed)
+				}
+				if lu.nk != tc.nKey || lu.ms != tc.nCap {
+					t.Fatalf("seed %d: %d keys and %d factored rows, want %d and %d", seed, lu.nk, lu.ms, tc.nKey, tc.nCap)
+				}
+				if tc.basis == "slack" && (len(lu.lVals) != 0 || len(lu.uVals) != 0) {
+					t.Fatalf("seed %d: the slack basis factored S with fill, want S = I", seed)
+				}
+				km.checkKeyedSolves(t, rng, lu, basic, fmt.Sprintf("seed %d fresh", seed))
+
+				etas := 0
+				for pivot := 0; pivot < 64; pivot++ {
+					enter := rng.Intn(len(km.colPtr) - 1)
+					if slices.Contains(basic, enter) {
+						continue
+					}
+					w := make([]float64, km.m)
+					lo, hi := km.colPtr[enter], km.colPtr[enter+1]
+					wNZ := slices.Clone(lu.ftranSparse(km.rowIdx[lo:hi], km.vals[lo:hi], w))
+					leave := -1
+					for _, p := range wNZ {
+						if leave < 0 || math.Abs(w[p]) > math.Abs(w[leave]) {
+							leave = int(p)
+						}
+					}
+					if leave < 0 || math.Abs(w[leave]) < 1e-6 {
+						continue
+					}
+					basic[leave] = enter
+					if lu.appendEta(leave, w, wNZ) == etaOK {
+						etas++
+					} else if !lu.factor(km.m, km.colPtr, km.rowIdx, km.vals, basic, &km.keys) {
+						t.Fatalf("seed %d pivot %d: refactorization reported singular", seed, pivot)
+					}
+				}
+				if len(lu.etaPtr) < 2 {
+					t.Fatalf("seed %d: no eta left in the file after %d updates", seed, etas)
+				}
+				km.checkKeyedSolves(t, rng, lu, basic, fmt.Sprintf("seed %d after %d etas", seed, etas))
+			}
+		})
+	}
+}
+
+// TestLUKeyRowEmptySet: a basis in which some key row has no basic
+// member is singular (the row is zero in B), and factor must say so.
+// SeedBasis refuses such a seed, and the solve from the refused handle
+// is the cold solve.
+func TestLUKeyRowEmptySet(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	km := newKeyedMatrix(rng, 30, 20)
+	basic := km.randomKeyedBasis(rng, -1)
+	// Replace serve row 0's basic member by a nonbasic bandwidth column.
+	for _, j := range km.bw {
+		if !slices.Contains(basic, j) {
+			basic[slices.IndexFunc(basic, func(b int) bool { return km.keys.of[b] == 0 })] = j
+			break
+		}
+	}
+	if slices.ContainsFunc(basic, func(b int) bool { return km.keys.of[b] == 0 }) {
+		t.Fatal("no nonbasic bandwidth column to empty key row 0 with")
+	}
+	lu := new(luBasis)
+	if lu.factor(km.m, km.colPtr, km.rowIdx, km.vals, basic, &km.keys) || lu.ok {
+		t.Fatal("factor accepted a basis whose key row 0 has no basic member")
+	}
+
+	// An LP with accept rows Σ_j x_gj ≤ 1 and capacity rows, padded past
+	// luAutoRows: seeding a capacity-only column into accept row 0's
+	// slack leaves row 0 without a basic member.
+	build := func() (*Problem, int) {
+		d := newDraft(t, Maximize)
+		var cols []int
+		for g := 0; g < luAutoRows; g++ {
+			row := d.row(LE, 1, "accept")
+			for k := 0; k < 3; k++ {
+				j := d.variable(float64(1+(g+k)%5), 0, 1, "x")
+				d.term(row, j, 1)
+				cols = append(cols, j)
+			}
+		}
+		bw := d.variable(-1, 0, 50, "c")
+		for c := 0; c < 8; c++ {
+			row := d.row(LE, 0, "cap")
+			d.term(row, bw, -1)
+			for k := c; k < len(cols); k += 8 {
+				d.term(row, cols[k], 0.5)
+			}
+		}
+		return d.build(), bw
+	}
+	p, bw := build()
+	seed := p.SeedBasis([]int{0}, []int{bw})
+	if seed.Valid() {
+		t.Fatal("SeedBasis accepted a seed that empties key row 0")
+	}
+	got, err := p.Solve(Options{Warm: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, _ := build()
+	want, err := q.Solve(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Status != StatusOptimal || got.Warm || got.Objective != want.Objective || got.Iters != want.Iters {
+		t.Fatalf("solve from the refused seed: %v %v warm %v after %d iterations, want the cold %v %v after %d",
+			got.Status, got.Objective, got.Warm, got.Iters, want.Status, want.Objective, want.Iters)
+	}
+}
+
+// TestKeyRowsFind pins the key-row rule on a small layout: a row is a
+// key row when all its coefficients are +1 and none of its columns is
+// in an earlier key row.
+func TestKeyRowsFind(t *testing.T) {
+	// Columns (rows they meet, all +1 unless noted):
+	//   0: r0 r2   1: r0   2: r1 (2)   3: r2 r3   4: r3   5: r4 (−1)
+	// plus one +1 slack per row.
+	cols := [][]struct {
+		r int32
+		v float64
+	}{
+		{{0, 1}, {2, 1}}, {{0, 1}}, {{1, 2}}, {{2, 1}, {3, 1}}, {{3, 1}}, {{4, -1}},
+		{{0, 1}}, {{1, 1}}, {{2, 1}}, {{3, 1}}, {{4, 1}},
+	}
+	colPtr := []int32{0}
+	var rowIdx []int32
+	var vals []float64
+	for _, c := range cols {
+		for _, e := range c {
+			rowIdx = append(rowIdx, e.r)
+			vals = append(vals, e.v)
+		}
+		colPtr = append(colPtr, int32(len(rowIdx)))
+	}
+	var k keyRows
+	k.find(5, colPtr, rowIdx, vals)
+	// r0: key. r1: a 2. r2: shares column 0 with r0. r3: key (column 3
+	// is in no earlier KEY row). r4: a −1.
+	if want := []int32{0, 3}; !slices.Equal(k.row, want) {
+		t.Fatalf("key rows %v, want %v", k.row, want)
+	}
+	wantOf := []int32{0, 0, -1, 1, 1, -1, 0, -1, -1, 1, -1}
+	if !slices.Equal(k.of, wantOf) {
+		t.Fatalf("column key rows %v, want %v", k.of, wantOf)
+	}
+	if want := []int32{0, -1, -1, 1, -1}; !slices.Equal(k.onRow, want) {
+		t.Fatalf("row key indices %v, want %v", k.onRow, want)
+	}
+}
+
+// BenchmarkLUKeyRows times one factorization, one sparse FTRAN per
+// basis column and one sparse BTRAN per unit vector on an RL-shaped
+// basis: 1000 key rows with 3 members each and 456 capacity rows.
+func BenchmarkLUKeyRows(b *testing.B) {
+	km, basic := rlShapedBasis(b)
+	lu := new(luBasis)
+	x := make([]float64, km.m)
+	y := make([]float64, km.m)
+	c := make([]float64, km.m)
+	var xNZ, yNZ, cNZ []int32
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !lu.factor(km.m, km.colPtr, km.rowIdx, km.vals, basic, &km.keys) {
+			b.Fatal("basis singular")
+		}
+		for p, j := range basic {
+			for _, q := range xNZ {
+				x[q] = 0
+			}
+			lo, hi := km.colPtr[j], km.colPtr[j+1]
+			xNZ = lu.ftranSparse(km.rowIdx[lo:hi], km.vals[lo:hi], x)
+			c[p] = 1
+			cNZ, yNZ = lu.btranSparse(c, append(cNZ[:0], int32(p)), y, yNZ)
+			for _, q := range cNZ {
+				c[q] = 0
+			}
+		}
+	}
+}
+
+// rlShapedBasis builds BenchmarkLUKeyRows's matrix and basis.
+func rlShapedBasis(b *testing.B) (*keyedMatrix, []int) {
+	rng := rand.New(rand.NewSource(9))
+	const nKey, nCap = 1000, 456
+	km := &keyedMatrix{m: nKey + nCap, nKey: nKey, colPtr: []int32{0}}
+	add := func(rows []int32, vals []float64) int {
+		km.rowIdx = append(km.rowIdx, rows...)
+		km.vals = append(km.vals, vals...)
+		km.colPtr = append(km.colPtr, int32(len(km.rowIdx)))
+		return len(km.colPtr) - 2
+	}
+	// Each path meets a contiguous run of 4–12 capacity rows (one link,
+	// several slots) at the request's rate.
+	for g := 0; g < nKey; g++ {
+		rate := 0.01 + 0.49*rng.Float64()
+		var set []int
+		for range 3 {
+			run := 4 + rng.Intn(9)
+			start := nKey + rng.Intn(nCap-run)
+			rows := []int32{int32(g)}
+			vals := []float64{1}
+			for r := start; r < start+run; r++ {
+				rows = append(rows, int32(r))
+				vals = append(vals, rate)
+			}
+			set = append(set, add(rows, vals))
+		}
+		km.sets = append(km.sets, set)
+	}
+	for r := nKey; r < km.m; r += 12 {
+		var rows []int32
+		var vals []float64
+		for q := r; q < min(r+12, km.m); q++ {
+			rows = append(rows, int32(q))
+			vals = append(vals, -1)
+		}
+		km.bw = append(km.bw, add(rows, vals))
+	}
+	for i := 0; i < km.m; i++ {
+		km.slack = append(km.slack, add([]int32{int32(i)}, []float64{1}))
+	}
+	km.keys.find(km.m, km.colPtr, km.rowIdx, km.vals)
+
+	// The basis: one path per request, a second path for every tenth
+	// request and the bandwidth columns in place of capacity slacks,
+	// kept only while the basis stays nonsingular.
+	lu := new(luBasis)
+	basic := slices.Clone(km.slack)
+	for g, set := range km.sets {
+		basic[g] = set[0]
+	}
+	if !lu.factor(km.m, km.colPtr, km.rowIdx, km.vals, basic, &km.keys) {
+		b.Fatal("path basis singular")
+	}
+	var extra []int
+	for g := 0; g < nKey; g += 10 {
+		extra = append(extra, km.sets[g][1])
+	}
+	extra = append(extra, km.bw...)
+	for k, j := range extra {
+		p := nKey + (k*37)%nCap
+		old := basic[p]
+		basic[p] = j
+		if !lu.factor(km.m, km.colPtr, km.rowIdx, km.vals, basic, &km.keys) {
+			basic[p] = old
+		}
+	}
+	return km, basic
 }

@@ -120,6 +120,9 @@ type simplex struct {
 	// dispatch on lu != nil.
 	binv []float64
 	lu   *luBasis
+	// keys are the working matrix's key rows, found with the layout
+	// when the basis is factorized and handed to every factor.
+	keys keyRows
 
 	opts  Options
 	iters int
@@ -671,6 +674,7 @@ func (s *simplex) chooseBasis() {
 		s.lu = new(luBasis)
 	}
 	s.lu.ok = false // factored once the initial basis is installed
+	s.keys.find(s.m, s.colPtr, s.rowIdx, s.vals)
 }
 
 // objCoef returns the internal (minimization) objective coefficient.
@@ -759,7 +763,7 @@ func (s *simplex) refreshXB() {
 func (s *simplex) refactorLU() bool {
 	cLUFactors.Inc()
 	s.refactored = true // dualIterate refreshes incremental duals off this
-	if !s.lu.factor(s.m, s.colPtr, s.rowIdx, s.vals, s.basic) {
+	if !s.lu.factor(s.m, s.colPtr, s.rowIdx, s.vals, s.basic, &s.keys) {
 		cLUSingular.Inc()
 		return false
 	}

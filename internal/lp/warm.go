@@ -98,7 +98,7 @@ func (s *simplex) factorSeed() bool {
 	}
 	m := s.m
 	var lu luBasis
-	if !lu.factor(m, s.colPtr, s.rowIdx, s.vals, s.basic) {
+	if !lu.factor(m, s.colPtr, s.rowIdx, s.vals, s.basic, nil) {
 		return false
 	}
 	s.binv = grow(s.binv, m*m, m*m)
