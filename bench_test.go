@@ -102,19 +102,6 @@ func BenchmarkMetisSolveK100Traced(b *testing.B) {
 	}
 }
 
-// BenchmarkMetisSolveK100Cold is the same solve with ColdLP set: no
-// incremental relaxation models, every LP from scratch — the seed
-// code path, kept benchmarked so the warm-start win stays visible.
-func BenchmarkMetisSolveK100Cold(b *testing.B) {
-	inst := benchInstance(b, 100)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := metis.Solve(inst, metis.Config{Theta: 4, Seed: 1, ColdLP: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkExactSPMWarmK32 is the OPT(SPM) branch & bound with per-node
 // simplex warm starts. The reported node count keeps the per-node cost
 // separable from the size of the tree.

@@ -140,7 +140,7 @@ func epochsTable(recs []obs.WireRecord) *tableio.Table {
 // solvesTable lists every "metis.solve" span: the end-to-end solves in
 // the trace (a metisbench sweep has one per scenario point).
 func solvesTable(recs []obs.WireRecord) *tableio.Table {
-	t := tableio.New("Metis solves", "solve", "K", "rounds", "accepted", "profit", "warm_lp", "total_ms")
+	t := tableio.New("Metis solves", "solve", "K", "rounds", "accepted", "profit", "total_ms")
 	n := 0
 	for i := range recs {
 		r := &recs[i]
@@ -154,7 +154,6 @@ func solvesTable(recs []obs.WireRecord) *tableio.Table {
 			strconv.Itoa(int(r.FieldFloat("rounds"))),
 			strconv.Itoa(int(r.FieldFloat("accepted"))),
 			tableio.FormatFloat(r.FieldFloat("profit")),
-			strconv.FormatBool(r.Field("warm_lp") == true),
 			tableio.FormatFloat(float64(r.DurUS)/1e3),
 		)
 	}
@@ -166,13 +165,9 @@ func solvesTable(recs []obs.WireRecord) *tableio.Table {
 
 // roundsTable lists every "metis.round" span in trace order: the
 // alternation timeline (round counters restart at 1 for each solve).
-// bl_start is how the round's BL-SPM solve finished: "seeded" from
-// MAA's routing, "warm" from the previous round's basis, or "cold" (the
-// ColdLP path, or a warm or seeded start that fell back); traces that
-// predate the field leave it empty.
 func roundsTable(recs []obs.WireRecord) *tableio.Table {
 	t := tableio.New("Alternation rounds",
-		"round", "accepted", "maa_ms", "taa_ms", "maa_profit", "taa_profit", "best_profit", "shrink_link", "shrink_step", "bl_start")
+		"round", "accepted", "maa_ms", "taa_ms", "maa_profit", "taa_profit", "best_profit", "shrink_link", "shrink_step")
 	n := 0
 	for i := range recs {
 		r := &recs[i]
@@ -190,7 +185,6 @@ func roundsTable(recs []obs.WireRecord) *tableio.Table {
 			tableio.FormatFloat(r.FieldFloat("best_profit")),
 			strconv.Itoa(int(r.FieldFloat("shrink_link"))),
 			strconv.Itoa(int(r.FieldFloat("shrink_step"))),
-			r.FieldString("bl_start"),
 		)
 	}
 	if n == 0 {

@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
 	"metis/internal/fault"
+	"metis/internal/sched"
 	"metis/internal/solvectx"
 	"metis/internal/spm"
 	"metis/internal/wan"
@@ -137,5 +139,73 @@ func TestSolveCtxNaNProfitFault(t *testing.T) {
 	}
 	if err := spm.CheckFeasible(res.Schedule, res.Charged); err != nil {
 		t.Fatalf("schedule infeasible: %v", err)
+	}
+}
+
+// TestSolveCtxAnytime holds SolveCtx to its anytime contract: a run
+// canceled at round k's checkpoint returns what the SP Updater held
+// after round k−1, which is exactly Config{Theta: k−1}'s result — its
+// profit bit for bit, its schedule and its Charged — flagged Degraded,
+// with k−1 rounds. Canceled at round 1 it returns the pruned greedy
+// seed (or the empty schedule when the seed earns nothing).
+func TestSolveCtxAnytime(t *testing.T) {
+	const theta = 4
+	t.Cleanup(fault.Reset)
+	for _, net := range []*wan.Network{wan.B4(), wan.SubB4()} {
+		inst := instance(t, net, 100, 1)
+		full, err := Solve(inst, Config{Theta: theta, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(full.Rounds) != theta {
+			t.Fatalf("%s: θ = %d solve ran %d rounds; every checkpoint must be reached", net.Name(), theta, len(full.Rounds))
+		}
+		for k := 1; k <= theta; k++ {
+			ctx, cancel := context.WithCancel(context.Background())
+			fault.Enable("core.round", fault.Spec{Kind: fault.KindCancel, After: k, Cancel: cancel})
+			got, err := SolveCtx(ctx, inst, Config{Theta: theta, Seed: 1})
+			fault.Reset()
+			cancel()
+			if err != nil {
+				t.Fatalf("%s k=%d: %v", net.Name(), k, err)
+			}
+			if !got.Degraded || !solvectx.Is(got.Cause) || len(got.Rounds) != k-1 {
+				t.Fatalf("%s k=%d: degraded %v (cause %v) after %d rounds, want degraded after %d",
+					net.Name(), k, got.Degraded, got.Cause, len(got.Rounds), k-1)
+			}
+
+			var want *sched.Schedule
+			var wantProfit float64
+			if k == 1 {
+				var g greedyBuf
+				var sp spScratch
+				seed := greedyProfitCandidate(inst, &g)
+				want = sched.NewSchedule(inst)
+				if p := sp.prune(seed); p > 0 {
+					want.CopyFrom(seed)
+					wantProfit = p
+				}
+			} else {
+				res, err := Solve(inst, Config{Theta: k - 1, Seed: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, wantProfit = res.Schedule, res.Profit
+				if !slices.Equal(got.Charged, res.Charged) {
+					t.Errorf("%s k=%d: charged %v, want θ = %d's %v", net.Name(), k, got.Charged, k-1, res.Charged)
+				}
+			}
+			if math.Float64bits(got.Profit) != math.Float64bits(wantProfit) {
+				t.Errorf("%s k=%d: profit %v, want %v", net.Name(), k, got.Profit, wantProfit)
+			}
+			for i := range inst.NumRequests() {
+				if got.Schedule.Choice(i) != want.Choice(i) {
+					t.Fatalf("%s k=%d: request %d on choice %d, want %d", net.Name(), k, i, got.Schedule.Choice(i), want.Choice(i))
+				}
+			}
+			if k == 1 && !slices.Equal(got.Charged, want.ChargedBandwidth()) {
+				t.Errorf("%s k=1: charged %v, want the seed's %v", net.Name(), got.Charged, want.ChargedBandwidth())
+			}
+		}
 	}
 }

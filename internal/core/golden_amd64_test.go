@@ -31,10 +31,10 @@ func TestSolveGoldenBits(t *testing.T) {
 		pivots  int64
 		long    bool
 	}{
-		{"SUB-B4/K600", wan.SubB4(), 1, 600, Config{Seed: 1}, 0x40611d01a75b7768, 564, 5837, false},
-		{"SUB-B4/K2400", wan.SubB4(), 1, 2400, Config{Seed: 1}, 0x40821136606ac8aa, 2323, 22081, true},
-		{"B4/K1000", wan.B4(), 1000, 1000, Config{Theta: 4, Seed: 1}, 0x408648f5acf73cec, 931, 7452, false},
-		{"B4/K100", wan.B4(), 1001, 100, Config{Theta: 4, Seed: 1}, 0x40405dc996e888d8, 33, 589, false},
+		{"SUB-B4/K600", wan.SubB4(), 1, 600, Config{Seed: 1}, 0x40611d01a75b7768, 564, 5713, false},
+		{"SUB-B4/K2400", wan.SubB4(), 1, 2400, Config{Seed: 1}, 0x40821136606ac8aa, 2323, 21793, true},
+		{"B4/K1000", wan.B4(), 1000, 1000, Config{Theta: 4, Seed: 1}, 0x408648f5acf73cec, 931, 7138, false},
+		{"B4/K100", wan.B4(), 1001, 100, Config{Theta: 4, Seed: 1}, 0x40405dc996e888d8, 33, 563, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

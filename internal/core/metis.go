@@ -7,7 +7,10 @@
 //  2. BW Limiter (rule τ): shrink the capacity of the link with the
 //     minimum average utilization in MAA's schedule.
 //  3. TAA (BL-SPM Solver): under the shrunk capacities, maximize
-//     revenue, possibly declining requests.
+//     revenue, possibly declining requests. This step runs TAA's
+//     density-greedy arm (taa.Solver.Greedy): the paper's LP and
+//     Chernoff walk never change a Metis result (DESIGN.md,
+//     "Implementation refinements").
 //
 // An SP Updater records the most profitable schedule seen across all
 // rounds; the request set passed to the next round is TAA's accepted
@@ -70,23 +73,11 @@ type Config struct {
 	LP lp.Options
 	// Seed drives MAA's randomized rounding.
 	Seed int64
-	// ColdLP disables the round-to-round LP reuse: every round rebuilds
-	// its relaxations on a fresh sub-instance and solves them cold,
-	// restoring the pre-warm-start behavior bit-for-bit. By default the
-	// BL-SPM LP is built once per run, its first solve starts from MAA's
-	// routing, and each later round applies only its subset/capacity
-	// delta, warm-starting from the previous round's simplex basis,
-	// while MAA's RL-SPM relaxation (whose vertex the
-	// rounding consumes) is reused only when a stalled round repeats the
-	// exact accepted set — see the model-construction comment in Solve.
-	ColdLP bool
 	// Tracer, when non-nil, receives the structured solve timeline: one
-	// "metis.round" span per alternation round (its "bl_start" field says
-	// whether the round's BL-SPM solve finished "seeded", "warm" or
-	// "cold"), a "metis.solve" span for
+	// "metis.round" span per alternation round, a "metis.solve" span for
 	// the whole run, and — unless LP.Tracer is set separately — every
-	// stage's spans ("lp.solve", "maa.solve", "taa.solve") beneath them.
-	// Nil (the default) disables tracing with zero overhead.
+	// stage's spans ("lp.solve", "maa.solve") beneath them. Nil (the
+	// default) disables tracing with zero overhead.
 	Tracer obs.Tracer
 }
 
@@ -185,12 +176,12 @@ func Solve(inst *sched.Instance, cfg Config) (*Result, error) {
 //
 // A Solve allocates only what its Result holds. Everything it works in
 // is storage that Solves hand on to one another (solveStorage): the
-// round's sub-instance, MAA's RL-SPM LP with its simplex arrays, the BL
-// model with the arrays of its seeded basis, TAA's Chernoff estimator,
-// every schedule, load matrix and index list of the rounds, and the RNG
-// source, re-seeded in place. LPs are rebuilt into the arrays of the
-// last build, rows and columns in the same order, so every relaxation
-// is the solve of the same matrix and results are those of rebuilding
+// round's sub-instance, MAA's RL-SPM LP with its simplex arrays, TAA's
+// greedy arm's order and load tracker, every schedule, load matrix and
+// index list of the rounds, and the RNG source, re-seeded in place.
+// LPs are rebuilt into the arrays of the last build, rows and columns
+// in the same order, so every relaxation is the solve of the same
+// matrix and results are those of rebuilding
 // from fresh memory, bit for bit. The Result is copied out of the
 // storage once, and the storage keeps no reference to inst, ctx or
 // cfg's tracer when the Solve ends.
@@ -206,15 +197,14 @@ func solve(ctx context.Context, inst *sched.Instance, cfg Config, st *solveStora
 	if inst.NumRequests() == 0 {
 		return nil, ErrNoRequests
 	}
-	// Thread the context into every stage: MAA, TAA and the incremental
-	// BL model all read cfg.LP.Ctx (the model captures it at build time).
+	// Thread the context into every stage: MAA's LP reads cfg.LP.Ctx.
 	cfg.LP.Ctx = ctx
 	if err := solvectx.Err(cfg.LP.Ctx); err != nil {
 		cCanceled.Inc()
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	// Thread the run tracer into every stage beneath (LP, MAA, TAA all
-	// read it from the LP options); an explicitly set LP.Tracer wins.
+	// Thread the run tracer into every stage beneath (LP and MAA read it
+	// from the LP options); an explicitly set LP.Tracer wins.
 	if cfg.LP.Tracer == nil {
 		cfg.LP.Tracer = cfg.Tracer
 	}
@@ -244,39 +234,19 @@ func solve(ctx context.Context, inst *sched.Instance, cfg Config, st *solveStora
 		accepted = append(accepted, i)
 	}
 
-	// Incremental BL relaxation model: the BL-SPM LP is built once over
-	// the full instance; round 1 starts it from MAA's routing, and each
-	// later round applies the accepted subset and the shrunk capacities
-	// as bound/rhs deltas and warm-starts from the previous round's basis
-	// instead of rebuilding and solving cold. The warm contract pins the
-	// optimal objective, not the vertex: a seeded or warm solve may land
-	// on another optimal vertex (the seeded one usually does), and TAA's
-	// derandomized Chernoff walk reads X, so its decisions can differ
-	// from the cold path's. Measured, they are the same in practice
-	// (profit moved on 2 of 1760 sampled B4 instances, both K=100, by
-	// about 1%), and the warm ≡ ColdLP parity tests gate every figure on
-	// it.
-	//
-	// MAA gets no such model, because its rounding draws path picks from
-	// the relaxation's vertex and a different start moves that vertex
-	// at a measured profit cost. A crash-started RL solve (each
-	// request's cheapest path basic, later rounds from MAA's previous
-	// routing) ran offline-plan 1.5–2.2x faster but lost 0.96% profit
-	// per θ = 8 cell (23 wins, 33 losses) where changing only the LU
-	// refactor interval moves the same cells by −0.20% on average (see
+	// MAA's relaxation is solved cold every round: its rounding draws
+	// path picks from the relaxation's vertex, and a different start
+	// moves that vertex at a measured profit cost. A crash-started RL
+	// solve (each request's cheapest path basic, later rounds from MAA's
+	// previous routing) ran offline-plan 1.5–2.2x faster but lost 0.96%
+	// profit per θ = 8 cell (23 wins, 33 losses) where changing only the
+	// LU refactor interval moves the same cells by −0.20% on average (see
 	// ROADMAP item 2). So MAA's relaxation is the cold solve of the
 	// round's sub-instance, rebuilt each round into the Solve's storage
 	// (solveStorage). The previous round's relaxation is reused outright
 	// when TAA declined nothing: the accepted set, and hence the RL-SPM
 	// LP, is then identical (RL-SPM depends only on the request set,
 	// not on capacities).
-	var blModel *spm.BLModel
-	if !cfg.ColdLP {
-		blModel = &st.bl
-		if err := blModel.Build(inst, cfg.LP); err != nil {
-			return nil, fmt.Errorf("core: build BL model: %w", err)
-		}
-	}
 	lastAccepted := st.lastAccepted[:0]
 	var lastRel *spm.RelaxedRL
 
@@ -308,7 +278,7 @@ func solve(ctx context.Context, inst *sched.Instance, cfg Config, st *solveStora
 
 		// RL-SPM Solver.
 		maaOpts := maa.Options{LP: cfg.LP, Rounds: cfg.MAARounds, RNG: &st.rng}
-		if !cfg.ColdLP && lastRel != nil && equalInts(lastAccepted, accepted) {
+		if lastRel != nil && equalInts(lastAccepted, accepted) {
 			// Identical accepted set ⇒ identical RL-SPM LP ⇒ the cold
 			// solve would reproduce last round's relaxation bit for bit;
 			// skip it.
@@ -347,41 +317,10 @@ func solve(ctx context.Context, inst *sched.Instance, cfg Config, st *solveStora
 		step := cfg.TauStep << uint(min(stall, 20))
 		shrinkLink, shrinkStep := shrinkLeastUtilized(maaRes.Schedule, caps, step, cfg.TauFrac, sp)
 
-		// BL-SPM Solver. The model's first solve starts from MAA's
-		// routing: TAA's LP is then one shrunk link away from a basis
-		// already in hand (see BLModel.Seed). Later rounds warm-start
-		// from the previous round's basis, and Seed is a no-op.
+		// BL-SPM Solver: TAA's density-greedy arm under τ's capacities.
 		taaStart := time.Now()
-		taaOpts := taa.Options{LP: cfg.LP}
-		blStart := "cold"
-		if blModel != nil {
-			seeded := blModel.Seed(accepted, maaRes.Schedule)
-			rel, err := blModel.SolveSubset(accepted, caps)
-			if err != nil {
-				if solvectx.Is(err) {
-					cause = fmt.Errorf("core: round %d: %w", round, err)
-					break
-				}
-				return nil, fmt.Errorf("core: round %d: %w", round, err)
-			}
-			taaOpts.Relaxed = rel
-			switch {
-			case rel.Warm && seeded:
-				blStart = "seeded"
-			case rel.Warm:
-				blStart = "warm"
-			}
-		}
-		taaRes, err := st.taa.Solve(sub, caps, taaOpts)
-		if err != nil {
-			if solvectx.Is(err) {
-				cause = fmt.Errorf("core: round %d: %w", round, err)
-				break
-			}
-			return nil, fmt.Errorf("core: round %d: %w", round, err)
-		}
 		taaSched := &st.taaSched
-		liftSchedule(taaSched, inst, accepted, taaRes.Schedule)
+		liftSchedule(taaSched, inst, accepted, st.taa.Greedy(sub, caps))
 		taaProfit := sp.prune(taaSched)
 		if taaProfit > bestProfit {
 			best.CopyFrom(taaSched)
@@ -419,8 +358,6 @@ func solve(ctx context.Context, inst *sched.Instance, cfg Config, st *solveStora
 				"shrink_step":  rs.ShrinkStep,
 				"best_profit":  rs.BestProfit,
 				"rel_reused":   maaOpts.Relaxed != nil,
-				"warm_lp":      blModel != nil,
-				"bl_start":     blStart,
 			})
 		}
 		if len(next) == len(accepted) {
@@ -448,7 +385,6 @@ func solve(ctx context.Context, inst *sched.Instance, cfg Config, st *solveStora
 			"rounds":   len(rounds),
 			"accepted": best.NumAccepted(),
 			"profit":   bestProfit,
-			"warm_lp":  blModel != nil,
 		}
 		if cause != nil {
 			fields["degraded"] = true
@@ -472,7 +408,7 @@ func solve(ctx context.Context, inst *sched.Instance, cfg Config, st *solveStora
 }
 
 // solveStorage is what Solves hand on to one another: everything a
-// Solve works in, from MAA's and TAA's solvers and the BL model to the
+// Solve works in, from MAA's and TAA's solvers to the
 // round's sub-instance, the SP Updater's schedules and the index lists.
 // A Solve takes one from storagePool and puts it back when it ends, so
 // the next Solve starts from it; Solves that run at once (exp's figure
@@ -480,7 +416,6 @@ func solve(ctx context.Context, inst *sched.Instance, cfg Config, st *solveStora
 type solveStorage struct {
 	maa    maa.Solver
 	taa    taa.Solver
-	bl     spm.BLModel
 	rng    stats.RNG
 	sub    sched.Instance
 	greedy greedyBuf
@@ -499,7 +434,6 @@ type solveStorage struct {
 // Everything else in st references only st.
 func (st *solveStorage) drop() {
 	st.sub.Drop()
-	st.bl.Drop()
 	st.greedy.drop()
 	st.best.Reset(nil)
 	st.maaSched.Reset(nil)

@@ -187,34 +187,3 @@ func (r *spanRecorder) Emit(rec obs.Record) {
 	r.recs = append(r.recs, rec)
 	r.mu.Unlock()
 }
-
-// TestFirstBLSolveSeeded: on a K=1000 B4 instance, round 1's BL-SPM
-// solve starts from MAA's routing and finishes as a warm hit, later
-// rounds warm-start from the basis it left, and no BL-SPM solve of the
-// run runs cold. MAA's RL-SPM solves carry no warm handle ("off").
-func TestFirstBLSolveSeeded(t *testing.T) {
-	inst := instance(t, wan.B4(), 1000, 1)
-	rec := &spanRecorder{}
-	if _, err := Solve(inst, Config{Theta: 3, Seed: 1, Tracer: rec}); err != nil {
-		t.Fatal(err)
-	}
-	var starts []any
-	for _, r := range rec.recs {
-		switch r.Name {
-		case "metis.round":
-			starts = append(starts, r.Fields["bl_start"])
-		case "lp.solve":
-			if w := r.Fields["warm"]; w != "off" && w != "hit" {
-				t.Errorf("LP solve with warm outcome %v, want every BL-SPM solve a hit", w)
-			}
-		}
-	}
-	if len(starts) == 0 || starts[0] != "seeded" {
-		t.Fatalf("BL starts by round %v, want round 1 seeded", starts)
-	}
-	for i, s := range starts[1:] {
-		if s != "warm" {
-			t.Errorf("round %d BL start %v, want warm", i+2, s)
-		}
-	}
-}

@@ -67,12 +67,6 @@ type Config struct {
 	// value, except its wall-clock columns.
 	Parallel int
 
-	// coldLP disables simplex warm starts and incremental relaxation
-	// models in every Metis run (see core.Config.ColdLP), restoring the
-	// pre-warm-start behavior bit-for-bit. It is the oracle the
-	// package's warm/cold parity tests compare every figure against.
-	coldLP bool
-
 	// Tracer, when non-nil, threads the structured trace sink into every
 	// Metis solve of the figure sweeps (see core.Config.Tracer). Note
 	// that parallel sweeps interleave their spans; the per-span fields
@@ -121,7 +115,7 @@ func (c Config) pointCtx() (context.Context, context.CancelFunc) {
 func (c Config) metisConfig() core.Config {
 	return core.Config{
 		Theta: c.Theta, TauStep: c.TauStep, MAARounds: c.MAARounds,
-		Seed: c.Seed, ColdLP: c.coldLP, Tracer: c.Tracer,
+		Seed: c.Seed, Tracer: c.Tracer,
 	}
 }
 

@@ -378,51 +378,3 @@ func atoiOrFail(t *testing.T, s string) int {
 	}
 	return n
 }
-
-// TestWarmColdFigureParity is the acceptance gate for the warm-start
-// layer: with warm starts on (the default) the fig5 and fig4a columns
-// must be unchanged (±1e-9) against the ColdLP path, which is
-// bit-identical to the pre-warm-start code.
-func TestWarmColdFigureParity(t *testing.T) {
-	warmCfg := QuickConfig()
-	coldCfg := QuickConfig()
-	coldCfg.coldLP = true
-
-	type runner struct {
-		name string
-		run  func(Config) ([]*Figure, error)
-	}
-	runners := []runner{
-		{"fig5", Fig5},
-		{"fig4a", func(c Config) ([]*Figure, error) {
-			f, err := Fig4a(c)
-			return []*Figure{f}, err
-		}},
-	}
-	for _, rn := range runners {
-		warm, err := rn.run(warmCfg)
-		if err != nil {
-			t.Fatalf("%s warm: %v", rn.name, err)
-		}
-		cold, err := rn.run(coldCfg)
-		if err != nil {
-			t.Fatalf("%s cold: %v", rn.name, err)
-		}
-		if len(warm) != len(cold) {
-			t.Fatalf("%s: %d figures warm, %d cold", rn.name, len(warm), len(cold))
-		}
-		for f := range warm {
-			wf, cf := warm[f], cold[f]
-			for r := range wf.X {
-				for _, series := range wf.Series {
-					wv, _ := wf.Value(r, series)
-					cv, _ := cf.Value(r, series)
-					if diff := wv - cv; diff > 1e-9 || diff < -1e-9 {
-						t.Errorf("%s %s row %s series %s: warm %v != cold %v",
-							rn.name, wf.ID, wf.X[r], series, wv, cv)
-					}
-				}
-			}
-		}
-	}
-}

@@ -186,7 +186,7 @@ func (w *Basis) grow(p *Problem, mat *csc, opts Options) bool {
 	s.y, s.w, s.nz, s.rho, s.wNZ = nil, nil, nil, nil, nil
 	s.cB, s.cbNZ, s.yNZp, s.rhoNZp = nil, nil, nil, nil
 	s.yDense = false
-	s.alpha, s.alphaNZ, s.alphaMark = nil, nil, nil
+	s.alpha, s.alphaNZ, s.movable = nil, nil, nil
 	s.alphaStamp = 0
 	s.b = grow(s.b, m1, m1)
 

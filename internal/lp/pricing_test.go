@@ -1,7 +1,10 @@
 package lp
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -111,5 +114,186 @@ func TestCyclingInstanceAllPricings(t *testing.T) {
 				t.Fatalf("%s/%s: %d demotions, want at least %d", inst.name, c.name, got, inst.demotions)
 			}
 		}
+	}
+}
+
+// refGatherPivotRow is the stamped pivot-row gather the packed one
+// replaced, kept as its oracle: four per-column arrays (state and up as
+// the filter, a stamp and a value per column) over a CSR mirror of
+// every column, artificials included.
+type refGatherPivotRow struct {
+	rowPtr, colInd []int32
+	rVals          []float64
+	alpha          []float64
+	mark           []int32
+	stamp          int32
+}
+
+func newRefGather(s *simplex) *refGatherPivotRow {
+	r := &refGatherPivotRow{rowPtr: make([]int32, s.m+1), alpha: make([]float64, s.n), mark: make([]int32, s.n)}
+	for _, i := range s.rowIdx[:s.colPtr[s.n]] {
+		r.rowPtr[i+1]++
+	}
+	for i := 0; i < s.m; i++ {
+		r.rowPtr[i+1] += r.rowPtr[i]
+	}
+	next := slices.Clone(r.rowPtr[:s.m])
+	r.colInd = make([]int32, s.colPtr[s.n])
+	r.rVals = make([]float64, s.colPtr[s.n])
+	for j := 0; j < s.n; j++ {
+		for q := s.colPtr[j]; q < s.colPtr[j+1]; q++ {
+			i := s.rowIdx[q]
+			r.colInd[next[i]], r.rVals[next[i]] = int32(j), s.vals[q]
+			next[i]++
+		}
+	}
+	return r
+}
+
+func (r *refGatherPivotRow) gather(s *simplex, rho []float64, rhoNZ []int32) []int32 {
+	r.stamp++
+	var nz []int32
+	for _, i := range rhoNZ {
+		rv := rho[i]
+		if rv == 0 {
+			continue
+		}
+		for q := r.rowPtr[i]; q < r.rowPtr[i+1]; q++ {
+			j := r.colInd[q]
+			if s.state[j] == isBasic || s.up[j] == 0 {
+				continue
+			}
+			if r.mark[j] != r.stamp {
+				r.mark[j] = r.stamp
+				r.alpha[j] = 0
+				nz = append(nz, j)
+			}
+			r.alpha[j] += rv * r.rVals[q]
+		}
+	}
+	return nz
+}
+
+// TestGatherPivotRowMatchesStamped holds the packed pivot-row gather
+// to the stamped one it replaced, on random key-row LU bases from
+// TestLUKeyRows' generator with an artificial on some serve rows (basic
+// in some, locked at 0 like every dual repair's): for ρ = e_r·B⁻¹ of
+// every row r, the same columns in the same order with bit-equal α,
+// and never a basic or an artificial column. It checks again after
+// each of a run of dual pivots, which keep the movable flags with
+// pivotMovable as dualIterate does.
+func TestGatherPivotRowMatchesStamped(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			km := newKeyedMatrix(rng, 30, 20)
+			basic := km.randomKeyedBasis(rng, -1)
+
+			// Append an artificial, locked at 0, to every third serve row;
+			// where the serve row's slack is basic, its artificial takes
+			// its place.
+			s := &simplex{m: km.m, colPtr: slices.Clone(km.colPtr), rowIdx: slices.Clone(km.rowIdx), vals: slices.Clone(km.vals)}
+			s.artStart = len(s.colPtr) - 1
+			for g := 0; g < km.nKey; g += 3 {
+				s.rowIdx = append(s.rowIdx, int32(g))
+				s.vals = append(s.vals, 1)
+				s.colPtr = append(s.colPtr, int32(len(s.rowIdx)))
+				if basic[g] == km.slack[g] && rng.Intn(2) == 0 {
+					basic[g] = len(s.colPtr) - 2
+				}
+			}
+			s.n = len(s.colPtr) - 1
+			s.nArt = s.n - s.artStart
+			s.basic = basic
+			s.state = make([]int, s.n)
+			s.up = make([]float64, s.n)
+			for j := range s.up {
+				switch {
+				case j >= s.artStart:
+				case rng.Intn(6) == 0:
+					// fixed: up 0, never movable
+				case rng.Intn(2) == 0:
+					s.up[j] = math.Inf(1)
+				default:
+					s.up[j] = 1 + rng.Float64()
+				}
+				if !math.IsInf(s.up[j], 1) && s.up[j] != 0 && rng.Intn(2) == 0 {
+					s.state[j] = atUpper
+				}
+			}
+			for _, j := range basic {
+				s.state[j] = isBasic
+			}
+			s.keys.find(s.m, s.colPtr, s.rowIdx, s.vals)
+			s.lu = new(luBasis)
+			if !s.lu.factor(s.m, s.colPtr, s.rowIdx, s.vals, s.basic, &s.keys) {
+				t.Fatal("random keyed basis factored singular")
+			}
+			s.startPivotRows()
+			ref := newRefGather(s)
+
+			rho, cb := make([]float64, s.m), make([]float64, s.m)
+			var rhoNZ []int32
+			btran := func(r int) {
+				cb[r] = 1
+				var cbNZ []int32
+				cbNZ, rhoNZ = s.lu.btranSparse(cb, []int32{int32(r)}, rho, rhoNZ)
+				for _, p := range cbNZ {
+					cb[p] = 0
+				}
+			}
+			check := func(what string) {
+				t.Helper()
+				for r := 0; r < s.m; r++ {
+					btran(r)
+					want := ref.gather(s, rho, rhoNZ)
+					got := s.gatherPivotRow(rho, rhoNZ)
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s row %d: candidates %v, want %v", what, r, got, want)
+					}
+					for _, j := range got {
+						if s.state[j] == isBasic || int(j) >= s.artStart {
+							t.Fatalf("%s row %d: gathered column %d (basic %v, artificial %v)",
+								what, r, j, s.state[j] == isBasic, int(j) >= s.artStart)
+						}
+						if math.Float64bits(s.alpha[j].v) != math.Float64bits(ref.alpha[j]) {
+							t.Fatalf("%s row %d: α_%d = %v, want %v", what, r, j, s.alpha[j].v, ref.alpha[j])
+						}
+					}
+				}
+			}
+			check("fresh")
+
+			w := make([]float64, s.m)
+			for pivot := 0; pivot < 40; pivot++ {
+				// A dual pivot: the leaving row, and the entering column
+				// of its pivot row with the largest |α|.
+				leave := rng.Intn(s.m)
+				btran(leave)
+				enter := -1
+				for _, j := range s.gatherPivotRow(rho, rhoNZ) {
+					if a := math.Abs(s.alpha[j].v); a > 1e-3 && (enter < 0 || a > math.Abs(s.alpha[enter].v)) {
+						enter = int(j)
+					}
+				}
+				if enter < 0 {
+					continue
+				}
+				clear(w)
+				lo, hi := s.colPtr[enter], s.colPtr[enter+1]
+				s.wNZ = slices.Clone(s.lu.ftranSparse(s.rowIdx[lo:hi], s.vals[lo:hi], w))
+				exit := s.basic[leave]
+				if !s.basisPivot(leave, enter, w) {
+					t.Fatalf("pivot %d: basis does not factor", pivot)
+				}
+				s.state[exit] = atLower
+				if !math.IsInf(s.up[exit], 1) && s.up[exit] != 0 && rng.Intn(2) == 0 {
+					s.state[exit] = atUpper
+				}
+				s.state[enter] = isBasic
+				s.pivotMovable(enter, exit)
+				check(fmt.Sprintf("after pivot %d", pivot))
+			}
+		})
 	}
 }

@@ -168,17 +168,18 @@ type simplex struct {
 	costRows []int
 	resid    []float64
 
-	// rowPtr/colInd/rVals mirror the working matrix row-major (CSR) for
-	// the dual ratio test's pivot-row gather (pricing.go); alpha* is the
-	// stamped pivot-row accumulator.
+	// rowPtr/colInd/rVals mirror the working matrix's non-artificial
+	// columns row-major (CSR) for the dual ratio test's pivot-row gather
+	// (pricing.go); alpha* is the stamped pivot-row accumulator and
+	// movable the gather's per-column filter.
 	rowPtr     []int32
 	colInd     []int32
 	rVals      []float64
 	csrOK      bool
-	alpha      []float64
+	alpha      []alphaEntry
 	alphaNZ    []int32
-	alphaMark  []int32
 	alphaStamp int32
+	movable    []bool
 	// refactored is set by the LU refactorization paths so dualIterate
 	// refreshes its incrementally updated duals against the new factors.
 	refactored bool

@@ -52,6 +52,11 @@ func NewBasis() *Basis { return &Basis{} }
 // twice, a row without a +1 slack (seeded or not: an equality row, or
 // an inequality whose slack the row normalization negates), or a
 // singular basis matrix.
+//
+// No solver seeds a basis any more; SeedBasis is kept as a test
+// oracle. TestSingularPivotRejected, TestDualRejectedPivotHandsOver and
+// TestLUKeyRowEmptySet build the bases they need with it, and
+// TestSeedBasisReachesColdObjective holds it to the cold solve.
 func (p *Problem) SeedBasis(rows, cols []int) *Basis {
 	w := NewBasis()
 	if len(rows) != len(cols) {
@@ -176,7 +181,7 @@ func (w *Basis) Clone() *Basis {
 	// The pivot-row accumulator is per-solve scratch. The CSR mirror is
 	// immutable alongside the shared matrix arrays, so it (and csrOK) is
 	// shared as-is.
-	s.alpha, s.alphaNZ, s.alphaMark = nil, nil, nil
+	s.alpha, s.alphaNZ, s.movable = nil, nil, nil
 	s.alphaStamp = 0
 	s.leaveKey, s.leaveWin = nil, nil
 	if s.lu != nil {
@@ -484,6 +489,7 @@ func (s *simplex) dualIterate() Status {
 		s.rho = grow(s.rho, m, m)
 		clear(s.rho)
 		s.rhoNZp = s.rhoNZp[:0]
+		s.startPivotRows()
 	}
 	state, up := s.state, s.up
 	yOK := false
@@ -586,7 +592,7 @@ func (s *simplex) dualIterate() Status {
 			// — this loop runs for every gathered column of every repair
 			// pivot, and closure calls showed up in profiles.
 			for _, j32 := range s.gatherPivotRow(rho, s.rhoNZp) {
-				alpha := s.alpha[j32]
+				alpha := s.alpha[j32].v
 				aab := math.Abs(alpha)
 				if aab <= pivTol {
 					continue
@@ -695,6 +701,9 @@ func (s *simplex) dualIterate() Status {
 			state[exit] = atUpper
 		}
 		state[enter] = isBasic
+		if s.lu != nil {
+			s.pivotMovable(enter, exit)
+		}
 		// Move the basic values and re-key exactly the rows that moved:
 		// the direction's pattern, which holds the leaving row.
 		if s.lu != nil {

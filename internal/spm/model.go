@@ -107,97 +107,38 @@ func (m *RLModel) toggle(subset []int) error {
 // TAA analogue of RLModel. Rounds change two things: the accepted
 // subset (deactivated requests' routing columns are fixed to zero; the
 // accept rows are ≤ 1 and stay satisfied at zero) and the per-link
-// capacities, applied to the capacity rows via SetRHS.
+// capacities, applied to the capacity rows via SetRHS. Its first solve
+// runs cold and later ones warm-start from the basis it left.
 //
-// A model keeps its storage from one Build to the next: the LP, the
-// working arrays of its basis, and the result of its last solve, which
-// its next solve rewrites. A BLModel is not safe for concurrent use.
+// No solver uses it: Metis's BL-SPM step is TAA's greedy arm, which
+// solves no LP. It stays because the benchmark's per-layer probes time
+// its build and its solve at K=1000. A BLModel is not safe for
+// concurrent use.
 type BLModel struct {
-	p                  lp.Problem
-	b                  lpBuild
-	basis              *lp.Basis
-	opts               lp.Options
-	active             []bool
-	want               []bool
-	seedRows, seedCols []int
-	x                  xRows
-	rel                RelaxedBL
+	p      lp.Problem
+	b      lpBuild
+	basis  *lp.Basis
+	opts   lp.Options
+	active []bool
+	want   []bool
+	x      xRows
+	rel    RelaxedBL
 }
 
 // NewBLModel builds the relaxed BL-SPM LP for the full instance, with
 // every request active and all capacities zero (SolveSubset installs
-// the round's capacities before every solve).
+// the round's capacities before every solve). opts configures all
+// subsequent solves.
 func NewBLModel(inst *sched.Instance, opts lp.Options) (*BLModel, error) {
-	m := new(BLModel)
-	if err := m.Build(inst, opts); err != nil {
+	m := &BLModel{basis: lp.NewBasis(), opts: opts}
+	if err := m.b.build(&m.p, inst, blLP, nil); err != nil {
 		return nil, err
 	}
-	return m, nil
-}
-
-// Build rebuilds m as NewBLModel(inst, opts) would, in the arrays of its
-// last build; the working arrays of the basis it held serve its next
-// seed or cold solve.
-func (m *BLModel) Build(inst *sched.Instance, opts lp.Options) error {
-	m.basis.Reset()
-	if m.basis == nil {
-		m.basis = lp.NewBasis()
-	}
-	if err := m.b.build(&m.p, inst, blLP, nil); err != nil {
-		return err
-	}
-	m.opts = opts
-	m.active = slices.Grow(m.active[:0], inst.NumRequests())[:inst.NumRequests()]
+	m.active = make([]bool, inst.NumRequests())
 	for i := range m.active {
 		m.active[i] = true
 	}
-	return nil
-}
-
-// Drop ends a run of the model: it forgets the options it was built with
-// and its basis, whose working arrays it keeps for the next Build.
-func (m *BLModel) Drop() {
-	m.basis.Reset()
-	m.opts = lp.Options{}
-}
-
-// Seed starts the model's next solve from a routing when the model
-// holds no basis yet, instead of from the all-slack basis. routing is a
-// schedule over the sub-instance of subset (request k of routing is
-// request subset[k] here), such as MAA's serve-everything schedule.
-// Each routed request's path column becomes basic in its accept row and
-// every capacity slack stays basic. Every request then prices at its
-// value on its accept row, which leaves each of its paths at reduced
-// cost 0 and its accept slack at its value, so the basis is dual
-// feasible whatever the capacities; it is primal infeasible only on the
-// (link, slot) rows the routing overloads. The solve is therefore a
-// dual repair of those rows and a primal certification.
-//
-// Seed reports whether the seed was installed. It is a no-op when the
-// model already holds a basis; a routing that does not fit the model
-// leaves the next solve cold.
-func (m *BLModel) Seed(subset []int, routing *sched.Schedule) bool {
-	if m.basis.Valid() || routing.Instance().NumRequests() != len(subset) {
-		return false
-	}
-	rows, cols := m.seedRows[:0], m.seedCols[:0]
-	for k, i := range subset {
-		if i < 0 || i >= len(m.b.xCols) {
-			return false
-		}
-		c := routing.Choice(k)
-		if c == sched.Declined {
-			continue
-		}
-		if c >= len(m.b.xCols[i]) {
-			return false
-		}
-		rows = append(rows, i)
-		cols = append(cols, m.b.xCols[i][c])
-	}
-	m.seedRows, m.seedCols = rows, cols
-	m.basis = m.p.SeedBasis(rows, cols)
-	return m.basis.Valid()
+	return m, nil
 }
 
 // SolveSubset solves the relaxation restricted to the given request
@@ -256,7 +197,6 @@ func (m *BLModel) SolveSubset(subset []int, caps []int) (*RelaxedBL, error) {
 	m.rel = RelaxedBL{
 		X:       m.x.read(sol.X, m.b.xCols, subset),
 		Revenue: sol.Objective,
-		Warm:    sol.Warm,
 	}
 	return &m.rel, nil
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"metis/internal/lp"
-	"metis/internal/sched"
 	"metis/internal/stats"
 	"metis/internal/wan"
 )
@@ -125,72 +124,6 @@ func TestBLModelMatchesColdSubsets(t *testing.T) {
 			if len(warm.X) != len(subset) {
 				t.Fatalf("k=%d round %d: X has %d rows, want %d", k, round, len(warm.X), len(subset))
 			}
-		}
-	}
-}
-
-// TestBLModelSeededMatchesCold: at the benchmark's shape (B4, 12 slots,
-// 3 paths per request), a BLModel seeded from a serve-everything routing
-// solves warm to the cold SolveBLRelaxation revenue (±1e-9 relative)
-// under the routing's charged capacities less one unit on one link, the
-// τ rule's first shrink. The routing is MAA's stand-in: each request on
-// the path its RL-SPM relaxation weights most.
-func TestBLModelSeededMatchesCold(t *testing.T) {
-	for _, k := range []int{100, 1000} {
-		inst, err := sched.NewInstance(wan.B4(), 12, genRequests(t, wan.B4(), k, int64(k)+3), 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rl, err := SolveRLRelaxation(inst, lp.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		routing := sched.NewSchedule(inst)
-		for i, row := range rl.X {
-			best := 0
-			for j, v := range row {
-				if v > row[best] {
-					best = j
-				}
-			}
-			if err := routing.Assign(i, best); err != nil {
-				t.Fatal(err)
-			}
-		}
-		caps := routing.ChargedBandwidth()
-		for e := range caps {
-			if caps[e] > 0 {
-				caps[e]--
-				break
-			}
-		}
-		all := make([]int, k)
-		for i := range all {
-			all[i] = i
-		}
-		model, err := NewBLModel(inst, lp.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !model.Seed(all, routing) {
-			t.Fatalf("k=%d: seed refused", k)
-		}
-		seeded, err := model.SolveSubset(all, caps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cold, err := SolveBLRelaxation(inst, caps, lp.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !seeded.Warm {
-			t.Errorf("k=%d: seeded solve fell back cold", k)
-		}
-		if tol := 1e-9 * (1 + math.Abs(cold.Revenue)); math.Abs(seeded.Revenue-cold.Revenue) > tol {
-			t.Errorf("k=%d: seeded revenue %.15g != cold %.15g", k, seeded.Revenue, cold.Revenue)
-		}
-		if model.Seed(all, routing) {
-			t.Errorf("k=%d: seed installed over a held basis", k)
 		}
 	}
 }

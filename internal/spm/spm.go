@@ -247,9 +247,6 @@ type RelaxedBL struct {
 	X [][]float64
 	// Revenue is the optimal relaxed service revenue.
 	Revenue float64
-	// Warm reports that the solve finished from a retained or seeded
-	// basis rather than cold (set only by BLModel).
-	Warm bool
 }
 
 // SolveBLRelaxation solves the relaxed BL-SPM for inst under the given

@@ -37,9 +37,9 @@ type Options struct {
 	// error matching solvectx.ErrCanceled/ErrDeadline.
 	LP lp.Options
 	// Relaxed optionally supplies a pre-solved BL-SPM relaxation for the
-	// instance and capacities (e.g. from an incremental spm.BLModel that
-	// warm-starts across Metis rounds); when set, the internal LP solve
-	// is skipped. Its X must cover exactly the instance's requests, and
+	// instance and capacities (e.g. from the spm.BLSession that
+	// core.Replanner keeps across epochs); when set, the internal LP
+	// solve is skipped. Its X must cover exactly the instance's requests, and
 	// it must have been solved under the same capacities.
 	Relaxed *spm.RelaxedBL
 }
@@ -78,7 +78,7 @@ func SolveVar(inst *sched.Instance, caps [][]float64, opts Options) (*Result, er
 // Solver runs TAA calls in shared storage: each call's Chernoff
 // estimator, schedules, load trackers, walk order and result are
 // rebuilt in the arrays of the last call, so the rounds of one Metis
-// solve allocate them about once. A result is the solver's: its next
+// solve (which call Greedy) allocate them about once. A result is the solver's: its next
 // call rewrites it. Results are the package-level functions', bit for
 // bit. The zero value is ready to use; a Solver is not safe for
 // concurrent use.
@@ -105,6 +105,20 @@ func (ts *Solver) Solve(inst *sched.Instance, caps []int, opts Options) (*Result
 	}
 	ts.caps = spm.ExpandCapsInto(ts.caps, inst, caps)
 	return ts.SolveVar(inst, ts.caps, opts)
+}
+
+// Greedy is TAA's density-greedy arm alone, with no LP: requests in
+// descending value density (walkOrder), each on its fewest-hops
+// candidate path that fits the remaining capacity under caps, one
+// non-negative entry per link, constant across slots. It is the
+// schedule SolveVar compares its estimator walk against, and Metis's
+// BL-SPM step: there the walk's schedule earns no more than this one
+// on almost every call, and never changes a Metis result (DESIGN.md,
+// "Implementation refinements"). The schedule is the solver's until
+// its next call.
+func (ts *Solver) Greedy(inst *sched.Instance, caps []int) *sched.Schedule {
+	ts.caps = spm.ExpandCapsInto(ts.caps, inst, caps)
+	return ts.greedySchedule(inst, ts.caps, ts.walkOrder(inst))
 }
 
 // SolveVar is the package-level SolveVar in the solver's storage.
