@@ -558,12 +558,34 @@ func (g *greedyBuf) sweepInto(s *sched.Schedule, inst *sched.Instance, order []i
 }
 
 // spScratch is what the SP Updater's passes reuse from call to call: a
-// per-link load matrix and the pruner's candidate order. Every load
-// matrix a pass consumes is recomputed fresh via LoadsInto, so results
-// are bit-identical to allocating per call.
+// per-link load matrix, the pruner's candidate order and its per-link
+// running peaks. Every load matrix a pass consumes is recomputed fresh
+// via LoadsInto, so results are bit-identical to allocating per call.
 type spScratch struct {
 	loads [][]float64
 	order []int
+	// pre[e][t] and suf[e][t] are the peaks of link e's loads over
+	// slots 0..t and t..T−1, floored at 0; prune keeps them current.
+	pre, suf [][]float64
+}
+
+// peaks recomputes link e's prefix and suffix peaks from its loads.
+func (sp *spScratch) peaks(e int) {
+	v, pre, suf := sp.loads[e], sp.pre[e], sp.suf[e]
+	var p float64
+	for t, x := range v {
+		if x > p {
+			p = x
+		}
+		pre[t] = p
+	}
+	p = 0
+	for t := len(v) - 1; t >= 0; t-- {
+		if x := v[t]; x > p {
+			p = x
+		}
+		suf[t] = p
+	}
 }
 
 // prune is the SP Updater's local-improvement step: it repeatedly
@@ -573,12 +595,26 @@ type spScratch struct {
 // candidates are retried until a fixpoint). Requests are tried in
 // ascending value order. It returns the schedule's profit after
 // pruning.
+//
+// A link's peak without request i is max(the peak outside i's window,
+// the peak inside it − i's rate): rounding is monotone, so that is the
+// same float as the maximum of the reduced loads. The peak outside the
+// window comes from the link's prefix and suffix peaks, which change
+// only when a decline changes the link's loads; the window is scanned
+// only when that outside peak does not already hold the link's charged
+// units.
 func (sp *spScratch) prune(s *sched.Schedule) float64 {
 	inst := s.Instance()
 	net := inst.Network()
 	slots := inst.Slots()
 	sp.loads = s.LoadsInto(sp.loads)
 	loads := sp.loads
+	sp.pre = sched.ZeroLoads(sp.pre, len(loads), slots)
+	sp.suf = sched.ZeroLoads(sp.suf, len(loads), slots)
+	for e := range loads {
+		sp.peaks(e)
+	}
+	pre, suf := sp.pre, sp.suf
 
 	sp.order = s.AcceptedInto(sp.order)
 	order := sp.order
@@ -594,25 +630,34 @@ func (sp *spScratch) prune(s *sched.Schedule) float64 {
 				continue
 			}
 			r := inst.Request(i)
+			lo, hi := max(r.Start, 0), min(r.End, slots-1)
 			// Cost saved by removing i: per path link, units between
 			// ceil(peak) and ceil(peak without i).
 			var saved float64
 			for _, e := range inst.Path(i, c).Links {
-				var peak, peakWithout float64
-				for t := 0; t < slots; t++ {
-					v := loads[e][t]
-					if v > peak {
-						peak = v
-					}
-					if r.ActiveAt(t) {
-						v -= r.Rate
-					}
-					if v > peakWithout {
-						peakWithout = v
+				peak := pre[e][slots-1]
+				var outside float64
+				if lo > 0 {
+					outside = pre[e][lo-1]
+				}
+				if hi+1 < slots && suf[e][hi+1] > outside {
+					outside = suf[e][hi+1]
+				}
+				units := sched.CeilUnits(peak)
+				if units == sched.CeilUnits(outside) {
+					continue
+				}
+				var inside float64
+				for _, v := range loads[e][lo : hi+1] {
+					if v > inside {
+						inside = v
 					}
 				}
-				units := sched.CeilUnits(peak) - sched.CeilUnits(peakWithout)
-				if units > 0 {
+				peakWithout := outside
+				if v := inside - r.Rate; v > peakWithout {
+					peakWithout = v
+				}
+				if units -= sched.CeilUnits(peakWithout); units > 0 {
 					saved += float64(units) * net.Link(e).Price
 				}
 			}
@@ -624,6 +669,7 @@ func (sp *spScratch) prune(s *sched.Schedule) float64 {
 				for t := r.Start; t <= r.End; t++ {
 					loads[e][t] -= r.Rate
 				}
+				sp.peaks(e)
 			}
 			improved = true
 		}
