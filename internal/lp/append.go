@@ -182,12 +182,9 @@ func (w *Basis) grow(p *Problem, mat *csc, opts Options) bool {
 		s.binv = binv
 	}
 
-	// Size-dependent scratch is reallocated lazily, like a cloned handle.
-	s.y, s.w, s.nz, s.rho, s.wNZ = nil, nil, nil, nil, nil
-	s.cB, s.cbNZ, s.yNZp, s.rhoNZp = nil, nil, nil, nil
-	s.yDense = false
-	s.alpha, s.alphaNZ, s.movable = nil, nil, nil
-	s.alphaStamp = 0
+	// Size-dependent scratch regrows in place where it is next used:
+	// y, w and nz in ensureScratch, rho in dualIterate, cB in
+	// computeDuals, the pivot-row accumulator in startPivotRows.
 	s.b = grow(s.b, m1, m1)
 
 	w.m, w.nStruct, w.sign = m1, nS1, sign

@@ -261,11 +261,11 @@ func TestLUBtranSparseMatchesDense(t *testing.T) {
 	}
 }
 
-// TestLUEtaUpdates replaces basis columns one at a time through
-// appendEta (refactoring whenever an update is refused, exactly like
-// basisPivot) and checks after every pivot that FTRAN and BTRAN through
-// the eta file agree with a fresh factorization of the updated basis.
-func TestLUEtaUpdates(t *testing.T) {
+// TestLUUpdates replaces basis columns one at a time through update
+// (refactoring whenever an update is refused, exactly like basisPivot)
+// and checks after every pivot that FTRAN and BTRAN through the updated
+// factors agree with a fresh factorization of the updated basis.
+func TestLUUpdates(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	m := 50
 	n := 120 // extra columns to pivot in
@@ -296,15 +296,15 @@ func TestLUEtaUpdates(t *testing.T) {
 		t.Fatal("initial factor reported singular")
 	}
 
-	w := make([]float64, m)
+	updates := 0
 	for pivot := 0; pivot < 40; pivot++ {
 		enter := m + rng.Intn(n-m)
-		// FTRAN the entering column to get the direction.
-		dense := make([]float64, m)
-		for q := colPtr[enter]; q < colPtr[enter+1]; q++ {
-			dense[rowIdx[q]] = vals[q]
+		if slices.Contains(basic, enter) {
+			continue
 		}
-		lu.ftran(dense, w)
+		// FTRAN the entering column to get the direction and the spike.
+		w := make([]float64, m)
+		wNZ := slices.Clone(lu.ftranSparse(rowIdx[colPtr[enter]:colPtr[enter+1]], vals[colPtr[enter]:colPtr[enter+1]], w))
 		// Pick the largest-magnitude direction entry as the leaving row
 		// (a stable pivot, as the ratio test would supply).
 		leave, best := -1, 0.0
@@ -316,15 +316,15 @@ func TestLUEtaUpdates(t *testing.T) {
 		if leave < 0 || best < 1e-9 {
 			continue // direction vanished; skip this candidate
 		}
-		if appendDenseEta(lu, leave, w) != etaOK {
+		basic[leave] = enter
+		if lu.update(leave, enter, w, wNZ) != updOK {
 			// Refused update: refactor the post-pivot basis, as
 			// simplex.basisPivot does.
-			basic[leave] = enter
 			if !lu.factor(m, colPtr, rowIdx, vals, basic, nil) {
 				t.Fatalf("pivot %d: refactorization reported singular", pivot)
 			}
 		} else {
-			basic[leave] = enter
+			updates++
 		}
 
 		fresh := new(luBasis)
@@ -340,16 +340,17 @@ func TestLUEtaUpdates(t *testing.T) {
 		lu.ftran(append([]float64(nil), b...), got)
 		fresh.ftran(append([]float64(nil), b...), want)
 		if d := maxAbsDiff(got, want); d > 1e-7 {
-			t.Fatalf("pivot %d: eta-file FTRAN differs from fresh factors by %g", pivot, d)
+			t.Fatalf("pivot %d: updated FTRAN differs from fresh factors by %g", pivot, d)
 		}
 		lu.btran(append([]float64(nil), b...), got)
 		fresh.btran(append([]float64(nil), b...), want)
 		if d := maxAbsDiff(got, want); d > 1e-7 {
-			t.Fatalf("pivot %d: eta-file BTRAN differs from fresh factors by %g", pivot, d)
+			t.Fatalf("pivot %d: updated BTRAN differs from fresh factors by %g", pivot, d)
 		}
-		// The sparse BTRAN of a unit vector — a dual pivot row — skips
-		// the etas its right-hand side cannot reach; it must still match
-		// the full pass over the eta file, for every position.
+		// The sparse BTRAN of a unit vector — a dual pivot row — visits
+		// only the slots and row etas its right-hand side reaches; it
+		// must still match the dense pass over the same factors, for
+		// every position.
 		for r := 0; r < m; r++ {
 			unit := make([]float64, m)
 			unit[r] = 1
@@ -357,9 +358,12 @@ func TestLUEtaUpdates(t *testing.T) {
 			clear(got)
 			lu.btranSparse(unit, []int32{int32(r)}, got, nil)
 			if d := maxAbsDiff(got, want); d > 1e-12 {
-				t.Fatalf("pivot %d: sparse BTRAN of e_%d differs from the full eta pass by %g", pivot, r, d)
+				t.Fatalf("pivot %d: sparse BTRAN of e_%d differs from the dense pass by %g", pivot, r, d)
 			}
 		}
+	}
+	if updates == 0 {
+		t.Fatal("every update was refused; the test checked only fresh factors")
 	}
 }
 
@@ -396,15 +400,15 @@ func TestLUStampWraparound(t *testing.T) {
 }
 
 // refPostorder is the recursive reference for luBasis.dfs: from each
-// start not yet seen, visit successors adj[ptr[s]:ptr[s+1]] in stored
+// start not yet seen, visit successors adj[beg[s]:end[s]] in stored
 // order and emit a step after all of them.
-func refPostorder(ptr, adj, starts []int32, m int) []int32 {
+func refPostorder(beg, end, adj, starts []int32, m int) []int32 {
 	seen := make([]bool, m)
 	var out []int32
 	var visit func(s int32)
 	visit = func(s int32) {
 		seen[s] = true
-		for _, t := range adj[ptr[s]:ptr[s+1]] {
+		for _, t := range adj[beg[s]:end[s]] {
 			if !seen[t] {
 				visit(t)
 			}
@@ -421,7 +425,7 @@ func refPostorder(ptr, adj, starts []int32, m int) []int32 {
 
 // TestLUDFSPostorder pins the walk order of the sparse solves: dfs must
 // return exactly the recursive postorder, over several starts sharing
-// one stamp, on all four solve graphs of a factor carrying etas. The
+// one stamp, on all four solve graphs of a factor carrying updates. The
 // solves accumulate in the reverse of this order, so a different walk
 // changes their floating-point results even where the solve-vs-dense
 // tolerances above cannot see it.
@@ -429,25 +433,41 @@ func TestLUDFSPostorder(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	m := 60
 	colPtr, rowIdx, vals := randBasisCSC(rng, m, 0.06)
+	// Five entering columns, each a unit vector plus a second entry.
+	for e := 0; e < 5; e++ {
+		r1, r2 := int32(rng.Intn(m)), int32(rng.Intn(m))
+		if r1 == r2 {
+			rowIdx = append(rowIdx, r1)
+			vals = append(vals, 2+rng.Float64())
+		} else {
+			rowIdx = append(rowIdx, min(r1, r2), max(r1, r2))
+			vals = append(vals, 1+rng.Float64(), 1+rng.Float64())
+		}
+		colPtr = append(colPtr, int32(len(rowIdx)))
+	}
+	basic := identityBasic(m)
 	lu := new(luBasis)
-	if !lu.factor(m, colPtr, rowIdx, vals, identityBasic(m), nil) {
+	if !lu.factor(m, colPtr, rowIdx, vals, basic, nil) {
 		t.Fatal("factor reported singular")
 	}
-	w := make([]float64, m)
 	for e := 0; e < 5; e++ {
-		b := make([]float64, m)
-		b[rng.Intn(m)] = 1
-		b[rng.Intn(m)] += 1 + rng.Float64()
-		lu.ftran(b, w)
+		enter := m + e
+		w := make([]float64, m)
+		lo, hi := colPtr[enter], colPtr[enter+1]
+		wNZ := slices.Clone(lu.ftranSparse(rowIdx[lo:hi], vals[lo:hi], w))
 		p := 0
 		for i, v := range w {
 			if math.Abs(v) > math.Abs(w[p]) {
 				p = i
 			}
 		}
-		if appendDenseEta(lu, p, w) != etaOK {
-			t.Fatalf("eta %d refused", e)
+		if lu.update(p, enter, w, wNZ) != updOK {
+			t.Fatalf("update %d refused", e)
 		}
+		basic[p] = enter
+	}
+	if len(lu.rPiv) == 0 {
+		t.Fatal("no row eta after five updates; the U graphs are the fresh factor's")
 	}
 	for idx, r := range lu.lRows {
 		if lu.lSteps[idx] != lu.pinv[r] {
@@ -455,18 +475,18 @@ func TestLUDFSPostorder(t *testing.T) {
 		}
 	}
 	graphs := []struct {
-		name     string
-		ptr, adj []int32
+		name          string
+		beg, end, adj []int32
 	}{
-		{"L", lu.lPtr, lu.lSteps},
-		{"U", lu.uPtr, lu.uRows},
-		{"Uᵀ", lu.utPtr, lu.utCols},
-		{"Lᵀ", lu.ltPtr, lu.ltCols},
+		{"L", lu.lPtr, lu.lPtr[1:], lu.lSteps},
+		{"U", lu.uc.beg, lu.uc.end, lu.uc.idx},
+		{"Uᵀ", lu.ut.beg, lu.ut.end, lu.ut.idx},
+		{"Lᵀ", lu.ltPtr, lu.ltPtr[1:], lu.ltCols},
 	}
 	for _, g := range graphs {
 		branching := 0
 		for s := 0; s < m; s++ {
-			if g.ptr[s+1]-g.ptr[s] > 1 {
+			if g.end[s]-g.beg[s] > 1 {
 				branching++
 			}
 		}
@@ -482,10 +502,10 @@ func TestLUDFSPostorder(t *testing.T) {
 			var got []int32
 			for _, s := range starts {
 				if lu.stepMk[s] != stamp {
-					got = lu.dfs(g.ptr, g.adj, s, stamp, got)
+					got = lu.dfs(g.beg, g.end, g.adj, s, stamp, got)
 				}
 			}
-			if want := refPostorder(g.ptr, g.adj, starts, m); !slices.Equal(got, want) {
+			if want := refPostorder(g.beg, g.end, g.adj, starts, m); !slices.Equal(got, want) {
 				t.Fatalf("%s graph from %v: dfs = %v, want %v", g.name, starts, got, want)
 			}
 		}
@@ -523,16 +543,6 @@ func BenchmarkLUSparseSolves(b *testing.B) {
 			}
 		}
 	}
-}
-
-// appendDenseEta calls appendEta for a direction w held densely: its
-// pattern is every position.
-func appendDenseEta(lu *luBasis, p int, w []float64) etaOutcome {
-	pattern := make([]int32, len(w))
-	for i := range pattern {
-		pattern[i] = int32(i)
-	}
-	return lu.appendEta(p, w, pattern)
 }
 
 // keyedMatrix is a random RL-shaped working matrix laid out as the
@@ -781,7 +791,7 @@ func (km *keyedMatrix) checkKeyedSolves(t *testing.T, rng *rand.Rand, lu *luBasi
 
 // TestLUKeyRows factors random RL-shaped bases with key rows and holds
 // FTRAN and BTRAN, dense and sparse, against dense solves: fresh, and
-// after 64 pivots absorbed as etas (refactoring when an update is
+// after 64 pivots absorbed as updates (refactoring when an update is
 // refused, as the simplex does).
 func TestLUKeyRows(t *testing.T) {
 	for _, tc := range []struct {
@@ -818,12 +828,12 @@ func TestLUKeyRows(t *testing.T) {
 				if lu.nk != tc.nKey || lu.ms != tc.nCap {
 					t.Fatalf("seed %d: %d keys and %d factored rows, want %d and %d", seed, lu.nk, lu.ms, tc.nKey, tc.nCap)
 				}
-				if tc.basis == "slack" && (len(lu.lVals) != 0 || len(lu.uVals) != 0) {
+				if tc.basis == "slack" && (len(lu.lVals) != 0 || lu.uNNZ != 0) {
 					t.Fatalf("seed %d: the slack basis factored S with fill, want S = I", seed)
 				}
 				km.checkKeyedSolves(t, rng, lu, basic, fmt.Sprintf("seed %d fresh", seed))
 
-				etas := 0
+				updates, since := 0, 0
 				for pivot := 0; pivot < 64; pivot++ {
 					enter := rng.Intn(len(km.colPtr) - 1)
 					if slices.Contains(basic, enter) {
@@ -842,16 +852,19 @@ func TestLUKeyRows(t *testing.T) {
 						continue
 					}
 					basic[leave] = enter
-					if lu.appendEta(leave, w, wNZ) == etaOK {
-						etas++
+					if lu.update(leave, enter, w, wNZ) == updOK {
+						updates++
+						since++
 					} else if !lu.factor(km.m, km.colPtr, km.rowIdx, km.vals, basic, &km.keys) {
 						t.Fatalf("seed %d pivot %d: refactorization reported singular", seed, pivot)
+					} else {
+						since = 0
 					}
 				}
-				if len(lu.etaPtr) < 2 {
-					t.Fatalf("seed %d: no eta left in the file after %d updates", seed, etas)
+				if since == 0 {
+					t.Fatalf("seed %d: no update since the last factor, of %d", seed, updates)
 				}
-				km.checkKeyedSolves(t, rng, lu, basic, fmt.Sprintf("seed %d after %d etas", seed, etas))
+				km.checkKeyedSolves(t, rng, lu, basic, fmt.Sprintf("seed %d after %d updates", seed, updates))
 			}
 		})
 	}

@@ -17,9 +17,11 @@ var (
 	cCanceled    = obs.NewCounter("lp.canceled", "solves stopped by Options.Ctx cancellation or deadline")
 
 	cLUFactors      = obs.NewCounter("lp.lu.factors", "sparse LU (re)factorizations of the basis matrix")
-	cLUUpdates      = obs.NewCounter("lp.lu.updates", "product-form (Forrest-Tomlin family) rank-1 basis updates applied between refactorizations")
-	cLURefactorStab = obs.NewCounter("lp.lu.refactor_unstable", "refactorizations forced by an unstable eta pivot")
-	cLURefactorFill = obs.NewCounter("lp.lu.refactor_fill", "refactorizations forced by eta-file fill growth or the eta-count cap")
+	cLUUpdates      = obs.NewCounter("lp.lu.updates", "in-place basis updates applied between refactorizations: key swaps, key changes and Forrest-Tomlin column replacements")
+	cLUKeySwaps     = obs.NewCounter("lp.lu.key_swaps", "updates that only rewrote the key block: a key column left for a member of its key row with no other basic member")
+	cLUKeyChanges   = obs.NewCounter("lp.lu.key_changes", "updates whose leaving key column handed its key row to a basic member before the column replacement")
+	cLURefactorStab = obs.NewCounter("lp.lu.refactor_unstable", "refactorizations forced by an update's stability test: a pivot small against its direction, or a Forrest-Tomlin diagonal that disagrees with it")
+	cLURefactorFill = obs.NewCounter("lp.lu.refactor_fill", "refactorizations forced by the growth of U and the row-eta file past a multiple of the fresh factor")
 	cLUFillNNZ      = obs.NewCounter("lp.lu.fill_nnz", "cumulative nonzeros (L+U+diag) across factorizations; divide by lp.lu.factors for mean fill")
 	cLUSingular     = obs.NewCounter("lp.lu.singular", "factorizations that found the basis numerically singular; mid-solve, the pivot that made it is rejected")
 

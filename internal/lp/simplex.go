@@ -116,7 +116,7 @@ type simplex struct {
 	xB    []float64 // basic variable values
 	// Basis representation: exactly one of the two is active. binv is
 	// the dense m×m row-major basis inverse; lu is the sparse LU
-	// factorization with product-form updates. All basis operations
+	// factorization with in-place updates. All basis operations
 	// dispatch on lu != nil.
 	binv []float64
 	lu   *luBasis
@@ -134,7 +134,7 @@ type simplex struct {
 	rho []float64 // dual-simplex pivot row scratch (factorized mode)
 	// wNZ is the nonzero pattern of the direction w in factorized mode:
 	// ftranSparse returns it, the ratio test / basic-value update /
-	// eta append iterate it, and the next direction solve clears w
+	// basis update iterate it, and the next direction solve clears w
 	// through it. Meaningless (and unused) on the dense paths.
 	wNZ []int32
 	// Sparse-BTRAN buffers (factorized mode): cB gathers the basic cost
@@ -723,12 +723,10 @@ func (s *simplex) refreshXB() {
 	m := s.m
 	// s.w is free here — refreshXB only runs between iterate/dualIterate
 	// passes, and direction fully rewrites w before every use — so borrow
-	// it instead of allocating (it is nil on a freshly cloned basis).
+	// it instead of allocating. Borrowing leaves it dirty: the LU
+	// passes clear it before their first sparse solve.
+	s.ensureScratch()
 	rhs := s.w
-	if len(rhs) < m {
-		rhs = make([]float64, m)
-	}
-	rhs = rhs[:m]
 	copy(rhs, s.b)
 	for j := 0; j < s.n; j++ {
 		if s.state[j] == atUpper && s.up[j] > 0 {
@@ -757,6 +755,23 @@ func (s *simplex) refreshXB() {
 		}
 		s.xB[i] = v
 	}
+}
+
+// ensureScratch sizes the per-iteration buffers y, w and nz to m. They
+// regrow in place, so a basis grown by AppendColumn keeps its arrays; a
+// buffer that changes size starts all-zero with no pattern, as the
+// sparse solves require.
+func (s *simplex) ensureScratch() {
+	m := s.m
+	if len(s.y) == m && len(s.w) == m {
+		return
+	}
+	s.y = grow(s.y, m, m)
+	clear(s.y)
+	s.w = grow(s.w, m, m)
+	clear(s.w)
+	s.nz = grow(s.nz, 0, m)
+	s.wNZ, s.yNZp, s.yDense = s.wNZ[:0], s.yNZp[:0], false
 }
 
 // refactorLU factors the current basis from scratch and records the
@@ -821,7 +836,7 @@ func (s *simplex) computeDuals(cost, y []float64, costRows []int) []int {
 }
 
 // basisPivot makes enter basic at row leave, given its FTRAN direction
-// w: a product-form update (or, when refused, a refactorization) of the
+// w: an in-place update (or, when refused, a refactorization) of the
 // LU factors, or the dense Binv row reduction. False means the
 // post-pivot basis is singular. The pivot is then rejected: s.basic is
 // left as it was and refactored, and the caller goes on without it
@@ -835,13 +850,13 @@ func (s *simplex) basisPivot(leave, enter int, w []float64) bool {
 		s.pivotBinv(leave, w)
 		return true
 	}
-	switch s.lu.appendEta(leave, w, s.wNZ) {
-	case etaOK:
+	switch s.lu.update(leave, enter, w, s.wNZ) {
+	case updOK:
 		cLUUpdates.Inc()
 		return true
-	case etaUnstable:
+	case updUnstable:
 		cLURefactorStab.Inc()
-	case etaFill:
+	case updGrowth:
 		cLURefactorFill.Inc()
 	}
 	if s.refactorLU() {
@@ -932,11 +947,7 @@ func (s *simplex) buildDuals(cost, y []float64, costRows []int) []int {
 // instead of striding down a column.
 func (s *simplex) iterate(cost []float64) Status {
 	m := s.m
-	if s.y == nil {
-		s.y = make([]float64, m)
-		s.w = make([]float64, m)
-		s.nz = make([]int32, 0, m)
-	}
+	s.ensureScratch()
 	degenerate := 0
 
 	// The anti-cycling ladder has three rungs. On rung 0 sectional

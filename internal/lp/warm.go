@@ -161,7 +161,7 @@ func (w *Basis) capture(p *Problem, s *simplex, sign []float64) {
 // factorized handle's LU factors are NOT copied — the clone gets an
 // empty factorization that is rebuilt from the copied basic set on first
 // use, which is both cheaper than copying the fill and keeps the
-// parent's eta file private.
+// parent's updates private.
 func (w *Basis) Clone() *Basis {
 	if !w.Valid() {
 		return NewBasis()
@@ -377,12 +377,7 @@ func (p *Problem) solveWarm(opts Options) (*Solution, warmOutcome) {
 // must agree on X (unique vertex)" apart from "only the objective is
 // pinned".
 func (s *simplex) degenerateOptimum() bool {
-	m := s.m
-	if s.y == nil {
-		s.y = make([]float64, m)
-		s.w = make([]float64, m)
-		s.nz = make([]int32, 0, m)
-	}
+	s.ensureScratch()
 	y := s.y
 	s.costRows = s.computeDuals(s.cost, y, s.costRows)
 	for j := 0; j < s.n; j++ {
@@ -413,12 +408,7 @@ func (s *simplex) primalFeasible() bool {
 // dualFeasible reports whether every movable nonbasic variable's
 // reduced cost has the optimal sign for its bound status.
 func (s *simplex) dualFeasible() bool {
-	m := s.m
-	if s.y == nil {
-		s.y = make([]float64, m)
-		s.w = make([]float64, m)
-		s.nz = make([]int32, 0, m)
-	}
+	s.ensureScratch()
 	y := s.y
 	s.costRows = s.computeDuals(s.cost, y, s.costRows)
 	for j := 0; j < s.n; j++ {
@@ -470,11 +460,7 @@ func (s *simplex) reducedCost(cost []float64, j int, y []float64) float64 {
 // factors.
 func (s *simplex) dualIterate() Status {
 	m := s.m
-	if s.y == nil {
-		s.y = make([]float64, m)
-		s.w = make([]float64, m)
-		s.nz = make([]int32, 0, m)
-	}
+	s.ensureScratch()
 	const pivTol = 1e-9
 	y, w := s.y, s.w
 	if s.lu != nil {
